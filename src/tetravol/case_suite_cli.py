@@ -12,7 +12,7 @@ grades PASS-WITH-NOTE and never fails a run.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import anti_certification as anticert
 from ._kernels import BackendUnavailable, get_backend
@@ -478,7 +478,7 @@ def curve_result(beta, check):
                        check.expected_degree, ok)
 
 
-def run_case(name, parallel=False, seed=0, budget=10 ** 6, backend=None,
+def run_case(name, seed=0, budget=10 ** 6, backend=None,
              campaign_trials=None):
     """Execute one pinned case end to end and grade every obligation."""
     spec = case_registry()[name]
@@ -492,7 +492,7 @@ def run_case(name, parallel=False, seed=0, budget=10 ** 6, backend=None,
             raise ValueError("endpoint mismatch for %s" % task.func.label)
         p = pullback(task.func.polynomial(spec.beta),
                      spec.simplices[task.simplex])
-        cert = certify(p, budget=budget, parallel=parallel, backend=backend)
+        cert = certify(p, budget=budget, backend=backend)
         grade = grade_task(task, cert)
         if grade == "FAIL":
             hard_fail = True
@@ -659,19 +659,15 @@ def _cmd_certify_file(args):
         print("error: %s" % exc, file=sys.stderr)
         return 3
     try:
-        cert = certify(p, budget=args.budget, parallel=args.parallel,
-                       backend=args.backend)
+        cert = certify(p, budget=args.budget, backend=args.backend)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    if args.json:
-        print(json.dumps(cert.to_report(), sort_keys=True))
-    else:
-        print("status: %s" % cert.status)
-        print("steps: %d" % cert.steps)
-        if cert.status == "NegativeWitness":
-            print("corner value: %d" % cert.witness_corner)
-            print("lineage: %s" % (cert.witness_lineage,))
+    lines = ["status: %s" % cert.status, "steps: %d" % cert.steps]
+    if cert.status == "NegativeWitness":
+        lines.append("corner value: %d" % cert.witness_corner)
+        lines.append("lineage: %s" % (cert.witness_lineage,))
+    _print(args, asdict(cert), "\n".join(lines))
     return {"Nonnegative": 0, "NegativeWitness": 1, "BudgetExhausted": 2}[
         cert.status]
 
@@ -720,15 +716,14 @@ def _cmd_case_list(args):
 
 
 def _cmd_case_run(args):
-    report = run_case(args.name, parallel=args.parallel, seed=args.seed,
-                      backend=args.backend)
+    report = run_case(args.name, seed=args.seed, backend=args.backend)
     _print(args, report.to_json(), report.to_text())
     return 0 if report.passed else 1
 
 
 def _cmd_case_run_all(args):
-    reports = [run_case(name, parallel=args.parallel, seed=args.seed,
-                        backend=args.backend) for name in case_registry()]
+    reports = [run_case(name, seed=args.seed, backend=args.backend)
+               for name in case_registry()]
     ok = all(r.passed for r in reports)
     if args.json:
         print(json.dumps({"cases": [r.to_json() for r in reports],
@@ -830,7 +825,6 @@ def build_parser():
                        help="certify a serialized 5-variable polynomial")
     p.add_argument("path")
     p.add_argument("--budget", type=int, default=10 ** 6)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--backend", choices=("numba", "numpy"), default=None)
     _add_json(p)
     p.set_defaults(func=_cmd_certify_file)
@@ -860,13 +854,11 @@ def build_parser():
     q.set_defaults(func=_cmd_case_list)
     q = csub.add_parser("run", help="run one case")
     q.add_argument("name", choices=case_names())
-    q.add_argument("--parallel", action="store_true")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--backend", choices=("numba", "numpy"), default=None)
     _add_json(q)
     q.set_defaults(func=_cmd_case_run)
     q = csub.add_parser("run-all", help="run every case")
-    q.add_argument("--parallel", action="store_true")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--backend", choices=("numba", "numpy"), default=None)
     _add_json(q)

@@ -10,6 +10,7 @@ those edges grows the volume.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exact_poly import Polynomial
@@ -225,17 +226,8 @@ def directional_derivative(beta):
 
 def _clear_denominators(d):
     vals = [Fraction(x) for x in d]
-    scale = 1
-    for v in vals:
-        q = v.denominator
-        scale = scale * q // _gcd(scale, q)
+    scale = math.lcm(*(v.denominator for v in vals))
     return [int(v * scale) for v in vals], scale
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def is_tetrahedral(d):

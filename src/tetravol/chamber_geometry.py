@@ -13,6 +13,7 @@ decided by exact integer arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .cayley_menger import AXIS_PAIRS, EDGES, VERTEX_EDGES, EdgeIndex
@@ -200,9 +201,7 @@ class LatticeSimplex6:
         determinant signs.
         """
         fr = [Fraction(x) for x in p]
-        denom = 1
-        for x in fr:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+        denom = math.lcm(*(x.denominator for x in fr))
         ints = [int(x * denom) for x in fr]
         if sum(ints) != 24 * denom:
             return False
@@ -237,12 +236,6 @@ class LatticeSimplex6:
 
     def __repr__(self):
         return "LatticeSimplex6(%s)" % self.name
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _frac_det(m):

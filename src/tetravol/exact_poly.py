@@ -8,8 +8,6 @@ is used anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class Monomial:
     """A single term: integer coefficient times a power product."""
@@ -374,34 +372,3 @@ class UnivariatePoly:
 
     def __repr__(self):
         return "UnivariatePoly(%r)" % (self.coeffs,)
-
-
-# Module-level operation names, mirroring the class methods.
-
-def add(p, q):
-    return p + q
-
-
-def mul(p, q):
-    return p * q
-
-
-def evaluate(p, point):
-    return p.evaluate(point)
-
-
-def partial_derivative(p, j):
-    return p.partial_derivative(j)
-
-
-def substitute(p, images):
-    return p.substitute(images)
-
-
-def restrict_curve(p, curves):
-    return p.restrict_curve(curves)
-
-
-def rational_point(values):
-    """Coerce a mixed int/str/Fraction sequence to exact Fractions."""
-    return tuple(Fraction(v) for v in values)

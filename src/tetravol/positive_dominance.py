@@ -3,74 +3,30 @@
 A polynomial on the unit cube is weakly positive dominant (WPD) when
 every downward-closed box partial sum of its coefficients is
 nonnegative; WPD implies nonnegativity on the cube.  Polynomials that
-fail the test are split in half along the coordinate picked by a
-marker (the first coordinate of minimal subdivision depth), the two
-halves being the dilation of the polynomial and the dilation of its
-reflection, both rescaled by a power of two to stay integral.  The
-certifier drives a LIFO work list of marked boxes until every leaf is
-WPD, a box goes negative at the cube origin (yielding an exact
-negative witness), or a step budget runs out.
+fail the test are split in half along the first coordinate of minimal
+subdivision depth, the two halves being the dilation of the polynomial
+and the dilation of its reflection, both rescaled by a power of two to
+stay integral.
+
+One walk, ``_traverse``, does all of this: it drives a LIFO work list
+of cubes until every leaf is WPD, a cube goes negative at the origin
+(yielding an exact negative witness), or a step budget runs out, and it
+records one action per step ('S' split, 'W' WPD leaf, 'N' negative
+origin).  ``certify`` runs it once.  ``replay`` runs it again under the
+certificate's budget, stopping at the first action that differs from
+the recorded ones, and accepts only when the walk re-derives the whole
+certificate: status, counters, histogram, actions and witness.
+
+Both run on the requested engine and, when the two-limb engine raises
+``BackendOverflow``, run again from the start on the object engine.
 """
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ._kernels import BackendOverflow, get_backend
-from .exact_poly import Polynomial
-
-
-class Marker:
-    """Per-coordinate subdivision depths with the youngest-entry rule."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries=(0, 0, 0, 0, 0)):
-        entries = tuple(int(e) for e in entries)
-        if len(entries) != 5 or any(e < 0 for e in entries):
-            raise ValueError("marker needs five nonnegative entries")
-        self.entries = entries
-
-    def youngest(self):
-        """Index of the first minimal entry, scanning left to right."""
-        return self.entries.index(min(self.entries))
-
-    def successor(self):
-        j = self.youngest()
-        e = list(self.entries)
-        e[j] += 1
-        return Marker(e)
-
-    def depth(self):
-        return sum(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, Marker) and self.entries == other.entries
-
-    def __repr__(self):
-        return "Marker%r" % (self.entries,)
-
-
-@dataclass
-class MarkedBox:
-    """A polynomial with its subdivision bookkeeping."""
-
-    poly: Polynomial
-    marker: Marker
-    lineage: Tuple[Tuple[int, str], ...] = ()
-
-    def __post_init__(self):
-        if self.poly.max_variable_degree() > 6:
-            raise ValueError("per-variable degree exceeds 6")
-        if len(self.lineage) != self.marker.depth():
-            raise ValueError("lineage length must equal total marker depth")
-
-    @property
-    def depth(self):
-        return self.marker.depth()
 
 
 def _lineage_str(lineage):
@@ -111,107 +67,45 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-# -- sparse reference operators -----------------------------------------
-
-def is_wpd(p, backend=None):
-    """True iff every downward-closed box partial sum is nonnegative."""
+def _with_fallback(backend, run):
+    """run(engine), and once more on the object engine after an overflow."""
     eng = get_backend(backend)
     try:
-        return eng.wpd(eng.from_poly(p))
-    except BackendOverflow:
-        eng = get_backend("numpy")
-        return eng.wpd(eng.from_poly(p))
-
-
-def rotate(p, k):
-    """Cyclic shift of exponent positions: variable i becomes i+k."""
-    if p.nvars != 5:
-        raise ValueError("expected a 5-variable polynomial")
-    k %= 5
-    if k == 0:
-        return p
-    out = {}
-    for exps, c in p.terms.items():
-        new = [0] * 5
-        for i, e in enumerate(exps):
-            new[(i + k) % 5] = e
-        out[tuple(new)] = c
-    return Polynomial(5, out)
-
-
-def dilate_first(p):
-    """2^E * p(x1/2, x2, ..., x5) with E the top degree in variable 1."""
-    if p.nvars != 5:
-        raise ValueError("expected a 5-variable polynomial")
-    E = max((e[0] for e in p.terms), default=0)
-    out = {}
-    for exps, c in p.terms.items():
-        out[exps] = c << (E - exps[0])
-    return Polynomial(5, out)
-
-
-def reflect_first(p):
-    """p with x1 replaced by 1-x1, via signed Pascal rows."""
-    if p.nvars != 5:
-        raise ValueError("expected a 5-variable polynomial")
-    out = {}
-    for exps, c in p.terms.items():
-        e0 = exps[0]
-        for j in range(e0 + 1):
-            key = (j,) + exps[1:]
-            coeff = c * math.comb(e0, j) * (-1 if j % 2 else 1)
-            s = out.get(key, 0) + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return Polynomial(5, out)
-
-
-def negative_at_origin(p):
-    return p.coefficient((0,) * 5) < 0
-
-
-def subdivide(box):
-    """Split along the marker's youngest coordinate.
-
-    The split coordinate is rotated to the front, the two half-cube
-    substitutions applied there, and the rotation undone.  Left child
-    covers the low half, right child the reflected-then-dilated high
-    half; both carry the successor marker.
-    """
-    j = box.marker.youngest()
-    fwd = (5 - j) % 5
-    r = rotate(box.poly, fwd)
-    left = rotate(dilate_first(r), j)
-    right = rotate(dilate_first(reflect_first(r)), j)
-    succ = box.marker.successor()
-    return (
-        MarkedBox(left, succ, box.lineage + ((j, "L"),)),
-        MarkedBox(right, succ, box.lineage + ((j, "R"),)),
-    )
-
-
-# -- the certifier ------------------------------------------------------
-
-def certify(p, budget=10 ** 6, parallel=False, backend=None, workers=4):
-    """Certify p >= 0 on the unit cube, or find a negative corner.
-
-    Sequential mode is deterministic and gives the step counts quoted
-    throughout; parallel mode returns the same status but its counters
-    depend on scheduling.
-    """
-    eng = get_backend(backend)
-    runner = _certify_parallel if parallel else _certify_sequential
-    try:
-        return runner(p, budget, eng, workers)
+        return run(eng)
     except BackendOverflow:
         if eng.name == "numpy":
             raise
-        return runner(p, budget, get_backend("numpy"), workers)
+        return run(get_backend("numpy"))
 
 
-def _certify_sequential(p, budget, eng, workers=None):
+def is_wpd(p, backend=None):
+    """True iff every downward-closed box partial sum is nonnegative."""
+    return _with_fallback(backend, lambda eng: eng.wpd(eng.from_poly(p)))
+
+
+def certify(p, budget=10 ** 6, backend=None):
+    """Certify p >= 0 on the unit cube, or find a negative corner.
+
+    Deterministic: the same polynomial and budget give the same
+    certificate on every engine.
+    """
+    return _with_fallback(backend, lambda eng: _traverse(p, budget, eng))
+
+
+def replay(p, certificate, backend=None):
+    """True iff a fresh walk re-derives exactly this certificate.
+
+    The walk runs under the certificate's budget and stops at the first
+    action that differs from its recorded ones, so it never takes more
+    than one step past them.
+    """
+    return certificate == _with_fallback(
+        backend, lambda eng: _traverse(p, certificate.budget, eng,
+                                       certificate.actions))
+
+
+def _traverse(p, budget, eng, expect=None):
+    """The subdivision walk; None as soon as an action differs from expect."""
     root = eng.from_poly(p)
     eng.guard(root)
     stack = [(root, (0, 0, 0, 0, 0), ())]
@@ -219,26 +113,31 @@ def _certify_sequential(p, budget, eng, workers=None):
     max_depth = 0
     hist = [0] * 5
     actions = []
+
+    def outcome(status, **witness):
+        return Certificate(status, steps, wpd_tests, subdivisions,
+                           max_depth, tuple(hist), "".join(actions),
+                           budget=budget, **witness)
+
     while stack:
         if steps >= budget:
-            return Certificate("BudgetExhausted", steps, wpd_tests,
-                               subdivisions, max_depth, tuple(hist),
-                               "".join(actions), budget=budget)
+            return outcome("BudgetExhausted")
         cube, marker, lineage = stack.pop()
         steps += 1
         if eng.origin_negative(cube):
-            actions.append("N")
-            return Certificate("NegativeWitness", steps, wpd_tests,
-                              subdivisions, max_depth, tuple(hist),
-                              "".join(actions),
-                              witness_lineage=_lineage_str(lineage),
-                              witness_corner=eng.corner_value(cube),
-                              budget=budget)
-        wpd_tests += 1
-        if eng.wpd(cube):
-            actions.append("W")
+            act = "N"
+        else:
+            wpd_tests += 1
+            act = "W" if eng.wpd(cube) else "S"
+        if expect is not None and expect[steps - 1:steps] != act:
+            return None
+        actions.append(act)
+        if act == "N":
+            return outcome("NegativeWitness",
+                           witness_lineage=_lineage_str(lineage),
+                           witness_corner=eng.corner_value(cube))
+        if act == "W":
             continue
-        actions.append("S")
         subdivisions += 1
         j = min(range(5), key=lambda a: (marker[a], a))
         hist[j] += 1
@@ -254,142 +153,4 @@ def _certify_sequential(p, budget, eng, workers=None):
             max_depth = depth
         stack.append((left, succ, lineage + ((j, "L"),)))
         stack.append((right, succ, lineage + ((j, "R"),)))
-    return Certificate("Nonnegative", steps, wpd_tests, subdivisions,
-                       max_depth, tuple(hist), "".join(actions),
-                       budget=budget)
-
-
-def _certify_parallel(p, budget, eng, workers):
-    root = eng.from_poly(p)
-    eng.guard(root)
-    lock = threading.Lock()
-    cond = threading.Condition(lock)
-    state = {
-        "stack": [(root, (0, 0, 0, 0, 0), ())],
-        "active": 0,
-        "steps": 0,
-        "wpd_tests": 0,
-        "subdivisions": 0,
-        "max_depth": 0,
-        "hist": [0] * 5,
-        "result": None,
-        "overflow": None,
-    }
-
-    def finish(status, **kw):
-        state["result"] = Certificate(
-            status, state["steps"], state["wpd_tests"],
-            state["subdivisions"], state["max_depth"],
-            tuple(state["hist"]), "", budget=budget, **kw)
-        cond.notify_all()
-
-    def worker():
-        # overflow must reach the caller so the backend fallback can fire
-        try:
-            _worker_loop()
-        except BackendOverflow as exc:
-            with cond:
-                if state["overflow"] is None:
-                    state["overflow"] = exc
-                state["active"] -= 1
-                cond.notify_all()
-
-    def _worker_loop():
-        while True:
-            with cond:
-                while (state["result"] is None
-                       and state["overflow"] is None
-                       and not state["stack"] and state["active"]):
-                    cond.wait()
-                if state["overflow"] is not None:
-                    return
-                if state["result"] is not None or (
-                        not state["stack"] and not state["active"]):
-                    if state["result"] is None:
-                        finish("Nonnegative")
-                    return
-                cube, marker, lineage = state["stack"].pop()
-                state["active"] += 1
-                state["steps"] += 1
-                if state["steps"] > budget:
-                    finish("BudgetExhausted")
-                    state["active"] -= 1
-                    return
-            neg = eng.origin_negative(cube)
-            if not neg:
-                ok = eng.wpd(cube)
-            with cond:
-                state["wpd_tests"] += 0 if neg else 1
-                if neg:
-                    if state["result"] is None:
-                        finish("NegativeWitness",
-                               witness_lineage=_lineage_str(lineage),
-                               witness_corner=eng.corner_value(cube))
-                    state["active"] -= 1
-                    cond.notify_all()
-                    return
-                if ok:
-                    state["active"] -= 1
-                    cond.notify_all()
-                    continue
-                state["subdivisions"] += 1
-            j = min(range(5), key=lambda a: (marker[a], a))
-            left = eng.dilate(cube, j)
-            right = eng.dilate(eng.reflect(cube, j), j)
-            eng.guard(left)
-            eng.guard(right)
-            succ = list(marker)
-            succ[j] += 1
-            succ = tuple(succ)
-            with cond:
-                state["hist"][j] += 1
-                if sum(succ) > state["max_depth"]:
-                    state["max_depth"] = sum(succ)
-                state["stack"].append((left, succ, lineage + ((j, "L"),)))
-                state["stack"].append((right, succ, lineage + ((j, "R"),)))
-                state["active"] -= 1
-                cond.notify_all()
-
-    threads = [threading.Thread(target=worker) for _ in range(max(1, workers))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if state["overflow"] is not None:
-        raise state["overflow"]
-    return state["result"]
-
-
-def replay(p, certificate, backend=None):
-    """Re-run a certificate's recorded action sequence.
-
-    Follows the 'S'/'W'/'N' actions in pop order, verifying that every
-    'W' leaf is WPD and every 'S' node genuinely fails the test; true
-    when the full sequence re-derives.
-    """
-    eng = get_backend(backend)
-    stack = [(eng.from_poly(p), (0, 0, 0, 0, 0))]
-    for act in certificate.actions:
-        if not stack:
-            return False
-        cube, marker = stack.pop()
-        if act == "N":
-            return eng.origin_negative(cube)
-        if eng.origin_negative(cube):
-            return False
-        ok = eng.wpd(cube)
-        if act == "W":
-            if not ok:
-                return False
-            continue
-        if ok:
-            return False
-        j = min(range(5), key=lambda a: (marker[a], a))
-        left = eng.dilate(cube, j)
-        right = eng.dilate(eng.reflect(cube, j), j)
-        succ = list(marker)
-        succ[j] += 1
-        succ = tuple(succ)
-        stack.append((left, succ))
-        stack.append((right, succ))
-    return not stack
+    return outcome("Nonnegative")

@@ -8,12 +8,14 @@ numba its kernels run as plain Python, which still checks the two-limb
 arithmetic against the object engine.  The run-level tests certify on
 numba where it can be imported and on the object engine otherwise,
 since whole certification runs are too slow with uncompiled kernels.
+The replay fallback test installs ``NumbaBackend`` as ``numba`` the same
+way; its two-limb runs stop at the first overflow, so they stay short.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tetravol import _kernels
+from tetravol import _kernels, positive_dominance
 from tetravol._kernels import (
     NUMBA_AVAILABLE, BackendOverflow, BackendUnavailable, NumbaBackend,
     get_backend,
@@ -24,7 +26,7 @@ from tetravol.chamber_geometry import (
     build_partitions,
 )
 from tetravol.exact_poly import Polynomial
-from tetravol.positive_dominance import certify, is_wpd
+from tetravol.positive_dominance import certify, is_wpd, replay
 from tetravol.simplex_pullback import pullback
 
 # the engine the run-level tests certify on
@@ -136,6 +138,43 @@ def test_overflowing_workload_restarts_on_the_fallback():
     cert = certify(q, backend=RUN_ENGINE)
     assert cert.status == "Nonnegative"
     assert cert.steps == 1275
+
+
+def test_replay_restarts_on_the_fallback(monkeypatch):
+    # an uncompiled NumbaBackend where numba is absent; 2^k times a
+    # product of (1 - 2x + 2x^2) factors certifies in 63 steps, and its
+    # root (k=82) or its first split (k=79) leaves the two-limb range
+    _numba_importable(monkeypatch, True)
+    x = [Polynomial.variable(5, a) for a in range(5)]
+    one = Polynomial.constant(5, 1)
+    base = one
+    for xa in x:
+        base = base * (one - 2 * xa + 2 * xa * xa)
+    guard, traverse = NumbaBackend.guard, positive_dominance._traverse
+    fired, engines = [], []
+
+    def spy_guard(self, cube):
+        try:
+            guard(self, cube)
+        except BackendOverflow:
+            fired.append(True)
+            raise
+
+    def spy_traverse(p, budget, eng, expect=None):
+        engines.append(eng.name)
+        return traverse(p, budget, eng, expect)
+
+    monkeypatch.setattr(NumbaBackend, "guard", spy_guard)
+    monkeypatch.setattr(positive_dominance, "_traverse", spy_traverse)
+    for k in (79, 82):
+        q = Polynomial.constant(5, 2 ** k) * base
+        cert = certify(q, backend="numpy")
+        assert (cert.status, cert.steps) == ("Nonnegative", 63)
+        fired.clear()
+        engines.clear()
+        assert replay(q, cert, backend="numba")
+        assert engines == ["numba", "numpy"]
+        assert fired == ([True] if k == 79 else [])
 
 
 def test_numpy_engine_never_falls_back_silently():

@@ -59,6 +59,19 @@ def test_certify_file_nonnegative(tmp_path, capsys):
     assert "steps: 1275" in out
 
 
+def test_certify_file_json_is_the_certificate(tmp_path, capsys):
+    cell = build_partitions().four["B_1"]
+    comb = 3 * directional_derivative((0, 1, 3)) - f_polynomial()
+    _write_poly(tmp_path / "p.poly", pullback(comb, cell))
+    code, out, _ = run(capsys, "certify-file", str(tmp_path / "p.poly"),
+                       "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert isinstance(payload, dict)
+    assert payload["status"] == "Nonnegative"
+    assert payload["steps"] == 1275
+
+
 def test_certify_file_negative(tmp_path, capsys):
     cell = build_partitions().twelve["C_21"]
     comb = 3 * directional_derivative((0, 2, 3)) - 3 * f_polynomial()

@@ -4,11 +4,9 @@ import dataclasses
 
 import pytest
 
-from tetravol.cayley_menger import directional_derivative, f_polynomial
-from tetravol.chamber_geometry import build_partitions
+from tetravol._kernels import NumpyBackend
 from tetravol.exact_poly import Polynomial
-from tetravol.positive_dominance import certify, is_wpd, replay
-from tetravol.simplex_pullback import pullback
+from tetravol.positive_dominance import Certificate, certify, is_wpd, replay
 
 X = [Polynomial.variable(5, k) for k in range(5)]
 ONE = Polynomial.constant(5, 1)
@@ -96,19 +94,41 @@ def test_report_layout():
 
 
 def test_replay_accepts_genuine_certificates():
-    for p in [X[0] * X[0] - 2 * X[0] + ONE,
-              (ONE - X[2]) * (ONE - X[2]) * X[4],
-              2 * X[0] - ONE]:
-        cert = certify(p)
+    for p, budget in [(X[0] * X[0] - 2 * X[0] + ONE, 10 ** 6),
+                      ((ONE - X[2]) * (ONE - X[2]) * X[4], 10 ** 6),
+                      (2 * X[0] - ONE, 10 ** 6),
+                      (X[0] * X[0] - 2 * X[0] + ONE, 1)]:
+        cert = certify(p, budget=budget)
         assert replay(p, cert)
 
 
-def test_replay_rejects_tampering():
+def test_replay_rejects_tampering(monkeypatch):
     p = X[0] * X[0] - 2 * X[0] + ONE
     cert = certify(p)
     assert not replay(p, dataclasses.replace(cert, actions="WWW"))
     assert not replay(p, dataclasses.replace(cert, actions="SWS"))
     assert not replay(p, dataclasses.replace(cert, actions=cert.actions[:-1]))
+    assert not replay(p, dataclasses.replace(cert, steps=cert.steps + 1))
+    assert not replay(p, dataclasses.replace(cert, histogram=(0, 1, 0, 0, 0)))
+    # a negative origin claimed to be nonnegative
+    neg = 2 * X[0] - ONE
+    assert not replay(neg, Certificate("Nonnegative", 1, 0, 0, actions="N"))
+    witness = certify(neg)
+    assert not replay(neg, dataclasses.replace(
+        witness, actions=witness.actions + "WW"))
+    assert not replay(neg, dataclasses.replace(
+        witness, witness_corner=witness.witness_corner - 1))
+    assert not replay(neg, dataclasses.replace(
+        witness, witness_lineage="L0"))
+    # a raised budget cannot walk replay past the recorded actions
+    diag = (X[1] - X[3]) * (X[1] - X[3])
+    short = certify(diag, budget=30, backend="numpy")
+    wpd, tests = NumpyBackend.wpd, []
+    monkeypatch.setattr(NumpyBackend, "wpd",
+                        lambda self, cube: tests.append(1) or wpd(self, cube))
+    assert not replay(diag, dataclasses.replace(short, budget=300),
+                      backend="numpy")
+    assert len(tests) == 31
 
 
 def test_replay_rejects_certificate_for_a_different_polynomial():
@@ -116,20 +136,3 @@ def test_replay_rejects_certificate_for_a_different_polynomial():
     other = 3 * X[0] * X[1] + ONE
     assert not replay(p, certify(other))
 
-
-def test_parallel_matches_sequential_status():
-    cell = build_partitions().four["B_1"]
-    comb = 3 * directional_derivative((0, 1, 3)) - f_polynomial()
-    q = pullback(comb, cell)
-    seq = certify(q)
-    par = certify(q, parallel=True, workers=4)
-    assert seq.status == "Nonnegative"
-    assert par.status == "Nonnegative"
-    assert par.steps == seq.steps == 1275
-
-
-def test_parallel_finds_negative_witnesses_too():
-    p = 2 * X[0] - ONE
-    cert = certify(p, parallel=True, workers=2)
-    assert cert.status == "NegativeWitness"
-    assert cert.witness_corner == -1
