@@ -4,14 +4,21 @@ A 5-variable polynomial with per-variable degree <= 6 lives in a dense
 7^5 coefficient cube.  The certifier's hot operations (box partial
 sums, axis dilation, axis reflection) are implemented twice:
 
+* ``numpy``: a cube is one C-contiguous int64 array of shape
+  (k, 7, 7, 7, 7, 7) holding sum_i cube[i] * 2^(40*i).  Limbs 0..k-2
+  lie in [0, 2^40); the top limb is signed with |top| < 2^40, so a
+  coefficient is negative iff its top limb is.  ``from_poly`` picks k
+  from the largest coefficient.  Each operation keeps every
+  intermediate inside int64 (box partial sums stay below 7^5 * 2^40,
+  reflection below 35 * 2^40, dilation below 2^46) and ends with one
+  normalization that carries limbs low to high and appends a limb
+  while the top one is out of range.  A run therefore widens k as its
+  coefficients grow and is exact at any size.
 * ``numba``: cubes are pairs of flat int64 arrays holding two-limb
   values hi*2^40 + lo with lo in [0, 2^40).  Kernels are jitted, exact
-  up to a guarded magnitude bound of 2^85 per coefficient (far beyond
-  the <= 20 decimal digits seen in practice); exceeding the guard
-  raises BackendOverflow.
-* ``numpy``: cubes are object-dtype arrays of Python ints.  Exact at
-  any size, vectorized through numpy's object loops, used as the
-  fallback and as an independent cross-check.
+  up to a guarded magnitude bound of 2^85 per coefficient; exceeding
+  the guard raises BackendOverflow, and the certifier reruns on
+  ``numpy``.
 
 Select with the TETRAVOL_BACKEND environment variable ("numba" or
 "numpy"); default is numba when importable.  Naming numba, by argument
@@ -31,6 +38,7 @@ SHAPE = (7, 7, 7, 7, 7)
 SIZE = 7 ** 5
 LIMB_BITS = 40
 LIMB = 1 << LIMB_BITS
+MASK = LIMB - 1
 COEFF_LIMIT = 1 << 85
 GUARD_HI = 1 << 45
 
@@ -46,6 +54,12 @@ for _e in range(7):
         _BINOM[_e][_j] = _BINOM[_e - 1][_j - 1] + _BINOM[_e - 1][_j]
 SIGNED_BINOM = np.array(
     [[(-1) ** j * _BINOM[e][j] for j in range(7)] for e in range(7)],
+    dtype=np.int64)
+
+# DILATE_WEIGHTS[E, j] = 2^(E - j) for j < E, else 1: the factors that
+# clear denominators when an axis of top degree E is halved.
+DILATE_WEIGHTS = np.array(
+    [[1 << max(E - j, 0) for j in range(7)] for E in range(7)],
     dtype=np.int64)
 
 
@@ -64,8 +78,37 @@ def flat_index(exps):
     return idx
 
 
+def _value(limbs):
+    """The Python int held by one coefficient's limbs, lowest first."""
+    v = 0
+    for limb in reversed(limbs):
+        v = (v << LIMB_BITS) + limb
+    return v
+
+
+def _axis_view(cube, axis):
+    """A (k, 7^axis, 7, 7^(4-axis)) view; index 2 is the axis exponent."""
+    return cube.reshape(len(cube), OUTER[axis], 7, INNER[axis])
+
+
+def _normalize(cube):
+    """Carry limbs low to high, then widen until the top limb fits.
+
+    Takes any int64 limb array whose entries leave headroom for one
+    carry and returns an array that meets the limb invariant, in place
+    unless a limb had to be appended.
+    """
+    for i in range(len(cube) - 1):
+        cube[i + 1] += cube[i] >> LIMB_BITS
+        cube[i] &= MASK
+    while cube[-1].max() >= LIMB or cube[-1].min() <= -LIMB:
+        cube = np.concatenate((cube, cube[-1:] >> LIMB_BITS))
+        cube[-2] &= MASK
+    return cube
+
+
 class NumpyBackend:
-    """Exact object-dtype engine; cubes are (7,)*5 arrays of ints."""
+    """Exact int64 limb engine; cubes are (k, 7, 7, 7, 7, 7) arrays."""
 
     name = "numpy"
 
@@ -74,57 +117,56 @@ class NumpyBackend:
             raise ValueError("expected a 5-variable polynomial")
         if p.max_variable_degree() > 6:
             raise ValueError("per-variable degree exceeds 6")
-        cube = np.zeros(SHAPE, dtype=object)
-        for exps, c in p.terms.items():
-            cube[exps] = c
-        return cube
+        bits = max((abs(c).bit_length() for c in p.terms.values()), default=0)
+        k = bits // LIMB_BITS + 1
+        cube = np.zeros((k, SIZE), dtype=np.int64)
+        idx = [flat_index(exps) for exps in p.terms]
+        vals = list(p.terms.values())
+        for i in range(k - 1):
+            cube[i, idx] = [v & MASK for v in vals]
+            vals = [v >> LIMB_BITS for v in vals]
+        cube[k - 1, idx] = vals
+        return cube.reshape((k,) + SHAPE)
 
     def to_poly(self, cube):
+        flat = cube.reshape(len(cube), SIZE)
         terms = {}
-        for exps in np.ndindex(SHAPE):
-            c = cube[exps]
-            if c:
-                terms[exps] = int(c)
+        for idx in np.flatnonzero(flat.any(axis=0)).tolist():
+            exps, rem = [], idx
+            for a in range(5):
+                exps.append(rem // INNER[a])
+                rem %= INNER[a]
+            terms[tuple(exps)] = _value(flat[:, idx].tolist())
         return Polynomial(5, terms)
 
     def wpd(self, cube):
-        acc = cube
+        # Box partial sums limb by limb: each stays below 7^5 * 2^40.
+        acc = cube.copy()
         for a in range(5):
-            acc = acc.cumsum(axis=a)
-        return not (acc < 0).any()
+            view = _axis_view(acc, a)
+            for j in range(1, 7):
+                view[:, :, j] += view[:, :, j - 1]
+        return not (_normalize(acc)[-1] < 0).any()
 
     def origin_negative(self, cube):
-        return cube[0, 0, 0, 0, 0] < 0
+        return bool(cube[-1, 0, 0, 0, 0, 0] < 0)
 
     def corner_value(self, cube):
-        return int(cube[0, 0, 0, 0, 0])
+        return _value(cube[:, 0, 0, 0, 0, 0].tolist())
 
     def max_exponent(self, cube, axis):
-        for k in range(6, -1, -1):
-            if (np.take(cube, k, axis=axis) != 0).any():
-                return k
-        return 0
+        nonzero = np.flatnonzero(_axis_view(cube, axis).any(axis=(0, 1, 3)))
+        return int(nonzero[-1]) if nonzero.size else 0
 
     def dilate(self, cube, axis):
         E = self.max_exponent(cube, axis)
-        out = cube.copy()
-        sl = [slice(None)] * 5
-        for k in range(E):
-            sl[axis] = k
-            out[tuple(sl)] *= 1 << (E - k)
-        return out
+        out = _axis_view(cube, axis) * DILATE_WEIGHTS[E][:, None]
+        return _normalize(out.reshape(cube.shape))
 
     def reflect(self, cube, axis):
-        out = np.zeros(SHAPE, dtype=object)
-        sl = [slice(None)] * 5
-        slabs = [np.take(cube, e, axis=axis) for e in range(7)]
-        for j in range(7):
-            acc = np.zeros(SHAPE[:axis] + SHAPE[axis + 1:], dtype=object)
-            for e in range(j, 7):
-                acc = acc + int(SIGNED_BINOM[e, j]) * slabs[e]
-            sl[axis] = j
-            out[tuple(sl)] = acc
-        return out
+        # Entries grow by at most C(7, j + 1) <= 35 times the limb bound.
+        out = SIGNED_BINOM.T @ _axis_view(cube, axis)
+        return _normalize(out.reshape(cube.shape))
 
     def guard(self, cube):
         pass
@@ -278,9 +320,6 @@ class NumbaBackend:
 
     def corner_value(self, cube):
         return int(cube[0][0]) * LIMB + int(cube[1][0])
-
-    def max_exponent(self, cube, axis):
-        return int(_k_max_exponent(cube[0], cube[1], INNER[axis], OUTER[axis]))
 
     def dilate(self, cube, axis):
         hi, lo = cube[0].copy(), cube[1].copy()

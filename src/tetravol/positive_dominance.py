@@ -17,8 +17,9 @@ certificate's budget, stopping at the first action that differs from
 the recorded ones, and accepts only when the walk re-derives the whole
 certificate: status, counters, histogram, actions and witness.
 
-Both run on the requested engine and, when the two-limb engine raises
-``BackendOverflow``, run again from the start on the object engine.
+Both run on the requested engine and, when the two-limb numba engine
+raises ``BackendOverflow``, run again from the start on the numpy limb
+engine, which widens instead of overflowing.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class Certificate:
 
 
 def _with_fallback(backend, run):
-    """run(engine), and once more on the object engine after an overflow."""
+    """run(engine), and again on the numpy limb engine after an overflow."""
     eng = get_backend(backend)
     try:
         return run(eng)

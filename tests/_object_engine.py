@@ -1,0 +1,78 @@
+"""The object-dtype cube engine, kept as the oracle for the limb engine.
+
+Cubes are (7,)*5 object arrays of Python ints, so every operation is
+exact at any size by construction, and slow.  The tests compare the
+package's int64 limb engine with it operation by operation and run by
+run.
+"""
+
+import numpy as np
+
+from tetravol._kernels import SHAPE, SIGNED_BINOM
+from tetravol.exact_poly import Polynomial
+
+
+class ObjectEngine:
+    """Exact object-dtype engine; cubes are (7,)*5 arrays of ints."""
+
+    name = "object"
+
+    def from_poly(self, p):
+        if p.nvars != 5:
+            raise ValueError("expected a 5-variable polynomial")
+        if p.max_variable_degree() > 6:
+            raise ValueError("per-variable degree exceeds 6")
+        cube = np.zeros(SHAPE, dtype=object)
+        for exps, c in p.terms.items():
+            cube[exps] = c
+        return cube
+
+    def to_poly(self, cube):
+        terms = {}
+        for exps in np.ndindex(SHAPE):
+            c = cube[exps]
+            if c:
+                terms[exps] = int(c)
+        return Polynomial(5, terms)
+
+    def wpd(self, cube):
+        acc = cube
+        for a in range(5):
+            acc = acc.cumsum(axis=a)
+        return not (acc < 0).any()
+
+    def origin_negative(self, cube):
+        return cube[0, 0, 0, 0, 0] < 0
+
+    def corner_value(self, cube):
+        return int(cube[0, 0, 0, 0, 0])
+
+    def max_exponent(self, cube, axis):
+        for k in range(6, -1, -1):
+            if (np.take(cube, k, axis=axis) != 0).any():
+                return k
+        return 0
+
+    def dilate(self, cube, axis):
+        E = self.max_exponent(cube, axis)
+        out = cube.copy()
+        sl = [slice(None)] * 5
+        for k in range(E):
+            sl[axis] = k
+            out[tuple(sl)] *= 1 << (E - k)
+        return out
+
+    def reflect(self, cube, axis):
+        out = np.zeros(SHAPE, dtype=object)
+        sl = [slice(None)] * 5
+        slabs = [np.take(cube, e, axis=axis) for e in range(7)]
+        for j in range(7):
+            acc = np.zeros(SHAPE[:axis] + SHAPE[axis + 1:], dtype=object)
+            for e in range(j, 7):
+                acc = acc + int(SIGNED_BINOM[e, j]) * slabs[e]
+            sl[axis] = j
+            out[tuple(sl)] = acc
+        return out
+
+    def guard(self, cube):
+        pass

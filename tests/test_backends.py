@@ -1,24 +1,29 @@
-"""Agreement between the two-limb int64 and the object-dtype cube engines.
+"""Agreement of the cube engines with each other and with the oracle.
 
-Every test here runs with or without numba.  Engine resolution never
-compiles anything, so the selection tests patch ``NUMBA_AVAILABLE`` to
-check both the numba-present and the numba-absent rules everywhere.  The
-representation-level tests drive ``NumbaBackend`` directly: without
-numba its kernels run as plain Python, which still checks the two-limb
-arithmetic against the object engine.  The run-level tests certify on
-numba where it can be imported and on the object engine otherwise,
-since whole certification runs are too slow with uncompiled kernels.
-The replay fallback test installs ``NumbaBackend`` as ``numba`` the same
-way; its two-limb runs stop at the first overflow, so they stay short.
+``numpy`` is the int64 limb engine and ``numba`` the two-limb jitted
+one; ``ObjectEngine`` in ``_object_engine.py`` computes on Python ints
+and is the oracle. Every test here runs with or without numba. Engine
+resolution never compiles anything, so the selection tests patch
+``NUMBA_AVAILABLE`` to check both the numba-present and the numba-absent
+rules everywhere. The representation-level tests drive ``NumbaBackend``
+directly: without numba its kernels run as plain Python, which still
+checks the two-limb arithmetic against the limb engine. The limb engine
+is checked against the oracle operation by operation on coefficients at
+the limb boundaries. The run-level tests certify on numba where it can
+be imported and on the limb engine otherwise, and compare each run with
+the oracle's walk. The replay fallback test installs ``NumbaBackend`` as
+``numba`` the same way; its two-limb runs stop at the first overflow, so
+they stay short.
 """
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tetravol import _kernels, positive_dominance
 from tetravol._kernels import (
-    NUMBA_AVAILABLE, BackendOverflow, BackendUnavailable, NumbaBackend,
-    get_backend,
+    LIMB, NUMBA_AVAILABLE, BackendOverflow, BackendUnavailable, NumbaBackend,
+    NumpyBackend, get_backend,
 )
 from tetravol.cayley_menger import directional_derivative, f_polynomial
 from tetravol.chamber_geometry import (
@@ -26,8 +31,10 @@ from tetravol.chamber_geometry import (
     build_partitions,
 )
 from tetravol.exact_poly import Polynomial
-from tetravol.positive_dominance import certify, is_wpd, replay
+from tetravol.positive_dominance import _traverse, certify, is_wpd, replay
 from tetravol.simplex_pullback import pullback
+
+from _object_engine import ObjectEngine
 
 # the engine the run-level tests certify on
 RUN_ENGINE = "numba" if NUMBA_AVAILABLE else "numpy"
@@ -78,8 +85,9 @@ def test_two_limb_range_is_enforced():
     big = Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 90})
     with pytest.raises(BackendOverflow):
         NumbaBackend().from_poly(big)
-    # the pure-python engine has no coefficient ceiling
-    get_backend("numpy").from_poly(big)
+    # the limb engine has no coefficient ceiling: it takes more limbs
+    eng = get_backend("numpy")
+    assert eng.to_poly(eng.from_poly(big)) == big
 
 
 def test_roundtrip_through_each_engine():
@@ -105,11 +113,60 @@ def test_wpd_decision_is_backend_independent(p):
     assert eng.wpd(eng.from_poly(p)) == is_wpd(p, backend="numpy")
 
 
+# bit sizes on both sides of one, two and five 40-bit limbs
+LIMB_EDGE_BITS = (39, 40, 41, 79, 80, 81, 200)
+
+
+def limb_edge_coeffs():
+    magnitude = st.sampled_from(LIMB_EDGE_BITS).flatmap(
+        lambda b: st.one_of(st.sampled_from((2 ** b - 1, 2 ** b)),
+                            st.integers(2 ** (b - 1), 2 ** b - 1)))
+    return st.tuples(st.booleans(), magnitude).map(
+        lambda t: -t[1] if t[0] else t[1])
+
+
+def limb_edge_polys5():
+    exps = st.tuples(*[st.integers(0, 6) for _ in range(5)])
+    return st.dictionaries(exps, limb_edge_coeffs(), min_size=1,
+                           max_size=6).map(lambda ts: Polynomial(5, ts))
+
+
+def meets_limb_invariant(cube):
+    low, top = cube[:-1], cube[-1]
+    return (cube.dtype == np.int64 and cube.flags.c_contiguous
+            and ((low >= 0) & (low < LIMB)).all() and (abs(top) < LIMB).all())
+
+
+@given(limb_edge_polys5())
+# dilating axis 0 multiplies the constant by 2^6, so its top limb
+# 2^39 - 1 leaves the 2^40 range and the cube must take a third limb
+@example(Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 79 - 1,
+                        (6, 0, 0, 0, 0): 1}))
+@settings(max_examples=25, deadline=None)
+def test_limb_engine_agrees_with_the_object_oracle(p):
+    eng, oracle = NumpyBackend(), ObjectEngine()
+    cube, ref = eng.from_poly(p), oracle.from_poly(p)
+    assert meets_limb_invariant(cube)
+    assert eng.to_poly(cube) == p
+    assert eng.wpd(cube) == oracle.wpd(ref)
+    assert eng.origin_negative(cube) == oracle.origin_negative(ref)
+    assert eng.corner_value(cube) == oracle.corner_value(ref)
+    for axis in range(5):
+        reflected, dilated = eng.reflect(cube, axis), eng.dilate(cube, axis)
+        assert meets_limb_invariant(reflected)
+        assert meets_limb_invariant(dilated)
+        assert eng.to_poly(reflected) == oracle.to_poly(
+            oracle.reflect(ref, axis))
+        assert eng.to_poly(dilated) == oracle.to_poly(
+            oracle.dilate(ref, axis))
+    assert _traverse(p, 60, eng) == _traverse(p, 60, oracle)
+
+
 @given(small_polys5())
 @settings(max_examples=15, deadline=None)
 def test_certificates_are_backend_identical(p):
     a = certify(p, budget=200, backend=RUN_ENGINE)
-    b = certify(p, budget=200, backend="numpy")
+    b = _traverse(p, 200, ObjectEngine())
     assert a == b
 
 
@@ -122,7 +179,7 @@ def _single_edge_cell():
 def test_recorded_workload_agrees_across_backends():
     q = pullback(directional_derivative((0,)), _single_edge_cell())
     a = certify(q, backend=RUN_ENGINE)
-    b = certify(q, backend="numpy")
+    b = _traverse(q, 10 ** 6, ObjectEngine())
     assert a.status == b.status == "Nonnegative"
     assert a.steps == b.steps == 421
     assert a.actions == b.actions
