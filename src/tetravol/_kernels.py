@@ -1,20 +1,28 @@
 """Dense coefficient-cube engines for the dominance certifier.
 
 A 5-variable polynomial with per-variable degree <= 6 lives in a dense
-7^5 coefficient cube.  The certifier's hot operations (box partial
-sums, axis dilation, axis reflection) are implemented twice:
+coefficient cube.  The certifier's hot operations (box partial sums,
+axis dilation, axis reflection) are implemented twice:
 
 * ``numpy``: a cube is one C-contiguous int64 array of shape
-  (k, 7, 7, 7, 7, 7) holding sum_i cube[i] * 2^(40*i).  Limbs 0..k-2
-  lie in [0, 2^40); the top limb is signed with |top| < 2^40, so a
-  coefficient is negative iff its top limb is.  ``from_poly`` picks k
-  from the largest coefficient.  Each operation keeps every
-  intermediate inside int64 (box partial sums stay below 7^5 * 2^40,
-  reflection below 35 * 2^40, dilation below 2^46) and ends with one
-  normalization that carries limbs low to high and appends a limb
-  while the top one is out of range.  A run therefore widens k as its
-  coefficients grow and is exact at any size.
-* ``numba``: cubes are pairs of flat int64 arrays holding two-limb
+  (k, D0+1, ..., D4+1) holding sum_i cube[i] * 2^(48*i), D_a being the
+  largest exponent of x_a in the root.  Subdivision keeps every degree
+  (reflection maps the top slab to plus or minus itself, dilation
+  scales slabs by nonzero powers of two), so each descendant spans the
+  root's degree box and ``dilate`` reads its top exponent from the
+  shape; past D_a a box sum is constant along axis a, so WPD decides as
+  on the full 7^5 cube.  Limbs 0..k-2 lie in [0, 2^48) and the signed
+  top limb has |top| < 2^48, so a coefficient is negative iff its top
+  limb is; ``from_poly`` picks k from the largest coefficient.  48 bits
+  is the widest limb that keeps every intermediate inside int64: box
+  sums of 7^5 limbs plus a carry stay below 2^63, reflection below
+  35 * 2^48, dilation below 2^54.  Each operation ends with one
+  normalization that carries limbs low to high and appends a limb while
+  the top one is out of range, so a run widens k and is exact at any
+  size.  ``wpd`` first sums the leading CORNER exponents of each axis: a
+  box sum depends only on coefficients at or below its index, so a
+  negative sum there, which settles most failing tests, is final.
+* ``numba``: cubes are pairs of flat 7^5 int64 arrays holding two-limb
   values hi*2^40 + lo with lo in [0, 2^40).  Kernels are jitted, exact
   up to a guarded magnitude bound of 2^85 per coefficient; exceeding
   the guard raises BackendOverflow, and the certifier reruns on
@@ -29,6 +37,7 @@ BackendUnavailable: a named engine is never swapped for another.
 from __future__ import annotations
 
 import os
+from math import prod
 
 import numpy as np
 
@@ -38,9 +47,14 @@ SHAPE = (7, 7, 7, 7, 7)
 SIZE = 7 ** 5
 LIMB_BITS = 40
 LIMB = 1 << LIMB_BITS
-MASK = LIMB - 1
 COEFF_LIMIT = 1 << 85
 GUARD_HI = 1 << 45
+
+# the numpy engine's limb width, and the extent of its first wpd corner
+NP_LIMB_BITS = 48
+NP_LIMB = 1 << NP_LIMB_BITS
+NP_MASK = NP_LIMB - 1
+CORNER = 3
 
 INNER = tuple(7 ** (4 - a) for a in range(5))
 OUTER = tuple(7 ** a for a in range(5))
@@ -82,13 +96,14 @@ def _value(limbs):
     """The Python int held by one coefficient's limbs, lowest first."""
     v = 0
     for limb in reversed(limbs):
-        v = (v << LIMB_BITS) + limb
+        v = (v << NP_LIMB_BITS) + limb
     return v
 
 
 def _axis_view(cube, axis):
-    """A (k, 7^axis, 7, 7^(4-axis)) view; index 2 is the axis exponent."""
-    return cube.reshape(len(cube), OUTER[axis], 7, INNER[axis])
+    """A (k, outer, n, inner) view; index 2 is the exponent of x_axis."""
+    n = cube.shape[axis + 1]
+    return cube.reshape(len(cube), prod(cube.shape[1:axis + 1]), n, -1)
 
 
 def _normalize(cube):
@@ -99,54 +114,58 @@ def _normalize(cube):
     unless a limb had to be appended.
     """
     for i in range(len(cube) - 1):
-        cube[i + 1] += cube[i] >> LIMB_BITS
-        cube[i] &= MASK
-    while cube[-1].max() >= LIMB or cube[-1].min() <= -LIMB:
-        cube = np.concatenate((cube, cube[-1:] >> LIMB_BITS))
-        cube[-2] &= MASK
+        cube[i + 1] += cube[i] >> NP_LIMB_BITS
+        cube[i] &= NP_MASK
+    while cube[-1].max() >= NP_LIMB or cube[-1].min() <= -NP_LIMB:
+        cube = np.concatenate((cube, cube[-1:] >> NP_LIMB_BITS))
+        cube[-2] &= NP_MASK
     return cube
 
 
+def _box_sums_nonnegative(acc):
+    """True iff every box partial sum of acc is >= 0; overwrites acc."""
+    # each sum stays below 7^5 * 2^48
+    for a in range(5):
+        view = _axis_view(acc, a)
+        for j in range(1, view.shape[2]):
+            view[:, :, j] += view[:, :, j - 1]
+    return not (_normalize(acc)[-1] < 0).any()
+
+
 class NumpyBackend:
-    """Exact int64 limb engine; cubes are (k, 7, 7, 7, 7, 7) arrays."""
+    """Exact int64 limb engine; cubes span the root's degree box."""
 
     name = "numpy"
 
     def from_poly(self, p):
         if p.nvars != 5:
             raise ValueError("expected a 5-variable polynomial")
-        if p.max_variable_degree() > 6:
+        axes = [list(col) for col in zip(*p.terms)] or [[]] * 5
+        shape = tuple(max(col, default=0) + 1 for col in axes)
+        if max(shape) > 7:
             raise ValueError("per-variable degree exceeds 6")
-        bits = max((abs(c).bit_length() for c in p.terms.values()), default=0)
-        k = bits // LIMB_BITS + 1
-        cube = np.zeros((k, SIZE), dtype=np.int64)
-        idx = [flat_index(exps) for exps in p.terms]
         vals = list(p.terms.values())
+        bits = max((abs(c).bit_length() for c in vals), default=0)
+        k = bits // NP_LIMB_BITS + 1
+        cube = np.zeros((k,) + shape, dtype=np.int64)
         for i in range(k - 1):
-            cube[i, idx] = [v & MASK for v in vals]
-            vals = [v >> LIMB_BITS for v in vals]
-        cube[k - 1, idx] = vals
-        return cube.reshape((k,) + SHAPE)
+            cube[(i, *axes)] = [v & NP_MASK for v in vals]
+            vals = [v >> NP_LIMB_BITS for v in vals]
+        cube[(k - 1, *axes)] = vals
+        return cube
 
     def to_poly(self, cube):
-        flat = cube.reshape(len(cube), SIZE)
-        terms = {}
-        for idx in np.flatnonzero(flat.any(axis=0)).tolist():
-            exps, rem = [], idx
-            for a in range(5):
-                exps.append(rem // INNER[a])
-                rem %= INNER[a]
-            terms[tuple(exps)] = _value(flat[:, idx].tolist())
-        return Polynomial(5, terms)
+        exps = np.nonzero(cube.any(axis=0))
+        limbs = cube[(slice(None), *exps)].T.tolist()
+        keys = zip(*(e.tolist() for e in exps))
+        return Polynomial(5, {e: _value(v) for e, v in zip(keys, limbs)})
 
     def wpd(self, cube):
-        # Box partial sums limb by limb: each stays below 7^5 * 2^40.
-        acc = cube.copy()
-        for a in range(5):
-            view = _axis_view(acc, a)
-            for j in range(1, 7):
-                view[:, :, j] += view[:, :, j - 1]
-        return not (_normalize(acc)[-1] < 0).any()
+        # a negative box sum in the corner is one of the whole cube; copy,
+        # because a corner that spans the cube is the cube itself
+        corner = cube[:, :CORNER, :CORNER, :CORNER, :CORNER, :CORNER]
+        return _box_sums_nonnegative(corner.copy()) and (
+            corner.shape == cube.shape or _box_sums_nonnegative(cube.copy()))
 
     def origin_negative(self, cube):
         return bool(cube[-1, 0, 0, 0, 0, 0] < 0)
@@ -154,18 +173,16 @@ class NumpyBackend:
     def corner_value(self, cube):
         return _value(cube[:, 0, 0, 0, 0, 0].tolist())
 
-    def max_exponent(self, cube, axis):
-        nonzero = np.flatnonzero(_axis_view(cube, axis).any(axis=(0, 1, 3)))
-        return int(nonzero[-1]) if nonzero.size else 0
-
     def dilate(self, cube, axis):
-        E = self.max_exponent(cube, axis)
-        out = _axis_view(cube, axis) * DILATE_WEIGHTS[E][:, None]
+        # the top slab is nonzero, so the top exponent is the extent - 1
+        n = cube.shape[axis + 1]
+        out = _axis_view(cube, axis) * DILATE_WEIGHTS[n - 1, :n, None]
         return _normalize(out.reshape(cube.shape))
 
     def reflect(self, cube, axis):
         # Entries grow by at most C(7, j + 1) <= 35 times the limb bound.
-        out = SIGNED_BINOM.T @ _axis_view(cube, axis)
+        n = cube.shape[axis + 1]
+        out = SIGNED_BINOM[:n, :n].T @ _axis_view(cube, axis)
         return _normalize(out.reshape(cube.shape))
 
     def guard(self, cube):

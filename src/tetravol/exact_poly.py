@@ -55,6 +55,13 @@ class Polynomial:
                     clean[key] = clean.get(key, 0) + c
         self.terms = {k: v for k, v in clean.items() if v}
 
+    @classmethod
+    def _canonical(cls, nvars, terms):
+        """Wrap canonical terms (int tuples to nonzero ints), unchecked."""
+        p = object.__new__(cls)
+        p.nvars, p.terms = nvars, terms
+        return p
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -107,10 +114,11 @@ class Polynomial:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return Polynomial(self.nvars, out)
+        return Polynomial._canonical(self.nvars, out)
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._canonical(
+            self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -119,19 +127,19 @@ class Polynomial:
         if isinstance(other, int):
             if other == 0:
                 return Polynomial.zero(self.nvars)
-            return Polynomial(self.nvars,
-                              {e: c * other for e, c in self.terms.items()})
+            return Polynomial._canonical(
+                self.nvars, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(int.__add__, e1, e2))
                 s = out.get(key, 0) + c1 * c2
                 if s:
                     out[key] = s
                 else:
                     del out[key]
-        return Polynomial(self.nvars, out)
+        return Polynomial._canonical(self.nvars, out)
 
     __rmul__ = __mul__
 

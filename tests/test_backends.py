@@ -9,9 +9,10 @@ rules everywhere. The representation-level tests drive ``NumbaBackend``
 directly: without numba its kernels run as plain Python, which still
 checks the two-limb arithmetic against the limb engine. The limb engine
 is checked against the oracle operation by operation on coefficients at
-the limb boundaries. The run-level tests certify on numba where it can
-be imported and on the limb engine otherwise, and compare each run with
-the oracle's walk. The replay fallback test installs ``NumbaBackend`` as
+the limb boundaries, and its cubes, which span only the root's degree
+box, are checked to keep that box along whole walks. The run-level
+tests certify on numba where it can be imported and on the limb engine
+otherwise, and compare each run with the oracle's walk. The replay fallback test installs ``NumbaBackend`` as
 ``numba`` the same way; its two-limb runs stop at the first overflow, so
 they stay short.
 """
@@ -22,8 +23,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from tetravol import _kernels, positive_dominance
 from tetravol._kernels import (
-    LIMB, NUMBA_AVAILABLE, BackendOverflow, BackendUnavailable, NumbaBackend,
-    NumpyBackend, get_backend,
+    NP_LIMB, NP_LIMB_BITS, NUMBA_AVAILABLE, BackendOverflow,
+    BackendUnavailable, NumbaBackend, NumpyBackend, get_backend,
 )
 from tetravol.cayley_menger import directional_derivative, f_polynomial
 from tetravol.chamber_geometry import (
@@ -113,8 +114,9 @@ def test_wpd_decision_is_backend_independent(p):
     assert eng.wpd(eng.from_poly(p)) == is_wpd(p, backend="numpy")
 
 
-# bit sizes on both sides of one, two and five 40-bit limbs
-LIMB_EDGE_BITS = (39, 40, 41, 79, 80, 81, 200)
+# bit sizes on both sides of one and two 40-bit and 48-bit limbs, and
+# five limbs of either
+LIMB_EDGE_BITS = (39, 40, 41, 47, 48, 49, 79, 80, 81, 95, 96, 97, 200)
 
 
 def limb_edge_coeffs():
@@ -134,18 +136,22 @@ def limb_edge_polys5():
 def meets_limb_invariant(cube):
     low, top = cube[:-1], cube[-1]
     return (cube.dtype == np.int64 and cube.flags.c_contiguous
-            and ((low >= 0) & (low < LIMB)).all() and (abs(top) < LIMB).all())
+            and ((low >= 0) & (low < NP_LIMB)).all()
+            and (abs(top) < NP_LIMB).all())
 
 
 @given(limb_edge_polys5())
 # dilating axis 0 multiplies the constant by 2^6, so its top limb
-# 2^39 - 1 leaves the 2^40 range and the cube must take a third limb
-@example(Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 79 - 1,
+# 2^47 - 1 leaves the 2^48 range and the cube must take a third limb
+@example(Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 95 - 1,
                         (6, 0, 0, 0, 0): 1}))
+# the whole (1, 1, 3, 1, 3, 1) cube fits in the corner wpd tries first
+@example((Polynomial.variable(5, 1) - Polynomial.variable(5, 3)) ** 2)
 @settings(max_examples=25, deadline=None)
 def test_limb_engine_agrees_with_the_object_oracle(p):
     eng, oracle = NumpyBackend(), ObjectEngine()
     cube, ref = eng.from_poly(p), oracle.from_poly(p)
+    before = cube.copy()
     assert meets_limb_invariant(cube)
     assert eng.to_poly(cube) == p
     assert eng.wpd(cube) == oracle.wpd(ref)
@@ -159,7 +165,19 @@ def test_limb_engine_agrees_with_the_object_oracle(p):
             oracle.reflect(ref, axis))
         assert eng.to_poly(dilated) == oracle.to_poly(
             oracle.dilate(ref, axis))
+    # no operation writes to its input
+    assert np.array_equal(cube, before)
     assert _traverse(p, 60, eng) == _traverse(p, 60, oracle)
+
+
+def test_limb_width_leaves_int64_headroom():
+    B = NP_LIMB_BITS
+    # wpd: a box sum of 7^5 limbs, plus the carry from the limb below
+    assert 7 ** 5 * 2 ** B + 7 ** 5 < 2 ** 63
+    # reflect: at most C(7, j + 1) <= 35 limbs per entry
+    assert 35 * 2 ** B < 2 ** 63
+    # dilate: a limb times at most 2^6
+    assert 2 ** 6 * 2 ** B < 2 ** 63
 
 
 @given(small_polys5())
@@ -184,6 +202,44 @@ def test_recorded_workload_agrees_across_backends():
     assert a.steps == b.steps == 421
     assert a.actions == b.actions
     assert a.histogram == b.histogram
+
+
+class CubeSpy(NumpyBackend):
+    """The limb engine, keeping every cube it returns."""
+
+    def __init__(self):
+        self.cubes = []
+
+    def from_poly(self, p):
+        self.cubes.append(super().from_poly(p))
+        return self.cubes[-1]
+
+    def dilate(self, cube, axis):
+        self.cubes.append(super().dilate(cube, axis))
+        return self.cubes[-1]
+
+    def reflect(self, cube, axis):
+        self.cubes.append(super().reflect(cube, axis))
+        return self.cubes[-1]
+
+
+def test_every_cube_spans_the_root_degree_box():
+    x1, x3 = Polynomial.variable(5, 1), Polynomial.variable(5, 3)
+    walks = (
+        (pullback(directional_derivative((0,)), _single_edge_cell()),
+         10 ** 6, 421),
+        ((x1 - x3) ** 2, 60, 60),
+    )
+    for p, budget, steps in walks:
+        spy = CubeSpy()
+        assert _traverse(p, budget, spy).steps == steps
+        root = spy.cubes[0]
+        for cube in spy.cubes:
+            assert cube.shape[1:] == root.shape[1:]
+            # a nonzero top slab makes extent - 1 the oracle's
+            # max_exponent along every axis
+            for axis, n in enumerate(cube.shape[1:]):
+                assert n == 1 or cube.take(n - 1, axis=axis + 1).any()
 
 
 def test_overflowing_workload_restarts_on_the_fallback():

@@ -60,6 +60,22 @@ def test_scalar_mul(p, c):
     assert (c * p) == (p * c)
 
 
+# small exponents and coefficients, so that terms collide and cancel
+tiny_polys = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 1)] * 3), st.integers(-3, 3)),
+    max_size=6).map(lambda ts: Polynomial(3, dict(ts)))
+
+
+@given(tiny_polys, tiny_polys, st.integers(-3, 3))
+def test_arithmetic_results_are_canonical(p, q, c):
+    for r in (p + q, p - q, p * q, p * c):
+        assert r == Polynomial(r.nvars, dict(r.terms))
+        assert all(r.terms.values())
+        for exps in r.terms:
+            assert type(exps) is tuple
+            assert all(type(e) is int for e in exps)
+
+
 def test_partial_derivative_on_monomial():
     p = Polynomial(2, {(3, 2): 5})
     dp = p.partial_derivative(0)
