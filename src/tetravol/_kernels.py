@@ -1,27 +1,31 @@
 """Dense coefficient-cube engines for the dominance certifier.
 
 A 5-variable polynomial with per-variable degree <= 6 lives in a dense
-coefficient cube.  The certifier's hot operations (box partial sums,
-axis dilation, axis reflection) are implemented twice:
+coefficient cube.  The certifier's hot operations (the WPD test, axis
+dilation, axis reflection) are implemented twice:
 
 * ``numpy``: a cube is one C-contiguous int64 array of shape
-  (k, D0+1, ..., D4+1) holding sum_i cube[i] * 2^(48*i), D_a being the
-  largest exponent of x_a in the root.  Subdivision keeps every degree
-  (reflection maps the top slab to plus or minus itself, dilation
-  scales slabs by nonzero powers of two), so each descendant spans the
-  root's degree box and ``dilate`` reads its top exponent from the
-  shape; past D_a a box sum is constant along axis a, so WPD decides as
-  on the full 7^5 cube.  Limbs 0..k-2 lie in [0, 2^48) and the signed
-  top limb has |top| < 2^48, so a coefficient is negative iff its top
-  limb is; ``from_poly`` picks k from the largest coefficient.  48 bits
-  is the widest limb that keeps every intermediate inside int64: box
-  sums of 7^5 limbs plus a carry stay below 2^63, reflection below
-  35 * 2^48, dilation below 2^54.  Each operation ends with one
-  normalization that carries limbs low to high and appends a limb while
-  the top one is out of range, so a run widens k and is exact at any
-  size.  ``wpd`` first sums the leading CORNER exponents of each axis: a
-  box sum depends only on coefficients at or below its index, so a
-  negative sum there, which settles most failing tests, is final.
+  (k, D0+1, ..., D4+1) holding sum_i cube[i] * 2^(56*i), D_a being the
+  largest exponent of x_a in the root.  It stores the box partial sums
+  S of the coefficients c (S[i] sums c[j] over j <= i), made by five
+  prefix passes in ``from_poly`` and undone by five difference passes
+  in ``to_poly``.  Subdivision keeps every degree of c (reflection
+  maps its top slab to plus or minus itself, dilation scales slabs by
+  nonzero powers of two), so each descendant spans the root's degree
+  box and ``dilate`` reads its top exponent from the shape; past D_a a
+  box sum is constant along axis a, so WPD, S >= 0, is one sign test
+  on the box.  ``origin_negative`` and ``corner_value`` read S at the
+  origin, where it is c.  Reflection and dilation act along one axis,
+  so on S they are the small integer maps REFLECT[n] and DILATE[n],
+  which commute with the prefix sums along the other axes.  Limbs
+  0..k-2 lie in [0, 2^56) and the signed top limb has |top| < 2^56, so
+  a value is negative iff its top limb is.  56 bits keeps every
+  intermediate inside int64: the maps' largest absolute row sums are
+  21 and 64, and 64 * 2^56 = 2^62 leaves room for a carry; a prefix
+  pass grows entries at most 7 times and a difference pass 2 times.
+  Each pass and operation ends with a normalization that carries limbs
+  low to high and appends a limb while the top one is out of range, so
+  a run is exact at any size.
 * ``numba``: cubes are pairs of flat 7^5 int64 arrays holding two-limb
   values hi*2^40 + lo with lo in [0, 2^40).  Kernels are jitted, exact
   up to a guarded magnitude bound of 2^85 per coefficient; exceeding
@@ -50,11 +54,10 @@ LIMB = 1 << LIMB_BITS
 COEFF_LIMIT = 1 << 85
 GUARD_HI = 1 << 45
 
-# the numpy engine's limb width, and the extent of its first wpd corner
-NP_LIMB_BITS = 48
+# the numpy engine's limb width
+NP_LIMB_BITS = 56
 NP_LIMB = 1 << NP_LIMB_BITS
 NP_MASK = NP_LIMB - 1
-CORNER = 3
 
 INNER = tuple(7 ** (4 - a) for a in range(5))
 OUTER = tuple(7 ** a for a in range(5))
@@ -70,11 +73,19 @@ SIGNED_BINOM = np.array(
     [[(-1) ** j * _BINOM[e][j] for j in range(7)] for e in range(7)],
     dtype=np.int64)
 
-# DILATE_WEIGHTS[E, j] = 2^(E - j) for j < E, else 1: the factors that
-# clear denominators when an axis of top degree E is halved.
-DILATE_WEIGHTS = np.array(
-    [[1 << max(E - j, 0) for j in range(7)] for E in range(7)],
-    dtype=np.int64)
+
+def _on_box_sums(m):
+    """P · m · Δ, m acting on box sums; P is all-ones lower-triangular."""
+    n = len(m)
+    delta = np.eye(n, dtype=np.int64) - np.eye(n, k=-1, dtype=np.int64)
+    return np.tril(np.ones((n, n), dtype=np.int64)) @ m @ delta
+
+
+# REFLECT[n] and DILATE[n] act on the box sums along an axis of extent
+# n: x -> 1 - x, and x -> x / 2 with denominators cleared by 2^(n - 1)
+REFLECT = {n: _on_box_sums(SIGNED_BINOM[:n, :n].T) for n in range(1, 8)}
+DILATE = {n: _on_box_sums(np.diag(1 << np.arange(n - 1, -1, -1)))
+          for n in range(1, 8)}
 
 
 class BackendOverflow(RuntimeError):
@@ -122,18 +133,8 @@ def _normalize(cube):
     return cube
 
 
-def _box_sums_nonnegative(acc):
-    """True iff every box partial sum of acc is >= 0; overwrites acc."""
-    # each sum stays below 7^5 * 2^48
-    for a in range(5):
-        view = _axis_view(acc, a)
-        for j in range(1, view.shape[2]):
-            view[:, :, j] += view[:, :, j - 1]
-    return not (_normalize(acc)[-1] < 0).any()
-
-
 class NumpyBackend:
-    """Exact int64 limb engine; cubes span the root's degree box."""
+    """Exact int64 limb engine; cubes hold box sums over the degree box."""
 
     name = "numpy"
 
@@ -152,20 +153,22 @@ class NumpyBackend:
             cube[(i, *axes)] = [v & NP_MASK for v in vals]
             vals = [v >> NP_LIMB_BITS for v in vals]
         cube[(k - 1, *axes)] = vals
+        # each pass grows entries at most 7 times
+        for a in range(5):
+            cube = _normalize(np.cumsum(cube, axis=a + 1))
         return cube
 
     def to_poly(self, cube):
+        # each pass grows entries at most 2 times
+        for a in range(5):
+            cube = _normalize(np.diff(cube, axis=a + 1, prepend=0))
         exps = np.nonzero(cube.any(axis=0))
         limbs = cube[(slice(None), *exps)].T.tolist()
         keys = zip(*(e.tolist() for e in exps))
         return Polynomial(5, {e: _value(v) for e, v in zip(keys, limbs)})
 
     def wpd(self, cube):
-        # a negative box sum in the corner is one of the whole cube; copy,
-        # because a corner that spans the cube is the cube itself
-        corner = cube[:, :CORNER, :CORNER, :CORNER, :CORNER, :CORNER]
-        return _box_sums_nonnegative(corner.copy()) and (
-            corner.shape == cube.shape or _box_sums_nonnegative(cube.copy()))
+        return not (cube[-1] < 0).any()
 
     def origin_negative(self, cube):
         return bool(cube[-1, 0, 0, 0, 0, 0] < 0)
@@ -174,15 +177,21 @@ class NumpyBackend:
         return _value(cube[:, 0, 0, 0, 0, 0].tolist())
 
     def dilate(self, cube, axis):
-        # the top slab is nonzero, so the top exponent is the extent - 1
+        # Row i < n-1 of D_n is its last row's first i entries, then twice
+        # its i-th, so with u = D[n-1] S: out[i] = u[0] + ... + u[i] + u[i]
+        # and out[n-1] = u[0] + ... + u[n-1]
         n = cube.shape[axis + 1]
-        out = _axis_view(cube, axis) * DILATE_WEIGHTS[n - 1, :n, None]
+        out = _axis_view(cube, axis) * DILATE[n][-1, :, None]
+        run = 0
+        for i in range(n - 1):
+            run += out[:, :, i]
+            out[:, :, i] += run
+        out[:, :, -1] += run
         return _normalize(out.reshape(cube.shape))
 
     def reflect(self, cube, axis):
-        # Entries grow by at most C(7, j + 1) <= 35 times the limb bound.
         n = cube.shape[axis + 1]
-        out = SIGNED_BINOM[:n, :n].T @ _axis_view(cube, axis)
+        out = REFLECT[n] @ _axis_view(cube, axis)
         return _normalize(out.reshape(cube.shape))
 
     def guard(self, cube):

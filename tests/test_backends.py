@@ -8,14 +8,19 @@ resolution never compiles anything, so the selection tests patch
 rules everywhere. The representation-level tests drive ``NumbaBackend``
 directly: without numba its kernels run as plain Python, which still
 checks the two-limb arithmetic against the limb engine. The limb engine
-is checked against the oracle operation by operation on coefficients at
-the limb boundaries, and its cubes, which span only the root's degree
-box, are checked to keep that box along whole walks. The run-level
-tests certify on numba where it can be imported and on the limb engine
-otherwise, and compare each run with the oracle's walk. The replay fallback test installs ``NumbaBackend`` as
-``numba`` the same way; its two-limb runs stop at the first overflow, so
-they stay short.
+stores box partial sums; it is checked against the oracle operation by
+operation on coefficients at the limb boundaries, its per-axis maps are
+rebuilt in Python ints, and its cubes, which span only the root's
+degree box, are checked to keep that box along whole walks. The
+run-level tests certify on numba where it can be imported and on the
+limb engine otherwise, and compare each run with the oracle's walk. The
+replay fallback test installs ``NumbaBackend`` as ``numba`` the same
+way; its two-limb runs stop at the first overflow, so they stay short.
 """
+
+from itertools import product
+from math import comb
+from operator import le
 
 import numpy as np
 import pytest
@@ -23,7 +28,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tetravol import _kernels, positive_dominance
 from tetravol._kernels import (
-    NP_LIMB, NP_LIMB_BITS, NUMBA_AVAILABLE, BackendOverflow,
+    DILATE, NP_LIMB, NP_LIMB_BITS, NUMBA_AVAILABLE, REFLECT, BackendOverflow,
     BackendUnavailable, NumbaBackend, NumpyBackend, get_backend,
 )
 from tetravol.cayley_menger import directional_derivative, f_polynomial
@@ -114,9 +119,10 @@ def test_wpd_decision_is_backend_independent(p):
     assert eng.wpd(eng.from_poly(p)) == is_wpd(p, backend="numpy")
 
 
-# bit sizes on both sides of one and two 40-bit and 48-bit limbs, and
-# five limbs of either
-LIMB_EDGE_BITS = (39, 40, 41, 47, 48, 49, 79, 80, 81, 95, 96, 97, 200)
+# bit sizes on both sides of one and two 40-, 48- and 56-bit limbs, and
+# four limbs or more of each
+LIMB_EDGE_BITS = (39, 40, 41, 47, 48, 49, 55, 56, 57, 79, 80, 81, 95, 96,
+                  97, 111, 112, 113, 200)
 
 
 def limb_edge_coeffs():
@@ -140,13 +146,21 @@ def meets_limb_invariant(cube):
             and (abs(top) < NP_LIMB).all())
 
 
+# dilating axis 0 multiplies its box sums by 2^6 (the rows of DILATE[7]
+# sum to 64), so the top limb 2^55 - 1 leaves the 2^56 range and the
+# cube must take a third limb
+WIDENS_ON_DILATE = Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 111 - 1,
+                                  (6, 0, 0, 0, 0): 1})
+# coefficients [2, -3, 1] along axis 0, stored as box sums [2, -1, 0]:
+# the top slab of S is zero although x0^2 is the top term
+ZERO_TOP_SUM = Polynomial(5, {(0, 0, 0, 0, 0): 2, (1, 0, 0, 0, 0): -3,
+                              (2, 0, 0, 0, 0): 1})
+
+
 @given(limb_edge_polys5())
-# dilating axis 0 multiplies the constant by 2^6, so its top limb
-# 2^47 - 1 leaves the 2^48 range and the cube must take a third limb
-@example(Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 95 - 1,
-                        (6, 0, 0, 0, 0): 1}))
-# the whole (1, 1, 3, 1, 3, 1) cube fits in the corner wpd tries first
+@example(WIDENS_ON_DILATE)
 @example((Polynomial.variable(5, 1) - Polynomial.variable(5, 3)) ** 2)
+@example(ZERO_TOP_SUM)
 @settings(max_examples=25, deadline=None)
 def test_limb_engine_agrees_with_the_object_oracle(p):
     eng, oracle = NumpyBackend(), ObjectEngine()
@@ -170,14 +184,72 @@ def test_limb_engine_agrees_with_the_object_oracle(p):
     assert _traverse(p, 60, eng) == _traverse(p, 60, oracle)
 
 
+def test_dilate_takes_a_limb_past_the_edge():
+    eng = NumpyBackend()
+    cube = eng.from_poly(WIDENS_ON_DILATE)
+    assert (len(cube), len(eng.dilate(cube, 0))) == (2, 3)
+
+
 def test_limb_width_leaves_int64_headroom():
-    B = NP_LIMB_BITS
-    # wpd: a box sum of 7^5 limbs, plus the carry from the limb below
-    assert 7 ** 5 * 2 ** B + 7 ** 5 < 2 ** 63
-    # reflect: at most C(7, j + 1) <= 35 limbs per entry
-    assert 35 * 2 ** B < 2 ** 63
-    # dilate: a limb times at most 2^6
-    assert 2 ** 6 * 2 ** B < 2 ** 63
+    # limbs below 2^B in magnitude, summed with integer weights whose
+    # absolute values total m, stay below m * 2^B; normalizing then adds
+    # a carry of at most m from the limb below
+    def fits(m):
+        return m * 2 ** NP_LIMB_BITS + m < 2 ** 63
+
+    # reflect and dilate: one row of REFLECT[n] or DILATE[n]
+    rows = [int(abs(t).sum(axis=1).max())
+            for table in (REFLECT, DILATE) for t in table.values()]
+    assert fits(max(rows))
+    # from_poly: a prefix pass sums at most the longest axis
+    assert fits(max(DILATE))
+    # to_poly: a difference pass subtracts two entries
+    assert fits(2)
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_per_axis_maps_move_coefficient_maps_to_box_sums(n):
+    ones = [[int(j <= i) for j in range(n)] for i in range(n)]
+    delta = [[(i == j) - (i == j + 1) for j in range(n)] for i in range(n)]
+    assert _matmul(ones, delta) == [[int(i == j) for j in range(n)]
+                                    for i in range(n)]
+    # coefficient maps: x -> 1 - x and x -> x / 2 times 2^(n - 1)
+    flip = [[(-1) ** i * comb(j, i) for j in range(n)] for i in range(n)]
+    halve = [[2 ** (n - 1 - i) * (i == j) for j in range(n)]
+             for i in range(n)]
+    assert REFLECT[n].tolist() == _matmul(_matmul(ones, flip), delta)
+    d = DILATE[n].tolist()
+    assert d == _matmul(_matmul(ones, halve), delta)
+    # lower-triangular with positive entries, and row i < n - 1 is the
+    # last row's first i entries, then twice its i-th: the running sum
+    # dilate applies rests on this
+    for i, j in product(range(n), repeat=2):
+        assert (d[i][j] > 0) == (j <= i)
+        assert j > i or i == n - 1 or d[i][j] == (1 + (i == j)) * d[-1][j]
+
+
+@given(limb_edge_polys5())
+# box sums [2^56, 1], [2^56, 0] and [2^56, -1] along axis 0
+@example(Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 56,
+                        (1, 0, 0, 0, 0): 1 - 2 ** 56}))
+@example(Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 56,
+                        (1, 0, 0, 0, 0): -2 ** 56}))
+@example(Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 56,
+                        (1, 0, 0, 0, 0): -1 - 2 ** 56}))
+@settings(max_examples=25, deadline=None)
+def test_wpd_is_the_sign_of_every_box_sum(p):
+    eng = NumpyBackend()
+    cube = eng.from_poly(p)
+    q = eng.to_poly(cube)
+    box = [range(max(e[a] for e in q.terms) + 1) for a in range(5)]
+    sums = (sum(c for e, c in q.terms.items() if all(map(le, e, i)))
+            for i in product(*box))
+    assert eng.wpd(cube) == all(s >= 0 for s in sums)
 
 
 @given(small_polys5())
@@ -229,6 +301,7 @@ def test_every_cube_spans_the_root_degree_box():
         (pullback(directional_derivative((0,)), _single_edge_cell()),
          10 ** 6, 421),
         ((x1 - x3) ** 2, 60, 60),
+        (ZERO_TOP_SUM, 60, 3),
     )
     for p, budget, steps in walks:
         spy = CubeSpy()
@@ -236,10 +309,10 @@ def test_every_cube_spans_the_root_degree_box():
         root = spy.cubes[0]
         for cube in spy.cubes:
             assert cube.shape[1:] == root.shape[1:]
-            # a nonzero top slab makes extent - 1 the oracle's
-            # max_exponent along every axis
-            for axis, n in enumerate(cube.shape[1:]):
-                assert n == 1 or cube.take(n - 1, axis=axis + 1).any()
+            # dilate reads the top exponent as extent - 1 on every axis
+            terms = spy.to_poly(cube).terms
+            assert [max(e[a] for e in terms) for a in range(5)] == [
+                n - 1 for n in root.shape[1:]]
 
 
 def test_overflowing_workload_restarts_on_the_fallback():
