@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from . import anti_certification as anticert
-from ._kernels import BackendUnavailable, get_backend
+from ._kernels import get_backend
 from .cayley_menger import (EdgeSubset, FACES, directional_derivative,
                             f_hat_polynomial, f_polynomial, is_tetrahedral)
 from .chamber_geometry import (A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B,
@@ -802,6 +802,17 @@ def _cmd_explore(args):
     return 0
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "expected an integer of at least 1, got %r" % text)
+    return value
+
+
 def _add_json(p):
     p.add_argument("--json", action="store_true",
                    help="emit a JSON mirror of the report")
@@ -824,8 +835,8 @@ def build_parser():
     p = sub.add_parser("certify-file",
                        help="certify a serialized 5-variable polynomial")
     p.add_argument("path")
-    p.add_argument("--budget", type=int, default=10 ** 6)
-    p.add_argument("--backend", choices=("numba", "numpy"), default=None)
+    p.add_argument("--budget", type=_positive_int, default=10 ** 6)
+    p.add_argument("--backend", choices=("numpy",), default=None)
     _add_json(p)
     p.set_defaults(func=_cmd_certify_file)
 
@@ -855,12 +866,12 @@ def build_parser():
     q = csub.add_parser("run", help="run one case")
     q.add_argument("name", choices=case_names())
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--backend", choices=("numba", "numpy"), default=None)
+    q.add_argument("--backend", choices=("numpy",), default=None)
     _add_json(q)
     q.set_defaults(func=_cmd_case_run)
     q = csub.add_parser("run-all", help="run every case")
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--backend", choices=("numba", "numpy"), default=None)
+    q.add_argument("--backend", choices=("numpy",), default=None)
     _add_json(q)
     q.set_defaults(func=_cmd_case_run_all)
 
@@ -893,15 +904,15 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    try:
-        if hasattr(args, "backend"):
-            get_backend(args.backend)  # fail before any certify work
-        return args.func(args)
-    except BackendUnavailable as exc:
-        # 4: no documented report status uses it
-        print("error: %s" % exc, file=sys.stderr)
-        return 4
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "backend"):
+        # TETRAVOL_BACKEND can name an engine that --backend's choices bar
+        try:
+            get_backend(args.backend)
+        except ValueError as exc:
+            parser.error(str(exc))
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -17,9 +17,8 @@ certificate's budget, stopping at the first action that differs from
 the recorded ones, and accepts only when the walk re-derives the whole
 certificate: status, counters, histogram, actions and witness.
 
-Both run on the requested engine and, when the two-limb numba engine
-raises ``BackendOverflow``, run again from the start on the numpy limb
-engine, which widens instead of overflowing.
+Both run on the int64 limb engine of ``_kernels``, which widens a cube
+instead of overflowing, so a walk is exact at any coefficient size.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ._kernels import BackendOverflow, get_backend
+from ._kernels import get_backend
 
 
 def _lineage_str(lineage):
@@ -68,29 +67,19 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-def _with_fallback(backend, run):
-    """run(engine), and again on the numpy limb engine after an overflow."""
-    eng = get_backend(backend)
-    try:
-        return run(eng)
-    except BackendOverflow:
-        if eng.name == "numpy":
-            raise
-        return run(get_backend("numpy"))
-
-
 def is_wpd(p, backend=None):
     """True iff every downward-closed box partial sum is nonnegative."""
-    return _with_fallback(backend, lambda eng: eng.wpd(eng.from_poly(p)))
+    eng = get_backend(backend)
+    return eng.wpd(eng.from_poly(p))
 
 
 def certify(p, budget=10 ** 6, backend=None):
     """Certify p >= 0 on the unit cube, or find a negative corner.
 
     Deterministic: the same polynomial and budget give the same
-    certificate on every engine.
+    certificate.
     """
-    return _with_fallback(backend, lambda eng: _traverse(p, budget, eng))
+    return _traverse(p, budget, get_backend(backend))
 
 
 def replay(p, certificate, backend=None):
@@ -100,16 +89,13 @@ def replay(p, certificate, backend=None):
     action that differs from its recorded ones, so it never takes more
     than one step past them.
     """
-    return certificate == _with_fallback(
-        backend, lambda eng: _traverse(p, certificate.budget, eng,
-                                       certificate.actions))
+    return certificate == _traverse(p, certificate.budget,
+                                    get_backend(backend), certificate.actions)
 
 
 def _traverse(p, budget, eng, expect=None):
     """The subdivision walk; None as soon as an action differs from expect."""
-    root = eng.from_poly(p)
-    eng.guard(root)
-    stack = [(root, (0, 0, 0, 0, 0), ())]
+    stack = [(eng.from_poly(p), (0, 0, 0, 0, 0), ())]
     steps = wpd_tests = subdivisions = 0
     max_depth = 0
     hist = [0] * 5
@@ -144,8 +130,6 @@ def _traverse(p, budget, eng, expect=None):
         hist[j] += 1
         left = eng.dilate(cube, j)
         right = eng.dilate(eng.reflect(cube, j), j)
-        eng.guard(left)
-        eng.guard(right)
         succ = list(marker)
         succ[j] += 1
         succ = tuple(succ)

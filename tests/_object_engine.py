@@ -8,8 +8,10 @@ run.
 
 import numpy as np
 
-from tetravol._kernels import SHAPE, SIGNED_BINOM
+from tetravol._kernels import SIGNED_BINOM
 from tetravol.exact_poly import Polynomial
+
+SHAPE = (7,) * 5
 
 
 class ObjectEngine:
@@ -73,6 +75,3 @@ class ObjectEngine:
             sl[axis] = j
             out[tuple(sl)] = acc
         return out
-
-    def guard(self, cube):
-        pass

@@ -1,21 +1,13 @@
-"""Agreement of the cube engines with each other and with the oracle.
+"""The cube engine against the object oracle, and engine resolution.
 
-``numpy`` is the int64 limb engine and ``numba`` the two-limb jitted
-one; ``ObjectEngine`` in ``_object_engine.py`` computes on Python ints
-and is the oracle. Every test here runs with or without numba. Engine
-resolution never compiles anything, so the selection tests patch
-``NUMBA_AVAILABLE`` to check both the numba-present and the numba-absent
-rules everywhere. The representation-level tests drive ``NumbaBackend``
-directly: without numba its kernels run as plain Python, which still
-checks the two-limb arithmetic against the limb engine. The limb engine
-stores box partial sums; it is checked against the oracle operation by
-operation on coefficients at the limb boundaries, its per-axis maps are
-rebuilt in Python ints, and its cubes, which span only the root's
-degree box, are checked to keep that box along whole walks. The
-run-level tests certify on numba where it can be imported and on the
-limb engine otherwise, and compare each run with the oracle's walk. The
-replay fallback test installs ``NumbaBackend`` as ``numba`` the same
-way; its two-limb runs stop at the first overflow, so they stay short.
+``NumpyBackend`` is the package's one engine: int64 limbs holding box
+partial sums. ``ObjectEngine`` in ``_object_engine.py`` computes on
+Python ints in the coefficient basis and is the oracle. The limb engine
+is checked against the oracle operation by operation on coefficients at
+the limb boundaries, its per-axis maps are rebuilt in Python ints, and
+its cubes, which span only the root's degree box, are checked to keep
+that box along whole walks. The run-level tests compare whole certify
+runs with the oracle's walk.
 """
 
 from itertools import product
@@ -26,80 +18,45 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tetravol import _kernels, positive_dominance
 from tetravol._kernels import (
-    DILATE, NP_LIMB, NP_LIMB_BITS, NUMBA_AVAILABLE, REFLECT, BackendOverflow,
-    BackendUnavailable, NumbaBackend, NumpyBackend, get_backend,
+    DILATE, NP_LIMB, NP_LIMB_BITS, REFLECT, NumpyBackend, get_backend,
 )
-from tetravol.cayley_menger import directional_derivative, f_polynomial
+from tetravol.cayley_menger import directional_derivative
 from tetravol.chamber_geometry import (
     A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, LatticeSimplex6,
-    build_partitions,
 )
 from tetravol.exact_poly import Polynomial
-from tetravol.positive_dominance import _traverse, certify, is_wpd, replay
+from tetravol.positive_dominance import _traverse, certify
 from tetravol.simplex_pullback import pullback
 
 from _object_engine import ObjectEngine
 
-# the engine the run-level tests certify on
-RUN_ENGINE = "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-def _numba_importable(monkeypatch, available):
-    monkeypatch.setattr(_kernels, "NUMBA_AVAILABLE", available)
-    monkeypatch.setattr(_kernels, "_BACKENDS", {})
-
 
 def test_backend_selection(monkeypatch):
     monkeypatch.delenv("TETRAVOL_BACKEND", raising=False)
-    assert get_backend().name == ("numba" if NUMBA_AVAILABLE else "numpy")
-    for available in (True, False):
-        _numba_importable(monkeypatch, available)
-        monkeypatch.delenv("TETRAVOL_BACKEND", raising=False)
-        assert get_backend().name == ("numba" if available else "numpy")
-        assert get_backend("numpy").name == "numpy"
-        if available:
-            assert get_backend("numba").name == "numba"
-        else:
-            with pytest.raises(BackendUnavailable, match="numba"):
-                get_backend("numba")
-        monkeypatch.setenv("TETRAVOL_BACKEND", "numpy")
-        assert get_backend().name == "numpy"
-        monkeypatch.setenv("TETRAVOL_BACKEND", "numba")
-        if available:
-            assert get_backend().name == "numba"
-        else:
-            with pytest.raises(BackendUnavailable, match="numba"):
-                get_backend()
+    eng = get_backend()
+    assert isinstance(eng, NumpyBackend) and eng.name == "numpy"
+    # every accepted spelling gives the same cached instance
+    for env in ("numpy", " numpy ", ""):
+        monkeypatch.setenv("TETRAVOL_BACKEND", env)
+        assert get_backend() is eng
+        assert get_backend("numpy") is eng
+    # an explicit name beats the environment; any other name is an error
+    monkeypatch.setenv("TETRAVOL_BACKEND", "numba")
+    assert get_backend("numpy") is eng
+    with pytest.raises(ValueError, match="numba"):
+        get_backend()
+    for name in ("numba", "fortran", "NUMPY", ""):
         with pytest.raises(ValueError):
-            get_backend("fortran")
-
-
-def test_explicit_name_beats_the_environment(monkeypatch):
-    monkeypatch.setenv("TETRAVOL_BACKEND", "numpy")
-    for available in (True, False):
-        _numba_importable(monkeypatch, available)
-        if available:
-            assert get_backend("numba").name == "numba"
-        else:
-            with pytest.raises(BackendUnavailable):
-                get_backend("numba")
-
-
-def test_two_limb_range_is_enforced():
-    big = Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 90})
-    with pytest.raises(BackendOverflow):
-        NumbaBackend().from_poly(big)
-    # the limb engine has no coefficient ceiling: it takes more limbs
-    eng = get_backend("numpy")
-    assert eng.to_poly(eng.from_poly(big)) == big
+            get_backend(name)
 
 
 def test_roundtrip_through_each_engine():
     x = Polynomial.variable(5, 2)
-    p = 5 * x * x - 3 * x + Polynomial.constant(5, 11)
-    for eng in (NumbaBackend(), get_backend("numpy")):
+    eng = get_backend("numpy")
+    # 2^90 needs two limbs: the engine has no coefficient ceiling
+    for p in (5 * x * x - 3 * x + Polynomial.constant(5, 11),
+              Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 90})):
         assert eng.to_poly(eng.from_poly(p)) == p
 
 
@@ -108,15 +65,6 @@ def small_polys5():
     term = st.tuples(exps, st.integers(-30, 30))
     return st.lists(term, max_size=5).map(
         lambda ts: Polynomial(5, dict(ts)))
-
-
-@given(small_polys5())
-# 5 - 3*x0 is WPD only if the negative coefficient's low limb carries
-@example(Polynomial(5, {(0, 0, 0, 0, 0): 5, (1, 0, 0, 0, 0): -3}))
-@settings(max_examples=30, deadline=None)
-def test_wpd_decision_is_backend_independent(p):
-    eng = NumbaBackend()
-    assert eng.wpd(eng.from_poly(p)) == is_wpd(p, backend="numpy")
 
 
 # bit sizes on both sides of one and two 40-, 48- and 56-bit limbs, and
@@ -255,7 +203,7 @@ def test_wpd_is_the_sign_of_every_box_sum(p):
 @given(small_polys5())
 @settings(max_examples=15, deadline=None)
 def test_certificates_are_backend_identical(p):
-    a = certify(p, budget=200, backend=RUN_ENGINE)
+    a = certify(p, budget=200, backend="numpy")
     b = _traverse(p, 200, ObjectEngine())
     assert a == b
 
@@ -268,7 +216,7 @@ def _single_edge_cell():
 
 def test_recorded_workload_agrees_across_backends():
     q = pullback(directional_derivative((0,)), _single_edge_cell())
-    a = certify(q, backend=RUN_ENGINE)
+    a = certify(q, backend="numpy")
     b = _traverse(q, 10 ** 6, ObjectEngine())
     assert a.status == b.status == "Nonnegative"
     assert a.steps == b.steps == 421
@@ -315,58 +263,8 @@ def test_every_cube_spans_the_root_degree_box():
                 n - 1 for n in root.shape[1:]]
 
 
-def test_overflowing_workload_restarts_on_the_fallback():
-    # deep splits push coefficients past the compiled guard; certify
-    # must transparently redo the run on the unbounded engine
-    cell = build_partitions().four["B_1"]
-    comb = 3 * directional_derivative((0, 1, 3)) - f_polynomial()
-    q = pullback(comb, cell)
-    cert = certify(q, backend=RUN_ENGINE)
-    assert cert.status == "Nonnegative"
-    assert cert.steps == 1275
-
-
-def test_replay_restarts_on_the_fallback(monkeypatch):
-    # an uncompiled NumbaBackend where numba is absent; 2^k times a
-    # product of (1 - 2x + 2x^2) factors certifies in 63 steps, and its
-    # root (k=82) or its first split (k=79) leaves the two-limb range
-    _numba_importable(monkeypatch, True)
-    x = [Polynomial.variable(5, a) for a in range(5)]
-    one = Polynomial.constant(5, 1)
-    base = one
-    for xa in x:
-        base = base * (one - 2 * xa + 2 * xa * xa)
-    guard, traverse = NumbaBackend.guard, positive_dominance._traverse
-    fired, engines = [], []
-
-    def spy_guard(self, cube):
-        try:
-            guard(self, cube)
-        except BackendOverflow:
-            fired.append(True)
-            raise
-
-    def spy_traverse(p, budget, eng, expect=None):
-        engines.append(eng.name)
-        return traverse(p, budget, eng, expect)
-
-    monkeypatch.setattr(NumbaBackend, "guard", spy_guard)
-    monkeypatch.setattr(positive_dominance, "_traverse", spy_traverse)
-    for k in (79, 82):
-        q = Polynomial.constant(5, 2 ** k) * base
-        cert = certify(q, backend="numpy")
-        assert (cert.status, cert.steps) == ("Nonnegative", 63)
-        fired.clear()
-        engines.clear()
-        assert replay(q, cert, backend="numba")
-        assert engines == ["numba", "numpy"]
-        assert fired == ([True] if k == 79 else [])
-
-
 def test_numpy_engine_never_falls_back_silently():
     eng = get_backend("numpy")
     big = Polynomial(5, {(1, 0, 0, 0, 0): 2 ** 90,
                          (0, 0, 0, 0, 0): -2 ** 89})
-    cube = eng.from_poly(big)
-    eng.guard(cube)
-    assert eng.origin_negative(cube)
+    assert eng.origin_negative(eng.from_poly(big))

@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-from tetravol._kernels import NUMBA_AVAILABLE
 from tetravol.case_suite_cli import main
 from tetravol.cayley_menger import directional_derivative, f_polynomial
 from tetravol.chamber_geometry import build_partitions
@@ -18,6 +17,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def usage_error(capsys, *argv):
+    """The exit code, the stdout and the one error line of a bad call."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    errors = [line for line in out.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    return exc.value.code, out.out, errors[0]
 
 
 def test_eval_text_output(capsys):
@@ -106,22 +115,29 @@ def test_certify_file_missing_file(capsys):
     assert "error:" in err
 
 
-@pytest.mark.skipif(NUMBA_AVAILABLE,
-                    reason="checks the exit when numba is not installed")
-def test_named_numba_without_numba_exits_4(tmp_path, capsys, monkeypatch):
+def test_certify_file_rejects_a_budget_below_one(tmp_path, capsys):
+    _write_poly(tmp_path / "p.poly", Polynomial.constant(5, 1))
+    for budget in ("-1", "0", "many"):
+        code, out, err = usage_error(capsys, "certify-file",
+                                     str(tmp_path / "p.poly"),
+                                     "--budget", budget)
+        assert (code, out) == (2, "")
+        assert "--budget" in err
+
+
+def test_unknown_engine_is_a_usage_error(tmp_path, capsys, monkeypatch):
     _write_poly(tmp_path / "p.poly", Polynomial.constant(5, 1))
     monkeypatch.delenv("TETRAVOL_BACKEND", raising=False)
     for argv in (["certify-file", str(tmp_path / "p.poly"),
                   "--backend", "numba"],
                  ["case", "run", "single-edge", "--backend", "numba"]):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (4, "")
-        assert err.startswith("error:") and err.count("\n") == 1
+        code, out, err = usage_error(capsys, *argv)
+        assert (code, out) == (2, "")
         assert "numba" in err
     monkeypatch.setenv("TETRAVOL_BACKEND", "numba")
-    code, out, err = run(capsys, "case", "run-all")
-    assert (code, out) == (4, "")
-    assert err.startswith("error:")
+    code, out, err = usage_error(capsys, "case", "run-all")
+    assert (code, out) == (2, "")
+    assert "numba" in err
 
 
 def test_partition_check_small(capsys):
