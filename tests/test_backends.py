@@ -21,12 +21,13 @@ from hypothesis import example, given, settings, strategies as st
 from tetravol._kernels import (
     DILATE, NP_LIMB, NP_LIMB_BITS, REFLECT, NumpyBackend, get_backend,
 )
+from tetravol import positive_dominance
 from tetravol.cayley_menger import directional_derivative
 from tetravol.chamber_geometry import (
     A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, LatticeSimplex6,
 )
 from tetravol.exact_poly import Polynomial
-from tetravol.positive_dominance import _traverse, certify
+from tetravol.positive_dominance import _traverse, certify, replay
 from tetravol.simplex_pullback import pullback
 
 from _object_engine import ObjectEngine
@@ -41,23 +42,44 @@ def test_backend_selection(monkeypatch):
         monkeypatch.setenv("TETRAVOL_BACKEND", env)
         assert get_backend() is eng
         assert get_backend("numpy") is eng
-    # an explicit name beats the environment; any other name is an error
-    monkeypatch.setenv("TETRAVOL_BACKEND", "numba")
-    assert get_backend("numpy") is eng
-    with pytest.raises(ValueError, match="numba"):
-        get_backend()
+    # any other name is an error
     for name in ("numba", "fortran", "NUMPY", ""):
         with pytest.raises(ValueError):
             get_backend(name)
 
 
+def test_explicit_name_beats_the_environment(monkeypatch):
+    eng = get_backend("numpy")
+    # a bad environment does not matter when the name is given ...
+    for env in ("numba", "fortran", "NUMPY"):
+        monkeypatch.setenv("TETRAVOL_BACKEND", env)
+        assert get_backend("numpy") is eng
+        with pytest.raises(ValueError, match=env):
+            get_backend()
+    # ... and a good one does not rescue a bad name
+    monkeypatch.setenv("TETRAVOL_BACKEND", "numpy")
+    with pytest.raises(ValueError, match="numba"):
+        get_backend("numba")
+
+
+def test_two_limb_range_is_enforced():
+    # every limb stays in its 56-bit range: a coefficient past it takes
+    # another limb, so the engine has no coefficient ceiling
+    eng = get_backend("numpy")
+    for bits in (55, 56, 90, 111, 112, 200):
+        for c in (2 ** bits - 1, 2 ** bits, -2 ** bits):
+            p = Polynomial(5, {(0, 0, 0, 0, 0): c})
+            cube = eng.from_poly(p)
+            assert meets_limb_invariant(cube)
+            assert len(cube) * NP_LIMB_BITS > bits
+            assert eng.to_poly(cube) == p
+
+
 def test_roundtrip_through_each_engine():
     x = Polynomial.variable(5, 2)
+    p = 5 * x * x - 3 * x + Polynomial.constant(5, 11)
     eng = get_backend("numpy")
-    # 2^90 needs two limbs: the engine has no coefficient ceiling
-    for p in (5 * x * x - 3 * x + Polynomial.constant(5, 11),
-              Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 90})):
-        assert eng.to_poly(eng.from_poly(p)) == p
+    assert eng.to_poly(eng.from_poly(p)) == p
 
 
 def small_polys5():
@@ -261,6 +283,33 @@ def test_every_cube_spans_the_root_degree_box():
             terms = spy.to_poly(cube).terms
             assert [max(e[a] for e in terms) for a in range(5)] == [
                 n - 1 for n in root.shape[1:]]
+
+
+def test_replay_restarts_on_the_fallback(monkeypatch):
+    # 2^k times a product of (1 - 2x + 2x^2) factors certifies in 63
+    # steps; at k = 79 and 82 its root takes two limbs. There is no
+    # fallback engine any more: replay must accept both certificates in
+    # one walk on the limb engine, with no restart
+    x = [Polynomial.variable(5, a) for a in range(5)]
+    one = Polynomial.constant(5, 1)
+    base = one
+    for xa in x:
+        base = base * (one - 2 * xa + 2 * xa * xa)
+    traverse, engines = positive_dominance._traverse, []
+
+    def spy_traverse(p, budget, eng, expect=None):
+        engines.append(eng.name)
+        return traverse(p, budget, eng, expect)
+
+    monkeypatch.setattr(positive_dominance, "_traverse", spy_traverse)
+    for k in (79, 82):
+        q = Polynomial.constant(5, 2 ** k) * base
+        assert len(get_backend().from_poly(q)) == 2
+        cert = certify(q, backend="numpy")
+        assert (cert.status, cert.steps) == ("Nonnegative", 63)
+        engines.clear()
+        assert replay(q, cert, backend="numpy")
+        assert engines == ["numpy"]
 
 
 def test_numpy_engine_never_falls_back_silently():
