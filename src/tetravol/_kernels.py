@@ -25,15 +25,10 @@ prefix pass grows entries at most 7 times and a difference pass 2
 times.  Each pass and operation ends with a normalization that carries
 limbs low to high and appends a limb while the top one is out of range,
 so a run is exact at any size.
-
-``get_backend`` returns the one engine instance.  It accepts the name
-"numpy", by argument or by the TETRAVOL_BACKEND environment variable,
-and raises ValueError for any other name.
 """
 
 from __future__ import annotations
 
-import os
 from math import prod
 
 import numpy as np
@@ -173,11 +168,6 @@ NUMBA_AVAILABLE = False
 _ENGINE = NumpyBackend()
 
 
-def get_backend(name=None):
-    """The engine named by name, else by TETRAVOL_BACKEND; only "numpy"."""
-    if name is None:
-        name = os.environ.get("TETRAVOL_BACKEND", "").strip() or "numpy"
-    if name != "numpy":
-        raise ValueError("unknown engine %r; the only engine is 'numpy'"
-                         % name)
+def get_backend():
+    """The one engine instance, shared by every walk."""
     return _ENGINE

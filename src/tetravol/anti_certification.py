@@ -20,8 +20,8 @@ from importlib import resources
 import numpy as np
 
 from .cayley_menger import EdgeSubset, directional_derivative, f_polynomial
-from .chamber_geometry import (build_partitions, certified_chambers,
-                               decorations, in_cone)
+from .chamber_geometry import (_int_det, build_partitions,
+                               certified_chambers, decorations, in_cone)
 
 SNAP_SCALE = 10 ** 10
 
@@ -111,7 +111,7 @@ def _power_weights(q, k):
     return [w / s for w in u]
 
 
-def anti_certify(chamber, beta, trials=20000, seed=0, snap=SNAP_SCALE):
+def anti_certify(chamber, beta, trials=20000, seed=0):
     """Search one chamber for a witness; None after `trials` misses.
 
     The first half of the budget samples uniformly; the remaining
@@ -152,7 +152,7 @@ def anti_certify(chamber, beta, trials=20000, seed=0, snap=SNAP_SCALE):
         fv = ff.at(pts)
         gv = gf.at(pts)
         for i in np.nonzero((fv > 0.0) & (gv < 0.0))[0]:
-            point = snap_point(qs[i], verts, snap)
+            point = snap_point(qs[i], verts)
             f_exact = f.evaluate(point)
             g_exact = g.evaluate(point)
             if (f_exact > 0 and g_exact < 0 and in_cone(point)
@@ -169,14 +169,13 @@ def excluded_chambers(beta):
     return [d for d in decorations() if d.id not in keep]
 
 
-def generate_golden(betas=ASSERTED_BETAS, trials=20000, seed=0,
-                    snap=SNAP_SCALE):
+def generate_golden(betas=ASSERTED_BETAS, trials=20000, seed=0):
     """One witness per excluded chamber per case; raises if any search fails."""
     out = []
     for spec in betas:
         beta = EdgeSubset.parse(spec)
         for dec in excluded_chambers(beta):
-            w = anti_certify(dec, beta, trials=trials, seed=seed, snap=snap)
+            w = anti_certify(dec, beta, trials=trials, seed=seed)
             if w is None:
                 raise RuntimeError("no witness found for beta=%s chamber=%s"
                                    % (spec, dec.id))
@@ -184,7 +183,7 @@ def generate_golden(betas=ASSERTED_BETAS, trials=20000, seed=0,
     return out
 
 
-def full_k4_campaign(trials=100000, seed=0, snap=SNAP_SCALE):
+def full_k4_campaign(trials=100000, seed=0):
     """Round-robin witness search over all 48 chambers with beta = K4.
 
     Returns (witnesses, prescreen_hits).  Lengthening every edge never
@@ -215,8 +214,8 @@ def full_k4_campaign(trials=100000, seed=0, snap=SNAP_SCALE):
         for i in np.nonzero((fv > 0.0) & (gv < 0.0))[0]:
             screened += 1
             dec = decs[idx[i]]
-            point = snap_point(qs[i], parts.simplex_for_decoration(dec).vertices,
-                               snap)
+            verts = parts.simplex_for_decoration(dec).vertices
+            point = snap_point(qs[i], verts)
             f_exact = f.evaluate(point)
             g_exact = g.evaluate(point)
             if (f_exact > 0 and g_exact < 0 and in_cone(point)
@@ -228,26 +227,6 @@ def full_k4_campaign(trials=100000, seed=0, snap=SNAP_SCALE):
 
 
 # -- independent evaluation path ----------------------------------------
-
-def _bareiss_det(rows):
-    """Fraction-free integer determinant (Bareiss elimination)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
 
 def f_value_bordered(point):
     """f at an integer point via the bordered squared-distance determinant.
@@ -261,7 +240,7 @@ def f_value_bordered(point):
          [1, s[0], 0, s[3], s[4]],
          [1, s[1], s[3], 0, s[5]],
          [1, s[2], s[4], s[5], 0]]
-    return _bareiss_det(m)
+    return _int_det(m)
 
 
 def g_value_stencil(point, beta):

@@ -15,7 +15,6 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from . import anti_certification as anticert
-from ._kernels import get_backend
 from .cayley_menger import (EdgeSubset, FACES, directional_derivative,
                             f_hat_polynomial, f_polynomial, is_tetrahedral)
 from .chamber_geometry import (A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B,
@@ -478,8 +477,7 @@ def curve_result(beta, check):
                        check.expected_degree, ok)
 
 
-def run_case(name, seed=0, budget=10 ** 6, backend=None,
-             campaign_trials=None):
+def run_case(name, seed=0, campaign_trials=None):
     """Execute one pinned case end to end and grade every obligation."""
     spec = case_registry()[name]
     report = CaseReport(name=spec.name, edges=spec.beta.spec(),
@@ -492,7 +490,7 @@ def run_case(name, seed=0, budget=10 ** 6, backend=None,
             raise ValueError("endpoint mismatch for %s" % task.func.label)
         p = pullback(task.func.polynomial(spec.beta),
                      spec.simplices[task.simplex])
-        cert = certify(p, budget=budget, backend=backend)
+        cert = certify(p)
         grade = grade_task(task, cert)
         if grade == "FAIL":
             hard_fail = True
@@ -659,7 +657,7 @@ def _cmd_certify_file(args):
         print("error: %s" % exc, file=sys.stderr)
         return 3
     try:
-        cert = certify(p, budget=args.budget, backend=args.backend)
+        cert = certify(p, budget=args.budget)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
@@ -716,14 +714,13 @@ def _cmd_case_list(args):
 
 
 def _cmd_case_run(args):
-    report = run_case(args.name, seed=args.seed, backend=args.backend)
+    report = run_case(args.name, seed=args.seed)
     _print(args, report.to_json(), report.to_text())
     return 0 if report.passed else 1
 
 
 def _cmd_case_run_all(args):
-    reports = [run_case(name, seed=args.seed, backend=args.backend)
-               for name in case_registry()]
+    reports = [run_case(name, seed=args.seed) for name in case_registry()]
     ok = all(r.passed for r in reports)
     if args.json:
         print(json.dumps({"cases": [r.to_json() for r in reports],
@@ -836,15 +833,14 @@ def build_parser():
                        help="certify a serialized 5-variable polynomial")
     p.add_argument("path")
     p.add_argument("--budget", type=_positive_int, default=10 ** 6)
-    p.add_argument("--backend", choices=("numpy",), default=None)
     _add_json(p)
     p.set_defaults(func=_cmd_certify_file)
 
     p = sub.add_parser("partition-check",
                        help="sampled coverage and barycenter identities")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cross-check", type=int, default=200)
+    p.add_argument("--cross-check", type=_positive_int, default=200)
     _add_json(p)
     p.set_defaults(func=_cmd_partition_check)
 
@@ -853,7 +849,7 @@ def build_parser():
     p.add_argument("--beta", required=True)
     p.add_argument("--chamber", required=True,
                    help="decoration id, for example p4213b1")
-    p.add_argument("--trials", type=int, default=20000)
+    p.add_argument("--trials", type=_positive_int, default=20000)
     p.add_argument("--seed", type=int, default=0)
     _add_json(p)
     p.set_defaults(func=_cmd_anticert)
@@ -866,29 +862,27 @@ def build_parser():
     q = csub.add_parser("run", help="run one case")
     q.add_argument("name", choices=case_names())
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--backend", choices=("numpy",), default=None)
     _add_json(q)
     q.set_defaults(func=_cmd_case_run)
     q = csub.add_parser("run-all", help="run every case")
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--backend", choices=("numpy",), default=None)
     _add_json(q)
     q.set_defaults(func=_cmd_case_run_all)
 
     p = sub.add_parser("lengthen-check",
                        help="sampled all-edges monotonicity check")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-entry", type=int, default=100)
-    p.add_argument("--t", type=int, default=1)
+    p.add_argument("--max-entry", type=_positive_int, default=100)
+    p.add_argument("--t", type=_positive_int, default=1)
     _add_json(p)
     p.set_defaults(func=_cmd_lengthen_check)
 
     p = sub.add_parser("appendix-check",
                        help="sampled quadrature and square-root checks")
-    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--trials", type=_positive_int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-entry", type=int, default=50)
+    p.add_argument("--max-entry", type=_positive_int, default=50)
     _add_json(p)
     p.set_defaults(func=_cmd_appendix_check)
 
@@ -904,14 +898,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "backend"):
-        # TETRAVOL_BACKEND can name an engine that --backend's choices bar
-        try:
-            get_backend(args.backend)
-        except ValueError as exc:
-            parser.error(str(exc))
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

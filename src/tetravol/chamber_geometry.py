@@ -220,14 +220,16 @@ class LatticeSimplex6:
     def barycentric(self, p):
         """Exact barycentric coordinates of a sum-24-plane point."""
         fr = [Fraction(x) for x in p]
+        denom = math.lcm(*(x.denominator for x in fr))
+        ints = [int(x * denom) for x in fr]
         matrix = [[self.vertices[j][r] for j in range(6)] for r in range(6)]
         d = _int_det(matrix)
         out = []
         for j in range(6):
-            mj = [[Fraction(matrix[r][c]) for c in range(6)] for r in range(6)]
+            mj = [row[:] for row in matrix]
             for r in range(6):
-                mj[r][j] = fr[r]
-            out.append(_frac_det(mj) / d)
+                mj[r][j] = ints[r]
+            out.append(Fraction(_int_det(mj), d * denom))
         return tuple(out)
 
     def relabeled(self, sigma, name=None):
@@ -236,28 +238,6 @@ class LatticeSimplex6:
 
     def __repr__(self):
         return "LatticeSimplex6(%s)" % self.name
-
-
-def _frac_det(m):
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    det = Fraction(1)
-    for k in range(n):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            ratio = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= ratio * m[k][j]
-    return det * sign
 
 
 # -- decorations --------------------------------------------------------

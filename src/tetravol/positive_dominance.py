@@ -67,30 +67,30 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
-def is_wpd(p, backend=None):
+def is_wpd(p):
     """True iff every downward-closed box partial sum is nonnegative."""
-    eng = get_backend(backend)
+    eng = get_backend()
     return eng.wpd(eng.from_poly(p))
 
 
-def certify(p, budget=10 ** 6, backend=None):
+def certify(p, budget=10 ** 6):
     """Certify p >= 0 on the unit cube, or find a negative corner.
 
     Deterministic: the same polynomial and budget give the same
     certificate.
     """
-    return _traverse(p, budget, get_backend(backend))
+    return _traverse(p, budget, get_backend())
 
 
-def replay(p, certificate, backend=None):
+def replay(p, certificate):
     """True iff a fresh walk re-derives exactly this certificate.
 
     The walk runs under the certificate's budget and stops at the first
     action that differs from its recorded ones, so it never takes more
     than one step past them.
     """
-    return certificate == _traverse(p, certificate.budget,
-                                    get_backend(backend), certificate.actions)
+    return certificate == _traverse(p, certificate.budget, get_backend(),
+                                    certificate.actions)
 
 
 def _traverse(p, budget, eng, expect=None):

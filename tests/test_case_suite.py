@@ -108,12 +108,6 @@ def test_run_case_three_cycle_end_to_end():
     assert again.to_text() == text
 
 
-def test_run_case_accepts_explicit_backend():
-    report = run_case("3-cycle", backend="numpy")
-    assert report.passed
-    assert report.tasks[0].steps == 1275
-
-
 def test_full_k4_campaign_report_shape():
     report = run_case("full-K4", campaign_trials=300)
     assert report.passed

@@ -1,6 +1,7 @@
 """Exit codes and output formats of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -11,6 +12,8 @@ from tetravol.cayley_menger import directional_derivative, f_polynomial
 from tetravol.chamber_geometry import build_partitions
 from tetravol.exact_poly import Polynomial
 from tetravol.simplex_pullback import pullback
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def run(capsys, *argv):
@@ -125,19 +128,38 @@ def test_certify_file_rejects_a_budget_below_one(tmp_path, capsys):
         assert "--budget" in err
 
 
+def test_count_flags_reject_values_below_one(capsys):
+    # a run that checks nothing must not report success
+    for argv in (["lengthen-check", "--trials"],
+                 ["lengthen-check", "--max-entry"],
+                 ["lengthen-check", "--t"],
+                 ["appendix-check", "--trials"],
+                 ["appendix-check", "--max-entry"],
+                 ["partition-check", "--samples"],
+                 ["partition-check", "--cross-check"],
+                 ["anticert", "--beta", "12", "--chamber", "p1234b3",
+                  "--trials"]):
+        for value in ("-3", "0", "many"):
+            code, out, err = usage_error(capsys, *argv, value)
+            assert (code, out) == (2, "")
+            assert argv[-1] in err
+
+
 def test_unknown_engine_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # there is one engine: --backend is not an argument and
+    # TETRAVOL_BACKEND is ignored
     _write_poly(tmp_path / "p.poly", Polynomial.constant(5, 1))
     monkeypatch.delenv("TETRAVOL_BACKEND", raising=False)
-    for argv in (["certify-file", str(tmp_path / "p.poly"),
-                  "--backend", "numba"],
-                 ["case", "run", "single-edge", "--backend", "numba"]):
-        code, out, err = usage_error(capsys, *argv)
+    for argv in (["certify-file", str(tmp_path / "p.poly")],
+                 ["case", "run", "single-edge"],
+                 ["case", "run-all"]):
+        code, out, err = usage_error(capsys, *argv, "--backend", "numpy")
         assert (code, out) == (2, "")
-        assert "numba" in err
+        assert "unrecognized arguments: --backend numpy" in err
     monkeypatch.setenv("TETRAVOL_BACKEND", "numba")
-    code, out, err = usage_error(capsys, "case", "run-all")
-    assert (code, out) == (2, "")
-    assert "numba" in err
+    code, out, _ = run(capsys, "certify-file", str(tmp_path / "p.poly"))
+    assert code == 0
+    assert "status: Nonnegative" in out
 
 
 def test_partition_check_small(capsys):
@@ -206,8 +228,10 @@ def test_explore_reports_unasserted_types_without_failing(capsys):
 
 
 def test_console_script_help():
+    # a checkout imports the package only through pytest's pythonpath
     proc = subprocess.run(
         [sys.executable, "-m", "tetravol.case_suite_cli", "--help"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0
     assert "tetravol" in proc.stdout

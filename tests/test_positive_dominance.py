@@ -78,8 +78,8 @@ def test_diagonal_zero_set_never_terminates():
     # (x2 - x4)^2 vanishes across box interiors, so splitting recurs
     # forever; the budget must cut the chain off deterministically
     p = (X[1] - X[3]) * (X[1] - X[3])
-    a = certify(p, budget=300, backend="numpy")
-    b = certify(p, budget=300, backend="numpy")
+    a = certify(p, budget=300)
+    b = certify(p, budget=300)
     assert a.status == "BudgetExhausted"
     assert a.steps == 300
     assert a == b
@@ -122,12 +122,11 @@ def test_replay_rejects_tampering(monkeypatch):
         witness, witness_lineage="L0"))
     # a raised budget cannot walk replay past the recorded actions
     diag = (X[1] - X[3]) * (X[1] - X[3])
-    short = certify(diag, budget=30, backend="numpy")
+    short = certify(diag, budget=30)
     wpd, tests = NumpyBackend.wpd, []
     monkeypatch.setattr(NumpyBackend, "wpd",
                         lambda self, cube: tests.append(1) or wpd(self, cube))
-    assert not replay(diag, dataclasses.replace(short, budget=300),
-                      backend="numpy")
+    assert not replay(diag, dataclasses.replace(short, budget=300))
     assert len(tests) == 31
 
 
