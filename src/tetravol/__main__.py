@@ -1,0 +1,8 @@
+"""``python -m tetravol``: the same command line as the ``tetravol`` script."""
+
+import sys
+
+from .case_suite_cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

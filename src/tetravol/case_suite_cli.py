@@ -20,8 +20,8 @@ from .cayley_menger import (EdgeSubset, FACES, directional_derivative,
 from .chamber_geometry import (A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B,
                                LatticeSimplex6, build_partitions,
                                certified_chambers, chambers_containing,
-                               in_cone, partition_check, stabilizer,
-                               verify_barycenter_conditions)
+                               decorations, in_cone, partition_check,
+                               stabilizer, verify_barycenter_conditions)
 from .exact_poly import Polynomial, UnivariatePoly
 from .positive_dominance import certify
 from .simplex_pullback import pullback
@@ -635,7 +635,7 @@ def _print(args, payload, text):
 
 def _cmd_eval(args):
     point = tuple(args.point)
-    beta = EdgeSubset.parse(args.beta)
+    beta = args.beta
     f = f_polynomial()
     g = directional_derivative(beta)
     fv, gv = f.evaluate(point), g.evaluate(point)
@@ -687,7 +687,7 @@ def _cmd_partition_check(args):
 
 
 def _cmd_anticert(args):
-    beta = EdgeSubset.parse(args.beta)
+    beta = args.beta
     w = anticert.anti_certify(args.chamber, beta, trials=args.trials,
                               seed=args.seed)
     if w is None:
@@ -773,7 +773,7 @@ def _cmd_appendix_check(args):
 
 def _cmd_explore(args):
     point = tuple(args.point)
-    beta = EdgeSubset.parse(args.beta)
+    beta = args.beta
     f = f_polynomial()
     g = directional_derivative(beta)
     fv, gv = f.evaluate(point), g.evaluate(point)
@@ -810,6 +810,19 @@ def _positive_int(text):
     return value
 
 
+def _edge_subset(text):
+    try:
+        return EdgeSubset.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _chamber_id(text):
+    if text not in {d.id for d in decorations()}:
+        raise argparse.ArgumentTypeError("unknown chamber id %r" % text)
+    return text
+
+
 def _add_json(p):
     p.add_argument("--json", action="store_true",
                    help="emit a JSON mirror of the report")
@@ -824,7 +837,7 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate f and a directional derivative")
     p.add_argument("--point", nargs=6, type=int, required=True,
                    metavar=("D12", "D13", "D14", "D23", "D24", "D34"))
-    p.add_argument("--beta", default="12,13,14,23,24,34",
+    p.add_argument("--beta", type=_edge_subset, default="12,13,14,23,24,34",
                    help="edge subset, for example 12,34")
     _add_json(p)
     p.set_defaults(func=_cmd_eval)
@@ -846,8 +859,8 @@ def build_parser():
 
     p = sub.add_parser("anticert",
                        help="search one chamber for a sign witness")
-    p.add_argument("--beta", required=True)
-    p.add_argument("--chamber", required=True,
+    p.add_argument("--beta", type=_edge_subset, required=True)
+    p.add_argument("--chamber", type=_chamber_id, required=True,
                    help="decoration id, for example p4213b1")
     p.add_argument("--trials", type=_positive_int, default=20000)
     p.add_argument("--seed", type=int, default=0)
@@ -890,7 +903,7 @@ def build_parser():
                        help="inspect a point and edge subset, no assertions")
     p.add_argument("--point", nargs=6, type=int, required=True,
                    metavar=("D12", "D13", "D14", "D23", "D24", "D34"))
-    p.add_argument("--beta", required=True)
+    p.add_argument("--beta", type=_edge_subset, required=True)
     _add_json(p)
     p.set_defaults(func=_cmd_explore)
 

@@ -12,9 +12,26 @@ the whole simplex; the cube origin lands on v1 and the all-ones corner
 on v6.  Composing a polynomial with Z keeps integer coefficients and
 caps every single-variable degree by the total degree, which is what
 the dominance certifier needs.
+
+The pullback first composes with the six affine forms L_k(u) = (W V(u))_k
+and then rewrites u to stick-breaking coordinates, which only renames
+exponents.  The composition is a multivariate Horner scheme (Peña and
+Sauer, SIAM J. Numer. Anal. 37, 2000): the terms are grouped by their
+exponent of one variable at a time, and each group is folded in as
+``acc = acc * L_j + child``, so the only products are by a linear form.
+Every intermediate polynomial is a dense vector of Python ints over the
+monomials in u of total degree at most deg p, so the result is exact at
+any coefficient size and needs no bound check.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import math
+import types
+
+import numpy as np
 
 from .exact_poly import Polynomial
 
@@ -49,6 +66,93 @@ def _stick_rewrite(p):
     return Polynomial(5, out)
 
 
+@functools.lru_cache(maxsize=None)
+def _graded_basis(nvars, degree):
+    """Monomials of total degree <= degree and the tables that shift them.
+
+    The monomials are listed by total degree, so those of degree <= t are
+    the first C(nvars + t, nvars); a vector's length thus records the
+    degree bound of the polynomial it holds, and ``grow`` maps it to the
+    length one degree up.  ``up[i][j]`` is the index of monomial j times
+    u_i, for each monomial j of degree below ``degree``.
+    """
+    mons = [tuple(combo.count(i) for i in range(nvars))
+            for t in range(degree + 1)
+            for combo in itertools.combinations_with_replacement(
+                range(nvars), t)]
+    index = {e: j for j, e in enumerate(mons)}
+    lower = mons[:math.comb(nvars + degree - 1, nvars)]
+    up = []
+    for i in range(nvars):
+        table = np.array([index[e[:i] + (e[i] + 1,) + e[i + 1:]]
+                          for e in lower], dtype=np.intp)
+        table.flags.writeable = False
+        up.append(table)
+    grow = types.MappingProxyType(
+        {math.comb(nvars + t, nvars): math.comb(nvars + t + 1, nvars)
+         for t in range(degree)})
+    return tuple(mons), tuple(up), grow
+
+
+def _linear_form(q):
+    """(c0, ((i, c_i), ...)) for an affine q = c0 + sum c_i u_i."""
+    if q.total_degree() > 1:
+        raise ValueError("image is not affine")
+    slopes = tuple(sorted((e.index(1), c) for e, c in q.terms.items()
+                          if any(e)))
+    return q.coefficient((0,) * q.nvars), slopes
+
+
+def _times_linear(v, form, up, grow):
+    """The dense vector of v * (c0 + sum c_i u_i), one degree longer."""
+    c0, slopes = form
+    n = len(v)
+    out = np.zeros(grow[n], dtype=object)
+    if c0:
+        out[:n] = c0 * v
+    for i, c in slopes:
+        out[up[i][:n]] += c * v
+    return out
+
+
+def _horner(terms, forms, up, grow):
+    """Dense vector of sum c * prod L_j^e_j over (e, c) in terms.
+
+    Groups the terms by the exponent of the first remaining variable and
+    runs Horner's rule in that variable over the groups' compositions.
+    Before the product that folds in the group of exponent k, the
+    accumulator has degree at most deg(terms) - k - 1, so no product
+    reaches past the degree of the basis tables.
+    """
+    if not forms:
+        return np.array([terms[0][1]], dtype=object)
+    groups = {}
+    for e, c in terms:
+        groups.setdefault(e[0], []).append((e[1:], c))
+    top = max(groups)
+    acc = _horner(groups[top], forms[1:], up, grow)
+    for k in range(top - 1, -1, -1):
+        acc = _times_linear(acc, forms[0], up, grow)
+        if k in groups:
+            child = _horner(groups[k], forms[1:], up, grow)
+            if len(child) > len(acc):
+                acc, child = child, acc
+            acc[:len(child)] += child
+    return acc
+
+
+def _compose_affine(p, images):
+    """p(images), exactly, for one affine image per variable of p."""
+    m = images[0].nvars
+    forms = tuple(_linear_form(q) for q in images)
+    if p.is_zero():
+        return Polynomial.zero(m)
+    mons, up, grow = _graded_basis(m, p.total_degree())
+    vec = _horner(list(p.terms.items()), forms, up, grow)
+    return Polynomial._canonical(
+        m, {mons[j]: c for j, c in enumerate(vec.tolist()) if c})
+
+
 class PullbackMap:
     """The composition machinery for one ordered simplex."""
 
@@ -69,14 +173,17 @@ class PullbackMap:
     def apply(self, p):
         """Pull a 6-variable polynomial back to the cube.
 
-        Composes with the affine weights first (keeping the total
-        degree small) and only then rewrites to stick-breaking
-        coordinates.
+        Composes with the six affine forms by the Horner scheme of
+        ``_compose_affine`` and then rewrites to stick-breaking
+        coordinates.  Horner multiplies only by a linear form, on dense
+        vectors over the monomials of degree <= deg p, so the work grows
+        with that basis and not with the terms of each power product.
+        The coefficients are Python ints, so the result is exact, and it
+        equals ``_stick_rewrite(p.substitute(self.affine))``.
         """
         if p.nvars != 6:
             raise ValueError("expected a 6-variable polynomial")
-        composed = p.substitute(self.affine)
-        return _stick_rewrite(composed)
+        return _stick_rewrite(_compose_affine(p, self.affine))
 
     def apply_reference(self, p):
         """Direct substitution of the Z polynomials; slow oracle path."""

@@ -145,6 +145,23 @@ def test_count_flags_reject_values_below_one(capsys):
             assert argv[-1] in err
 
 
+def test_malformed_beta_and_chamber_are_usage_errors(capsys):
+    # exit 1 from anticert means "no witness found", never a bad argument
+    point = ["--point", "4", "4", "4", "4", "4", "4"]
+    for argv in (["eval"] + point + ["--beta"],
+                 ["explore"] + point + ["--beta"],
+                 ["anticert", "--chamber", "p1234b3", "--beta"]):
+        for value in ("zz", "99", "12,5", ","):
+            code, out, err = usage_error(capsys, *argv, value)
+            assert (code, out) == (2, "")
+            assert "--beta" in err
+    for value in ("D_1111", "p1234b2", ""):
+        code, out, err = usage_error(capsys, "anticert", "--beta", "12",
+                                     "--chamber", value)
+        assert (code, out) == (2, "")
+        assert "--chamber" in err
+
+
 def test_unknown_engine_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # there is one engine: --backend is not an argument and
     # TETRAVOL_BACKEND is ignored
@@ -229,9 +246,11 @@ def test_explore_reports_unasserted_types_without_failing(capsys):
 
 def test_console_script_help():
     # a checkout imports the package only through pytest's pythonpath
-    proc = subprocess.run(
-        [sys.executable, "-m", "tetravol.case_suite_cli", "--help"],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=SRC))
-    assert proc.returncode == 0
-    assert "tetravol" in proc.stdout
+    for module in ("tetravol.case_suite_cli", "tetravol"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "--help"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0
+        assert "tetravol" in proc.stdout
+        assert "case" in proc.stdout

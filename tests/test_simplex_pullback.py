@@ -1,19 +1,48 @@
 """Pullback of polynomials onto the unit cube over a lattice simplex."""
 
+import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import directional_derivative, f_polynomial
 from tetravol.chamber_geometry import build_partitions
 from tetravol.exact_poly import Polynomial
-from tetravol.simplex_pullback import PullbackMap, build_pullback, pullback
+from tetravol.simplex_pullback import (PullbackMap, _compose_affine,
+                                       _stick_rewrite, build_pullback,
+                                       pullback)
 
 
 def _cells():
     parts = build_partitions()
     return [parts.twelve["C_11"], parts.twelve["C_31"],
             parts.four["B_1"], parts.fortyeight["D_1111"]]
+
+
+def _one_cell_per_level():
+    parts = build_partitions()
+    return [parts.three["A_1"], parts.four["B_1"], parts.twelve["C_31"],
+            parts.fortyeight["D_1111"]]
+
+
+def _by_substitution(m, p):
+    """The oracle: compose term by term, then rewrite the exponents."""
+    return _stick_rewrite(p.substitute(m.affine))
+
+
+DEGREE6_EXPONENTS = [e for e in itertools.product(range(7), repeat=6)
+                     if sum(e) <= 6]
+
+
+def degree6_polys6(max_terms=80, bound=2 ** 100):
+    term = st.tuples(st.sampled_from(DEGREE6_EXPONENTS),
+                     st.integers(-bound, bound))
+    # draw the length first, so that long lists are as likely as short
+    return st.integers(0, max_terms).flatmap(
+        lambda n: st.lists(term, min_size=n, max_size=n)).map(
+        lambda ts: Polynomial(6, dict(ts)))
 
 
 def small_polys6(max_deg=2, max_terms=4):
@@ -66,6 +95,36 @@ def test_fast_and_reference_paths_agree(p):
     cell = _cells()[2]
     m = PullbackMap(cell)
     assert m.apply(p) == m.apply_reference(p)
+
+
+def test_horner_matches_substitution_on_every_registry_task():
+    for spec in case_registry().values():
+        for task in spec.tasks:
+            m = build_pullback(spec.simplices[task.simplex])
+            p = task.func.polynomial(spec.beta)
+            assert m.apply(p) == _by_substitution(m, p)
+
+
+@given(degree6_polys6(), st.sampled_from(range(4)))
+@settings(max_examples=40, deadline=None)
+def test_horner_matches_substitution_past_int64(p, level):
+    m = build_pullback(_one_cell_per_level()[level])
+    assert m.apply(p) == _by_substitution(m, p)
+
+
+def test_horner_on_the_zero_polynomial_and_a_constant():
+    for cell in _one_cell_per_level():
+        m = build_pullback(cell)
+        for p in (Polynomial.zero(6), Polynomial.constant(6, -(2 ** 70))):
+            q = m.apply(p)
+            assert q == _by_substitution(m, p)
+            assert q == Polynomial.constant(5, p.coefficient((0,) * 6))
+
+
+def test_composition_rejects_an_image_that_is_not_affine():
+    u = Polynomial.variable(2, 0)
+    with pytest.raises(ValueError, match="not affine"):
+        _compose_affine(Polynomial.variable(1, 0), [u * u])
 
 
 def test_reference_path_on_the_determinant():
