@@ -79,9 +79,9 @@ class _FloatForm:
     """Vectorized float view of an exact polynomial, for prescreening only."""
 
     def __init__(self, poly):
-        ms = poly.monomials()
-        self.exps = np.array([m.exponents for m in ms], dtype=np.int64)
-        self.coeffs = np.array([float(m.coeff) for m in ms])
+        exps = sorted(poly.terms)
+        self.exps = np.array(exps, dtype=np.int64)
+        self.coeffs = np.array([float(poly.terms[e]) for e in exps])
 
     def at(self, points):
         pts = np.asarray(points, dtype=np.float64)

@@ -10,6 +10,7 @@ grades PASS-WITH-NOTE and never fails a run.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, field
@@ -22,7 +23,7 @@ from .chamber_geometry import (A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B,
                                certified_chambers, chambers_containing,
                                decorations, in_cone, partition_check,
                                stabilizer, verify_barycenter_conditions)
-from .exact_poly import Polynomial, UnivariatePoly
+from .exact_poly import Polynomial
 from .positive_dominance import certify
 from .simplex_pullback import pullback
 
@@ -67,14 +68,14 @@ class CertTask:
 class CurveCheck:
     """A curve into one simplex on which a t-weighted combination dips.
 
-    coords are six univariate polynomials in t; the check restricts
+    coords are six 1-variable Polynomials in t; the check restricts
     wg*g + wf*f along them and pins the lowest-degree nonzero term.
     """
 
     label: str
     coords: tuple
-    g_weight: UnivariatePoly
-    f_weight: UnivariatePoly
+    g_weight: Polynomial
+    f_weight: Polynomial
     expected_coeff: int
     expected_degree: int
 
@@ -103,38 +104,37 @@ class CaseSpec:
     note: str = ""
 
 
+def _t_poly(*coeffs):
+    """c0 + c1 t + c2 t^2 + ... as a 1-variable Polynomial in t."""
+    return Polynomial(1, {(k,): c for k, c in enumerate(coeffs)})
+
+
 def _line(p, q):
-    """(1-t)p + tq as six univariate coordinates."""
-    return tuple(UnivariatePoly([p[c], q[c] - p[c]]) for c in range(6))
+    """(1-t)p + tq as six coordinates in t."""
+    return tuple(_t_poly(p[c], q[c] - p[c]) for c in range(6))
 
 
 def _square(p, q):
     """(1-t^2)p + t^2 q."""
-    return tuple(UnivariatePoly([p[c], 0, q[c] - p[c]]) for c in range(6))
+    return tuple(_t_poly(p[c], 0, q[c] - p[c]) for c in range(6))
 
 
 def _bend(p, q, r):
     """(1-t-t^2)p + tq + t^2 r."""
-    return tuple(UnivariatePoly([p[c], q[c] - p[c], r[c] - p[c]])
-                 for c in range(6))
+    return tuple(_t_poly(p[c], q[c] - p[c], r[c] - p[c]) for c in range(6))
 
 
 def _fixed(p):
-    return tuple(UnivariatePoly([p[c]]) for c in range(6))
+    return tuple(_t_poly(p[c]) for c in range(6))
 
 
-_ONE = UnivariatePoly([1])
-_ZERO = UnivariatePoly([0])
-_T = UnivariatePoly([0, 1])
+_ONE = _t_poly(1)
+_ZERO = _t_poly(0)
+_T = _t_poly(0, 1)
 
-_REGISTRY = None
-
-
+@functools.cache
 def case_registry():
     """The eight pinned cases, keyed by edge-subset type name."""
-    global _REGISTRY
-    if _REGISTRY is not None:
-        return _REGISTRY
     C = CENTER
     A1, A2, A3 = EXTREME_A[1], EXTREME_A[2], EXTREME_A[3]
     B1, B2, B3, B4 = (EXTREME_B[j] for j in (1, 2, 3, 4))
@@ -182,7 +182,7 @@ def case_registry():
             CurveCheck("g + t f on (1-t)A1 + t A13", _line(A1, A13),
                        _ONE, _T, -342144, 3),
             CurveCheck("(12-t)g - f on (1-t^2)B2 + t^2 C", _square(B2, C),
-                       UnivariatePoly([12, -1]), -_ONE, -8192, 9),
+                       _t_poly(12, -1), -_ONE, -8192, 9),
         ),
         interval=(0, 2),
         chamber_count=12,
@@ -207,7 +207,7 @@ def case_registry():
             CurveCheck("t f on (1-t-t^2)B2 + t B3 + t^2 B24",
                        _bend(B2, B3, B24), _ZERO, _T, -2097152, 7),
             CurveCheck("(2-t)g - f at the center", _fixed(C),
-                       UnivariatePoly([2, -1]), -_ONE, -8192, 1),
+                       _t_poly(2, -1), -_ONE, -8192, 1),
         ),
         identities=(
             Identity("3g + f at the A1A2 midpoint", A12, 3, 1),
@@ -314,17 +314,16 @@ def case_registry():
         ),
         curves=(
             CurveCheck("(3+t)g - f on (1-t^2)A1 + t^2 A2", _square(A1, A2),
-                       UnivariatePoly([3, 1]), -_ONE, -497664, 5),
+                       _t_poly(3, 1), -_ONE, -497664, 5),
             CurveCheck("(3-t)g - f on (1-t-t^2)B2 + t A1 + t^2 A2",
-                       _bend(B2, A1, A2), UnivariatePoly([3, -1]), -_ONE,
+                       _bend(B2, A1, A2), _t_poly(3, -1), -_ONE,
                        663552, 6),
         ),
         interval=(8, 8),
         chamber_count=36,
     ))
 
-    _REGISTRY = {s.name: s for s in specs}
-    return _REGISTRY
+    return {s.name: s for s in specs}
 
 
 def case_names():
@@ -466,12 +465,13 @@ def grade_task(task, cert):
 def curve_result(beta, check):
     f = f_polynomial()
     g = directional_derivative(beta)
-    total = (check.g_weight * g.restrict_curve(list(check.coords))
-             + check.f_weight * f.restrict_curve(list(check.coords)))
+    total = (check.g_weight * g.restrict_curve(check.coords)
+             + check.f_weight * f.restrict_curve(check.coords))
     if total.is_zero():
         return CurveResult(check.label, 0, -1, check.expected_coeff,
                            check.expected_degree, False)
-    coeff, degree = total.lowest_term()
+    (degree,) = min(total.terms)
+    coeff = total.terms[(degree,)]
     ok = (coeff == check.expected_coeff and degree == check.expected_degree)
     return CurveResult(check.label, coeff, degree, check.expected_coeff,
                        check.expected_degree, ok)
@@ -633,14 +633,17 @@ def _print(args, payload, text):
         print(text)
 
 
-def _cmd_eval(args):
+def _point_values(args):
+    """(point, beta, f, g, in_cone, sorted chamber ids) for eval/explore."""
     point = tuple(args.point)
-    beta = args.beta
-    f = f_polynomial()
-    g = directional_derivative(beta)
-    fv, gv = f.evaluate(point), g.evaluate(point)
     cone = in_cone(point)
-    chambers = sorted(chambers_containing(point)) if cone else []
+    return (point, args.beta, f_polynomial().evaluate(point),
+            directional_derivative(args.beta).evaluate(point), cone,
+            sorted(chambers_containing(point)) if cone else [])
+
+
+def _cmd_eval(args):
+    point, beta, fv, gv, cone, chambers = _point_values(args)
     payload = {"point": list(point), "edges": beta.spec(), "f": fv, "g": gv,
                "in_cone": cone, "chambers": chambers}
     text = ("f = %d\ng_{%s} = %d\nin_cone = %s\nchambers = %s"
@@ -772,13 +775,7 @@ def _cmd_appendix_check(args):
 
 
 def _cmd_explore(args):
-    point = tuple(args.point)
-    beta = args.beta
-    f = f_polynomial()
-    g = directional_derivative(beta)
-    fv, gv = f.evaluate(point), g.evaluate(point)
-    cone = in_cone(point)
-    chambers = sorted(chambers_containing(point)) if cone else []
+    point, beta, fv, gv, cone, chambers = _point_values(args)
     try:
         certified = {d.id for d in certified_chambers(beta)}
     except ValueError:

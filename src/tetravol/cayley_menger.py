@@ -10,6 +10,7 @@ those edges grows the volume.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -43,14 +44,6 @@ class EdgeIndex:
         except KeyError:
             raise ValueError("no edge (%r, %r)" % (i, j))
 
-    @staticmethod
-    def pair(k):
-        return EDGES[k]
-
-    @staticmethod
-    def all():
-        return tuple(range(6))
-
 
 class EdgeSubset:
     """A nonempty set of K4 edges, with its isomorphism-type tag.
@@ -82,15 +75,6 @@ class EdgeSubset:
     @classmethod
     def full(cls):
         return cls(range(6))
-
-    def edges(self):
-        return tuple(sorted(EDGES[k] for k in self.indices))
-
-    def vertices(self):
-        out = set()
-        for k in self.indices:
-            out.update(EDGES[k])
-        return out
 
     def contains_vertex_star(self, v):
         return set(VERTEX_EDGES[v]) <= self.indices
@@ -193,24 +177,16 @@ def build_f():
     return _det(_bordered_matrix(squares))
 
 
-_F = None
-_F_HAT = None
-
-
+@functools.cache
 def f_polynomial():
     """Cached build_f()."""
-    global _F
-    if _F is None:
-        _F = build_f()
-    return _F
+    return build_f()
 
 
+@functools.cache
 def f_hat_polynomial():
     """Cached build_f_on_squares()."""
-    global _F_HAT
-    if _F_HAT is None:
-        _F_HAT = build_f_on_squares()
-    return _F_HAT
+    return build_f_on_squares()
 
 
 def directional_derivative(beta):

@@ -12,6 +12,7 @@ decided by exact integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -445,14 +446,9 @@ class Partitions:
         raise KeyError(dec.id)
 
 
-_PARTITIONS = None
-
-
+@functools.cache
 def build_partitions():
-    global _PARTITIONS
-    if _PARTITIONS is None:
-        _PARTITIONS = Partitions()
-    return _PARTITIONS
+    return Partitions()
 
 
 # -- region covered by a lengthening certificate ------------------------

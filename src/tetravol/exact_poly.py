@@ -1,36 +1,16 @@
 """Exact integer polynomial arithmetic.
 
-Sparse multivariate polynomials over Z with a plain-text serialization
-format.  Everything here is exact: coefficients are Python ints (or
-Fractions where evaluation points are rational) and no floating point
-is used anywhere.
+One type, ``Polynomial``: sparse multivariate polynomials over Z with a
+plain-text serialization format.  ``evaluate`` is the one composition
+loop: at a point of ints or Fractions it gives a number, at a point of
+Polynomials it gives their composition, which ``substitute`` and
+``restrict_curve`` (curves are 1-variable Polynomials) return.
+Everything here is exact: coefficients are Python ints (or Fractions
+where evaluation points are rational) and no floating point is used
+anywhere.
 """
 
 from __future__ import annotations
-
-
-class Monomial:
-    """A single term: integer coefficient times a power product."""
-
-    __slots__ = ("coeff", "exponents")
-
-    def __init__(self, coeff, exponents):
-        self.coeff = coeff
-        self.exponents = tuple(int(e) for e in exponents)
-        if any(e < 0 for e in self.exponents):
-            raise ValueError("negative exponent")
-
-    @property
-    def degree(self):
-        return sum(self.exponents)
-
-    def __eq__(self, other):
-        return (isinstance(other, Monomial)
-                and self.coeff == other.coeff
-                and self.exponents == other.exponents)
-
-    def __repr__(self):
-        return "Monomial(%r, %r)" % (self.coeff, self.exponents)
 
 
 class Polynomial:
@@ -96,10 +76,6 @@ class Polynomial:
     def term_count(self):
         return len(self.terms)
 
-    def monomials(self):
-        """Terms in canonical order (exponent tuples sorted lexicographically)."""
-        return [Monomial(self.terms[e], e) for e in sorted(self.terms)]
-
     def coefficient(self, exponents):
         return self.terms.get(tuple(exponents), 0)
 
@@ -115,6 +91,8 @@ class Polynomial:
             else:
                 out.pop(e, None)
         return Polynomial._canonical(self.nvars, out)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return Polynomial._canonical(
@@ -177,7 +155,13 @@ class Polynomial:
     # -- evaluation and composition -----------------------------------
 
     def evaluate(self, point):
-        """Evaluate at a point of ints or Fractions, exactly."""
+        """Evaluate at a point of ints, Fractions or Polynomials, exactly.
+
+        Each distinct power of a coordinate is computed once.  At a
+        point of Polynomials the value is the composition, except that
+        a constant self gives an int; ``substitute`` always returns a
+        Polynomial.
+        """
         if len(point) != self.nvars:
             raise ValueError("point arity mismatch")
         total = 0
@@ -208,8 +192,7 @@ class Polynomial:
         """Compose with polynomials: variable j is replaced by images[j].
 
         All images must share a variable count, which becomes the
-        variable count of the result.  Powers of the images are cached,
-        so repeated exponents cost one multiplication each.
+        variable count of the result.
         """
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
@@ -219,46 +202,17 @@ class Polynomial:
         for q in images:
             if q.nvars != m:
                 raise ValueError("images disagree on variable count")
-        power_cache = [{0: Polynomial.constant(m, 1)} for _ in range(self.nvars)]
-
-        def power(j, e):
-            cache = power_cache[j]
-            if e not in cache:
-                cache[e] = power(j, e - 1) * images[j]
-            return cache[e]
-
-        acc = Polynomial.zero(m)
-        for exps, c in self.terms.items():
-            piece = Polynomial.constant(m, c)
-            for j, e in enumerate(exps):
-                if e:
-                    piece = piece * power(j, e)
-            acc = acc + piece
-        return acc
+        return Polynomial.zero(m) + self.evaluate(images)
 
     def restrict_curve(self, curves):
-        """Restrict along a curve: variable j becomes the univariate curves[j].
+        """Restrict along a curve: variable j becomes curves[j].
 
-        Returns a UnivariatePoly in the curve parameter.
+        Each curve is a 1-variable Polynomial in the curve parameter t,
+        and so is the result.
         """
-        if len(curves) != self.nvars:
-            raise ValueError("need one curve per variable")
-        power_cache = [{0: UnivariatePoly([1])} for _ in range(self.nvars)]
-
-        def power(j, e):
-            cache = power_cache[j]
-            if e not in cache:
-                cache[e] = power(j, e - 1) * curves[j]
-            return cache[e]
-
-        acc = UnivariatePoly([])
-        for exps, c in self.terms.items():
-            piece = UnivariatePoly([c])
-            for j, e in enumerate(exps):
-                if e:
-                    piece = piece * power(j, e)
-            acc = acc + piece
-        return acc
+        if any(c.nvars != 1 for c in curves):
+            raise ValueError("curves must have one variable")
+        return self.substitute(curves)
 
     # -- serialization ------------------------------------------------
 
@@ -298,85 +252,3 @@ class Polynomial:
             raise ValueError("empty polynomial text needs an explicit nvars")
         return cls(nvars, terms)
 
-
-class UnivariatePoly:
-    """Dense univariate polynomial; coeffs[k] multiplies t**k."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = cs
-
-    @classmethod
-    def constant(cls, c):
-        return cls([c])
-
-    @classmethod
-    def t(cls):
-        return cls([0, 1])
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def lowest_term(self):
-        """(coeff, exponent) of the lowest-degree nonzero term; None if zero."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return c, k
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePoly([self.coefficient(k) + other.coefficient(k)
-                               for k in range(n)])
-
-    def __neg__(self):
-        return UnivariatePoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return UnivariatePoly([c * other for c in self.coeffs])
-        other = self._coerce(other)
-        if not self.coeffs or not other.coeffs:
-            return UnivariatePoly([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return UnivariatePoly(out)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return UnivariatePoly([other])
-        if not isinstance(other, UnivariatePoly):
-            raise TypeError("cannot combine with %r" % (other,))
-        return other
-
-    def evaluate(self, t):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def __eq__(self, other):
-        return isinstance(other, UnivariatePoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return "UnivariatePoly(%r)" % (self.coeffs,)

@@ -68,7 +68,7 @@ def _stick_rewrite(p):
 
 @functools.lru_cache(maxsize=None)
 def _graded_basis(nvars, degree):
-    """Monomials of total degree <= degree and the tables that shift them.
+    """All monomials of total degree <= degree and the tables that shift them.
 
     The monomials are listed by total degree, so those of degree <= t are
     the first C(nvars + t, nvars); a vector's length thus records the

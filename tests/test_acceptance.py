@@ -10,6 +10,7 @@ way and the discrepancies are noted in the case registry.
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +221,14 @@ def test_criterion_10_determinism(suite_reports):
     _line("criterion 10", ok,
           "two sequential suite runs produce byte-identical text and "
           "JSON reports for all %d cases" % len(case_names()))
+
+
+CASE_TEXTS = (Path(__file__).resolve().parents[1] / "perfbench" /
+              "reference" / "case_texts.json")
+
+
+def test_reports_match_the_recorded_case_texts(suite_reports):
+    """Every report, curve lines included, equals its recorded text."""
+    recorded = json.loads(CASE_TEXTS.read_text())
+    assert {name: r.to_text() for name, r in suite_reports.items()} == \
+        recorded

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from tetravol.anti_certification import (
     ASSERTED_BETAS, Witness, anti_certify, barycentric_sample,
     excluded_chambers, f_value_bordered, full_k4_campaign, g_value_stencil,
-    read_witnesses, snap_point, verify_witness, write_witnesses,
+    generate_golden, read_witnesses, snap_point, verify_witness,
+    write_witnesses,
 )
 from tetravol.cayley_menger import EdgeSubset, directional_derivative, \
     f_polynomial
@@ -62,6 +64,16 @@ def test_every_golden_witness_reverifies():
     ws = read_witnesses()
     assert all(min(w.f_value, w.g_value) < 0 for w in ws)
     assert all(verify_witness(w) for w in ws)
+
+
+def test_generate_golden_reproduces_the_packaged_file(tmp_path):
+    # the float prescreen picks which witness is found first, so any change
+    # to it or to the exact search shows up as a differing line here
+    path = tmp_path / "witnesses.txt"
+    write_witnesses(path, generate_golden())
+    packaged = resources.files("tetravol") / "data" / "witnesses.txt"
+    assert path.read_text().splitlines() == \
+        packaged.read_text().splitlines()
 
 
 def test_witness_line_roundtrip():

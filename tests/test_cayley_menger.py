@@ -21,7 +21,7 @@ def test_edge_order_is_lexicographic():
     assert EDGES == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
     for k, (i, j) in enumerate(EDGES):
         assert EdgeIndex.of(i, j) == k
-        assert EdgeIndex.pair(k) == (i, j)
+        assert EDGES[k] == (i, j)
 
 
 def test_axis_pairs_are_disjoint_edges():

@@ -1,11 +1,16 @@
-"""Arithmetic and composition laws for the exact polynomial types."""
+"""Arithmetic and composition laws for the exact polynomial type.
+
+Composition is checked pointwise: ``substitute`` and ``restrict_curve``
+(curves are 1-variable Polynomials) must agree with evaluating the
+images first and the outer polynomial at their values.
+"""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tetravol.exact_poly import Polynomial, UnivariatePoly
+from tetravol.exact_poly import Polynomial
 
 
 def small_polys(nvars=3, max_deg=3, max_terms=5):
@@ -124,15 +129,22 @@ def test_substitute_arity_mismatch():
 
 
 small_curves = st.lists(st.integers(-9, 9), min_size=1, max_size=3).map(
-    UnivariatePoly)
+    lambda cs: Polynomial(1, {(k,): c for k, c in enumerate(cs)}))
 
 
 @given(small_polys(), st.tuples(small_curves, small_curves, small_curves),
        st.integers(-5, 5))
 def test_restrict_curve_is_pointwise(p, curves, t):
     restricted = p.restrict_curve(list(curves))
-    assert restricted.evaluate(t) == p.evaluate(
-        tuple(c.evaluate(t) for c in curves))
+    assert restricted.nvars == 1
+    assert restricted.evaluate((t,)) == p.evaluate(
+        tuple(c.evaluate((t,)) for c in curves))
+
+
+def test_restrict_curve_needs_one_variable_curves():
+    p = Polynomial(2, {(1, 1): 1})
+    with pytest.raises(ValueError):
+        p.restrict_curve([Polynomial.variable(2, 0)] * 2)
 
 
 @given(small_polys())
@@ -150,28 +162,3 @@ def test_degree_accounting():
     assert p.total_degree() == 5
     assert p.max_variable_degree() == 4
 
-
-# -- univariate helper ---------------------------------------------------
-
-def test_univariate_normalizes_trailing_zeros():
-    assert UnivariatePoly([1, 2, 0, 0]) == UnivariatePoly([1, 2])
-    assert UnivariatePoly([0]).is_zero()
-
-
-def test_lowest_term_picks_first_nonzero():
-    assert UnivariatePoly([0, 0, -7, 4]).lowest_term() == (-7, 2)
-    assert UnivariatePoly([0]).lowest_term() is None
-
-
-@given(small_curves, small_curves, st.integers(-4, 4))
-def test_univariate_ring_ops(a, b, t):
-    assert (a + b).evaluate(t) == a.evaluate(t) + b.evaluate(t)
-    assert (a * b).evaluate(t) == a.evaluate(t) * b.evaluate(t)
-    assert (a - b).evaluate(t) == a.evaluate(t) - b.evaluate(t)
-
-
-def test_univariate_constant_and_t():
-    t = UnivariatePoly.t()
-    c = UnivariatePoly.constant(9)
-    assert (c + t * t).evaluate(4) == 25
-    assert t.degree() == 1 and c.degree() == 0
