@@ -1,76 +1,72 @@
 """The dense coefficient-cube engine behind the dominance certifier.
 
 A 5-variable polynomial with per-variable degree <= 6 lives in a dense
-cube, on which the certifier's hot operations (the WPD test, axis
-dilation, axis reflection) run.  A cube is one C-contiguous int64 array
-of shape (k, D0+1, ..., D4+1) holding sum_i cube[i] * 2^(56*i), D_a
-being the largest exponent of x_a in the root.  It stores the box
-partial sums S of the coefficients c (S[i] sums c[j] over j <= i), made
-by five prefix passes in ``from_poly`` and undone by five difference
-passes in ``to_poly``.  Subdivision keeps every degree of c (reflection
-maps its top slab to plus or minus itself, dilation scales slabs by
-nonzero powers of two), so each descendant spans the root's degree box
-and ``dilate`` reads its top exponent from the shape; past D_a a box sum
-is constant along axis a, so WPD, S >= 0, is one sign test on the box.
+cube, on which the certifier's hot operations (the WPD test, the split
+of a cube into two halves along one axis) run.  A cube is one
+C-contiguous float64 array of shape (k, D0+1, ..., D4+1) holding
+sum_i cube[i] * 2^(43*i), D_a being the largest exponent of x_a in the
+root.  It stores the box partial sums S of the coefficients c (S[i] sums
+c[j] over j <= i), made by five prefix passes in ``from_poly``.
+Subdivision keeps every degree of c (reflection maps its top slab to
+plus or minus itself, dilation scales slabs by nonzero powers of two),
+so each descendant spans the root's degree box; past D_a a box sum is
+constant along axis a, so WPD, S >= 0, is one sign test on the box.
 ``origin_negative`` and ``corner_value`` read S at the origin, where it
-is c.  Reflection and dilation act along one axis, so on S they are the
-small integer maps REFLECT[n] and DILATE[n], which commute with the
-prefix sums along the other axes.
+is c.  Along one axis the halves of a split act on S as the small
+integer maps DILATE[n] and DILATE[n] @ REFLECT[n], one BLAS product each.
 
-Limbs 0..k-2 lie in [0, 2^56) and the signed top limb has
-|top| < 2^56, so a value is negative iff its top limb is.  56 bits
-keeps every intermediate inside int64: the maps' largest absolute row
-sums are 21 and 64, and 64 * 2^56 = 2^62 leaves room for a carry; a
-prefix pass grows entries at most 7 times and a difference pass 2
-times.  Each pass and operation ends with a normalization that carries
-limbs low to high and appends a limb while the top one is out of range,
-so a run is exact at any size.
+Limbs hold integers: 0..k-2 lie in [0, 2^43) and the signed top limb
+has |top| < 2^43, so a value is negative iff its top limb is.  float64
+arithmetic is exact on integers while every partial sum stays below
+2^53, as in FFLAS-FFPACK's exact linear algebra over BLAS (Dumas,
+Giorgi and Pernet, ACM TOMS 35(3), 2008).  The maps' largest absolute
+row sums are 21, 64 and 320, so a product's partial sums stay below
+320 * 2^43 < 2^51.4 in whatever order or FMA the BLAS uses, with room
+for a carry of at most 320 (44-bit limbs would leave under one bit to
+spare, 45 would overflow); a prefix pass grows entries at most 7 times.
+Each pass and operation ends with a normalization that carries limbs
+low to high, a carry being floor(x * 2^-43), which is exact, and splits
+the top limb the same way when it leaves its range, so a run is exact
+at any size.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import comb, prod
 
 import numpy as np
 
-from .exact_poly import Polynomial
-
 # the limb width
-NP_LIMB_BITS = 56
-NP_LIMB = 1 << NP_LIMB_BITS
-NP_MASK = NP_LIMB - 1
+LIMB_BITS = 43
+LIMB = float(1 << LIMB_BITS)
+_TO_CARRY = 1.0 / LIMB
 
 # Signed Pascal rows: SIGNED_BINOM[e, j] = (-1)^j * C(e, j), the
 # coefficient of x^j in (1-x)^e.
-_BINOM = [[0] * 7 for _ in range(7)]
-for _e in range(7):
-    _BINOM[_e][0] = 1
-    for _j in range(1, _e + 1):
-        _BINOM[_e][_j] = _BINOM[_e - 1][_j - 1] + _BINOM[_e - 1][_j]
-SIGNED_BINOM = np.array(
-    [[(-1) ** j * _BINOM[e][j] for j in range(7)] for e in range(7)],
-    dtype=np.int64)
+SIGNED_BINOM = np.array([[(-1) ** j * comb(e, j) for j in range(7)]
+                         for e in range(7)], dtype=np.int64)
 
 
 def _on_box_sums(m):
     """P · m · Δ, m acting on box sums; P is all-ones lower-triangular."""
     n = len(m)
-    delta = np.eye(n, dtype=np.int64) - np.eye(n, k=-1, dtype=np.int64)
-    return np.tril(np.ones((n, n), dtype=np.int64)) @ m @ delta
+    return np.tril(np.ones((n, n))) @ m @ (np.eye(n) - np.eye(n, k=-1))
 
 
 # REFLECT[n] and DILATE[n] act on the box sums along an axis of extent
-# n: x -> 1 - x, and x -> x / 2 with denominators cleared by 2^(n - 1)
+# n: x -> 1 - x, and x -> x / 2 with denominators cleared by 2^(n - 1);
+# DILATE_REFLECT[n] is their product, the right half of a split
 REFLECT = {n: _on_box_sums(SIGNED_BINOM[:n, :n].T) for n in range(1, 8)}
 DILATE = {n: _on_box_sums(np.diag(1 << np.arange(n - 1, -1, -1)))
           for n in range(1, 8)}
+DILATE_REFLECT = {n: DILATE[n] @ REFLECT[n] for n in range(1, 8)}
 
 
 def _value(limbs):
     """The Python int held by one coefficient's limbs, lowest first."""
     v = 0
     for limb in reversed(limbs):
-        v = (v << NP_LIMB_BITS) + limb
+        v = (v << LIMB_BITS) + int(limb)
     return v
 
 
@@ -81,23 +77,39 @@ def _axis_view(cube, axis):
 
 
 def _normalize(cube):
-    """Carry limbs low to high, then widen until the top limb fits.
+    """Carry limbs low to high, then widen once if the top limb is out.
 
-    Takes any int64 limb array whose entries leave headroom for one
-    carry and returns an array that meets the limb invariant, in place
-    unless a limb had to be appended.
+    Takes any float64 limb array of integers below 2^53 whose carries
+    fit in the limb above, and returns an array that meets the limb
+    invariant, in place unless a limb had to be appended.
     """
+    carry = np.empty_like(cube[0])
     for i in range(len(cube) - 1):
-        cube[i + 1] += cube[i] >> NP_LIMB_BITS
-        cube[i] &= NP_MASK
-    while cube[-1].max() >= NP_LIMB or cube[-1].min() <= -NP_LIMB:
-        cube = np.concatenate((cube, cube[-1:] >> NP_LIMB_BITS))
-        cube[-2] &= NP_MASK
+        np.floor(np.multiply(cube[i], _TO_CARRY, out=carry), out=carry)
+        cube[i + 1] += carry
+        cube[i] -= np.multiply(carry, LIMB, out=carry)
+    top = cube[-1]
+    if top.max() >= LIMB or top.min() <= -LIMB:
+        # floor division: a negative top becomes a nonnegative limb
+        # under a negative carry, which is at most 2^10 in magnitude
+        np.floor(np.multiply(top, _TO_CARRY, out=carry), out=carry)
+        top -= carry * LIMB
+        cube = np.concatenate((cube, carry[None]))
     return cube
 
 
+def _apply(cube, axis, table):
+    """table[n] applied along axis, then normalized; a fresh array."""
+    n = cube.shape[axis + 1]
+    if axis == 4:
+        out = cube.reshape(-1, n) @ table[n].T
+    else:
+        out = table[n] @ _axis_view(cube, axis)
+    return _normalize(out.reshape(cube.shape))
+
+
 class NumpyBackend:
-    """Exact int64 limb engine; cubes hold box sums over the degree box."""
+    """Exact float64 limb engine; cubes hold box sums over the degree box."""
 
     name = "numpy"
 
@@ -110,25 +122,16 @@ class NumpyBackend:
             raise ValueError("per-variable degree exceeds 6")
         vals = list(p.terms.values())
         bits = max((abs(c).bit_length() for c in vals), default=0)
-        k = bits // NP_LIMB_BITS + 1
-        cube = np.zeros((k,) + shape, dtype=np.int64)
+        k = bits // LIMB_BITS + 1
+        cube = np.zeros((k,) + shape)
         for i in range(k - 1):
-            cube[(i, *axes)] = [v & NP_MASK for v in vals]
-            vals = [v >> NP_LIMB_BITS for v in vals]
+            cube[(i, *axes)] = [v % (1 << LIMB_BITS) for v in vals]
+            vals = [v >> LIMB_BITS for v in vals]
         cube[(k - 1, *axes)] = vals
         # each pass grows entries at most 7 times
         for a in range(5):
             cube = _normalize(np.cumsum(cube, axis=a + 1))
         return cube
-
-    def to_poly(self, cube):
-        # each pass grows entries at most 2 times
-        for a in range(5):
-            cube = _normalize(np.diff(cube, axis=a + 1, prepend=0))
-        exps = np.nonzero(cube.any(axis=0))
-        limbs = cube[(slice(None), *exps)].T.tolist()
-        keys = zip(*(e.tolist() for e in exps))
-        return Polynomial(5, {e: _value(v) for e, v in zip(keys, limbs)})
 
     def wpd(self, cube):
         return not (cube[-1] < 0).any()
@@ -140,24 +143,19 @@ class NumpyBackend:
         return _value(cube[:, 0, 0, 0, 0, 0].tolist())
 
     def dilate(self, cube, axis):
-        # Row i < n-1 of D_n is its last row's first i entries, then twice
-        # its i-th, so with u = D[n-1] S: out[i] = u[0] + ... + u[i] + u[i]
-        # and out[n-1] = u[0] + ... + u[n-1]
-        n = cube.shape[axis + 1]
-        out = _axis_view(cube, axis) * DILATE[n][-1, :, None]
-        run = 0
-        for i in range(n - 1):
-            run += out[:, :, i]
-            out[:, :, i] += run
-        out[:, :, -1] += run
-        return _normalize(out.reshape(cube.shape))
+        return _apply(cube, axis, DILATE)
 
+    # the walk reflects only inside split; only perfbench/tracer.py binds
+    # reflect by name, until the benchmark drops it (ROADMAP item 5)
     def reflect(self, cube, axis):
-        n = cube.shape[axis + 1]
-        out = REFLECT[n] @ _axis_view(cube, axis)
-        return _normalize(out.reshape(cube.shape))
+        return _apply(cube, axis, REFLECT)
 
-    # a no-op kept because perfbench/tracer.py wraps it on the instance
+    def split(self, cube, axis):
+        """Both halves along axis: the dilation, the dilated reflection."""
+        return self.dilate(cube, axis), _apply(cube, axis, DILATE_REFLECT)
+
+    # a no-op that only perfbench/tracer.py binds, until the benchmark
+    # drops it (ROADMAP item 5)
     def guard(self, cube):
         pass
 

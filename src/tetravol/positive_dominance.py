@@ -17,7 +17,7 @@ certificate's budget, stopping at the first action that differs from
 the recorded ones, and accepts only when the walk re-derives the whole
 certificate: status, counters, histogram, actions and witness.
 
-Both run on the int64 limb engine of ``_kernels``, which widens a cube
+Both run on the float64 limb engine of ``_kernels``, which widens a cube
 instead of overflowing, so a walk is exact at any coefficient size.
 """
 
@@ -128,8 +128,7 @@ def _traverse(p, budget, eng, expect=None):
         subdivisions += 1
         j = min(range(5), key=lambda a: (marker[a], a))
         hist[j] += 1
-        left = eng.dilate(cube, j)
-        right = eng.dilate(eng.reflect(cube, j), j)
+        left, right = eng.split(cube, j)
         succ = list(marker)
         succ[j] += 1
         succ = tuple(succ)

@@ -2,16 +2,27 @@
 
 Cubes are (7,)*5 object arrays of Python ints, so every operation is
 exact at any size by construction, and slow.  The tests compare the
-package's int64 limb engine with it operation by operation and run by
-run.
+package's float64 limb engine with it operation by operation and run by
+run, decoding its cubes with ``to_poly``.
 """
 
 import numpy as np
 
-from tetravol._kernels import SIGNED_BINOM
+from tetravol._kernels import SIGNED_BINOM, _normalize, _value
 from tetravol.exact_poly import Polynomial
 
 SHAPE = (7,) * 5
+
+
+def to_poly(cube):
+    """The polynomial whose box sums a limb-engine cube holds."""
+    # each difference pass grows entries at most 2 times
+    for a in range(5):
+        cube = _normalize(np.diff(cube, axis=a + 1, prepend=0))
+    exps = np.nonzero(cube.any(axis=0))
+    limbs = cube[(slice(None), *exps)].T.tolist()
+    keys = zip(*(e.tolist() for e in exps))
+    return Polynomial(5, {e: _value(v) for e, v in zip(keys, limbs)})
 
 
 class ObjectEngine:
@@ -75,3 +86,7 @@ class ObjectEngine:
             sl[axis] = j
             out[tuple(sl)] = acc
         return out
+
+    def split(self, cube, axis):
+        right = self.dilate(self.reflect(cube, axis), axis)
+        return self.dilate(cube, axis), right

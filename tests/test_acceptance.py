@@ -7,13 +7,16 @@ out on their lines; the certified inequalities behind them hold either
 way and the discrepancies are noted in the case registry.
 """
 
+import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from tetravol import case_suite_cli
 from tetravol.anti_certification import read_witnesses, verify_witness
 from tetravol.case_suite_cli import (
     case_names, case_registry, lengthen_check, lengthen_margin,
@@ -35,8 +38,26 @@ def _line(criterion, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def suite_reports():
-    return {name: run_case(name) for name in case_names()}
+def suite_run():
+    """Every case's report, and every certificate it made, in task order."""
+    certs = {}
+
+    def recording_certify(p, *args, **kwargs):
+        cert = certify(p, *args, **kwargs)
+        certs.setdefault(name, []).append(cert)
+        return cert
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(case_suite_cli, "certify", recording_certify)
+        reports = {}
+        for name in case_names():
+            reports[name] = run_case(name)
+    return reports, certs
+
+
+@pytest.fixture(scope="module")
+def suite_reports(suite_run):
+    return suite_run[0]
 
 
 def test_criterion_01_exact_evaluations():
@@ -232,3 +253,26 @@ def test_reports_match_the_recorded_case_texts(suite_reports):
     recorded = json.loads(CASE_TEXTS.read_text())
     assert {name: r.to_text() for name, r in suite_reports.items()} == \
         recorded
+
+
+CERTIFICATES = CASE_TEXTS.with_name("certificates.json")
+
+
+def test_certificates_match_the_recorded_bundle(suite_run):
+    """Every certificate of the suite, action string included, equals its
+    recorded one field for field."""
+    recorded = json.loads(CERTIFICATES.read_text())
+    got = {}
+    for name, certs in suite_run[1].items():
+        tasks = case_registry()[name].tasks
+        assert len(certs) == len(tasks)
+        for task, cert in zip(tasks, certs):
+            key = "%s/%s/%s" % (name, task.simplex, task.func.label)
+            got[key] = dataclasses.asdict(cert)
+    for rec in recorded.values():
+        # run-length encoded: "S3W2N" is "SSSWWN"
+        rec["actions"] = "".join(
+            ch * int(n or 1)
+            for ch, n in re.findall(r"([NSW])(\d*)", rec["actions"]))
+        rec["histogram"] = tuple(rec["histogram"])
+    assert got == recorded

@@ -1,13 +1,14 @@
 """The cube engine against the object oracle, and its one instance.
 
-``NumpyBackend`` is the package's one engine: int64 limbs holding box
+``NumpyBackend`` is the package's one engine: float64 limbs holding box
 partial sums. ``ObjectEngine`` in ``_object_engine.py`` computes on
-Python ints in the coefficient basis and is the oracle. The limb engine
-is checked against the oracle operation by operation on coefficients at
-the limb boundaries, its per-axis maps are rebuilt in Python ints, and
-its cubes, which span only the root's degree box, are checked to keep
-that box along whole walks. The run-level tests compare whole certify
-runs with the oracle's walk.
+Python ints in the coefficient basis and is the oracle; ``to_poly``
+beside it decodes a limb cube. The limb engine is checked against the
+oracle operation by operation on coefficients at the limb boundaries,
+its per-axis maps are rebuilt in Python ints, and its cubes, which span
+only the root's degree box, are checked to keep that box along whole
+walks. The run-level tests compare whole certify runs with the oracle's
+walk.
 """
 
 from itertools import product
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tetravol._kernels import (
-    DILATE, NP_LIMB, NP_LIMB_BITS, REFLECT, NumpyBackend, get_backend,
+    DILATE, DILATE_REFLECT, LIMB, LIMB_BITS, REFLECT, NumpyBackend,
+    get_backend,
 )
 from tetravol import positive_dominance
 from tetravol.cayley_menger import directional_derivative
@@ -30,7 +32,7 @@ from tetravol.exact_poly import Polynomial
 from tetravol.positive_dominance import _traverse, certify, replay
 from tetravol.simplex_pullback import pullback
 
-from _object_engine import ObjectEngine
+from _object_engine import ObjectEngine, to_poly
 
 
 def test_backend_selection(monkeypatch):
@@ -44,23 +46,23 @@ def test_backend_selection(monkeypatch):
 
 
 def test_two_limb_range_is_enforced():
-    # every limb stays in its 56-bit range: a coefficient past it takes
+    # every limb stays in its 43-bit range: a coefficient past it takes
     # another limb, so the engine has no coefficient ceiling
     eng = get_backend()
-    for bits in (55, 56, 90, 111, 112, 200):
+    for bits in (42, 43, 55, 56, 86, 90, 111, 112, 129, 200):
         for c in (2 ** bits - 1, 2 ** bits, -2 ** bits):
             p = Polynomial(5, {(0, 0, 0, 0, 0): c})
             cube = eng.from_poly(p)
             assert meets_limb_invariant(cube)
-            assert len(cube) * NP_LIMB_BITS > bits
-            assert eng.to_poly(cube) == p
+            assert len(cube) * LIMB_BITS > bits
+            assert to_poly(cube) == p
 
 
 def test_roundtrip_through_each_engine():
     x = Polynomial.variable(5, 2)
     p = 5 * x * x - 3 * x + Polynomial.constant(5, 11)
     eng = get_backend()
-    assert eng.to_poly(eng.from_poly(p)) == p
+    assert to_poly(eng.from_poly(p)) == p
 
 
 def small_polys5():
@@ -70,10 +72,11 @@ def small_polys5():
         lambda ts: Polynomial(5, dict(ts)))
 
 
-# bit sizes on both sides of one and two 40-, 48- and 56-bit limbs, and
-# four limbs or more of each
-LIMB_EDGE_BITS = (39, 40, 41, 47, 48, 49, 55, 56, 57, 79, 80, 81, 95, 96,
-                  97, 111, 112, 113, 200)
+# bit sizes on both sides of one, two and three 43-bit limbs and of one
+# and two 40-, 48- and 56-bit limbs, and four limbs or more of each
+LIMB_EDGE_BITS = (39, 40, 41, 42, 43, 44, 47, 48, 49, 55, 56, 57, 79, 80,
+                  81, 85, 86, 87, 95, 96, 97, 111, 112, 113, 128, 129, 130,
+                  200)
 
 
 def limb_edge_coeffs():
@@ -92,15 +95,16 @@ def limb_edge_polys5():
 
 def meets_limb_invariant(cube):
     low, top = cube[:-1], cube[-1]
-    return (cube.dtype == np.int64 and cube.flags.c_contiguous
-            and ((low >= 0) & (low < NP_LIMB)).all()
-            and (abs(top) < NP_LIMB).all())
+    return (cube.dtype == np.float64 and cube.flags.c_contiguous
+            and (cube == np.floor(cube)).all()
+            and ((low >= 0) & (low < LIMB)).all()
+            and (abs(top) < LIMB).all())
 
 
 # dilating axis 0 multiplies its box sums by 2^6 (the rows of DILATE[7]
-# sum to 64), so the top limb 2^55 - 1 leaves the 2^56 range and the
-# cube must take a third limb
-WIDENS_ON_DILATE = Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 111 - 1,
+# sum to 64), so the largest box sum 2^85, a top limb of 2^42, leaves
+# the two-limb range and the cube must take a third limb
+WIDENS_ON_DILATE = Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 85 - 1,
                                   (6, 0, 0, 0, 0): 1})
 # coefficients [2, -3, 1] along axis 0, stored as box sums [2, -1, 0]:
 # the top slab of S is zero although x0^2 is the top term
@@ -118,7 +122,7 @@ def test_limb_engine_agrees_with_the_object_oracle(p):
     cube, ref = eng.from_poly(p), oracle.from_poly(p)
     before = cube.copy()
     assert meets_limb_invariant(cube)
-    assert eng.to_poly(cube) == p
+    assert to_poly(cube) == p
     assert eng.wpd(cube) == oracle.wpd(ref)
     assert eng.origin_negative(cube) == oracle.origin_negative(ref)
     assert eng.corner_value(cube) == oracle.corner_value(ref)
@@ -126,10 +130,13 @@ def test_limb_engine_agrees_with_the_object_oracle(p):
         reflected, dilated = eng.reflect(cube, axis), eng.dilate(cube, axis)
         assert meets_limb_invariant(reflected)
         assert meets_limb_invariant(dilated)
-        assert eng.to_poly(reflected) == oracle.to_poly(
+        assert to_poly(reflected) == oracle.to_poly(
             oracle.reflect(ref, axis))
-        assert eng.to_poly(dilated) == oracle.to_poly(
-            oracle.dilate(ref, axis))
+        assert to_poly(dilated) == oracle.to_poly(oracle.dilate(ref, axis))
+        children = eng.split(cube, axis)
+        for child, want in zip(children, oracle.split(ref, axis)):
+            assert meets_limb_invariant(child)
+            assert to_poly(child) == oracle.to_poly(want)
     # no operation writes to its input
     assert np.array_equal(cube, before)
     assert _traverse(p, 60, eng) == _traverse(p, 60, oracle)
@@ -139,18 +146,23 @@ def test_dilate_takes_a_limb_past_the_edge():
     eng = NumpyBackend()
     cube = eng.from_poly(WIDENS_ON_DILATE)
     assert (len(cube), len(eng.dilate(cube, 0))) == (2, 3)
+    assert len(eng.split(cube, 0)[0]) == 3
 
 
-def test_limb_width_leaves_int64_headroom():
+def test_limb_width_leaves_float64_headroom():
     # limbs below 2^B in magnitude, summed with integer weights whose
-    # absolute values total m, stay below m * 2^B; normalizing then adds
-    # a carry of at most m from the limb below
+    # absolute values total m, give partial sums below m * 2^B in any
+    # order; normalizing then adds a carry of at most m from the limb
+    # below. float64 holds every integer below 2^53 exactly
     def fits(m):
-        return m * 2 ** NP_LIMB_BITS + m < 2 ** 63
+        return m * 2 ** LIMB_BITS + m < 2 ** 53
 
-    # reflect and dilate: one row of REFLECT[n] or DILATE[n]
+    # reflect, dilate and split: one row of REFLECT[n], DILATE[n] or
+    # DILATE[n] @ REFLECT[n]
     rows = [int(abs(t).sum(axis=1).max())
-            for table in (REFLECT, DILATE) for t in table.values()]
+            for table in (REFLECT, DILATE, DILATE_REFLECT)
+            for t in table.values()]
+    assert max(rows) == 320
     assert fits(max(rows))
     # from_poly: a prefix pass sums at most the longest axis
     assert fits(max(DILATE))
@@ -176,27 +188,28 @@ def test_per_axis_maps_move_coefficient_maps_to_box_sums(n):
     assert REFLECT[n].tolist() == _matmul(_matmul(ones, flip), delta)
     d = DILATE[n].tolist()
     assert d == _matmul(_matmul(ones, halve), delta)
+    # the right half of a split: both maps in one
+    assert DILATE_REFLECT[n].tolist() == _matmul(d, REFLECT[n].tolist())
     # lower-triangular with positive entries, and row i < n - 1 is the
-    # last row's first i entries, then twice its i-th: the running sum
-    # dilate applies rests on this
+    # last row's first i entries, then twice its i-th
     for i, j in product(range(n), repeat=2):
         assert (d[i][j] > 0) == (j <= i)
         assert j > i or i == n - 1 or d[i][j] == (1 + (i == j)) * d[-1][j]
 
 
 @given(limb_edge_polys5())
-# box sums [2^56, 1], [2^56, 0] and [2^56, -1] along axis 0
-@example(Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 56,
-                        (1, 0, 0, 0, 0): 1 - 2 ** 56}))
-@example(Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 56,
-                        (1, 0, 0, 0, 0): -2 ** 56}))
-@example(Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 56,
-                        (1, 0, 0, 0, 0): -1 - 2 ** 56}))
+# box sums [2^43, 1], [2^43, 0] and [2^43, -1] along axis 0
+@example(Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 43,
+                        (1, 0, 0, 0, 0): 1 - 2 ** 43}))
+@example(Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 43,
+                        (1, 0, 0, 0, 0): -2 ** 43}))
+@example(Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 43,
+                        (1, 0, 0, 0, 0): -1 - 2 ** 43}))
 @settings(max_examples=25, deadline=None)
 def test_wpd_is_the_sign_of_every_box_sum(p):
     eng = NumpyBackend()
     cube = eng.from_poly(p)
-    q = eng.to_poly(cube)
+    q = to_poly(cube)
     box = [range(max(e[a] for e in q.terms) + 1) for a in range(5)]
     sums = (sum(c for e, c in q.terms.items() if all(map(le, e, i)))
             for i in product(*box))
@@ -228,7 +241,7 @@ def test_recorded_workload_agrees_across_backends():
 
 
 class CubeSpy(NumpyBackend):
-    """The limb engine, keeping every cube it returns."""
+    """The limb engine, keeping every cube the walk gets from it."""
 
     def __init__(self):
         self.cubes = []
@@ -237,13 +250,10 @@ class CubeSpy(NumpyBackend):
         self.cubes.append(super().from_poly(p))
         return self.cubes[-1]
 
-    def dilate(self, cube, axis):
-        self.cubes.append(super().dilate(cube, axis))
-        return self.cubes[-1]
-
-    def reflect(self, cube, axis):
-        self.cubes.append(super().reflect(cube, axis))
-        return self.cubes[-1]
+    def split(self, cube, axis):
+        children = super().split(cube, axis)
+        self.cubes.extend(children)
+        return children
 
 
 def test_every_cube_spans_the_root_degree_box():
@@ -256,19 +266,23 @@ def test_every_cube_spans_the_root_degree_box():
     )
     for p, budget, steps in walks:
         spy = CubeSpy()
-        assert _traverse(p, budget, spy).steps == steps
+        cert = _traverse(p, budget, spy)
+        assert cert.steps == steps
+        # the root and both children of every split
+        assert len(spy.cubes) == 1 + 2 * cert.subdivisions
         root = spy.cubes[0]
         for cube in spy.cubes:
             assert cube.shape[1:] == root.shape[1:]
-            # dilate reads the top exponent as extent - 1 on every axis
-            terms = spy.to_poly(cube).terms
+            # the maps read the top exponent as extent - 1 on every axis
+            terms = to_poly(cube).terms
             assert [max(e[a] for e in terms) for a in range(5)] == [
                 n - 1 for n in root.shape[1:]]
 
 
 def test_replay_restarts_on_the_fallback(monkeypatch):
     # 2^k times a product of (1 - 2x + 2x^2) factors certifies in 63
-    # steps; at k = 79 and 82 its root takes two limbs. There is no
+    # steps; at k = 37 and 79, the ends of the range where its root
+    # takes two 43-bit limbs, it does. There is no
     # fallback engine any more: replay must accept both certificates in
     # one walk on the limb engine, with no restart
     x = [Polynomial.variable(5, a) for a in range(5)]
@@ -283,7 +297,7 @@ def test_replay_restarts_on_the_fallback(monkeypatch):
         return traverse(p, budget, eng, expect)
 
     monkeypatch.setattr(positive_dominance, "_traverse", spy_traverse)
-    for k in (79, 82):
+    for k in (37, 79):
         q = Polynomial.constant(5, 2 ** k) * base
         assert len(get_backend().from_poly(q)) == 2
         cert = certify(q)
