@@ -21,7 +21,8 @@ import numpy as np
 
 from .cayley_menger import EdgeSubset, directional_derivative, f_polynomial
 from .chamber_geometry import (_int_det, build_partitions,
-                               certified_chambers, decorations, in_cone)
+                               certified_chambers, decoration, decorations,
+                               in_cone)
 
 SNAP_SCALE = 10 ** 10
 
@@ -89,15 +90,6 @@ class _FloatForm:
             @ self.coeffs
 
 
-def _resolve(chamber):
-    if hasattr(chamber, "membership"):
-        return chamber
-    for d in decorations():
-        if d.id == chamber:
-            return d
-    raise KeyError("unknown chamber id %r" % chamber)
-
-
 def snap_point(weights, vertices, snap=SNAP_SCALE):
     """Integer cone point near the ray of the sampled barycentric point."""
     qs = [int(math.floor(snap * w)) for w in weights]
@@ -111,21 +103,18 @@ def _power_weights(q, k):
     return [w / s for w in u]
 
 
-def anti_certify(chamber, beta, trials=20000, seed=0):
-    """Search one chamber for a witness; None after `trials` misses.
+def anti_certify(dec, beta, trials=20000, seed=0):
+    """Search chamber `dec` for a witness; None after `trials` misses.
 
-    The first half of the budget samples uniformly; the remaining
-    quarters renormalize the cube and fifth power of the weights, which
-    concentrates samples near the simplex boundary where a few chambers
-    keep their entire witness region.  Floating point only filters
+    dec is a Decoration and beta an EdgeSubset.  The first half of the
+    budget samples uniformly; the remaining quarters renormalize the cube
+    and fifth power of the weights, which concentrates samples near the
+    simplex boundary where a few chambers keep their entire witness
+    region.  Floating point only filters
     candidates; acceptance requires exact integer signs plus weak
     membership in the chamber cone.  With a fixed seed the outcome is
     reproducible bit for bit.
     """
-    if not isinstance(beta, EdgeSubset):
-        beta = EdgeSubset.parse(beta) if isinstance(beta, str) \
-            else EdgeSubset(beta)
-    dec = _resolve(chamber)
     simplex = build_partitions().simplex_for_decoration(dec)
     verts = simplex.vertices
     f = f_polynomial()
@@ -248,11 +237,8 @@ def g_value_stencil(point, beta):
 
     f has degree four in each single coordinate, so the stencil
     (8*(f(p+u) - f(p-u)) - (f(p+2u) - f(p-2u))) / 12 recovers the exact
-    partial derivative at integer points.
+    partial derivative at integer points.  beta is an EdgeSubset.
     """
-    if not isinstance(beta, EdgeSubset):
-        beta = EdgeSubset.parse(beta) if isinstance(beta, str) \
-            else EdgeSubset(beta)
     total = 0
     for k in sorted(beta.indices):
         vals = {}
@@ -269,11 +255,11 @@ def g_value_stencil(point, beta):
 
 def verify_witness(w):
     """Re-check a witness from scratch along the independent path."""
-    dec = _resolve(w.chamber)
+    dec = decoration(w.chamber)
     if not in_cone(w.point) or not dec.membership(w.point):
         return False
     f_exact = f_value_bordered(w.point)
-    g_exact = g_value_stencil(w.point, w.beta)
+    g_exact = g_value_stencil(w.point, EdgeSubset.parse(w.beta))
     return (f_exact == w.f_value and g_exact == w.g_value
             and f_exact > 0 and g_exact < 0)
 

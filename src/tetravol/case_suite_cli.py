@@ -21,7 +21,7 @@ from .cayley_menger import (EdgeSubset, FACES, directional_derivative,
 from .chamber_geometry import (A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B,
                                LatticeSimplex6, build_partitions,
                                certified_chambers, chambers_containing,
-                               decorations, in_cone, partition_check,
+                               decoration, in_cone, partition_check,
                                stabilizer, verify_barycenter_conditions)
 from .exact_poly import Polynomial
 from .positive_dominance import certify
@@ -690,8 +690,7 @@ def _cmd_partition_check(args):
 
 
 def _cmd_anticert(args):
-    beta = args.beta
-    w = anticert.anti_certify(args.chamber, beta, trials=args.trials,
+    w = anticert.anti_certify(args.chamber, args.beta, trials=args.trials,
                               seed=args.seed)
     if w is None:
         _print(args, {"found": False},
@@ -815,9 +814,10 @@ def _edge_subset(text):
 
 
 def _chamber_id(text):
-    if text not in {d.id for d in decorations()}:
+    try:
+        return decoration(text)
+    except KeyError:
         raise argparse.ArgumentTypeError("unknown chamber id %r" % text)
-    return text
 
 
 def _add_json(p):

@@ -46,12 +46,7 @@ class EdgeIndex:
 
 
 class EdgeSubset:
-    """A nonempty set of K4 edges, with its isomorphism-type tag.
-
-    The ``friendly`` flag marks the types for which lengthening certifies
-    cleanly on every relevant chamber; the three remaining types only
-    admit partial or experimental treatment.
-    """
+    """A nonempty set of K4 edges, with its isomorphism-type tag."""
 
     def __init__(self, indices):
         idx = frozenset(int(k) for k in indices)
@@ -75,9 +70,6 @@ class EdgeSubset:
     @classmethod
     def full(cls):
         return cls(range(6))
-
-    def contains_vertex_star(self, v):
-        return set(VERTEX_EDGES[v]) <= self.indices
 
     def classify(self):
         """Isomorphism-type tag of the edge subset."""
@@ -111,13 +103,6 @@ class EdgeSubset:
             for v in EDGES[k]:
                 degs[v] = degs.get(v, 0) + 1
         return degs
-
-    @property
-    def friendly(self):
-        return self.classify() in {
-            "single-edge", "incident-pair", "opposite-pair",
-            "tripod", "3-path", "4-cycle", "full-K4",
-        }
 
     def spec(self):
         """Canonical text spec, the inverse of parse()."""

@@ -3,10 +3,10 @@
 A polynomial on the unit cube is weakly positive dominant (WPD) when
 every downward-closed box partial sum of its coefficients is
 nonnegative; WPD implies nonnegativity on the cube.  Polynomials that
-fail the test are split in half along the first coordinate of minimal
-subdivision depth, the two halves being the dilation of the polynomial
-and the dilation of its reflection, both rescaled by a power of two to
-stay integral.
+fail the test are split in half along axis ``depth % 5``, so the axes
+take turns, the two halves being the dilation of the polynomial and the
+dilation of its reflection, both rescaled by a power of two to stay
+integral.
 
 One walk, ``_traverse``, does all of this: it drives a LIFO work list
 of cubes until every leaf is WPD, a cube goes negative at the origin
@@ -95,7 +95,7 @@ def replay(p, certificate):
 
 def _traverse(p, budget, eng, expect=None):
     """The subdivision walk; None as soon as an action differs from expect."""
-    stack = [(eng.from_poly(p), (0, 0, 0, 0, 0), ())]
+    stack = [(eng.from_poly(p), ())]
     steps = wpd_tests = subdivisions = 0
     max_depth = 0
     hist = [0] * 5
@@ -109,7 +109,7 @@ def _traverse(p, budget, eng, expect=None):
     while stack:
         if steps >= budget:
             return outcome("BudgetExhausted")
-        cube, marker, lineage = stack.pop()
+        cube, lineage = stack.pop()
         steps += 1
         if eng.origin_negative(cube):
             act = "N"
@@ -126,15 +126,10 @@ def _traverse(p, budget, eng, expect=None):
         if act == "W":
             continue
         subdivisions += 1
-        j = min(range(5), key=lambda a: (marker[a], a))
+        j = len(lineage) % 5
         hist[j] += 1
         left, right = eng.split(cube, j)
-        succ = list(marker)
-        succ[j] += 1
-        succ = tuple(succ)
-        depth = sum(succ)
-        if depth > max_depth:
-            max_depth = depth
-        stack.append((left, succ, lineage + ((j, "L"),)))
-        stack.append((right, succ, lineage + ((j, "R"),)))
+        max_depth = max(max_depth, len(lineage) + 1)
+        stack.append((left, lineage + ((j, "L"),)))
+        stack.append((right, lineage + ((j, "R"),)))
     return outcome("Nonnegative")

@@ -172,18 +172,3 @@ def test_classification_counts_over_all_subsets():
         "full-K4": 1,
     }
 
-
-def test_friendly_flag():
-    assert EdgeSubset.parse("12,13,23").friendly is False
-    assert EdgeSubset.parse("12,13,14,23").friendly is False
-    assert EdgeSubset.parse("12,13,14,23,24").friendly is False
-    for text in ["12", "12,13", "12,34", "12,13,14", "12,14,23",
-                 "12,13,24,34"]:
-        assert EdgeSubset.parse(text).friendly is True
-    assert EdgeSubset.full().friendly is True
-
-
-def test_vertex_star_containment():
-    assert EdgeSubset.parse("12,13,14").contains_vertex_star(1)
-    assert not EdgeSubset.parse("12,13").contains_vertex_star(1)
-    assert EdgeSubset.full().contains_vertex_star(3)

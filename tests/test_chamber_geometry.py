@@ -10,8 +10,8 @@ from tetravol.chamber_geometry import (
     A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, all_relabelings,
     apply_relabel, axis_image, axis_sums, build_partitions,
     cell_description_membership, cell_transporter, certified_chambers,
-    chamber_membership, chambers_containing, compose, decorations,
-    even_relabelings, extrema, in_cone, invert, midpoint, partition_check,
+    chambers_containing, compose, decoration, decorations, even_relabelings,
+    extrema, in_cone, invert, midpoint, partition_check,
     relabel_action, relabel_sign, sample_x24, stabilizer,
     verify_barycenter_conditions, vertex_sums,
 )
@@ -169,7 +169,8 @@ def test_partition_cell_names():
     assert sorted(parts.four) == ["B_1", "B_2", "B_3", "B_4"]
     assert len(parts.twelve) == 12
     assert len(parts.fortyeight) == 48
-    assert len(parts.all_cells()) == 67
+    assert sum(len(cells) for cells in (parts.three, parts.four,
+                                        parts.twelve, parts.fortyeight)) == 67
 
 
 def test_volumes_agree_at_every_level():
@@ -181,17 +182,14 @@ def test_volumes_agree_at_every_level():
 
 def test_simplex_barycentric_roundtrip():
     parts = build_partitions()
-    for name in ["A_2", "B_1", "C_31", "D_2412"]:
-        cell = parts.all_cells()[name]
+    for cell in [parts.three["A_2"], parts.four["B_1"], parts.twelve["C_31"],
+                 parts.fortyeight["D_2412"]]:
         bc = cell.barycenter()
         assert cell.contains(bc)
-        lam = cell.barycentric(bc)
-        assert sum(lam) == 1
-        assert all(w == Fraction(1, 6) for w in lam)
-        rebuilt = tuple(
-            sum(w * v[k] for w, v in zip(lam, cell.vertices))
-            for k in range(6))
-        assert rebuilt == bc
+        assert all(cell.contains(v) for v in cell.vertices)
+        # 2*bc - v has barycentric weight -2/3 at v, all others 1/3
+        for v in cell.vertices:
+            assert not cell.contains(tuple(2 * b - x for b, x in zip(bc, v)))
 
 
 def test_simplex_relabeled_preserves_volume():
@@ -200,7 +198,7 @@ def test_simplex_relabeled_preserves_volume():
     for s in all_relabelings()[:8]:
         image = cell.relabeled(s)
         assert image.volume_scaled() == cell.volume_scaled()
-        assert image.vertex_set() == {
+        assert frozenset(image.vertices) == {
             apply_relabel(s, v) for v in cell.vertices}
 
 
@@ -213,15 +211,19 @@ def test_decorations_biject_with_the_finest_cells():
     assert names == set(parts.fortyeight)
 
 
+def test_chamber_table_is_built_once():
+    decs = decorations()
+    assert decorations() is decs
+    for d in decs:
+        assert decoration(d.id) is d
+    with pytest.raises(KeyError):
+        decoration("p1234b9")
+
+
 def test_center_lies_in_every_chamber():
     assert len(chambers_containing(CENTER)) == 48
     for d in decorations():
-        assert chamber_membership(d, CENTER)
-
-
-def test_chamber_membership_rejects_points_outside_the_cone():
-    with pytest.raises(ValueError):
-        chamber_membership(decorations()[0], (-1, 5, 5, 5, 5, 5))
+        assert d.membership(CENTER)
 
 
 def test_generic_points_land_in_exactly_one_chamber():
@@ -237,7 +239,7 @@ def test_membership_agrees_with_cell_descriptions():
     for p in sample_x24(rng, 6):
         for d in decs[:10]:
             name = parts.simplex_for_decoration(d).name
-            assert chamber_membership(d, p) == (
+            assert d.membership(p) == (
                 cell_description_membership(name, p))
 
 

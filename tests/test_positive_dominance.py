@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tetravol._kernels import NumpyBackend
 from tetravol.exact_poly import Polynomial
@@ -50,6 +51,23 @@ def test_interior_negativity_is_found_after_subdividing():
     assert cert.witness_corner < 0
     assert cert.subdivisions >= 1
     assert cert.witness_lineage != ""
+
+
+def polys5_positive_at_origin():
+    exps = st.tuples(*[st.integers(0, 2) for _ in range(5)])
+    terms = st.dictionaries(exps, st.integers(-30, 30), max_size=4)
+    return st.tuples(st.integers(1, 30), terms).map(
+        lambda t: Polynomial(5, {**t[1], (0, 0, 0, 0, 0): t[0]}))
+
+
+@given(polys5_positive_at_origin())
+@example(90 * X[0] * X[0] - 60 * X[0] + Polynomial.constant(5, 9))
+@settings(max_examples=40, deadline=None)
+def test_witness_lineage_splits_the_axes_in_turn(p):
+    cert = certify(p, budget=200)
+    if cert.status == "NegativeWitness" and cert.witness_lineage:
+        axes = [int(step[1:]) for step in cert.witness_lineage.split(",")]
+        assert axes == [k % 5 for k in range(len(axes))]
 
 
 def test_budget_exhaustion():
