@@ -185,10 +185,18 @@ def directional_derivative(beta):
     return total
 
 
-def _clear_denominators(d):
-    vals = [Fraction(x) for x in d]
-    scale = math.lcm(*(v.denominator for v in vals))
-    return [int(v * scale) for v in vals], scale
+def clear_denominators(d):
+    """Integer numerators of d over their least common denominator.
+
+    Returns (numerators, denominator).  Only int and Fraction entries
+    are accepted: a float has no exact numerator to read.
+    """
+    for x in d:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError("coordinates must be int or Fraction, not %s"
+                            % type(x).__name__)
+    scale = math.lcm(*(x.denominator for x in d))
+    return [x.numerator * (scale // x.denominator) for x in d], scale
 
 
 def is_tetrahedral(d):
@@ -200,7 +208,7 @@ def is_tetrahedral(d):
     """
     if len(d) != 6:
         raise ValueError("need six lengths")
-    ints, _ = _clear_denominators(d)
+    ints, _ = clear_denominators(d)
     if any(x <= 0 for x in ints):
         return False
     for slots in FACES.values():
@@ -212,5 +220,5 @@ def is_tetrahedral(d):
 
 def volume_squared(d):
     """Exact squared volume f(d)/288 as a Fraction."""
-    ints, scale = _clear_denominators(d)
+    ints, scale = clear_denominators(d)
     return Fraction(f_polynomial().evaluate(ints), 288 * scale ** 6)

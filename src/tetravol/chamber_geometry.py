@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
+import operator
 from fractions import Fraction
 
-from .cayley_menger import AXIS_PAIRS, EDGES, VERTEX_EDGES, EdgeIndex
+from .cayley_menger import (AXIS_PAIRS, EDGES, VERTEX_EDGES, EdgeIndex,
+                            clear_denominators)
 
 EXTREME_A = {
     1: (0, 6, 6, 6, 6, 0),
@@ -190,30 +191,38 @@ class LatticeSimplex6:
                 for j in range(1, 6)]
         return abs(_int_det(rows))
 
+    @functools.cached_property
+    def _weight_rows(self):
+        """Rows of sign(det V) * adj(V), V having the vertices as columns.
+
+        By Cramer's rule row j dotted with a point gives |det V| times
+        the point's barycentric weight at vertex j.  Built on first use.
+        """
+        d = _int_det(self.vertices)
+        if d == 0:
+            raise ValueError("degenerate simplex %s" % self.name)
+        sign = 1 if d > 0 else -1
+        return tuple(
+            tuple(sign * (-1) ** (r + j) * _int_det(
+                [v[:r] + v[r + 1:] for k, v in enumerate(self.vertices)
+                 if k != j]) for r in range(6))
+            for j in range(6))
+
     def contains(self, p):
-        """Exact barycentric membership test; accepts ints or Fractions.
+        """Exact barycentric membership test of an int or Fraction point.
 
         The vertices all lie on the sum-24 plane, so for a query on that
         plane the solution of V*lam = p automatically has sum(lam) = 1;
-        membership is then lam >= 0 componentwise, decided by Cramer
-        determinant signs.
+        membership is then lam >= 0 componentwise, decided by the signs
+        of six integer dot products.
         """
-        fr = [Fraction(x) for x in p]
-        denom = math.lcm(*(x.denominator for x in fr))
-        ints = [int(x * denom) for x in fr]
-        if sum(ints) != 24 * denom:
+        if len(p) != 6:
+            raise ValueError("need six coordinates")
+        ints, scale = clear_denominators(p)
+        if sum(ints) != 24 * scale:
             return False
-        matrix = [[self.vertices[j][r] for j in range(6)] for r in range(6)]
-        d = _int_det(matrix)
-        if d == 0:
-            raise ValueError("degenerate simplex %s" % self.name)
-        for j in range(6):
-            mj = [row[:] for row in matrix]
-            for r in range(6):
-                mj[r][j] = ints[r]
-            if _int_det(mj) * d < 0:
-                return False
-        return True
+        return all(sum(map(operator.mul, row, ints)) >= 0
+                   for row in self._weight_rows)
 
     def relabeled(self, sigma, name=None):
         return LatticeSimplex6(name or self.name,
@@ -265,13 +274,14 @@ class Decoration:
 
     def membership(self, p):
         """Weak inequality system of the chamber."""
-        asum = axis_sums(p)
-        vsum = vertex_sums(p)
+        return self.holds(axis_sums(p), vertex_sums(p))
+
+    def holds(self, asum, vsum):
+        """The chamber's system on a point's axis sums and vertex sums."""
         a_out, a_mid, a_dis = (asum[k] for k in self.axes)
         if a_out < a_mid or a_out < a_dis or a_dis > a_mid:
             return False
-        vb = vsum[self.black - 1]
-        if any(vb > vsum[v - 1] for v in (1, 2, 3, 4) if v != self.black):
+        if vsum[self.black - 1] != min(vsum):
             return False
         return vsum[self.white - 1] <= vsum[self.path[1] - 1]
 
@@ -512,42 +522,45 @@ def sample_x24(rng, n):
     return out
 
 
-def cell_description_membership(name, p):
-    """Inequality-description membership for a named partition cell.
+def _described(name, asum, vsum):
+    """Whether a named partition cell's description holds at the sums.
 
     A_i is the locus where axis sum i is weakly largest, B_j where
     vertex sum j is weakly smallest, C_ij the intersection of both,
-    D_ijkl its decoration's system.
+    D_ijkl its decoration's system.  Each is a comparison of linear
+    forms of one degree, so sums scaled by any positive factor give
+    the same answer.
     """
-    asum = axis_sums(p)
-    vsum = vertex_sums(p)
     kind, idx = name.split("_")
     if kind == "A":
-        i = int(idx)
-        return asum[i - 1] == max(asum)
+        return asum[int(idx) - 1] == max(asum)
     if kind == "B":
-        j = int(idx)
-        return vsum[j - 1] == min(vsum)
+        return vsum[int(idx) - 1] == min(vsum)
     if kind == "C":
-        i, j = int(idx[0]), int(idx[1])
-        return asum[i - 1] == max(asum) and vsum[j - 1] == min(vsum)
+        return (asum[int(idx[0]) - 1] == max(asum)
+                and vsum[int(idx[1]) - 1] == min(vsum))
     if kind == "D":
-        parts = build_partitions()
-        return parts.decoration_table()[name].membership(p)
+        return build_partitions().decoration_table()[name].holds(asum, vsum)
     raise KeyError(name)
+
+
+def cell_description_membership(name, p):
+    """Inequality-description membership of p in a named partition cell."""
+    return _described(name, axis_sums(p), vertex_sums(p))
 
 
 def partition_check(samples=10000, seed=0, cross_check=200):
     """Coverage report: every sampled point lies in each partition level.
 
     Membership uses the fast axis/vertex-sum and decoration
-    descriptions.  At the three-, four- and twelve-cell levels coverage
-    holds by construction, since some axis sum is always maximal and
-    some vertex sum minimal, so the content of the check is the 48-cell
-    coverage and the cross-check: a prefix of the sample is tested
-    against exact barycentric containment in the corresponding lattice
-    simplices, at all four levels, which ties the descriptions to the
-    actual hulls.  ``misses`` still reports all four levels.
+    descriptions, decided on each point's sums taken once over its
+    integer numerators.  At the three-, four- and twelve-cell levels
+    coverage holds by construction, since some axis sum is always
+    maximal and some vertex sum minimal, so the content of the check is
+    the 48-cell coverage and the cross-check: a prefix of the sample is
+    tested against exact barycentric containment in the corresponding
+    lattice simplices, at all four levels, which ties the descriptions
+    to the actual hulls.  ``misses`` still reports all four levels.
     """
     import random
     rng = random.Random(seed)
@@ -556,17 +569,19 @@ def partition_check(samples=10000, seed=0, cross_check=200):
     levels = {"three": parts.three, "four": parts.four,
               "twelve": parts.twelve, "fortyeight": parts.fortyeight}
     pts = sample_x24(rng, samples)
+    sums = [(axis_sums(q), vertex_sums(q))
+            for q in (clear_denominators(p)[0] for p in pts)]
     misses = {level: 0 for level in levels}
-    for p in pts:
+    for asum, vsum in sums:
         for level, cells in levels.items():
-            if not any(cell_description_membership(name, p) for name in cells):
+            if not any(_described(name, asum, vsum) for name in cells):
                 misses[level] += 1
     cross = 0
     cross_n = min(len(pts), cross_check)
-    for p in pts[:cross_n]:
-        for level, cells in levels.items():
+    for p, (asum, vsum) in zip(pts[:cross_n], sums):
+        for cells in levels.values():
             for name, simplex in cells.items():
-                if cell_description_membership(name, p) != simplex.contains(p):
+                if _described(name, asum, vsum) != simplex.contains(p):
                     cross += 1
     return {
         "samples": samples,

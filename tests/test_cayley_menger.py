@@ -131,6 +131,18 @@ def test_is_tetrahedral_needs_positive_volume():
     assert not is_tetrahedral(d)
 
 
+def test_rational_lengths_are_exact_and_floats_are_refused():
+    d = (3, 4, 5, 4, 5, 3)
+    mixed = (Fraction(3, 2), 2, Fraction(5, 2), Fraction(4, 2), Fraction(5, 2),
+             Fraction(3, 2))
+    assert is_tetrahedral(mixed)
+    assert volume_squared(mixed) == volume_squared(d) / 64
+    for bad in ((4.0, 4, 4, 4, 4, 4), (4, 4, 4, 4, 4, "4")):
+        for fn in (is_tetrahedral, volume_squared):
+            with pytest.raises(TypeError, match="int or Fraction"):
+                fn(bad)
+
+
 # -- edge subsets --------------------------------------------------------
 
 def test_parse_spec_roundtrip():

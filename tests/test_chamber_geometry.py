@@ -1,5 +1,6 @@
 """Partition, relabeling-group, and chamber-membership checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import pytest
 
 from tetravol.cayley_menger import EdgeSubset, f_polynomial
 from tetravol.chamber_geometry import (
-    A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, all_relabelings,
-    apply_relabel, axis_image, axis_sums, build_partitions,
+    A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, LatticeSimplex6, _int_det,
+    all_relabelings, apply_relabel, axis_image, axis_sums, build_partitions,
     cell_description_membership, cell_transporter, certified_chambers,
     chambers_containing, compose, decoration, decorations, even_relabelings,
     extrema, in_cone, invert, midpoint, partition_check,
@@ -244,11 +245,68 @@ def test_membership_agrees_with_cell_descriptions():
 
 
 def test_partition_check_small_run():
+    assert partition_check(samples=300, seed=3, cross_check=300) == {
+        "samples": 300, "seed": 3,
+        "misses": {"three": 0, "four": 0, "twelve": 0, "fortyeight": 0},
+        "cross_checked": 300, "cross_mismatches": 0, "ok": True}
+
+
+def test_partition_check_counts_a_chamber_that_rejects_everything(
+        monkeypatch):
+    dec = build_partitions().decoration_table()["D_1111"]
+    monkeypatch.setattr(dec, "holds", lambda asum, vsum: False)
     out = partition_check(samples=300, seed=3, cross_check=30)
-    assert out["ok"] is True
+    assert out["misses"]["fortyeight"] > 0
+    assert out["cross_mismatches"] > 0
+    assert out["ok"] is False
+
+
+def test_partition_check_counts_containment_disagreements(monkeypatch):
+    monkeypatch.setattr(LatticeSimplex6, "contains", lambda self, p: False)
+    out = partition_check(samples=30, seed=3, cross_check=30)
     assert out["misses"] == {
         "three": 0, "four": 0, "twelve": 0, "fortyeight": 0}
-    assert out["cross_mismatches"] == 0
+    assert out["cross_mismatches"] > 0
+    assert out["ok"] is False
+
+
+def _cramer_contains(cell, p):
+    """Reference containment: one Bareiss determinant per Cramer ratio."""
+    fr = [Fraction(x) for x in p]
+    denom = math.lcm(*(x.denominator for x in fr))
+    ints = [int(x * denom) for x in fr]
+    if sum(ints) != 24 * denom:
+        return False
+    matrix = [[v[r] for v in cell.vertices] for r in range(6)]
+    d = _int_det(matrix)
+    return all(_int_det([row[:j] + [x] + row[j + 1:]
+                         for row, x in zip(matrix, ints)]) * d >= 0
+               for j in range(6))
+
+
+def test_contains_agrees_with_cramer_on_every_cell():
+    parts = build_partitions()
+    cells = [c for level in (parts.three, parts.four, parts.twelve,
+                             parts.fortyeight) for c in level.values()]
+    on_plane = {p for _, p in extrema()} | {CENTER, (-2, 6, 6, 6, 6, 2)}
+    for c in cells:
+        on_plane.add(c.barycenter())
+        on_plane.update(c.vertices)
+    on_plane.update(sample_x24(random.Random(13), 50))
+    off_plane = [tuple(x + 1 for x in CENTER), tuple(2 * x for x in CENTER),
+                 tuple(x / 2 for x in cells[0].barycenter()),
+                 (9, 9, 9, 0, 0, 0), (-1, 5, 5, 5, 5, 4)]
+    hits = 0
+    for c in cells:
+        for p in on_plane:
+            inside = c.contains(p)
+            assert inside == _cramer_contains(c, p), (c.name, p)
+            hits += inside
+        for p in off_plane:
+            assert not c.contains(p) and not _cramer_contains(c, p)
+        with pytest.raises(TypeError, match="int or Fraction"):
+            c.contains((4.0, 4, 4, 4, 4, 4))
+    assert 0 < hits < len(cells) * len(on_plane)
 
 
 def test_barycenter_conditions_report():
