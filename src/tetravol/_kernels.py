@@ -3,8 +3,8 @@
 A 5-variable polynomial with per-variable degree <= 6 lives in a dense
 cube, on which the certifier's hot operations (the WPD test, the split
 of a cube into two halves along one axis) run.  A cube is one
-C-contiguous float64 array of shape (k, D0+1, ..., D4+1) holding
-sum_i cube[i] * 2^(43*i), D_a being the largest exponent of x_a in the
+C-contiguous float64 array of shape (k, D0+1, ..., D4+1) holding each
+entry in k limbs (below), D_a being the largest exponent of x_a in the
 root.  It stores the box partial sums S of the coefficients c (S[i] sums
 c[j] over j <= i), made by five prefix passes in ``from_poly``.
 Subdivision keeps every degree of c (reflection maps its top slab to
@@ -15,19 +15,23 @@ constant along axis a, so WPD, S >= 0, is one sign test on the box.
 is c.  Along one axis the halves of a split act on S as the small
 integer maps DILATE[n] and DILATE[n] @ REFLECT[n], one BLAS product each.
 
-Limbs hold integers: 0..k-2 lie in [0, 2^43) and the signed top limb
-has |top| < 2^43, so a value is negative iff its top limb is.  float64
-arithmetic is exact on integers while every partial sum stays below
-2^53, as in FFLAS-FFPACK's exact linear algebra over BLAS (Dumas,
-Giorgi and Pernet, ACM TOMS 35(3), 2008).  The maps' largest absolute
-row sums are 21, 64 and 320, so a product's partial sums stay below
-320 * 2^43 < 2^51.4 in whatever order or FMA the BLAS uses, with room
-for a carry of at most 320 (44-bit limbs would leave under one bit to
-spare, 45 would overflow); a prefix pass grows entries at most 7 times.
-Each pass and operation ends with a normalization that carries limbs
-low to high, a carry being floor(x * 2^-43), which is exact, and splits
-the top limb the same way when it leaves its range, so a run is exact
-at any size.
+Limbs 0..k-2 hold fractions r * 2^-43, r an integer in [0, 2^43), and
+the signed top limb an integer with |top| < 2^43, so a value is negative
+iff its top limb is.  Every float is thus an integer times a power of
+two, and float64 arithmetic is exact while every partial sum, counted in
+units of 2^-43 below the top, stays below 2^53, as in FFLAS-FFPACK's
+exact linear algebra over BLAS (Dumas, Giorgi and Pernet, ACM TOMS
+35(3), 2008).  The maps' largest absolute row sums are 21, 64 and 320,
+so a product's partial sums stay below 320 * 2^43 < 2^51.4 units in
+whatever order or FMA the BLAS uses, with room for a carry of at most
+320 (44-bit limbs would leave under one bit to spare, 45 would
+overflow); a prefix pass grows entries at most 7 times.  Each operation
+ends by carrying low to high, floor(u) passing up from a fraction limb
+u, and splitting a top limb out of range alike: exact at any size.
+
+The walk hands back (``recycle``) each cube it has tested or split, and
+``split`` writes its halves into those, saving fresh arrays' page faults;
+two per shape, what a split takes, are kept until the next ``from_poly``.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ import numpy as np
 # the limb width
 LIMB_BITS = 43
 LIMB = float(1 << LIMB_BITS)
-_TO_CARRY = 1.0 / LIMB
 
 # Signed Pascal rows: SIGNED_BINOM[e, j] = (-1)^j * C(e, j), the
 # coefficient of x^j in (1-x)^e.
@@ -64,9 +67,9 @@ DILATE_REFLECT = {n: DILATE[n] @ REFLECT[n] for n in range(1, 8)}
 
 def _value(limbs):
     """The Python int held by one coefficient's limbs, lowest first."""
-    v = 0
-    for limb in reversed(limbs):
-        v = (v << LIMB_BITS) + int(limb)
+    v = int(limbs[-1])
+    for limb in reversed(limbs[:-1]):
+        v = (v << LIMB_BITS) + int(limb * LIMB)
     return v
 
 
@@ -79,39 +82,42 @@ def _axis_view(cube, axis):
 def _normalize(cube):
     """Carry limbs low to high, then widen once if the top limb is out.
 
-    Takes any float64 limb array of integers below 2^53 whose carries
-    fit in the limb above, and returns an array that meets the limb
-    invariant, in place unless a limb had to be appended.
+    Takes a float64 limb array of integers below 2^53, in units of 2^-43
+    below the top, whose carries fit in the limb above, and returns an
+    array that meets the limb invariant, in place unless it widens.
     """
     carry = np.empty_like(cube[0])
     for i in range(len(cube) - 1):
-        np.floor(np.multiply(cube[i], _TO_CARRY, out=carry), out=carry)
-        cube[i + 1] += carry
-        cube[i] -= np.multiply(carry, LIMB, out=carry)
+        np.floor(cube[i], out=carry)
+        cube[i] -= carry
+        cube[i + 1] += carry if i == len(cube) - 2 else carry / LIMB
     top = cube[-1]
     if top.max() >= LIMB or top.min() <= -LIMB:
         # floor division: a negative top becomes a nonnegative limb
         # under a negative carry, which is at most 2^10 in magnitude
-        np.floor(np.multiply(top, _TO_CARRY, out=carry), out=carry)
-        top -= carry * LIMB
+        np.floor(np.divide(top, LIMB, out=top), out=carry)
+        top -= carry
         cube = np.concatenate((cube, carry[None]))
     return cube
 
 
-def _apply(cube, axis, table):
-    """table[n] applied along axis, then normalized; a fresh array."""
+def _apply(cube, axis, table, out):
+    """table[n] applied along axis, written to out and normalized."""
     n = cube.shape[axis + 1]
     if axis == 4:
-        out = cube.reshape(-1, n) @ table[n].T
+        np.matmul(cube.reshape(-1, n), table[n].T, out=out.reshape(-1, n))
     else:
-        out = table[n] @ _axis_view(cube, axis)
-    return _normalize(out.reshape(cube.shape))
+        np.matmul(table[n], _axis_view(cube, axis), out=_axis_view(out, axis))
+    return _normalize(out)
 
 
 class NumpyBackend:
     """Exact float64 limb engine; cubes hold box sums over the degree box."""
 
     name = "numpy"
+
+    def __init__(self):
+        self._spares = {}  # shape -> cubes the walk is done with
 
     def from_poly(self, p):
         if p.nvars != 5:
@@ -120,12 +126,13 @@ class NumpyBackend:
         shape = tuple(max(col, default=0) + 1 for col in axes)
         if max(shape) > 7:
             raise ValueError("per-variable degree exceeds 6")
+        self._spares = {}  # a root starts a walk
         vals = list(p.terms.values())
         bits = max((abs(c).bit_length() for c in vals), default=0)
         k = bits // LIMB_BITS + 1
         cube = np.zeros((k,) + shape)
         for i in range(k - 1):
-            cube[(i, *axes)] = [v % (1 << LIMB_BITS) for v in vals]
+            cube[(i, *axes)] = [v % (1 << LIMB_BITS) / LIMB for v in vals]
             vals = [v >> LIMB_BITS for v in vals]
         cube[(k - 1, *axes)] = vals
         # each pass grows entries at most 7 times
@@ -134,7 +141,7 @@ class NumpyBackend:
         return cube
 
     def wpd(self, cube):
-        return not (cube[-1] < 0).any()
+        return bool(cube[-1].min() >= 0)
 
     def origin_negative(self, cube):
         return bool(cube[-1, 0, 0, 0, 0, 0] < 0)
@@ -142,17 +149,27 @@ class NumpyBackend:
     def corner_value(self, cube):
         return _value(cube[:, 0, 0, 0, 0, 0].tolist())
 
+    # the walk only splits; only perfbench/tracer.py binds dilate and
+    # reflect by name, until the benchmark drops them (ROADMAP item 5)
     def dilate(self, cube, axis):
-        return _apply(cube, axis, DILATE)
+        return _apply(cube, axis, DILATE, np.empty_like(cube))
 
-    # the walk reflects only inside split; only perfbench/tracer.py binds
-    # reflect by name, until the benchmark drops it (ROADMAP item 5)
     def reflect(self, cube, axis):
-        return _apply(cube, axis, REFLECT)
+        return _apply(cube, axis, REFLECT, np.empty_like(cube))
 
     def split(self, cube, axis):
-        """Both halves along axis: the dilation, the dilated reflection."""
-        return self.dilate(cube, axis), _apply(cube, axis, DILATE_REFLECT)
+        """The dilation and dilated reflection along axis, in spares."""
+        spares = self._spares.get(cube.shape, [])
+        left = spares.pop() if spares else np.empty_like(cube)
+        right = spares.pop() if spares else np.empty_like(cube)
+        return (_apply(cube, axis, DILATE, left),
+                _apply(cube, axis, DILATE_REFLECT, right))
+
+    def recycle(self, cube):
+        """Take back a cube the caller will not read again, for split."""
+        spares = self._spares.setdefault(cube.shape, [])
+        if len(spares) < 2:
+            spares.append(cube)
 
     # a no-op that only perfbench/tracer.py binds, until the benchmark
     # drops it (ROADMAP item 5)

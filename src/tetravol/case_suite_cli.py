@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, field
 
 from . import anti_certification as anticert
 from .cayley_menger import (EdgeSubset, FACES, directional_derivative,
-                            f_hat_polynomial, f_polynomial, is_tetrahedral)
+                            f_hat_polynomial, f_polynomial, is_tetrahedral,
+                            tetrahedral_f)
 from .chamber_geometry import (A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B,
                                LatticeSimplex6, build_partitions,
                                certified_chambers, chambers_containing,
@@ -579,10 +580,12 @@ def lengthen_margin(d, t=1):
 
 def lengthen_check(d, t=1):
     """All-edges lengthening never shrinks volume relative to scaling."""
-    if not is_tetrahedral(d):
+    f_d = tetrahedral_f(d)
+    if f_d is None:
         raise ValueError("length list is not tetrahedral: %r" % (d,))
-    grown = tuple(x + t for x in d)
-    return is_tetrahedral(grown) and lengthen_margin(d, t) >= 0
+    f_grown, s = tetrahedral_f(tuple(x + t for x in d)), sum(d)
+    # lengthen_margin(d, t) >= 0, from the values of f already taken
+    return f_grown is not None and f_grown * s ** 6 >= f_d * (s + 6 * t) ** 6
 
 
 def _root_triangle(x, y, z):

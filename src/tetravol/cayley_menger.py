@@ -206,16 +206,24 @@ def is_tetrahedral(d):
     the four faces, and a positive determinant.  Rational input is
     scaled to integers first so every comparison is exact.
     """
+    return tetrahedral_f(d) is not None
+
+
+def tetrahedral_f(d):
+    """f(d) if ``is_tetrahedral(d)``, else None, from one evaluation of f."""
     if len(d) != 6:
         raise ValueError("need six lengths")
-    ints, _ = clear_denominators(d)
+    ints, scale = clear_denominators(d)
     if any(x <= 0 for x in ints):
-        return False
+        return None
     for slots in FACES.values():
         a, b, c = (ints[s] for s in slots)
         if a + b <= c or a + c <= b or b + c <= a:
-            return False
-    return f_polynomial().evaluate(ints) > 0
+            return None
+    value = f_polynomial().evaluate(ints)
+    if value <= 0:
+        return None
+    return value if scale == 1 else Fraction(value, scale ** 6)  # degree 6
 
 
 def volume_squared(d):

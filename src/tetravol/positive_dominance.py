@@ -124,11 +124,13 @@ def _traverse(p, budget, eng, expect=None):
                            witness_lineage=_lineage_str(lineage),
                            witness_corner=eng.corner_value(cube))
         if act == "W":
+            eng.recycle(cube)
             continue
         subdivisions += 1
         j = len(lineage) % 5
         hist[j] += 1
         left, right = eng.split(cube, j)
+        eng.recycle(cube)
         max_depth = max(max_depth, len(lineage) + 1)
         stack.append((left, lineage + ((j, "L"),)))
         stack.append((right, lineage + ((j, "R"),)))

@@ -90,3 +90,7 @@ class ObjectEngine:
     def split(self, cube, axis):
         right = self.dilate(self.reflect(cube, axis), axis)
         return self.dilate(cube, axis), right
+
+    def recycle(self, cube):
+        # every operation returns a fresh array, so nothing is reused
+        pass

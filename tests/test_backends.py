@@ -11,6 +11,9 @@ walks. The run-level tests compare whole certify runs with the oracle's
 walk.
 """
 
+import hashlib
+import weakref
+from fractions import Fraction
 from itertools import product
 from math import comb
 from operator import le
@@ -94,10 +97,13 @@ def limb_edge_polys5():
 
 
 def meets_limb_invariant(cube):
-    low, top = cube[:-1], cube[-1]
+    # lower limbs are fractions r / 2^43, exact in float64, so scaling
+    # them back by 2^43 gives their integers r
+    low, top = cube[:-1] * LIMB, cube[-1]
     return (cube.dtype == np.float64 and cube.flags.c_contiguous
-            and (cube == np.floor(cube)).all()
+            and (low == np.floor(low)).all()
             and ((low >= 0) & (low < LIMB)).all()
+            and (top == np.floor(top)).all()
             and (abs(top) < LIMB).all())
 
 
@@ -150,12 +156,17 @@ def test_dilate_takes_a_limb_past_the_edge():
 
 
 def test_limb_width_leaves_float64_headroom():
-    # limbs below 2^B in magnitude, summed with integer weights whose
-    # absolute values total m, give partial sums below m * 2^B in any
-    # order; normalizing then adds a carry of at most m from the limb
-    # below. float64 holds every integer below 2^53 exactly
+    # a top limb is an integer below 2^B in magnitude and a lower limb a
+    # multiple of 2^-B in [0, 1), an integer below 2^B in units of 2^-B.
+    # Summed with integer weights whose absolute values total m, either
+    # gives partial sums below m * 2^B units in any order; normalizing
+    # then adds a carry of at most m units from the limb below. float64
+    # holds exactly every integer below 2^53 times a power of two
     def fits(m):
-        return m * 2 ** LIMB_BITS + m < 2 ** 53
+        units = m * 2 ** LIMB_BITS + m
+        low = Fraction(units, 2 ** LIMB_BITS)
+        return (units < 2 ** 53 and Fraction(float(units)) == units
+                and Fraction(float(low)) == low)
 
     # reflect, dilate and split: one row of REFLECT[n], DILATE[n] or
     # DILATE[n] @ REFLECT[n]
@@ -241,18 +252,23 @@ def test_recorded_workload_agrees_across_backends():
 
 
 class CubeSpy(NumpyBackend):
-    """The limb engine, keeping every cube the walk gets from it."""
+    """The limb engine, keeping a copy of every cube the walk gets from it.
+
+    Copies, because the walk hands its cubes back to be overwritten.
+    """
 
     def __init__(self):
+        super().__init__()
         self.cubes = []
 
     def from_poly(self, p):
-        self.cubes.append(super().from_poly(p))
-        return self.cubes[-1]
+        cube = super().from_poly(p)
+        self.cubes.append(cube.copy())
+        return cube
 
     def split(self, cube, axis):
         children = super().split(cube, axis)
-        self.cubes.extend(children)
+        self.cubes.extend(child.copy() for child in children)
         return children
 
 
@@ -277,6 +293,105 @@ def test_every_cube_spans_the_root_degree_box():
             terms = to_poly(cube).terms
             assert [max(e[a] for e in terms) for a in range(5)] == [
                 n - 1 for n in root.shape[1:]]
+
+
+class WalkSpy(NumpyBackend):
+    """The limb engine, watching what the walk does with cube memory.
+
+    Every cube gets a digest when the engine hands it out, that is when
+    the walk pushes it, and is checked against it when the walk pops it
+    and reads its origin. ``fresh`` counts the arrays the engine handed
+    out that it had not handed out before in this walk.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.pushed = {}
+        self.seen = {}
+        self.fresh = self.popped = 0
+
+    def _hand_out(self, cube):
+        self.pushed[id(cube)] = (cube.shape,
+                                 hashlib.sha256(cube.tobytes()).digest())
+        known = self.seen.get(id(cube))
+        if known is None or known() is not cube:
+            self.fresh += 1
+            self.seen[id(cube)] = weakref.ref(cube)
+        return cube
+
+    def from_poly(self, p):
+        return self._hand_out(super().from_poly(p))
+
+    def split(self, cube, axis):
+        return tuple(map(self._hand_out, super().split(cube, axis)))
+
+    def origin_negative(self, cube):
+        shape, digest = self.pushed.pop(id(cube))
+        assert (cube.shape, hashlib.sha256(cube.tobytes()).digest()) == (
+            shape, digest)
+        self.popped += 1
+        return super().origin_negative(cube)
+
+    def recycle(self, cube):
+        # a cube still on the stack is never handed back
+        assert id(cube) not in self.pushed
+        super().recycle(cube)
+        # and the engine keeps at most the two spares one split takes
+        assert len(self._spares[cube.shape]) <= 2
+
+
+# WIDENS_ON_DILATE is WPD at its root; times (x1 - x3)^2, which never
+# certifies, it keeps splitting, from a 3-limb root (its top coefficient
+# is about 2^86) to 5-limb cubes within 60 levels
+WIDENING_WALK = WIDENS_ON_DILATE * (Polynomial.variable(5, 1)
+                                    - Polynomial.variable(5, 3)) ** 2
+
+
+def test_walk_never_writes_a_cube_on_its_stack():
+    walks = (
+        (pullback(directional_derivative((0,)), _single_edge_cell()),
+         10 ** 6),
+        (WIDENS_ON_DILATE, 60),
+        (WIDENING_WALK, 60),
+    )
+    spies = []
+    for p, budget in walks:
+        spy = WalkSpy()
+        cert = _traverse(p, budget, spy)
+        assert cert == certify(p, budget)
+        assert spy.popped == cert.steps
+        # only the cubes left on the stack were never popped
+        assert len(spy.pushed) == 1 + 2 * cert.subdivisions - cert.steps
+        # without reuse a walk allocates the root and both halves of
+        # every split; with it, fewer, though no cube on the stack and
+        # at most two spares per shape are kept
+        assert spy.fresh < 1 + 2 * cert.subdivisions or spy.fresh == 1
+        spies.append(spy)
+    single_edge, _, widening = spies
+    # the single-edge walk (421 steps) reuses two arrays in three: 132
+    # of its 421 cubes are fresh
+    assert single_edge.popped == 421 and single_edge.fresh <= 421 // 3
+    # the widening walk recycled cubes of every limb count it crossed
+    assert {shape[0] for shape in widening._spares} == {3, 4, 5}
+
+
+def test_split_never_writes_its_input():
+    eng = NumpyBackend()
+    # a walk leaves the engine holding spares of the cube shapes it used
+    _traverse(WIDENING_WALK, 60, eng)
+    shapes = [shape for shape, cubes in eng._spares.items() if cubes]
+    assert len(shapes) >= 3
+    for shape in shapes:
+        # an input of each shape that holds spares, not itself a spare
+        cube = eng._spares[shape][0].copy()
+        before = cube.copy()
+        for axis in range(5):
+            children = eng.split(cube, axis)
+            assert not any(np.shares_memory(c, cube) for c in children)
+            assert np.array_equal(cube, before)
+            # the children become spares for the next split
+            for child in children:
+                eng.recycle(child)
 
 
 def test_replay_restarts_on_the_fallback(monkeypatch):

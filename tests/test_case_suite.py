@@ -1,6 +1,7 @@
 """Registry integrity, one full case run, and the property suites."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from tetravol.case_suite_cli import (
 )
 from tetravol.cayley_menger import is_tetrahedral
 from tetravol.chamber_geometry import certified_chambers
+from tetravol.exact_poly import Polynomial
 from tetravol.positive_dominance import Certificate
 
 ALL_NAMES = ["full-K4", "single-edge", "incident-pair", "opposite-pair",
@@ -147,6 +149,43 @@ def test_longer_steps_keep_the_margin_nonnegative():
         d = random_tetrahedral(rng)
         for t in (1, 2, 5):
             assert lengthen_margin(d, t) >= 0
+
+
+def test_lengthen_check_evaluates_f_once_per_list(monkeypatch):
+    def four_evaluations(d, t):
+        # the earlier form: f at both lists for the tetrahedral tests,
+        # then at both again for the margin
+        if not is_tetrahedral(d):
+            raise ValueError(d)
+        grown = tuple(x + t for x in d)
+        return is_tetrahedral(grown) and lengthen_margin(d, t) >= 0
+
+    rng = random.Random(14)
+    cases = []
+    for i in range(300):
+        d = random_tetrahedral(rng)
+        if i % 3 == 0:
+            d = tuple(Fraction(x, 7) for x in d)
+        # shrinking steps make some grown lists degenerate
+        cases.append((d, (1, 2, Fraction(1, 3), -1, -9)[i % 5]))
+    want = [four_evaluations(d, t) for d, t in cases]
+    assert 0 < sum(want) < len(want)
+    evaluate, calls = Polynomial.evaluate, []
+
+    def counted(self, point):
+        calls.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(Polynomial, "evaluate", counted)
+    for (d, t), ok in zip(cases, want):
+        calls.clear()
+        assert lengthen_check(d, t) == ok
+        # f at d, then at d + t unless a face or sign test rejects it
+        assert len(calls) == 2 or (len(calls) == 1 and not ok)
+        if t > 0:
+            assert len(calls) == 2
+    with pytest.raises(ValueError):
+        lengthen_check((1, 1, 1, 1, 1, 5))
 
 
 def test_root_triangle_is_exact_near_the_boundary():
