@@ -7,6 +7,13 @@ selective-lengthening statement.  The certified inequalities are the
 claims; step counts are bookkeeping, so reproducing a recorded count
 exactly grades GOLD while a Nonnegative result with a different count
 grades PASS-WITH-NOTE and never fails a run.
+
+The registry holds only the paper's data: coefficients, simplices,
+targets, curves, identities, which interval ends are exact, and notes.
+The rest is derived in one place each.  A combination's label and its
+endpoint -24*b/a come from its coefficients; a case's name is the type
+of its edge subset; its interval spans the endpoints of its asserted
+combinations; its chamber count is the size of its certified region.
 """
 
 import argparse
@@ -33,29 +40,33 @@ from .simplex_pullback import pullback
 
 @dataclass(frozen=True)
 class CaseFunction:
-    """A combination gc*g + fc*f with its interval endpoint, if any.
+    """A combination gc*g + fc*f, held as its two coefficients.
 
-    A combination a*g + b*f with a > 0 corresponds to the endpoint
-    E = -24*b/a of the admissible interval; endpoint None marks
-    combinations recorded for information only.
+    Everything else is derived from them: the label ("12g-f") and the
+    endpoint E = -24*fc/gc of the admissible interval that certifying
+    the combination establishes.  asserted=False marks a combination
+    run for information only; it is graded INFO and bounds no interval.
     """
 
-    label: str
     g_coeff: int
     f_coeff: int
-    endpoint: int = None
     asserted: bool = True
+
+    @property
+    def label(self):
+        f = {0: "", 1: "+f", -1: "-f"}.get(self.f_coeff, "%+df" % self.f_coeff)
+        return ("g" if self.g_coeff == 1 else "%dg" % self.g_coeff) + f
+
+    @property
+    def endpoint(self):
+        if self.g_coeff <= 0 or 24 * self.f_coeff % self.g_coeff:
+            raise ValueError("%s has no integer endpoint" % self.label)
+        return -24 * self.f_coeff // self.g_coeff
 
     def polynomial(self, beta):
         g = directional_derivative(beta)
         f = f_polynomial()
         return g * self.g_coeff + f * self.f_coeff
-
-    def endpoint_consistent(self):
-        if self.endpoint is None:
-            return True
-        return (self.g_coeff > 0
-                and -self.endpoint * self.g_coeff == 24 * self.f_coeff)
 
 
 @dataclass(frozen=True)
@@ -92,15 +103,12 @@ class Identity:
 
 @dataclass(frozen=True)
 class CaseSpec:
-    name: str
     beta: EdgeSubset
     simplices: dict
     tasks: tuple
     curves: tuple = ()
     identities: tuple = ()
-    interval: tuple = (None, None)
     interval_exact: tuple = (True, True)
-    chamber_count: int = 0
     campaign_trials: int = 0
     note: str = ""
 
@@ -110,23 +118,10 @@ def _t_poly(*coeffs):
     return Polynomial(1, {(k,): c for k, c in enumerate(coeffs)})
 
 
-def _line(p, q):
-    """(1-t)p + tq as six coordinates in t."""
-    return tuple(_t_poly(p[c], q[c] - p[c]) for c in range(6))
-
-
-def _square(p, q):
-    """(1-t^2)p + t^2 q."""
-    return tuple(_t_poly(p[c], 0, q[c] - p[c]) for c in range(6))
-
-
-def _bend(p, q, r):
-    """(1-t-t^2)p + tq + t^2 r."""
+def _curve(p, q, r):
+    """(1-t-t^2)p + tq + t^2 r as six coordinates in t: r = p gives the
+    segment (1-t)p + tq, and q = p gives (1-t^2)p + t^2 r."""
     return tuple(_t_poly(p[c], q[c] - p[c], r[c] - p[c]) for c in range(6))
-
-
-def _fixed(p):
-    return tuple(_t_poly(p[c]) for c in range(6))
 
 
 _ONE = _t_poly(1)
@@ -146,15 +141,12 @@ def case_registry():
 
     c11 = LatticeSimplex6("C_11", (C, B2, B3, B4, A2, A3))
     specs.append(CaseSpec(
-        name="full-K4",
         beta=EdgeSubset.full(),
         simplices={"C_11": c11},
         tasks=(
-            CertTask("C_11", CaseFunction("2g-3f", 2, -3, endpoint=36), 7455),
-            CertTask("C_11", CaseFunction("3g-2f", 3, -2, endpoint=16), 1173),
+            CertTask("C_11", CaseFunction(2, -3), 7455),
+            CertTask("C_11", CaseFunction(3, -2), 1173),
         ),
-        interval=(16, 36),
-        chamber_count=48,
         campaign_trials=100000,
         note="one cell per transporter orbit; relabelings cover all 48 "
              "chambers",
@@ -165,10 +157,9 @@ def case_registry():
         "S2": LatticeSimplex6("S2", (C, B3, B24, A13, B4, A1)),
         "S3": LatticeSimplex6("S3", (C, B3, B24, A13, B4, A3)),
     }
-    p_single = CaseFunction("g", 1, 0, endpoint=0)
-    q_single = CaseFunction("12g-f", 12, -1, endpoint=2)
+    p_single = CaseFunction(1, 0)
+    q_single = CaseFunction(12, -1)
     specs.append(CaseSpec(
-        name="single-edge",
         beta=EdgeSubset.parse("12"),
         simplices=single,
         tasks=(
@@ -180,25 +171,22 @@ def case_registry():
             CertTask("S3", q_single, 617),
         ),
         curves=(
-            CurveCheck("g + t f on (1-t)A1 + t A13", _line(A1, A13),
+            CurveCheck("g + t f on (1-t)A1 + t A13", _curve(A1, A13, A1),
                        _ONE, _T, -342144, 3),
-            CurveCheck("(12-t)g - f on (1-t^2)B2 + t^2 C", _square(B2, C),
+            CurveCheck("(12-t)g - f on (1-t^2)B2 + t^2 C", _curve(B2, B2, C),
                        _t_poly(12, -1), -_ONE, -8192, 9),
         ),
-        interval=(0, 2),
-        chamber_count=12,
         note="the recorded constant for the second curve was -57344 t^5; "
              "the exact restriction starts at -8192 t^9 instead, still "
              "negative near 0, so the upper endpoint stays pinned",
     ))
 
     pair_cells = ("D_3111", "D_3112", "D_3121", "D_3122")
-    p_pair = CaseFunction("g", 1, 0, endpoint=0)
-    q_pair = CaseFunction("2g-f", 2, -1, endpoint=12)
-    r_pair = CaseFunction("3g+f", 3, 1, endpoint=-8)
+    p_pair = CaseFunction(1, 0)
+    q_pair = CaseFunction(2, -1)
+    r_pair = CaseFunction(3, 1)
     A12 = A_MID[(1, 2)]
     specs.append(CaseSpec(
-        name="incident-pair",
         beta=EdgeSubset.parse("12,13"),
         simplices={n: parts.fortyeight[n] for n in pair_cells},
         tasks=tuple(CertTask(n, p_pair, 421) for n in pair_cells)
@@ -206,15 +194,13 @@ def case_registry():
         + tuple(CertTask(n, r_pair, 489) for n in pair_cells),
         curves=(
             CurveCheck("t f on (1-t-t^2)B2 + t B3 + t^2 B24",
-                       _bend(B2, B3, B24), _ZERO, _T, -2097152, 7),
-            CurveCheck("(2-t)g - f at the center", _fixed(C),
+                       _curve(B2, B3, B24), _ZERO, _T, -2097152, 7),
+            CurveCheck("(2-t)g - f at the center", _curve(C, C, C),
                        _t_poly(2, -1), -_ONE, -8192, 1),
         ),
         identities=(
             Identity("3g + f at the A1A2 midpoint", A12, 3, 1),
         ),
-        interval=(-8, 12),
-        chamber_count=4,
         note="the recorded interval starts at 0, but 3g+f is certified "
              "nonnegative and vanishes at the A1A2 midpoint corner, so "
              "the admissible range reaches -8 exactly; the first curve "
@@ -228,10 +214,9 @@ def case_registry():
         "U3": LatticeSimplex6("U3", (C, B1, B24, A13, B2, A1)),
         "U4": LatticeSimplex6("U4", (C, B1, B24, A13, B2, A3)),
     }
-    p_opp = CaseFunction("g", 1, 0, endpoint=0)
-    q_opp = CaseFunction("6g-f", 6, -1, endpoint=4)
+    p_opp = CaseFunction(1, 0)
+    q_opp = CaseFunction(6, -1)
     specs.append(CaseSpec(
-        name="opposite-pair",
         beta=EdgeSubset.parse("12,34"),
         simplices=opp,
         tasks=(
@@ -244,9 +229,7 @@ def case_registry():
             CertTask("U3", q_opp, 1161),
             CertTask("U4", q_opp, 1161),
         ),
-        interval=(0, 4),
         interval_exact=(True, False),
-        chamber_count=32,
         note="recorded counts follow the published pairing; this vertex "
              "order reproduces them under the swap U2 <-> U3, with 1161 "
              "read as 1151",
@@ -254,33 +237,27 @@ def case_registry():
 
     c21 = LatticeSimplex6("C_21", (C, B3, B2, B4, A1, A3))
     specs.append(CaseSpec(
-        name="tripod",
         beta=EdgeSubset.parse("12,13,14"),
         simplices={"C_21": c21},
         tasks=(
-            CertTask("C_21", CaseFunction("4g-3f", 4, -3, endpoint=18), 967),
-            CertTask("C_21", CaseFunction("3g-f", 3, -1, endpoint=8), 779),
+            CertTask("C_21", CaseFunction(4, -3), 967),
+            CertTask("C_21", CaseFunction(3, -1), 779),
         ),
         identities=(
             Identity("4g - 3f at the center", C, 4, -3),
             Identity("3g - f at A3", A3, 3, -1),
         ),
-        interval=(8, 18),
-        chamber_count=12,
     ))
 
     specs.append(CaseSpec(
-        name="3-path",
         beta=EdgeSubset.parse("12,14,23"),
         simplices={"C_21": c21},
         tasks=(
-            CertTask("C_21", CaseFunction("4g+f", 4, 1, endpoint=-6), 823),
-            CertTask("C_21", CaseFunction("3g-2f", 3, -2, endpoint=16), 1243),
-            CertTask("C_21", CaseFunction("3g-3f", 3, -3, asserted=False)),
+            CertTask("C_21", CaseFunction(4, 1), 823),
+            CertTask("C_21", CaseFunction(3, -2), 1243),
+            CertTask("C_21", CaseFunction(3, -3, asserted=False)),
         ),
-        interval=(-6, 16),
         interval_exact=(False, False),
-        chamber_count=8,
         note="recorded counts not reproduced at this vertex order (1243 "
              "and 1705 here); 3g - 3f is negative at the center and is "
              "kept as an informational witness run",
@@ -288,43 +265,37 @@ def case_registry():
 
     c31 = LatticeSimplex6("C_31", (C, B4, B2, B3, A1, A2))
     specs.append(CaseSpec(
-        name="4-cycle",
         beta=EdgeSubset.parse("12,13,24,34"),
         simplices={"C_31": c31},
         tasks=(
-            CertTask("C_31", CaseFunction("g", 1, 0, endpoint=0), 755),
-            CertTask("C_31", CaseFunction("g-f", 1, -1, endpoint=24), 1687),
+            CertTask("C_31", CaseFunction(1, 0), 755),
+            CertTask("C_31", CaseFunction(1, -1), 1687),
         ),
         curves=(
             CurveCheck("g + t f on (1-t-t^2)B4 + t B2 + t^2 B3",
-                       _bend(B4, B2, B3), _ONE, _T, -8388608, 7),
+                       _curve(B4, B2, B3), _ONE, _T, -8388608, 7),
         ),
         identities=(
             Identity("g - f at the center", C, 1, -1),
         ),
-        interval=(0, 24),
-        chamber_count=16,
     ))
 
     specs.append(CaseSpec(
-        name="3-cycle",
         beta=EdgeSubset.parse("12,13,23"),
         simplices={"B_1": parts.four["B_1"]},
         tasks=(
-            CertTask("B_1", CaseFunction("3g-f", 3, -1, endpoint=8), 1275),
+            CertTask("B_1", CaseFunction(3, -1), 1275),
         ),
         curves=(
-            CurveCheck("(3+t)g - f on (1-t^2)A1 + t^2 A2", _square(A1, A2),
+            CurveCheck("(3+t)g - f on (1-t^2)A1 + t^2 A2", _curve(A1, A1, A2),
                        _t_poly(3, 1), -_ONE, -497664, 5),
             CurveCheck("(3-t)g - f on (1-t-t^2)B2 + t A1 + t^2 A2",
-                       _bend(B2, A1, A2), _t_poly(3, -1), -_ONE,
+                       _curve(B2, A1, A2), _t_poly(3, -1), -_ONE,
                        663552, 6),
         ),
-        interval=(8, 8),
-        chamber_count=36,
     ))
 
-    return {s.name: s for s in specs}
+    return {s.beta.classify(): s for s in specs}
 
 
 def case_names():
@@ -336,7 +307,7 @@ def case_names():
 @dataclass
 class TaskResult:
     simplex: str
-    func: str
+    function: str
     status: str
     steps: int
     target: int
@@ -347,9 +318,9 @@ class TaskResult:
 @dataclass
 class CurveResult:
     label: str
-    coeff: int
+    coefficient: int
     degree: int
-    expected_coeff: int
+    expected_coefficient: int
     expected_degree: int
     ok: bool
 
@@ -388,7 +359,7 @@ class CaseReport:
                      % (lo, hi, tags[0], tags[1]))
         lines.append("certification:")
         for t in self.tasks:
-            bits = ["  %s %s: %s" % (t.simplex, t.func, t.status)]
+            bits = ["  %s %s: %s" % (t.simplex, t.function, t.status)]
             if t.status == "NegativeWitness":
                 bits.append("corner=%d" % t.corner)
             else:
@@ -401,8 +372,9 @@ class CaseReport:
             lines.append("curves:")
             for c in self.curves:
                 lines.append("  %s: %+d t^%d (expected %+d t^%d) %s"
-                             % (c.label, c.coeff, c.degree, c.expected_coeff,
-                                c.expected_degree, "ok" if c.ok else "FAIL"))
+                             % (c.label, c.coefficient, c.degree,
+                                c.expected_coefficient, c.expected_degree,
+                                "ok" if c.ok else "FAIL"))
         if self.identities:
             lines.append("identities:")
             for i in self.identities:
@@ -433,18 +405,9 @@ class CaseReport:
                          "upper": self.interval[1],
                          "lower_exact": self.interval_exact[0],
                          "upper_exact": self.interval_exact[1]},
-            "tasks": [{"simplex": t.simplex, "function": t.func,
-                       "status": t.status, "steps": t.steps,
-                       "target": t.target, "grade": t.grade,
-                       "corner": t.corner} for t in self.tasks],
-            "curves": [{"label": c.label, "coefficient": c.coeff,
-                        "degree": c.degree,
-                        "expected_coefficient": c.expected_coeff,
-                        "expected_degree": c.expected_degree,
-                        "ok": c.ok} for c in self.curves],
-            "identities": [{"label": i.label, "value": i.value,
-                            "expected": i.expected, "ok": i.ok}
-                           for i in self.identities],
+            "tasks": [asdict(t) for t in self.tasks],
+            "curves": [asdict(c) for c in self.curves],
+            "identities": [asdict(i) for i in self.identities],
             "anti_certification": self.campaign if self.campaign is not None
             else {"excluded": self.excluded,
                   "verified": self.witnesses_verified},
@@ -478,17 +441,16 @@ def curve_result(beta, check):
                        check.expected_degree, ok)
 
 
-def run_case(name, seed=0, campaign_trials=None):
+def run_case(name, seed=0):
     """Execute one pinned case end to end and grade every obligation."""
     spec = case_registry()[name]
-    report = CaseReport(name=spec.name, edges=spec.beta.spec(),
-                        chamber_count=spec.chamber_count,
-                        interval=spec.interval,
+    endpoints = [t.func.endpoint for t in spec.tasks if t.func.asserted]
+    report = CaseReport(name=name, edges=spec.beta.spec(),
+                        chamber_count=len(certified_chambers(spec.beta)),
+                        interval=(min(endpoints), max(endpoints)),
                         interval_exact=spec.interval_exact, note=spec.note)
     hard_fail = False
     for task in spec.tasks:
-        if not task.func.endpoint_consistent():
-            raise ValueError("endpoint mismatch for %s" % task.func.label)
         p = pullback(task.func.polynomial(spec.beta),
                      spec.simplices[task.simplex])
         cert = certify(p)
@@ -514,7 +476,7 @@ def run_case(name, seed=0, campaign_trials=None):
         report.identities.append(IdentityResult(ident.label, value,
                                                 ident.expected, ok))
     if spec.campaign_trials:
-        trials = campaign_trials or spec.campaign_trials
+        trials = spec.campaign_trials
         found, screened = anticert.full_k4_campaign(trials=trials, seed=seed)
         report.campaign = {"trials": trials, "witnesses": len(found),
                            "prescreen": screened}
@@ -709,7 +671,7 @@ def _cmd_case_list(args):
     rows = []
     for name, spec in case_registry().items():
         rows.append({"name": name, "edges": spec.beta.spec(),
-                     "chambers": spec.chamber_count,
+                     "chambers": len(certified_chambers(spec.beta)),
                      "tasks": len(spec.tasks), "curves": len(spec.curves)})
     text = "\n".join("%-13s edges=%-17s chambers=%-2d tasks=%d curves=%d"
                      % (r["name"], r["edges"], r["chambers"], r["tasks"],

@@ -48,24 +48,6 @@ class Certificate:
     witness_corner: Optional[int] = None
     budget: int = 0
 
-    def to_report(self):
-        lines = [
-            "status: %s" % self.status,
-            "steps: %d" % self.steps,
-            "wpd-tests: %d" % self.wpd_tests,
-            "subdivisions: %d" % self.subdivisions,
-        ]
-        if self.status == "Nonnegative":
-            lines.append("max-depth: %d" % self.max_depth)
-            lines.append("split-histogram: %s"
-                         % " ".join(str(h) for h in self.histogram))
-        if self.status == "NegativeWitness":
-            lines.append("witness-lineage: %s" % (self.witness_lineage or "-"))
-            lines.append("witness-corner: %d" % self.witness_corner)
-        if self.status == "BudgetExhausted":
-            lines.append("budget: %d" % self.budget)
-        return "\n".join(lines) + "\n"
-
 
 def is_wpd(p):
     """True iff every downward-closed box partial sum is nonnegative."""

@@ -91,7 +91,7 @@ def test_criterion_03_case_certifications(suite_reports):
                 continue
             asserted += 1
             if t.status != "Nonnegative":
-                bad.append((name, t.func))
+                bad.append((name, t.function))
             if t.grade == "GOLD":
                 gold += 1
             elif t.grade == "PASS-WITH-NOTE":
@@ -107,7 +107,7 @@ def test_criterion_04_sharpness_curves(suite_reports):
     results = {}
     for report in suite_reports.values():
         for c in report.curves:
-            results[c.label] = (c.coeff, c.degree, c.ok)
+            results[c.label] = (c.coefficient, c.degree, c.ok)
     ok = bool(results) and all(v[2] for v in results.values())
     recorded_exact = sum(
         1 for v in results.values() if v[:2] in
@@ -120,6 +120,32 @@ def test_criterion_04_sharpness_curves(suite_reports):
           "term, both noted in their cases"
           % (sum(v[2] for v in results.values()), len(results),
              recorded_exact))
+
+
+def test_full_k4_campaign_report_shape(suite_reports):
+    report = suite_reports["full-K4"]
+    assert report.campaign.keys() == {"trials", "witnesses", "prescreen"}
+    assert report.campaign["witnesses"] == 0
+    assert [t.grade for t in report.tasks] == ["GOLD", "GOLD"]
+    assert [t.steps for t in report.tasks] == [7455, 1173]
+
+
+def test_report_json_keys_are_the_result_record_fields(suite_reports):
+    """A field added to a result record shows up here before it can leak
+    into ``--json`` unnoticed."""
+    keys = {"tasks": {"simplex", "function", "status", "steps", "target",
+                      "grade", "corner"},
+            "curves": {"label", "coefficient", "degree",
+                       "expected_coefficient", "expected_degree", "ok"},
+            "identities": {"label", "value", "expected", "ok"}}
+    seen = dict.fromkeys(keys, 0)
+    for report in suite_reports.values():
+        payload = report.to_json()
+        for part, want in keys.items():
+            for row in payload[part]:
+                assert row.keys() == want, (report.name, part)
+                seen[part] += 1
+    assert seen == {"tasks": 36, "curves": 7, "identities": 4}
 
 
 def test_criterion_05_anti_certification(suite_reports):

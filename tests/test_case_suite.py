@@ -12,7 +12,6 @@ from tetravol.case_suite_cli import (
     symmetry_cover, _root_triangle,
 )
 from tetravol.cayley_menger import is_tetrahedral
-from tetravol.chamber_geometry import certified_chambers
 from tetravol.exact_poly import Polynomial
 from tetravol.positive_dominance import Certificate
 
@@ -26,9 +25,7 @@ def test_registry_names_and_order():
 
 def test_registry_shape():
     for name, spec in case_registry().items():
-        assert spec.name == name
         assert spec.beta.classify() == name
-        assert spec.chamber_count == len(certified_chambers(spec.beta))
         assert spec.tasks
         for task in spec.tasks:
             assert task.simplex in spec.simplices
@@ -36,34 +33,24 @@ def test_registry_shape():
             assert len(cell.vertices) == 6
 
 
-def test_every_endpoint_is_consistent():
-    for spec in case_registry().values():
-        for task in spec.tasks:
-            assert task.func.endpoint_consistent(), task.func.label
-
-
-def test_interval_bounds_come_from_task_endpoints():
-    for spec in case_registry().values():
-        endpoints = {t.func.endpoint for t in spec.tasks
-                     if t.func.asserted and t.func.endpoint is not None}
-        lo, hi = spec.interval
-        assert lo in endpoints
-        assert hi in endpoints
-        assert lo <= hi
-
-
-def test_endpoint_consistency_unit():
-    assert CaseFunction("a", 2, -3, endpoint=36).endpoint_consistent()
-    assert not CaseFunction("b", 2, -1, endpoint=11).endpoint_consistent()
-    assert not CaseFunction("c", -1, 0, endpoint=0).endpoint_consistent()
-    assert CaseFunction("d", 5, 7).endpoint_consistent()
+def test_labels_and_endpoints_derive_from_the_coefficients():
+    want = {(1, 0): ("g", 0), (12, -1): ("12g-f", 2), (3, 1): ("3g+f", -8),
+            (2, -3): ("2g-3f", 36), (1, -1): ("g-f", 24)}
+    for (a, b), (label, endpoint) in want.items():
+        assert CaseFunction(a, b).label == label
+        assert CaseFunction(a, b).endpoint == endpoint
+    # -24*7/5 is not an integer, and a g weight that is not positive
+    # makes a*g + b*f >= 0 bound the other side of E
+    for a, b in [(5, 7), (-1, 0)]:
+        with pytest.raises(ValueError):
+            CaseFunction(a, b).endpoint
 
 
 def test_all_registered_curves_reproduce_their_pins():
-    for spec in case_registry().values():
+    for name, spec in case_registry().items():
         for check in spec.curves:
             res = curve_result(spec.beta, check)
-            assert res.ok, "%s: %s" % (spec.name, check.label)
+            assert res.ok, "%s: %s" % (name, check.label)
 
 
 def test_symmetry_cover_matches_certified_region():
@@ -78,14 +65,14 @@ def _mk_cert(status, steps, **kw):
 
 
 def test_grade_task_rules():
-    gold = CertTask("S", CaseFunction("g", 1, 0, endpoint=0), target=421)
+    gold = CertTask("S", CaseFunction(1, 0), target=421)
     assert grade_task(gold, _mk_cert("Nonnegative", 421)) == "GOLD"
     assert grade_task(gold, _mk_cert("Nonnegative", 422)) == "PASS-WITH-NOTE"
     assert grade_task(gold, _mk_cert("NegativeWitness", 5)) == "FAIL"
     assert grade_task(gold, _mk_cert("BudgetExhausted", 10 ** 6)) == "FAIL"
-    untargeted = CertTask("S", CaseFunction("g", 1, 0, endpoint=0))
+    untargeted = CertTask("S", CaseFunction(1, 0))
     assert grade_task(untargeted, _mk_cert("Nonnegative", 99)) == "PASS"
-    info = CertTask("S", CaseFunction("x", 3, -3, asserted=False))
+    info = CertTask("S", CaseFunction(3, -3, asserted=False))
     assert grade_task(info, _mk_cert("NegativeWitness", 7)) == "INFO"
 
 
@@ -108,15 +95,6 @@ def test_run_case_three_cycle_end_to_end():
     again = run_case("3-cycle")
     assert again.to_json() == report.to_json()
     assert again.to_text() == text
-
-
-def test_full_k4_campaign_report_shape():
-    report = run_case("full-K4", campaign_trials=300)
-    assert report.passed
-    assert report.campaign == {"trials": 300, "witnesses": 0,
-                               "prescreen": 0}
-    assert [t.grade for t in report.tasks] == ["GOLD", "GOLD"]
-    assert [t.steps for t in report.tasks] == [7455, 1173]
 
 
 # -- monotonicity and root properties ------------------------------------

@@ -210,6 +210,20 @@ def test_case_list(capsys):
         assert name in out
 
 
+def test_case_list_json_rows(capsys):
+    code, out, _ = run(capsys, "case", "list", "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["name"] for r in rows] == [
+        "full-K4", "single-edge", "incident-pair", "opposite-pair",
+        "tripod", "3-path", "4-cycle", "3-cycle"]
+    assert [r["chambers"] for r in rows] == [48, 12, 4, 32, 12, 8, 16, 36]
+    assert [r["tasks"] for r in rows] == [2, 6, 12, 8, 2, 3, 2, 1]
+    assert [r["curves"] for r in rows] == [0, 2, 2, 0, 0, 0, 1, 2]
+    assert all(r.keys() == {"name", "edges", "chambers", "tasks", "curves"}
+               for r in rows)
+
+
 def test_case_run_json(capsys):
     code, out, _ = run(capsys, "case", "run", "3-cycle", "--json")
     assert code == 0
