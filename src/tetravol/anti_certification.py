@@ -10,6 +10,18 @@ both signs.  Accepted witnesses ship in a golden data file and are
 re-verified through an independent evaluation path (bordered-determinant
 f plus a five-point derivative stencil) that shares no code with the
 polynomial layer.
+
+The prescreen floats must stay bit-identical: they decide which
+candidate a search snaps first, so the golden witness file and the
+seeded campaign's prescreen count hang on every last bit of them.
+Sampling draws one block per chunk from the seeded generator and equals
+trial-by-trial ``rng.random()`` calls exactly.  The float forms read one
+shared table of coordinate powers, whose pow must run numpy's SIMD loop,
+the one the broadcast ``points ** exponents`` form reached through its
+contiguous casting buffers.  libm ``pow`` (Python's ``**``) differs from
+that loop in the last bit on about 3% of arguments, and so does numpy's
+pow over a view it cannot stream, such as a negative stride.  The table
+is therefore built from contiguous float64 operands.
 """
 
 import math
@@ -64,30 +76,56 @@ class Witness:
                    int(parts[8]), int(parts[9]))
 
 
-def barycentric_sample(rng):
-    """Six nonnegative weights summing to one, by sorted uniform spacings."""
-    cuts = sorted(rng.random() for _ in range(5))
-    out = []
-    prev = 0.0
-    for c in cuts:
-        out.append(c - prev)
-        prev = c
-    out.append(1.0 - prev)
-    return out
+def barycentric_block(rng, n):
+    """n rows of six nonnegative weights summing to one.
+
+    Each row holds the spacings of five sorted uniforms.  All 5n come
+    from one ``getrandbits`` call, each made as CPython's ``random()``
+    makes a double from two 32-bit words a, b, least significant first:
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53.  The rows and the generator's
+    final state equal those of trial-by-trial ``rng.random()`` calls.
+    """
+    words = np.frombuffer(rng.getrandbits(320 * n).to_bytes(40 * n, "little"),
+                          dtype="<u4")
+    cuts = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) \
+        / 9007199254740992.0
+    cuts = np.sort(cuts.reshape(n, 5), axis=1)
+    return np.diff(cuts, axis=1, prepend=0.0, append=1.0)
 
 
-class _FloatForm:
-    """Vectorized float view of an exact polynomial, for prescreening only."""
+class _FloatForms:
+    """Vectorized float views of exact polynomials, for prescreening only.
 
-    def __init__(self, poly):
-        exps = sorted(poly.terms)
-        self.exps = np.array(exps, dtype=np.int64)
-        self.coeffs = np.array([float(poly.terms[e]) for e in exps])
+    All forms read one table of coordinate powers per batch of points.
+    """
+
+    def __init__(self, *polys):
+        self.width = width = 1 + max(max(map(max, p.terms)) for p in polys)
+        # exponent of table row v * width + k
+        self.powers = np.tile(np.arange(width, dtype=np.float64), 6)[:, None]
+        self.forms = []
+        for poly in polys:
+            exps = sorted(poly.terms)
+            rows = np.array(exps, dtype=np.int64) + width * np.arange(6)
+            self.forms.append((rows.T, np.array([float(poly.terms[e])
+                                                 for e in exps])))
 
     def at(self, points):
-        pts = np.asarray(points, dtype=np.float64)
-        return (pts[:, None, :] ** self.exps[None, :, :]).prod(axis=2) \
-            @ self.coeffs
+        """Each form's values at the rows of points, in order."""
+        n = len(points)
+        # row v * width + k holds points[:, v] ** k; both operands are
+        # contiguous float64, so np.power takes its SIMD loop
+        base = np.repeat(points.T, self.width, axis=0)
+        table = np.power(base, np.repeat(self.powers, n, axis=1))
+        out = []
+        for rows, coeffs in self.forms:
+            terms = table[rows[0]]
+            for v in range(1, 6):
+                terms *= table[rows[v]]
+            # the product must see (n, T) C-contiguous terms, as the
+            # broadcast form's did, to add them in the same order
+            out.append(np.ascontiguousarray(terms.T) @ coeffs)
+        return out
 
 
 def snap_point(weights, vertices, snap=SNAP_SCALE):
@@ -119,7 +157,7 @@ def anti_certify(dec, beta, trials=20000, seed=0):
     verts = simplex.vertices
     f = f_polynomial()
     g = directional_derivative(beta)
-    ff, gf = _FloatForm(f), _FloatForm(g)
+    forms = _FloatForms(f, g)
     rng = random.Random("%s|%s|%d" % (beta.spec(), dec.id, seed))
     vmat = np.array(verts, dtype=np.float64)
     stage2 = trials // 2
@@ -128,18 +166,12 @@ def anti_certify(dec, beta, trials=20000, seed=0):
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        qs = []
-        for i in range(n):
-            q = barycentric_sample(rng)
-            idx = done + i
-            if idx >= stage3:
-                q = _power_weights(q, 5)
-            elif idx >= stage2:
-                q = _power_weights(q, 3)
-            qs.append(q)
-        pts = np.array(qs) @ vmat
-        fv = ff.at(pts)
-        gv = gf.at(pts)
+        qs = barycentric_block(rng, n)
+        # on Python floats: their ** is the libm pow the golden file pins
+        for i in range(max(stage2 - done, 0), n):
+            qs[i] = _power_weights(qs[i].tolist(),
+                                   5 if done + i >= stage3 else 3)
+        fv, gv = forms.at(qs @ vmat)
         for i in np.nonzero((fv > 0.0) & (gv < 0.0))[0]:
             point = snap_point(qs[i], verts)
             f_exact = f.evaluate(point)
@@ -185,7 +217,7 @@ def full_k4_campaign(trials=100000, seed=0):
     decs = decorations()
     f = f_polynomial()
     g = directional_derivative(beta)
-    ff, gf = _FloatForm(f), _FloatForm(g)
+    forms = _FloatForms(f, g)
     rng = random.Random("K4-campaign|%d" % seed)
     stack = np.array([np.array(parts.simplex_for_decoration(d).vertices,
                                dtype=np.float64) for d in decs])
@@ -195,11 +227,9 @@ def full_k4_campaign(trials=100000, seed=0):
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        qs = np.array([barycentric_sample(rng) for _ in range(n)])
+        qs = barycentric_block(rng, n)
         idx = (done + np.arange(n)) % len(decs)
-        pts = np.einsum("ij,ijk->ik", qs, stack[idx])
-        fv = ff.at(pts)
-        gv = gf.at(pts)
+        fv, gv = forms.at(np.einsum("ij,ijk->ik", qs, stack[idx]))
         for i in np.nonzero((fv > 0.0) & (gv < 0.0))[0]:
             screened += 1
             dec = decs[idx[i]]

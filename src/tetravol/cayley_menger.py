@@ -191,6 +191,8 @@ def clear_denominators(d):
     Returns (numerators, denominator).  Only int and Fraction entries
     are accepted: a float has no exact numerator to read.
     """
+    if all(type(x) is int for x in d):
+        return list(d), 1
     for x in d:
         if not isinstance(x, (int, Fraction)):
             raise TypeError("coordinates must be int or Fraction, not %s"

@@ -4,11 +4,12 @@ import random
 from collections import Counter
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetravol.anti_certification import (
-    ASSERTED_BETAS, Witness, anti_certify, barycentric_sample,
+    ASSERTED_BETAS, Witness, _FloatForms, anti_certify, barycentric_block,
     excluded_chambers, f_value_bordered, full_k4_campaign, g_value_stencil,
     generate_golden, read_witnesses, snap_point, verify_witness,
     write_witnesses,
@@ -18,6 +19,33 @@ from tetravol.cayley_menger import EdgeSubset, directional_derivative, \
 from tetravol.chamber_geometry import build_partitions, certified_chambers
 
 int_points = st.tuples(*[st.integers(-40, 40) for _ in range(6)])
+
+
+def barycentric_sample(rng):
+    """Six nonnegative weights summing to one, by sorted uniform spacings.
+
+    One trial at a time: the oracle for ``barycentric_block``.
+    """
+    cuts = sorted(rng.random() for _ in range(5))
+    out = []
+    prev = 0.0
+    for c in cuts:
+        out.append(c - prev)
+        prev = c
+    out.append(1.0 - prev)
+    return out
+
+
+def float_form_reference(poly, points):
+    """poly at the rows of points from the broadcast (n, T, 6) power product.
+
+    The oracle for ``_FloatForms``: every prescreen float must equal it.
+    """
+    exps = sorted(poly.terms)
+    coeffs = np.array([float(poly.terms[e]) for e in exps])
+    pts = np.asarray(points, dtype=np.float64)
+    return (pts[:, None, :] ** np.array(exps, dtype=np.int64)[None, :, :]) \
+        .prod(axis=2) @ coeffs
 
 
 @given(int_points)
@@ -136,3 +164,28 @@ def test_sampling_helpers():
     assert all(isinstance(v, int) for v in pt)
     # snapped numerators stay within the scaled hull bounds
     assert all(0 <= v <= 8 * 1000 for v in pt)
+
+
+@pytest.mark.parametrize("n", [1, 5, 4095, 4096, 4097])
+def test_block_sampler_matches_trial_by_trial_draws(n):
+    one, block = random.Random(n), random.Random(n)
+    rows = np.array([barycentric_sample(one) for _ in range(n)])
+    got = barycentric_block(block, n)
+    assert got.shape == (n, 6)
+    assert np.array_equal(got, rows)
+    assert block.getstate() == one.getstate()
+
+
+@pytest.mark.parametrize("n", [1, 7, 513, 4096])
+def test_float_forms_equal_the_broadcast_oracle_bit_for_bit(n):
+    # The K4 campaign's prescreen count is 0 at every seed tried, so its
+    # return value cannot show float drift, and the golden file sees the
+    # floats only where a search stops.  Exact equality is the check.
+    polys = (f_polynomial(), directional_derivative(EdgeSubset.full()),
+             directional_derivative(EdgeSubset.parse("12,34")))
+    rng = np.random.default_rng(n)
+    pts = rng.random((n, 6)) * 8.0
+    pts[::3, rng.integers(6)] = 0.0
+    pts[1::3] *= 1e6
+    for poly, got in zip(polys, _FloatForms(*polys).at(pts)):
+        assert np.array_equal(got, float_form_reference(poly, pts))
