@@ -9,7 +9,10 @@ the integer lattice, and accepts only on exact integer evaluation of
 both signs.  Accepted witnesses ship in a golden data file and are
 re-verified through an independent evaluation path (bordered-determinant
 f plus a five-point derivative stencil) that shares no code with the
-polynomial layer.
+polynomial layer.  The golden file holds one ``anti_certify`` search,
+at its default seed and trials, per excluded chamber of each case
+without a K4 campaign; ``tests/test_anti_certification.py`` regenerates
+it and compares it line for line.
 
 The prescreen floats must stay bit-identical: they decide which
 candidate a search snaps first, so the golden witness file and the
@@ -38,18 +41,6 @@ from .chamber_geometry import (_int_det, build_partitions,
 
 SNAP_SCALE = 10 ** 10
 
-# one search target per certified lengthening case, keyed by the
-# representative edge subset used throughout
-ASSERTED_BETAS = (
-    "12",
-    "12,13",
-    "12,34",
-    "12,13,14",
-    "12,14,23",
-    "12,13,24,34",
-    "12,13,23",
-)
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -60,7 +51,6 @@ class Witness:
     point: tuple
     f_value: int
     g_value: int
-    seed: int = 0
 
     def line(self):
         coords = " ".join(str(c) for c in self.point)
@@ -128,9 +118,9 @@ class _FloatForms:
         return out
 
 
-def snap_point(weights, vertices, snap=SNAP_SCALE):
+def snap_point(weights, vertices):
     """Integer cone point near the ray of the sampled barycentric point."""
-    qs = [int(math.floor(snap * w)) for w in weights]
+    qs = [int(math.floor(SNAP_SCALE * w)) for w in weights]
     return tuple(int(sum(q * v[c] for q, v in zip(qs, vertices)))
                  for c in range(6))
 
@@ -178,8 +168,7 @@ def anti_certify(dec, beta, trials=20000, seed=0):
             g_exact = g.evaluate(point)
             if (f_exact > 0 and g_exact < 0 and in_cone(point)
                     and dec.membership(point)):
-                return Witness(beta.spec(), dec.id, point,
-                               f_exact, g_exact, seed)
+                return Witness(beta.spec(), dec.id, point, f_exact, g_exact)
         done += n
     return None
 
@@ -188,20 +177,6 @@ def excluded_chambers(beta):
     """Decorations outside the certified region of beta."""
     keep = {d.id for d in certified_chambers(beta)}
     return [d for d in decorations() if d.id not in keep]
-
-
-def generate_golden(betas=ASSERTED_BETAS, trials=20000, seed=0):
-    """One witness per excluded chamber per case; raises if any search fails."""
-    out = []
-    for spec in betas:
-        beta = EdgeSubset.parse(spec)
-        for dec in excluded_chambers(beta):
-            w = anti_certify(dec, beta, trials=trials, seed=seed)
-            if w is None:
-                raise RuntimeError("no witness found for beta=%s chamber=%s"
-                                   % (spec, dec.id))
-            out.append(w)
-    return out
 
 
 def full_k4_campaign(trials=100000, seed=0):
@@ -240,7 +215,7 @@ def full_k4_campaign(trials=100000, seed=0):
             if (f_exact > 0 and g_exact < 0 and in_cone(point)
                     and dec.membership(point)):
                 witnesses.append(Witness(beta.spec(), dec.id, point,
-                                         f_exact, g_exact, seed))
+                                         f_exact, g_exact))
         done += n
     return witnesses, screened
 
@@ -296,22 +271,9 @@ def verify_witness(w):
 
 # -- golden file ---------------------------------------------------------
 
-def write_witnesses(path, witnesses):
-    with open(path, "w") as fh:
-        fh.write("# anti-certification witnesses: "
-                 "<beta> <chamber-id> <p1..p6> <f-value> <g-value>\n")
-        for w in witnesses:
-            fh.write(w.line() + "\n")
-
-
-def read_witnesses(path=None):
-    """Parse a witness file; default is the packaged golden set."""
-    if path is None:
-        text = (resources.files("tetravol") / "data" /
-                "witnesses.txt").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+def read_witnesses():
+    """The packaged golden witness set."""
+    text = (resources.files("tetravol") / "data" / "witnesses.txt").read_text()
     out = []
     for line in text.splitlines():
         line = line.strip()

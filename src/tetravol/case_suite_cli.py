@@ -449,53 +449,39 @@ def run_case(name, seed=0):
                         chamber_count=len(certified_chambers(spec.beta)),
                         interval=(min(endpoints), max(endpoints)),
                         interval_exact=spec.interval_exact, note=spec.note)
-    hard_fail = False
     for task in spec.tasks:
         p = pullback(task.func.polynomial(spec.beta),
                      spec.simplices[task.simplex])
         cert = certify(p)
-        grade = grade_task(task, cert)
-        if grade == "FAIL":
-            hard_fail = True
         report.tasks.append(TaskResult(
             task.simplex, task.func.label, cert.status, cert.steps,
-            task.target, grade, cert.witness_corner))
-    for check in spec.curves:
-        res = curve_result(spec.beta, check)
-        if not res.ok:
-            hard_fail = True
-        report.curves.append(res)
+            task.target, grade_task(task, cert), cert.witness_corner))
+    report.curves = [curve_result(spec.beta, check) for check in spec.curves]
     f = f_polynomial()
     g = directional_derivative(spec.beta)
     for ident in spec.identities:
         value = (g.evaluate(ident.point) * ident.g_coeff
                  + f.evaluate(ident.point) * ident.f_coeff)
-        ok = value == ident.expected
-        if not ok:
-            hard_fail = True
-        report.identities.append(IdentityResult(ident.label, value,
-                                                ident.expected, ok))
+        report.identities.append(IdentityResult(
+            ident.label, value, ident.expected, value == ident.expected))
     if spec.campaign_trials:
         trials = spec.campaign_trials
         found, screened = anticert.full_k4_campaign(trials=trials, seed=seed)
         report.campaign = {"trials": trials, "witnesses": len(found),
                            "prescreen": screened}
-        if found:
-            hard_fail = True
     else:
         excluded = anticert.excluded_chambers(spec.beta)
         golden = {w.chamber: w for w in anticert.read_witnesses()
                   if w.beta == spec.beta.spec()}
-        verified = 0
-        for dec in excluded:
-            w = golden.get(dec.id)
-            if w is not None and anticert.verify_witness(w):
-                verified += 1
-            else:
-                hard_fail = True
         report.excluded = len(excluded)
-        report.witnesses_verified = verified
-    report.passed = not hard_fail
+        report.witnesses_verified = sum(
+            1 for dec in excluded
+            if dec.id in golden and anticert.verify_witness(golden[dec.id]))
+    report.passed = (
+        all(t.grade != "FAIL" for t in report.tasks)
+        and all(r.ok for r in report.curves + report.identities)
+        and (report.campaign["witnesses"] == 0 if report.campaign is not None
+             else report.witnesses_verified == report.excluded))
     return report
 
 

@@ -226,9 +226,3 @@ def tetrahedral_f(d):
     if value <= 0:
         return None
     return value if scale == 1 else Fraction(value, scale ** 6)  # degree 6
-
-
-def volume_squared(d):
-    """Exact squared volume f(d)/288 as a Fraction."""
-    ints, scale = clear_denominators(d)
-    return Fraction(f_polynomial().evaluate(ints), 288 * scale ** 6)

@@ -17,8 +17,8 @@ import itertools
 import operator
 from fractions import Fraction
 
-from .cayley_menger import (AXIS_PAIRS, EDGES, VERTEX_EDGES, EdgeIndex,
-                            clear_denominators)
+from .cayley_menger import (AXIS_PAIRS, EDGES, FACES, VERTEX_EDGES,
+                            EdgeIndex, clear_denominators)
 
 EXTREME_A = {
     1: (0, 6, 6, 6, 6, 0),
@@ -73,7 +73,6 @@ def in_cone(p):
     """Weak membership in the pseudo-tetrahedron cone X."""
     if any(x < 0 for x in p):
         return False
-    from .cayley_menger import FACES
     for slots in FACES.values():
         a, b, c = (p[s] for s in slots)
         if a > b + c or b > a + c or c > a + b:
@@ -118,18 +117,6 @@ def axis_image(sigma):
     perm = relabel_action(sigma)
     return tuple(_AXIS_OF[frozenset((perm[a], perm[b]))]
                  for a, b in AXIS_PAIRS)
-
-
-def compose(sigma, tau):
-    """sigma after tau."""
-    return tuple(sigma[tau[i] - 1] for i in range(4))
-
-
-def invert(sigma):
-    out = [0] * 4
-    for i in range(4):
-        out[sigma[i] - 1] = i + 1
-    return tuple(out)
 
 
 def stabilizer(edge_indices):
@@ -177,9 +164,6 @@ class LatticeSimplex6:
         self.name = name
         self.vertices = vs
 
-    def barycenter(self):
-        return tuple(Fraction(sum(col), 6) for col in zip(*self.vertices))
-
     def volume_scaled(self):
         """|det| of the edge matrix after dropping the last coordinate.
 
@@ -223,10 +207,6 @@ class LatticeSimplex6:
             return False
         return all(sum(map(operator.mul, row, ints)) >= 0
                    for row in self._weight_rows)
-
-    def relabeled(self, sigma, name=None):
-        return LatticeSimplex6(name or self.name,
-                               [apply_relabel(sigma, v) for v in self.vertices])
 
     def __repr__(self):
         return "LatticeSimplex6(%s)" % self.name

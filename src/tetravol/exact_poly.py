@@ -69,13 +69,6 @@ class Polynomial:
         """Largest sum of exponents, or -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def max_variable_degree(self):
-        """Largest single exponent appearing in any term."""
-        return max((max(e) for e in self.terms), default=0)
-
-    def term_count(self):
-        return len(self.terms)
-
     def coefficient(self, exponents):
         return self.terms.get(tuple(exponents), 0)
 

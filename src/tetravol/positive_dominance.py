@@ -49,12 +49,6 @@ class Certificate:
     budget: int = 0
 
 
-def is_wpd(p):
-    """True iff every downward-closed box partial sum is nonnegative."""
-    eng = get_backend()
-    return eng.wpd(eng.from_poly(p))
-
-
 def certify(p, budget=10 ** 6):
     """Certify p >= 0 on the unit cube, or find a negative corner.
 

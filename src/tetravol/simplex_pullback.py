@@ -13,7 +13,8 @@ on v6.  Composing a polynomial with Z keeps integer coefficients and
 caps every single-variable degree by the total degree, which is what
 the dominance certifier needs.
 
-The pullback first composes with the six affine forms L_k(u) = (W V(u))_k
+The pullback first composes with the six affine forms L_k(u) = (W V(u))_k,
+read straight off the vertices as L_k = v1[k] + sum_i u_i (v(i+1)[k] - vi[k]),
 and then rewrites u to stick-breaking coordinates, which only renames
 exponents.  The composition is a multivariate Horner scheme (Peña and
 Sauer, SIAM J. Numer. Anal. 37, 2000): the terms are grouped by their
@@ -29,22 +30,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import types
 
 import numpy as np
 
 from .exact_poly import Polynomial
-
-
-def _barycentric_affine():
-    """The six affine weights V as polynomials in (u1,...,u5)."""
-    u = [Polynomial.variable(5, j) for j in range(5)]
-    one = Polynomial.constant(5, 1)
-    vs = [one - u[0]]
-    for j in range(4):
-        vs.append(u[j] - u[j + 1])
-    vs.append(u[4])
-    return vs
 
 
 def _stick_rewrite(p):
@@ -94,15 +85,6 @@ def _graded_basis(nvars, degree):
     return tuple(mons), tuple(up), grow
 
 
-def _linear_form(q):
-    """(c0, ((i, c_i), ...)) for an affine q = c0 + sum c_i u_i."""
-    if q.total_degree() > 1:
-        raise ValueError("image is not affine")
-    slopes = tuple(sorted((e.index(1), c) for e, c in q.terms.items()
-                          if any(e)))
-    return q.coefficient((0,) * q.nvars), slopes
-
-
 def _times_linear(v, form, up, grow):
     """The dense vector of v * (c0 + sum c_i u_i), one degree longer."""
     c0, slopes = form
@@ -141,71 +123,52 @@ def _horner(terms, forms, up, grow):
     return acc
 
 
-def _compose_affine(p, images):
-    """p(images), exactly, for one affine image per variable of p."""
-    m = images[0].nvars
-    forms = tuple(_linear_form(q) for q in images)
+def _compose_affine(p, forms):
+    """p(L_1, ..., L_6) in (u1,...,u5), exactly, for the forms of a simplex."""
     if p.is_zero():
-        return Polynomial.zero(m)
-    mons, up, grow = _graded_basis(m, p.total_degree())
+        return Polynomial.zero(5)
+    mons, up, grow = _graded_basis(5, p.total_degree())
     vec = _horner(list(p.terms.items()), forms, up, grow)
     return Polynomial._canonical(
-        m, {mons[j]: c for j, c in enumerate(vec.tolist()) if c})
-
-
-class PullbackMap:
-    """The composition machinery for one ordered simplex."""
-
-    def __init__(self, simplex):
-        self.simplex = simplex
-        vs = simplex.vertices
-        affine_weights = _barycentric_affine()
-        self.affine = []
-        for k in range(6):
-            mk = Polynomial.zero(5)
-            for j in range(6):
-                w = vs[j][k]
-                if w:
-                    mk = mk + w * affine_weights[j]
-            self.affine.append(mk)
-        self.z_polys = [_stick_rewrite(mk) for mk in self.affine]
-
-    def apply(self, p):
-        """Pull a 6-variable polynomial back to the cube.
-
-        Composes with the six affine forms by the Horner scheme of
-        ``_compose_affine`` and then rewrites to stick-breaking
-        coordinates.  Horner multiplies only by a linear form, on dense
-        vectors over the monomials of degree <= deg p, so the work grows
-        with that basis and not with the terms of each power product.
-        The coefficients are Python ints, so the result is exact, and it
-        equals ``_stick_rewrite(p.substitute(self.affine))``.
-        """
-        if p.nvars != 6:
-            raise ValueError("expected a 6-variable polynomial")
-        return _stick_rewrite(_compose_affine(p, self.affine))
-
-    def apply_reference(self, p):
-        """Direct substitution of the Z polynomials; slow oracle path."""
-        if p.nvars != 6:
-            raise ValueError("expected a 6-variable polynomial")
-        return p.substitute(self.z_polys)
-
-    def point_image(self, x):
-        """Z(x) for an exact cube point; useful for spot checks."""
-        return tuple(z.evaluate(x) for z in self.z_polys)
+        5, {mons[j]: c for j, c in enumerate(vec.tolist()) if c})
 
 
 _CACHE = {}
 
 
 def build_pullback(simplex):
-    key = simplex.vertices
-    if key not in _CACHE:
-        _CACHE[key] = PullbackMap(simplex)
-    return _CACHE[key]
+    """The six affine forms L_k of an ordered simplex, cached by vertices.
+
+    Form k is (c0, ((i, c), ...)) for L_k = c0 + sum c u_i over 0-based
+    variables i, zero slopes left out: c0 is the first vertex's
+    coordinate k and each slope a difference of consecutive vertices.
+    """
+    vs = simplex.vertices
+    if vs not in _CACHE:
+        _CACHE[vs] = tuple(
+            (vs[0][k], tuple((i, vs[i + 1][k] - vs[i][k]) for i in range(5)
+                             if vs[i + 1][k] != vs[i][k]))
+            for k in range(6))
+    return _CACHE[vs]
+
+
+def point_image(simplex, x):
+    """Z(x), the point of the simplex over an exact cube point x."""
+    u = list(itertools.accumulate(x, operator.mul))
+    return tuple(c0 + sum(c * u[i] for i, c in slopes)
+                 for c0, slopes in build_pullback(simplex))
 
 
 def pullback(p, simplex):
-    """Pull p back to the unit cube through the ordered simplex."""
-    return build_pullback(simplex).apply(p)
+    """Pull a 6-variable polynomial p back to the cube through the simplex.
+
+    Composes with the simplex's six affine forms by the Horner scheme of
+    ``_compose_affine`` and then rewrites to stick-breaking coordinates.
+    Horner multiplies only by a linear form, on dense vectors over the
+    monomials of degree <= deg p, so the work grows with that basis and
+    not with the terms of each power product.  The coefficients are
+    Python ints, so the result is exact.
+    """
+    if p.nvars != 6:
+        raise ValueError("expected a 6-variable polynomial")
+    return _stick_rewrite(_compose_affine(p, build_pullback(simplex)))

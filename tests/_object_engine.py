@@ -33,7 +33,7 @@ class ObjectEngine:
     def from_poly(self, p):
         if p.nvars != 5:
             raise ValueError("expected a 5-variable polynomial")
-        if p.max_variable_degree() > 6:
+        if max(map(max, p.terms), default=0) > 6:
             raise ValueError("per-variable degree exceeds 6")
         cube = np.zeros(SHAPE, dtype=object)
         for exps, c in p.terms.items():

@@ -9,16 +9,43 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetravol.anti_certification import (
-    ASSERTED_BETAS, Witness, _FloatForms, anti_certify, barycentric_block,
+    SNAP_SCALE, Witness, _FloatForms, anti_certify, barycentric_block,
     excluded_chambers, f_value_bordered, full_k4_campaign, g_value_stencil,
-    generate_golden, read_witnesses, snap_point, verify_witness,
-    write_witnesses,
+    read_witnesses, snap_point, verify_witness,
 )
+from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import EdgeSubset, directional_derivative, \
     f_polynomial
 from tetravol.chamber_geometry import build_partitions, certified_chambers
 
 int_points = st.tuples(*[st.integers(-40, 40) for _ in range(6)])
+
+# the cases without a K4 campaign, whose excluded chambers the golden file
+# witnesses, in registry order
+ASSERTED_BETAS = tuple(spec.beta.spec() for spec in case_registry().values()
+                       if spec.campaign_trials == 0)
+
+
+def generate_golden():
+    """One witness per excluded chamber per case; raises if a search fails."""
+    out = []
+    for spec in ASSERTED_BETAS:
+        beta = EdgeSubset.parse(spec)
+        for dec in excluded_chambers(beta):
+            w = anti_certify(dec, beta)
+            if w is None:
+                raise RuntimeError("no witness found for beta=%s chamber=%s"
+                                   % (spec, dec.id))
+            out.append(w)
+    return out
+
+
+def write_witnesses(path, witnesses):
+    with open(path, "w") as fh:
+        fh.write("# anti-certification witnesses: "
+                 "<beta> <chamber-id> <p1..p6> <f-value> <g-value>\n")
+        for w in witnesses:
+            fh.write(w.line() + "\n")
 
 
 def barycentric_sample(rng):
@@ -113,10 +140,17 @@ def test_witness_line_roundtrip():
         Witness.parse("only three fields")
 
 
+def test_a_searched_witness_survives_its_line():
+    # a witness found at a nonzero seed equals the one its line parses to
+    beta = EdgeSubset.parse("12,13")
+    w = anti_certify(excluded_chambers(beta)[0], beta, trials=500, seed=4)
+    assert w is not None
+    assert Witness.parse(w.line()) == w
+
+
 def test_tampered_witness_fails_verification():
     w = read_witnesses()[0]
-    bad = Witness(w.beta, w.chamber, w.point, w.f_value + 1, w.g_value,
-                  w.seed)
+    bad = Witness(w.beta, w.chamber, w.point, w.f_value + 1, w.g_value)
     assert not verify_witness(bad)
 
 
@@ -124,7 +158,9 @@ def test_write_read_roundtrip(tmp_path):
     ws = read_witnesses()[:5]
     path = tmp_path / "w.txt"
     write_witnesses(path, ws)
-    assert read_witnesses(path) == ws
+    packaged = resources.files("tetravol") / "data" / "witnesses.txt"
+    assert path.read_text().splitlines() == \
+        packaged.read_text().splitlines()[:6]
 
 
 def test_anti_certify_is_deterministic():
@@ -160,10 +196,10 @@ def test_sampling_helpers():
     assert all(v >= 0 for v in lam)
     assert abs(sum(lam) - 1.0) < 1e-9
     cell = build_partitions().fortyeight["D_1111"]
-    pt = snap_point(lam, cell.vertices, snap=1000)
+    pt = snap_point(lam, cell.vertices)
     assert all(isinstance(v, int) for v in pt)
     # snapped numerators stay within the scaled hull bounds
-    assert all(0 <= v <= 8 * 1000 for v in pt)
+    assert all(0 <= v <= 8 * SNAP_SCALE for v in pt)
 
 
 @pytest.mark.parametrize("n", [1, 5, 4095, 4096, 4097])

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from tetravol import case_suite_cli as cli
 from tetravol.case_suite_cli import (
-    CaseFunction, CertTask, case_names, case_registry, curve_result,
-    grade_task, lengthen_check, lengthen_margin, quadrature_check,
-    random_tetrahedral, root_face_conditions, root_list_check, run_case,
-    symmetry_cover, _root_triangle,
+    CaseFunction, CertTask, CurveResult, case_names, case_registry,
+    curve_result, grade_task, lengthen_check, lengthen_margin,
+    quadrature_check, random_tetrahedral, root_face_conditions,
+    root_list_check, run_case, symmetry_cover, _root_triangle,
 )
 from tetravol.cayley_menger import is_tetrahedral
 from tetravol.exact_poly import Polynomial
@@ -95,6 +96,26 @@ def test_run_case_three_cycle_end_to_end():
     again = run_case("3-cycle")
     assert again.to_json() == report.to_json()
     assert again.to_text() == text
+
+
+@pytest.mark.parametrize("name, owner, attr, failing", [
+    ("3-cycle", cli, "grade_task", lambda task, cert: "FAIL"),
+    ("3-cycle", cli, "curve_result",
+     lambda beta, check: CurveResult(check.label, 0, -1, 1, 1, False)),
+    ("3-cycle", cli.anticert, "verify_witness", lambda w: False),
+    ("full-K4", cli.anticert, "full_k4_campaign",
+     lambda trials, seed: ([None], 0)),
+])
+def test_one_failed_row_fails_the_case(monkeypatch, name, owner, attr,
+                                       failing):
+    # certify every task in one step, so that only the row under test fails
+    monkeypatch.setattr(cli, "pullback", lambda p, cell: p)
+    monkeypatch.setattr(cli, "certify", lambda p: _mk_cert("Nonnegative", 1))
+    assert run_case(name).passed
+    monkeypatch.setattr(owner, attr, failing)
+    report = run_case(name)
+    assert not report.passed
+    assert report.to_text().splitlines()[-1] == "result: FAIL"
 
 
 # -- monotonicity and root properties ------------------------------------

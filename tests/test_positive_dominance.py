@@ -5,12 +5,18 @@ import dataclasses
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tetravol._kernels import NumpyBackend
+from tetravol._kernels import NumpyBackend, get_backend
 from tetravol.exact_poly import Polynomial
-from tetravol.positive_dominance import Certificate, certify, is_wpd, replay
+from tetravol.positive_dominance import Certificate, certify, replay
 
 X = [Polynomial.variable(5, k) for k in range(5)]
 ONE = Polynomial.constant(5, 1)
+
+
+def is_wpd(p):
+    """True iff every downward-closed box partial sum is nonnegative."""
+    eng = get_backend()
+    return eng.wpd(eng.from_poly(p))
 
 
 def test_nonnegative_coefficients_pass_without_splitting():

@@ -3,16 +3,14 @@
 import itertools
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import directional_derivative, f_polynomial
 from tetravol.chamber_geometry import build_partitions
 from tetravol.exact_poly import Polynomial
-from tetravol.simplex_pullback import (PullbackMap, _compose_affine,
-                                       _stick_rewrite, build_pullback,
-                                       pullback)
+from tetravol.simplex_pullback import (_stick_rewrite, build_pullback,
+                                       point_image, pullback)
 
 
 def _cells():
@@ -27,9 +25,40 @@ def _one_cell_per_level():
             parts.fortyeight["D_1111"]]
 
 
-def _by_substitution(m, p):
+def _affine_images(cell):
+    """The six forms (W V(u))_k as Polynomials, by algebra on V(u).
+
+    The oracle for ``build_pullback``, which reads them off the vertices.
+    """
+    u = [Polynomial.variable(5, j) for j in range(5)]
+    weights = ([Polynomial.constant(5, 1) - u[0]]
+               + [u[j] - u[j + 1] for j in range(4)] + [u[4]])
+    images = []
+    for k in range(6):
+        mk = Polynomial.zero(5)
+        for v, w in zip(cell.vertices, weights):
+            if v[k]:
+                mk = mk + v[k] * w
+        images.append(mk)
+    return images
+
+
+def _linear_form(q):
+    """(c0, ((i, c_i), ...)) for an affine q = c0 + sum c_i u_i."""
+    assert q.total_degree() <= 1
+    slopes = tuple(sorted((e.index(1), c) for e, c in q.terms.items()
+                          if any(e)))
+    return q.coefficient((0,) * q.nvars), slopes
+
+
+def _by_substitution(cell, p):
     """The oracle: compose term by term, then rewrite the exponents."""
-    return _stick_rewrite(p.substitute(m.affine))
+    return _stick_rewrite(p.substitute(_affine_images(cell)))
+
+
+def _apply_reference(cell, p):
+    """Direct substitution of the stick-breaking images Z(x); slow oracle."""
+    return p.substitute([_stick_rewrite(q) for q in _affine_images(cell)])
 
 
 DEGREE6_EXPONENTS = [e for e in itertools.product(range(7), repeat=6)
@@ -57,88 +86,87 @@ cube_points = st.tuples(*[
     for _ in range(5)])
 
 
+def test_forms_equal_the_polynomial_algebra_on_every_cell():
+    parts = build_partitions()
+    cells = [c for level in (parts.three, parts.four, parts.twelve,
+                             parts.fortyeight) for c in level.values()]
+    assert len(cells) == 67
+    cells += [c for spec in case_registry().values()
+              for c in spec.simplices.values()]
+    for cell in cells:
+        assert build_pullback(cell) == tuple(
+            _linear_form(q) for q in _affine_images(cell))
+
+
 def test_cube_corners_map_to_first_and_last_vertex():
     for cell in _cells():
-        m = build_pullback(cell)
-        assert m.point_image((0,) * 5) == cell.vertices[0]
-        assert m.point_image((1,) * 5) == cell.vertices[5]
+        assert point_image(cell, (0,) * 5) == cell.vertices[0]
+        assert point_image(cell, (1,) * 5) == cell.vertices[5]
 
 
 def test_axis_steps_walk_the_vertex_chain():
     cell = _cells()[0]
-    m = build_pullback(cell)
     # setting the first j coordinates to 1 and the rest to 0 gives vertex j
     for j in range(6):
         x = tuple(1 if k < j else 0 for k in range(5))
-        assert m.point_image(x) == cell.vertices[j]
+        assert point_image(cell, x) == cell.vertices[j]
 
 
 @given(cube_points)
 @settings(max_examples=40)
 def test_point_image_stays_inside_the_simplex(x):
     cell = _cells()[0]
-    m = build_pullback(cell)
-    assert cell.contains(m.point_image(x))
+    assert cell.contains(point_image(cell, x))
 
 
 @given(small_polys6(), cube_points)
 @settings(max_examples=40, deadline=None)
 def test_pullback_evaluates_like_composition(p, x):
     cell = _cells()[1]
-    m = build_pullback(cell)
-    assert m.apply(p).evaluate(x) == p.evaluate(m.point_image(x))
+    assert pullback(p, cell).evaluate(x) == p.evaluate(point_image(cell, x))
 
 
 @given(small_polys6(max_deg=2, max_terms=3))
 @settings(max_examples=25, deadline=None)
 def test_fast_and_reference_paths_agree(p):
     cell = _cells()[2]
-    m = PullbackMap(cell)
-    assert m.apply(p) == m.apply_reference(p)
+    assert pullback(p, cell) == _apply_reference(cell, p)
 
 
 def test_horner_matches_substitution_on_every_registry_task():
     for spec in case_registry().values():
         for task in spec.tasks:
-            m = build_pullback(spec.simplices[task.simplex])
+            cell = spec.simplices[task.simplex]
             p = task.func.polynomial(spec.beta)
-            assert m.apply(p) == _by_substitution(m, p)
+            assert pullback(p, cell) == _by_substitution(cell, p)
 
 
 @given(degree6_polys6(), st.sampled_from(range(4)))
 @settings(max_examples=40, deadline=None)
 def test_horner_matches_substitution_past_int64(p, level):
-    m = build_pullback(_one_cell_per_level()[level])
-    assert m.apply(p) == _by_substitution(m, p)
+    cell = _one_cell_per_level()[level]
+    assert pullback(p, cell) == _by_substitution(cell, p)
 
 
 def test_horner_on_the_zero_polynomial_and_a_constant():
     for cell in _one_cell_per_level():
-        m = build_pullback(cell)
         for p in (Polynomial.zero(6), Polynomial.constant(6, -(2 ** 70))):
-            q = m.apply(p)
-            assert q == _by_substitution(m, p)
+            q = pullback(p, cell)
+            assert q == _by_substitution(cell, p)
             assert q == Polynomial.constant(5, p.coefficient((0,) * 6))
-
-
-def test_composition_rejects_an_image_that_is_not_affine():
-    u = Polynomial.variable(2, 0)
-    with pytest.raises(ValueError, match="not affine"):
-        _compose_affine(Polynomial.variable(1, 0), [u * u])
 
 
 def test_reference_path_on_the_determinant():
     cell = _cells()[3]
-    m = PullbackMap(cell)
     g = directional_derivative((0,))
-    assert m.apply(g) == m.apply_reference(g)
+    assert pullback(g, cell) == _apply_reference(cell, g)
 
 
 def test_pullback_keeps_per_variable_degree_bounded():
     # the dominance tester only accepts per-variable degree up to six
     f = f_polynomial()
     for cell in _cells():
-        assert pullback(f, cell).max_variable_degree() <= 6
+        assert max(map(max, pullback(f, cell).terms)) <= 6
 
 
 def test_pullback_of_constants_and_cache():
@@ -152,8 +180,7 @@ def test_pullback_preserves_sign_on_samples():
     f = f_polynomial()
     cell = _cells()[0]
     q = pullback(f, cell)
-    m = build_pullback(cell)
     for x in [(Fraction(1, 2),) * 5,
               (Fraction(1, 3), Fraction(2, 3), 0, 1, Fraction(1, 4))]:
-        assert q.evaluate(x) == f.evaluate(m.point_image(x))
+        assert q.evaluate(x) == f.evaluate(point_image(cell, x))
         assert q.evaluate(x) >= 0
