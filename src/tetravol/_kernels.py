@@ -128,7 +128,7 @@ class NumpyBackend:
             raise ValueError("per-variable degree exceeds 6")
         self._spares = {}  # a root starts a walk
         vals = list(p.terms.values())
-        bits = max((abs(c).bit_length() for c in vals), default=0)
+        bits = max(max(vals, default=0), -min(vals, default=0)).bit_length()
         k = bits // LIMB_BITS + 1
         cube = np.zeros((k,) + shape)
         for i in range(k - 1):

@@ -174,10 +174,12 @@ def f_hat_polynomial():
     return build_f_on_squares()
 
 
+@functools.cache
 def directional_derivative(beta):
-    """Sum of the partials of f over the edges of ``beta``."""
-    if not isinstance(beta, EdgeSubset):
-        beta = EdgeSubset(beta)
+    """Sum of the partials of f over the edges of the EdgeSubset ``beta``.
+
+    Cached: an EdgeSubset hashes and compares by its indices.
+    """
     f = f_polynomial()
     total = Polynomial.zero(6)
     for k in sorted(beta.indices):

@@ -217,12 +217,13 @@ class Polynomial:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
-    def parse(cls, text, nvars=None):
+    def parse(cls, text):
         """Parse the text form; ``#`` starts a comment, blank lines ignored.
 
-        The variable count is inferred from the first term unless given.
-        Duplicate exponent rows are merged.
+        The variable count is that of the first term, so the text must
+        hold at least one.  Duplicate exponent rows are merged.
         """
+        nvars = None
         terms = {}
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -242,6 +243,6 @@ class Polynomial:
                 raise ValueError("negative exponent in %r" % raw)
             terms[exps] = terms.get(exps, 0) + coeff
         if nvars is None:
-            raise ValueError("empty polynomial text needs an explicit nvars")
+            raise ValueError("empty polynomial text")
         return cls(nvars, terms)
 

@@ -20,9 +20,31 @@ exponents.  The composition is a multivariate Horner scheme (Peña and
 Sauer, SIAM J. Numer. Anal. 37, 2000): the terms are grouped by their
 exponent of one variable at a time, and each group is folded in as
 ``acc = acc * L_j + child``, so the only products are by a linear form.
-Every intermediate polynomial is a dense vector of Python ints over the
-monomials in u of total degree at most deg p, so the result is exact at
-any coefficient size and needs no bound check.
+Every intermediate polynomial is a dense vector over the monomials in u
+of total degree at most deg p, and each product by a form is one gather
+and one dot product.
+
+The vectors are int64 when an exact bound allows it and Python ints
+(dtype=object) otherwise.  Write |q| for the sum of the absolute values
+of q's coefficients, N_k = max(1, |L_k|), y_1, ..., y_6 for the
+variables of p, and
+
+    Phi(p) = sum over the terms c * y^e of p of |c| * prod_k N_k^e_k.
+
+Every value the scheme forms has absolute value at most Phi(p).  Take
+one Horner call, on terms T and the forms L_j, L_j+1, ..., and let T_k
+be its group of exponent k in y_j, so that Phi(T) = sum_k Phi(T_k) N_j^k
+with Phi(T_k) taken on the later forms; by induction every value formed
+inside the call for T_k is at most Phi(T_k).  After folding in group k
+the accumulator is A_k = sum over k' >= k of H(T_k') L_j^(k' - k), H
+being the composition, so |A_k| <= sum over k' >= k of Phi(T_k') N_j^(k'-k)
+<= Phi(T) because N_j >= 1.  An entry of A_(k+1) * L_j, and each partial
+sum in its dot product, adds some of the signed terms c_i * a_m whose
+absolute values sum to |A_(k+1)| |L_j| over all entries, so it is at
+most |A_(k+1)| N_j <= Phi(T); and an entry of A_k is one such entry plus
+one of H(T_k), at most |A_(k+1)| N_j + Phi(T_k) <= Phi(T).  So when
+Phi(p) < 2**63 no int64 operation can wrap, and both dtypes give the
+same integers.
 """
 
 from __future__ import annotations
@@ -31,106 +53,99 @@ import functools
 import itertools
 import math
 import operator
-import types
 
 import numpy as np
 
 from .exact_poly import Polynomial
 
 
-def _stick_rewrite(p):
-    """Substitute u_k = x1*...*xk by rewriting exponents as suffix sums.
+@functools.cache
+def _graded_basis(degree):
+    """Monomials of total degree <= degree in 5 variables, and their tables.
 
-    The exponent map is injective, so no two source terms collide.
+    The monomials are listed by total degree, so those of degree <= t
+    are the first C(5 + t, 5); a vector's length thus records the degree
+    bound of the polynomial it holds.  Every vector ends in one more
+    entry, a sentinel slot that holds 0.  ``down[n]`` serves a vector v
+    of length n, so with n - 1 monomials of degree <= t: row j, for
+    monomial j of degree <= t + 1, holds in column 0 the index of that
+    monomial in v and in column i + 1 that of its quotient by u_i, or
+    the sentinel n - 1 where v has no such monomial; the last row, the
+    product's own sentinel slot, holds only n - 1.  So
+    ``v.take(down[n]) @ (c0, c1, ..., c5)`` is v * (c0 + sum c_i u_i).
+    ``stick[j]`` is monomial j's exponent in the cube coordinates x,
+    where u_k = x1*...*xk makes it the suffix sums of u's exponent.
     """
-    out = {}
-    for exps, c in p.terms.items():
-        total = 0
-        suffix = []
-        for e in reversed(exps):
-            total += e
-            suffix.append(total)
-        key = tuple(reversed(suffix))
-        if key in out:
-            raise RuntimeError("stick rewrite collision")
-        out[key] = c
-    return Polynomial(5, out)
-
-
-@functools.lru_cache(maxsize=None)
-def _graded_basis(nvars, degree):
-    """All monomials of total degree <= degree and the tables that shift them.
-
-    The monomials are listed by total degree, so those of degree <= t are
-    the first C(nvars + t, nvars); a vector's length thus records the
-    degree bound of the polynomial it holds, and ``grow`` maps it to the
-    length one degree up.  ``up[i][j]`` is the index of monomial j times
-    u_i, for each monomial j of degree below ``degree``.
-    """
-    mons = [tuple(combo.count(i) for i in range(nvars))
+    mons = [tuple(combo.count(i) for i in range(5))
             for t in range(degree + 1)
-            for combo in itertools.combinations_with_replacement(
-                range(nvars), t)]
+            for combo in itertools.combinations_with_replacement(range(5), t)]
     index = {e: j for j, e in enumerate(mons)}
-    lower = mons[:math.comb(nvars + degree - 1, nvars)]
-    up = []
-    for i in range(nvars):
-        table = np.array([index[e[:i] + (e[i] + 1,) + e[i + 1:]]
-                          for e in lower], dtype=np.intp)
+    down = {}
+    for t in range(degree):
+        n, m = math.comb(5 + t, 5), math.comb(6 + t, 5)
+        table = np.full((m + 1, 6), n, dtype=np.intp)
+        table[:n, 0] = range(n)
+        for j, e in enumerate(mons[:m]):
+            for i in range(5):
+                if e[i]:
+                    table[j, i + 1] = index[e[:i] + (e[i] - 1,) + e[i + 1:]]
         table.flags.writeable = False
-        up.append(table)
-    grow = types.MappingProxyType(
-        {math.comb(nvars + t, nvars): math.comb(nvars + t + 1, nvars)
-         for t in range(degree)})
-    return tuple(mons), tuple(up), grow
+        down[n + 1] = table
+    stick = tuple(tuple(itertools.accumulate(reversed(e)))[::-1]
+                  for e in mons)
+    if len(set(stick)) != len(stick):
+        raise RuntimeError("stick-breaking exponents collide")
+    return stick, down
 
 
-def _times_linear(v, form, up, grow):
-    """The dense vector of v * (c0 + sum c_i u_i), one degree longer."""
-    c0, slopes = form
-    n = len(v)
-    out = np.zeros(grow[n], dtype=object)
-    if c0:
-        out[:n] = c0 * v
-    for i, c in slopes:
-        out[up[i][:n]] += c * v
-    return out
-
-
-def _horner(terms, forms, up, grow):
+def _horner(terms, forms, down):
     """Dense vector of sum c * prod L_j^e_j over (e, c) in terms.
 
     Groups the terms by the exponent of the first remaining variable and
     runs Horner's rule in that variable over the groups' compositions.
     Before the product that folds in the group of exponent k, the
     accumulator has degree at most deg(terms) - k - 1, so no product
-    reaches past the degree of the basis tables.
+    reaches past the degree of the basis tables.  Each product by a form
+    (c0, c1, ..., c5) is one gather through ``down`` and one dot.
     """
-    if not forms:
-        return np.array([terms[0][1]], dtype=object)
+    if not len(forms):
+        return np.array([terms[0][1], 0], dtype=forms.dtype)
     groups = {}
     for e, c in terms:
         groups.setdefault(e[0], []).append((e[1:], c))
     top = max(groups)
-    acc = _horner(groups[top], forms[1:], up, grow)
+    acc = _horner(groups[top], forms[1:], down)
     for k in range(top - 1, -1, -1):
-        acc = _times_linear(acc, forms[0], up, grow)
+        acc = acc.take(down[len(acc)]) @ forms[0]
         if k in groups:
-            child = _horner(groups[k], forms[1:], up, grow)
+            child = _horner(groups[k], forms[1:], down)
             if len(child) > len(acc):
                 acc, child = child, acc
-            acc[:len(child)] += child
+            acc[:len(child)] += child  # child's sentinel slot adds 0
     return acc
 
 
+def _coefficient_bound(p, forms):
+    """Phi(p), which bounds every value the Horner scheme forms."""
+    norms = [max(1, sum(map(abs, form))) for form in forms]
+    return sum(abs(c) * math.prod(map(pow, norms, e))
+               for e, c in p.terms.items())
+
+
 def _compose_affine(p, forms):
-    """p(L_1, ..., L_6) in (u1,...,u5), exactly, for the forms of a simplex."""
+    """p(L_1, ..., L_6) in the cube coordinates x, exactly.
+
+    Runs the Horner scheme on int64 vectors when Phi(p) < 2**63 and on
+    Python ints otherwise (see the module docstring), then renames each
+    monomial of u to its stick-breaking exponent.
+    """
     if p.is_zero():
         return Polynomial.zero(5)
-    mons, up, grow = _graded_basis(5, p.total_degree())
-    vec = _horner(list(p.terms.items()), forms, up, grow)
+    stick, down = _graded_basis(p.total_degree())
+    dtype = np.int64 if _coefficient_bound(p, forms) < 2 ** 63 else object
+    vec = _horner(list(p.terms.items()), np.array(forms, dtype=dtype), down)
     return Polynomial._canonical(
-        5, {mons[j]: c for j, c in enumerate(vec.tolist()) if c})
+        5, {stick[j]: c for j, c in enumerate(vec[:-1].tolist()) if c})
 
 
 _CACHE = {}
@@ -139,36 +154,36 @@ _CACHE = {}
 def build_pullback(simplex):
     """The six affine forms L_k of an ordered simplex, cached by vertices.
 
-    Form k is (c0, ((i, c), ...)) for L_k = c0 + sum c u_i over 0-based
-    variables i, zero slopes left out: c0 is the first vertex's
-    coordinate k and each slope a difference of consecutive vertices.
+    Form k is the tuple (c0, c1, ..., c5) of L_k = c0 + sum c_i u_i,
+    with c0 = v1[k] and c_i = v(i+1)[k] - vi[k] in the module
+    docstring's numbering.
     """
     vs = simplex.vertices
     if vs not in _CACHE:
         _CACHE[vs] = tuple(
-            (vs[0][k], tuple((i, vs[i + 1][k] - vs[i][k]) for i in range(5)
-                             if vs[i + 1][k] != vs[i][k]))
+            (vs[0][k],) + tuple(vs[i + 1][k] - vs[i][k] for i in range(5))
             for k in range(6))
     return _CACHE[vs]
 
 
 def point_image(simplex, x):
     """Z(x), the point of the simplex over an exact cube point x."""
-    u = list(itertools.accumulate(x, operator.mul))
-    return tuple(c0 + sum(c * u[i] for i, c in slopes)
-                 for c0, slopes in build_pullback(simplex))
+    u = (1,) + tuple(itertools.accumulate(x, operator.mul))
+    return tuple(sum(map(operator.mul, form, u))
+                 for form in build_pullback(simplex))
 
 
 def pullback(p, simplex):
     """Pull a 6-variable polynomial p back to the cube through the simplex.
 
     Composes with the simplex's six affine forms by the Horner scheme of
-    ``_compose_affine`` and then rewrites to stick-breaking coordinates.
-    Horner multiplies only by a linear form, on dense vectors over the
-    monomials of degree <= deg p, so the work grows with that basis and
-    not with the terms of each power product.  The coefficients are
-    Python ints, so the result is exact.
+    ``_compose_affine``, which also rewrites to stick-breaking
+    coordinates.  Horner multiplies only by a linear form, on dense
+    vectors over the monomials of degree <= deg p, so the work grows
+    with that basis and not with the terms of each power product.  The
+    result is exact: the vectors hold int64 only under a bound that
+    rules out overflow.
     """
     if p.nvars != 6:
         raise ValueError("expected a 6-variable polynomial")
-    return _stick_rewrite(_compose_affine(p, build_pullback(simplex)))
+    return _compose_affine(p, build_pullback(simplex))

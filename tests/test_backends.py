@@ -27,7 +27,7 @@ from tetravol._kernels import (
     get_backend,
 )
 from tetravol import positive_dominance
-from tetravol.cayley_menger import directional_derivative
+from tetravol.cayley_menger import EdgeSubset, directional_derivative
 from tetravol.chamber_geometry import (
     A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, LatticeSimplex6,
 )
@@ -242,7 +242,8 @@ def _single_edge_cell():
 
 
 def test_recorded_workload_agrees_across_backends():
-    q = pullback(directional_derivative((0,)), _single_edge_cell())
+    q = pullback(directional_derivative(EdgeSubset((0,))),
+                 _single_edge_cell())
     a = certify(q)
     b = _traverse(q, 10 ** 6, ObjectEngine())
     assert a.status == b.status == "Nonnegative"
@@ -275,8 +276,8 @@ class CubeSpy(NumpyBackend):
 def test_every_cube_spans_the_root_degree_box():
     x1, x3 = Polynomial.variable(5, 1), Polynomial.variable(5, 3)
     walks = (
-        (pullback(directional_derivative((0,)), _single_edge_cell()),
-         10 ** 6, 421),
+        (pullback(directional_derivative(EdgeSubset((0,))),
+                  _single_edge_cell()), 10 ** 6, 421),
         ((x1 - x3) ** 2, 60, 60),
         (ZERO_TOP_SUM, 60, 3),
     )
@@ -349,8 +350,8 @@ WIDENING_WALK = WIDENS_ON_DILATE * (Polynomial.variable(5, 1)
 
 def test_walk_never_writes_a_cube_on_its_stack():
     walks = (
-        (pullback(directional_derivative((0,)), _single_edge_cell()),
-         10 ** 6),
+        (pullback(directional_derivative(EdgeSubset((0,))),
+                  _single_edge_cell()), 10 ** 6),
         (WIDENS_ON_DILATE, 60),
         (WIDENING_WALK, 60),
     )

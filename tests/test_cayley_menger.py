@@ -103,11 +103,13 @@ def test_g_is_homogeneous_degree_five(d, lam):
 
 
 def test_directional_derivative_is_additive():
-    singles = [directional_derivative((k,)) for k in range(6)]
+    singles = [directional_derivative(EdgeSubset((k,))) for k in range(6)]
+    # cached by the edge indices, however the subset was built
+    assert directional_derivative(EdgeSubset.parse("12")) is singles[0]
     f = f_polynomial()
     for k in range(6):
         assert singles[k] == f.partial_derivative(k)
-    assert directional_derivative((0, 2, 5)) == (
+    assert directional_derivative(EdgeSubset((0, 2, 5))) == (
         singles[0] + singles[2] + singles[5])
     total = Polynomial.zero(6)
     for s in singles:

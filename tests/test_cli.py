@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from tetravol.case_suite_cli import main
-from tetravol.cayley_menger import directional_derivative, f_polynomial
+from tetravol.cayley_menger import (EdgeSubset, directional_derivative,
+                                    f_polynomial)
 from tetravol.chamber_geometry import build_partitions
 from tetravol.exact_poly import Polynomial
 from tetravol.simplex_pullback import pullback
@@ -63,7 +64,7 @@ def _write_poly(path, p):
 
 def test_certify_file_nonnegative(tmp_path, capsys):
     cell = build_partitions().four["B_1"]
-    comb = 3 * directional_derivative((0, 1, 3)) - f_polynomial()
+    comb = 3 * directional_derivative(EdgeSubset((0, 1, 3))) - f_polynomial()
     _write_poly(tmp_path / "p.poly", pullback(comb, cell))
     code, out, _ = run(capsys, "certify-file", str(tmp_path / "p.poly"))
     assert code == 0
@@ -73,7 +74,7 @@ def test_certify_file_nonnegative(tmp_path, capsys):
 
 def test_certify_file_json_is_the_certificate(tmp_path, capsys):
     cell = build_partitions().four["B_1"]
-    comb = 3 * directional_derivative((0, 1, 3)) - f_polynomial()
+    comb = 3 * directional_derivative(EdgeSubset((0, 1, 3))) - f_polynomial()
     _write_poly(tmp_path / "p.poly", pullback(comb, cell))
     code, out, _ = run(capsys, "certify-file", str(tmp_path / "p.poly"),
                        "--json")
@@ -86,7 +87,8 @@ def test_certify_file_json_is_the_certificate(tmp_path, capsys):
 
 def test_certify_file_negative(tmp_path, capsys):
     cell = build_partitions().twelve["C_21"]
-    comb = 3 * directional_derivative((0, 2, 3)) - 3 * f_polynomial()
+    comb = (3 * directional_derivative(EdgeSubset((0, 2, 3)))
+            - 3 * f_polynomial())
     _write_poly(tmp_path / "n.poly", pullback(comb, cell))
     code, out, _ = run(capsys, "certify-file", str(tmp_path / "n.poly"))
     assert code == 1
@@ -96,7 +98,7 @@ def test_certify_file_negative(tmp_path, capsys):
 
 def test_certify_file_budget_exit(tmp_path, capsys):
     cell = build_partitions().four["B_1"]
-    comb = 3 * directional_derivative((0, 1, 3)) - f_polynomial()
+    comb = 3 * directional_derivative(EdgeSubset((0, 1, 3))) - f_polynomial()
     _write_poly(tmp_path / "p.poly", pullback(comb, cell))
     code, out, _ = run(capsys, "certify-file", str(tmp_path / "p.poly"),
                        "--budget", "5")

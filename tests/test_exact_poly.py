@@ -149,7 +149,12 @@ def test_restrict_curve_needs_one_variable_curves():
 
 @given(small_polys())
 def test_serialize_parse_roundtrip(p):
-    assert Polynomial.parse(p.serialize(), nvars=3) == p
+    if p.is_zero():
+        # empty text holds no term to give the variable count
+        with pytest.raises(ValueError):
+            Polynomial.parse(p.serialize())
+    else:
+        assert Polynomial.parse(p.serialize()) == p
 
 
 def test_parse_rejects_garbage():

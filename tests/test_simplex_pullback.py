@@ -1,16 +1,21 @@
 """Pullback of polynomials onto the unit cube over a lattice simplex."""
 
 import itertools
+import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from tetravol import simplex_pullback
 from tetravol.case_suite_cli import case_registry
-from tetravol.cayley_menger import directional_derivative, f_polynomial
+from tetravol.cayley_menger import (EdgeSubset, directional_derivative,
+                                    f_polynomial)
 from tetravol.chamber_geometry import build_partitions
 from tetravol.exact_poly import Polynomial
-from tetravol.simplex_pullback import (_stick_rewrite, build_pullback,
-                                       point_image, pullback)
+from tetravol.simplex_pullback import (_coefficient_bound, _graded_basis,
+                                       build_pullback, point_image, pullback)
 
 
 def _cells():
@@ -44,11 +49,30 @@ def _affine_images(cell):
 
 
 def _linear_form(q):
-    """(c0, ((i, c_i), ...)) for an affine q = c0 + sum c_i u_i."""
+    """(c0, c1, ..., c5) for an affine q = c0 + sum c_i u_i."""
     assert q.total_degree() <= 1
-    slopes = tuple(sorted((e.index(1), c) for e, c in q.terms.items()
-                          if any(e)))
-    return q.coefficient((0,) * q.nvars), slopes
+    return tuple(q.coefficient(tuple(int(k == i) for k in range(5)))
+                 for i in range(-1, 5))
+
+
+def _stick_rewrite(p):
+    """Substitute u_k = x1*...*xk by rewriting exponents as suffix sums.
+
+    The oracle for the stick-breaking table of ``_graded_basis``.  The
+    exponent map is injective, so no two source terms collide.
+    """
+    out = {}
+    for exps, c in p.terms.items():
+        total = 0
+        suffix = []
+        for e in reversed(exps):
+            total += e
+            suffix.append(total)
+        key = tuple(reversed(suffix))
+        if key in out:
+            raise RuntimeError("stick rewrite collision")
+        out[key] = c
+    return Polynomial(5, out)
 
 
 def _by_substitution(cell, p):
@@ -141,11 +165,106 @@ def test_horner_matches_substitution_on_every_registry_task():
             assert pullback(p, cell) == _by_substitution(cell, p)
 
 
+# Phi >= 2**63 on every cell, so the Horner scheme runs on Python ints
+PAST_INT64 = Polynomial(6, {(1, 0, 2, 0, 0, 3): 2 ** 100 - 1,
+                            (0, 4, 0, 1, 1, 0): -(2 ** 64), (0,) * 6: 5})
+
+
 @given(degree6_polys6(), st.sampled_from(range(4)))
+@example(PAST_INT64, 0)
 @settings(max_examples=40, deadline=None)
 def test_horner_matches_substitution_past_int64(p, level):
     cell = _one_cell_per_level()[level]
     assert pullback(p, cell) == _by_substitution(cell, p)
+
+
+def _dtypes_of(monkeypatch, p, cell):
+    """The pullback of p and the dtypes its Horner scheme ran on."""
+    seen = set()
+    horner = simplex_pullback._horner
+
+    def spy(terms, forms, down):
+        seen.add(forms.dtype)
+        return horner(terms, forms, down)
+
+    with monkeypatch.context() as m:
+        m.setattr(simplex_pullback, "_horner", spy)
+        return pullback(p, cell), seen
+
+
+def test_dtype_switches_at_the_int64_bound(monkeypatch):
+    cell = _cells()[0]
+    int64, obj = np.dtype(np.int64), np.dtype(object)
+    for c, dtype in ((2 ** 63 - 1, int64), (-(2 ** 63 - 1), int64),
+                     (2 ** 63, obj), (-(2 ** 63), obj)):
+        q, seen = _dtypes_of(monkeypatch, Polynomial.constant(6, c), cell)
+        assert seen == {dtype}
+        assert q == Polynomial.constant(5, c)
+    forms = build_pullback(cell)
+    norm = [sum(map(abs, form)) for form in forms]
+    k = max(range(6), key=lambda k: max(map(abs, forms[k])))
+    top = max(map(abs, forms[k]))
+    x = [Polynomial.variable(6, i) for i in range(6)]
+    cases = [((2 ** 63 // top + 1) * x[k], obj),  # int64 would wrap
+             (PAST_INT64, obj)]
+    # c * q has Phi = c * Phi(q), and all norms here are 2 or more
+    for q, phi in ((x[k], norm[k]), (x[k] * x[k], norm[k] ** 2),
+                   (x[k] * x[k - 1], norm[k] * norm[k - 1]),
+                   (x[k] + 1, norm[k] + 1)):
+        c = (2 ** 63 - 1) // phi
+        cases += [(c * q, int64), ((c + 1) * q, obj)]
+    # Phi sums over the terms
+    a = (2 ** 63 - 1) // norm[k] // 2
+    b = 2 ** 63 - 1 - a * norm[k]
+    cases += [(a * x[k] + b, int64), (a * x[k] + b + 1, obj)]
+    for p, dtype in cases:
+        q, seen = _dtypes_of(monkeypatch, p, cell)
+        assert seen == {dtype}
+        assert q == _by_substitution(cell, p)
+
+
+def test_int64_bound_holds_on_registry_tasks_and_endpoint_scan_range():
+    for spec in case_registry().values():
+        for task in spec.tasks:
+            forms = build_pullback(spec.simplices[task.simplex])
+            p = task.func.polynomial(spec.beta)
+            assert _coefficient_bound(p, forms) < 2 ** 63
+    # Phi(a*g + b*f) <= |a| Phi(g) + |b| Phi(f), so one sum covers every
+    # ratio the endpoint scan draws, 1 <= a <= 12 and -6 <= b <= 6
+    f = f_polynomial()
+    cells = build_partitions().fortyeight.values()
+    for mask in range(1, 64):
+        g = directional_derivative(
+            EdgeSubset(k for k in range(6) if mask >> k & 1))
+        for cell in cells:
+            forms = build_pullback(cell)
+            assert (12 * _coefficient_bound(g, forms)
+                    + 6 * _coefficient_bound(f, forms)) < 2 ** 63
+
+
+@pytest.mark.parametrize("degree", range(8))
+def test_graded_basis_tables_match_the_oracles(degree):
+    stick, down = _graded_basis(degree)
+    # the u-exponents, as differences of the suffix sums
+    mons = [tuple(a - b for a, b in zip(s, s[1:] + (0,))) for s in stick]
+    assert sorted(mons) == [e for e in itertools.product(
+        range(degree + 1), repeat=5) if sum(e) <= degree]
+    assert list(map(sum, mons)) == sorted(map(sum, mons))
+    assert _stick_rewrite(
+        Polynomial(5, {e: j + 1 for j, e in enumerate(mons)})) == Polynomial(
+        5, {s: j + 1 for j, s in enumerate(stick)})
+    index = {e: j for j, e in enumerate(mons)}
+    assert len(down) == degree
+    for t in range(degree):
+        n, m = math.comb(5 + t, 5), math.comb(6 + t, 5)
+        table = down[n + 1]
+        assert table.shape == (m + 1, 6)
+        assert (table[m] == n).all()
+        for j, e in enumerate(mons[:m]):
+            assert table[j, 0] == (j if j < n else n)
+            for i in range(5):
+                below = e[:i] + (e[i] - 1,) + e[i + 1:]
+                assert table[j, i + 1] == index.get(below, n)
 
 
 def test_horner_on_the_zero_polynomial_and_a_constant():
@@ -158,7 +277,7 @@ def test_horner_on_the_zero_polynomial_and_a_constant():
 
 def test_reference_path_on_the_determinant():
     cell = _cells()[3]
-    g = directional_derivative((0,))
+    g = directional_derivative(EdgeSubset((0,)))
     assert pullback(g, cell) == _apply_reference(cell, g)
 
 
