@@ -94,11 +94,11 @@ class CurveCheck:
 
 @dataclass(frozen=True)
 class Identity:
+    """A combination pinned to vanish at a point."""
+
     label: str
     point: tuple
-    g_coeff: int
-    f_coeff: int
-    expected: int = 0
+    func: CaseFunction
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ def case_registry():
                        _t_poly(2, -1), -_ONE, -8192, 1),
         ),
         identities=(
-            Identity("3g + f at the A1A2 midpoint", A12, 3, 1),
+            Identity("3g + f at the A1A2 midpoint", A12, CaseFunction(3, 1)),
         ),
         note="the recorded interval starts at 0, but 3g+f is certified "
              "nonnegative and vanishes at the A1A2 midpoint corner, so "
@@ -244,8 +244,8 @@ def case_registry():
             CertTask("C_21", CaseFunction(3, -1), 779),
         ),
         identities=(
-            Identity("4g - 3f at the center", C, 4, -3),
-            Identity("3g - f at A3", A3, 3, -1),
+            Identity("4g - 3f at the center", C, CaseFunction(4, -3)),
+            Identity("3g - f at A3", A3, CaseFunction(3, -1)),
         ),
     ))
 
@@ -276,7 +276,7 @@ def case_registry():
                        _curve(B4, B2, B3), _ONE, _T, -8388608, 7),
         ),
         identities=(
-            Identity("g - f at the center", C, 1, -1),
+            Identity("g - f at the center", C, CaseFunction(1, -1)),
         ),
     ))
 
@@ -347,7 +347,16 @@ class CaseReport:
     witnesses_verified: int = 0
     campaign: dict = None
     note: str = ""
-    passed: bool = True
+
+    @property
+    def passed(self):
+        """No failed task, curve or identity, and no anti-certification
+        obligation left open."""
+        return (all(t.grade != "FAIL" for t in self.tasks)
+                and all(r.ok for r in self.curves + self.identities)
+                and (self.campaign["witnesses"] == 0
+                     if self.campaign is not None
+                     else self.witnesses_verified == self.excluded))
 
     def to_text(self):
         lines = ["case: %s" % self.name,
@@ -457,13 +466,10 @@ def run_case(name, seed=0):
             task.simplex, task.func.label, cert.status, cert.steps,
             task.target, grade_task(task, cert), cert.witness_corner))
     report.curves = [curve_result(spec.beta, check) for check in spec.curves]
-    f = f_polynomial()
-    g = directional_derivative(spec.beta)
     for ident in spec.identities:
-        value = (g.evaluate(ident.point) * ident.g_coeff
-                 + f.evaluate(ident.point) * ident.f_coeff)
-        report.identities.append(IdentityResult(
-            ident.label, value, ident.expected, value == ident.expected))
+        value = ident.func.polynomial(spec.beta).evaluate(ident.point)
+        report.identities.append(IdentityResult(ident.label, value, 0,
+                                                value == 0))
     if spec.campaign_trials:
         trials = spec.campaign_trials
         found, screened = anticert.full_k4_campaign(trials=trials, seed=seed)
@@ -477,11 +483,6 @@ def run_case(name, seed=0):
         report.witnesses_verified = sum(
             1 for dec in excluded
             if dec.id in golden and anticert.verify_witness(golden[dec.id]))
-    report.passed = (
-        all(t.grade != "FAIL" for t in report.tasks)
-        and all(r.ok for r in report.curves + report.identities)
-        and (report.campaign["witnesses"] == 0 if report.campaign is not None
-             else report.witnesses_verified == report.excluded))
     return report
 
 
@@ -577,13 +578,6 @@ def quadrature_check(a, b):
 
 # -- command line --------------------------------------------------------
 
-def _print(args, payload, text):
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
-
-
 def _point_values(args):
     """(point, beta, f, g, in_cone, sorted chamber ids) for eval/explore."""
     point = tuple(args.point)
@@ -599,29 +593,23 @@ def _cmd_eval(args):
                "in_cone": cone, "chambers": chambers}
     text = ("f = %d\ng_{%s} = %d\nin_cone = %s\nchambers = %s"
             % (fv, beta.spec(), gv, cone, " ".join(chambers) or "(none)"))
-    _print(args, payload, text)
-    return 0
+    return 0, payload, text
 
 
 def _cmd_certify_file(args):
     try:
         with open(args.path) as fh:
-            p = Polynomial.parse(fh.read())
+            source = fh.read()
+        cert = certify(Polynomial.parse(source), budget=args.budget)
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 3
-    try:
-        cert = certify(p, budget=args.budget)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
+        return 3, None, None
     lines = ["status: %s" % cert.status, "steps: %d" % cert.steps]
     if cert.status == "NegativeWitness":
         lines.append("corner value: %d" % cert.witness_corner)
         lines.append("lineage: %s" % (cert.witness_lineage,))
-    _print(args, asdict(cert), "\n".join(lines))
-    return {"Nonnegative": 0, "NegativeWitness": 1, "BudgetExhausted": 2}[
-        cert.status]
+    exits = {"Nonnegative": 0, "NegativeWitness": 1, "BudgetExhausted": 2}
+    return exits[cert.status], asdict(cert), "\n".join(lines)
 
 
 def _cmd_partition_check(args):
@@ -636,21 +624,17 @@ def _cmd_partition_check(args):
             "barycenter_identities=%s -> %s"
             % (out["samples"], sum(out["misses"].values()),
                out["cross_mismatches"], ok, "ok" if ok else "FAIL"))
-    _print(args, payload, text)
-    return 0 if ok else 1
+    return (0 if ok else 1), payload, text
 
 
 def _cmd_anticert(args):
     w = anticert.anti_certify(args.chamber, args.beta, trials=args.trials,
                               seed=args.seed)
     if w is None:
-        _print(args, {"found": False},
-               "no witness in %d trials" % args.trials)
-        return 1
+        return 1, {"found": False}, "no witness in %d trials" % args.trials
     payload = {"found": True, "witness": w.line(),
                "reverified": anticert.verify_witness(w)}
-    _print(args, payload, w.line())
-    return 0
+    return 0, payload, w.line()
 
 
 def _cmd_case_list(args):
@@ -662,27 +646,21 @@ def _cmd_case_list(args):
     text = "\n".join("%-13s edges=%-17s chambers=%-2d tasks=%d curves=%d"
                      % (r["name"], r["edges"], r["chambers"], r["tasks"],
                         r["curves"]) for r in rows)
-    _print(args, rows, text)
-    return 0
+    return 0, rows, text
 
 
 def _cmd_case_run(args):
     report = run_case(args.name, seed=args.seed)
-    _print(args, report.to_json(), report.to_text())
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), report.to_json(), report.to_text()
 
 
 def _cmd_case_run_all(args):
     reports = [run_case(name, seed=args.seed) for name in case_registry()]
     ok = all(r.passed for r in reports)
-    if args.json:
-        print(json.dumps({"cases": [r.to_json() for r in reports],
-                          "passed": ok}, sort_keys=True))
-    else:
-        blocks = [r.to_text() for r in reports]
-        blocks.append("all cases: %s" % ("PASS" if ok else "FAIL"))
-        print("\n\n".join(blocks))
-    return 0 if ok else 1
+    payload = {"cases": [r.to_json() for r in reports], "passed": ok}
+    blocks = [r.to_text() for r in reports]
+    blocks.append("all cases: %s" % ("PASS" if ok else "FAIL"))
+    return (0 if ok else 1), payload, "\n\n".join(blocks)
 
 
 def _cmd_lengthen_check(args):
@@ -698,10 +676,9 @@ def _cmd_lengthen_check(args):
     ok = failures == 0 and regular_ok
     payload = {"trials": args.trials, "failures": failures,
                "regular_equality": regular_ok}
-    _print(args, payload,
-           "trials=%d failures=%d regular_equality=%s -> %s"
-           % (args.trials, failures, regular_ok, "ok" if ok else "FAIL"))
-    return 0 if ok else 1
+    return (0 if ok else 1), payload, (
+        "trials=%d failures=%d regular_equality=%s -> %s"
+        % (args.trials, failures, regular_ok, "ok" if ok else "FAIL"))
 
 
 def _cmd_appendix_check(args):
@@ -718,10 +695,9 @@ def _cmd_appendix_check(args):
     ok = quad_fail == 0 and root_fail == 0
     payload = {"trials": args.trials, "quadrature_failures": quad_fail,
                "root_failures": root_fail}
-    _print(args, payload,
-           "trials=%d quadrature_failures=%d root_failures=%d -> %s"
-           % (args.trials, quad_fail, root_fail, "ok" if ok else "FAIL"))
-    return 0 if ok else 1
+    return (0 if ok else 1), payload, (
+        "trials=%d quadrature_failures=%d root_failures=%d -> %s"
+        % (args.trials, quad_fail, root_fail, "ok" if ok else "FAIL"))
 
 
 def _cmd_explore(args):
@@ -742,8 +718,7 @@ def _cmd_explore(args):
     for r in rows:
         lines.append("chamber %s certified=%s" % (r["chamber"],
                                                   r["certified"]))
-    _print(args, payload, "\n".join(lines))
-    return 0
+    return 0, payload, "\n".join(lines)
 
 
 def _positive_int(text):
@@ -859,8 +834,14 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand and print its JSON payload under --json, its
+    text report otherwise; a command that failed before producing a
+    report returns no text and prints nothing on stdout."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    code, payload, text = args.func(args)
+    if text is not None:
+        print(json.dumps(payload, sort_keys=True) if args.json else text)
+    return code
 
 
 if __name__ == "__main__":

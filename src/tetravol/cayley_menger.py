@@ -1,11 +1,11 @@
 """The Cayley-Menger determinant of four points and its edge derivatives.
 
 Coordinates follow the fixed edge order (d12, d13, d14, d23, d24, d34).
-``build_f`` returns the determinant as a degree-6 polynomial in the six
-edge lengths; it equals 288 times the squared volume of the tetrahedron
-with those lengths.  ``directional_derivative`` sums the partials over
-an edge subset, the combination whose sign controls whether lengthening
-those edges grows the volume.
+``f_polynomial`` returns the determinant as a degree-6 polynomial in the
+six edge lengths; it equals 288 times the squared volume of the
+tetrahedron with those lengths.  ``directional_derivative`` sums the
+partials over an edge subset, the combination whose sign controls
+whether lengthening those edges grows the volume.
 """
 
 from __future__ import annotations
@@ -150,28 +150,18 @@ def _bordered_matrix(squares):
     return m
 
 
-def build_f_on_squares():
-    """The determinant as a degree-3 polynomial in the six squared lengths."""
-    squares = [Polynomial.variable(6, k) for k in range(6)]
-    return _det(_bordered_matrix(squares))
-
-
-def build_f():
+@functools.cache
+def f_polynomial():
     """The determinant as a degree-6 polynomial in the six edge lengths."""
     squares = [Polynomial.variable(6, k) ** 2 for k in range(6)]
     return _det(_bordered_matrix(squares))
 
 
 @functools.cache
-def f_polynomial():
-    """Cached build_f()."""
-    return build_f()
-
-
-@functools.cache
 def f_hat_polynomial():
-    """Cached build_f_on_squares()."""
-    return build_f_on_squares()
+    """The determinant as a degree-3 polynomial in the six squared lengths."""
+    squares = [Polynomial.variable(6, k) for k in range(6)]
+    return _det(_bordered_matrix(squares))
 
 
 @functools.cache

@@ -366,37 +366,36 @@ class Partitions:
                     name = "D_%d%d%d%d" % (i, j, k, l)
                     self.fortyeight[name] = LatticeSimplex6(
                         name, [apply_relabel(s, v) for v in seed])
-        self._decoration_of = None
-        self._simplex_of = None
 
-    def decoration_table(self):
-        """Bijection D-simplex name -> decoration.
+    @functools.cached_property
+    def _chamber_maps(self):
+        """(D-simplex name -> decoration, decoration -> D simplex).
 
         Matched by requiring every vertex of the simplex to satisfy the
         decoration's weak inequality system; exactly one of the 48
         systems passes for each simplex.
         """
-        if self._decoration_of is None:
-            decs = decorations()
-            table = {}
-            simplex_of = {}
-            for name, simplex in sorted(self.fortyeight.items()):
-                hits = [d for d in decs
-                        if all(d.membership(v) for v in simplex.vertices)]
-                if len(hits) != 1:
-                    raise RuntimeError(
-                        "%s matches %d decorations" % (name, len(hits)))
-                if hits[0] in simplex_of:
-                    raise RuntimeError("decoration %s matched twice" % hits[0].id)
-                table[name] = hits[0]
-                simplex_of[hits[0]] = simplex
-            self._decoration_of = table
-            self._simplex_of = simplex_of
-        return self._decoration_of
+        decs = decorations()
+        table = {}
+        simplex_of = {}
+        for name, simplex in sorted(self.fortyeight.items()):
+            hits = [d for d in decs
+                    if all(d.membership(v) for v in simplex.vertices)]
+            if len(hits) != 1:
+                raise RuntimeError(
+                    "%s matches %d decorations" % (name, len(hits)))
+            if hits[0] in simplex_of:
+                raise RuntimeError("decoration %s matched twice" % hits[0].id)
+            table[name] = hits[0]
+            simplex_of[hits[0]] = simplex
+        return table, simplex_of
+
+    def decoration_table(self):
+        """Bijection D-simplex name -> decoration."""
+        return self._chamber_maps[0]
 
     def simplex_for_decoration(self, dec):
-        self.decoration_table()
-        return self._simplex_of[dec]
+        return self._chamber_maps[1][dec]
 
 
 @functools.cache

@@ -105,6 +105,8 @@ def test_run_case_three_cycle_end_to_end():
     ("3-cycle", cli.anticert, "verify_witness", lambda w: False),
     ("full-K4", cli.anticert, "full_k4_campaign",
      lambda trials, seed: ([None], 0)),
+    ("tripod", CaseFunction, "polynomial",
+     lambda func, beta: Polynomial.constant(6, 1)),
 ])
 def test_one_failed_row_fails_the_case(monkeypatch, name, owner, attr,
                                        failing):

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from tetravol.cayley_menger import (
     AXIS_PAIRS, EDGES, FACES, VERTEX_EDGES, EdgeIndex, EdgeSubset,
-    build_f, build_f_on_squares, clear_denominators, directional_derivative,
-    f_hat_polynomial, f_polynomial, is_tetrahedral,
+    clear_denominators, directional_derivative, f_hat_polynomial,
+    f_polynomial, is_tetrahedral,
 )
 from tetravol.exact_poly import Polynomial
 
@@ -63,9 +63,10 @@ def test_f_factors_through_squares():
     assert fhat.substitute(squares) == f_polynomial()
 
 
-def test_builders_match_cached_polynomials():
-    assert build_f() == f_polynomial()
-    assert build_f_on_squares() == f_hat_polynomial()
+def test_each_accessor_returns_the_same_object():
+    # callers share one polynomial; a rebuild per call would be waste
+    for accessor in (f_polynomial, f_hat_polynomial):
+        assert accessor() is accessor()
 
 
 def test_known_values():

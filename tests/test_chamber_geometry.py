@@ -229,6 +229,14 @@ def test_decorations_biject_with_the_finest_cells():
     assert names == set(parts.fortyeight)
 
 
+def test_chamber_maps_are_inverse():
+    parts = build_partitions()
+    table = parts.decoration_table()
+    assert table.keys() == parts.fortyeight.keys()
+    for name, cell in parts.fortyeight.items():
+        assert parts.simplex_for_decoration(table[name]) is cell
+
+
 def test_chamber_table_is_built_once():
     decs = decorations()
     assert decorations() is decs

@@ -1,5 +1,7 @@
 """Exit codes and output formats of the command-line interface."""
 
+import argparse
+import functools
 import json
 import os
 import subprocess
@@ -7,7 +9,8 @@ import sys
 
 import pytest
 
-from tetravol.case_suite_cli import main
+from tetravol import case_suite_cli as cli
+from tetravol.case_suite_cli import build_parser, main
 from tetravol.cayley_menger import (EdgeSubset, directional_derivative,
                                     f_polynomial)
 from tetravol.chamber_geometry import build_partitions
@@ -270,3 +273,63 @@ def test_console_script_help():
         assert proc.returncode == 0
         assert "tetravol" in proc.stdout
         assert "case" in proc.stdout
+
+
+# -- one print path ------------------------------------------------------
+
+CONTRACT_CALLS = {
+    "eval": ["eval", "--point", "6", "3", "3", "3", "3", "6"],
+    "certify-file": ["certify-file", "{poly}"],
+    "partition-check": ["partition-check", "--samples", "50",
+                        "--cross-check", "5"],
+    "anticert": ["anticert", "--beta", "12", "--chamber", "p1324b2",
+                 "--trials", "50"],
+    "case list": ["case", "list"],
+    "case run": ["case", "run", "3-cycle"],
+    "case run-all": ["case", "run-all"],
+    "lengthen-check": ["lengthen-check", "--trials", "3"],
+    "appendix-check": ["appendix-check", "--trials", "2"],
+    "explore": ["explore", "--point", "4", "4", "4", "4", "4", "4",
+                "--beta", "12,34"],
+}
+
+# the text and --json runs of a case command share one suite pass
+_run_case_once = functools.cache(cli.run_case)
+
+
+def _leaf_commands(parser, prefix=()):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_commands(sub, prefix + (name,))
+            return
+    yield " ".join(prefix)
+
+
+def test_contract_covers_every_subcommand():
+    assert set(_leaf_commands(build_parser())) == set(CONTRACT_CALLS)
+
+
+@pytest.mark.parametrize("command", list(CONTRACT_CALLS))
+def test_text_and_json_runs_agree_on_the_exit_code(command, tmp_path,
+                                                   capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_case", _run_case_once)
+    _write_poly(tmp_path / "p.poly", Polynomial.constant(5, -1))
+    argv = [str(tmp_path / "p.poly") if a == "{poly}" else a
+            for a in CONTRACT_CALLS[command]]
+    code, text, _ = run(capsys, *argv)
+    json_code, out, _ = run(capsys, *argv, "--json")
+    assert json_code == code
+    assert text.strip() and text.endswith("\n")
+    assert len(out.splitlines()) == 1
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+def test_certify_file_errors_print_nothing_on_stdout(tmp_path, capsys, mode):
+    bad = tmp_path / "bad.poly"
+    bad.write_text("this is not a polynomial")
+    for path in (tmp_path / "missing.poly", bad):
+        code, out, err = run(capsys, "certify-file", str(path), *mode)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
