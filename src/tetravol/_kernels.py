@@ -6,7 +6,7 @@ of a cube into two halves along one axis) run.  A cube is one
 C-contiguous float64 array of shape (k, D0+1, ..., D4+1) holding each
 entry in k limbs (below), D_a being the largest exponent of x_a in the
 root.  It stores the box partial sums S of the coefficients c (S[i] sums
-c[j] over j <= i), made by five prefix passes in ``from_poly``.
+c[j] over j <= i), made in ``from_poly`` by one PREFIX product per axis.
 Subdivision keeps every degree of c (reflection maps its top slab to
 plus or minus itself, dilation scales slabs by nonzero powers of two),
 so each descendant spans the root's degree box; past D_a a box sum is
@@ -21,11 +21,11 @@ iff its top limb is.  Every float is thus an integer times a power of
 two, and float64 arithmetic is exact while every partial sum, counted in
 units of 2^-43 below the top, stays below 2^53, as in FFLAS-FFPACK's
 exact linear algebra over BLAS (Dumas, Giorgi and Pernet, ACM TOMS
-35(3), 2008).  The maps' largest absolute row sums are 21, 64 and 320,
-so a product's partial sums stay below 320 * 2^43 < 2^51.4 units in
-whatever order or FMA the BLAS uses, with room for a carry of at most
-320 (44-bit limbs would leave under one bit to spare, 45 would
-overflow); a prefix pass grows entries at most 7 times.  Each operation
+35(3), 2008).  The largest absolute row sums of PREFIX, REFLECT, DILATE
+and DILATE_REFLECT are 7, 21, 64 and 320, so a product's partial sums
+stay below 320 * 2^43 < 2^51.4 units in whatever order or FMA the BLAS
+uses, with room for a carry of at most 320 (44-bit limbs would leave
+under one bit to spare, 45 would overflow).  Each operation
 ends by carrying low to high, floor(u) passing up from a fraction limb
 u, and splitting a top limb out of range alike: exact at any size.
 
@@ -36,6 +36,7 @@ two per shape, what a split takes, are kept until the next ``from_poly``.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb, prod
 
 import numpy as np
@@ -48,12 +49,14 @@ LIMB = float(1 << LIMB_BITS)
 # coefficient of x^j in (1-x)^e.
 SIGNED_BINOM = np.array([[(-1) ** j * comb(e, j) for j in range(7)]
                          for e in range(7)], dtype=np.int64)
+# PREFIX[n], all-ones lower-triangular, takes coefficients to box sums
+PREFIX = {n: np.tril(np.ones((n, n))) for n in range(1, 8)}
 
 
 def _on_box_sums(m):
-    """P · m · Δ, m acting on box sums; P is all-ones lower-triangular."""
+    """PREFIX · m · Δ: the coefficient map m acting on box sums."""
     n = len(m)
-    return np.tril(np.ones((n, n))) @ m @ (np.eye(n) - np.eye(n, k=-1))
+    return PREFIX[n] @ m @ (np.eye(n) - np.eye(n, k=-1))
 
 
 # REFLECT[n] and DILATE[n] act on the box sums along an axis of extent
@@ -122,22 +125,24 @@ class NumpyBackend:
     def from_poly(self, p):
         if p.nvars != 5:
             raise ValueError("expected a 5-variable polynomial")
-        axes = [list(col) for col in zip(*p.terms)] or [[]] * 5
-        shape = tuple(max(col, default=0) + 1 for col in axes)
+        vals = list(p.terms.values())
+        exps = np.fromiter(chain(*p.terms), np.intp).reshape(-1, 5)
+        shape = tuple((exps.max(axis=0, initial=0) + 1).tolist())
         if max(shape) > 7:
             raise ValueError("per-variable degree exceeds 6")
-        self._spares = {}  # a root starts a walk
-        vals = list(p.terms.values())
-        bits = max(max(vals, default=0), -min(vals, default=0)).bit_length()
-        k = bits // LIMB_BITS + 1
+        k = max(map(abs, vals), default=0).bit_length() // LIMB_BITS + 1
         cube = np.zeros((k,) + shape)
+        rows, flat = cube.reshape(k, -1), np.ravel_multi_index(exps.T, shape)
         for i in range(k - 1):
-            cube[(i, *axes)] = [v % (1 << LIMB_BITS) / LIMB for v in vals]
+            rows[i, flat] = [v % (1 << LIMB_BITS) / LIMB for v in vals]
             vals = [v >> LIMB_BITS for v in vals]
-        cube[(k - 1, *axes)] = vals
-        # each pass grows entries at most 7 times
+        rows[k - 1, flat] = vals
+        # two buffers take turns; a pass that widens needs a new one
+        spare = np.empty_like(cube)
         for a in range(5):
-            cube = _normalize(np.cumsum(cube, axis=a + 1))
+            out = _apply(cube, a, PREFIX, spare)
+            cube, spare = out, cube if out is spare else np.empty_like(out)
+        self._spares = {cube.shape: [spare]}  # for the walk's first split
         return cube
 
     def wpd(self, cube):

@@ -5,10 +5,10 @@ partial sums. ``ObjectEngine`` in ``_object_engine.py`` computes on
 Python ints in the coefficient basis and is the oracle; ``to_poly``
 beside it decodes a limb cube. The limb engine is checked against the
 oracle operation by operation on coefficients at the limb boundaries,
-its per-axis maps are rebuilt in Python ints, and its cubes, which span
-only the root's degree box, are checked to keep that box along whole
-walks. The run-level tests compare whole certify runs with the oracle's
-walk.
+its per-axis maps are rebuilt in Python ints, its root cubes are pinned
+to a construction by ``np.cumsum``, and its cubes, which span only the
+root's degree box, are checked to keep that box along whole walks. The
+run-level tests compare whole certify runs with the oracle's walk.
 """
 
 import hashlib
@@ -17,19 +17,23 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 from operator import le
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tetravol._kernels import (
-    DILATE, DILATE_REFLECT, LIMB, LIMB_BITS, REFLECT, NumpyBackend,
-    get_backend,
+    DILATE, DILATE_REFLECT, LIMB, LIMB_BITS, PREFIX, REFLECT, NumpyBackend,
+    _normalize, get_backend,
 )
 from tetravol import positive_dominance
+from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import EdgeSubset, directional_derivative
 from tetravol.chamber_geometry import (
     A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, LatticeSimplex6,
+    build_partitions,
 )
 from tetravol.exact_poly import Polynomial
 from tetravol.positive_dominance import _traverse, certify, replay
@@ -148,6 +152,93 @@ def test_limb_engine_agrees_with_the_object_oracle(p):
     assert _traverse(p, 60, eng) == _traverse(p, 60, oracle)
 
 
+def cumsum_from_poly(p):
+    """The root cube by five normalized ``np.cumsum`` passes.
+
+    The reference for ``from_poly``, which makes the same passes as
+    PREFIX products through ``_apply``.
+    """
+    axes = [list(col) for col in zip(*p.terms)] or [[]] * 5
+    shape = tuple(max(col, default=0) + 1 for col in axes)
+    vals = list(p.terms.values())
+    bits = max(max(vals, default=0), -min(vals, default=0)).bit_length()
+    k = bits // LIMB_BITS + 1
+    cube = np.zeros((k,) + shape)
+    for i in range(k - 1):
+        cube[(i, *axes)] = [v % (1 << LIMB_BITS) / LIMB for v in vals]
+        vals = [v >> LIMB_BITS for v in vals]
+    cube[(k - 1, *axes)] = vals
+    for a in range(5):
+        cube = _normalize(np.cumsum(cube, axis=a + 1))
+    return cube
+
+
+def assert_cumsum_cube(p):
+    """from_poly gives the cumsum cube, and a spare apart from it."""
+    eng = NumpyBackend()
+    cube, want = eng.from_poly(p), cumsum_from_poly(p)
+    assert cube.shape == want.shape
+    assert np.array_equal(cube, want)
+    assert meets_limb_invariant(cube)
+    # the buffer the passes left over waits for the first split
+    (spare,) = eng._spares[cube.shape]
+    assert not np.shares_memory(spare, cube)
+    return cube
+
+
+def test_registry_roots_match_the_cumsum_construction():
+    roots = [pullback(task.func.polynomial(spec.beta),
+                      spec.simplices[task.simplex])
+             for spec in case_registry().values() for task in spec.tasks]
+    assert len(roots) == 36
+    for p in roots:
+        assert_cumsum_cube(p)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_endpoint_scan_roots_match_the_cumsum_construction(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    ctx = SimpleNamespace(partitions=build_partitions())
+    ops = workloads.make_ops("endpoint-scan", ctx, 1801, 20)
+    shapes = {assert_cumsum_cube(workloads.endpoint_run(ctx, op)[0]).shape
+              for op in ops}
+    # roots of full and of shrunken degree boxes
+    assert shapes == {(1, 7, 7, 7, 7, 5), (1, 6, 6, 6, 6, 4),
+                      (1, 6, 6, 6, 6, 5)}
+
+
+def test_zero_polynomial_is_one_nonnegative_entry():
+    zero = Polynomial.zero(5)
+    assert assert_cumsum_cube(zero).shape == (1,) * 6
+    cert = certify(zero)
+    assert (cert.status, cert.steps) == ("Nonnegative", 1)
+
+
+def test_multi_limb_roots_match_the_cumsum_construction():
+    # WIDENING_WALK's top coefficient is about 2^86: three limbs
+    assert len(assert_cumsum_cube(WIDENING_WALK)) == 3
+    # 2^42 - 1 fits one limb, but its box sums reach 12,005 times that,
+    # about 2^55.6: the first prefix pass widens the cube to two limbs
+    full = Polynomial(5, {e: 2 ** 42 - 1 for e in product(
+        range(7), range(7), range(7), range(7), range(5))})
+    cube = assert_cumsum_cube(full)
+    assert cube.shape == (2, 7, 7, 7, 7, 5)
+    assert to_poly(cube) == full
+
+
+@pytest.mark.parametrize("p, message", [
+    (Polynomial.variable(4, 0), "5-variable"),
+    (Polynomial.variable(6, 5), "5-variable"),
+    (Polynomial(5, {(0, 0, 7, 0, 0): 1}), "degree exceeds 6"),
+])
+def test_from_poly_rejects_what_a_cube_cannot_hold(p, message):
+    with pytest.raises(ValueError, match=message):
+        NumpyBackend().from_poly(p)
+
+
 def test_dilate_takes_a_limb_past_the_edge():
     eng = NumpyBackend()
     cube = eng.from_poly(WIDENS_ON_DILATE)
@@ -175,8 +266,10 @@ def test_limb_width_leaves_float64_headroom():
             for t in table.values()]
     assert max(rows) == 320
     assert fits(max(rows))
-    # from_poly: a prefix pass sums at most the longest axis
-    assert fits(max(DILATE))
+    # from_poly: one row of PREFIX[n] sums at most the longest axis
+    prefix = max(int(abs(t).sum(axis=1).max()) for t in PREFIX.values())
+    assert prefix == 7
+    assert fits(prefix)
     # to_poly: a difference pass subtracts two entries
     assert fits(2)
 
@@ -192,6 +285,8 @@ def test_per_axis_maps_move_coefficient_maps_to_box_sums(n):
     delta = [[(i == j) - (i == j + 1) for j in range(n)] for i in range(n)]
     assert _matmul(ones, delta) == [[int(i == j) for j in range(n)]
                                     for i in range(n)]
+    # from_poly's map: coefficients to box sums
+    assert PREFIX[n].tolist() == ones
     # coefficient maps: x -> 1 - x and x -> x / 2 times 2^(n - 1)
     flip = [[(-1) ** i * comb(j, i) for j in range(n)] for i in range(n)]
     halve = [[2 ** (n - 1 - i) * (i == j) for j in range(n)]
