@@ -131,6 +131,47 @@ def _power_weights(q, k):
     return [w / s for w in u]
 
 
+def _outcomes(decs, beta, rng, trials, cubed_from):
+    """The exact outcome of each float candidate, in trial order.
+
+    Trial t samples the simplex of chamber ``decs[t % len(decs)]``.
+    From trial ``cubed_from`` on, the weights are cubed and renormalized,
+    and from halfway through the rest raised to the fifth power.  Each
+    candidate the float prescreen passes yields a Witness, or None when
+    exact arithmetic or the chamber test rejects it.
+    """
+    parts = build_partitions()
+    simplices = [parts.simplex_for_decoration(d).vertices for d in decs]
+    stack = np.array(simplices, dtype=np.float64)
+    f = f_polynomial()
+    g = directional_derivative(beta)
+    forms = _FloatForms(f, g)
+    fifth_from = cubed_from + (trials - cubed_from) // 2
+    done = 0
+    while done < trials:
+        # big enough to amortize numpy calls, small enough that a search
+        # stopping at an early candidate wastes little float work
+        n = min(1024, trials - done)
+        qs = barycentric_block(rng, n)
+        # on Python floats: their ** is the libm pow the golden file pins
+        for i in range(max(cubed_from - done, 0), n):
+            qs[i] = _power_weights(qs[i].tolist(),
+                                   5 if done + i >= fifth_from else 3)
+        idx = (done + np.arange(n)) % len(decs)
+        fv, gv = forms.at(np.einsum("ij,ijk->ik", qs, stack[idx]))
+        for i in np.nonzero((fv > 0.0) & (gv < 0.0))[0]:
+            dec = decs[idx[i]]
+            point = snap_point(qs[i], simplices[idx[i]])
+            f_exact = f.evaluate(point)
+            g_exact = g.evaluate(point)
+            if (f_exact > 0 and g_exact < 0 and in_cone(point)
+                    and dec.membership(point)):
+                yield Witness(beta.spec(), dec.id, point, f_exact, g_exact)
+            else:
+                yield None
+        done += n
+
+
 def anti_certify(dec, beta, trials=20000, seed=0):
     """Search chamber `dec` for a witness; None after `trials` misses.
 
@@ -143,34 +184,9 @@ def anti_certify(dec, beta, trials=20000, seed=0):
     membership in the chamber cone.  With a fixed seed the outcome is
     reproducible bit for bit.
     """
-    simplex = build_partitions().simplex_for_decoration(dec)
-    verts = simplex.vertices
-    f = f_polynomial()
-    g = directional_derivative(beta)
-    forms = _FloatForms(f, g)
     rng = random.Random("%s|%s|%d" % (beta.spec(), dec.id, seed))
-    vmat = np.array(verts, dtype=np.float64)
-    stage2 = trials // 2
-    stage3 = stage2 + (trials - stage2) // 2
-    chunk = 128
-    done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        qs = barycentric_block(rng, n)
-        # on Python floats: their ** is the libm pow the golden file pins
-        for i in range(max(stage2 - done, 0), n):
-            qs[i] = _power_weights(qs[i].tolist(),
-                                   5 if done + i >= stage3 else 3)
-        fv, gv = forms.at(qs @ vmat)
-        for i in np.nonzero((fv > 0.0) & (gv < 0.0))[0]:
-            point = snap_point(qs[i], verts)
-            f_exact = f.evaluate(point)
-            g_exact = g.evaluate(point)
-            if (f_exact > 0 and g_exact < 0 and in_cone(point)
-                    and dec.membership(point)):
-                return Witness(beta.spec(), dec.id, point, f_exact, g_exact)
-        done += n
-    return None
+    return next(filter(None, _outcomes([dec], beta, rng, trials,
+                                       trials // 2)), None)
 
 
 def excluded_chambers(beta):
@@ -187,37 +203,10 @@ def full_k4_campaign(trials=100000, seed=0):
     prescreen_hits counts float candidates that exact arithmetic then
     rejected.
     """
-    beta = EdgeSubset.full()
-    parts = build_partitions()
-    decs = decorations()
-    f = f_polynomial()
-    g = directional_derivative(beta)
-    forms = _FloatForms(f, g)
     rng = random.Random("K4-campaign|%d" % seed)
-    stack = np.array([np.array(parts.simplex_for_decoration(d).vertices,
-                               dtype=np.float64) for d in decs])
-    witnesses = []
-    screened = 0
-    chunk = 4096
-    done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        qs = barycentric_block(rng, n)
-        idx = (done + np.arange(n)) % len(decs)
-        fv, gv = forms.at(np.einsum("ij,ijk->ik", qs, stack[idx]))
-        for i in np.nonzero((fv > 0.0) & (gv < 0.0))[0]:
-            screened += 1
-            dec = decs[idx[i]]
-            verts = parts.simplex_for_decoration(dec).vertices
-            point = snap_point(qs[i], verts)
-            f_exact = f.evaluate(point)
-            g_exact = g.evaluate(point)
-            if (f_exact > 0 and g_exact < 0 and in_cone(point)
-                    and dec.membership(point)):
-                witnesses.append(Witness(beta.spec(), dec.id, point,
-                                         f_exact, g_exact))
-        done += n
-    return witnesses, screened
+    outcomes = list(_outcomes(decorations(), EdgeSubset.full(), rng, trials,
+                              trials))
+    return [w for w in outcomes if w], len(outcomes)
 
 
 # -- independent evaluation path ----------------------------------------

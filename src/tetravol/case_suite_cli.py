@@ -19,6 +19,7 @@ combinations; its chamber count is the size of its certified region.
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -840,7 +841,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     code, payload, text = args.func(args)
     if text is not None:
-        print(json.dumps(payload, sort_keys=True) if args.json else text)
+        try:
+            print(json.dumps(payload, sort_keys=True) if args.json else text,
+                  flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout: exit as a shell reports SIGPIPE,
+            # 128 + 13, and keep the flush at exit from raising again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
     return code
 
 

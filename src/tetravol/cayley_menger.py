@@ -134,34 +134,26 @@ def _det(matrix):
     return total
 
 
-def _bordered_matrix(squares):
-    """The 5x5 bordered matrix with the given squared-length entries."""
-    one = Polynomial.constant(squares[0].nvars, 1)
-    zero = Polynomial.zero(squares[0].nvars)
+@functools.cache
+def f_hat_polynomial():
+    """The determinant as a degree-3 polynomial in the six squared lengths."""
+    one, zero = Polynomial.constant(6, 1), Polynomial.zero(6)
     m = [[zero, one, one, one, one]]
     for i in range(1, 5):
-        row = [one]
-        for j in range(1, 5):
-            if i == j:
-                row.append(zero)
-            else:
-                row.append(squares[EdgeIndex.of(i, j)])
-        m.append(row)
-    return m
+        m.append([one] + [zero if i == j else
+                          Polynomial.variable(6, EdgeIndex.of(i, j))
+                          for j in range(1, 5)])
+    return _det(m)
 
 
 @functools.cache
 def f_polynomial():
-    """The determinant as a degree-6 polynomial in the six edge lengths."""
-    squares = [Polynomial.variable(6, k) ** 2 for k in range(6)]
-    return _det(_bordered_matrix(squares))
+    """The determinant as a degree-6 polynomial in the six edge lengths.
 
-
-@functools.cache
-def f_hat_polynomial():
-    """The determinant as a degree-3 polynomial in the six squared lengths."""
-    squares = [Polynomial.variable(6, k) for k in range(6)]
-    return _det(_bordered_matrix(squares))
+    f(d) = f_hat(d^2), so each exponent of f_hat doubles.
+    """
+    return Polynomial._canonical(6, {tuple(2 * e for e in exps): c for exps, c
+                                     in f_hat_polynomial().terms.items()})
 
 
 @functools.cache

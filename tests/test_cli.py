@@ -275,6 +275,21 @@ def test_console_script_help():
         assert "case" in proc.stdout
 
 
+def test_a_closed_pipe_exits_141_without_a_traceback():
+    # the read end closes before the child writes, as `| head` can
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tetravol", "case", "list"],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC))
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr
+
+
 # -- one print path ------------------------------------------------------
 
 CONTRACT_CALLS = {
