@@ -14,8 +14,18 @@ from tetravol.exact_poly import Polynomial
 SHAPE = (7,) * 5
 
 
-def to_poly(cube):
-    """The polynomial whose box sums a limb-engine cube holds."""
+def turn(cube, turns):
+    """A contiguous copy of a limb cube with its axes turned turns times."""
+    return np.ascontiguousarray(
+        cube.transpose(0, *[(i + turns) % 5 + 1 for i in range(5)]))
+
+
+def to_poly(cube, turns=0):
+    """The polynomial whose box sums a limb-engine cube holds.
+
+    turns is the number of times the cube's axes have been turned.
+    """
+    cube = turn(cube, -turns)
     # each difference pass grows entries at most 2 times
     for a in range(5):
         cube = _normalize(np.diff(cube, axis=a + 1, prepend=0))

@@ -39,7 +39,7 @@ from tetravol.exact_poly import Polynomial
 from tetravol.positive_dominance import _traverse, certify, replay
 from tetravol.simplex_pullback import pullback
 
-from _object_engine import ObjectEngine, to_poly
+from _object_engine import ObjectEngine, to_poly, turn
 
 
 def test_backend_selection(monkeypatch):
@@ -137,17 +137,22 @@ def test_limb_engine_agrees_with_the_object_oracle(p):
     assert eng.origin_negative(cube) == oracle.origin_negative(ref)
     assert eng.corner_value(cube) == oracle.corner_value(ref)
     for axis in range(5):
-        reflected, dilated = eng.reflect(cube, axis), eng.dilate(cube, axis)
+        # x_axis leads after axis turns, and every operation adds a turn
+        turned = turn(cube, axis)
+        reflected = eng.reflect(turned, axis)
+        dilated = eng.dilate(turned, axis)
         assert meets_limb_invariant(reflected)
         assert meets_limb_invariant(dilated)
-        assert to_poly(reflected) == oracle.to_poly(
+        assert to_poly(reflected, axis + 1) == oracle.to_poly(
             oracle.reflect(ref, axis))
-        assert to_poly(dilated) == oracle.to_poly(oracle.dilate(ref, axis))
-        children = eng.split(cube, axis)
+        assert to_poly(dilated, axis + 1) == oracle.to_poly(
+            oracle.dilate(ref, axis))
+        children = eng.split(turned, axis)
         for child, want in zip(children, oracle.split(ref, axis)):
             assert meets_limb_invariant(child)
-            assert to_poly(child) == oracle.to_poly(want)
-    # no operation writes to its input
+            assert to_poly(child, axis + 1) == oracle.to_poly(want)
+        # no operation writes to its input
+        assert np.array_equal(turned, turn(before, axis))
     assert np.array_equal(cube, before)
     assert _traverse(p, 60, eng) == _traverse(p, 60, oracle)
 
@@ -181,7 +186,7 @@ def assert_cumsum_cube(p):
     assert np.array_equal(cube, want)
     assert meets_limb_invariant(cube)
     # the buffer the passes left over waits for the first split
-    (spare,) = eng._spares[cube.shape]
+    (spare,) = eng._spares[cube.size]
     assert not np.shares_memory(spare, cube)
     return cube
 
@@ -350,7 +355,9 @@ def test_recorded_workload_agrees_across_backends():
 class CubeSpy(NumpyBackend):
     """The limb engine, keeping a copy of every cube the walk gets from it.
 
-    Copies, because the walk hands its cubes back to be overwritten.
+    Copies, because the walk hands its cubes back to be overwritten;
+    each with the turns of its axes, which the walk splits on x_axis at
+    depth axis (mod 5) and so gives both children axis + 1.
     """
 
     def __init__(self):
@@ -359,12 +366,13 @@ class CubeSpy(NumpyBackend):
 
     def from_poly(self, p):
         cube = super().from_poly(p)
-        self.cubes.append(cube.copy())
+        self.cubes.append((0, cube.copy()))
         return cube
 
     def split(self, cube, axis):
         children = super().split(cube, axis)
-        self.cubes.extend(child.copy() for child in children)
+        self.cubes.extend(((axis + 1) % 5, child.copy())
+                          for child in children)
         return children
 
 
@@ -382,13 +390,52 @@ def test_every_cube_spans_the_root_degree_box():
         assert cert.steps == steps
         # the root and both children of every split
         assert len(spy.cubes) == 1 + 2 * cert.subdivisions
-        root = spy.cubes[0]
-        for cube in spy.cubes:
-            assert cube.shape[1:] == root.shape[1:]
+        root = spy.cubes[0][1]
+        for turns, cube in spy.cubes:
+            assert cube.shape[1:] == turn(root, turns).shape[1:]
             # the maps read the top exponent as extent - 1 on every axis
-            terms = to_poly(cube).terms
+            terms = to_poly(cube, turns).terms
             assert [max(e[a] for e in terms) for a in range(5)] == [
                 n - 1 for n in root.shape[1:]]
+
+
+class OracleSpy(ObjectEngine):
+    """The object oracle, keeping every cube the walk gets from it."""
+
+    def __init__(self):
+        self.cubes = []
+
+    def from_poly(self, p):
+        cube = super().from_poly(p)
+        self.cubes.append(cube)
+        return cube
+
+    def split(self, cube, axis):
+        children = super().split(cube, axis)
+        self.cubes.extend(children)
+        return children
+
+
+def test_a_walk_over_five_distinct_extents_turns_its_axes():
+    # extents 7, 6, 5, 4 and 3, so a turn that goes astray between any
+    # two axes changes a shape. (x1 - x3)^2 vanishes on a diagonal, so
+    # the walk never certifies: in 60 steps it splits 11 levels deep,
+    # and its cubes widen from one limb to two
+    x = [Polynomial.variable(5, a) for a in range(5)]
+    p = ((x[1] - x[3]) ** 2 + x[0] ** 6 + x[1] ** 5 + x[2] ** 4
+         + x[3] ** 3 + x[4] ** 2)
+    spy, oracle = CubeSpy(), OracleSpy()
+    cert = _traverse(p, 60, spy)
+    assert cert == _traverse(p, 60, oracle)
+    assert (cert.status, cert.max_depth) == ("BudgetExhausted", 11)
+    extents = spy.cubes[0][1].shape[1:]
+    assert extents == (7, 6, 5, 4, 3)
+    assert {len(cube) for _, cube in spy.cubes} == {1, 2}
+    assert len(spy.cubes) == len(oracle.cubes) == 1 + 2 * cert.subdivisions
+    for (turns, cube), ref in zip(spy.cubes, oracle.cubes):
+        # a cube at depth d has turned d times (mod 5)
+        assert cube.shape[1:] == extents[turns:] + extents[:turns]
+        assert to_poly(cube, turns) == oracle.to_poly(ref)
 
 
 class WalkSpy(NumpyBackend):
@@ -397,7 +444,8 @@ class WalkSpy(NumpyBackend):
     Every cube gets a digest when the engine hands it out, that is when
     the walk pushes it, and is checked against it when the walk pops it
     and reads its origin. ``fresh`` counts the arrays the engine handed
-    out that it had not handed out before in this walk.
+    out whose memory it had not handed out before in this walk; a
+    recycled array comes back as a view of it in its new shape.
     """
 
     def __init__(self):
@@ -409,10 +457,11 @@ class WalkSpy(NumpyBackend):
     def _hand_out(self, cube):
         self.pushed[id(cube)] = (cube.shape,
                                  hashlib.sha256(cube.tobytes()).digest())
-        known = self.seen.get(id(cube))
-        if known is None or known() is not cube:
+        owner = cube if cube.base is None else cube.base
+        known = self.seen.get(id(owner))
+        if known is None or known() is not owner:
             self.fresh += 1
-            self.seen[id(cube)] = weakref.ref(cube)
+            self.seen[id(owner)] = weakref.ref(owner)
         return cube
 
     def from_poly(self, p):
@@ -433,7 +482,7 @@ class WalkSpy(NumpyBackend):
         assert id(cube) not in self.pushed
         super().recycle(cube)
         # and the engine keeps at most the two spares one split takes
-        assert len(self._spares[cube.shape]) <= 2
+        assert len(self._spares[cube.size]) <= 2
 
 
 # WIDENS_ON_DILATE is WPD at its root; times (x1 - x3)^2, which never
@@ -468,18 +517,19 @@ def test_walk_never_writes_a_cube_on_its_stack():
     # of its 421 cubes are fresh
     assert single_edge.popped == 421 and single_edge.fresh <= 421 // 3
     # the widening walk recycled cubes of every limb count it crossed
-    assert {shape[0] for shape in widening._spares} == {3, 4, 5}
+    box = NumpyBackend().from_poly(WIDENING_WALK)[0].size
+    assert {size // box for size in widening._spares} == {3, 4, 5}
 
 
 def test_split_never_writes_its_input():
     eng = NumpyBackend()
-    # a walk leaves the engine holding spares of the cube shapes it used
+    # a walk leaves the engine holding spares of the cube sizes it used
     _traverse(WIDENING_WALK, 60, eng)
-    shapes = [shape for shape, cubes in eng._spares.items() if cubes]
-    assert len(shapes) >= 3
-    for shape in shapes:
-        # an input of each shape that holds spares, not itself a spare
-        cube = eng._spares[shape][0].copy()
+    sizes = [size for size, cubes in eng._spares.items() if cubes]
+    assert len(sizes) >= 3
+    for size in sizes:
+        # an input of each size that holds spares, not itself a spare
+        cube = eng._spares[size][0].copy()
         before = cube.copy()
         for axis in range(5):
             children = eng.split(cube, axis)
