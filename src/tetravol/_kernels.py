@@ -72,7 +72,7 @@ DILATE_REFLECT = {n: DILATE[n] @ REFLECT[n] for n in range(1, 8)}
 PREFIX_T, REFLECT_T, DILATE_T, DILATE_REFLECT_T = (
     {n: np.ascontiguousarray(m.T) for n, m in table.items()}
     for table in (PREFIX, REFLECT, DILATE, DILATE_REFLECT))
-# _normalize's carry: one scratch slab per slab size
+# _normalize's carry, one scratch slab per size: calls must not overlap
 _carry_slab = cache(np.empty)
 
 

@@ -509,7 +509,7 @@ def test_walk_never_writes_a_cube_on_its_stack():
         assert len(spy.pushed) == 1 + 2 * cert.subdivisions - cert.steps
         # without reuse a walk allocates the root and both halves of
         # every split; with it, fewer, though no cube on the stack and
-        # at most two spares per shape are kept
+        # at most two spares per size are kept
         assert spy.fresh < 1 + 2 * cert.subdivisions or spy.fresh == 1
         spies.append(spy)
     single_edge, _, widening = spies
