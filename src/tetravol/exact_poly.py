@@ -69,9 +69,6 @@ class Polynomial:
         """Largest sum of exponents, or -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def coefficient(self, exponents):
-        return self.terms.get(tuple(exponents), 0)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):

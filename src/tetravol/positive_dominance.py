@@ -9,13 +9,16 @@ dilation of its reflection, both rescaled by a power of two to stay
 integral.
 
 One walk, ``_traverse``, does all of this: it drives a LIFO work list
-of cubes until every leaf is WPD, a cube goes negative at the origin
-(yielding an exact negative witness), or a step budget runs out, and it
-records one action per step ('S' split, 'W' WPD leaf, 'N' negative
-origin).  ``certify`` runs it once.  ``replay`` runs it again under the
-certificate's budget, stopping at the first action that differs from
-the recorded ones, and accepts only when the walk re-derives the whole
-certificate: status, counters, histogram, actions and witness.
+of cubes and their depths until every leaf is WPD, a cube goes negative
+at the origin (yielding an exact negative witness), or a step budget
+runs out, and it records one action per step ('S' split, 'W' WPD leaf,
+'N' negative origin).  The actions are the split tree in preorder, so
+``_read`` reads the counters, the histogram and the witness lineage off
+them alone.  ``certify`` runs the walk once.  ``replay`` runs it again
+under the certificate's budget, stopping at the first action that
+differs from the recorded ones, and accepts only when the walk
+re-derives the whole certificate: status, counters, histogram, actions
+and witness.
 
 Both run on the float64 limb engine of ``_kernels``, which widens a cube
 instead of overflowing, so a walk is exact at any coefficient size.
@@ -27,10 +30,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ._kernels import get_backend
-
-
-def _lineage_str(lineage):
-    return ",".join("%s%d" % (side, axis) for axis, side in lineage)
 
 
 @dataclass
@@ -71,43 +70,47 @@ def replay(p, certificate):
 
 def _traverse(p, budget, eng, expect=None):
     """The subdivision walk; None as soon as an action differs from expect."""
-    stack = [(eng.from_poly(p), ())]
-    steps = wpd_tests = subdivisions = 0
-    max_depth = 0
-    hist = [0] * 5
+    stack = [(eng.from_poly(p), 0)]
     actions = []
-
-    def outcome(status, **witness):
-        return Certificate(status, steps, wpd_tests, subdivisions,
-                           max_depth, tuple(hist), "".join(actions),
-                           budget=budget, **witness)
-
     while stack:
-        if steps >= budget:
-            return outcome("BudgetExhausted")
-        cube, lineage = stack.pop()
-        steps += 1
+        if len(actions) >= budget:
+            return _read("BudgetExhausted", actions, budget)
+        cube, depth = stack.pop()
         if eng.origin_negative(cube):
             act = "N"
         else:
-            wpd_tests += 1
             act = "W" if eng.wpd(cube) else "S"
-        if expect is not None and expect[steps - 1:steps] != act:
+        if expect is not None and not expect.startswith(act, len(actions)):
             return None
         actions.append(act)
         if act == "N":
-            return outcome("NegativeWitness",
-                           witness_lineage=_lineage_str(lineage),
-                           witness_corner=eng.corner_value(cube))
-        if act == "W":
-            eng.recycle(cube)
-            continue
-        subdivisions += 1
-        j = len(lineage) % 5
-        hist[j] += 1
-        left, right = eng.split(cube, j)
+            return _read("NegativeWitness", actions, budget,
+                         eng.corner_value(cube))
+        if act == "S":
+            stack += zip(eng.split(cube, depth % 5), (depth + 1, depth + 1))
         eng.recycle(cube)
-        max_depth = max(max_depth, len(lineage) + 1)
-        stack.append((left, lineage + ((j, "L"),)))
-        stack.append((right, lineage + ((j, "R"),)))
-    return outcome("Nonnegative")
+    return _read("Nonnegative", actions, budget)
+
+
+def _read(status, actions, budget, corner=None):
+    """The certificate of a walk that stopped in status after actions.
+
+    The actions list the split tree in the walk's preorder, right child
+    first, so a stack of paths (one "L" or "R" per level, level k
+    splitting axis k % 5) visits the nodes in the walk's order, and a
+    witness is the last node visited.
+    """
+    actions = "".join(actions)
+    stack, path, depths = [""], "", []
+    for act in actions:
+        path = stack.pop()
+        if act == "S":
+            depths.append(len(path))
+            stack += (path + "L", path + "R")
+    axes = [depth % 5 for depth in depths]
+    lineage = ",".join("%s%d" % (side, k % 5) for k, side in enumerate(path))
+    return Certificate(
+        status, len(actions), len(actions) - actions.count("N"), len(depths),
+        max(depths, default=-1) + 1, tuple(map(axes.count, range(5))),
+        actions, lineage if status == "NegativeWitness" else None, corner,
+        budget)

@@ -148,22 +148,16 @@ def _compose_affine(p, forms):
         5, {stick[j]: c for j, c in enumerate(vec[:-1].tolist()) if c})
 
 
-_CACHE = {}
-
-
 def build_pullback(simplex):
-    """The six affine forms L_k of an ordered simplex, cached by vertices.
+    """The six affine forms L_k of an ordered simplex, read off its vertices.
 
     Form k is the tuple (c0, c1, ..., c5) of L_k = c0 + sum c_i u_i,
     with c0 = v1[k] and c_i = v(i+1)[k] - vi[k] in the module
     docstring's numbering.
     """
     vs = simplex.vertices
-    if vs not in _CACHE:
-        _CACHE[vs] = tuple(
-            (vs[0][k],) + tuple(vs[i + 1][k] - vs[i][k] for i in range(5))
-            for k in range(6))
-    return _CACHE[vs]
+    return tuple((vs[0][k],) + tuple(vs[i + 1][k] - vs[i][k] for i in range(5))
+                 for k in range(6))
 
 
 def point_image(simplex, x):

@@ -27,7 +27,7 @@ points3 = st.tuples(st.integers(-6, 6), st.integers(-6, 6),
 def test_constructor_drops_zero_terms():
     p = Polynomial(2, {(1, 0): 3, (0, 1): 0})
     assert len(p.terms) == 1
-    assert p.coefficient((0, 1)) == 0
+    assert p.terms.get((0, 1), 0) == 0
 
 
 def test_variable_and_constant():

@@ -1,13 +1,17 @@
 """Certifier behavior on synthetic cube polynomials."""
 
 import dataclasses
+import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tetravol._kernels import NumpyBackend, get_backend
 from tetravol.exact_poly import Polynomial
-from tetravol.positive_dominance import Certificate, certify, replay
+from tetravol.positive_dominance import (Certificate, _read, _traverse,
+                                         certify, replay)
 
 X = [Polynomial.variable(5, k) for k in range(5)]
 ONE = Polynomial.constant(5, 1)
@@ -151,3 +155,96 @@ def test_replay_rejects_certificate_for_a_different_polynomial():
     other = 3 * X[0] * X[1] + ONE
     assert not replay(p, certify(other))
 
+
+CERTIFICATES = (Path(__file__).resolve().parents[1] / "perfbench"
+                / "reference" / "certificates.json")
+
+
+def test_reader_rebuilds_every_recorded_certificate():
+    # from status, actions, budget and corner alone: no walk runs
+    recorded = json.loads(CERTIFICATES.read_text())
+    assert len(recorded) == 36
+    for rec in recorded.values():
+        # run-length encoded: "S3W2N" is "SSSWWN"
+        actions = "".join(ch * int(n or 1) for ch, n in
+                          re.findall(r"([NSW])(\d*)", rec["actions"]))
+        cert = _read(rec["status"], actions, rec["budget"],
+                     rec["witness_corner"])
+        assert dataclasses.asdict(cert) == {
+            **rec, "actions": actions, "histogram": tuple(rec["histogram"])}
+
+
+class TreeSpy(NumpyBackend):
+    """The limb engine, recording the split tree as the walk grows it.
+
+    Each cube it hands out gets its path from the root, one (side, axis)
+    pair per split, the first child of a split being "L"; ``popped`` is
+    the path of the last cube whose origin the walk read.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.paths = {}
+        self.splits = []
+        self.wpd_calls = 0
+        self.popped = None
+
+    def from_poly(self, p):
+        cube = super().from_poly(p)
+        self.paths[id(cube)] = ()
+        return cube
+
+    def origin_negative(self, cube):
+        self.popped = self.paths[id(cube)]
+        return super().origin_negative(cube)
+
+    def wpd(self, cube):
+        self.wpd_calls += 1
+        return super().wpd(cube)
+
+    def split(self, cube, axis):
+        path = self.paths[id(cube)]
+        self.splits.append((axis, len(path)))
+        children = super().split(cube, axis)
+        for side, child in zip("LR", children):
+            self.paths[id(child)] = path + ((side, axis),)
+        return children
+
+
+def assert_read_matches_the_spy(p, budget):
+    spy = TreeSpy()
+    cert = _traverse(p, budget, spy)
+    assert cert == certify(p, budget)
+    assert cert.wpd_tests == spy.wpd_calls
+    assert cert.subdivisions == len(spy.splits)
+    assert all(axis == depth % 5 for axis, depth in spy.splits)
+    assert cert.histogram == tuple(
+        sum(axis == j for axis, _ in spy.splits) for j in range(5))
+    assert cert.max_depth == max(
+        (depth + 1 for _, depth in spy.splits), default=0)
+    if cert.status == "NegativeWitness":
+        assert cert.witness_lineage == ",".join(
+            "%s%d" % step for step in spy.popped)
+    else:
+        assert cert.witness_lineage is None
+    return cert
+
+
+@given(polys5_positive_at_origin(), st.integers(1, 200))
+@settings(max_examples=40, deadline=None)
+def test_read_agrees_with_an_instrumented_walk(p, budget):
+    assert_read_matches_the_spy(p, budget)
+
+
+def test_the_instrumented_walk_reaches_every_status():
+    square = X[0] * X[0] - 2 * X[0] + ONE
+    # WPD leaves come before the witness, whose lineage takes both sides
+    dip = Polynomial(5, {(1, 0, 0, 1, 0): 13, (0, 0, 2, 0, 1): 28,
+                         (1, 2, 1, 2, 1): 15, (1, 1, 0, 0, 2): -10,
+                         (0, 0, 0, 0, 0): 2})
+    diag = (X[1] - X[3]) * (X[1] - X[3])
+    assert assert_read_matches_the_spy(square, 200).status == "Nonnegative"
+    witness = assert_read_matches_the_spy(dip, 200)
+    assert (witness.status, witness.steps) == ("NegativeWitness", 32)
+    assert witness.witness_lineage == "R0,R1,R2,L3,R4,L0,L1,R2"
+    assert assert_read_matches_the_spy(diag, 200).status == "BudgetExhausted"

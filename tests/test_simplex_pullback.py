@@ -12,7 +12,7 @@ from tetravol import simplex_pullback
 from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import (EdgeSubset, directional_derivative,
                                     f_polynomial)
-from tetravol.chamber_geometry import build_partitions
+from tetravol.chamber_geometry import LatticeSimplex6, build_partitions
 from tetravol.exact_poly import Polynomial
 from tetravol.simplex_pullback import (_coefficient_bound, _graded_basis,
                                        build_pullback, point_image, pullback)
@@ -51,7 +51,7 @@ def _affine_images(cell):
 def _linear_form(q):
     """(c0, c1, ..., c5) for an affine q = c0 + sum c_i u_i."""
     assert q.total_degree() <= 1
-    return tuple(q.coefficient(tuple(int(k == i) for k in range(5)))
+    return tuple(q.terms.get(tuple(int(k == i) for k in range(5)), 0)
                  for i in range(-1, 5))
 
 
@@ -272,7 +272,7 @@ def test_horner_on_the_zero_polynomial_and_a_constant():
         for p in (Polynomial.zero(6), Polynomial.constant(6, -(2 ** 70))):
             q = pullback(p, cell)
             assert q == _by_substitution(cell, p)
-            assert q == Polynomial.constant(5, p.coefficient((0,) * 6))
+            assert q == Polynomial.constant(5, p.terms.get((0,) * 6, 0))
 
 
 def test_reference_path_on_the_determinant():
@@ -288,11 +288,13 @@ def test_pullback_keeps_per_variable_degree_bounded():
         assert max(map(max, pullback(f, cell).terms)) <= 6
 
 
-def test_pullback_of_constants_and_cache():
+def test_pullback_of_constants_and_forms_by_vertices():
     cell = _cells()[0]
     one = Polynomial.constant(6, 7)
     assert pullback(one, cell) == Polynomial.constant(5, 7)
-    assert build_pullback(cell) is build_pullback(cell)
+    # the forms depend on the ordered vertices alone, not on the name
+    assert build_pullback(cell) == build_pullback(
+        LatticeSimplex6("copy", cell.vertices))
 
 
 def test_pullback_preserves_sign_on_samples():
