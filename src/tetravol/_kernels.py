@@ -18,19 +18,20 @@ times: x_(d mod 5), which the walk splits into DILATE[n] and DILATE[n] @
 REFLECT[n] of S, leads.
 
 Limbs 0..k-2 hold fractions r * 2^-43, r an integer in [0, 2^43), and
-the signed top limb an integer with |top| < 2^43, so a value is negative
-iff its top limb is.  Every float is thus an integer times a power of
-two, and float64 arithmetic is exact while every partial sum, counted in
-units of 2^-43 below the top, stays below 2^53, as in FFLAS-FFPACK's
-exact linear algebra over BLAS (Dumas, Giorgi and Pernet, ACM TOMS
-35(3), 2008).  The largest absolute row sums of PREFIX, REFLECT, DILATE
-and DILATE_REFLECT, whose transposes are the products' right factors,
-are 7, 21, 64 and 320, so a product's partial sums stay below
-320 * 2^43 < 2^51.4 units in whatever order or FMA the BLAS uses, with
-room for a carry of at most 320 (44-bit limbs would leave under one bit
-to spare, 45 would overflow).  Each operation ends by carrying low to
-high, floor(u) passing up from a fraction limb u, and splitting a top
-limb out of range alike: exact at any size.
+the signed top limb an integer, so a value is negative iff its top limb
+is.  Every float is thus an integer times a power of two, and float64
+arithmetic is exact while every partial sum, counted in units of 2^-43
+below the top, stays below 2^53, as in FFLAS-FFPACK's exact linear
+algebra over BLAS (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  The
+largest absolute row sums of PREFIX, REFLECT, DILATE and DILATE_REFLECT,
+whose transposes are the products' right factors, are 7, 21, 64 and 320,
+so a product's partial sums stay below 320 * 2^43 < 2^51.4 units, in
+whatever order or FMA the BLAS uses, if its input's top limb is below
+2^43, with room for a carry of at most 320 (44-bit limbs would leave
+under one bit to spare, 45 would overflow).  It ends by carrying low to
+high, floor(u) passing up from a fraction limb u, and keeps a top below
+320 * 2^43 + 320, whose sign is all WPD reads.  Inputs and roots are
+fitted (``_fit``): a top out of range splits alike into one more limb.
 
 The walk hands back (``recycle``) each cube it has tested or split, and
 products write into those, saving fresh arrays' page faults; two per
@@ -68,12 +69,12 @@ REFLECT = {n: _on_box_sums(SIGNED_BINOM[:n, :n].T) for n in range(1, 8)}
 DILATE = {n: _on_box_sums(np.diag(1 << np.arange(n - 1, -1, -1)))
           for n in range(1, 8)}
 DILATE_REFLECT = {n: DILATE[n] @ REFLECT[n] for n in range(1, 8)}
-# the right factors of _apply: each map's C-contiguous transpose
+# the right factors of _turn's products: each map's C-contiguous transpose
 PREFIX_T, REFLECT_T, DILATE_T, DILATE_REFLECT_T = (
     {n: np.ascontiguousarray(m.T) for n, m in table.items()}
     for table in (PREFIX, REFLECT, DILATE, DILATE_REFLECT))
-# _normalize's carry, one scratch slab per size: calls must not overlap
-_carry_slab = cache(np.empty)
+# _normalize's carry, one scratch row per size: calls must not overlap
+_carry_row = cache(np.empty)
 
 
 def _value(limbs):
@@ -85,34 +86,28 @@ def _value(limbs):
 
 
 def _normalize(cube):
-    """Carry limbs low to high, then widen once if the top limb is out.
-
-    Takes a float64 limb array of integers below 2^53, in units of 2^-43
-    below the top, whose carries fit in the limb above, and returns an
-    array that meets the limb invariant, in place unless it widens.
-    """
-    carry = _carry_slab(cube[0].size).reshape(cube.shape[1:])
-    for i in range(len(cube) - 1):
-        np.floor(cube[i], out=carry)
-        cube[i] -= carry
-        cube[i + 1] += carry if i == len(cube) - 2 else np.divide(
+    """Carry limbs low to high, in place, into a top limb of any size:
+    exact on integers below 2^53, in units of 2^-43 below the top, whose
+    carries fit in the limb above."""
+    rows = cube.reshape(len(cube), -1)
+    carry = _carry_row(rows.shape[1])
+    for i in range(len(rows) - 1):
+        np.floor(rows[i], out=carry)
+        rows[i] -= carry
+        rows[i + 1] += carry if i == len(rows) - 2 else np.divide(
             carry, LIMB, out=carry)
-    top = cube[-1]
-    if top.max() >= LIMB or top.min() <= -LIMB:
-        # floor division: a negative top becomes a nonnegative limb
-        # under a negative carry, which is at most 2^10 in magnitude
-        np.floor(np.divide(top, LIMB, out=top), out=carry)
-        top -= carry
-        cube = np.concatenate((cube, carry[None]))
     return cube
 
 
-def _apply(cube, table, out):
-    """table[n], a map's transpose, on the leading axis, into out turned."""
-    k, n = cube.shape[:2]
-    np.matmul(cube.reshape(k, n, -1).transpose(0, 2, 1), table[n],
-              out=out.reshape(k, -1, n))
-    return _normalize(out)
+def _fit(cube):
+    """cube if its top limb is in range, else a copy one limb wider."""
+    top = cube[-1]
+    if (np.maximum.reduce(top, axis=None) < LIMB
+            and np.minimum.reduce(top, axis=None) > -LIMB):
+        return cube
+    # floor division: a negative top gives a fraction under a carry >= -321
+    carry = np.floor(top / LIMB)
+    return np.concatenate((cube[:-1], (top / LIMB - carry)[None], carry[None]))
 
 
 class NumpyBackend:
@@ -140,12 +135,12 @@ class NumpyBackend:
         rows[k - 1, flat] = vals
         self._spares = {}  # two buffers take turns, then one is left
         for _ in range(5):
-            cube, done = self._turn(cube, PREFIX_T), cube
+            (cube,), done = self._turn(cube, PREFIX_T), cube
             self.recycle(done)
-        return cube
+        return _fit(cube)
 
     def wpd(self, cube):
-        return bool(cube[-1].min() >= 0)
+        return bool(np.minimum.reduce(cube[-1], axis=None) >= 0)
 
     def origin_negative(self, cube):
         return bool(cube[-1, 0, 0, 0, 0, 0] < 0)
@@ -155,21 +150,28 @@ class NumpyBackend:
 
     # like split; only perfbench/tracer.py binds them (ROADMAP item 5)
     def dilate(self, cube, axis):
-        return self._turn(cube, DILATE_T)
+        return self._turn(cube, DILATE_T)[0]
 
     def reflect(self, cube, axis):
-        return self._turn(cube, REFLECT_T)
+        return self._turn(cube, REFLECT_T)[0]
 
     def split(self, cube, axis):
         """Both halves along the leading axis, x_axis for the walk."""
-        return self._turn(cube, DILATE_T), self._turn(cube, DILATE_REFLECT_T)
+        return self._turn(cube, DILATE_T, DILATE_REFLECT_T)
 
-    def _turn(self, cube, table):
-        """_apply into a spare, reshaped to the turned axes, if one is left."""
-        shape = cube.shape[:1] + cube.shape[2:] + cube.shape[1:2]
-        spares = self._spares.get(cube.size)
-        out = spares.pop().reshape(shape) if spares else np.empty(shape)
-        return _apply(cube, table, out)
+    def _turn(self, cube, *tables):
+        """Each table[n], a map's transpose, on the fitted cube's leading
+        axis through one view, into a spare if one is left, turned."""
+        cube = _fit(cube)
+        k, n = cube.shape[:2]
+        rows = cube.reshape(k, n, -1).transpose(0, 2, 1)
+        shape = (k,) + cube.shape[2:] + (n,)
+        spares = self._spares.get(cube.size, [])
+        outs = [spares.pop().reshape(shape) if spares else np.empty(shape)
+                for _ in tables]
+        for out, table in zip(outs, tables):
+            _normalize(np.matmul(rows, table[n], out=out.reshape(k, -1, n)))
+        return outs
 
     def recycle(self, cube):
         """Take back a cube the caller will not read again, for split."""

@@ -27,6 +27,7 @@ pow over a view it cannot stream, such as a negative stride.  The table
 is therefore built from contiguous float64 operands.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -260,12 +261,9 @@ def verify_witness(w):
 
 # -- golden file ---------------------------------------------------------
 
+@functools.cache
 def read_witnesses():
-    """The packaged golden witness set."""
+    """The packaged golden witness set; read once and shared."""
     text = (resources.files("tetravol") / "data" / "witnesses.txt").read_text()
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append(Witness.parse(line))
-    return out
+    lines = map(str.strip, text.splitlines())
+    return tuple(Witness.parse(s) for s in lines if s and s[0] != "#")

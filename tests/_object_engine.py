@@ -8,7 +8,7 @@ run, decoding its cubes with ``to_poly``.
 
 import numpy as np
 
-from tetravol._kernels import SIGNED_BINOM, _normalize, _value
+from tetravol._kernels import SIGNED_BINOM, _fit, _normalize, _value
 from tetravol.exact_poly import Polynomial
 
 SHAPE = (7,) * 5
@@ -26,9 +26,10 @@ def to_poly(cube, turns=0):
     turns is the number of times the cube's axes have been turned.
     """
     cube = turn(cube, -turns)
-    # each difference pass grows entries at most 2 times
+    # each difference pass grows entries at most 2 times, so each starts
+    # from a top limb in range, as a product does
     for a in range(5):
-        cube = _normalize(np.diff(cube, axis=a + 1, prepend=0))
+        cube = _normalize(np.diff(_fit(cube), axis=a + 1, prepend=0))
     exps = np.nonzero(cube.any(axis=0))
     limbs = cube[(slice(None), *exps)].T.tolist()
     keys = zip(*(e.tolist() for e in exps))

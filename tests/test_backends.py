@@ -26,9 +26,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from tetravol._kernels import (
     DILATE, DILATE_REFLECT, LIMB, LIMB_BITS, PREFIX, REFLECT, NumpyBackend,
-    _normalize, get_backend,
+    _fit, _normalize, _value, get_backend,
 )
-from tetravol import positive_dominance
+from tetravol import _kernels, positive_dominance
 from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import EdgeSubset, directional_derivative
 from tetravol.chamber_geometry import (
@@ -100,7 +100,7 @@ def limb_edge_polys5():
                            max_size=6).map(lambda ts: Polynomial(5, ts))
 
 
-def meets_limb_invariant(cube):
+def meets_limb_invariant(cube, top_bound=LIMB):
     # lower limbs are fractions r / 2^43, exact in float64, so scaling
     # them back by 2^43 gives their integers r
     low, top = cube[:-1] * LIMB, cube[-1]
@@ -108,7 +108,13 @@ def meets_limb_invariant(cube):
             and (low == np.floor(low)).all()
             and ((low >= 0) & (low < LIMB)).all()
             and (top == np.floor(top)).all()
-            and (abs(top) < LIMB).all())
+            and (abs(top) < top_bound).all())
+
+
+# a product's output keeps the top limb its carry leaves: below
+# 320 * 2^43 + 320 in magnitude, from an input whose top is below 2^43,
+# until the next product's input is fitted back into range
+PRODUCT_TOP = 321 * LIMB
 
 
 # dilating axis 0 multiplies its box sums by 2^6 (the rows of DILATE[7]
@@ -141,15 +147,15 @@ def test_limb_engine_agrees_with_the_object_oracle(p):
         turned = turn(cube, axis)
         reflected = eng.reflect(turned, axis)
         dilated = eng.dilate(turned, axis)
-        assert meets_limb_invariant(reflected)
-        assert meets_limb_invariant(dilated)
+        assert meets_limb_invariant(reflected, PRODUCT_TOP)
+        assert meets_limb_invariant(dilated, PRODUCT_TOP)
         assert to_poly(reflected, axis + 1) == oracle.to_poly(
             oracle.reflect(ref, axis))
         assert to_poly(dilated, axis + 1) == oracle.to_poly(
             oracle.dilate(ref, axis))
         children = eng.split(turned, axis)
         for child, want in zip(children, oracle.split(ref, axis)):
-            assert meets_limb_invariant(child)
+            assert meets_limb_invariant(child, PRODUCT_TOP)
             assert to_poly(child, axis + 1) == oracle.to_poly(want)
         # no operation writes to its input
         assert np.array_equal(turned, turn(before, axis))
@@ -161,7 +167,7 @@ def cumsum_from_poly(p):
     """The root cube by five normalized ``np.cumsum`` passes.
 
     The reference for ``from_poly``, which makes the same passes as
-    PREFIX products through ``_apply``.
+    PREFIX products, each on an input ``_fit`` has brought in range.
     """
     axes = [list(col) for col in zip(*p.terms)] or [[]] * 5
     shape = tuple(max(col, default=0) + 1 for col in axes)
@@ -174,8 +180,37 @@ def cumsum_from_poly(p):
         vals = [v >> LIMB_BITS for v in vals]
     cube[(k - 1, *axes)] = vals
     for a in range(5):
-        cube = _normalize(np.cumsum(cube, axis=a + 1))
-    return cube
+        cube = _normalize(np.cumsum(_fit(cube), axis=a + 1))
+    return _fit(cube)
+
+
+class ProductSpy(NumpyBackend):
+    """The limb engine, checking the input and outputs of every product.
+
+    A product's input, and the root, is what ``_fit`` hands back, which
+    must meet the limb invariant, so its top limb is in range; each
+    output may keep a top limb past it, below PRODUCT_TOP. ``limbs``
+    lists the fitted cubes' limb counts, ``past`` counts the outputs
+    whose top limb left the range.
+    """
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        self.limbs, self.past = [], 0
+
+        def fit(cube):
+            cube = _fit(cube)
+            assert meets_limb_invariant(cube)
+            self.limbs.append(len(cube))
+            return cube
+        monkeypatch.setattr(_kernels, "_fit", fit)
+
+    def _turn(self, cube, *tables):
+        outs = super()._turn(cube, *tables)
+        for out in outs:
+            assert meets_limb_invariant(out, PRODUCT_TOP)
+            self.past += bool(abs(out[-1]).max() >= LIMB)
+        return outs
 
 
 def assert_cumsum_cube(p):
@@ -222,16 +257,30 @@ def test_zero_polynomial_is_one_nonnegative_entry():
     assert (cert.status, cert.steps) == ("Nonnegative", 1)
 
 
-def test_multi_limb_roots_match_the_cumsum_construction():
+def test_multi_limb_roots_match_the_cumsum_construction(monkeypatch):
     # WIDENING_WALK's top coefficient is about 2^86: three limbs
     assert len(assert_cumsum_cube(WIDENING_WALK)) == 3
     # 2^42 - 1 fits one limb, but its box sums reach 12,005 times that,
-    # about 2^55.6: the first prefix pass widens the cube to two limbs
+    # about 2^55.6: the first prefix pass takes its top past 2^43, so
+    # the second pass's input widens to two limbs
     full = Polynomial(5, {e: 2 ** 42 - 1 for e in product(
         range(7), range(7), range(7), range(7), range(5))})
-    cube = assert_cumsum_cube(full)
+    spy = ProductSpy(monkeypatch)
+    cube = spy.from_poly(full)
+    # the five passes' inputs, then the root
+    assert spy.limbs == [1, 2, 2, 2, 2, 2]
+    assert np.array_equal(cube, assert_cumsum_cube(full))
     assert cube.shape == (2, 7, 7, 7, 7, 5)
     assert to_poly(cube) == full
+    # a last pass that leaves the range widens the root itself: 2^42 - 1
+    # along the last axis alone sums to 7 times that, about 2^44.8
+    last = Polynomial(5, {(0, 0, 0, 0, e): 2 ** 42 - 1 for e in range(7)})
+    spy = ProductSpy(monkeypatch)
+    cube = spy.from_poly(last)
+    assert spy.limbs == [1, 1, 1, 1, 1, 2]
+    assert np.array_equal(cube, cumsum_from_poly(last))
+    assert len(cube) == 2 and meets_limb_invariant(cube)
+    assert to_poly(cube) == last
 
 
 @pytest.mark.parametrize("p, message", [
@@ -245,10 +294,21 @@ def test_from_poly_rejects_what_a_cube_cannot_hold(p, message):
 
 
 def test_dilate_takes_a_limb_past_the_edge():
-    eng = NumpyBackend()
+    eng, oracle = NumpyBackend(), ObjectEngine()
     cube = eng.from_poly(WIDENS_ON_DILATE)
-    assert (len(cube), len(eng.dilate(cube, 0))) == (2, 3)
-    assert len(eng.split(cube, 0)[0]) == 3
+    # the dilated child keeps two limbs, its top past the edge
+    dilated = eng.dilate(cube, 0)
+    assert (len(cube), len(dilated)) == (2, 2)
+    assert dilated[-1].max() >= LIMB
+    assert meets_limb_invariant(dilated, PRODUCT_TOP)
+    assert len(eng.split(cube, 0)[0]) == 2
+    # and takes the third limb as the input of its own split
+    ref = oracle.dilate(oracle.from_poly(WIDENS_ON_DILATE), 0)
+    halves = eng.split(dilated, 1)
+    assert [len(half) for half in halves] == [3, 3]
+    for half, want in zip(halves, oracle.split(ref, 1)):
+        assert meets_limb_invariant(half, PRODUCT_TOP)
+        assert to_poly(half, 2) == oracle.to_poly(want)
 
 
 def test_limb_width_leaves_float64_headroom():
@@ -277,6 +337,22 @@ def test_limb_width_leaves_float64_headroom():
     assert fits(prefix)
     # to_poly: a difference pass subtracts two entries
     assert fits(2)
+    # _fit: a product's top, below 320 * 2^43 + 320, splits by floor
+    # division by 2^43 into a fraction limb and a top of at most 321,
+    # exactly: the value and every limb survive
+    edge = 320 * 2 ** LIMB_BITS + 320
+    for top in (edge - 1, 1 - edge, 2 ** LIMB_BITS, -2 ** LIMB_BITS,
+                2 ** 51 + 2 ** 43 - 1, -2 ** 51 - 1):
+        assert abs(top) < PRODUCT_TOP
+        cube = np.array([[0.5, 0.0], [float(top), -1.0]])
+        wide = _fit(cube)
+        assert len(wide) == 3 and meets_limb_invariant(wide)
+        assert abs(wide[-1, 0]) <= 321
+        assert [_value(limbs) for limbs in wide.T.tolist()] == [
+            (top << LIMB_BITS) + 2 ** 42, -1 << LIMB_BITS]
+    # a cube in range is its own fit
+    cube = np.array([[0.5], [LIMB - 1]])
+    assert _fit(cube) is cube
 
 
 def _matmul(a, b):
@@ -420,7 +496,7 @@ def test_a_walk_over_five_distinct_extents_turns_its_axes():
     # extents 7, 6, 5, 4 and 3, so a turn that goes astray between any
     # two axes changes a shape. (x1 - x3)^2 vanishes on a diagonal, so
     # the walk never certifies: in 60 steps it splits 11 levels deep,
-    # and its cubes widen from one limb to two
+    # and its cubes outgrow one limb
     x = [Polynomial.variable(5, a) for a in range(5)]
     p = ((x[1] - x[3]) ** 2 + x[0] ** 6 + x[1] ** 5 + x[2] ** 4
          + x[3] ** 3 + x[4] ** 2)
@@ -430,7 +506,16 @@ def test_a_walk_over_five_distinct_extents_turns_its_axes():
     assert (cert.status, cert.max_depth) == ("BudgetExhausted", 11)
     extents = spy.cubes[0][1].shape[1:]
     assert extents == (7, 6, 5, 4, 3)
-    assert {len(cube) for _, cube in spy.cubes} == {1, 2}
+    # the cubes that left one limb's range are leaves, so they keep one
+    # limb; a split of any would take a second
+    assert {len(cube) for _, cube in spy.cubes} == {1}
+    past = [(turns, cube) for turns, cube in spy.cubes
+            if abs(cube[-1]).max() >= LIMB]
+    assert past
+    for turns, cube in past:
+        assert meets_limb_invariant(cube, PRODUCT_TOP)
+        halves = NumpyBackend().split(cube, turns)
+        assert [len(half) for half in halves] == [2, 2]
     assert len(spy.cubes) == len(oracle.cubes) == 1 + 2 * cert.subdivisions
     for (turns, cube), ref in zip(spy.cubes, oracle.cubes):
         # a cube at depth d has turned d times (mod 5)
@@ -538,6 +623,26 @@ def test_split_never_writes_its_input():
             # the children become spares for the next split
             for child in children:
                 eng.recycle(child)
+
+
+def test_every_product_input_is_in_range(monkeypatch):
+    walks = (
+        (pullback(directional_derivative(EdgeSubset((0,))),
+                  _single_edge_cell()), 10 ** 6, 421),
+        (WIDENING_WALK, 60, 60),
+    )
+    for p, budget, steps in walks:
+        want = certify(p, budget)
+        spy = ProductSpy(monkeypatch)
+        cert = _traverse(p, budget, spy)
+        assert cert == want and cert.steps == steps
+        # the five PREFIX passes of from_poly and its root, then one
+        # input per split, shared by both halves
+        assert len(spy.limbs) == 6 + cert.subdivisions
+    # WIDENING_WALK's outputs leave the range, and the inputs they feed
+    # widen, from the 3-limb root to 5 limbs
+    assert spy.past > 0
+    assert set(spy.limbs) == {3, 4, 5}
 
 
 def test_replay_restarts_on_the_fallback(monkeypatch):
