@@ -7,9 +7,10 @@ g < 0.  This module searches such chambers for concrete witnesses: it
 samples barycentric weights, prescreens with floating point, snaps onto
 the integer lattice, and accepts only on exact integer evaluation of
 both signs.  Accepted witnesses ship in a golden data file and are
-re-verified through an independent evaluation path (bordered-determinant
-f plus a five-point derivative stencil) that shares no code with the
-polynomial layer.  The golden file holds one ``anti_certify`` search,
+re-verified through an independent evaluation path that shares no code
+with the polynomial layer: f is the bordered squared-length determinant,
+and each partial of f is one cofactor of that matrix, by Jacobi's
+formula.  The golden file holds one ``anti_certify`` search,
 at its default seed and trials, per excluded chamber of each case
 without a K4 campaign; ``tests/test_anti_certification.py`` regenerates
 it and compares it line for line.
@@ -35,7 +36,8 @@ from importlib import resources
 
 import numpy as np
 
-from .cayley_menger import EdgeSubset, directional_derivative, f_polynomial
+from .cayley_menger import (EDGES, EdgeSubset, directional_derivative,
+                            f_polynomial)
 from .chamber_geometry import (_int_det, build_partitions,
                                certified_chambers, decoration, decorations,
                                in_cone)
@@ -212,49 +214,58 @@ def full_k4_campaign(trials=100000, seed=0):
 
 # -- independent evaluation path ----------------------------------------
 
+def _bordered(point):
+    """The bordered matrix of squared lengths at an integer point.
+
+    Row and column i (1..4) belong to vertex i; row and column 0 hold
+    the border of ones.
+    """
+    s = [int(d) * int(d) for d in point]
+    return [[0, 1, 1, 1, 1],
+            [1, 0, s[0], s[1], s[2]],
+            [1, s[0], 0, s[3], s[4]],
+            [1, s[1], s[3], 0, s[5]],
+            [1, s[2], s[4], s[5], 0]]
+
+
 def f_value_bordered(point):
     """f at an integer point via the bordered squared-distance determinant.
 
     Evaluates the determinant numerically, so it shares nothing with the
     expanded polynomial used by the search path.
     """
-    s = [int(d) * int(d) for d in point]
-    m = [[0, 1, 1, 1, 1],
-         [1, 0, s[0], s[1], s[2]],
-         [1, s[0], 0, s[3], s[4]],
-         [1, s[1], s[3], 0, s[5]],
-         [1, s[2], s[4], s[5], 0]]
-    return _int_det(m)
+    return _int_det(_bordered(point))
 
 
-def g_value_stencil(point, beta):
-    """Directional derivative via exact five-point differentiation of f.
+def g_value_cofactor(point, beta):
+    """The directional derivative over the EdgeSubset beta, by cofactors.
 
-    f has degree four in each single coordinate, so the stencil
-    (8*(f(p+u) - f(p-u)) - (f(p+2u) - f(p-2u))) / 12 recovers the exact
-    partial derivative at integer points.  beta is an EdgeSubset.
+    Edge k = (i, j) holds s_k = d_k^2 at entries (i, j) and (j, i) of the
+    bordered matrix M.  Jacobi's formula gives d det M / d s_k as the sum
+    of the two equal cofactors C_ij + C_ji = 2 C_ij, so the partial of f
+    in d_k is 4 d_k C_ij: one 4x4 determinant per edge of beta.
     """
+    m = _bordered(point)
     total = 0
     for k in sorted(beta.indices):
-        vals = {}
-        for step in (-2, -1, 1, 2):
-            q = list(point)
-            q[k] += step
-            vals[step] = f_value_bordered(q)
-        num = 8 * (vals[1] - vals[-1]) - (vals[2] - vals[-2])
-        if num % 12:
-            raise ArithmeticError("stencil numerator not divisible by 12")
-        total += num // 12
+        i, j = EDGES[k]
+        minor = [row[:j] + row[j + 1:] for r, row in enumerate(m) if r != i]
+        cofactor = _int_det(minor)
+        total += 4 * int(point[k]) * (-cofactor if (i + j) % 2 else cofactor)
     return total
 
 
 def verify_witness(w):
-    """Re-check a witness from scratch along the independent path."""
+    """Re-check a witness from scratch along the independent path.
+
+    f is one bordered determinant and g one cofactor per edge of beta
+    (Jacobi's formula); neither reads the expanded polynomials.
+    """
     dec = decoration(w.chamber)
     if not in_cone(w.point) or not dec.membership(w.point):
         return False
     f_exact = f_value_bordered(w.point)
-    g_exact = g_value_stencil(w.point, EdgeSubset.parse(w.beta))
+    g_exact = g_value_cofactor(w.point, EdgeSubset.parse(w.beta))
     return (f_exact == w.f_value and g_exact == w.g_value
             and f_exact > 0 and g_exact < 0)
 

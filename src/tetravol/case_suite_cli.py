@@ -513,9 +513,23 @@ def symmetry_cover(name):
 # -- monotonicity and square-root property suites ------------------------
 
 def random_tetrahedral(rng, max_entry=100):
-    """A uniformly drawn integer length list that spans a tetrahedron."""
+    """A uniformly drawn integer length list that spans a tetrahedron.
+
+    rng is a ``random.Random``.  Each length comes from the rejection
+    loop of ``rng.randint(1, max_entry)``, inlined, so the lists and the
+    generator's final state equal those of six ``randint`` calls per try.
+    """
+    if max_entry < 1:
+        raise ValueError("max_entry must be at least 1, not %r" % max_entry)
+    bits = max_entry.bit_length()
+    draw = rng.getrandbits
     while True:
-        d = tuple(rng.randint(1, max_entry) for _ in range(6))
+        d = []
+        while len(d) < 6:
+            r = draw(bits)
+            if r < max_entry:
+                d.append(r + 1)
+        d = tuple(d)
         if is_tetrahedral(d):
             return d
 

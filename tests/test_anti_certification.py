@@ -1,16 +1,18 @@
 """Golden negativity witnesses and their independent re-verification."""
 
+import itertools
 import random
 from collections import Counter
 from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from tetravol import anti_certification
 from tetravol.anti_certification import (
     SNAP_SCALE, Witness, _FloatForms, anti_certify, barycentric_block,
-    excluded_chambers, f_value_bordered, full_k4_campaign, g_value_stencil,
+    excluded_chambers, f_value_bordered, full_k4_campaign, g_value_cofactor,
     read_witnesses, snap_point, verify_witness,
 )
 from tetravol.case_suite_cli import case_registry
@@ -25,6 +27,32 @@ int_points = st.tuples(*[st.integers(-40, 40) for _ in range(6)])
 # witnesses, in registry order
 ASSERTED_BETAS = tuple(spec.beta.spec() for spec in case_registry().values()
                        if spec.campaign_trials == 0)
+
+# the 63 nonempty edge subsets of K4
+ALL_BETAS = tuple(EdgeSubset(ks) for r in range(1, 7)
+                  for ks in itertools.combinations(range(6), r))
+
+
+# the oracle for ``g_value_cofactor``: four bordered determinants per edge
+def g_value_stencil(point, beta):
+    """Directional derivative via exact five-point differentiation of f.
+
+    f has degree four in each single coordinate, so the stencil
+    (8*(f(p+u) - f(p-u)) - (f(p+2u) - f(p-2u))) / 12 recovers the exact
+    partial derivative at integer points.  beta is an EdgeSubset.
+    """
+    total = 0
+    for k in sorted(beta.indices):
+        vals = {}
+        for step in (-2, -1, 1, 2):
+            q = list(point)
+            q[k] += step
+            vals[step] = f_value_bordered(q)
+        num = 8 * (vals[1] - vals[-1]) - (vals[2] - vals[-2])
+        if num % 12:
+            raise ArithmeticError("stencil numerator not divisible by 12")
+        total += num // 12
+    return total
 
 
 def generate_golden():
@@ -83,12 +111,16 @@ def test_bordered_determinant_matches_the_polynomial(pt):
 
 
 @given(int_points)
+@example((0, 0, 0, 0, 0, 0))
+@example((0, -3, 5, 0, -7, 2))
+@example((-40, -40, -40, -40, -40, -40))
 @settings(max_examples=25, deadline=None)
 def test_stencil_matches_the_polynomial_derivative(pt):
-    for spec in ("12", "12,13,24,34"):
-        beta = EdgeSubset.parse(spec)
-        g = directional_derivative(beta)
-        assert g_value_stencil(pt, beta) == g.evaluate(pt)
+    # verify_witness's cofactor g against both older paths, on every beta
+    for beta in ALL_BETAS:
+        g = g_value_cofactor(pt, beta)
+        assert g == g_value_stencil(pt, beta)
+        assert g == directional_derivative(beta).evaluate(pt)
 
 
 def test_excluded_plus_certified_cover_all_chambers():
@@ -117,10 +149,21 @@ def test_witness_file_has_one_entry_per_excluded_chamber():
         assert chamber_ids == expected
 
 
-def test_every_golden_witness_reverifies():
+def test_every_golden_witness_reverifies(monkeypatch):
+    calls = []
+
+    def spy(point):
+        calls.append(point)
+        return f_value_bordered(point)
+
+    monkeypatch.setattr(anti_certification, "f_value_bordered", spy)
     ws = read_witnesses()
     assert all(min(w.f_value, w.g_value) < 0 for w in ws)
     assert all(verify_witness(w) for w in ws)
+    # one bordered determinant per witness: g is read off its cofactors
+    assert calls == [w.point for w in ws]
+    assert all(g_value_stencil(w.point, EdgeSubset.parse(w.beta)) == w.g_value
+               for w in ws)
 
 
 def test_generate_golden_reproduces_the_packaged_file(tmp_path):

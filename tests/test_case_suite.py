@@ -130,6 +130,30 @@ def test_random_tetrahedral_generates_valid_inputs():
         assert all(1 <= v <= 100 for v in d)
 
 
+def randint_tetrahedral(rng, max_entry):
+    """Six ``randint`` draws per try: the oracle for ``random_tetrahedral``."""
+    while True:
+        d = tuple(rng.randint(1, max_entry) for _ in range(6))
+        if is_tetrahedral(d):
+            return d
+
+
+@pytest.mark.parametrize("max_entry", [1, 2, 3, 7, 50, 64, 100, 128])
+def test_random_tetrahedral_draws_the_randint_stream(max_entry):
+    # the lists and the generator's state afterwards, over several seeds
+    for seed in (0, 1, 7, 2501):
+        want, got = random.Random(seed), random.Random(seed)
+        for _ in range(12):
+            assert random_tetrahedral(got, max_entry) == \
+                randint_tetrahedral(want, max_entry)
+        assert got.getstate() == want.getstate()
+
+
+def test_random_tetrahedral_needs_a_positive_bound():
+    with pytest.raises(ValueError):
+        random_tetrahedral(random.Random(0), 0)
+
+
 def test_lengthening_grows_normalized_volume():
     rng = random.Random(1)
     for _ in range(20):

@@ -141,6 +141,66 @@ def test_restrict_curve_is_pointwise(p, curves, t):
         tuple(c.evaluate((t,)) for c in curves))
 
 
+def evaluate_reference(poly, point):
+    """The term-by-term loop over every exponent: the oracle for ``evaluate``.
+
+    Each distinct power of a coordinate is computed once, each term
+    multiplies its coefficient by its powers in variable order, and the
+    terms are summed in dict order.
+    """
+    total = 0
+    powers = [{} for _ in range(poly.nvars)]
+    for exps, c in poly.terms.items():
+        v = c
+        for j, e in enumerate(exps):
+            if e:
+                cache = powers[j]
+                if e not in cache:
+                    cache[e] = point[j] ** e
+                v *= cache[e]
+        total += v
+    return total
+
+
+def same_value(got, want):
+    """Equal, of one type, and for Polynomials with terms in one order."""
+    assert type(got) is type(want)
+    assert got == want
+    if isinstance(want, Polynomial):
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+fractions3 = st.tuples(*[st.fractions(-5, 5, max_denominator=7)] * 3)
+
+
+@given(small_polys(), points3, fractions3,
+       st.tuples(small_curves, small_curves, small_curves))
+def test_planned_evaluate_matches_the_term_loop(p, x, q, curves):
+    for point in (x, q, curves):
+        # twice: the plan built by the first call serves the second
+        same_value(p.evaluate(point), evaluate_reference(p, point))
+        same_value(p.evaluate(point), evaluate_reference(p, point))
+
+
+def test_planned_evaluate_on_edge_polynomials():
+    y = Polynomial.variable(2, 1)
+    canonical = (Polynomial.variable(2, 0) + 1) * y - y ** 3
+    polys = [Polynomial.zero(2), Polynomial.constant(2, -7),
+             Polynomial._canonical(2, {(0, 0): 5, (2, 1): -3, (0, 4): 1}),
+             canonical, -canonical, canonical - canonical]
+    points = [(0, 0), (-3, 2), (Fraction(1, 2), Fraction(-4, 3)),
+              (Polynomial.variable(1, 0), Polynomial.constant(1, 2)),
+              (y + 1, -y)]
+    for p in polys:
+        # however the instance was built, the plan waits for evaluate
+        assert not hasattr(p, "_plan")
+        for point in points:
+            same_value(p.evaluate(point), evaluate_reference(p, point))
+        assert hasattr(p, "_plan")
+    with pytest.raises(ValueError):
+        polys[0].evaluate((1, 2, 3))
+
+
 def test_restrict_curve_needs_one_variable_curves():
     p = Polynomial(2, {(1, 1): 1})
     with pytest.raises(ValueError):
