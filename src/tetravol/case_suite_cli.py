@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass, field
 
 from . import anti_certification as anticert
 from .cayley_menger import (EdgeSubset, FACES, directional_derivative,
-                            f_hat_polynomial, f_polynomial, is_tetrahedral,
-                            tetrahedral_f)
+                            f_hat_value, f_polynomial, is_tetrahedral,
+                            strict_faces, tetrahedral_f)
 from .chamber_geometry import (A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B,
                                LatticeSimplex6, build_partitions,
                                certified_chambers, chambers_containing,
@@ -518,6 +518,8 @@ def random_tetrahedral(rng, max_entry=100):
     rng is a ``random.Random``.  Each length comes from the rejection
     loop of ``rng.randint(1, max_entry)``, inlined, so the lists and the
     generator's final state equal those of six ``randint`` calls per try.
+    A try passes by the face test and the closed-form determinant, the
+    two halves of ``is_tetrahedral`` for positive integers.
     """
     if max_entry < 1:
         raise ValueError("max_entry must be at least 1, not %r" % max_entry)
@@ -529,9 +531,8 @@ def random_tetrahedral(rng, max_entry=100):
             r = draw(bits)
             if r < max_entry:
                 d.append(r + 1)
-        d = tuple(d)
-        if is_tetrahedral(d):
-            return d
+        if strict_faces(d) and f_hat_value([x * x for x in d]) > 0:
+            return tuple(d)
 
 
 def lengthen_margin(d, t=1):
@@ -562,8 +563,8 @@ def _root_triangle(x, y, z):
 
 def root_face_conditions(s):
     """Strict triangle inequalities for the length list sqrt(s)."""
-    for tri in FACES.values():
-        x, y, z = (s[k] for k in tri)
+    for i, j, k in FACES.values():
+        x, y, z = s[i], s[j], s[k]
         if not (_root_triangle(x, y, z) and _root_triangle(y, z, x)
                 and _root_triangle(z, x, y)):
             return False
@@ -574,7 +575,7 @@ def root_list_check(d):
     """A tetrahedral list stays tetrahedral after entrywise square root."""
     if not is_tetrahedral(d):
         raise ValueError("length list is not tetrahedral: %r" % (d,))
-    return f_hat_polynomial().evaluate(d) > 0 and root_face_conditions(d)
+    return f_hat_value(d) > 0 and root_face_conditions(d)
 
 
 def quadrature_check(a, b):
@@ -583,12 +584,11 @@ def quadrature_check(a, b):
     Both inputs must be tetrahedral; the combined list is checked via
     the squared-length determinant and exact root triangle tests.
     """
-    if not (is_tetrahedral(a) and is_tetrahedral(b)):
+    fa = tetrahedral_f(a)  # f(a) = f_hat(a^2)
+    if fa is None or not is_tetrahedral(b):
         raise ValueError("both length lists must be tetrahedral")
-    fh = f_hat_polynomial()
-    s = tuple(x * x + y * y for x, y in zip(a, b))
-    fa = fh.evaluate(tuple(x * x for x in a))
-    return fh.evaluate(s) > fa > 0 and root_face_conditions(s)
+    s = [x * x + y * y for x, y in zip(a, b)]
+    return f_hat_value(s) > fa and root_face_conditions(s)
 
 
 # -- command line --------------------------------------------------------

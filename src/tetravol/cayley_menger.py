@@ -3,9 +3,11 @@
 Coordinates follow the fixed edge order (d12, d13, d14, d23, d24, d34).
 ``f_polynomial`` returns the determinant as a degree-6 polynomial in the
 six edge lengths; it equals 288 times the squared volume of the
-tetrahedron with those lengths.  ``directional_derivative`` sums the
-partials over an edge subset, the combination whose sign controls
-whether lengthening those edges grows the volume.
+tetrahedron with those lengths.  ``f_hat_value`` evaluates the same
+determinant on squared lengths by its closed form, for the sampled
+checks that test one length list at a time.  ``directional_derivative``
+sums the partials over an edge subset, the combination whose sign
+controls whether lengthening those edges grows the volume.
 """
 
 from __future__ import annotations
@@ -185,6 +187,31 @@ def clear_denominators(d):
     return [x.numerator * (scale // x.denominator) for x in d], scale
 
 
+def f_hat_value(s):
+    """f_hat at the six squared lengths s, by its 22-term closed form.
+
+    The same cubic as ``f_hat_polynomial()``, written out: each pair of
+    opposite edges adds its product times the sum of the other four less
+    its own two, and each face takes off the product of its three edges.
+    """
+    s0, s1, s2, s3, s4, s5 = s
+    return 2 * (s0 * s5 * (s1 + s2 + s3 + s4 - s0 - s5)
+                + s1 * s4 * (s0 + s2 + s3 + s5 - s1 - s4)
+                + s2 * s3 * (s0 + s1 + s4 + s5 - s2 - s3)
+                - s0 * s1 * s3 - s0 * s2 * s4 - s1 * s2 * s5 - s3 * s4 * s5)
+
+
+def strict_faces(d):
+    """The strict triangle inequality on each face of FACES.
+
+    Strict inequalities on a face force its three lengths positive, and
+    every edge lies on a face, so this also tests d > 0.
+    """
+    d0, d1, d2, d3, d4, d5 = d
+    return (abs(d0 - d1) < d3 < d0 + d1 and abs(d0 - d2) < d4 < d0 + d2
+            and abs(d1 - d2) < d5 < d1 + d2 and abs(d3 - d4) < d5 < d3 + d4)
+
+
 def is_tetrahedral(d):
     """True when the six lengths are realized by a nondegenerate tetrahedron.
 
@@ -200,13 +227,9 @@ def tetrahedral_f(d):
     if len(d) != 6:
         raise ValueError("need six lengths")
     ints, scale = clear_denominators(d)
-    if any(x <= 0 for x in ints):
+    if not strict_faces(ints):
         return None
-    for slots in FACES.values():
-        a, b, c = (ints[s] for s in slots)
-        if a + b <= c or a + c <= b or b + c <= a:
-            return None
-    value = f_polynomial().evaluate(ints)
+    value = f_hat_value([x * x for x in ints])
     if value <= 0:
         return None
     return value if scale == 1 else Fraction(value, scale ** 6)  # degree 6

@@ -126,12 +126,19 @@ WIDENS_ON_DILATE = Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 85 - 1,
 # the top slab of S is zero although x0^2 is the top term
 ZERO_TOP_SUM = Polynomial(5, {(0, 0, 0, 0, 0): 2, (1, 0, 0, 0, 0): -3,
                               (2, 0, 0, 0, 0): 1})
+# 3^53, about 2^84, sets low bits all through its top limb, unlike
+# 2^85 - 1, so once a split's output leaves the range its walk's next
+# product is exact only on an input that was fitted back into it
+FITS_A_PRODUCT_OUTPUT = Polynomial(5, {(0, 0, 0, 0, 0): 3 ** 53,
+                                       (6, 0, 0, 0, 0): 1}) * (
+    Polynomial.variable(5, 1) - Polynomial.variable(5, 3)) ** 2
 
 
 @given(limb_edge_polys5())
 @example(WIDENS_ON_DILATE)
 @example((Polynomial.variable(5, 1) - Polynomial.variable(5, 3)) ** 2)
 @example(ZERO_TOP_SUM)
+@example(FITS_A_PRODUCT_OUTPUT)
 # no shrink phase: on a broken engine, shrinking these polynomials ran
 # for minutes per failure, and the first failing example is report enough
 @settings(max_examples=25, deadline=None,

@@ -12,7 +12,9 @@ from tetravol.case_suite_cli import (
     quadrature_check, random_tetrahedral, root_face_conditions,
     root_list_check, run_case, symmetry_cover, _root_triangle,
 )
-from tetravol.cayley_menger import is_tetrahedral
+from tetravol import cayley_menger
+from tetravol.anti_certification import f_value_bordered
+from tetravol.cayley_menger import FACES, is_tetrahedral
 from tetravol.exact_poly import Polynomial
 from tetravol.positive_dominance import Certificate
 
@@ -131,14 +133,23 @@ def test_random_tetrahedral_generates_valid_inputs():
 
 
 def randint_tetrahedral(rng, max_entry):
-    """Six ``randint`` draws per try: the oracle for ``random_tetrahedral``."""
+    """Six ``randint`` draws per try: the oracle for ``random_tetrahedral``.
+
+    It decides tetrahedrality on its own, by the face inequalities read
+    off FACES and the bordered determinant, not by the closed form.
+    """
     while True:
         d = tuple(rng.randint(1, max_entry) for _ in range(6))
-        if is_tetrahedral(d):
+        if all(d[i] + d[j] > d[k] and d[i] + d[k] > d[j]
+               and d[j] + d[k] > d[i] for i, j, k in FACES.values()) \
+                and f_value_bordered(d) > 0:
             return d
 
 
-@pytest.mark.parametrize("max_entry", [1, 2, 3, 7, 50, 64, 100, 128])
+# bounds of one, two and several bits, and draws that take more than
+# one 32-bit word of the generator
+@pytest.mark.parametrize("max_entry", [1, 2, 3, 7, 50, 64, 100, 128,
+                                       2 ** 31 + 1, 2 ** 32, 2 ** 40])
 def test_random_tetrahedral_draws_the_randint_stream(max_entry):
     # the lists and the generator's state afterwards, over several seeds
     for seed in (0, 1, 7, 2501):
@@ -195,13 +206,13 @@ def test_lengthen_check_evaluates_f_once_per_list(monkeypatch):
         cases.append((d, (1, 2, Fraction(1, 3), -1, -9)[i % 5]))
     want = [four_evaluations(d, t) for d, t in cases]
     assert 0 < sum(want) < len(want)
-    evaluate, calls = Polynomial.evaluate, []
+    f_hat_value, calls = cayley_menger.f_hat_value, []
 
-    def counted(self, point):
-        calls.append(point)
-        return evaluate(self, point)
+    def counted(s):
+        calls.append(s)
+        return f_hat_value(s)
 
-    monkeypatch.setattr(Polynomial, "evaluate", counted)
+    monkeypatch.setattr(cayley_menger, "f_hat_value", counted)
     for (d, t), ok in zip(cases, want):
         calls.clear()
         assert lengthen_check(d, t) == ok

@@ -1,15 +1,17 @@
 """Determinant, derivative, and edge-subset checks against known values."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tetravol.anti_certification import f_value_bordered
 from tetravol.cayley_menger import (
     AXIS_PAIRS, EDGES, FACES, VERTEX_EDGES, EdgeIndex, EdgeSubset,
     clear_denominators, directional_derivative, f_hat_polynomial,
-    f_polynomial, is_tetrahedral,
+    f_hat_value, f_polynomial, is_tetrahedral, strict_faces, tetrahedral_f,
 )
 from tetravol.exact_poly import Polynomial
 
@@ -150,6 +152,44 @@ def test_rational_lengths_are_exact_and_floats_are_refused():
         for fn in (is_tetrahedral, volume_squared):
             with pytest.raises(TypeError, match="int or Fraction"):
                 fn(bad)
+
+
+def test_closed_form_is_f_hat():
+    # the 22 terms written out are the determinant's cubic
+    variables = [Polynomial.variable(6, k) for k in range(6)]
+    assert f_hat_value(variables) == f_hat_polynomial()
+
+
+def test_closed_form_matches_the_bordered_determinant():
+    # flat, zero-length and negative-volume lists, then random ones,
+    # small enough to hit degenerate lists often, and large
+    points = [(0, 6, 6, 6, 6, 0), (8, 8, 8, 0, 0, 0), (1, 1, 1, 1, 1, 2),
+              (1, 1, 1, 1, 1, 4), (0,) * 6, (6, 3, 3, 3, 3, 6), REGULAR]
+    rng = random.Random(9)
+    for bound in (3, 9, 2 ** 40):
+        points += [tuple(rng.randint(-bound, bound) for _ in range(6))
+                   for _ in range(200)]
+    for d in points:
+        value = f_hat_value([x * x for x in d])
+        assert value == f_value_bordered(d)
+        assert value == f_polynomial().evaluate(d)
+    assert 0 in {f_value_bordered(d) for d in points[7:]}
+
+
+def test_strict_faces_is_the_face_loop():
+    # what tetrahedral_f tested before the f sign: positive lengths and a
+    # strict triangle inequality on each face
+    rng = random.Random(10)
+    for _ in range(3000):
+        d = tuple(rng.randint(-2, 9) for _ in range(6))
+        if rng.random() < 0.2:
+            d = tuple(Fraction(x, rng.randint(1, 3)) for x in d)
+        want = all(x > 0 for x in d) and all(
+            d[i] + d[j] > d[k] and d[i] + d[k] > d[j] and d[j] + d[k] > d[i]
+            for i, j, k in FACES.values())
+        assert strict_faces(d) == want
+        f = f_polynomial().evaluate(d)
+        assert tetrahedral_f(d) == (f if want and f > 0 else None)
 
 
 # -- edge subsets --------------------------------------------------------
