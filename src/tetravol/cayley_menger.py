@@ -1,13 +1,14 @@
 """The Cayley-Menger determinant of four points and its edge derivatives.
 
 Coordinates follow the fixed edge order (d12, d13, d14, d23, d24, d34).
-``f_polynomial`` returns the determinant as a degree-6 polynomial in the
-six edge lengths; it equals 288 times the squared volume of the
-tetrahedron with those lengths.  ``f_hat_value`` evaluates the same
-determinant on squared lengths by its closed form, for the sampled
-checks that test one length list at a time.  ``directional_derivative``
-sums the partials over an edge subset, the combination whose sign
-controls whether lengthening those edges grows the volume.
+``f_hat_value`` is the determinant's one statement: its 22-term closed
+form in the six squared lengths, which equals 288 times the squared
+volume of the tetrahedron with those lengths.  It evaluates one length
+list at a time for the sampled checks, and ``f_polynomial`` applies it
+to the squared edge variables to get f as a degree-6 polynomial in the
+six edge lengths.  ``directional_derivative`` sums the partials of f
+over an edge subset, the combination whose sign controls whether
+lengthening those edges grows the volume.
 """
 
 from __future__ import annotations
@@ -120,42 +121,14 @@ class EdgeSubset:
         return "EdgeSubset(%s)" % self.spec()
 
 
-def _det(matrix):
-    """Determinant by cofactor expansion; entries are Polynomials."""
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    nvars = matrix[0][0].nvars
-    total = Polynomial.zero(nvars)
-    for j, entry in enumerate(matrix[0]):
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        cof = entry * _det(minor)
-        total = total + (cof if j % 2 == 0 else -cof)
-    return total
-
-
-@functools.cache
-def f_hat_polynomial():
-    """The determinant as a degree-3 polynomial in the six squared lengths."""
-    one, zero = Polynomial.constant(6, 1), Polynomial.zero(6)
-    m = [[zero, one, one, one, one]]
-    for i in range(1, 5):
-        m.append([one] + [zero if i == j else
-                          Polynomial.variable(6, EdgeIndex.of(i, j))
-                          for j in range(1, 5)])
-    return _det(m)
-
-
 @functools.cache
 def f_polynomial():
     """The determinant as a degree-6 polynomial in the six edge lengths.
 
-    f(d) = f_hat(d^2), so each exponent of f_hat doubles.
+    f(d) = f_hat(d^2): ``f_hat_value`` applied to the squared edge
+    variables.  Cached, so every caller shares one polynomial.
     """
-    return Polynomial._canonical(6, {tuple(2 * e for e in exps): c for exps, c
-                                     in f_hat_polynomial().terms.items()})
+    return f_hat_value([Polynomial.variable(6, k) ** 2 for k in range(6)])
 
 
 @functools.cache
@@ -190,9 +163,10 @@ def clear_denominators(d):
 def f_hat_value(s):
     """f_hat at the six squared lengths s, by its 22-term closed form.
 
-    The same cubic as ``f_hat_polynomial()``, written out: each pair of
+    The bordered Cayley-Menger determinant written out: each pair of
     opposite edges adds its product times the sum of the other four less
     its own two, and each face takes off the product of its three edges.
+    The entries may be ints, Fractions or Polynomials.
     """
     s0, s1, s2, s3, s4, s5 = s
     return 2 * (s0 * s5 * (s1 + s2 + s3 + s4 - s0 - s5)

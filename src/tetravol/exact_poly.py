@@ -4,12 +4,7 @@ One type, ``Polynomial``: sparse multivariate polynomials over Z with a
 plain-text serialization format.  ``evaluate`` is the one composition
 loop: at a point of ints or Fractions it gives a number, at a point of
 Polynomials it gives their composition, which ``substitute`` and
-``restrict_curve`` (curves are 1-variable Polynomials) return.  Its
-first call on an instance builds a sparse plan, kept with the instance
-for every later call: the distinct (variable, exponent) powers that
-the terms use, and each term's coefficient with the indices of its
-nonzero powers.  A call then raises each coordinate to each power once
-and walks only the nonzero factors.
+``restrict_curve`` (curves are 1-variable Polynomials) return.
 Everything here is exact: coefficients are Python ints (or Fractions
 where evaluation points are rational) and no floating point is used
 anywhere.
@@ -23,11 +18,10 @@ class Polynomial:
 
     Terms are stored as a dict mapping exponent tuples to nonzero
     coefficients.  Instances should be treated as immutable; all
-    operations return fresh objects.  The ``_plan`` slot stays unset
-    until the first ``evaluate``, which fills it.
+    operations return fresh objects.
     """
 
-    __slots__ = ("nvars", "terms", "_plan")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
         self.nvars = int(nvars)
@@ -153,7 +147,7 @@ class Polynomial:
     def evaluate(self, point):
         """Evaluate at a point of ints, Fractions or Polynomials, exactly.
 
-        Each power of a coordinate that a term uses is computed once.
+        Each distinct power of a coordinate is computed once per call.
         Each term multiplies its coefficient by its powers in variable
         order, and the terms are summed in their dict order.  At a point
         of Polynomials the value is the composition, except that a
@@ -162,25 +156,18 @@ class Polynomial:
         """
         if len(point) != self.nvars:
             raise ValueError("point arity mismatch")
-        try:
-            powers, plan = self._plan
-        except AttributeError:
-            powers, plan = self._plan = self._evaluation_plan()
-        values = [point[j] ** e for j, e in powers]
         total = 0
-        for v, factors in plan:
-            for i in factors:
-                v *= values[i]
+        powers = [{} for _ in range(self.nvars)]
+        for exps, c in self.terms.items():
+            v = c
+            for j, e in enumerate(exps):
+                if e:
+                    cache = powers[j]
+                    if e not in cache:
+                        cache[e] = point[j] ** e
+                    v *= cache[e]
             total += v
         return total
-
-    def _evaluation_plan(self):
-        """(powers, plan) for ``evaluate``, as the module docstring says."""
-        index = {}
-        plan = tuple((c, tuple(index.setdefault(pair, len(index))
-                               for pair in enumerate(exps) if pair[1]))
-                     for exps, c in self.terms.items())
-        return tuple(index), plan
 
     def partial_derivative(self, j):
         if not 0 <= j < self.nvars:

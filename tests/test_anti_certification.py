@@ -20,6 +20,7 @@ from tetravol.cayley_menger import EdgeSubset, directional_derivative, \
     f_polynomial
 from tetravol.chamber_geometry import build_partitions, certified_chambers, \
     decoration
+from tetravol.exact_poly import Polynomial
 
 int_points = st.tuples(*[st.integers(-40, 40) for _ in range(6)])
 
@@ -290,3 +291,18 @@ def test_float_forms_equal_the_broadcast_oracle_bit_for_bit(n):
     pts[1::3] *= 1e6
     for poly, got in zip(polys, _FloatForms(*polys).at(pts)):
         assert np.array_equal(got, float_form_reference(poly, pts))
+
+
+def test_float_forms_ignore_the_term_order():
+    # the golden file pins every bit of the prescreen floats, and f's dict
+    # order is whatever building it leaves
+    polys = (f_polynomial(), directional_derivative(EdgeSubset.parse("12,13")))
+    flipped = [Polynomial._canonical(6, dict(reversed(p.terms.items())))
+               for p in polys]
+    assert [list(p.terms) for p in flipped] != [list(p.terms) for p in polys]
+    cell = build_partitions().fortyeight["D_3111"]
+    pts = barycentric_block(random.Random(5), 1024) @ np.array(
+        cell.vertices, dtype=np.float64)
+    want = _FloatForms(*polys).at(pts)
+    got = _FloatForms(*flipped).at(pts)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]

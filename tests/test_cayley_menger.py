@@ -10,13 +10,44 @@ from hypothesis import given, strategies as st
 from tetravol.anti_certification import f_value_bordered
 from tetravol.cayley_menger import (
     AXIS_PAIRS, EDGES, FACES, VERTEX_EDGES, EdgeIndex, EdgeSubset,
-    clear_denominators, directional_derivative, f_hat_polynomial,
-    f_hat_value, f_polynomial, is_tetrahedral, strict_faces, tetrahedral_f,
+    clear_denominators, directional_derivative, f_hat_value, f_polynomial,
+    is_tetrahedral, strict_faces, tetrahedral_f,
 )
 from tetravol.exact_poly import Polynomial
 
 REGULAR = (1, 1, 1, 1, 1, 1)
 CENTER = (4, 4, 4, 4, 4, 4)
+
+
+def cofactor_det(matrix):
+    """Determinant by cofactor expansion along the first row.
+
+    Entries are Polynomials, so this gives a determinant as a polynomial.
+    """
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = Polynomial.zero(matrix[0][0].nvars)
+    for j, entry in enumerate(matrix[0]):
+        if entry.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
+        cof = entry * cofactor_det(minor)
+        total = total + (cof if j % 2 == 0 else -cof)
+    return total
+
+
+def bordered_determinant(s):
+    """The bordered 5x5 Cayley-Menger determinant with squared lengths s.
+
+    The oracle for ``f_hat_value``: s holds six Polynomials, entry (i, j)
+    of the inner 4x4 block is s[EdgeIndex.of(i, j)].
+    """
+    one, zero = Polynomial.constant(6, 1), Polynomial.zero(6)
+    m = [[zero, one, one, one, one]]
+    for i in range(1, 5):
+        m.append([one] + [zero if i == j else s[EdgeIndex.of(i, j)]
+                          for j in range(1, 5)])
+    return cofactor_det(m)
 
 
 def volume_squared(d):
@@ -59,16 +90,13 @@ def test_f_shape():
 
 
 def test_f_factors_through_squares():
-    fhat = f_hat_polynomial()
-    assert fhat.total_degree() == 3
     squares = [Polynomial.variable(6, k) ** 2 for k in range(6)]
-    assert fhat.substitute(squares) == f_polynomial()
+    assert bordered_determinant(squares) == f_polynomial()
 
 
 def test_each_accessor_returns_the_same_object():
     # callers share one polynomial; a rebuild per call would be waste
-    for accessor in (f_polynomial, f_hat_polynomial):
-        assert accessor() is accessor()
+    assert f_polynomial() is f_polynomial()
 
 
 def test_known_values():
@@ -157,7 +185,10 @@ def test_rational_lengths_are_exact_and_floats_are_refused():
 def test_closed_form_is_f_hat():
     # the 22 terms written out are the determinant's cubic
     variables = [Polynomial.variable(6, k) for k in range(6)]
-    assert f_hat_value(variables) == f_hat_polynomial()
+    fhat = bordered_determinant(variables)
+    assert fhat.total_degree() == 3
+    assert len(fhat.terms) == 22
+    assert f_hat_value(variables) == fhat
 
 
 def test_closed_form_matches_the_bordered_determinant():

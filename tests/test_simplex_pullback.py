@@ -14,6 +14,7 @@ from tetravol.cayley_menger import (EdgeSubset, directional_derivative,
                                     f_polynomial)
 from tetravol.chamber_geometry import LatticeSimplex6, build_partitions
 from tetravol.exact_poly import Polynomial
+from tetravol.positive_dominance import certify
 from tetravol.simplex_pullback import (_coefficient_bound, _graded_basis,
                                        build_pullback, point_image, pullback)
 
@@ -305,3 +306,27 @@ def test_pullback_preserves_sign_on_samples():
               (Fraction(1, 3), Fraction(2, 3), 0, 1, Fraction(1, 4))]:
         assert q.evaluate(x) == f.evaluate(point_image(cell, x))
         assert q.evaluate(x) >= 0
+
+
+def reversed_terms(p):
+    """p with the same terms in reversed dict order."""
+    return Polynomial._canonical(p.nvars, dict(reversed(p.terms.items())))
+
+
+def test_pullback_and_certify_ignore_the_term_order():
+    # f's dict order is whatever building it leaves, and every a*g + b*f
+    # inherits it; the pulled-back terms and the certificate must not
+    registry = case_registry()
+    for case, k in (("full-K4", 1), ("incident-pair", 4)):
+        spec = registry[case]
+        task = spec.tasks[k]
+        cell = spec.simplices[task.simplex]
+        p = task.func.polynomial(spec.beta)
+        flipped = reversed_terms(p)
+        assert list(flipped.terms) != list(p.terms)
+        q = pullback(p, cell)
+        assert list(pullback(flipped, cell).terms.items()) == list(
+            q.terms.items())
+        cert = certify(q)
+        assert cert.steps == task.target
+        assert certify(reversed_terms(q)) == cert
