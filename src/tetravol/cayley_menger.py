@@ -33,6 +33,17 @@ FACES = {
 AXIS_PAIRS = ((0, 5), (1, 4), (2, 3))
 VERTEX_EDGES = {1: (0, 1, 2), 2: (0, 3, 4), 3: (1, 3, 5), 4: (2, 4, 5)}
 
+# Sorted vertex degrees of a nonempty edge subset -> its isomorphism
+# type, one line per edge count.
+TYPE_BY_DEGREES = {
+    (0, 0, 1, 1): "single-edge",
+    (0, 1, 1, 2): "incident-pair", (1, 1, 1, 1): "opposite-pair",
+    (1, 1, 1, 3): "tripod", (0, 2, 2, 2): "3-cycle", (1, 1, 2, 2): "3-path",
+    (2, 2, 2, 2): "4-cycle", (1, 2, 2, 3): "complement-of-incident-pair",
+    (2, 2, 3, 3): "complement-of-edge",
+    (3, 3, 3, 3): "full-K4",
+}
+
 
 class EdgeIndex:
     """Fixed bijection between K4 edges and coordinates 0..5."""
@@ -75,37 +86,16 @@ class EdgeSubset:
         return cls(range(6))
 
     def classify(self):
-        """Isomorphism-type tag of the edge subset."""
-        n = len(self.indices)
-        if n == 1:
-            return "single-edge"
-        if n == 2:
-            k1, k2 = sorted(self.indices)
-            if (k1, k2) in AXIS_PAIRS:
-                return "opposite-pair"
-            return "incident-pair"
-        if n == 3:
-            counts = sorted(self._degrees().values())
-            if counts == [1, 1, 1, 3]:
-                return "tripod"
-            if counts == [2, 2, 2]:
-                return "3-cycle"
-            return "3-path"
-        if n == 4:
-            comp = EdgeSubset(set(range(6)) - self.indices)
-            if comp.classify() == "opposite-pair":
-                return "4-cycle"
-            return "complement-of-incident-pair"
-        if n == 5:
-            return "complement-of-edge"
-        return "full-K4"
+        """Isomorphism-type tag: the sorted ``degrees()`` looked up in
+        ``TYPE_BY_DEGREES``, as the ten types have ten distinct sorted
+        degree lists, from 0011 for one edge to 3333 for the full K4.
+        """
+        return TYPE_BY_DEGREES[tuple(sorted(self.degrees()))]
 
-    def _degrees(self):
-        degs = {}
-        for k in self.indices:
-            for v in EDGES[k]:
-                degs[v] = degs.get(v, 0) + 1
-        return degs
+    def degrees(self):
+        """How many of the subset's edges meet each of vertices 1..4."""
+        return tuple(sum(k in self.indices for k in VERTEX_EDGES[v])
+                     for v in (1, 2, 3, 4))
 
     def spec(self):
         """Canonical text spec, the inverse of parse()."""

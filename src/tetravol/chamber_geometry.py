@@ -70,9 +70,11 @@ def axis_sums(p):
 
 
 def in_cone(p):
-    """Weak membership in the pseudo-tetrahedron cone X."""
-    if any(x < 0 for x in p):
-        return False
+    """Weak membership in the pseudo-tetrahedron cone X.
+
+    The weak face inequalities alone force p >= 0: b <= a + c and
+    c <= a + b add to 2a >= 0, and every edge lies on a face.
+    """
     for slots in FACES.values():
         a, b, c = (p[s] for s in slots)
         if a > b + c or b > a + c or c > a + b:
@@ -408,54 +410,27 @@ def build_partitions():
 def certified_chambers(beta):
     """Decorations of the chambers making up the certified region X_beta.
 
-    beta is an EdgeSubset.  Characterized combinatorially per edge-subset
-    type; raises for the two complement types, which have no certified
-    region.
+    A chamber is certified when its black vertex has beta's largest
+    vertex degree and beta shares no edge with the decoration's path
+    (single edge) or its outer axis pair (incident or opposite pair,
+    3-path, 4-cycle); a tripod, 3-cycle or full K4 has no edge
+    condition.  The two complement types have no region: ValueError.
     """
     tag = beta.classify()
-    idx = beta.indices
+    if tag.startswith("complement-of-"):
+        raise ValueError("no certified region for type %r" % tag)
+    degs = beta.degrees()
     out = []
     for d in decorations():
-        path_edges = set(d.edge_indices())
-        outer = set(AXIS_PAIRS[d.axes[0]])
-        if tag == "full-K4":
-            ok = True
-        elif tag == "single-edge":
-            (k,) = idx
-            ok = k not in path_edges and d.black in EDGES[k]
-        elif tag == "incident-pair":
-            common = _common_vertex(idx)
-            ok = not (outer & idx) and d.black == common
-        elif tag == "opposite-pair":
-            ok = outer != idx
-        elif tag == "tripod":
-            apex = next(v for v in (1, 2, 3, 4)
-                        if set(VERTEX_EDGES[v]) == idx)
-            ok = d.black == apex
-        elif tag == "3-path":
-            interior = {v for v in (1, 2, 3, 4)
-                        if sum(v in EDGES[k] for k in idx) == 2}
-            ok = d.black in interior and not (outer & idx)
-        elif tag == "4-cycle":
-            ok = outer == set(range(6)) - idx
-        elif tag == "3-cycle":
-            verts = set()
-            for k in idx:
-                verts.update(EDGES[k])
-            ok = d.black in verts
+        if tag == "single-edge":
+            avoid = d.edge_indices()
+        elif tag in ("tripod", "3-cycle", "full-K4"):
+            avoid = ()
         else:
-            raise ValueError("no certified region for type %r" % tag)
-        if ok:
+            avoid = AXIS_PAIRS[d.axes[0]]
+        if degs[d.black - 1] == max(degs) and beta.indices.isdisjoint(avoid):
             out.append(d)
     return out
-
-
-def _common_vertex(pair):
-    k1, k2 = sorted(pair)
-    common = set(EDGES[k1]) & set(EDGES[k2])
-    if len(common) != 1:
-        raise ValueError("not an incident pair")
-    return next(iter(common))
 
 
 # -- reports ------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Partition, relabeling-group, and chamber-membership checks."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from tetravol.cayley_menger import EdgeSubset, f_polynomial
+from tetravol.cayley_menger import FACES, EdgeSubset, f_polynomial
 from tetravol.chamber_geometry import (
     A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, LatticeSimplex6, _int_det,
     all_relabelings, apply_relabel, axis_image, axis_sums, build_partitions,
@@ -94,6 +95,14 @@ def test_in_cone():
     assert not in_cone((-1, 4, 4, 4, 4, 4))
     # violates a face triangle condition outright
     assert not in_cone((24, 0, 0, 0, 0, 0))
+
+
+def test_in_cone_needs_no_separate_sign_test():
+    # a <= b + c for all three edges of a face is 2 * max <= sum
+    for p in itertools.product(range(-3, 4), repeat=6):
+        faces = all(2 * max(p[s] for s in slots) <= sum(p[s] for s in slots)
+                    for slots in FACES.values())
+        assert in_cone(p) == (min(p) >= 0 and faces)
 
 
 # -- the relabeling group ------------------------------------------------
@@ -355,3 +364,29 @@ def test_unfriendly_types_have_no_certified_region():
     for spec in ["12,13,14,23", "12,13,14,23,24"]:
         with pytest.raises(ValueError):
             certified_chambers(EdgeSubset.parse(spec))
+
+
+def test_type_and_region_follow_every_relabeling():
+    """Relabeling beta keeps its type and carries its region along.
+
+    The types are exactly the relabeling orbits of edge subsets, so with
+    the per-type examples and counts this pins every subset's tag and
+    certified region.
+    """
+    for n in range(1, 7):
+        for idx in itertools.combinations(range(6), n):
+            beta = EdgeSubset(idx)
+            try:
+                region = certified_chambers(beta)
+            except ValueError:
+                region = None
+            for sigma in all_relabelings():
+                perm = relabel_action(sigma)
+                image = EdgeSubset(perm[k] for k in idx)
+                assert image.classify() == beta.classify()
+                if region is None:
+                    with pytest.raises(ValueError):
+                        certified_chambers(image)
+                else:
+                    assert ({d.relabeled(sigma).id for d in region}
+                            == {d.id for d in certified_chambers(image)})

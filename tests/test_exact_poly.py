@@ -5,6 +5,8 @@ Composition is checked pointwise: ``substitute`` and ``restrict_curve``
 images first and the outer polynomial at their values.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -142,32 +144,37 @@ def test_restrict_curve_is_pointwise(p, curves, t):
 
 
 def evaluate_reference(poly, point):
-    """The term-by-term loop over every exponent: the oracle for ``evaluate``.
+    """An oracle for ``evaluate`` at a point of ints or Fractions.
 
-    Each distinct power of a coordinate is computed once, each term
-    multiplies its coefficient by its powers in variable order, and the
-    terms are summed in dict order.
+    Each term is ``math.prod`` of its coefficient and its powers, each
+    power computed afresh (a zero exponent contributes no factor), and
+    the terms are summed in sorted exponent order: no power cache and no
+    dict-order loop in common with ``evaluate``.
     """
-    total = 0
-    powers = [{} for _ in range(poly.nvars)]
-    for exps, c in poly.terms.items():
-        v = c
-        for j, e in enumerate(exps):
-            if e:
-                cache = powers[j]
-                if e not in cache:
-                    cache[e] = point[j] ** e
-                v *= cache[e]
-        total += v
-    return total
+    return sum(math.prod([c] + [x ** e for x, e in zip(point, exps) if e])
+               for exps, c in sorted(poly.terms.items()))
 
 
 def same_value(got, want):
-    """Equal, of one type, and for Polynomials with terms in one order."""
+    """Equal and of one type."""
     assert type(got) is type(want)
     assert got == want
-    if isinstance(want, Polynomial):
-        assert list(got.terms.items()) == list(want.terms.items())
+
+
+def check_composition(poly, images):
+    """``poly.evaluate(images)`` against the oracle, pointwise.
+
+    At each integer point t of a small grid the composition's value must
+    be the oracle's value of ``poly`` at the images' values at t.  A
+    constant ``poly`` composes to an int, anything else to a Polynomial.
+    """
+    composed = poly.evaluate(images)
+    assert (type(composed) is int) == (poly.total_degree() <= 0)
+    for t in itertools.product(range(-2, 3), repeat=images[0].nvars):
+        values = [evaluate_reference(img, t) for img in images]
+        at_t = (composed if type(composed) is int
+                else evaluate_reference(composed, t))
+        assert at_t == evaluate_reference(poly, values)
 
 
 fractions3 = st.tuples(*[st.fractions(-5, 5, max_denominator=7)] * 3)
@@ -175,11 +182,12 @@ fractions3 = st.tuples(*[st.fractions(-5, 5, max_denominator=7)] * 3)
 
 @given(small_polys(), points3, fractions3,
        st.tuples(small_curves, small_curves, small_curves))
-def test_evaluate_matches_the_term_loop(p, x, q, curves):
-    for point in (x, q, curves):
-        # twice: a call leaves nothing behind that changes the next
-        same_value(p.evaluate(point), evaluate_reference(p, point))
-        same_value(p.evaluate(point), evaluate_reference(p, point))
+def test_evaluate_matches_the_oracle(p, x, q, curves):
+    # twice: a call leaves nothing behind that changes the next
+    for _ in range(2):
+        same_value(p.evaluate(x), evaluate_reference(p, x))
+        same_value(p.evaluate(q), evaluate_reference(p, q))
+        check_composition(p, curves)
 
 
 def test_evaluate_on_edge_polynomials():
@@ -188,12 +196,17 @@ def test_evaluate_on_edge_polynomials():
     polys = [Polynomial.zero(2), Polynomial.constant(2, -7),
              Polynomial._canonical(2, {(0, 0): 5, (2, 1): -3, (0, 4): 1}),
              canonical, -canonical, canonical - canonical]
-    points = [(0, 0), (-3, 2), (Fraction(1, 2), Fraction(-4, 3)),
-              (Polynomial.variable(1, 0), Polynomial.constant(1, 2)),
+    points = [(0, 0), (-3, 2), (Fraction(1, 2), Fraction(-4, 3))]
+    images = [(Polynomial.variable(1, 0), Polynomial.constant(1, 2)),
               (y + 1, -y)]
     for p in polys:
         for point in points:
             same_value(p.evaluate(point), evaluate_reference(p, point))
+        for point in images:
+            check_composition(p, point)
+    # the composition's terms come out in a fixed order
+    assert list(polys[2].evaluate((y + 1, -y)).terms.items()) == [
+        ((0, 3), 3), ((0, 2), 6), ((0, 1), 3), ((0, 0), 5), ((0, 4), 1)]
     with pytest.raises(ValueError):
         polys[0].evaluate((1, 2, 3))
 
