@@ -17,34 +17,38 @@ The pullback first composes with the six affine forms L_k(u) = (W V(u))_k,
 read straight off the vertices as L_k = v1[k] + sum_i u_i (v(i+1)[k] - vi[k]),
 and then rewrites u to stick-breaking coordinates, which only renames
 exponents.  The composition is a multivariate Horner scheme (Peña and
-Sauer, SIAM J. Numer. Anal. 37, 2000): the terms are grouped by their
-exponent of one variable at a time, and each group is folded in as
-``acc = acc * L_j + child``, so the only products are by a linear form.
-Every intermediate polynomial is a dense vector over the monomials in u
-of total degree at most deg p, and each product by a form is one gather
-and one dot product.
+Sauer, SIAM J. Numer. Anal. 37, 2000) over a tree of monomials in the
+variables y_1, ..., y_6 of p.  Its nodes are p's exponents and all that
+they reach by dropping one power of their last variable present, which
+gives a node's parent, down to the root 0.  With c_m the coefficient of
+y^m in p (0 if none), each node m holds
+
+    Q_m = c_m + sum over its children m + e_j of Q_(m+e_j) L_j
+        = sum over the exponents e under m of c_e prod_k L_k^(e_k - m_k),
+
+so Q_0 = p(L_1, ..., L_6), and Q_m has degree at most deg p - |m|.  The
+nodes of one total degree form a level, one matrix of dense vectors over
+the monomials in u, and each level is one gather, one batched dot with
+the children's forms and one sum over each parent's children.  The tree
+depends on the exponents alone, so it is cached.
 
 The vectors are int64 when an exact bound allows it and Python ints
 (dtype=object) otherwise.  Write |q| for the sum of the absolute values
-of q's coefficients, N_k = max(1, |L_k|), y_1, ..., y_6 for the
-variables of p, and
+of q's coefficients, N_k = max(1, |L_k|), and
 
     Phi(p) = sum over the terms c * y^e of p of |c| * prod_k N_k^e_k.
 
-Every value the scheme forms has absolute value at most Phi(p).  Take
-one Horner call, on terms T and the forms L_j, L_j+1, ..., and let T_k
-be its group of exponent k in y_j, so that Phi(T) = sum_k Phi(T_k) N_j^k
-with Phi(T_k) taken on the later forms; by induction every value formed
-inside the call for T_k is at most Phi(T_k).  After folding in group k
-the accumulator is A_k = sum over k' >= k of H(T_k') L_j^(k' - k), H
-being the composition, so |A_k| <= sum over k' >= k of Phi(T_k') N_j^(k'-k)
-<= Phi(T) because N_j >= 1.  An entry of A_(k+1) * L_j, and each partial
-sum in its dot product, adds some of the signed terms c_i * a_m whose
-absolute values sum to |A_(k+1)| |L_j| over all entries, so it is at
-most |A_(k+1)| N_j <= Phi(T); and an entry of A_k is one such entry plus
-one of H(T_k), at most |A_(k+1)| N_j + Phi(T_k) <= Phi(T).  So when
-Phi(p) < 2**63 no int64 operation can wrap, and both dtypes give the
-same integers.
+Every value the scheme forms has absolute value at most Phi(p).  Let
+Phi_m = sum over e under m of |c_e| prod_k N_k^(e_k - m_k), so that
+Phi_m = |c_m| + sum over m's children m + e_j of N_j Phi_(m+e_j), which
+is at most Phi_0 = Phi(p) as N_k >= 1; by induction from the leaves,
+|Q_m| <= Phi_m.  An entry of a child's Q_(m+e_j) L_j, and each partial
+sum of its dot product, adds some of the signed products of a
+coefficient of Q_(m+e_j) and one of L_j, whose absolute values sum to at
+most N_j Phi_(m+e_j) over all entries; so an entry of Q_m, and each
+partial sum over the children and c_m that forms it, is at most Phi_m.
+So when Phi(p) < 2**63 no int64 operation can wrap, and both dtypes
+give the same integers.
 """
 
 from __future__ import annotations
@@ -98,31 +102,57 @@ def _graded_basis(degree):
     return stick, down
 
 
-def _horner(terms, forms, down):
-    """Dense vector of sum c * prod L_j^e_j over (e, c) in terms.
+@functools.lru_cache(maxsize=256)
+def _monomial_tree(exponents):
+    """The tree of the module docstring, for p's exponents in dict order.
 
-    Groups the terms by the exponent of the first remaining variable and
-    runs Horner's rule in that variable over the groups' compositions.
-    Before the product that folds in the group of exponent k, the
-    accumulator has degree at most deg(terms) - k - 1, so no product
-    reaches past the degree of the basis tables.  Each product by a form
-    (c0, c1, ..., c5) is one gather through ``down`` and one dot.
+    Per total degree from 0 up: the term of each node (len(exponents) if
+    none), the variable j of each child (grouped by parent), the first
+    child of each group and the parent it belongs to.
     """
-    if not len(forms):
-        return np.array([terms[0][1], 0], dtype=forms.dtype)
-    groups = {}
-    for e, c in terms:
-        groups.setdefault(e[0], []).append((e[1:], c))
-    top = max(groups)
-    acc = _horner(groups[top], forms[1:], down)
-    for k in range(top - 1, -1, -1):
-        acc = acc.take(down[len(acc)]) @ forms[0]
-        if k in groups:
-            child = _horner(groups[k], forms[1:], down)
-            if len(child) > len(acc):
-                acc, child = child, acc
-            acc[:len(child)] += child  # child's sentinel slot adds 0
-    return acc
+    kids = {}
+    for e in exponents:
+        j = 5
+        while any(e):
+            while not e[j]:
+                j -= 1
+            up = e[:j] + (e[j] - 1,) + e[j + 1:]
+            siblings = kids.setdefault(up, {})
+            if e in siblings:
+                break
+            siblings[e] = j
+            e = up
+    term = {e: i for i, e in enumerate(exponents)}
+    level, levels = [(0,) * 6], []
+    while level:
+        below, js, starts, parents = [], [], [], []
+        for i, m in enumerate(level):
+            if m in kids:
+                parents.append(i)
+                starts.append(len(below))
+                below += kids[m]
+                js += kids[m].values()
+        levels.append(tuple(np.array(a, dtype=np.intp) for a in (
+            [term.get(m, len(term)) for m in level], js, starts, parents)))
+        level = below
+    return tuple(levels)
+
+
+def _fold_levels(levels, coeffs, forms, down):
+    """Q_0 as a dense vector, by one step per level from the top degree.
+
+    Each step gathers the level's rows through ``down``, takes their dot
+    with the children's forms, sums each parent's group and adds c_m.
+    """
+    c = np.array(coeffs + [0], dtype=forms.dtype)
+    acc = np.outer(c[levels[-1][0]], (1, 0))  # the top level's constants
+    for terms, js, starts, parents in reversed(levels[:-1]):
+        prod = np.einsum("mnc,mc->mn", acc.take(down[acc.shape[1]], axis=1),
+                         forms[js])
+        acc = np.zeros((len(terms), prod.shape[1]), dtype=forms.dtype)
+        acc[parents] = np.add.reduceat(prod, starts)
+        acc[:, 0] += c[terms]
+    return acc[0]
 
 
 def _coefficient_bound(p, forms):
@@ -143,9 +173,11 @@ def _compose_affine(p, forms):
         return Polynomial.zero(5)
     stick, down = _graded_basis(p.total_degree())
     dtype = np.int64 if _coefficient_bound(p, forms) < 2 ** 63 else object
-    vec = _horner(list(p.terms.items()), np.array(forms, dtype=dtype), down)
+    vec = _fold_levels(_monomial_tree(tuple(p.terms)), list(p.terms.values()),
+                       np.array(forms, dtype=dtype), down)
+    vals = vec.tolist()
     return Polynomial._canonical(
-        5, {stick[j]: c for j, c in enumerate(vec[:-1].tolist()) if c})
+        5, {stick[j]: vals[j] for j in np.flatnonzero(vec[:-1]).tolist()})
 
 
 def build_pullback(simplex):
@@ -171,12 +203,10 @@ def pullback(p, simplex):
     """Pull a 6-variable polynomial p back to the cube through the simplex.
 
     Composes with the simplex's six affine forms by the Horner scheme of
-    ``_compose_affine``, which also rewrites to stick-breaking
-    coordinates.  Horner multiplies only by a linear form, on dense
-    vectors over the monomials of degree <= deg p, so the work grows
-    with that basis and not with the terms of each power product.  The
-    result is exact: the vectors hold int64 only under a bound that
-    rules out overflow.
+    the module docstring, one batched product by linear forms per degree
+    level, and rewrites to stick-breaking coordinates.  The result is
+    exact: the vectors hold int64 only under a bound that rules out
+    overflow.
     """
     if p.nvars != 6:
         raise ValueError("expected a 6-variable polynomial")

@@ -179,17 +179,48 @@ def test_horner_matches_substitution_past_int64(p, level):
     assert pullback(p, cell) == _by_substitution(cell, p)
 
 
-def _dtypes_of(monkeypatch, p, cell):
-    """The pullback of p and the dtypes its Horner scheme ran on."""
-    seen = set()
-    horner = simplex_pullback._horner
+# few terms of mixed degrees, so most tree nodes are not terms of p
+@given(degree6_polys6(max_terms=6, bound=2 ** 40), st.sampled_from(range(4)))
+@example(Polynomial.constant(6, -3), 0)
+@example(Polynomial(6, {(0, 0, 0, 0, 0, 6): 7}), 1)
+@example(Polynomial(6, {(6, 0, 0, 0, 0, 0): -1}), 3)
+@example(Polynomial(6, {(1, 0, 0, 0, 0, 1): 3, (0, 2, 0, 0, 0, 0): -1,
+                        (0, 0, 1, 2, 0, 3): 5, (0,) * 6: 2}), 2)
+@example(Polynomial(6, {(0, 0, 0, 0, 0, 6): 2 ** 80 + 1,
+                        (1, 0, 1, 0, 1, 0): -(2 ** 70)}), 3)
+@settings(max_examples=60, deadline=None)
+def test_level_scheme_matches_substitution_on_sparse_trees(p, level):
+    cell = _one_cell_per_level()[level]
+    assert pullback(p, cell) == _by_substitution(cell, p)
 
-    def spy(terms, forms, down):
+
+def test_a_cached_tree_carries_no_coefficients_or_forms():
+    # p and q share their exponents, in the same dict order, so the
+    # second pullback reuses the tree the first one built
+    p = Polynomial(6, {(0, 1, 0, 0, 2, 1): 9, (1, 0, 0, 0, 0, 0): -4,
+                       (0, 0, 3, 0, 0, 0): 1, (0,) * 6: -7})
+    q = Polynomial(6, dict(zip(p.terms, (-2, 11, 2 ** 70, 5))))
+    assert list(q.terms) == list(p.terms)
+    first, second = _one_cell_per_level()[1:3]
+    hits = simplex_pullback._monomial_tree.cache_info().hits
+    assert pullback(p, first) == _by_substitution(first, p)
+    assert pullback(q, second) == _by_substitution(second, q)
+    assert pullback(p, second) == _by_substitution(second, p)
+    assert simplex_pullback._monomial_tree.cache_info().hits >= hits + 2
+    assert simplex_pullback._monomial_tree.cache_info().maxsize is not None
+
+
+def _dtypes_of(monkeypatch, p, cell):
+    """The pullback of p and the dtypes its level loop ran on."""
+    seen = set()
+    fold = simplex_pullback._fold_levels
+
+    def spy(levels, coeffs, forms, down):
         seen.add(forms.dtype)
-        return horner(terms, forms, down)
+        return fold(levels, coeffs, forms, down)
 
     with monkeypatch.context() as m:
-        m.setattr(simplex_pullback, "_horner", spy)
+        m.setattr(simplex_pullback, "_fold_levels", spy)
         return pullback(p, cell), seen
 
 
