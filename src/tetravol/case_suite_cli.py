@@ -107,9 +107,9 @@ class CaseSpec:
     beta: EdgeSubset
     simplices: dict
     tasks: tuple
+    interval_exact: tuple
     curves: tuple = ()
     identities: tuple = ()
-    interval_exact: tuple = (True, True)
     campaign_trials: int = 0
     note: str = ""
 
@@ -134,10 +134,11 @@ def case_registry():
     """The eight pinned cases, keyed by edge-subset type name."""
     C = CENTER
     A1, A2, A3 = EXTREME_A[1], EXTREME_A[2], EXTREME_A[3]
-    B1, B2, B3, B4 = (EXTREME_B[j] for j in (1, 2, 3, 4))
+    B2, B3, B4 = (EXTREME_B[j] for j in (2, 3, 4))
     A13 = A_MID[(1, 3)]
     B24 = B_MID[(2, 4)]
     parts = build_partitions()
+    D = parts.fortyeight
     specs = []
 
     c11 = LatticeSimplex6("C_11", (C, B2, B3, B4, A2, A3))
@@ -148,16 +149,13 @@ def case_registry():
             CertTask("C_11", CaseFunction(2, -3), 7455),
             CertTask("C_11", CaseFunction(3, -2), 1173),
         ),
+        interval_exact=(True, True),
         campaign_trials=100000,
         note="one cell per transporter orbit; relabelings cover all 48 "
              "chambers",
     ))
 
-    single = {
-        "S1": LatticeSimplex6("S1", (C, B3, B24, A13, B2, A1)),
-        "S2": LatticeSimplex6("S2", (C, B3, B24, A13, B4, A1)),
-        "S3": LatticeSimplex6("S3", (C, B3, B24, A13, B4, A3)),
-    }
+    single = {"S1": D["D_2122"], "S2": D["D_2112"], "S3": D["D_2111"]}
     p_single = CaseFunction(1, 0)
     q_single = CaseFunction(12, -1)
     specs.append(CaseSpec(
@@ -171,6 +169,7 @@ def case_registry():
             CertTask("S2", q_single, 469),
             CertTask("S3", q_single, 617),
         ),
+        interval_exact=(True, True),
         curves=(
             CurveCheck("g + t f on (1-t)A1 + t A13", _curve(A1, A13, A1),
                        _ONE, _T, -342144, 3),
@@ -189,10 +188,11 @@ def case_registry():
     A12 = A_MID[(1, 2)]
     specs.append(CaseSpec(
         beta=EdgeSubset.parse("12,13"),
-        simplices={n: parts.fortyeight[n] for n in pair_cells},
+        simplices={n: D[n] for n in pair_cells},
         tasks=tuple(CertTask(n, p_pair, 421) for n in pair_cells)
         + tuple(CertTask(n, q_pair, 479) for n in pair_cells)
         + tuple(CertTask(n, r_pair, 489) for n in pair_cells),
+        interval_exact=(True, True),
         curves=(
             CurveCheck("t f on (1-t-t^2)B2 + t B3 + t^2 B24",
                        _curve(B2, B3, B24), _ZERO, _T, -2097152, 7),
@@ -209,12 +209,8 @@ def case_registry():
              "combination g + t f starts at +1048576 t^4 and does not dip",
     ))
 
-    opp = {
-        "U1": LatticeSimplex6("U1", (C, B3, B24, A13, B2, A1)),
-        "U2": LatticeSimplex6("U2", (C, B3, B24, A13, B2, A3)),
-        "U3": LatticeSimplex6("U3", (C, B1, B24, A13, B2, A1)),
-        "U4": LatticeSimplex6("U4", (C, B1, B24, A13, B2, A3)),
-    }
+    opp = {"U1": D["D_2122"], "U2": D["D_2121"], "U3": D["D_2312"],
+           "U4": D["D_2311"]}
     p_opp = CaseFunction(1, 0)
     q_opp = CaseFunction(6, -1)
     specs.append(CaseSpec(
@@ -244,6 +240,7 @@ def case_registry():
             CertTask("C_21", CaseFunction(4, -3), 967),
             CertTask("C_21", CaseFunction(3, -1), 779),
         ),
+        interval_exact=(True, True),
         identities=(
             Identity("4g - 3f at the center", C, CaseFunction(4, -3)),
             Identity("3g - f at A3", A3, CaseFunction(3, -1)),
@@ -272,6 +269,7 @@ def case_registry():
             CertTask("C_31", CaseFunction(1, 0), 755),
             CertTask("C_31", CaseFunction(1, -1), 1687),
         ),
+        interval_exact=(True, True),
         curves=(
             CurveCheck("g + t f on (1-t-t^2)B4 + t B2 + t^2 B3",
                        _curve(B4, B2, B3), _ONE, _T, -8388608, 7),
@@ -287,6 +285,8 @@ def case_registry():
         tasks=(
             CertTask("B_1", CaseFunction(3, -1), 1275),
         ),
+        # no check supports "exact" at the upper end (ROADMAP item 15)
+        interval_exact=(True, True),
         curves=(
             CurveCheck("(3+t)g - f on (1-t^2)A1 + t^2 A2", _curve(A1, A1, A2),
                        _t_poly(3, 1), -_ONE, -497664, 5),

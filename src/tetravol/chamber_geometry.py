@@ -5,9 +5,9 @@ X is the cone of length lists satisfying every (weak) face triangle
 inequality; X24 is its slice at coordinate sum 24.  X24 is the hull of
 seven lattice points: three A-type extrema (one axis sum zero) and four
 B-type extrema (one vertex sum maximal).  Nested partitions of X24 into
-3, 4, 12 and 48 lattice simplices are built here, the finest one indexed
-by decorated embedded 3-paths of K4, and membership in any cell is
-decided by exact integer arithmetic.
+3, 4, 12 and 48 lattice simplices are built here, the finest one from
+four seed cells and the 12 even relabelings, indexed by decorated
+3-paths of K4; membership in any cell is decided by exact integers.
 """
 
 from __future__ import annotations
@@ -34,13 +34,6 @@ EXTREME_B = {
 CENTER = (4, 4, 4, 4, 4, 4)
 
 _AXIS_OF = {frozenset(pair): i for i, pair in enumerate(AXIS_PAIRS, start=1)}
-
-
-def extrema():
-    """The seven extreme points of X24 as (label, coords) pairs."""
-    out = [("A%d" % i, EXTREME_A[i]) for i in (1, 2, 3)]
-    out += [("B%d" % j, EXTREME_B[j]) for j in (1, 2, 3, 4)]
-    return out
 
 
 def midpoint(p, q):
@@ -305,69 +298,40 @@ def chambers_containing(p):
 
 # -- the four nested partitions -----------------------------------------
 
-_A_ORDER = (1, 2, 3)
-_B_ORDER = (1, 2, 3, 4)
-
-
-def _omit_a(i):
-    return [EXTREME_A[x] for x in _A_ORDER if x != i]
-
-
-def _omit_b(j):
-    return [EXTREME_B[x] for x in _B_ORDER if x != j]
-
-
-_D_SEEDS = {
-    (1, 1): (CENTER, EXTREME_B[2], B_MID[(3, 4)], A_MID[(2, 3)],
-             EXTREME_B[3], EXTREME_A[2]),
-    (1, 2): (CENTER, EXTREME_B[2], B_MID[(3, 4)], A_MID[(2, 3)],
-             EXTREME_B[3], EXTREME_A[3]),
-    (2, 1): (CENTER, EXTREME_B[2], B_MID[(3, 4)], A_MID[(2, 3)],
-             EXTREME_B[4], EXTREME_A[2]),
-    (2, 2): (CENTER, EXTREME_B[2], B_MID[(3, 4)], A_MID[(2, 3)],
-             EXTREME_B[4], EXTREME_A[3]),
-}
-
-
-def cell_transporter(i, j):
-    """The unique even relabeling taking cell (1,1) to cell (i,j).
-
-    Even relabelings act freely and transitively on (axis, vertex)
-    pairs, sending the axis-1-largest, vertex-1-smallest cell to the
-    axis-i-largest, vertex-j-smallest one.
-    """
-    for s in even_relabelings():
-        if s[0] == j and axis_image(s)[0] == i:
-            return s
-    raise RuntimeError("no transporter for cell (%d, %d)" % (i, j))
+def _cells(named_vertices):
+    return {name: LatticeSimplex6(name, vs) for name, vs in named_vertices}
 
 
 class Partitions:
-    """The nested 3-, 4-, 12- and 48-cell partitions of X24."""
+    """The nested 3-, 4-, 12- and 48-cell partitions of X24.
+
+    A_i is the hull of the extrema but A_i, B_j of all but B_j, and
+    C_ij of the center and all but A_i and B_j.  Each even relabeling
+    s names four chambers D_ijkl, i the image of axis 1 and j = s(1):
+    cell (k, l) is s applied to the seed (C, B2, B34, A23, B(2+k), A(1+l)).
+    """
 
     def __init__(self):
-        self.three = {}
-        for i in _A_ORDER:
-            self.three["A_%d" % i] = LatticeSimplex6(
-                "A_%d" % i, _omit_a(i) + [EXTREME_B[x] for x in _B_ORDER])
-        self.four = {}
-        for j in _B_ORDER:
-            self.four["B_%d" % j] = LatticeSimplex6(
-                "B_%d" % j, [EXTREME_A[x] for x in _A_ORDER] + _omit_b(j))
-        self.twelve = {}
-        for i in _A_ORDER:
-            for j in _B_ORDER:
-                name = "C_%d%d" % (i, j)
-                self.twelve[name] = LatticeSimplex6(
-                    name, [CENTER] + _omit_a(i) + _omit_b(j))
-        self.fortyeight = {}
-        for i in _A_ORDER:
-            for j in _B_ORDER:
-                s = cell_transporter(i, j)
-                for (k, l), seed in _D_SEEDS.items():
-                    name = "D_%d%d%d%d" % (i, j, k, l)
-                    self.fortyeight[name] = LatticeSimplex6(
-                        name, [apply_relabel(s, v) for v in seed])
+        a, b = list(EXTREME_A.values()), list(EXTREME_B.values())
+        rest_a = {i: a[:i - 1] + a[i:] for i in EXTREME_A}
+        rest_b = {j: b[:j - 1] + b[j:] for j in EXTREME_B}
+        self.three = _cells(("A_%d" % i, rest_a[i] + b) for i in rest_a)
+        self.four = _cells(("B_%d" % j, a + rest_b[j]) for j in rest_b)
+        self.twelve = _cells(("C_%d%d" % (i, j), [CENTER] + rest_a[i]
+                              + rest_b[j]) for i in rest_a for j in rest_b)
+        # Even relabelings act freely and transitively on (axis, vertex)
+        # pairs, so no name repeats; a repeat would leave fewer than 48.
+        cells = {}
+        for s in even_relabelings():
+            i, j = axis_image(s)[0], s[0]
+            for k, l in itertools.product((1, 2), repeat=2):
+                name = "D_%d%d%d%d" % (i, j, k, l)
+                if name in cells:
+                    raise RuntimeError("cell %s built twice" % name)
+                seed = (CENTER, EXTREME_B[2], B_MID[(3, 4)], A_MID[(2, 3)],
+                        EXTREME_B[2 + k], EXTREME_A[1 + l])
+                cells[name] = [apply_relabel(s, v) for v in seed]
+        self.fortyeight = _cells(sorted(cells.items()))
 
     @functools.cached_property
     def _chamber_maps(self):
@@ -463,7 +427,7 @@ def verify_barycenter_conditions():
 
 def sample_x24(rng, n):
     """n exact rational points of X24, as convex combos of the extrema."""
-    pts = [coords for _, coords in extrema()]
+    pts = list(EXTREME_A.values()) + list(EXTREME_B.values())
     out = []
     for _ in range(n):
         weights = [rng.randrange(0, 1000) for _ in pts]

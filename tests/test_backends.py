@@ -31,10 +31,7 @@ from tetravol._kernels import (
 from tetravol import _kernels, positive_dominance
 from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import EdgeSubset, directional_derivative
-from tetravol.chamber_geometry import (
-    A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, LatticeSimplex6,
-    build_partitions,
-)
+from tetravol.chamber_geometry import build_partitions
 from tetravol.exact_poly import Polynomial
 from tetravol.positive_dominance import _traverse, certify, replay
 from tetravol.simplex_pullback import pullback
@@ -422,9 +419,7 @@ def test_certificates_are_backend_identical(p):
 
 
 def _single_edge_cell():
-    return LatticeSimplex6("S1", (
-        CENTER, EXTREME_B[3], B_MID[(2, 4)], A_MID[(1, 3)],
-        EXTREME_B[2], EXTREME_A[1]))
+    return case_registry()["single-edge"].simplices["S1"]
 
 
 def test_recorded_workload_agrees_across_backends():

@@ -15,6 +15,7 @@ from tetravol.case_suite_cli import (
 from tetravol import cayley_menger
 from tetravol.anti_certification import f_value_bordered
 from tetravol.cayley_menger import FACES, is_tetrahedral
+from tetravol.chamber_geometry import build_partitions
 from tetravol.exact_poly import Polynomial
 from tetravol.positive_dominance import Certificate
 
@@ -34,6 +35,28 @@ def test_registry_shape():
             assert task.simplex in spec.simplices
         for cell in spec.simplices.values():
             assert len(cell.vertices) == 6
+
+
+def test_registry_cells_are_partition_cells():
+    parts = build_partitions()
+    chambers = {
+        "single-edge": {"S1": "D_2122", "S2": "D_2112", "S3": "D_2111"},
+        "incident-pair": {n: n for n in ("D_3111", "D_3112", "D_3121",
+                                         "D_3122")},
+        "opposite-pair": {"U1": "D_2122", "U2": "D_2121", "U3": "D_2312",
+                          "U4": "D_2311"},
+    }
+    for name, cells in chambers.items():
+        for key, dname in cells.items():
+            assert case_registry()[name].simplices[key] is (
+                parts.fortyeight[dname])
+    # the C cells list their namesakes' vertices in the order that the
+    # pinned step counts were recorded at
+    for name in ("full-K4", "tripod", "3-path", "4-cycle"):
+        for key, cell in case_registry()[name].simplices.items():
+            twin = parts.twelve[key]
+            assert set(cell.vertices) == set(twin.vertices)
+            assert cell.vertices != twin.vertices
 
 
 def test_labels_and_endpoints_derive_from_the_coefficients():

@@ -7,18 +7,20 @@ from fractions import Fraction
 
 import pytest
 
+from tetravol import chamber_geometry
 from tetravol.cayley_menger import FACES, EdgeSubset, f_polynomial
 from tetravol.chamber_geometry import (
-    A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, LatticeSimplex6, _int_det,
-    all_relabelings, apply_relabel, axis_image, axis_sums, build_partitions,
-    cell_description_membership, cell_transporter, certified_chambers,
+    A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, LatticeSimplex6, Partitions,
+    _int_det, all_relabelings, apply_relabel, axis_image, axis_sums,
+    build_partitions, cell_description_membership, certified_chambers,
     chambers_containing, decoration, decorations, even_relabelings,
-    extrema, in_cone, midpoint, partition_check,
+    in_cone, midpoint, partition_check,
     relabel_action, relabel_sign, sample_x24, stabilizer,
     verify_barycenter_conditions, vertex_sums,
 )
 
 IDENTITY = (1, 2, 3, 4)
+EXTREMA = list(EXTREME_A.values()) + list(EXTREME_B.values())
 
 
 def compose(sigma, tau):
@@ -38,17 +40,18 @@ def barycenter(cell):
 
 
 def test_extrema_listing():
-    named = dict(extrema())
-    assert len(named) == 7
+    """A_i has axis sum i zero and B_j vertex sum j largest."""
+    assert len(set(EXTREMA)) == 7
     for i, p in EXTREME_A.items():
-        assert named["A%d" % i] == p
+        assert [k + 1 for k, a in enumerate(axis_sums(p)) if a == 0] == [i]
     for j, p in EXTREME_B.items():
-        assert named["B%d" % j] == p
+        vsum = vertex_sums(p)
+        assert [v + 1 for v, x in enumerate(vsum) if x == max(vsum)] == [j]
 
 
 def test_extrema_and_midpoints_are_degenerate():
     f = f_polynomial()
-    for _, p in extrema():
+    for p in EXTREMA:
         assert f.evaluate(p) == 0
     for p in B_MID.values():
         assert f.evaluate(p) == 0
@@ -65,7 +68,7 @@ def test_midpoints_are_actual_midpoints():
 
 def test_extrema_average_to_center():
     acc = [0] * 6
-    for _, p in extrema():
+    for p in EXTREMA:
         for k in range(6):
             acc[k] += p[k]
     # A-points weight 4, B-points weight 3 in X24
@@ -90,7 +93,7 @@ def test_sum_identities():
 
 def test_in_cone():
     assert in_cone(CENTER)
-    for _, p in extrema():
+    for p in EXTREMA:
         assert in_cone(p)
     assert not in_cone((-1, 4, 4, 4, 4, 4))
     # violates a face triangle condition outright
@@ -174,6 +177,56 @@ def test_stabilizer_sizes_and_orbit_products():
             assert {perm[k] for k in beta.indices} == beta.indices
 
 
+# -- a cell-by-cell construction, the oracle for ``Partitions`` ----------
+
+_D_SEEDS = {
+    (1, 1): (CENTER, EXTREME_B[2], B_MID[(3, 4)], A_MID[(2, 3)],
+             EXTREME_B[3], EXTREME_A[2]),
+    (1, 2): (CENTER, EXTREME_B[2], B_MID[(3, 4)], A_MID[(2, 3)],
+             EXTREME_B[3], EXTREME_A[3]),
+    (2, 1): (CENTER, EXTREME_B[2], B_MID[(3, 4)], A_MID[(2, 3)],
+             EXTREME_B[4], EXTREME_A[2]),
+    (2, 2): (CENTER, EXTREME_B[2], B_MID[(3, 4)], A_MID[(2, 3)],
+             EXTREME_B[4], EXTREME_A[3]),
+}
+
+
+def cell_transporter(i, j):
+    """The unique even relabeling taking cell (1,1) to cell (i,j).
+
+    Even relabelings act freely and transitively on (axis, vertex)
+    pairs, sending the axis-1-largest, vertex-1-smallest cell to the
+    axis-i-largest, vertex-j-smallest one.
+    """
+    for s in even_relabelings():
+        if s[0] == j and axis_image(s)[0] == i:
+            return s
+    raise RuntimeError("no transporter for cell (%d, %d)" % (i, j))
+
+
+def oracle_cells():
+    """Name -> vertex tuple at each level, built cell by cell as listed."""
+    def omit(extrema, x):
+        return [p for y, p in extrema.items() if y != x]
+    a, b = list(EXTREME_A.values()), list(EXTREME_B.values())
+    levels = {"three": {}, "four": {}, "twelve": {}, "fortyeight": {}}
+    for i in (1, 2, 3):
+        levels["three"]["A_%d" % i] = tuple(omit(EXTREME_A, i) + b)
+    for j in (1, 2, 3, 4):
+        levels["four"]["B_%d" % j] = tuple(a + omit(EXTREME_B, j))
+    for i in (1, 2, 3):
+        for j in (1, 2, 3, 4):
+            levels["twelve"]["C_%d%d" % (i, j)] = tuple(
+                [CENTER] + omit(EXTREME_A, i) + omit(EXTREME_B, j))
+    for i in (1, 2, 3):
+        for j in (1, 2, 3, 4):
+            s = cell_transporter(i, j)
+            for (k, l), seed in _D_SEEDS.items():
+                levels["fortyeight"]["D_%d%d%d%d" % (i, j, k, l)] = tuple(
+                    apply_relabel(s, v) for v in seed)
+    return levels
+
+
 def test_cell_transporter_contract():
     assert cell_transporter(1, 1) == IDENTITY
     seen = set()
@@ -188,6 +241,33 @@ def test_cell_transporter_contract():
 
 
 # -- partitions ----------------------------------------------------------
+
+def test_partitions_match_the_oracle_cell_for_cell():
+    parts = build_partitions()
+    oracle = oracle_cells()
+    for level, cells in oracle.items():
+        built = getattr(parts, level)
+        # names, dict order and vertex order all pinned
+        assert list(built) == list(cells)
+        for name, vertices in cells.items():
+            assert built[name].name == name
+            assert built[name].vertices == vertices
+    # each chamber keeps the one decoration all its vertices satisfy
+    table = parts.decoration_table()
+    assert list(table) == list(parts.fortyeight)
+    for name, vertices in oracle["fortyeight"].items():
+        ids = set.intersection(*(set(chambers_containing(v))
+                                 for v in vertices))
+        assert ids == {table[name].id}
+
+
+def test_a_repeated_chamber_name_raises(monkeypatch):
+    evens = even_relabelings()
+    monkeypatch.setattr(chamber_geometry, "even_relabelings",
+                        lambda: evens + evens[:1])
+    with pytest.raises(RuntimeError, match="built twice"):
+        Partitions()
+
 
 def test_partition_cell_names():
     parts = build_partitions()
@@ -322,7 +402,7 @@ def test_contains_agrees_with_cramer_on_every_cell():
     parts = build_partitions()
     cells = [c for level in (parts.three, parts.four, parts.twelve,
                              parts.fortyeight) for c in level.values()]
-    on_plane = {p for _, p in extrema()} | {CENTER, (-2, 6, 6, 6, 6, 2)}
+    on_plane = set(EXTREMA) | {CENTER, (-2, 6, 6, 6, 6, 2)}
     for c in cells:
         on_plane.add(barycenter(c))
         on_plane.update(c.vertices)
