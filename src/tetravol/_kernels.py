@@ -33,6 +33,11 @@ high, floor(u) passing up from a fraction limb u, and keeps a top below
 320 * 2^43 + 320, whose sign is all WPD reads.  Inputs and roots are
 fitted (``_fit``): a top out of range splits alike into one more limb.
 
+``from_poly`` reads a polynomial only through ``Polynomial.arrays``:
+the exponent matrix gives the box and each coefficient's flat index,
+and the int64 or object coefficient array is split into limbs by
+whole-array floor remainders and shifts, exact on either dtype.
+
 The walk hands back (``recycle``) each cube it has tested or split, and
 products write into those, saving fresh arrays' page faults; two per
 element count, what a split takes, are kept until the next ``from_poly``.
@@ -41,7 +46,6 @@ element count, what a split takes, are kept until the next ``from_poly``.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
 from math import comb
 
 import numpy as np
@@ -121,17 +125,17 @@ class NumpyBackend:
     def from_poly(self, p):
         if p.nvars != 5:
             raise ValueError("expected a 5-variable polynomial")
-        vals = list(p.terms.values())
-        exps = np.fromiter(chain(*p.terms), np.intp).reshape(-1, 5)
-        shape = tuple((exps.max(axis=0, initial=0) + 1).tolist())
+        exps, vals = p.arrays()
+        shape = tuple((exps.max(axis=1, initial=0) + 1).tolist())
         if max(shape) > 7:
             raise ValueError("per-variable degree exceeds 6")
-        k = max(map(abs, vals), default=0).bit_length() // LIMB_BITS + 1
+        top = max(int(vals.max(initial=0)), -int(vals.min(initial=0)))
+        k = top.bit_length() // LIMB_BITS + 1
         cube = np.zeros((k,) + shape)
-        rows, flat = cube.reshape(k, -1), np.ravel_multi_index(exps.T, shape)
+        rows, flat = cube.reshape(k, -1), np.ravel_multi_index(exps, shape)
         for i in range(k - 1):
-            rows[i, flat] = [v % (1 << LIMB_BITS) / LIMB for v in vals]
-            vals = [v >> LIMB_BITS for v in vals]
+            rows[i, flat] = vals % (1 << LIMB_BITS) / LIMB
+            vals = vals >> LIMB_BITS
         rows[k - 1, flat] = vals
         self._spares = {}  # two buffers take turns, then one is left
         for _ in range(5):

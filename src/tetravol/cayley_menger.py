@@ -135,12 +135,15 @@ def directional_derivative(beta):
 
 
 def clear_denominators(d):
-    """Integer numerators of d over their least common denominator.
+    """Integer numerators of the six entries of d over their least
+    common denominator.
 
     Returns (numerators, denominator).  Only int and Fraction entries
     are accepted: a float has no exact numerator to read.
     """
-    if all(type(x) is int for x in d):
+    x0, x1, x2, x3, x4, x5 = d
+    if (type(x0) is type(x1) is type(x2) is type(x3) is type(x4)
+            is type(x5) is int):
         return list(d), 1
     for x in d:
         if not isinstance(x, (int, Fraction)):

@@ -8,20 +8,33 @@ Polynomials it gives their composition, which ``substitute`` and
 Everything here is exact: coefficients are Python ints (or Fractions
 where evaluation points are rational) and no floating point is used
 anywhere.
+
+A polynomial holds its terms in one of two forms and builds the other
+on first read, then keeps both.  ``terms``, a dict from exponent tuples
+to coefficients, is what the constructors, the arithmetic and
+``parse`` build and what everything here reads.  ``arrays()``, an
+exponent matrix and a coefficient array in the dict's order, is what
+the pullback builds (``simplex_pullback``) and what the cube engine
+reads (``_kernels``), so a pulled-back polynomial reaches the engine
+without a dict.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+
+import numpy as np
 
 
 class Polynomial:
     """Sparse polynomial in ``nvars`` variables with int coefficients.
 
-    Terms are stored as a dict mapping exponent tuples to nonzero
-    coefficients.  Instances should be treated as immutable; all
-    operations return fresh objects.
+    Terms are a dict mapping exponent tuples to nonzero coefficients,
+    or the same terms as arrays (module docstring).  Instances should be
+    treated as immutable; all operations return fresh objects.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_terms", "_arrays")
 
     def __init__(self, nvars, terms=None):
         self.nvars = int(nvars)
@@ -33,14 +46,48 @@ class Polynomial:
                 if c:
                     key = tuple(int(e) for e in exps)
                     clean[key] = clean.get(key, 0) + c
-        self.terms = {k: v for k, v in clean.items() if v}
+        self._terms = {k: v for k, v in clean.items() if v}
+        self._arrays = None
 
     @classmethod
     def _canonical(cls, nvars, terms):
         """Wrap canonical terms (int tuples to nonzero ints), unchecked."""
         p = object.__new__(cls)
-        p.nvars, p.terms = nvars, terms
+        p.nvars, p._terms, p._arrays = nvars, terms, None
         return p
+
+    @classmethod
+    def _from_arrays(cls, nvars, exps, coeffs):
+        """Wrap the array form of ``arrays()``, unchecked: distinct columns
+        of exps, nonzero coeffs, in the order ``terms`` will iterate."""
+        p = object.__new__(cls)
+        p.nvars, p._terms, p._arrays = nvars, None, (exps, coeffs)
+        return p
+
+    @property
+    def terms(self):
+        """The dict of exponent tuples to coefficients."""
+        if self._terms is None:
+            exps, coeffs = self._arrays
+            self._terms = dict(zip(map(tuple, exps.T.tolist()),
+                                   coeffs.tolist()))
+        return self._terms
+
+    def arrays(self):
+        """(exps, coeffs): the terms as a C-contiguous (nvars, n) intp
+        matrix, row j the exponents of variable j, and an n-vector of
+        their coefficients, int64 or object (Python ints); read off the
+        dict, int64 when every coefficient fits.  Not to be written to."""
+        if self._arrays is None:
+            terms, n = self._terms, len(self._terms)
+            exps = np.fromiter(chain.from_iterable(terms), np.intp,
+                               n * self.nvars).reshape(n, self.nvars).T.copy()
+            try:
+                coeffs = np.fromiter(terms.values(), np.int64, n)
+            except OverflowError:
+                coeffs = np.array(list(terms.values()), dtype=object)
+            self._arrays = exps, coeffs
+        return self._arrays
 
     # -- constructors -------------------------------------------------
 
@@ -67,7 +114,7 @@ class Polynomial:
 
     def total_degree(self):
         """Largest sum of exponents, or -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return int(self.arrays()[0].sum(axis=0).max(initial=-1))
 
     # -- arithmetic ---------------------------------------------------
 

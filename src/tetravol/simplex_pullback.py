@@ -48,7 +48,15 @@ coefficient of Q_(m+e_j) and one of L_j, whose absolute values sum to at
 most N_j Phi_(m+e_j) over all entries; so an entry of Q_m, and each
 partial sum over the children and c_m that forms it, is at most Phi_m.
 So when Phi(p) < 2**63 no int64 operation can wrap, and both dtypes
-give the same integers.
+give the same integers.  Phi(p) itself is computed exactly from p's
+exponent matrix: each term's weight is one product of entries of
+per-variable tables of the powers of N_k, and the weighted sum is taken
+in Python ints.
+
+The result reaches the cube engine as arrays (``Polynomial.arrays``):
+the nonzero slots of Q_0's dense vector and their columns of a cached
+matrix of stick-breaking exponents, with no dict of exponent tuples
+built on the way.
 """
 
 from __future__ import annotations
@@ -69,73 +77,84 @@ def _graded_basis(degree):
 
     The monomials are listed by total degree, so those of degree <= t
     are the first C(5 + t, 5); a vector's length thus records the degree
-    bound of the polynomial it holds.  Every vector ends in one more
-    entry, a sentinel slot that holds 0.  ``down[n]`` serves a vector v
-    of length n, so with n - 1 monomials of degree <= t: row j, for
-    monomial j of degree <= t + 1, holds in column 0 the index of that
-    monomial in v and in column i + 1 that of its quotient by u_i, or
-    the sentinel n - 1 where v has no such monomial; the last row, the
-    product's own sentinel slot, holds only n - 1.  So
-    ``v.take(down[n]) @ (c0, c1, ..., c5)`` is v * (c0 + sum c_i u_i).
-    ``stick[j]`` is monomial j's exponent in the cube coordinates x,
-    where u_k = x1*...*xk makes it the suffix sums of u's exponent.
+    bound of the polynomial it holds.  Within a degree they come in
+    ``itertools.combinations_with_replacement`` order of their variable
+    indices.  Every vector ends in one more entry, a sentinel slot that
+    holds 0.  ``down[n]`` serves a vector v of length n, so with n - 1
+    monomials of degree <= t: column j, for monomial j of degree
+    <= t + 1, holds in row 0 the index of that monomial in v and in row
+    i + 1 that of its quotient by u_i, or the sentinel n - 1 where v has
+    no such monomial; the last column, the product's own sentinel slot,
+    holds only n - 1.  So ``(c0, c1, ..., c5) @ v.take(down[n])`` is
+    v * (c0 + sum c_i u_i).  Column j of the 5-row matrix ``stick`` is
+    monomial j's exponent in the cube coordinates x, where
+    u_k = x1*...*xk makes it the suffix sums of u's exponent (distinct,
+    since their differences give u's exponent back).
     """
-    mons = [tuple(combo.count(i) for i in range(5))
-            for t in range(degree + 1)
-            for combo in itertools.combinations_with_replacement(range(5), t)]
-    index = {e: j for j, e in enumerate(mons)}
+    # a combination of degree picks from 6 indices, index 5 padding the
+    # rest, lists the monomials of degree <= degree, and a stable sort by
+    # degree keeps each degree's combinations in their own order
+    size = math.comb(5 + degree, 5)
+    picks = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(6), degree)),
+        np.intp, size * degree) + np.arange(size).repeat(degree) * 6
+    mons = np.bincount(picks, minlength=6 * size).reshape(size, 6)[:, :5]
+    mons = mons[np.argsort(mons.sum(axis=1), kind="stable")]
+    # the index of each monomial's quotient by u_i, through a table of
+    # monomials by their digits in base degree + 1
+    radix = (degree + 1) ** np.arange(4, -1, -1)
+    keys = mons @ radix
+    lookup = np.empty(radix[0] * (degree + 1), dtype=np.intp)
+    lookup[keys] = range(size)
+    at = lookup[keys[:, None] - radix]  # read only where u_i divides
     down = {}
     for t in range(degree):
         n, m = math.comb(5 + t, 5), math.comb(6 + t, 5)
-        table = np.full((m + 1, 6), n, dtype=np.intp)
-        table[:n, 0] = range(n)
-        for j, e in enumerate(mons[:m]):
-            for i in range(5):
-                if e[i]:
-                    table[j, i + 1] = index[e[:i] + (e[i] - 1,) + e[i + 1:]]
+        table = np.full((6, m + 1), n, dtype=np.intp)
+        table[0, :n] = range(n)
+        table[1:, :m] = np.where(mons[:m] > 0, at[:m], n).T
         table.flags.writeable = False
         down[n + 1] = table
-    stick = tuple(tuple(itertools.accumulate(reversed(e)))[::-1]
-                  for e in mons)
-    if len(set(stick)) != len(stick):
-        raise RuntimeError("stick-breaking exponents collide")
+    stick = np.ascontiguousarray(mons[:, ::-1].cumsum(axis=1)[:, ::-1].T)
+    stick.flags.writeable = False
     return stick, down
 
 
 @functools.lru_cache(maxsize=256)
-def _monomial_tree(exponents):
-    """The tree of the module docstring, for p's exponents in dict order.
+def _monomial_tree(key):
+    """The tree of the module docstring, for p's exponent matrix, whose
+    bytes are key (``Polynomial.arrays``: one column per term, in order).
 
-    Per total degree from 0 up: the term of each node (len(exponents) if
-    none), the variable j of each child (grouped by parent), the first
-    child of each group and the parent it belongs to.
+    A monomial's word lists its variables in increasing order, each as
+    often as its power, so a node's parent drops its word's last letter:
+    the nodes are the prefixes of the terms' words, and in lexicographic
+    order the words through one node are consecutive.  Per total degree
+    from 0 up: the term of each node (n if none), the variable j of each
+    child (grouped by parent), the first child of each group and the
+    parent it belongs to.
     """
-    kids = {}
-    for e in exponents:
-        j = 5
-        while any(e):
-            while not e[j]:
-                j -= 1
-            up = e[:j] + (e[j] - 1,) + e[j + 1:]
-            siblings = kids.setdefault(up, {})
-            if e in siblings:
-                break
-            siblings[e] = j
-            e = up
-    term = {e: i for i, e in enumerate(exponents)}
-    level, levels = [(0,) * 6], []
-    while level:
-        below, js, starts, parents = [], [], [], []
-        for i, m in enumerate(level):
-            if m in kids:
-                parents.append(i)
-                starts.append(len(below))
-                below += kids[m]
-                js += kids[m].values()
-        levels.append(tuple(np.array(a, dtype=np.intp) for a in (
-            [term.get(m, len(term)) for m in level], js, starts, parents)))
-        level = below
-    return tuple(levels)
+    exps = np.frombuffer(key, dtype=np.intp).reshape(6, -1)
+    n = exps.shape[1]
+    degrees = exps.sum(axis=0)
+    t = np.arange(degrees.max() + 1)
+    # words[i, t]: letter t of term i's word, 6 past its end
+    words = (exps.cumsum(axis=0)[:, :, None] <= t).sum(axis=0)
+    order = np.lexsort(words.T[::-1])
+    words, degrees = words[order], degrees[order]
+    # row i opens a node of degree t unless it shares t letters with row i-1
+    fork = np.concatenate(([-1], (words[1:] != words[:-1]).argmax(axis=1)))
+    opens = (fork[:, None] < t) & (degrees[:, None] >= t)
+    ids = opens.cumsum(axis=0) - 1  # each row's node, numbered per degree
+    level, rows = np.nonzero(opens.T)  # all nodes, by degree, then row
+    js, up = words[rows, level - 1], ids[rows, level - 1]
+    first = np.flatnonzero(np.diff(level * n + up, prepend=-1))
+    edges = np.searchsorted(level, np.arange(len(t) + 2))
+    cuts = np.searchsorted(first, edges)
+    terms = np.full(len(level), n)
+    terms[edges[degrees] + ids[np.arange(n), degrees]] = order
+    return tuple((terms[lo:mid], js[mid:hi], first[a:b] - mid, up[first[a:b]])
+                 for lo, mid, hi, a, b in zip(edges, edges[1:], edges[2:],
+                                              cuts[1:], cuts[2:]))
 
 
 def _fold_levels(levels, coeffs, forms, down):
@@ -144,10 +163,12 @@ def _fold_levels(levels, coeffs, forms, down):
     Each step gathers the level's rows through ``down``, takes their dot
     with the children's forms, sums each parent's group and adds c_m.
     """
-    c = np.array(coeffs + [0], dtype=forms.dtype)
+    c = np.append(coeffs, 0).astype(forms.dtype)
     acc = np.outer(c[levels[-1][0]], (1, 0))  # the top level's constants
     for terms, js, starts, parents in reversed(levels[:-1]):
-        prod = np.einsum("mnc,mc->mn", acc.take(down[acc.shape[1]], axis=1),
+        # each row's gather is six contiguous runs, one per coefficient of
+        # its form, which the int64 dot reads faster than rows of six
+        prod = np.einsum("mcn,mc->mn", acc.take(down[acc.shape[1]], axis=1),
                          forms[js])
         acc = np.zeros((len(terms), prod.shape[1]), dtype=forms.dtype)
         acc[parents] = np.add.reduceat(prod, starts)
@@ -156,10 +177,20 @@ def _fold_levels(levels, coeffs, forms, down):
 
 
 def _coefficient_bound(p, forms):
-    """Phi(p), which bounds every value the Horner scheme forms."""
+    """Phi(p), which bounds every value the Horner scheme forms.
+
+    Each term's weight prod_k N_k^e_k is one product of entries of
+    per-variable power tables, int64 when max_k N_k^deg(p) < 2**63, so
+    that no partial product wraps, and Python ints otherwise; the
+    weighted sum is taken in Python ints.
+    """
+    exps, coeffs = p.arrays()
     norms = [max(1, sum(map(abs, form))) for form in forms]
-    return sum(abs(c) * math.prod(map(pow, norms, e))
-               for e, c in p.terms.items())
+    dtype = np.int64 if max(norms) ** p.total_degree() < 2 ** 63 else object
+    powers = np.array([[n ** e for e in range(exps.max(initial=0) + 1)]
+                       for n in norms], dtype=dtype)
+    weights = powers[np.arange(6)[:, None], exps].prod(axis=0)
+    return sum(map(operator.mul, map(abs, coeffs.tolist()), weights.tolist()))
 
 
 def _compose_affine(p, forms):
@@ -169,15 +200,16 @@ def _compose_affine(p, forms):
     Python ints otherwise (see the module docstring), then renames each
     monomial of u to its stick-breaking exponent.
     """
-    if p.is_zero():
+    degree = p.total_degree()
+    if degree < 0:
         return Polynomial.zero(5)
-    stick, down = _graded_basis(p.total_degree())
+    stick, down = _graded_basis(degree)
     dtype = np.int64 if _coefficient_bound(p, forms) < 2 ** 63 else object
-    vec = _fold_levels(_monomial_tree(tuple(p.terms)), list(p.terms.values()),
+    exps, coeffs = p.arrays()
+    vec = _fold_levels(_monomial_tree(exps.tobytes()), coeffs,
                        np.array(forms, dtype=dtype), down)
-    vals = vec.tolist()
-    return Polynomial._canonical(
-        5, {stick[j]: vals[j] for j in np.flatnonzero(vec[:-1]).tolist()})
+    nz = np.flatnonzero(vec[:-1])
+    return Polynomial._from_arrays(5, stick.take(nz, axis=1), vec[nz])
 
 
 def build_pullback(simplex):

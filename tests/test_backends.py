@@ -257,6 +257,33 @@ def test_endpoint_scan_roots_match_the_cumsum_construction(monkeypatch):
                       (1, 6, 6, 6, 6, 5)}
 
 
+def test_roots_from_arrays_are_bit_identical_to_roots_from_dicts():
+    # a pulled-back polynomial reaches from_poly as the pullback's arrays,
+    # its dict-built twin as arrays read off its dict; scaling the
+    # registry's polynomials takes coefficients past 2^43 (several limbs)
+    # and past 2^63 (object dtype), and the pullback keeps the object
+    # dtype for some that would fit int64
+    registry = case_registry()
+    seen = set()
+    for case, k in (("3-cycle", 0), ("full-K4", 1), ("opposite-pair", 3)):
+        spec = registry[case]
+        task = spec.tasks[k]
+        cell = spec.simplices[task.simplex]
+        for scale in (1, 2 ** 30, 2 ** 45, -(2 ** 80)):
+            q = pullback(task.func.polynomial(spec.beta) * scale, cell)
+            twin = Polynomial(5, dict(q.terms))
+            assert q.arrays()[0].flags.c_contiguous
+            roots = [NumpyBackend().from_poly(r) for r in (q, twin)]
+            want = cumsum_from_poly(twin)
+            for root in roots:
+                assert root.dtype == want.dtype and root.shape == want.shape
+                assert root.tobytes() == want.tobytes()
+            seen.add((q.arrays()[1].dtype.name, twin.arrays()[1].dtype.name,
+                      len(want)))
+    assert seen >= {("int64", "int64", 1), ("int64", "int64", 2),
+                    ("object", "int64", 2), ("object", "object", 3)}
+
+
 def test_zero_polynomial_is_one_nonnegative_entry():
     zero = Polynomial.zero(5)
     assert assert_cumsum_cube(zero).shape == (1,) * 6

@@ -182,6 +182,20 @@ def test_rational_lengths_are_exact_and_floats_are_refused():
                 fn(bad)
 
 
+def test_clear_denominators_takes_ints_and_fractions_only():
+    assert clear_denominators((4, 4, 4, 4, 4, 4)) == ([4] * 6, 1)
+    assert clear_denominators((Fraction(1, 2), 1, 2, Fraction(2, 3), 0,
+                               -1)) == ([3, 6, 12, 4, 0, -6], 6)
+    # a float anywhere, even among ints, is refused, not truncated
+    for k in range(6):
+        for bad in (4.0, 0.5, "4"):
+            d = [4] * 6
+            d[k] = bad
+            with pytest.raises(TypeError, match="int or Fraction, not %s"
+                               % type(bad).__name__):
+                clear_denominators(tuple(d))
+
+
 def test_closed_form_is_f_hat():
     # the 22 terms written out are the determinant's cubic
     variables = [Polynomial.variable(6, k) for k in range(6)]

@@ -71,6 +71,7 @@ def test_extrema_average_to_center():
     for p in EXTREMA:
         for k in range(6):
             acc[k] += p[k]
+    assert tuple(Fraction(a, 7) for a in acc) == CENTER
     # A-points weight 4, B-points weight 3 in X24
     weighted = [0] * 6
     for i in (1, 2, 3):

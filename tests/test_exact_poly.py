@@ -9,8 +9,9 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tetravol.exact_poly import Polynomial
 
@@ -237,3 +238,48 @@ def test_degree_accounting():
     assert p.total_degree() == 5
     assert Polynomial.zero(3).total_degree() == -1
 
+
+# distinct exponents and nonzero coefficients on both sides of the int64
+# range, in the drawn order: the terms as the pullback hands them over
+array_terms = st.integers(0, 4).flatmap(lambda nvars: st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 6)] * nvars),
+              st.integers(-2 ** 70, 2 ** 70).filter(bool)),
+    max_size=8, unique_by=lambda t: t[0]).map(lambda ts: (nvars, ts)))
+
+
+def from_arrays(nvars, ts):
+    """The Polynomial of the terms ts, built from arrays, not a dict."""
+    exps = np.array([e for e, _ in ts], dtype=np.intp).reshape(len(ts), nvars)
+    vals = [c for _, c in ts]
+    fits = all(-2 ** 63 <= c < 2 ** 63 for c in vals)
+    coeffs = np.array(vals, dtype=np.int64 if fits else object)
+    return Polynomial._from_arrays(nvars, exps.T.copy(), coeffs)
+
+
+@given(array_terms)
+@example((0, []))
+@example((0, [((), -4)]))
+@example((2, [((1, 0), 2 ** 63 - 1), ((0, 0), -(2 ** 63))]))
+@example((2, [((0, 3), 2 ** 63), ((1, 1), -1)]))
+@settings(max_examples=60)
+def test_an_array_built_polynomial_is_its_dict_built_twin(drawn):
+    nvars, ts = drawn
+    p, twin = from_arrays(nvars, ts), Polynomial(nvars, dict(ts))
+    assert p == twin and twin == p
+    assert list(p.terms.items()) == list(twin.terms.items()) == ts
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and type(c) is int
+        assert all(type(e) is int for e in exps)
+    assert p.serialize() == twin.serialize()
+    assert p.total_degree() == twin.total_degree()
+    assert p.is_zero() == twin.is_zero() == (not ts)
+    x = tuple(range(2, 2 + nvars))
+    assert p.evaluate(x) == twin.evaluate(x)
+    assert p + twin == 2 * twin and p * twin == twin * twin
+    # the dict-built twin's arrays are the same arrays, computed once
+    exps, coeffs = twin.arrays()
+    assert twin.arrays()[0] is exps
+    assert exps.shape == (nvars, len(ts)) and exps.flags.c_contiguous
+    assert np.array_equal(exps, p.arrays()[0])
+    assert coeffs.dtype == p.arrays()[1].dtype
+    assert coeffs.tolist() == p.arrays()[1].tolist() == [c for _, c in ts]

@@ -210,6 +210,69 @@ def test_a_cached_tree_carries_no_coefficients_or_forms():
     assert simplex_pullback._monomial_tree.cache_info().maxsize is not None
 
 
+def _monomial_tree_by_dicts(exponents):
+    """The oracle for ``_monomial_tree``: the tree built node by node,
+    each exponent walked down to 1 through dicts of children."""
+    kids = {}
+    for e in exponents:
+        j = 5
+        while any(e):
+            while not e[j]:
+                j -= 1
+            up = e[:j] + (e[j] - 1,) + e[j + 1:]
+            siblings = kids.setdefault(up, {})
+            if e in siblings:
+                break
+            siblings[e] = j
+            e = up
+    term = {e: i for i, e in enumerate(exponents)}
+    level, levels = [(0,) * 6], []
+    while level:
+        below, js, starts, parents = [], [], [], []
+        for i, m in enumerate(level):
+            if m in kids:
+                parents.append(i)
+                starts.append(len(below))
+                below += kids[m]
+                js += kids[m].values()
+        levels.append(tuple(np.array(a, dtype=np.intp) for a in (
+            [term.get(m, len(term)) for m in level], js, starts, parents)))
+        level = below
+    return tuple(levels)
+
+
+def _tree_nodes(levels):
+    """Each node of a tree as (exponent, term), rebuilt from the levels."""
+    nodes, out = [(0,) * 6], set()
+    for terms, js, starts, parents in levels:
+        out |= set(zip(nodes, terms.tolist()))
+        ends = list(starts[1:]) + [len(js)]
+        below = [None] * len(js)
+        for parent, lo, hi in zip(parents, starts, ends):
+            for k in range(lo, hi):
+                e = list(nodes[parent])
+                e[js[k]] += 1
+                below[k] = tuple(e)
+        nodes = below
+    assert not nodes
+    return out
+
+
+@given(degree6_polys6(max_terms=30).filter(lambda p: not p.is_zero()))
+@example(Polynomial.constant(6, 1))
+@example(Polynomial(6, {(2, 0, 0, 0, 1, 0): 1, (1, 0, 0, 0, 0, 0): 1}))
+@example(Polynomial(6, {(0, 0, 0, 0, 0, 8): 1, (8, 0, 0, 0, 0, 0): 1,
+                        (1, 1, 1, 1, 1, 3): 1}))
+@settings(max_examples=60, deadline=None)
+def test_monomial_tree_has_the_nodes_of_the_dict_built_tree(p):
+    exps = p.arrays()[0]
+    levels = simplex_pullback._monomial_tree.__wrapped__(exps.tobytes())
+    oracle = _monomial_tree_by_dicts(tuple(p.terms))
+    assert [len(level[0]) for level in levels] == [
+        len(level[0]) for level in oracle]
+    assert _tree_nodes(levels) == _tree_nodes(oracle)
+
+
 def _dtypes_of(monkeypatch, p, cell):
     """The pullback of p and the dtypes its level loop ran on."""
     seen = set()
@@ -274,9 +337,40 @@ def test_int64_bound_holds_on_registry_tasks_and_endpoint_scan_range():
                     + 6 * _coefficient_bound(f, forms)) < 2 ** 63
 
 
-@pytest.mark.parametrize("degree", range(8))
+def _graded_basis_by_loops(degree):
+    """The oracle for ``_graded_basis``: its tables built by Python loops,
+    row by row and then transposed, with the stick-breaking exponents as
+    tuples."""
+    mons = [tuple(combo.count(i) for i in range(5))
+            for t in range(degree + 1)
+            for combo in itertools.combinations_with_replacement(range(5), t)]
+    index = {e: j for j, e in enumerate(mons)}
+    down = {}
+    for t in range(degree):
+        n, m = math.comb(5 + t, 5), math.comb(6 + t, 5)
+        table = np.full((m + 1, 6), n, dtype=np.intp)
+        table[:n, 0] = range(n)
+        for j, e in enumerate(mons[:m]):
+            for i in range(5):
+                if e[i]:
+                    table[j, i + 1] = index[e[:i] + (e[i] - 1,) + e[i + 1:]]
+        down[n + 1] = table.T
+    stick = [tuple(itertools.accumulate(reversed(e)))[::-1] for e in mons]
+    return stick, down
+
+
+@pytest.mark.parametrize("degree", range(9))
 def test_graded_basis_tables_match_the_oracles(degree):
     stick, down = _graded_basis(degree)
+    assert stick.dtype == np.intp and not stick.flags.writeable
+    assert stick.shape == (5, math.comb(5 + degree, 5))
+    stick = list(zip(*stick.tolist()))
+    loop_stick, loop_down = _graded_basis_by_loops(degree)
+    assert stick == loop_stick
+    assert down.keys() == loop_down.keys()
+    for n, table in down.items():
+        assert table.dtype == np.intp and not table.flags.writeable
+        assert np.array_equal(table, loop_down[n])
     # the u-exponents, as differences of the suffix sums
     mons = [tuple(a - b for a, b in zip(s, s[1:] + (0,))) for s in stick]
     assert sorted(mons) == [e for e in itertools.product(
@@ -290,13 +384,46 @@ def test_graded_basis_tables_match_the_oracles(degree):
     for t in range(degree):
         n, m = math.comb(5 + t, 5), math.comb(6 + t, 5)
         table = down[n + 1]
-        assert table.shape == (m + 1, 6)
-        assert (table[m] == n).all()
+        assert table.shape == (6, m + 1)
+        assert (table[:, m] == n).all()
         for j, e in enumerate(mons[:m]):
-            assert table[j, 0] == (j if j < n else n)
+            assert table[0, j] == (j if j < n else n)
             for i in range(5):
                 below = e[:i] + (e[i] - 1,) + e[i + 1:]
-                assert table[j, i + 1] == index.get(below, n)
+                assert table[i + 1, j] == index.get(below, n)
+
+
+def _coefficient_bound_by_terms(p, forms):
+    """The oracle for ``_coefficient_bound``: Phi(p) term by term."""
+    norms = [max(1, sum(map(abs, form))) for form in forms]
+    return sum(abs(c) * math.prod(map(pow, norms, e))
+               for e, c in p.terms.items())
+
+
+def polys6_up_to_degree(max_degree, max_terms=12, bound=2 ** 70):
+    exps = st.lists(st.integers(0, 5), max_size=max_degree).map(
+        lambda vs: tuple(vs.count(j) for j in range(6)))
+    term = st.tuples(exps, st.integers(-bound, bound))
+    return st.lists(term, max_size=max_terms).map(
+        lambda ts: Polynomial(6, dict(ts)))
+
+
+# six affine forms; entries up to 2^20 take N^8 past 2^63, so both
+# dtypes of the power tables are drawn
+affine_forms = st.tuples(*[st.tuples(*[st.integers(-2 ** 20, 2 ** 20)] * 6)]
+                         * 6)
+
+
+@given(polys6_up_to_degree(8), st.one_of(
+    affine_forms, st.sampled_from([build_pullback(c) for c in _cells()])))
+@example(PAST_INT64, build_pullback(_cells()[0]))
+@example(Polynomial(6, {(8, 0, 0, 0, 0, 0): -(2 ** 63)}), ((0,) * 6,) * 6)
+@example(Polynomial(6, {(0, 0, 0, 0, 0, 8): 1, (1,) * 6: 3}),
+         ((2 ** 20,) * 6,) * 6)
+@settings(max_examples=80, deadline=None)
+def test_coefficient_bound_is_phi_term_by_term(p, forms):
+    assert _coefficient_bound(p, forms) == _coefficient_bound_by_terms(
+        p, forms)
 
 
 def test_horner_on_the_zero_polynomial_and_a_constant():
