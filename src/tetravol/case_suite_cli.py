@@ -631,14 +631,15 @@ def _cmd_partition_check(args):
     out = partition_check(samples=args.samples, seed=args.seed,
                           cross_check=args.cross_check)
     bary = verify_barycenter_conditions()
-    ok = out["ok"] and bary["face_equality_holds"] and \
+    identities = bary["face_equality_holds"] and \
         bary["vertex_tie_holds"] and bary["extrema_average_to_center"]
+    ok = out["ok"] and identities
     payload = dict(out)
-    payload["barycenter_identities"] = ok
+    payload["barycenter_identities"] = identities
     text = ("samples=%d misses=%s cross_mismatches=%d "
             "barycenter_identities=%s -> %s"
             % (out["samples"], sum(out["misses"].values()),
-               out["cross_mismatches"], ok, "ok" if ok else "FAIL"))
+               out["cross_mismatches"], identities, "ok" if ok else "FAIL"))
     return (0 if ok else 1), payload, text
 
 
@@ -647,9 +648,9 @@ def _cmd_anticert(args):
                               seed=args.seed)
     if w is None:
         return 1, {"found": False}, "no witness in %d trials" % args.trials
-    payload = {"found": True, "witness": w.line(),
-               "reverified": anticert.verify_witness(w)}
-    return 0, payload, w.line()
+    reverified = anticert.verify_witness(w)
+    payload = {"found": True, "witness": w.line(), "reverified": reverified}
+    return (0 if reverified else 3), payload, w.line()
 
 
 def _cmd_case_list(args):

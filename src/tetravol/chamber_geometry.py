@@ -7,7 +7,9 @@ seven lattice points: three A-type extrema (one axis sum zero) and four
 B-type extrema (one vertex sum maximal).  Nested partitions of X24 into
 3, 4, 12 and 48 lattice simplices are built here, the finest one from
 four seed cells and the 12 even relabelings, indexed by decorated
-3-paths of K4; membership in any cell is decided by exact integers.
+3-paths of K4: each cell's decoration is the same relabeling applied to
+its seed's (p4321b1, p4312b1, p3412b1 or p3421b1).  Membership in any
+cell is decided by exact integers.
 """
 
 from __future__ import annotations
@@ -308,7 +310,9 @@ class Partitions:
     A_i is the hull of the extrema but A_i, B_j of all but B_j, and
     C_ij of the center and all but A_i and B_j.  Each even relabeling
     s names four chambers D_ijkl, i the image of axis 1 and j = s(1):
-    cell (k, l) is s applied to the seed (C, B2, B34, A23, B(2+k), A(1+l)).
+    cell (k, l) is s applied to the seed (C, B2, B34, A23, B(2+k), A(1+l)),
+    and its decoration is s applied to the seed's, p4321b1, p4312b1,
+    p3412b1 or p3421b1 for (k, l) = (1, 1), (1, 2), (2, 1) or (2, 2).
     """
 
     def __init__(self):
@@ -321,7 +325,9 @@ class Partitions:
                               + rest_b[j]) for i in rest_a for j in rest_b)
         # Even relabelings act freely and transitively on (axis, vertex)
         # pairs, so no name repeats; a repeat would leave fewer than 48.
-        cells = {}
+        seed_ids = {(1, 1): "p4321b1", (1, 2): "p4312b1",
+                    (2, 1): "p3412b1", (2, 2): "p3421b1"}
+        cells, decs = {}, {}
         for s in even_relabelings():
             i, j = axis_image(s)[0], s[0]
             for k, l in itertools.product((1, 2), repeat=2):
@@ -331,37 +337,19 @@ class Partitions:
                 seed = (CENTER, EXTREME_B[2], B_MID[(3, 4)], A_MID[(2, 3)],
                         EXTREME_B[2 + k], EXTREME_A[1 + l])
                 cells[name] = [apply_relabel(s, v) for v in seed]
+                dec = decoration(seed_ids[k, l]).relabeled(s)
+                decs[name] = decoration(dec.id)
         self.fortyeight = _cells(sorted(cells.items()))
-
-    @functools.cached_property
-    def _chamber_maps(self):
-        """(D-simplex name -> decoration, decoration -> D simplex).
-
-        Matched by requiring every vertex of the simplex to satisfy the
-        decoration's weak inequality system; exactly one of the 48
-        systems passes for each simplex.
-        """
-        decs = decorations()
-        table = {}
-        simplex_of = {}
-        for name, simplex in sorted(self.fortyeight.items()):
-            hits = [d for d in decs
-                    if all(d.membership(v) for v in simplex.vertices)]
-            if len(hits) != 1:
-                raise RuntimeError(
-                    "%s matches %d decorations" % (name, len(hits)))
-            if hits[0] in simplex_of:
-                raise RuntimeError("decoration %s matched twice" % hits[0].id)
-            table[name] = hits[0]
-            simplex_of[hits[0]] = simplex
-        return table, simplex_of
+        self._decoration_of = dict(sorted(decs.items()))
+        self._simplex_of = {dec: self.fortyeight[name]
+                            for name, dec in self._decoration_of.items()}
 
     def decoration_table(self):
         """Bijection D-simplex name -> decoration."""
-        return self._chamber_maps[0]
+        return self._decoration_of
 
     def simplex_for_decoration(self, dec):
-        return self._chamber_maps[1][dec]
+        return self._simplex_of[dec]
 
 
 @functools.cache
@@ -483,7 +471,6 @@ def partition_check(samples=10000, seed=0, cross_check=200):
     import random
     rng = random.Random(seed)
     parts = build_partitions()
-    parts.decoration_table()
     levels = {"three": parts.three, "four": parts.four,
               "twelve": parts.twelve, "fortyeight": parts.fortyeight}
     pts = sample_x24(rng, samples)

@@ -10,8 +10,9 @@ import pytest
 from tetravol import chamber_geometry
 from tetravol.cayley_menger import FACES, EdgeSubset, f_polynomial
 from tetravol.chamber_geometry import (
-    A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, LatticeSimplex6, Partitions,
-    _int_det, all_relabelings, apply_relabel, axis_image, axis_sums,
+    A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, Decoration, LatticeSimplex6,
+    Partitions, _int_det, all_relabelings, apply_relabel, axis_image,
+    axis_sums,
     build_partitions, cell_description_membership, certified_chambers,
     chambers_containing, decoration, decorations, even_relabelings,
     in_cone, midpoint, partition_check,
@@ -325,6 +326,19 @@ def test_chamber_maps_are_inverse():
     assert table.keys() == parts.fortyeight.keys()
     for name, cell in parts.fortyeight.items():
         assert parts.simplex_for_decoration(table[name]) is cell
+
+
+def test_chamber_maps_are_built_without_a_membership_search(monkeypatch):
+    def searched(*args):
+        raise AssertionError("a decoration's system was evaluated")
+    monkeypatch.setattr(Decoration, "membership", searched)
+    monkeypatch.setattr(Decoration, "holds", searched)
+    # a fresh instance: build_partitions() is cached
+    parts = Partitions()
+    table = parts.decoration_table()
+    assert len(table) == 48
+    for d in decorations():
+        assert table[parts.simplex_for_decoration(d).name] is d
 
 
 def test_chamber_table_is_built_once():

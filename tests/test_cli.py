@@ -191,6 +191,23 @@ def test_partition_check_small(capsys):
     assert "-> ok" in out
 
 
+def test_partition_check_reports_identities_apart_from_coverage(
+        capsys, monkeypatch):
+    # a coverage failure fails the run but leaves the identities true
+    def failing(**kwargs):
+        return {"samples": 1, "seed": 0, "misses": {"fortyeight": 1},
+                "cross_checked": 0, "cross_mismatches": 0, "ok": False}
+    monkeypatch.setattr(cli, "partition_check", failing)
+    code, out, _ = run(capsys, "partition-check")
+    assert code == 1
+    assert "barycenter_identities=True -> FAIL" in out
+    code, out, _ = run(capsys, "partition-check", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["barycenter_identities"] is True
+    assert payload["ok"] is False
+
+
 def test_anticert_found(capsys):
     code, out, _ = run(capsys, "anticert", "--beta", "12,13", "--chamber",
                        "p1234b3", "--trials", "500", "--seed", "4")
@@ -199,6 +216,17 @@ def test_anticert_found(capsys):
     assert fields[0] == "12,13"
     assert fields[1] == "p1234b3"
     assert len(fields) == 10
+
+
+def test_anticert_exits_3_when_the_witness_fails_reverification(
+        capsys, monkeypatch):
+    monkeypatch.setattr(cli.anticert, "verify_witness", lambda w: False)
+    code, out, _ = run(capsys, "anticert", "--beta", "12,13", "--chamber",
+                       "p1234b3", "--trials", "500", "--seed", "4", "--json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["found"] is True
+    assert payload["reverified"] is False
 
 
 def test_anticert_not_found_on_certified_chamber(capsys):
