@@ -31,7 +31,8 @@ whatever order or FMA the BLAS uses, if its input's top limb is below
 under one bit to spare, 45 would overflow).  It ends by carrying low to
 high, floor(u) passing up from a fraction limb u, and keeps a top below
 320 * 2^43 + 320, whose sign is all WPD reads.  Inputs and roots are
-fitted (``_fit``): a top out of range splits alike into one more limb.
+fitted (``_fit``): a top out of range splits alike into one more limb,
+except where ``from_poly``'s coefficients bound every top in range.
 
 ``from_poly`` reads a polynomial only through ``Polynomial.arrays``:
 the exponent matrix gives the box and each coefficient's flat index,
@@ -39,14 +40,21 @@ and the int64 or object coefficient array is split into limbs by
 whole-array floor remainders and shifts, exact on either dtype.
 
 The walk hands back (``recycle``) each cube it has tested or split, and
-products write into those, saving fresh arrays' page faults; two per
-element count, what a split takes, are kept until the next ``from_poly``.
+when it stops, those left on its stack.  Roots, products and widened
+cubes are written into them, saving fresh arrays' page faults.  The
+engine keeps SPARES buffers per element count, each once however often
+its memory comes back, across walks whose roots' degree boxes have as
+many entries, and drops them for a root of another box, so memory stays
+within SPARES cubes per size of the walks of one box.  A warm engine
+makes a new array only when a walk holds more cubes of one size than it
+keeps.  It writes every spare whole before reading it, so no root
+depends on an earlier walk.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -79,6 +87,9 @@ PREFIX_T, REFLECT_T, DILATE_T, DILATE_REFLECT_T = (
     for table in (PREFIX, REFLECT, DILATE, DILATE_REFLECT))
 # _normalize's carry, one scratch row per size: calls must not overlap
 _carry_row = cache(np.empty)
+# spare buffers the engine keeps per element count, across the walks of
+# one degree box
+SPARES = 4
 
 
 def _value(limbs):
@@ -103,15 +114,20 @@ def _normalize(cube):
     return cube
 
 
-def _fit(cube):
-    """cube if its top limb is in range, else a copy one limb wider."""
+def _fit(cube, spare=np.empty):
+    """cube if its top limb is in range, else its value one limb wider,
+    written into spare(shape)."""
     top = cube[-1]
     if (np.maximum.reduce(top, axis=None) < LIMB
             and np.minimum.reduce(top, axis=None) > -LIMB):
         return cube
+    wide = spare((len(cube) + 1,) + cube.shape[1:])
+    wide[:-2] = cube[:-1]
     # floor division: a negative top gives a fraction under a carry >= -321
-    carry = np.floor(top / LIMB)
-    return np.concatenate((cube[:-1], (top / LIMB - carry)[None], carry[None]))
+    np.divide(top, LIMB, out=wide[-2])
+    np.floor(wide[-2], out=wide[-1])
+    wide[-2] -= wide[-1]
+    return wide
 
 
 class NumpyBackend:
@@ -120,9 +136,12 @@ class NumpyBackend:
     name = "numpy"
 
     def __init__(self):
-        self._spares = {}  # element count -> cubes the walk is done with
+        # element count -> {id: buffer}, buffers no caller will read, of
+        # cubes over a degree box of _box entries
+        self._spares, self._box = {}, 0
 
     def from_poly(self, p):
+        """The root cube of p, built by five PREFIX passes in spares."""
         if p.nvars != 5:
             raise ValueError("expected a 5-variable polynomial")
         exps, vals = p.arrays()
@@ -131,17 +150,29 @@ class NumpyBackend:
             raise ValueError("per-variable degree exceeds 6")
         top = max(int(vals.max(initial=0)), -int(vals.min(initial=0)))
         k = top.bit_length() // LIMB_BITS + 1
-        cube = np.zeros((k,) + shape)
+        # the spares of another box's cubes would only hold memory
+        box = prod(shape)
+        if box != self._box:
+            self._spares, self._box = {}, box
+        cube = self._spare((k,) + shape)
+        cube.fill(0)
         rows, flat = cube.reshape(k, -1), np.ravel_multi_index(exps, shape)
         for i in range(k - 1):
             rows[i, flat] = vals % (1 << LIMB_BITS) / LIMB
             vals = vals >> LIMB_BITS
         rows[k - 1, flat] = vals
-        self._spares = {}  # two buffers take turns, then one is left
+        # each box sum of a pass, or of the root, sums some of the n
+        # coefficients c, so its top limb is at most |c|_1 / 2^(43(k-1))
+        # + 1 < sum(|t|) + n + 1 in magnitude, for t = c >> 43(k-1) the
+        # top limbs: if that is at most 2^43, no pass input needs _fit
+        fit = int(abs(vals).sum()) + len(vals) >= LIMB
         for _ in range(5):
-            (cube,), done = self._turn(cube, PREFIX_T), cube
+            (cube,), done = self._turn(cube, PREFIX_T, fit=fit), cube
             self.recycle(done)
-        return _fit(cube)
+        root = _fit(cube, self._spare) if fit else cube
+        if root is not cube:
+            self.recycle(cube)
+        return root
 
     def wpd(self, cube):
         return bool(np.minimum.reduce(cube[-1], axis=None) >= 0)
@@ -163,25 +194,37 @@ class NumpyBackend:
         """Both halves along the leading axis, x_axis for the walk."""
         return self._turn(cube, DILATE_T, DILATE_REFLECT_T)
 
-    def _turn(self, cube, *tables):
-        """Each table[n], a map's transpose, on the fitted cube's leading
-        axis through one view, into a spare if one is left, turned."""
-        cube = _fit(cube)
-        k, n = cube.shape[:2]
-        rows = cube.reshape(k, n, -1).transpose(0, 2, 1)
-        shape = (k,) + cube.shape[2:] + (n,)
-        spares = self._spares.get(cube.size, [])
-        outs = [spares.pop().reshape(shape) if spares else np.empty(shape)
-                for _ in tables]
+    def _turn(self, cube, *tables, fit=True):
+        """Each table[n], a map's transpose, on the leading axis of the
+        cube, fitted unless its top limb is known in range, through one
+        view, into spares, turned."""
+        wide = _fit(cube, self._spare) if fit else cube
+        k, n = wide.shape[:2]
+        rows = wide.reshape(k, n, -1).transpose(0, 2, 1)
+        outs = [self._spare((k,) + wide.shape[2:] + (n,)) for _ in tables]
         for out, table in zip(outs, tables):
             _normalize(np.matmul(rows, table[n], out=out.reshape(k, -1, n)))
+        if wide is not cube:
+            self.recycle(wide)
         return outs
 
+    def _spare(self, shape):
+        """A recycled buffer in this shape if one is left, else a new one."""
+        spares = self._spares.get(prod(shape))
+        if spares:
+            return spares.popitem()[1].reshape(shape)
+        return np.empty(shape)
+
     def recycle(self, cube):
-        """Take back a cube the caller will not read again, for split."""
-        spares = self._spares.setdefault(cube.size, [])
-        if len(spares) < 2:
-            spares.append(cube)
+        """Take back a cube the caller will not read again: the memory it
+        spans becomes a spare for products of its size, unless SPARES of
+        that size are kept.  Spares are keyed by their buffer, so one that
+        comes back twice, or as another view, is kept once; a view of
+        part of a buffer is not kept."""
+        owner = cube if cube.base is None else cube.base
+        spares = self._spares.setdefault(cube.size, {})
+        if len(spares) < SPARES and owner.size == cube.size:
+            spares[id(owner)] = owner
 
     # a no-op that only perfbench/tracer.py binds (ROADMAP item 5)
     def guard(self, cube):

@@ -72,24 +72,31 @@ def _traverse(p, budget, eng, expect=None):
     """The subdivision walk; None as soon as an action differs from expect."""
     stack = [(eng.from_poly(p), 0)]
     actions = []
+    status, corner = "Nonnegative", None
     while stack:
         if len(actions) >= budget:
-            return _read("BudgetExhausted", actions, budget)
-        cube, depth = stack.pop()
+            status = "BudgetExhausted"
+            break
+        cube, depth = stack[-1]
         if eng.origin_negative(cube):
             act = "N"
         else:
             act = "W" if eng.wpd(cube) else "S"
         if expect is not None and not expect.startswith(act, len(actions)):
-            return None
+            status = None
+            break
         actions.append(act)
         if act == "N":
-            return _read("NegativeWitness", actions, budget,
-                         eng.corner_value(cube))
+            status, corner = "NegativeWitness", eng.corner_value(cube)
+            break
+        stack.pop()
         if act == "S":
             stack += zip(eng.split(cube, depth % 5), (depth + 1, depth + 1))
         eng.recycle(cube)
-    return _read("Nonnegative", actions, budget)
+    # however the walk stopped, the cubes left on its stack go back too
+    for cube, _ in stack:
+        eng.recycle(cube)
+    return None if status is None else _read(status, actions, budget, corner)
 
 
 def _read(status, actions, budget, corner=None):

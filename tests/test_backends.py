@@ -14,7 +14,7 @@ run-level tests compare whole certify runs with the oracle's walk.
 import hashlib
 import weakref
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from operator import le
 from pathlib import Path
@@ -25,8 +25,8 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from tetravol._kernels import (
-    DILATE, DILATE_REFLECT, LIMB, LIMB_BITS, PREFIX, REFLECT, NumpyBackend,
-    _fit, _normalize, _value, get_backend,
+    DILATE, DILATE_REFLECT, LIMB, LIMB_BITS, PREFIX, REFLECT, SPARES,
+    NumpyBackend, _fit, _normalize, _value, get_backend,
 )
 from tetravol import _kernels, positive_dominance
 from tetravol.case_suite_cli import case_registry
@@ -194,26 +194,32 @@ def cumsum_from_poly(p):
 class ProductSpy(NumpyBackend):
     """The limb engine, checking the input and outputs of every product.
 
-    A product's input, and the root, is what ``_fit`` hands back, which
-    must meet the limb invariant, so its top limb is in range; each
+    A product's input is the cube ``_turn`` gets, fitted unless
+    ``from_poly`` has bounded its top limb; either way it, and the root,
+    must meet the limb invariant, so its top limb is in range. Each
     output may keep a top limb past it, below PRODUCT_TOP. ``limbs``
-    lists the fitted cubes' limb counts, ``past`` counts the outputs
-    whose top limb left the range.
+    lists the inputs' and roots' limb counts, ``past`` counts the
+    outputs whose top limb left the range, ``unfitted`` the inputs that
+    skipped ``_fit``.
     """
 
-    def __init__(self, monkeypatch):
+    def __init__(self):
         super().__init__()
-        self.limbs, self.past = [], 0
+        self.limbs, self.past, self.unfitted = [], 0, 0
 
-        def fit(cube):
-            cube = _fit(cube)
-            assert meets_limb_invariant(cube)
-            self.limbs.append(len(cube))
-            return cube
-        monkeypatch.setattr(_kernels, "_fit", fit)
+    def from_poly(self, p):
+        cube = super().from_poly(p)
+        assert meets_limb_invariant(cube)
+        self.limbs.append(len(cube))
+        return cube
 
-    def _turn(self, cube, *tables):
-        outs = super()._turn(cube, *tables)
+    def _turn(self, cube, *tables, fit=True):
+        # the product input, as _turn builds it from cube
+        product_input = _fit(cube) if fit else cube
+        assert meets_limb_invariant(product_input)
+        self.limbs.append(len(product_input))
+        self.unfitted += not fit
+        outs = super()._turn(cube, *tables, fit=fit)
         for out in outs:
             assert meets_limb_invariant(out, PRODUCT_TOP)
             self.past += bool(abs(out[-1]).max() >= LIMB)
@@ -221,15 +227,16 @@ class ProductSpy(NumpyBackend):
 
 
 def assert_cumsum_cube(p):
-    """from_poly gives the cumsum cube, and a spare apart from it."""
+    """from_poly gives the cumsum cube, and spares apart from it."""
     eng = NumpyBackend()
     cube, want = eng.from_poly(p), cumsum_from_poly(p)
     assert cube.shape == want.shape
     assert np.array_equal(cube, want)
     assert meets_limb_invariant(cube)
-    # the buffer the passes left over waits for the first split
-    (spare,) = eng._spares[cube.size]
-    assert not np.shares_memory(spare, cube)
+    # the buffers the passes left over wait for the first split
+    spares = eng._spares[cube.size].values()
+    assert spares
+    assert not any(np.shares_memory(spare, cube) for spare in spares)
     return cube
 
 
@@ -291,7 +298,7 @@ def test_zero_polynomial_is_one_nonnegative_entry():
     assert (cert.status, cert.steps) == ("Nonnegative", 1)
 
 
-def test_multi_limb_roots_match_the_cumsum_construction(monkeypatch):
+def test_multi_limb_roots_match_the_cumsum_construction():
     # WIDENING_WALK's top coefficient is about 2^86: three limbs
     assert len(assert_cumsum_cube(WIDENING_WALK)) == 3
     # 2^42 - 1 fits one limb, but its box sums reach 12,005 times that,
@@ -299,22 +306,37 @@ def test_multi_limb_roots_match_the_cumsum_construction(monkeypatch):
     # the second pass's input widens to two limbs
     full = Polynomial(5, {e: 2 ** 42 - 1 for e in product(
         range(7), range(7), range(7), range(7), range(5))})
-    spy = ProductSpy(monkeypatch)
+    spy = ProductSpy()
     cube = spy.from_poly(full)
-    # the five passes' inputs, then the root
-    assert spy.limbs == [1, 2, 2, 2, 2, 2]
+    # the five passes' inputs, then the root, all fitted
+    assert spy.limbs == [1, 2, 2, 2, 2, 2] and spy.unfitted == 0
     assert np.array_equal(cube, assert_cumsum_cube(full))
     assert cube.shape == (2, 7, 7, 7, 7, 5)
     assert to_poly(cube) == full
     # a last pass that leaves the range widens the root itself: 2^42 - 1
     # along the last axis alone sums to 7 times that, about 2^44.8
     last = Polynomial(5, {(0, 0, 0, 0, e): 2 ** 42 - 1 for e in range(7)})
-    spy = ProductSpy(monkeypatch)
+    spy = ProductSpy()
     cube = spy.from_poly(last)
-    assert spy.limbs == [1, 1, 1, 1, 1, 2]
+    assert spy.limbs == [1, 1, 1, 1, 1, 2] and spy.unfitted == 0
     assert np.array_equal(cube, cumsum_from_poly(last))
     assert len(cube) == 2 and meets_limb_invariant(cube)
     assert to_poly(cube) == last
+    # from_poly skips _fit when its top limbs t, plus one unit per
+    # coefficient, total below 2^43. At 2^43 - 1 the total box sum of
+    # the n positive coefficients is 2^43 - n - 1, one limb; at 2^43 the
+    # bound no longer holds, though the root still fits one limb. n
+    # coefficients of 2^50 start at two limbs, their top limbs 2^7 each
+    box = list(product(range(7), range(7), range(7), range(7), range(5)))
+    n = len(box)
+    for total, k, unfitted in ((2 ** 43 - n - 1, 1, 5), (2 ** 43 - n, 1, 0),
+                               (n * 2 ** 50, 2, 5)):
+        q, r = divmod(total, n)
+        p = Polynomial(5, {e: q + (i < r) for i, e in enumerate(box)})
+        spy = ProductSpy()
+        cube = spy.from_poly(p)
+        assert (len(cube), spy.unfitted) == (k, unfitted)
+        assert cube.tobytes() == cumsum_from_poly(p).tobytes()
 
 
 @pytest.mark.parametrize("p, message", [
@@ -560,31 +582,35 @@ class WalkSpy(NumpyBackend):
 
     Every cube gets a digest when the engine hands it out, that is when
     the walk pushes it, and is checked against it when the walk pops it
-    and reads its origin. ``fresh`` counts the arrays the engine handed
-    out whose memory it had not handed out before in this walk; a
-    recycled array comes back as a view of it in its new shape.
+    and reads its origin. ``fresh`` counts the buffers the engine makes
+    rather than takes from its spares; ``unread`` the cubes a walk hands
+    back without reading them, which only a walk that stops early does,
+    and only once it has stopped.
     """
 
     def __init__(self):
         super().__init__()
         self.pushed = {}
-        self.seen = {}
-        self.fresh = self.popped = 0
+        self.fresh = self.popped = self.unread = 0
 
     def _hand_out(self, cube):
         self.pushed[id(cube)] = (cube.shape,
                                  hashlib.sha256(cube.tobytes()).digest())
-        owner = cube if cube.base is None else cube.base
-        known = self.seen.get(id(owner))
-        if known is None or known() is not owner:
-            self.fresh += 1
-            self.seen[id(owner)] = weakref.ref(owner)
         return cube
 
+    def _spare(self, shape):
+        spare = super()._spare(shape)
+        # a recycled buffer comes back as a view of itself in its new shape
+        self.fresh += spare.base is None
+        return spare
+
     def from_poly(self, p):
+        self.unread = 0
         return self._hand_out(super().from_poly(p))
 
     def split(self, cube, axis):
+        # a walk that handed back a cube unread has stopped
+        assert not self.unread
         return tuple(map(self._hand_out, super().split(cube, axis)))
 
     def origin_negative(self, cube):
@@ -595,11 +621,12 @@ class WalkSpy(NumpyBackend):
         return super().origin_negative(cube)
 
     def recycle(self, cube):
-        # a cube still on the stack is never handed back
-        assert id(cube) not in self.pushed
+        # a cube still on the stack comes back only when the walk stops
+        if self.pushed.pop(id(cube), None) is not None:
+            self.unread += 1
         super().recycle(cube)
-        # and the engine keeps at most the two spares one split takes
-        assert len(self._spares[cube.size]) <= 2
+        # and the engine keeps at most SPARES buffers per size
+        assert len(self._spares[cube.size]) <= SPARES
 
 
 # WIDENS_ON_DILATE is WPD at its root; times (x1 - x3)^2, which never
@@ -607,14 +634,20 @@ class WalkSpy(NumpyBackend):
 # is about 2^86) to 5-limb cubes within 60 levels
 WIDENING_WALK = WIDENS_ON_DILATE * (Polynomial.variable(5, 1)
                                     - Polynomial.variable(5, 3)) ** 2
+# 1 - 3 x0 splits once; its right half is negative at the origin, so the
+# walk stops there with the left half left unread on its stack
+NEGATIVE_AFTER_A_SPLIT = Polynomial(5, {(0, 0, 0, 0, 0): 1, (1, 0, 0, 0, 0): -3})
 
 
 def test_walk_never_writes_a_cube_on_its_stack():
+    x1, x3 = Polynomial.variable(5, 1), Polynomial.variable(5, 3)
     walks = (
         (pullback(directional_derivative(EdgeSubset((0,))),
                   _single_edge_cell()), 10 ** 6),
         (WIDENS_ON_DILATE, 60),
         (WIDENING_WALK, 60),
+        (NEGATIVE_AFTER_A_SPLIT, 60),
+        ((x1 - x3) ** 2, 2),
     )
     spies = []
     for p, budget in walks:
@@ -622,20 +655,108 @@ def test_walk_never_writes_a_cube_on_its_stack():
         cert = _traverse(p, budget, spy)
         assert cert == certify(p, budget)
         assert spy.popped == cert.steps
-        # only the cubes left on the stack were never popped
-        assert len(spy.pushed) == 1 + 2 * cert.subdivisions - cert.steps
-        # without reuse a walk allocates the root and both halves of
-        # every split; with it, fewer, though no cube on the stack and
-        # at most two spares per size are kept
-        assert spy.fresh < 1 + 2 * cert.subdivisions or spy.fresh == 1
-        spies.append(spy)
-    single_edge, _, widening = spies
-    # the single-edge walk (421 steps) reuses two arrays in three: 132
-    # of its 421 cubes are fresh
-    assert single_edge.popped == 421 and single_edge.fresh <= 421 // 3
+        # the cubes left on the stack were never popped, and came back
+        # when the walk stopped
+        assert not spy.pushed
+        assert spy.unread == 1 + 2 * cert.subdivisions - cert.steps
+        # without reuse a walk makes its root, five prefix passes and
+        # both halves of every split; with it, fewer
+        assert spy.fresh < 6 + 2 * cert.subdivisions
+        # the same walk again on the warm engine makes fewer buffers,
+        # and none at all when its live cubes fit in the spares: the
+        # root, the spare a prefix pass leaves, and at a split the cubes
+        # on the stack, the one split and its two halves
+        first, spy.fresh = spy.fresh, 0
+        assert _traverse(p, budget, spy) == cert
+        assert not spy.pushed
+        assert spy.fresh < first
+        assert spy.fresh == 0 or cert.max_depth + 2 > SPARES
+        spies.append((cert, first, spy))
+    single_edge, _, widening, negative, budget_two = spies
+    # the single-edge walk (421 steps) makes a buffer for fewer than one
+    # in six of the 426 cubes it uses: the root, five passes' outputs
+    # and both halves of its 210 splits
+    assert single_edge[0].steps == 421 and single_edge[1] <= 426 // 6
+    assert negative[0].status == "NegativeWitness"
+    assert negative[0].steps == 2
+    assert budget_two[0].status == "BudgetExhausted"
     # the widening walk recycled cubes of every limb count it crossed
     box = NumpyBackend().from_poly(WIDENING_WALK)[0].size
-    assert {size // box for size in widening._spares} == {3, 4, 5}
+    assert {size // box for size in widening[2]._spares} == {3, 4, 5}
+
+
+def test_recycle_never_pools_the_same_memory_twice():
+    eng = NumpyBackend()
+    cube = eng.from_poly(WIDENS_ON_DILATE)
+    spare = np.empty_like(cube)
+    # the same cube twice, whole views of it, and a part of it: only the
+    # first is pooled
+    for again in (spare, spare, spare.reshape(-1), spare[::-1], spare[:1]):
+        eng.recycle(again)
+    pooled = [buf for bufs in eng._spares.values() for buf in bufs.values()]
+    assert sum(buf is spare for buf in pooled) == 1
+    for a, b in combinations(pooled, 2):
+        assert not np.shares_memory(a, b)
+    left, right = eng.split(cube, 0)
+    assert not np.shares_memory(left, right)
+    assert not any(np.shares_memory(half, cube) for half in (left, right))
+    # a split's halves, handed back twice, each come out once
+    for half in (left, right, right, left):
+        eng.recycle(half)
+    cubes = [*eng.split(cube, 0), *eng.split(cube, 0), cube]
+    for a, b in combinations(cubes, 2):
+        assert not np.shares_memory(a, b)
+
+
+def test_a_poisoned_pool_changes_no_certificate_and_no_root():
+    # a root must not depend on the walk before it: every spare is
+    # written whole before it is read
+    spec = case_registry()["3-cycle"]
+    task = spec.tasks[0]
+    walks = (
+        (pullback(directional_derivative(EdgeSubset((0,))),
+                  _single_edge_cell()), 10 ** 6),
+        (pullback(task.func.polynomial(spec.beta),
+                  spec.simplices[task.simplex]), 10 ** 6),
+        (WIDENING_WALK, 60),
+        (NEGATIVE_AFTER_A_SPLIT, 60),
+    )
+    eng = NumpyBackend()
+
+    def poison():
+        buffers = [buf for bufs in eng._spares.values()
+                   for buf in bufs.values()]
+        assert buffers
+        for buf in buffers:
+            flat = buf.reshape(-1)
+            flat[0::3], flat[1::3], flat[2::3] = np.nan, np.inf, -np.inf
+
+    for p, budget in walks:
+        want = certify(p, budget)
+        # a first root, then a first walk, leave the spares the next
+        # root and walk of p take; a walk that expects want's actions
+        # stops at the first that differs
+        eng.from_poly(p)
+        poison()
+        assert eng.from_poly(p).tobytes() == cumsum_from_poly(p).tobytes()
+        assert _traverse(p, budget, eng, want.actions) == want
+        poison()
+        assert _traverse(p, budget, eng, want.actions) == want
+
+
+def test_spares_outlive_the_walks_of_one_degree_box():
+    eng = NumpyBackend()
+    _traverse(WIDENING_WALK, 60, eng)
+    spares = [weakref.ref(buf) for bufs in eng._spares.values()
+              for buf in bufs.values()]
+    # a root over the same box is built in them
+    root = eng.from_poly(WIDENING_WALK)
+    assert any(root.base is spare() for spare in spares)
+    eng.recycle(root)
+    del root
+    # a root over a box of another size lets them all go
+    eng.from_poly(NEGATIVE_AFTER_A_SPLIT)
+    assert all(spare() is None for spare in spares)
 
 
 def test_split_never_writes_its_input():
@@ -646,7 +767,7 @@ def test_split_never_writes_its_input():
     assert len(sizes) >= 3
     for size in sizes:
         # an input of each size that holds spares, not itself a spare
-        cube = eng._spares[size][0].copy()
+        cube = next(iter(eng._spares[size].values())).copy()
         before = cube.copy()
         for axis in range(5):
             children = eng.split(cube, axis)
@@ -657,7 +778,7 @@ def test_split_never_writes_its_input():
                 eng.recycle(child)
 
 
-def test_every_product_input_is_in_range(monkeypatch):
+def test_every_product_input_is_in_range():
     walks = (
         (pullback(directional_derivative(EdgeSubset((0,))),
                   _single_edge_cell()), 10 ** 6, 421),
@@ -665,12 +786,15 @@ def test_every_product_input_is_in_range(monkeypatch):
     )
     for p, budget, steps in walks:
         want = certify(p, budget)
-        spy = ProductSpy(monkeypatch)
+        spy = ProductSpy()
         cert = _traverse(p, budget, spy)
         assert cert == want and cert.steps == steps
         # the five PREFIX passes of from_poly and its root, then one
         # input per split, shared by both halves
         assert len(spy.limbs) == 6 + cert.subdivisions
+        # both roots' top limbs total far below 2^43, so their passes
+        # skip _fit, and are checked all the same; every split fits
+        assert spy.unfitted == 5
     # WIDENING_WALK's outputs leave the range, and the inputs they feed
     # widen, from the 3-limb root to 5 limbs
     assert spy.past > 0
