@@ -14,8 +14,10 @@ with its transpose, and turns the axes by one, that axis last (the
 cyclic layout of sum factorization: Deville, Fischer and Mund, CUP
 2002).  So the five PREFIX products of ``from_poly`` leave the root in
 natural order, (k, D0+1, ..., D4+1), and a cube at depth d has turned d
-times: x_(d mod 5), which the walk splits into DILATE[n] and DILATE[n] @
-REFLECT[n] of S, leads.
+times: x_(d mod 5), along which the walk splits it, leads.  The walk
+makes one half of a split at a time (``child``), DILATE[n] or DILATE[n]
+@ REFLECT[n] of S, when it pops that half, from the parent it brought in
+range (``fit``) when it split it.
 
 Limbs 0..k-2 hold fractions r * 2^-43, r an integer in [0, 2^43), and
 the signed top limb an integer, so a value is negative iff its top limb
@@ -81,10 +83,12 @@ REFLECT = {n: _on_box_sums(SIGNED_BINOM[:n, :n].T) for n in range(1, 8)}
 DILATE = {n: _on_box_sums(np.diag(1 << np.arange(n - 1, -1, -1)))
           for n in range(1, 8)}
 DILATE_REFLECT = {n: DILATE[n] @ REFLECT[n] for n in range(1, 8)}
-# the right factors of _turn's products: each map's C-contiguous transpose
+# the right factors of _product: each map's C-contiguous transpose
 PREFIX_T, REFLECT_T, DILATE_T, DILATE_REFLECT_T = (
     {n: np.ascontiguousarray(m.T) for n, m in table.items()}
     for table in (PREFIX, REFLECT, DILATE, DILATE_REFLECT))
+# child's maps by side: 0 the left half, 1 the right
+HALVES_T = (DILATE_T, DILATE_REFLECT_T)
 # _normalize's carry, one scratch row per size: calls must not overlap
 _carry_row = cache(np.empty)
 # spare buffers the engine keeps per element count, across the walks of
@@ -103,7 +107,9 @@ def _value(limbs):
 def _normalize(cube):
     """Carry limbs low to high, in place, into a top limb of any size:
     exact on integers below 2^53, in units of 2^-43 below the top, whose
-    carries fit in the limb above."""
+    carries fit in the limb above.  A one-limb cube has nothing to carry."""
+    if len(cube) == 1:
+        return cube
     rows = cube.reshape(len(cube), -1)
     carry = _carry_row(rows.shape[1])
     for i in range(len(rows) - 1):
@@ -167,12 +173,10 @@ class NumpyBackend:
         # top limbs: if that is at most 2^43, no pass input needs _fit
         fit = int(abs(vals).sum()) + len(vals) >= LIMB
         for _ in range(5):
-            (cube,), done = self._turn(cube, PREFIX_T, fit=fit), cube
-            self.recycle(done)
-        root = _fit(cube, self._spare) if fit else cube
-        if root is not cube:
-            self.recycle(cube)
-        return root
+            wide = self.fit(cube) if fit else cube
+            cube = self._product(wide, PREFIX_T)
+            self.recycle(wide)
+        return self.fit(cube) if fit else cube
 
     def wpd(self, cube):
         return bool(np.minimum.reduce(cube[-1], axis=None) >= 0)
@@ -183,30 +187,34 @@ class NumpyBackend:
     def corner_value(self, cube):
         return _value(cube[:, 0, 0, 0, 0, 0].tolist())
 
-    # like split; only perfbench/tracer.py binds them (ROADMAP item 5)
+    # only perfbench/tracer.py binds them (ROADMAP item 5)
     def dilate(self, cube, axis):
-        return self._turn(cube, DILATE_T)[0]
+        return self._product(_fit(cube), DILATE_T)
 
     def reflect(self, cube, axis):
-        return self._turn(cube, REFLECT_T)[0]
+        return self._product(_fit(cube), REFLECT_T)
 
-    def split(self, cube, axis):
-        """Both halves along the leading axis, x_axis for the walk."""
-        return self._turn(cube, DILATE_T, DILATE_REFLECT_T)
-
-    def _turn(self, cube, *tables, fit=True):
-        """Each table[n], a map's transpose, on the leading axis of the
-        cube, fitted unless its top limb is known in range, through one
-        view, into spares, turned."""
-        wide = _fit(cube, self._spare) if fit else cube
-        k, n = wide.shape[:2]
-        rows = wide.reshape(k, n, -1).transpose(0, 2, 1)
-        outs = [self._spare((k,) + wide.shape[2:] + (n,)) for _ in tables]
-        for out, table in zip(outs, tables):
-            _normalize(np.matmul(rows, table[n], out=out.reshape(k, -1, n)))
+    def fit(self, cube):
+        """cube if its top limb is in range, else its value one limb wider
+        in a spare, cube going back to the spares."""
+        wide = _fit(cube, self._spare)
         if wide is not cube:
-            self.recycle(wide)
-        return outs
+            self.recycle(cube)
+        return wide
+
+    def child(self, parent, axis, side):
+        """One half of a fitted parent's split along its leading axis,
+        x_axis for the walk: the left (side 0) or the right (side 1)."""
+        return self._product(parent, HALVES_T[side])
+
+    def _product(self, cube, table):
+        """table[n], a map's transpose, on the leading axis of a cube whose
+        top limb is in range, through one view, into a spare, turned."""
+        k, n = cube.shape[:2]
+        out = self._spare((k,) + cube.shape[2:] + (n,))
+        _normalize(np.matmul(cube.reshape(k, n, -1).transpose(0, 2, 1),
+                             table[n], out=out.reshape(k, -1, n)))
+        return out
 
     def _spare(self, shape):
         """A recycled buffer in this shape if one is left, else a new one."""

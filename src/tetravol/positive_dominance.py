@@ -9,16 +9,19 @@ dilation of its reflection, both rescaled by a power of two to stay
 integral.
 
 One walk, ``_traverse``, does all of this: it drives a LIFO work list
-of cubes and their depths until every leaf is WPD, a cube goes negative
-at the origin (yielding an exact negative witness), or a step budget
-runs out, and it records one action per step ('S' split, 'W' WPD leaf,
-'N' negative origin).  The actions are the split tree in preorder, so
-``_read`` reads the counters, the histogram and the witness lineage off
-them alone.  ``certify`` runs the walk once.  ``replay`` runs it again
-under the certificate's budget, stopping at the first action that
-differs from the recorded ones, and accepts only when the walk
-re-derives the whole certificate: status, counters, histogram, actions
-and witness.
+until every leaf is WPD, a cube goes negative at the origin (yielding an
+exact negative witness), or a step budget runs out, and it records one
+action per step ('S' split, 'W' WPD leaf, 'N' negative origin).  A split
+brings the cube in range once and pushes its two halves as pending
+entries, each the parent, a depth and a side; popping one makes that
+half alone, so a walk that stops early makes no cube it does not test.
+The actions are the split tree in preorder, so ``_read`` reads the
+counters, the histogram and the witness lineage off them alone, and
+``tree_shape`` the tree's levels and the walk's peak stack.  ``certify`` runs
+the walk once.  ``replay`` runs it again under the certificate's budget,
+stopping at the first action that differs from the recorded ones, and
+accepts only when the walk re-derives the whole certificate: status,
+counters, histogram, actions and witness.
 
 Both run on the float64 limb engine of ``_kernels``, which widens a cube
 instead of overflowing, so a walk is exact at any coefficient size.
@@ -69,33 +72,49 @@ def replay(p, certificate):
 
 
 def _traverse(p, budget, eng, expect=None):
-    """The subdivision walk; None as soon as an action differs from expect."""
-    stack = [(eng.from_poly(p), 0)]
+    """The subdivision walk; None as soon as an action differs from expect.
+
+    An entry on the stack is the root, side None, or a half still to be
+    made: its fitted parent, its depth and its side, 0 left or 1 right.
+    The right half is made first, so the parent goes back to the engine
+    once its left half is made.
+    """
+    stack = [(eng.from_poly(p), 0, None)]
     actions = []
     status, corner = "Nonnegative", None
     while stack:
         if len(actions) >= budget:
             status = "BudgetExhausted"
             break
-        cube, depth = stack[-1]
+        parent, depth, side = stack.pop()
+        if side is None:
+            cube = parent
+        else:
+            cube = eng.child(parent, (depth - 1) % 5, side)
+            if not side:
+                eng.recycle(parent)
         if eng.origin_negative(cube):
             act = "N"
         else:
             act = "W" if eng.wpd(cube) else "S"
         if expect is not None and not expect.startswith(act, len(actions)):
             status = None
+            eng.recycle(cube)
             break
         actions.append(act)
+        if act == "S":
+            parent = eng.fit(cube)
+            stack += ((parent, depth + 1, 0), (parent, depth + 1, 1))
+            continue
         if act == "N":
             status, corner = "NegativeWitness", eng.corner_value(cube)
+            eng.recycle(cube)
             break
-        stack.pop()
-        if act == "S":
-            stack += zip(eng.split(cube, depth % 5), (depth + 1, depth + 1))
         eng.recycle(cube)
-    # however the walk stopped, the cubes left on its stack go back too
-    for cube, _ in stack:
-        eng.recycle(cube)
+    # however the walk stopped, the root or parents left on its stack go
+    # back too
+    for parent, _, _ in stack:
+        eng.recycle(parent)
     return None if status is None else _read(status, actions, budget, corner)
 
 
@@ -108,16 +127,40 @@ def _read(status, actions, budget, corner=None):
     witness is the last node visited.
     """
     actions = "".join(actions)
-    stack, path, depths = [""], "", []
-    for act in actions:
-        path = stack.pop()
-        if act == "S":
-            depths.append(len(path))
-            stack += (path + "L", path + "R")
-    axes = [depth % 5 for depth in depths]
-    lineage = ",".join("%s%d" % (side, k % 5) for k, side in enumerate(path))
+    splits = [level[0] for level in tree_shape(actions)[0]]
+    lineage = None
+    if status == "NegativeWitness":
+        stack = [""]
+        for act in actions:
+            path = stack.pop()
+            if act == "S":
+                stack += (path + "L", path + "R")
+        lineage = ",".join("%s%d" % (side, k % 5)
+                           for k, side in enumerate(path))
+    # every level but the last holds a split
     return Certificate(
-        status, len(actions), len(actions) - actions.count("N"), len(depths),
-        max(depths, default=-1) + 1, tuple(map(axes.count, range(5))),
-        actions, lineage if status == "NegativeWitness" else None, corner,
+        status, len(actions), len(actions) - actions.count("N"), sum(splits),
+        len(splits) - splits.count(0),
+        tuple(sum(splits[j::5]) for j in range(5)), actions, lineage, corner,
         budget)
+
+
+def tree_shape(actions):
+    """The split tree's levels and the walk's peak stack, from its actions.
+
+    levels[d] counts the 'S', 'W' and 'N' nodes at depth d, in that
+    order, and peak is the most entries the walk's stack held, the
+    root's included: a walk holds at most peak + 1 cubes at once.
+    """
+    levels, stack, peak = [], [0], 1
+    for act in actions:
+        depth = stack.pop()
+        if depth == len(levels):
+            levels.append([0, 0, 0])
+        if act == "S":
+            levels[depth][0] += 1
+            stack += (depth + 1, depth + 1)
+            peak = max(peak, len(stack))
+        else:
+            levels[depth][1 if act == "W" else 2] += 1
+    return [tuple(level) for level in levels], peak

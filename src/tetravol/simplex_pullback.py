@@ -181,14 +181,15 @@ def _coefficient_bound(p, forms):
 
     Each term's weight prod_k N_k^e_k is one product of entries of
     per-variable power tables, int64 when max_k N_k^deg(p) < 2**63, so
-    that no partial product wraps, and Python ints otherwise; the
-    weighted sum is taken in Python ints.
+    that no power and no partial product wraps, and Python ints
+    otherwise; the weighted sum is taken in Python ints.
     """
     exps, coeffs = p.arrays()
     norms = [max(1, sum(map(abs, form))) for form in forms]
     dtype = np.int64 if max(norms) ** p.total_degree() < 2 ** 63 else object
-    powers = np.array([[n ** e for e in range(exps.max(initial=0) + 1)]
-                       for n in norms], dtype=dtype)
+    # object-dtype exponents keep the powers Python ints
+    powers = np.power.outer(np.array(norms, dtype=dtype),
+                            np.arange(exps.max(initial=0) + 1, dtype=dtype))
     weights = powers[np.arange(6)[:, None], exps].prod(axis=0)
     return sum(map(operator.mul, map(abs, coeffs.tolist()), weights.tolist()))
 

@@ -98,9 +98,16 @@ class ObjectEngine:
             out[tuple(sl)] = acc
         return out
 
-    def split(self, cube, axis):
-        right = self.dilate(self.reflect(cube, axis), axis)
-        return self.dilate(cube, axis), right
+    def fit(self, cube):
+        # Python ints have no range to bring a cube into
+        return cube
+
+    def child(self, parent, axis, side):
+        """The left half (side 0) or the right half (side 1) of a split
+        of parent along axis."""
+        if side:
+            parent = self.reflect(parent, axis)
+        return self.dilate(parent, axis)
 
     def recycle(self, cube):
         # every operation returns a fresh array, so nothing is reused

@@ -33,7 +33,8 @@ from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import EdgeSubset, directional_derivative
 from tetravol.chamber_geometry import build_partitions
 from tetravol.exact_poly import Polynomial
-from tetravol.positive_dominance import _traverse, certify, replay
+from tetravol.positive_dominance import (_traverse, certify, replay,
+                                         tree_shape)
 from tetravol.simplex_pullback import pullback
 
 from _object_engine import ObjectEngine, to_poly, turn
@@ -160,10 +161,18 @@ def test_limb_engine_agrees_with_the_object_oracle(p):
             oracle.reflect(ref, axis))
         assert to_poly(dilated, axis + 1) == oracle.to_poly(
             oracle.dilate(ref, axis))
-        children = eng.split(turned, axis)
-        for child, want in zip(children, oracle.split(ref, axis)):
+        # each half of a split, and the half brought back in range, as
+        # the walk fits a cube before it makes its halves
+        parent = eng.fit(turned)
+        assert parent is turned and oracle.fit(ref) is ref
+        for side in (0, 1):
+            child = eng.child(parent, axis, side)
+            want = oracle.to_poly(oracle.child(ref, axis, side))
             assert meets_limb_invariant(child, PRODUCT_TOP)
-            assert to_poly(child, axis + 1) == oracle.to_poly(want)
+            assert to_poly(child, axis + 1) == want
+            fitted = eng.fit(child)
+            assert meets_limb_invariant(fitted)
+            assert to_poly(fitted, axis + 1) == want
         # no operation writes to its input
         assert np.array_equal(turned, turn(before, axis))
     assert np.array_equal(cube, before)
@@ -192,20 +201,19 @@ def cumsum_from_poly(p):
 
 
 class ProductSpy(NumpyBackend):
-    """The limb engine, checking the input and outputs of every product.
+    """The limb engine, checking the input and output of every product.
 
-    A product's input is the cube ``_turn`` gets, fitted unless
-    ``from_poly`` has bounded its top limb; either way it, and the root,
-    must meet the limb invariant, so its top limb is in range. Each
-    output may keep a top limb past it, below PRODUCT_TOP. ``limbs``
-    lists the inputs' and roots' limb counts, ``past`` counts the
-    outputs whose top limb left the range, ``unfitted`` the inputs that
-    skipped ``_fit``.
+    A product's input is fitted unless ``from_poly`` has bounded its top
+    limb; either way it, and the root, must meet the limb invariant, so
+    its top limb is in range. Its output may keep a top limb past it,
+    below PRODUCT_TOP. ``limbs`` lists the inputs' and roots' limb
+    counts, ``past`` counts the outputs whose top limb left the range,
+    ``fits`` the calls to ``fit``, from_poly's and the walk's.
     """
 
     def __init__(self):
         super().__init__()
-        self.limbs, self.past, self.unfitted = [], 0, 0
+        self.limbs, self.past, self.fits = [], 0, 0
 
     def from_poly(self, p):
         cube = super().from_poly(p)
@@ -213,17 +221,17 @@ class ProductSpy(NumpyBackend):
         self.limbs.append(len(cube))
         return cube
 
-    def _turn(self, cube, *tables, fit=True):
-        # the product input, as _turn builds it from cube
-        product_input = _fit(cube) if fit else cube
-        assert meets_limb_invariant(product_input)
-        self.limbs.append(len(product_input))
-        self.unfitted += not fit
-        outs = super()._turn(cube, *tables, fit=fit)
-        for out in outs:
-            assert meets_limb_invariant(out, PRODUCT_TOP)
-            self.past += bool(abs(out[-1]).max() >= LIMB)
-        return outs
+    def fit(self, cube):
+        self.fits += 1
+        return super().fit(cube)
+
+    def _product(self, cube, table):
+        assert meets_limb_invariant(cube)
+        self.limbs.append(len(cube))
+        out = super()._product(cube, table)
+        assert meets_limb_invariant(out, PRODUCT_TOP)
+        self.past += bool(abs(out[-1]).max() >= LIMB)
+        return out
 
 
 def assert_cumsum_cube(p):
@@ -309,7 +317,7 @@ def test_multi_limb_roots_match_the_cumsum_construction():
     spy = ProductSpy()
     cube = spy.from_poly(full)
     # the five passes' inputs, then the root, all fitted
-    assert spy.limbs == [1, 2, 2, 2, 2, 2] and spy.unfitted == 0
+    assert spy.limbs == [1, 2, 2, 2, 2, 2] and spy.fits == 6
     assert np.array_equal(cube, assert_cumsum_cube(full))
     assert cube.shape == (2, 7, 7, 7, 7, 5)
     assert to_poly(cube) == full
@@ -318,24 +326,25 @@ def test_multi_limb_roots_match_the_cumsum_construction():
     last = Polynomial(5, {(0, 0, 0, 0, e): 2 ** 42 - 1 for e in range(7)})
     spy = ProductSpy()
     cube = spy.from_poly(last)
-    assert spy.limbs == [1, 1, 1, 1, 1, 2] and spy.unfitted == 0
+    assert spy.limbs == [1, 1, 1, 1, 1, 2] and spy.fits == 6
     assert np.array_equal(cube, cumsum_from_poly(last))
     assert len(cube) == 2 and meets_limb_invariant(cube)
     assert to_poly(cube) == last
     # from_poly skips _fit when its top limbs t, plus one unit per
     # coefficient, total below 2^43. At 2^43 - 1 the total box sum of
     # the n positive coefficients is 2^43 - n - 1, one limb; at 2^43 the
-    # bound no longer holds, though the root still fits one limb. n
+    # bound no longer holds, though the root still fits one limb, and
+    # the five passes' inputs and the root are all fitted. n
     # coefficients of 2^50 start at two limbs, their top limbs 2^7 each
     box = list(product(range(7), range(7), range(7), range(7), range(5)))
     n = len(box)
-    for total, k, unfitted in ((2 ** 43 - n - 1, 1, 5), (2 ** 43 - n, 1, 0),
-                               (n * 2 ** 50, 2, 5)):
+    for total, k, fits in ((2 ** 43 - n - 1, 1, 0), (2 ** 43 - n, 1, 6),
+                           (n * 2 ** 50, 2, 0)):
         q, r = divmod(total, n)
         p = Polynomial(5, {e: q + (i < r) for i, e in enumerate(box)})
         spy = ProductSpy()
         cube = spy.from_poly(p)
-        assert (len(cube), spy.unfitted) == (k, unfitted)
+        assert (len(cube), spy.fits) == (k, fits)
         assert cube.tobytes() == cumsum_from_poly(p).tobytes()
 
 
@@ -357,14 +366,16 @@ def test_dilate_takes_a_limb_past_the_edge():
     assert (len(cube), len(dilated)) == (2, 2)
     assert dilated[-1].max() >= LIMB
     assert meets_limb_invariant(dilated, PRODUCT_TOP)
-    assert len(eng.split(cube, 0)[0]) == 2
-    # and takes the third limb as the input of its own split
+    assert len(eng.child(cube, 0, 0)) == 2
+    # and takes the third limb when fitted for its own split
     ref = oracle.dilate(oracle.from_poly(WIDENS_ON_DILATE), 0)
-    halves = eng.split(dilated, 1)
-    assert [len(half) for half in halves] == [3, 3]
-    for half, want in zip(halves, oracle.split(ref, 1)):
+    parent = eng.fit(dilated)
+    assert len(parent) == 3 and meets_limb_invariant(parent)
+    for side in (0, 1):
+        half = eng.child(parent, 1, side)
+        assert len(half) == 3
         assert meets_limb_invariant(half, PRODUCT_TOP)
-        assert to_poly(half, 2) == oracle.to_poly(want)
+        assert to_poly(half, 2) == oracle.to_poly(oracle.child(ref, 1, side))
 
 
 def test_limb_width_leaves_float64_headroom():
@@ -380,8 +391,8 @@ def test_limb_width_leaves_float64_headroom():
         return (units < 2 ** 53 and Fraction(float(units)) == units
                 and Fraction(float(low)) == low)
 
-    # reflect, dilate and split: one row of REFLECT[n], DILATE[n] or
-    # DILATE[n] @ REFLECT[n]
+    # reflect, dilate and a split's halves: one row of REFLECT[n],
+    # DILATE[n] or DILATE[n] @ REFLECT[n]
     rows = [int(abs(t).sum(axis=1).max())
             for table in (REFLECT, DILATE, DILATE_REFLECT)
             for t in table.values()]
@@ -487,7 +498,7 @@ class CubeSpy(NumpyBackend):
 
     Copies, because the walk hands its cubes back to be overwritten;
     each with the turns of its axes, which the walk splits on x_axis at
-    depth axis (mod 5) and so gives both children axis + 1.
+    depth axis (mod 5) and so gives each child axis + 1.
     """
 
     def __init__(self):
@@ -499,11 +510,10 @@ class CubeSpy(NumpyBackend):
         self.cubes.append((0, cube.copy()))
         return cube
 
-    def split(self, cube, axis):
-        children = super().split(cube, axis)
-        self.cubes.extend(((axis + 1) % 5, child.copy())
-                          for child in children)
-        return children
+    def child(self, parent, axis, side):
+        cube = super().child(parent, axis, side)
+        self.cubes.append(((axis + 1) % 5, cube.copy()))
+        return cube
 
 
 def test_every_cube_spans_the_root_degree_box():
@@ -518,8 +528,8 @@ def test_every_cube_spans_the_root_degree_box():
         spy = CubeSpy()
         cert = _traverse(p, budget, spy)
         assert cert.steps == steps
-        # the root and both children of every split
-        assert len(spy.cubes) == 1 + 2 * cert.subdivisions
+        # the root and every child the walk tested
+        assert len(spy.cubes) == cert.steps
         root = spy.cubes[0][1]
         for turns, cube in spy.cubes:
             assert cube.shape[1:] == turn(root, turns).shape[1:]
@@ -540,10 +550,10 @@ class OracleSpy(ObjectEngine):
         self.cubes.append(cube)
         return cube
 
-    def split(self, cube, axis):
-        children = super().split(cube, axis)
-        self.cubes.extend(children)
-        return children
+    def child(self, parent, axis, side):
+        cube = super().child(parent, axis, side)
+        self.cubes.append(cube)
+        return cube
 
 
 def test_a_walk_over_five_distinct_extents_turns_its_axes():
@@ -568,35 +578,54 @@ def test_a_walk_over_five_distinct_extents_turns_its_axes():
     assert past
     for turns, cube in past:
         assert meets_limb_invariant(cube, PRODUCT_TOP)
-        halves = NumpyBackend().split(cube, turns)
-        assert [len(half) for half in halves] == [2, 2]
-    assert len(spy.cubes) == len(oracle.cubes) == 1 + 2 * cert.subdivisions
+        eng = NumpyBackend()
+        parent = eng.fit(cube.copy())
+        assert [len(eng.child(parent, turns, side)) for side in (0, 1)] == [
+            2, 2]
+    # the walk made the cubes it tested, and no others
+    assert len(spy.cubes) == len(oracle.cubes) == cert.steps
     for (turns, cube), ref in zip(spy.cubes, oracle.cubes):
         # a cube at depth d has turned d times (mod 5)
         assert cube.shape[1:] == extents[turns:] + extents[:turns]
         assert to_poly(cube, turns) == oracle.to_poly(ref)
 
 
+def digest(cube):
+    return cube.shape, hashlib.sha256(cube.tobytes()).digest()
+
+
 class WalkSpy(NumpyBackend):
     """The limb engine, watching what the walk does with cube memory.
 
-    Every cube gets a digest when the engine hands it out, that is when
-    the walk pushes it, and is checked against it when the walk pops it
-    and reads its origin. ``fresh`` counts the buffers the engine makes
-    rather than takes from its spares; ``unread`` the cubes a walk hands
-    back without reading them, which only a walk that stops early does,
-    and only once it has stopped.
+    Every cube the walk gets, a root, a half or a parent widened to be
+    split, gets a digest when the engine hands it out, and is checked
+    against it whenever the walk reads it: when the walk tests its
+    origin, brings it in range, or makes a half of it. Per walk,
+    ``tested`` counts the cubes whose origin the walk read, ``products``
+    the products, the root's five PREFIX passes included, ``fits`` the
+    cubes the walk brought in range to split, ``unread`` the cubes it
+    handed back without testing them, and ``peak`` the most cubes it
+    held at once. ``fresh`` counts the buffers the engine makes rather
+    than takes from its spares.
     """
 
     def __init__(self):
         super().__init__()
-        self.pushed = {}
-        self.fresh = self.popped = self.unread = 0
+        # id -> (digest, tested) of each cube handed out and not back
+        self.held = {}
+        self.fresh = self.peak = 0
+        self.rooting = False
 
-    def _hand_out(self, cube):
-        self.pushed[id(cube)] = (cube.shape,
-                                 hashlib.sha256(cube.tobytes()).digest())
+    def _hand_out(self, cube, tested=False):
+        self.held[id(cube)] = (digest(cube), tested)
+        self.peak = max(self.peak, len(self.held))
         return cube
+
+    def _read(self, cube):
+        """Whether the walk has tested cube, which must be unchanged."""
+        want, tested = self.held[id(cube)]
+        assert digest(cube) == want
+        return tested
 
     def _spare(self, shape):
         spare = super()._spare(shape)
@@ -604,26 +633,40 @@ class WalkSpy(NumpyBackend):
         self.fresh += spare.base is None
         return spare
 
-    def from_poly(self, p):
-        self.unread = 0
-        return self._hand_out(super().from_poly(p))
+    def _product(self, cube, table):
+        self.products += 1
+        return super()._product(cube, table)
 
-    def split(self, cube, axis):
-        # a walk that handed back a cube unread has stopped
-        assert not self.unread
-        return tuple(map(self._hand_out, super().split(cube, axis)))
+    def from_poly(self, p):
+        # the last walk handed back every cube it held
+        assert not self.held
+        self.tested = self.products = self.fits = self.unread = self.peak = 0
+        self.rooting = True
+        root = super().from_poly(p)
+        self.rooting = False
+        return self._hand_out(root)
 
     def origin_negative(self, cube):
-        shape, digest = self.pushed.pop(id(cube))
-        assert (cube.shape, hashlib.sha256(cube.tobytes()).digest()) == (
-            shape, digest)
-        self.popped += 1
+        self._read(cube)
+        self.held[id(cube)] = (digest(cube), True)
+        self.tested += 1
         return super().origin_negative(cube)
 
+    def fit(self, cube):
+        if self.rooting:
+            return super().fit(cube)
+        tested = self._read(cube)
+        self.fits += 1
+        parent = super().fit(cube)
+        return self._hand_out(parent, tested)
+
+    def child(self, parent, axis, side):
+        self._read(parent)
+        return self._hand_out(super().child(parent, axis, side))
+
     def recycle(self, cube):
-        # a cube still on the stack comes back only when the walk stops
-        if self.pushed.pop(id(cube), None) is not None:
-            self.unread += 1
+        held = self.held.pop(id(cube), None)
+        self.unread += held is not None and not held[1]
         super().recycle(cube)
         # and the engine keeps at most SPARES buffers per size
         assert len(self._spares[cube.size]) <= SPARES
@@ -637,6 +680,56 @@ WIDENING_WALK = WIDENS_ON_DILATE * (Polynomial.variable(5, 1)
 # 1 - 3 x0 splits once; its right half is negative at the origin, so the
 # walk stops there with the left half left unread on its stack
 NEGATIVE_AFTER_A_SPLIT = Polynomial(5, {(0, 0, 0, 0, 0): 1, (1, 0, 0, 0, 0): -3})
+
+
+def assert_walk_accounts(spy, actions):
+    """The walk that took actions made the cubes it tested and no more.
+
+    Making both halves at each split, it made 1 + 2 * subdivisions -
+    steps cubes that it never read; making each half when it pops it,
+    it reads every cube it makes.
+    """
+    steps = len(actions)
+    # every cube came back, and the walk had tested each one
+    assert not spy.held and spy.unread == 0
+    assert spy.tested == steps
+    # one product per cube tested past the root, after the root's five
+    # PREFIX passes, and one range test per split
+    assert spy.products == 5 + steps - 1
+    assert spy.fits == actions.count("S")
+    # the walk's peak stack, read off its actions, bounds what it held
+    assert spy.peak <= tree_shape(actions)[1] + 1
+
+
+def test_a_walk_makes_only_the_cubes_it_tests(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    ctx = SimpleNamespace(partitions=build_partitions())
+    scans = [workloads.endpoint_run(ctx, op)
+             for op in workloads.make_ops("endpoint-scan", ctx, 1801, 20)[:3]]
+    # endpoint-scan ops that go negative at the root, after three splits,
+    # and spend the budget of 16 steps
+    assert [(cert.status, cert.actions) for _, cert in scans] == [
+        ("NegativeWitness", "N"), ("NegativeWitness", "SSSN"),
+        ("BudgetExhausted", "SSSSSSSWSWSWSWSW")]
+    walks = [(p, 16, None, cert.actions) for p, cert in scans]
+    # a replay that expects "S" where the walk finds its tenth cube WPD
+    # stops after testing it, with no range test for it
+    p, cert = scans[2]
+    assert cert.actions[9] == "W"
+    walks.append((p, 16, cert.actions[:9] + "S" + cert.actions[10:],
+                  cert.actions[:10]))
+    # a Nonnegative walk makes both halves of each of its 210 splits
+    single_edge = pullback(directional_derivative(EdgeSubset((0,))),
+                           _single_edge_cell())
+    cert = certify(single_edge)
+    assert (cert.status, cert.subdivisions) == ("Nonnegative", 210)
+    walks.append((single_edge, cert.budget, None, cert.actions))
+    for p, budget, expect, actions in walks:
+        spy = WalkSpy()
+        cert = _traverse(p, budget, spy, expect)
+        assert (cert is None) if expect else (cert.actions == actions)
+        assert_walk_accounts(spy, actions)
 
 
 def test_walk_never_writes_a_cube_on_its_stack():
@@ -654,21 +747,18 @@ def test_walk_never_writes_a_cube_on_its_stack():
         spy = WalkSpy()
         cert = _traverse(p, budget, spy)
         assert cert == certify(p, budget)
-        assert spy.popped == cert.steps
-        # the cubes left on the stack were never popped, and came back
-        # when the walk stopped
-        assert not spy.pushed
-        assert spy.unread == 1 + 2 * cert.subdivisions - cert.steps
-        # without reuse a walk makes its root, five prefix passes and
-        # both halves of every split; with it, fewer
-        assert spy.fresh < 6 + 2 * cert.subdivisions
+        assert_walk_accounts(spy, cert.actions)
+        # without reuse a walk makes its root's input, five prefix
+        # passes' outputs and every cube it tests past the root; with
+        # it, fewer
+        assert spy.fresh < 5 + cert.steps
         # the same walk again on the warm engine makes fewer buffers,
         # and none at all when its live cubes fit in the spares: the
-        # root, the spare a prefix pass leaves, and at a split the cubes
-        # on the stack, the one split and its two halves
+        # root, the spare a prefix pass leaves, and at a split the
+        # parents on the stack, the cube split and a half
         first, spy.fresh = spy.fresh, 0
         assert _traverse(p, budget, spy) == cert
-        assert not spy.pushed
+        assert_walk_accounts(spy, cert.actions)
         assert spy.fresh < first
         assert spy.fresh == 0 or cert.max_depth + 2 > SPARES
         spies.append((cert, first, spy))
@@ -685,6 +775,11 @@ def test_walk_never_writes_a_cube_on_its_stack():
     assert {size // box for size in widening[2]._spares} == {3, 4, 5}
 
 
+def halves(eng, parent, axis):
+    """Both halves of a split of a fitted parent, left first."""
+    return [eng.child(parent, axis, side) for side in (0, 1)]
+
+
 def test_recycle_never_pools_the_same_memory_twice():
     eng = NumpyBackend()
     cube = eng.from_poly(WIDENS_ON_DILATE)
@@ -697,13 +792,13 @@ def test_recycle_never_pools_the_same_memory_twice():
     assert sum(buf is spare for buf in pooled) == 1
     for a, b in combinations(pooled, 2):
         assert not np.shares_memory(a, b)
-    left, right = eng.split(cube, 0)
+    left, right = halves(eng, cube, 0)
     assert not np.shares_memory(left, right)
     assert not any(np.shares_memory(half, cube) for half in (left, right))
     # a split's halves, handed back twice, each come out once
     for half in (left, right, right, left):
         eng.recycle(half)
-    cubes = [*eng.split(cube, 0), *eng.split(cube, 0), cube]
+    cubes = [*halves(eng, cube, 0), *halves(eng, cube, 0), cube]
     for a, b in combinations(cubes, 2):
         assert not np.shares_memory(a, b)
 
@@ -770,9 +865,14 @@ def test_split_never_writes_its_input():
         cube = next(iter(eng._spares[size].values())).copy()
         before = cube.copy()
         for axis in range(5):
-            children = eng.split(cube, axis)
-            assert not any(np.shares_memory(c, cube) for c in children)
+            # fit writes a widened cube into a spare; the test's copy
+            # stays out of the pool
+            parent = _fit(cube, eng._spare)
+            children = halves(eng, parent, axis)
+            assert not any(np.shares_memory(c, x)
+                           for c in children for x in (cube, parent))
             assert np.array_equal(cube, before)
+            assert np.array_equal(parent, _fit(before))
             # the children become spares for the next split
             for child in children:
                 eng.recycle(child)
@@ -789,12 +889,12 @@ def test_every_product_input_is_in_range():
         spy = ProductSpy()
         cert = _traverse(p, budget, spy)
         assert cert == want and cert.steps == steps
-        # the five PREFIX passes of from_poly and its root, then one
-        # input per split, shared by both halves
-        assert len(spy.limbs) == 6 + cert.subdivisions
+        # the five PREFIX passes of from_poly and its root, then the
+        # fitted parent of each cube the walk tests past the root
+        assert len(spy.limbs) == 5 + cert.steps
         # both roots' top limbs total far below 2^43, so their passes
-        # skip _fit, and are checked all the same; every split fits
-        assert spy.unfitted == 5
+        # skip fit, and are checked all the same; every split fits
+        assert spy.fits == cert.subdivisions
     # WIDENING_WALK's outputs leave the range, and the inputs they feed
     # widen, from the 3-limb root to 5 limbs
     assert spy.past > 0

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from tetravol._kernels import NumpyBackend, get_backend
 from tetravol.exact_poly import Polynomial
 from tetravol.positive_dominance import (Certificate, _read, _traverse,
-                                         certify, replay)
+                                         certify, replay, tree_shape)
 
 X = [Polynomial.variable(5, k) for k in range(5)]
 ONE = Polynomial.constant(5, 1)
@@ -164,7 +164,8 @@ def test_reader_rebuilds_every_recorded_certificate():
     # from status, actions, budget and corner alone: no walk runs
     recorded = json.loads(CERTIFICATES.read_text())
     assert len(recorded) == 36
-    for rec in recorded.values():
+    widest = {}
+    for key, rec in recorded.items():
         # run-length encoded: "S3W2N" is "SSSWWN"
         actions = "".join(ch * int(n or 1) for ch, n in
                           re.findall(r"([NSW])(\d*)", rec["actions"]))
@@ -172,22 +173,37 @@ def test_reader_rebuilds_every_recorded_certificate():
                      rec["witness_corner"])
         assert dataclasses.asdict(cert) == {
             **rec, "actions": actions, "histogram": tuple(rec["histogram"])}
+        levels, _ = tree_shape(actions)
+        assert [sum(col) for col in zip(*levels)] == [
+            actions.count(act) for act in "SWN"]
+        widest[key] = max((sum(level), depth)
+                          for depth, level in enumerate(levels))
+    # full-K4 2g-3f ends in 2,100 WPD leaves at depth 16; no level of any
+    # other pinned tree holds more than 450 nodes
+    assert widest.pop("full-K4/C_11/2g-3f") == (2100, 16)
+    assert max(widest.values())[0] <= 450
 
 
 class TreeSpy(NumpyBackend):
     """The limb engine, recording the split tree as the walk grows it.
 
     Each cube it hands out gets its path from the root, one (side, axis)
-    pair per split, the first child of a split being "L"; ``popped`` is
-    the path of the last cube whose origin the walk read.
+    pair per split, the left child of a split being "L"; ``popped`` is
+    the path of the last cube whose origin the walk read. ``nodes``
+    lists the depth and action of every cube the walk tested, ``splits``
+    the depth of every cube it brought in range to split, and ``peak``
+    the most halves and roots pending at once: the root, plus two per
+    split, less one per cube tested.
     """
 
     def __init__(self):
         super().__init__()
         self.paths = {}
         self.splits = []
+        self.nodes = []
         self.wpd_calls = 0
         self.popped = None
+        self.peak = 1
 
     def from_poly(self, p):
         cube = super().from_poly(p)
@@ -196,19 +212,32 @@ class TreeSpy(NumpyBackend):
 
     def origin_negative(self, cube):
         self.popped = self.paths[id(cube)]
-        return super().origin_negative(cube)
+        negative = super().origin_negative(cube)
+        if negative:
+            self.nodes.append((len(self.popped), "N"))
+        return negative
 
     def wpd(self, cube):
         self.wpd_calls += 1
-        return super().wpd(cube)
+        leaf = super().wpd(cube)
+        self.nodes.append((len(self.paths[id(cube)]), "W" if leaf else "S"))
+        return leaf
 
-    def split(self, cube, axis):
+    def fit(self, cube):
         path = self.paths[id(cube)]
-        self.splits.append((axis, len(path)))
-        children = super().split(cube, axis)
-        for side, child in zip("LR", children):
-            self.paths[id(child)] = path + ((side, axis),)
-        return children
+        self.splits.append(len(path))
+        self.peak = max(self.peak, 1 + 2 * len(self.splits) - len(self.nodes))
+        parent = super().fit(cube)
+        self.paths[id(parent)] = path
+        return parent
+
+    def child(self, parent, axis, side):
+        path = self.paths[id(parent)]
+        # the walk splits the axes in turn
+        assert axis == len(path) % 5
+        cube = super().child(parent, axis, side)
+        self.paths[id(cube)] = path + (("LR"[side], axis),)
+        return cube
 
 
 def assert_read_matches_the_spy(p, budget):
@@ -217,16 +246,22 @@ def assert_read_matches_the_spy(p, budget):
     assert cert == certify(p, budget)
     assert cert.wpd_tests == spy.wpd_calls
     assert cert.subdivisions == len(spy.splits)
-    assert all(axis == depth % 5 for axis, depth in spy.splits)
     assert cert.histogram == tuple(
-        sum(axis == j for axis, _ in spy.splits) for j in range(5))
+        sum(depth % 5 == j for depth in spy.splits) for j in range(5))
     assert cert.max_depth == max(
-        (depth + 1 for _, depth in spy.splits), default=0)
+        (depth + 1 for depth in spy.splits), default=0)
     if cert.status == "NegativeWitness":
         assert cert.witness_lineage == ",".join(
             "%s%d" % step for step in spy.popped)
     else:
         assert cert.witness_lineage is None
+    # the tree's levels and the walk's peak stack, from the actions alone
+    assert [act for _, act in spy.nodes] == list(cert.actions)
+    levels, peak = tree_shape(cert.actions)
+    assert levels == [
+        tuple(spy.nodes.count((depth, act)) for act in "SWN")
+        for depth in range(max(depth for depth, _ in spy.nodes) + 1)]
+    assert peak == spy.peak
     return cert
 
 
