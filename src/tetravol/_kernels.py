@@ -41,16 +41,21 @@ the exponent matrix gives the box and each coefficient's flat index,
 and the int64 or object coefficient array is split into limbs by
 whole-array floor remainders and shifts, exact on either dtype.
 
-The walk hands back (``recycle``) each cube it has tested or split, and
-when it stops, those left on its stack.  Roots, products and widened
-cubes are written into them, saving fresh arrays' page faults.  The
-engine keeps SPARES buffers per element count, each once however often
-its memory comes back, across walks whose roots' degree boxes have as
-many entries, and drops them for a root of another box, so memory stays
-within SPARES cubes per size of the walks of one box.  A warm engine
-makes a new array only when a walk holds more cubes of one size than it
-keeps.  It writes every spare whole before reading it, so no root
-depends on an earlier walk.
+The engine writes the cube it makes at depth d of the walk, the root at
+depth 0, into one flat buffer kept for that depth (``_slots[d]``), grown
+when too small and never shrunk, so a warm engine makes no new array.
+``from_poly`` runs its five passes between the buffers of depths 1 and
+0, ending at 0.  ``fit`` widens a cube into its own depth's buffer: in
+place, ``_fit`` leaves the lower limbs where they lie and splits the
+top limb where it lies before writing the new top above it, and a grown
+buffer is a new array, so either way the cube is read before it is
+overwritten.  A cube is valid until the engine next makes a cube at its
+depth, and one walk runs at a time per engine.  The walk keeps to that
+because it is depth first: a parent pending at depth d - 1 outlasts the
+halves it makes at depth d, and once a cube is made at depth d no
+pending entry refers to the one before.  Every cube is written whole
+before it is read, so no root depends on an earlier walk.  ``dilate``
+and ``reflect``, which the walk never calls, write to fresh arrays.
 """
 
 from __future__ import annotations
@@ -91,9 +96,6 @@ PREFIX_T, REFLECT_T, DILATE_T, DILATE_REFLECT_T = (
 HALVES_T = (DILATE_T, DILATE_REFLECT_T)
 # _normalize's carry, one scratch row per size: calls must not overlap
 _carry_row = cache(np.empty)
-# spare buffers the engine keeps per element count, across the walks of
-# one degree box
-SPARES = 4
 
 
 def _value(limbs):
@@ -120,14 +122,14 @@ def _normalize(cube):
     return cube
 
 
-def _fit(cube, spare=np.empty):
+def _fit(cube, empty=np.empty):
     """cube if its top limb is in range, else its value one limb wider,
-    written into spare(shape)."""
+    written into empty(shape), which may share cube's memory."""
     top = cube[-1]
     if (np.maximum.reduce(top, axis=None) < LIMB
             and np.minimum.reduce(top, axis=None) > -LIMB):
         return cube
-    wide = spare((len(cube) + 1,) + cube.shape[1:])
+    wide = empty((len(cube) + 1,) + cube.shape[1:])
     wide[:-2] = cube[:-1]
     # floor division: a negative top gives a fraction under a carry >= -321
     np.divide(top, LIMB, out=wide[-2])
@@ -142,12 +144,11 @@ class NumpyBackend:
     name = "numpy"
 
     def __init__(self):
-        # element count -> {id: buffer}, buffers no caller will read, of
-        # cubes over a degree box of _box entries
-        self._spares, self._box = {}, 0
+        # depth -> the flat buffer that the cube made at that depth views
+        self._slots = {}
 
     def from_poly(self, p):
-        """The root cube of p, built by five PREFIX passes in spares."""
+        """The root cube of p, at depth 0, by five PREFIX passes."""
         if p.nvars != 5:
             raise ValueError("expected a 5-variable polynomial")
         exps, vals = p.arrays()
@@ -156,11 +157,7 @@ class NumpyBackend:
             raise ValueError("per-variable degree exceeds 6")
         top = max(int(vals.max(initial=0)), -int(vals.min(initial=0)))
         k = top.bit_length() // LIMB_BITS + 1
-        # the spares of another box's cubes would only hold memory
-        box = prod(shape)
-        if box != self._box:
-            self._spares, self._box = {}, box
-        cube = self._spare((k,) + shape)
+        cube = self._slot(1, (k,) + shape)
         cube.fill(0)
         rows, flat = cube.reshape(k, -1), np.ravel_multi_index(exps, shape)
         for i in range(k - 1):
@@ -172,11 +169,12 @@ class NumpyBackend:
         # + 1 < sum(|t|) + n + 1 in magnitude, for t = c >> 43(k-1) the
         # top limbs: if that is at most 2^43, no pass input needs _fit
         fit = int(abs(vals).sum()) + len(vals) >= LIMB
-        for _ in range(5):
-            wide = self.fit(cube) if fit else cube
-            cube = self._product(wide, PREFIX_T)
-            self.recycle(wide)
-        return self.fit(cube) if fit else cube
+        # the passes alternate between depths 1 and 0, ending at 0
+        for depth in (0, 1, 0, 1, 0):
+            if fit:
+                cube = self.fit(cube, 1 - depth)
+            cube = self._product(cube, PREFIX_T, depth)
+        return self.fit(cube, 0) if fit else cube
 
     def wpd(self, cube):
         return bool(np.minimum.reduce(cube[-1], axis=None) >= 0)
@@ -194,45 +192,34 @@ class NumpyBackend:
     def reflect(self, cube, axis):
         return self._product(_fit(cube), REFLECT_T)
 
-    def fit(self, cube):
-        """cube if its top limb is in range, else its value one limb wider
-        in a spare, cube going back to the spares."""
-        wide = _fit(cube, self._spare)
-        if wide is not cube:
-            self.recycle(cube)
-        return wide
+    def fit(self, cube, depth):
+        """cube, made at depth, if its top limb is in range, else its value
+        one limb wider, at the same depth."""
+        return _fit(cube, lambda shape: self._slot(depth, shape))
 
-    def child(self, parent, axis, side):
-        """One half of a fitted parent's split along its leading axis,
-        x_axis for the walk: the left (side 0) or the right (side 1)."""
-        return self._product(parent, HALVES_T[side])
+    def child(self, parent, depth, side):
+        """One half, made at depth, of a split of a fitted parent along its
+        leading axis: the left (side 0) or the right (side 1)."""
+        return self._product(parent, HALVES_T[side], depth)
 
-    def _product(self, cube, table):
+    def _product(self, cube, table, depth=None):
         """table[n], a map's transpose, on the leading axis of a cube whose
-        top limb is in range, through one view, into a spare, turned."""
+        top limb is in range, through one view, turned, into depth's slot,
+        or a fresh array for no depth."""
         k, n = cube.shape[:2]
-        out = self._spare((k,) + cube.shape[2:] + (n,))
+        shape = (k,) + cube.shape[2:] + (n,)
+        out = np.empty(shape) if depth is None else self._slot(depth, shape)
         _normalize(np.matmul(cube.reshape(k, n, -1).transpose(0, 2, 1),
                              table[n], out=out.reshape(k, -1, n)))
         return out
 
-    def _spare(self, shape):
-        """A recycled buffer in this shape if one is left, else a new one."""
-        spares = self._spares.get(prod(shape))
-        if spares:
-            return spares.popitem()[1].reshape(shape)
-        return np.empty(shape)
-
-    def recycle(self, cube):
-        """Take back a cube the caller will not read again: the memory it
-        spans becomes a spare for products of its size, unless SPARES of
-        that size are kept.  Spares are keyed by their buffer, so one that
-        comes back twice, or as another view, is kept once; a view of
-        part of a buffer is not kept."""
-        owner = cube if cube.base is None else cube.base
-        spares = self._spares.setdefault(cube.size, {})
-        if len(spares) < SPARES and owner.size == cube.size:
-            spares[id(owner)] = owner
+    def _slot(self, depth, shape):
+        """A view in shape of depth's buffer, grown first if too small."""
+        size = prod(shape)
+        buffer = self._slots.get(depth)
+        if buffer is None or len(buffer) < size:
+            buffer = self._slots[depth] = np.empty(size)
+        return buffer[:size].reshape(shape)
 
     # a no-op that only perfbench/tracer.py binds (ROADMAP item 5)
     def guard(self, cube):

@@ -15,13 +15,14 @@ action per step ('S' split, 'W' WPD leaf, 'N' negative origin).  A split
 brings the cube in range once and pushes its two halves as pending
 entries, each the parent, a depth and a side; popping one makes that
 half alone, so a walk that stops early makes no cube it does not test.
-The actions are the split tree in preorder, so ``_read`` reads the
-counters, the histogram and the witness lineage off them alone, and
-``tree_shape`` the tree's levels and the walk's peak stack.  ``certify`` runs
-the walk once.  ``replay`` runs it again under the certificate's budget,
-stopping at the first action that differs from the recorded ones, and
-accepts only when the walk re-derives the whole certificate: status,
-counters, histogram, actions and witness.
+The actions are the split tree in preorder, so ``tree_shape`` reads the
+tree's levels, the walk's peak stack and the path to its last node off
+them alone, in one pass, and ``_read`` the counters, the histogram and
+the witness lineage from those.  ``certify`` runs the walk once.
+``replay`` runs it again under the certificate's budget, stopping at
+the first action that differs from the recorded ones, and accepts only
+when the walk re-derives the whole certificate: status, counters,
+histogram, actions and witness.
 
 Both run on the float64 limb engine of ``_kernels``, which widens a cube
 instead of overflowing, so a walk is exact at any coefficient size.
@@ -76,8 +77,9 @@ def _traverse(p, budget, eng, expect=None):
 
     An entry on the stack is the root, side None, or a half still to be
     made: its fitted parent, its depth and its side, 0 left or 1 right.
-    The right half is made first, so the parent goes back to the engine
-    once its left half is made.
+    The engine makes each cube at its depth and keeps it until it makes
+    the next cube there; the walk is depth first, so a parent outlasts
+    its halves, and no cube is read after the next one at its depth.
     """
     stack = [(eng.from_poly(p), 0, None)]
     actions = []
@@ -87,54 +89,35 @@ def _traverse(p, budget, eng, expect=None):
             status = "BudgetExhausted"
             break
         parent, depth, side = stack.pop()
-        if side is None:
-            cube = parent
-        else:
-            cube = eng.child(parent, (depth - 1) % 5, side)
-            if not side:
-                eng.recycle(parent)
+        cube = parent if side is None else eng.child(parent, depth, side)
         if eng.origin_negative(cube):
             act = "N"
         else:
             act = "W" if eng.wpd(cube) else "S"
         if expect is not None and not expect.startswith(act, len(actions)):
-            status = None
-            eng.recycle(cube)
-            break
+            return None
         actions.append(act)
         if act == "S":
-            parent = eng.fit(cube)
+            parent = eng.fit(cube, depth)
             stack += ((parent, depth + 1, 0), (parent, depth + 1, 1))
-            continue
-        if act == "N":
+        elif act == "N":
             status, corner = "NegativeWitness", eng.corner_value(cube)
-            eng.recycle(cube)
             break
-        eng.recycle(cube)
-    # however the walk stopped, the root or parents left on its stack go
-    # back too
-    for parent, _, _ in stack:
-        eng.recycle(parent)
-    return None if status is None else _read(status, actions, budget, corner)
+    return _read(status, actions, budget, corner)
 
 
 def _read(status, actions, budget, corner=None):
     """The certificate of a walk that stopped in status after actions.
 
     The actions list the split tree in the walk's preorder, right child
-    first, so a stack of paths (one "L" or "R" per level, level k
-    splitting axis k % 5) visits the nodes in the walk's order, and a
-    witness is the last node visited.
+    first, and a witness is the last node visited.
     """
     actions = "".join(actions)
-    splits = [level[0] for level in tree_shape(actions)[0]]
+    levels, _, path = tree_shape(actions)
+    splits = [level[0] for level in levels]
     lineage = None
     if status == "NegativeWitness":
-        stack = [""]
-        for act in actions:
-            path = stack.pop()
-            if act == "S":
-                stack += (path + "L", path + "R")
+        # level k splits axis k % 5
         lineage = ",".join("%s%d" % (side, k % 5)
                            for k, side in enumerate(path))
     # every level but the last holds a split
@@ -146,13 +129,18 @@ def _read(status, actions, budget, corner=None):
 
 
 def tree_shape(actions):
-    """The split tree's levels and the walk's peak stack, from its actions.
+    """The split tree's levels, the walk's peak stack and the path to the
+    last node it visited, from its actions.
 
     levels[d] counts the 'S', 'W' and 'N' nodes at depth d, in that
-    order, and peak is the most entries the walk's stack held, the
-    root's included: a walk holds at most peak + 1 cubes at once.
+    order, peak is the most entries the walk's stack held, the root's
+    included, and the path has one "L" or "R" per level above the last
+    node.  The walk pops a right half before its left one and finishes
+    the right half's subtree first, so when it stops its stack holds
+    depth k + 1 exactly where the path went right at level k: the left
+    half waits.
     """
-    levels, stack, peak = [], [0], 1
+    levels, stack, peak, depth = [], [0], 1, 0
     for act in actions:
         depth = stack.pop()
         if depth == len(levels):
@@ -163,4 +151,5 @@ def tree_shape(actions):
             peak = max(peak, len(stack))
         else:
             levels[depth][1 if act == "W" else 2] += 1
-    return [tuple(level) for level in levels], peak
+    path = "".join("R" if k + 1 in stack else "L" for k in range(depth))
+    return [tuple(level) for level in levels], peak, path

@@ -98,17 +98,14 @@ class ObjectEngine:
             out[tuple(sl)] = acc
         return out
 
-    def fit(self, cube):
+    def fit(self, cube, depth):
         # Python ints have no range to bring a cube into
         return cube
 
-    def child(self, parent, axis, side):
-        """The left half (side 0) or the right half (side 1) of a split
-        of parent along axis."""
+    def child(self, parent, depth, side):
+        """The left half (side 0) or the right half (side 1), at depth, of
+        a split of parent: the walk splits axis (depth - 1) % 5."""
+        axis = (depth - 1) % 5
         if side:
             parent = self.reflect(parent, axis)
         return self.dilate(parent, axis)
-
-    def recycle(self, cube):
-        # every operation returns a fresh array, so nothing is reused
-        pass

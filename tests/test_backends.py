@@ -12,7 +12,6 @@ run-level tests compare whole certify runs with the oracle's walk.
 """
 
 import hashlib
-import weakref
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -25,8 +24,8 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from tetravol._kernels import (
-    DILATE, DILATE_REFLECT, LIMB, LIMB_BITS, PREFIX, REFLECT, SPARES,
-    NumpyBackend, _fit, _normalize, _value, get_backend,
+    DILATE, DILATE_REFLECT, LIMB, LIMB_BITS, PREFIX, REFLECT, NumpyBackend,
+    _fit, _normalize, _value, get_backend,
 )
 from tetravol import _kernels, positive_dominance
 from tetravol.case_suite_cli import case_registry
@@ -162,18 +161,19 @@ def test_limb_engine_agrees_with_the_object_oracle(p):
         assert to_poly(dilated, axis + 1) == oracle.to_poly(
             oracle.dilate(ref, axis))
         # each half of a split, and the half brought back in range, as
-        # the walk fits a cube before it makes its halves
-        parent = eng.fit(turned)
-        assert parent is turned and oracle.fit(ref) is ref
+        # the walk fits a cube before it makes its halves: turned is a
+        # cube at depth axis, its halves at depth axis + 1
+        parent = eng.fit(turned, axis)
+        assert parent is turned and oracle.fit(ref, axis) is ref
         for side in (0, 1):
-            child = eng.child(parent, axis, side)
-            want = oracle.to_poly(oracle.child(ref, axis, side))
+            child = eng.child(parent, axis + 1, side)
+            want = oracle.to_poly(oracle.child(ref, axis + 1, side))
             assert meets_limb_invariant(child, PRODUCT_TOP)
             assert to_poly(child, axis + 1) == want
-            fitted = eng.fit(child)
+            fitted = eng.fit(child, axis + 1)
             assert meets_limb_invariant(fitted)
             assert to_poly(fitted, axis + 1) == want
-        # no operation writes to its input
+        # no product writes to its input
         assert np.array_equal(turned, turn(before, axis))
     assert np.array_equal(cube, before)
     assert _traverse(p, 60, eng) == _traverse(p, 60, oracle)
@@ -221,30 +221,30 @@ class ProductSpy(NumpyBackend):
         self.limbs.append(len(cube))
         return cube
 
-    def fit(self, cube):
+    def fit(self, cube, depth):
         self.fits += 1
-        return super().fit(cube)
+        return super().fit(cube, depth)
 
-    def _product(self, cube, table):
+    def _product(self, cube, table, depth=None):
         assert meets_limb_invariant(cube)
         self.limbs.append(len(cube))
-        out = super()._product(cube, table)
+        out = super()._product(cube, table, depth)
         assert meets_limb_invariant(out, PRODUCT_TOP)
         self.past += bool(abs(out[-1]).max() >= LIMB)
         return out
 
 
 def assert_cumsum_cube(p):
-    """from_poly gives the cumsum cube, and spares apart from it."""
+    """from_poly gives the cumsum cube, in depth 0's buffer alone."""
     eng = NumpyBackend()
     cube, want = eng.from_poly(p), cumsum_from_poly(p)
     assert cube.shape == want.shape
     assert np.array_equal(cube, want)
     assert meets_limb_invariant(cube)
-    # the buffers the passes left over wait for the first split
-    spares = eng._spares[cube.size].values()
-    assert spares
-    assert not any(np.shares_memory(spare, cube) for spare in spares)
+    # the passes ran between the buffers of depths 1 and 0
+    assert sorted(eng._slots) == [0, 1]
+    assert cube.base is eng._slots[0]
+    assert not np.shares_memory(eng._slots[1], cube)
     return cube
 
 
@@ -366,16 +366,16 @@ def test_dilate_takes_a_limb_past_the_edge():
     assert (len(cube), len(dilated)) == (2, 2)
     assert dilated[-1].max() >= LIMB
     assert meets_limb_invariant(dilated, PRODUCT_TOP)
-    assert len(eng.child(cube, 0, 0)) == 2
+    assert len(eng.child(cube, 1, 0)) == 2
     # and takes the third limb when fitted for its own split
     ref = oracle.dilate(oracle.from_poly(WIDENS_ON_DILATE), 0)
-    parent = eng.fit(dilated)
+    parent = eng.fit(dilated, 1)
     assert len(parent) == 3 and meets_limb_invariant(parent)
     for side in (0, 1):
-        half = eng.child(parent, 1, side)
+        half = eng.child(parent, 2, side)
         assert len(half) == 3
         assert meets_limb_invariant(half, PRODUCT_TOP)
-        assert to_poly(half, 2) == oracle.to_poly(oracle.child(ref, 1, side))
+        assert to_poly(half, 2) == oracle.to_poly(oracle.child(ref, 2, side))
 
 
 def test_limb_width_leaves_float64_headroom():
@@ -496,9 +496,9 @@ def test_recorded_workload_agrees_across_backends():
 class CubeSpy(NumpyBackend):
     """The limb engine, keeping a copy of every cube the walk gets from it.
 
-    Copies, because the walk hands its cubes back to be overwritten;
-    each with the turns of its axes, which the walk splits on x_axis at
-    depth axis (mod 5) and so gives each child axis + 1.
+    Copies, because the engine writes the next cube made at a depth over
+    the last; each with its depth, the number of times its axes have
+    turned.
     """
 
     def __init__(self):
@@ -510,9 +510,9 @@ class CubeSpy(NumpyBackend):
         self.cubes.append((0, cube.copy()))
         return cube
 
-    def child(self, parent, axis, side):
-        cube = super().child(parent, axis, side)
-        self.cubes.append(((axis + 1) % 5, cube.copy()))
+    def child(self, parent, depth, side):
+        cube = super().child(parent, depth, side)
+        self.cubes.append((depth, cube.copy()))
         return cube
 
 
@@ -531,10 +531,10 @@ def test_every_cube_spans_the_root_degree_box():
         # the root and every child the walk tested
         assert len(spy.cubes) == cert.steps
         root = spy.cubes[0][1]
-        for turns, cube in spy.cubes:
-            assert cube.shape[1:] == turn(root, turns).shape[1:]
+        for depth, cube in spy.cubes:
+            assert cube.shape[1:] == turn(root, depth).shape[1:]
             # the maps read the top exponent as extent - 1 on every axis
-            terms = to_poly(cube, turns).terms
+            terms = to_poly(cube, depth).terms
             assert [max(e[a] for e in terms) for a in range(5)] == [
                 n - 1 for n in root.shape[1:]]
 
@@ -550,8 +550,8 @@ class OracleSpy(ObjectEngine):
         self.cubes.append(cube)
         return cube
 
-    def child(self, parent, axis, side):
-        cube = super().child(parent, axis, side)
+    def child(self, parent, depth, side):
+        cube = super().child(parent, depth, side)
         self.cubes.append(cube)
         return cube
 
@@ -573,21 +573,22 @@ def test_a_walk_over_five_distinct_extents_turns_its_axes():
     # the cubes that left one limb's range are leaves, so they keep one
     # limb; a split of any would take a second
     assert {len(cube) for _, cube in spy.cubes} == {1}
-    past = [(turns, cube) for turns, cube in spy.cubes
+    past = [(depth, cube) for depth, cube in spy.cubes
             if abs(cube[-1]).max() >= LIMB]
     assert past
-    for turns, cube in past:
+    for depth, cube in past:
         assert meets_limb_invariant(cube, PRODUCT_TOP)
         eng = NumpyBackend()
-        parent = eng.fit(cube.copy())
-        assert [len(eng.child(parent, turns, side)) for side in (0, 1)] == [
-            2, 2]
+        parent = eng.fit(cube.copy(), depth)
+        assert [len(eng.child(parent, depth + 1, side))
+                for side in (0, 1)] == [2, 2]
     # the walk made the cubes it tested, and no others
     assert len(spy.cubes) == len(oracle.cubes) == cert.steps
-    for (turns, cube), ref in zip(spy.cubes, oracle.cubes):
+    for (depth, cube), ref in zip(spy.cubes, oracle.cubes):
         # a cube at depth d has turned d times (mod 5)
+        turns = depth % 5
         assert cube.shape[1:] == extents[turns:] + extents[:turns]
-        assert to_poly(cube, turns) == oracle.to_poly(ref)
+        assert to_poly(cube, depth) == oracle.to_poly(ref)
 
 
 def digest(cube):
@@ -600,76 +601,70 @@ class WalkSpy(NumpyBackend):
     Every cube the walk gets, a root, a half or a parent widened to be
     split, gets a digest when the engine hands it out, and is checked
     against it whenever the walk reads it: when the walk tests its
-    origin, brings it in range, or makes a half of it. Per walk,
-    ``tested`` counts the cubes whose origin the walk read, ``products``
-    the products, the root's five PREFIX passes included, ``fits`` the
-    cubes the walk brought in range to split, ``unread`` the cubes it
-    handed back without testing them, and ``peak`` the most cubes it
-    held at once. ``fresh`` counts the buffers the engine makes rather
-    than takes from its spares.
+    origin, brings it in range, or makes a half of it. So no cube is
+    written while the walk can still read it, although the engine makes
+    each cube in the buffer of its depth. Per walk, ``tested`` counts
+    the cubes whose origin the walk read, ``products`` the products, the
+    root's five PREFIX passes included, and ``fits`` the cubes the walk
+    brought in range to split. ``fresh`` counts the buffers the engine
+    makes, across walks.
     """
 
     def __init__(self):
         super().__init__()
-        # id -> (digest, tested) of each cube handed out and not back
-        self.held = {}
-        self.fresh = self.peak = 0
+        self.fresh = 0
         self.rooting = False
 
-    def _hand_out(self, cube, tested=False):
-        self.held[id(cube)] = (digest(cube), tested)
-        self.peak = max(self.peak, len(self.held))
+    def _hand_out(self, cube, depth, tested=False):
+        # each cube views its depth's buffer; held keeps it, so that no
+        # other cube takes its id
+        assert cube.base is self._slots[depth]
+        self.held[id(cube)] = (cube, digest(cube), tested)
         return cube
 
     def _read(self, cube):
         """Whether the walk has tested cube, which must be unchanged."""
-        want, tested = self.held[id(cube)]
+        _, want, tested = self.held[id(cube)]
         assert digest(cube) == want
         return tested
 
-    def _spare(self, shape):
-        spare = super()._spare(shape)
-        # a recycled buffer comes back as a view of itself in its new shape
-        self.fresh += spare.base is None
-        return spare
+    def _slot(self, depth, shape):
+        before = self._slots.get(depth)
+        view = super()._slot(depth, shape)
+        self.fresh += view.base is not before
+        return view
 
-    def _product(self, cube, table):
+    def _product(self, cube, table, depth=None):
         self.products += 1
-        return super()._product(cube, table)
+        return super()._product(cube, table, depth)
 
     def from_poly(self, p):
-        # the last walk handed back every cube it held
-        assert not self.held
-        self.tested = self.products = self.fits = self.unread = self.peak = 0
+        # id -> (cube, digest, tested) of each cube handed out this walk
+        self.held = {}
+        self.tested = self.products = self.fits = 0
         self.rooting = True
         root = super().from_poly(p)
         self.rooting = False
-        return self._hand_out(root)
+        return self._hand_out(root, 0)
 
     def origin_negative(self, cube):
         self._read(cube)
-        self.held[id(cube)] = (digest(cube), True)
+        self.held[id(cube)] = (cube, digest(cube), True)
         self.tested += 1
         return super().origin_negative(cube)
 
-    def fit(self, cube):
+    def fit(self, cube, depth):
         if self.rooting:
-            return super().fit(cube)
+            return super().fit(cube, depth)
         tested = self._read(cube)
         self.fits += 1
-        parent = super().fit(cube)
-        return self._hand_out(parent, tested)
+        return self._hand_out(super().fit(cube, depth), depth, tested)
 
-    def child(self, parent, axis, side):
+    def child(self, parent, depth, side):
         self._read(parent)
-        return self._hand_out(super().child(parent, axis, side))
-
-    def recycle(self, cube):
-        held = self.held.pop(id(cube), None)
-        self.unread += held is not None and not held[1]
-        super().recycle(cube)
-        # and the engine keeps at most SPARES buffers per size
-        assert len(self._spares[cube.size]) <= SPARES
+        cube = super().child(parent, depth, side)
+        assert not np.shares_memory(cube, parent)
+        return self._hand_out(cube, depth)
 
 
 # WIDENS_ON_DILATE is WPD at its root; times (x1 - x3)^2, which never
@@ -683,22 +678,23 @@ NEGATIVE_AFTER_A_SPLIT = Polynomial(5, {(0, 0, 0, 0, 0): 1, (1, 0, 0, 0, 0): -3}
 
 
 def assert_walk_accounts(spy, actions):
-    """The walk that took actions made the cubes it tested and no more.
+    """The walk that took actions made the cubes it tested and no more,
+    each in the buffer of its depth.
 
     Making both halves at each split, it made 1 + 2 * subdivisions -
     steps cubes that it never read; making each half when it pops it,
     it reads every cube it makes.
     """
     steps = len(actions)
-    # every cube came back, and the walk had tested each one
-    assert not spy.held and spy.unread == 0
+    assert all(tested for _, _, tested in spy.held.values())
     assert spy.tested == steps
     # one product per cube tested past the root, after the root's five
     # PREFIX passes, and one range test per split
     assert spy.products == 5 + steps - 1
     assert spy.fits == actions.count("S")
-    # the walk's peak stack, read off its actions, bounds what it held
-    assert spy.peak <= tree_shape(actions)[1] + 1
+    # one buffer per depth the walk reached, and the two of the passes
+    assert sorted(spy._slots) == list(range(max(2, len(tree_shape(
+        actions)[0]))))
 
 
 def test_a_walk_makes_only_the_cubes_it_tests(monkeypatch):
@@ -748,64 +744,60 @@ def test_walk_never_writes_a_cube_on_its_stack():
         cert = _traverse(p, budget, spy)
         assert cert == certify(p, budget)
         assert_walk_accounts(spy, cert.actions)
-        # without reuse a walk makes its root's input, five prefix
-        # passes' outputs and every cube it tests past the root; with
-        # it, fewer
-        assert spy.fresh < 5 + cert.steps
-        # the same walk again on the warm engine makes fewer buffers,
-        # and none at all when its live cubes fit in the spares: the
-        # root, the spare a prefix pass leaves, and at a split the
-        # parents on the stack, the cube split and a half
+        # a buffer for each depth, and another each time a cube at that
+        # depth outgrows it
+        assert spy.fresh >= len(spy._slots)
+        # the same walk again on the warm engine makes no new array
         first, spy.fresh = spy.fresh, 0
         assert _traverse(p, budget, spy) == cert
         assert_walk_accounts(spy, cert.actions)
-        assert spy.fresh < first
-        assert spy.fresh == 0 or cert.max_depth + 2 > SPARES
+        assert spy.fresh == 0
         spies.append((cert, first, spy))
     single_edge, _, widening, negative, budget_two = spies
-    # the single-edge walk (421 steps) makes a buffer for fewer than one
-    # in six of the 426 cubes it uses: the root, five passes' outputs
-    # and both halves of its 210 splits
-    assert single_edge[0].steps == 421 and single_edge[1] <= 426 // 6
+    # the single-edge walk (421 steps, 12 depths) makes one buffer per
+    # depth and grows one, as its cubes take a second limb from depth 7
+    assert single_edge[0].steps == 421
+    assert (single_edge[1], len(single_edge[2]._slots)) == (13, 12)
     assert negative[0].status == "NegativeWitness"
     assert negative[0].steps == 2
     assert budget_two[0].status == "BudgetExhausted"
-    # the widening walk recycled cubes of every limb count it crossed
-    box = NumpyBackend().from_poly(WIDENING_WALK)[0].size
-    assert {size // box for size in widening[2]._spares} == {3, 4, 5}
+    # the widening walk's cubes take more limbs with depth, so some
+    # buffers grew
+    assert widening[1] > len(widening[2]._slots)
 
 
-def halves(eng, parent, axis):
-    """Both halves of a split of a fitted parent, left first."""
-    return [eng.child(parent, axis, side) for side in (0, 1)]
+def halves(eng, parent, depth):
+    """Both halves, made at depth, of a split of a fitted parent, left
+    first: a copy of the left, which the right is written over."""
+    left = eng.child(parent, depth, 0).copy()
+    return [left, eng.child(parent, depth, 1)]
 
 
-def test_recycle_never_pools_the_same_memory_twice():
+def test_cubes_at_other_depths_never_share_memory():
     eng = NumpyBackend()
-    cube = eng.from_poly(WIDENS_ON_DILATE)
-    spare = np.empty_like(cube)
-    # the same cube twice, whole views of it, and a part of it: only the
-    # first is pooled
-    for again in (spare, spare, spare.reshape(-1), spare[::-1], spare[:1]):
-        eng.recycle(again)
-    pooled = [buf for bufs in eng._spares.values() for buf in bufs.values()]
-    assert sum(buf is spare for buf in pooled) == 1
-    for a, b in combinations(pooled, 2):
-        assert not np.shares_memory(a, b)
-    left, right = halves(eng, cube, 0)
-    assert not np.shares_memory(left, right)
-    assert not any(np.shares_memory(half, cube) for half in (left, right))
-    # a split's halves, handed back twice, each come out once
-    for half in (left, right, right, left):
-        eng.recycle(half)
-    cubes = [*halves(eng, cube, 0), *halves(eng, cube, 0), cube]
-    for a, b in combinations(cubes, 2):
+    root = eng.from_poly(WIDENS_ON_DILATE)
+    # both halves of a split are made at one depth, in its buffer, so
+    # halves copies the left before the right is written over it
+    left, right = halves(eng, root, 1)
+    assert left.base is None and right.base is eng._slots[1]
+    assert not np.array_equal(left, right)
+    assert np.array_equal(eng.child(root, 1, 0), left)
+    assert np.array_equal(right, left)
+    # a parent widened past its depth's buffer gets a larger one; dilate,
+    # which the walk never calls, writes to a fresh array
+    small, dilated = eng._slots[1], eng.dilate(root, 0)
+    assert dilated.base is None
+    parent = eng.fit(dilated, 1)
+    assert len(parent) == 3 and parent.base is eng._slots[1] is not small
+    grand = eng.child(parent, 2, 0)
+    assert grand.base is eng._slots[2] and len(grand) == 3
+    for a, b in combinations(eng._slots.values(), 2):
         assert not np.shares_memory(a, b)
 
 
-def test_a_poisoned_pool_changes_no_certificate_and_no_root():
-    # a root must not depend on the walk before it: every spare is
-    # written whole before it is read
+def test_poisoned_slots_change_no_certificate_and_no_root():
+    # a root must not depend on the walk before it: every cube is written
+    # whole before it is read
     spec = case_registry()["3-cycle"]
     task = spec.tasks[0]
     walks = (
@@ -819,16 +811,13 @@ def test_a_poisoned_pool_changes_no_certificate_and_no_root():
     eng = NumpyBackend()
 
     def poison():
-        buffers = [buf for bufs in eng._spares.values()
-                   for buf in bufs.values()]
-        assert buffers
-        for buf in buffers:
-            flat = buf.reshape(-1)
-            flat[0::3], flat[1::3], flat[2::3] = np.nan, np.inf, -np.inf
+        assert eng._slots
+        for buf in eng._slots.values():
+            buf[0::3], buf[1::3], buf[2::3] = np.nan, np.inf, -np.inf
 
     for p, budget in walks:
         want = certify(p, budget)
-        # a first root, then a first walk, leave the spares the next
+        # a first root, then a first walk, leave the buffers the next
         # root and walk of p take; a walk that expects want's actions
         # stops at the first that differs
         eng.from_poly(p)
@@ -839,43 +828,52 @@ def test_a_poisoned_pool_changes_no_certificate_and_no_root():
         assert _traverse(p, budget, eng, want.actions) == want
 
 
-def test_spares_outlive_the_walks_of_one_degree_box():
+def test_slots_outlive_every_walk_and_never_shrink(monkeypatch):
     eng = NumpyBackend()
     _traverse(WIDENING_WALK, 60, eng)
-    spares = [weakref.ref(buf) for bufs in eng._spares.values()
-              for buf in bufs.values()]
-    # a root over the same box is built in them
+    slots = dict(eng._slots)
+    # a walk over a smaller box, and a root over the same box, take the
+    # same buffers
+    _traverse(NEGATIVE_AFTER_A_SPLIT, 60, eng)
     root = eng.from_poly(WIDENING_WALK)
-    assert any(root.base is spare() for spare in spares)
-    eng.recycle(root)
-    del root
-    # a root over a box of another size lets them all go
-    eng.from_poly(NEGATIVE_AFTER_A_SPLIT)
-    assert all(spare() is None for spare in spares)
+    assert root.base is slots[0]
+    assert eng._slots.keys() == slots.keys()
+    assert all(eng._slots[d] is buf for d, buf in slots.items())
+    # an endpoint-scan pass, whose roots span three degree boxes, makes
+    # no new array once the engine has run it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    ctx = SimpleNamespace(partitions=build_partitions())
+    roots = [workloads.endpoint_run(ctx, op)[0]
+             for op in workloads.make_ops("endpoint-scan", ctx, 1801, 20)]
+    assert len({p.arrays()[0].max(axis=1).tobytes() for p in roots}) == 3
+    spy = WalkSpy()
+    for _ in range(2):
+        spy.fresh = 0
+        for p in roots:
+            assert _traverse(p, 16, spy) == certify(p, 16)
+    assert spy.fresh == 0
 
 
 def test_split_never_writes_its_input():
+    # cubes of every limb count a walk crosses, each at its depth
+    spy = CubeSpy()
+    _traverse(WIDENING_WALK, 60, spy)
+    cubes = {len(cube): (depth, cube) for depth, cube in spy.cubes}
+    assert sorted(cubes) == [3, 4, 5]
     eng = NumpyBackend()
-    # a walk leaves the engine holding spares of the cube sizes it used
-    _traverse(WIDENING_WALK, 60, eng)
-    sizes = [size for size, cubes in eng._spares.items() if cubes]
-    assert len(sizes) >= 3
-    for size in sizes:
-        # an input of each size that holds spares, not itself a spare
-        cube = next(iter(eng._spares[size].values())).copy()
-        before = cube.copy()
-        for axis in range(5):
-            # fit writes a widened cube into a spare; the test's copy
-            # stays out of the pool
-            parent = _fit(cube, eng._spare)
-            children = halves(eng, parent, axis)
-            assert not any(np.shares_memory(c, x)
-                           for c in children for x in (cube, parent))
-            assert np.array_equal(cube, before)
-            assert np.array_equal(parent, _fit(before))
-            # the children become spares for the next split
-            for child in children:
-                eng.recycle(child)
+    for depth, before in cubes.values():
+        # the cube in its depth's buffer, fitted there, then split
+        cube = eng._slot(depth, before.shape)
+        cube[...] = before
+        parent = eng.fit(cube, depth)
+        children = halves(eng, parent, depth + 1)
+        assert not any(np.shares_memory(c, parent) for c in children)
+        assert np.array_equal(parent, _fit(before))
+        # the children of a cube handed in from outside
+        children = halves(eng, before, depth + 1)
+        assert not any(np.shares_memory(c, before) for c in children)
+        assert np.array_equal(before, cubes[len(before)][1])
 
 
 def test_every_product_input_is_in_range():

@@ -173,7 +173,7 @@ def test_reader_rebuilds_every_recorded_certificate():
                      rec["witness_corner"])
         assert dataclasses.asdict(cert) == {
             **rec, "actions": actions, "histogram": tuple(rec["histogram"])}
-        levels, _ = tree_shape(actions)
+        levels, _, _ = tree_shape(actions)
         assert [sum(col) for col in zip(*levels)] == [
             actions.count(act) for act in "SWN"]
         widest[key] = max((sum(level), depth)
@@ -223,20 +223,21 @@ class TreeSpy(NumpyBackend):
         self.nodes.append((len(self.paths[id(cube)]), "W" if leaf else "S"))
         return leaf
 
-    def fit(self, cube):
+    def fit(self, cube, depth):
         path = self.paths[id(cube)]
-        self.splits.append(len(path))
+        assert depth == len(path)
+        self.splits.append(depth)
         self.peak = max(self.peak, 1 + 2 * len(self.splits) - len(self.nodes))
-        parent = super().fit(cube)
+        parent = super().fit(cube, depth)
         self.paths[id(parent)] = path
         return parent
 
-    def child(self, parent, axis, side):
+    def child(self, parent, depth, side):
         path = self.paths[id(parent)]
+        assert depth == len(path) + 1
+        cube = super().child(parent, depth, side)
         # the walk splits the axes in turn
-        assert axis == len(path) % 5
-        cube = super().child(parent, axis, side)
-        self.paths[id(cube)] = path + (("LR"[side], axis),)
+        self.paths[id(cube)] = path + (("LR"[side], len(path) % 5),)
         return cube
 
 
@@ -255,13 +256,15 @@ def assert_read_matches_the_spy(p, budget):
             "%s%d" % step for step in spy.popped)
     else:
         assert cert.witness_lineage is None
-    # the tree's levels and the walk's peak stack, from the actions alone
+    # the tree's levels, the walk's peak stack and the path to the last
+    # cube it tested, from the actions alone
     assert [act for _, act in spy.nodes] == list(cert.actions)
-    levels, peak = tree_shape(cert.actions)
+    levels, peak, path = tree_shape(cert.actions)
     assert levels == [
         tuple(spy.nodes.count((depth, act)) for act in "SWN")
         for depth in range(max(depth for depth, _ in spy.nodes) + 1)]
     assert peak == spy.peak
+    assert path == "".join(side for side, _ in spy.popped)
     return cert
 
 
