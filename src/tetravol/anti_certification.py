@@ -10,7 +10,10 @@ both signs.  Accepted witnesses ship in a golden data file and are
 re-verified through an independent evaluation path that shares no code
 with the polynomial layer: f is the bordered squared-length determinant,
 and each partial of f is one cofactor of that matrix, by Jacobi's
-formula.  The golden file holds one ``anti_certify`` search,
+formula.  Both are written out as straight-line integer arithmetic: f
+as the 3x3 determinant left once the border is eliminated, and each
+cofactor as a 4x4 minor expanded in 2x2 minors, with no pivoting loop.
+The golden file holds one ``anti_certify`` search,
 at its default seed and trials, per excluded chamber of each case
 without a K4 campaign; ``tests/test_anti_certification.py`` regenerates
 it and compares it line for line.
@@ -25,7 +28,11 @@ the one the broadcast ``points ** exponents`` form reached through its
 contiguous casting buffers.  libm ``pow`` (Python's ``**``) differs from
 that loop in the last bit on about 3% of arguments, and so does numpy's
 pow over a view it cannot stream, such as a negative stride.  The table
-is therefore built from contiguous float64 operands.
+is therefore built from contiguous float64 operands.  The term products
+run over blocks of points small enough to keep a block's term matrix
+in cache, but the product with the coefficients runs once over all
+rows: the BLAS kernel sums a row left over past its unrolled groups of
+rows in another order, so splitting the product moves those rows' bits.
 """
 
 import functools
@@ -38,9 +45,8 @@ import numpy as np
 
 from .cayley_menger import (EDGES, EdgeSubset, directional_derivative,
                             f_polynomial)
-from .chamber_geometry import (_int_det, build_partitions,
-                               certified_chambers, decoration, decorations,
-                               in_cone)
+from .chamber_geometry import (build_partitions, certified_chambers,
+                               decoration, decorations, in_cone)
 
 SNAP_SCALE = 10 ** 10
 
@@ -92,6 +98,9 @@ class _FloatForms:
     All forms read one table of coordinate powers per batch of points.
     """
 
+    # points per term-product block: of 64 to 1024, 256 timed fastest
+    BLOCK = 256
+
     def __init__(self, *polys):
         self.width = width = 1 + max(max(map(max, p.terms)) for p in polys)
         # exponent of table row v * width + k
@@ -112,12 +121,19 @@ class _FloatForms:
         table = np.power(base, np.repeat(self.powers, n, axis=1))
         out = []
         for rows, coeffs in self.forms:
-            terms = table[rows[0]]
-            for v in range(1, 6):
-                terms *= table[rows[v]]
-            # the product must see (n, T) C-contiguous terms, as the
-            # broadcast form's did, to add them in the same order
-            out.append(np.ascontiguousarray(terms.T) @ coeffs)
+            # the terms fill one (n, T) C-contiguous matrix, the shape the
+            # broadcast form handed its product, BLOCK points at a time so
+            # a block's (T, BLOCK) products stay in cache at T = 60.  The
+            # product runs once over all n rows: run per block, the rows
+            # ending each block would sum in another order
+            terms = np.empty((n, len(coeffs)))
+            for lo in range(0, n, self.BLOCK):
+                part = table[:, lo:lo + self.BLOCK]
+                block = part[rows[0]]
+                for v in range(1, 6):
+                    block *= part[rows[v]]
+                terms[lo:lo + self.BLOCK] = block.T
+            out.append(terms @ coeffs)
         return out
 
 
@@ -231,10 +247,35 @@ def _bordered(point):
 def f_value_bordered(point):
     """f at an integer point via the bordered squared-distance determinant.
 
-    Evaluates the determinant numerically, so it shares nothing with the
-    expanded polynomial used by the search path.
+    Subtracting row and column 1 of the bordered matrix from rows and
+    columns 2..4, then clearing the border, leaves the symmetric 3x3
+    matrix M_ab = s_1a + s_1b - s_ab (a, b in 2..4, s_aa = 0) with the
+    same determinant, an identity in the s.  That determinant is written
+    out in integer products, so the path shares nothing with the expanded
+    polynomial used by the search, nor with its closed form.
     """
-    return _int_det(_bordered(point))
+    s12, s13, s14, s23, s24, s34 = (int(d) * int(d) for d in point)
+    a, d, f = 2 * s12, 2 * s13, 2 * s14
+    b = s12 + s13 - s23
+    c = s12 + s14 - s24
+    e = s13 + s14 - s34
+    return a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+
+
+def _det4(m):
+    """Determinant of a 4x4 int matrix, straight-line.
+
+    Laplace expansion along the top two rows: each 2x2 minor of rows 0, 1
+    times the signed 2x2 minor of rows 2, 3 on the complementary columns.
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), \
+        (d0, d1, d2, d3) = m
+    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
 
 
 def g_value_cofactor(point, beta):
@@ -243,16 +284,21 @@ def g_value_cofactor(point, beta):
     Edge k = (i, j) holds s_k = d_k^2 at entries (i, j) and (j, i) of the
     bordered matrix M.  Jacobi's formula gives d det M / d s_k as the sum
     of the two equal cofactors C_ij + C_ji = 2 C_ij, so the partial of f
-    in d_k is 4 d_k C_ij: one 4x4 determinant per edge of beta.
+    in d_k is 4 d_k C_ij: one 4x4 minor per edge of beta, each expanded
+    by ``_det4`` in 2x2 minors.
     """
     m = _bordered(point)
     total = 0
     for k in sorted(beta.indices):
         i, j = EDGES[k]
-        minor = [row[:j] + row[j + 1:] for r, row in enumerate(m) if r != i]
-        cofactor = _int_det(minor)
+        cofactor = _det4([row[:j] + row[j + 1:]
+                          for r, row in enumerate(m) if r != i])
         total += 4 * int(point[k]) * (-cofactor if (i + j) % 2 else cofactor)
     return total
+
+
+# a witness line names its beta by spec; K4 has 63 nonempty edge subsets
+_edge_subset = functools.lru_cache(maxsize=63)(EdgeSubset.parse)
 
 
 def verify_witness(w):
@@ -265,7 +311,7 @@ def verify_witness(w):
     if not in_cone(w.point) or not dec.membership(w.point):
         return False
     f_exact = f_value_bordered(w.point)
-    g_exact = g_value_cofactor(w.point, EdgeSubset.parse(w.beta))
+    g_exact = g_value_cofactor(w.point, _edge_subset(w.beta))
     return (f_exact == w.f_value and g_exact == w.g_value
             and f_exact > 0 and g_exact < 0)
 

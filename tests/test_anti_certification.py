@@ -11,15 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from tetravol import anti_certification
 from tetravol.anti_certification import (
-    SNAP_SCALE, Witness, _FloatForms, anti_certify, barycentric_block,
-    excluded_chambers, f_value_bordered, full_k4_campaign, g_value_cofactor,
-    read_witnesses, snap_point, verify_witness,
+    SNAP_SCALE, Witness, _bordered, _det4, _FloatForms, anti_certify,
+    barycentric_block, excluded_chambers, f_value_bordered, full_k4_campaign,
+    g_value_cofactor, read_witnesses, snap_point, verify_witness,
 )
 from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import EdgeSubset, directional_derivative, \
     f_polynomial
-from tetravol.chamber_geometry import build_partitions, certified_chambers, \
-    decoration
+from tetravol.chamber_geometry import _int_det, build_partitions, \
+    certified_chambers, decoration
 from tetravol.exact_poly import Polynomial
 
 int_points = st.tuples(*[st.integers(-40, 40) for _ in range(6)])
@@ -109,6 +109,28 @@ def float_form_reference(poly, points):
 @settings(max_examples=60)
 def test_bordered_determinant_matches_the_polynomial(pt):
     assert f_value_bordered(pt) == f_polynomial().evaluate(pt)
+
+
+@given(st.tuples(*[st.integers(-10 ** 12, 10 ** 12) for _ in range(6)]))
+@example((0, 0, 0, 0, 0, 0))
+@example((1, 1, 1, 1, 1, 1))
+@settings(max_examples=200)
+def test_border_elimination_equals_the_bordered_determinant(pt):
+    # the 3x3 form against the 5x5 bordered matrix it was reduced from
+    assert f_value_bordered(pt) == _int_det(_bordered(pt))
+
+
+@given(st.lists(st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=4,
+                         max_size=4), min_size=4, max_size=4))
+# a zero leading entry sends Bareiss down its row swap
+@example([[0, 2, 3, 4], [5, 6, 7, 8], [9, 1, 2, 3], [4, 5, 6, 8]])
+@example([[0, 0, 1, 2], [0, 3, 4, 5], [6, 7, 8, 9], [1, 0, 2, 3]])
+# singular: a repeated row, and a zero column
+@example([[1, 2, 3, 4], [5, 6, 7, 8], [1, 2, 3, 4], [9, 1, 2, 3]])
+@example([[0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 9], [0, 1, 1, 1]])
+@settings(max_examples=300)
+def test_straight_line_det4_equals_bareiss(m):
+    assert _det4(m) == _int_det(m)
 
 
 @given(int_points)
@@ -278,7 +300,7 @@ def test_block_sampler_matches_trial_by_trial_draws(n):
     assert block.getstate() == one.getstate()
 
 
-@pytest.mark.parametrize("n", [1, 7, 513, 4096])
+@pytest.mark.parametrize("n", [1, 7, 255, 256, 257, 513, 769, 4096])
 def test_float_forms_equal_the_broadcast_oracle_bit_for_bit(n):
     # The K4 campaign's prescreen count is 0 at every seed tried, so its
     # return value cannot show float drift, and the golden file sees the

@@ -27,7 +27,7 @@ from tetravol._kernels import (
     DILATE, DILATE_REFLECT, LIMB, LIMB_BITS, PREFIX, REFLECT, NumpyBackend,
     _fit, _normalize, _value, get_backend,
 )
-from tetravol import _kernels, positive_dominance
+from tetravol import positive_dominance
 from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import EdgeSubset, directional_derivative
 from tetravol.chamber_geometry import build_partitions
