@@ -54,8 +54,10 @@ depth, and one walk runs at a time per engine.  The walk keeps to that
 because it is depth first: a parent pending at depth d - 1 outlasts the
 halves it makes at depth d, and once a cube is made at depth d no
 pending entry refers to the one before.  Every cube is written whole
-before it is read, so no root depends on an earlier walk.  ``dilate``
-and ``reflect``, which the walk never calls, write to fresh arrays.
+before it is read, so no root depends on an earlier walk.  The carry
+of ``_normalize`` runs through a scratch row per size, also kept on the
+engine, so walks on two engines never share memory.  ``dilate`` and
+``reflect``, which the walk never calls, write to fresh arrays.
 """
 
 from __future__ import annotations
@@ -94,8 +96,6 @@ PREFIX_T, REFLECT_T, DILATE_T, DILATE_REFLECT_T = (
     for table in (PREFIX, REFLECT, DILATE, DILATE_REFLECT))
 # child's maps by side: 0 the left half, 1 the right
 HALVES_T = (DILATE_T, DILATE_REFLECT_T)
-# _normalize's carry, one scratch row per size: calls must not overlap
-_carry_row = cache(np.empty)
 
 
 def _value(limbs):
@@ -106,14 +106,15 @@ def _value(limbs):
     return v
 
 
-def _normalize(cube):
+def _normalize(cube, empty=np.empty):
     """Carry limbs low to high, in place, into a top limb of any size:
     exact on integers below 2^53, in units of 2^-43 below the top, whose
-    carries fit in the limb above.  A one-limb cube has nothing to carry."""
+    carries fit in the limb above.  The carry row is empty(size).  A
+    one-limb cube has nothing to carry."""
     if len(cube) == 1:
         return cube
     rows = cube.reshape(len(cube), -1)
-    carry = _carry_row(rows.shape[1])
+    carry = empty(rows.shape[1])
     for i in range(len(rows) - 1):
         np.floor(rows[i], out=carry)
         rows[i] -= carry
@@ -146,6 +147,9 @@ class NumpyBackend:
     def __init__(self):
         # depth -> the flat buffer that the cube made at that depth views
         self._slots = {}
+        # _normalize's carry, one scratch row per size, for this engine's
+        # one walk at a time
+        self._carry_row = cache(np.empty)
 
     def from_poly(self, p):
         """The root cube of p, at depth 0, by five PREFIX passes."""
@@ -210,7 +214,8 @@ class NumpyBackend:
         shape = (k,) + cube.shape[2:] + (n,)
         out = np.empty(shape) if depth is None else self._slot(depth, shape)
         _normalize(np.matmul(cube.reshape(k, n, -1).transpose(0, 2, 1),
-                             table[n], out=out.reshape(k, -1, n)))
+                             table[n], out=out.reshape(k, -1, n)),
+                   self._carry_row)
         return out
 
     def _slot(self, depth, shape):

@@ -8,11 +8,13 @@ samples barycentric weights, prescreens with floating point, snaps onto
 the integer lattice, and accepts only on exact integer evaluation of
 both signs.  Accepted witnesses ship in a golden data file and are
 re-verified through an independent evaluation path that shares no code
-with the polynomial layer: f is the bordered squared-length determinant,
-and each partial of f is one cofactor of that matrix, by Jacobi's
-formula.  Both are written out as straight-line integer arithmetic: f
-as the 3x3 determinant left once the border is eliminated, and each
-cofactor as a 4x4 minor expanded in 2x2 minors, with no pivoting loop.
+with the polynomial layer: it reads the squared lengths directly, never
+the expanded polynomials nor the closed form that builds them.
+Eliminating the border of the bordered squared-length matrix leaves a
+symmetric 3x3 matrix M with the same determinant f, and by Jacobi's
+formula every partial of f is linear in M's six cofactors, so g is read
+off them.  Both are straight-line integer arithmetic on 2x2 minors,
+with no pivoting loop.
 The golden file holds one ``anti_certify`` search,
 at its default seed and trials, per excluded chamber of each case
 without a K4 campaign; ``tests/test_anti_certification.py`` regenerates
@@ -43,7 +45,7 @@ from importlib import resources
 
 import numpy as np
 
-from .cayley_menger import (EDGES, EdgeSubset, directional_derivative,
+from .cayley_menger import (EdgeSubset, directional_derivative,
                             f_polynomial)
 from .chamber_geometry import (build_partitions, certified_chambers,
                                decoration, decorations, in_cone)
@@ -230,71 +232,51 @@ def full_k4_campaign(trials=100000, seed=0):
 
 # -- independent evaluation path ----------------------------------------
 
-def _bordered(point):
-    """The bordered matrix of squared lengths at an integer point.
+def _cofactors(point):
+    """The first row and the six cofactors of M at an integer point.
 
-    Row and column i (1..4) belong to vertex i; row and column 0 hold
-    the border of ones.
-    """
-    s = [int(d) * int(d) for d in point]
-    return [[0, 1, 1, 1, 1],
-            [1, 0, s[0], s[1], s[2]],
-            [1, s[0], 0, s[3], s[4]],
-            [1, s[1], s[3], 0, s[5]],
-            [1, s[2], s[4], s[5], 0]]
-
-
-def f_value_bordered(point):
-    """f at an integer point via the bordered squared-distance determinant.
-
-    Subtracting row and column 1 of the bordered matrix from rows and
-    columns 2..4, then clearing the border, leaves the symmetric 3x3
-    matrix M_ab = s_1a + s_1b - s_ab (a, b in 2..4, s_aa = 0) with the
-    same determinant, an identity in the s.  That determinant is written
-    out in integer products, so the path shares nothing with the expanded
-    polynomial used by the search, nor with its closed form.
+    Subtracting row and column 1 of the bordered squared-length matrix
+    from rows and columns 2..4, then clearing the border, leaves the
+    symmetric 3x3 matrix M_ab = s_1a + s_1b - s_ab (a, b in 2..4,
+    s_aa = 0) with the same determinant, an identity in the s.  Returns
+    (M_22, M_23, M_24) and the cofactors (C_22, C_23, C_24, C_33, C_34,
+    C_44), each a 2x2 minor written out in integer products.
     """
     s12, s13, s14, s23, s24, s34 = (int(d) * int(d) for d in point)
     a, d, f = 2 * s12, 2 * s13, 2 * s14
     b = s12 + s13 - s23
     c = s12 + s14 - s24
     e = s13 + s14 - s34
-    return a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+    return (a, b, c), (d * f - e * e, c * e - b * f, b * e - c * d,
+                       a * f - c * c, b * c - a * e, a * d - b * b)
 
 
-def _det4(m):
-    """Determinant of a 4x4 int matrix, straight-line.
+def f_value_bordered(point):
+    """f at an integer point: det M, expanded along M's first row.
 
-    Laplace expansion along the top two rows: each 2x2 minor of rows 0, 1
-    times the signed 2x2 minor of rows 2, 3 on the complementary columns.
+    M is the bordered squared-distance matrix with its border eliminated
+    (``_cofactors``), so the path shares nothing with the expanded
+    polynomial used by the search, nor with its closed form.
     """
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), \
-        (d0, d1, d2, d3) = m
-    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-            - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-            + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-            + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+    (a, b, c), (c22, c23, c24, _, _, _) = _cofactors(point)
+    return a * c22 + b * c23 + c * c24
 
 
 def g_value_cofactor(point, beta):
-    """The directional derivative over the EdgeSubset beta, by cofactors.
+    """The directional derivative over the EdgeSubset beta, from M's
+    cofactors.
 
-    Edge k = (i, j) holds s_k = d_k^2 at entries (i, j) and (j, i) of the
-    bordered matrix M.  Jacobi's formula gives d det M / d s_k as the sum
-    of the two equal cofactors C_ij + C_ji = 2 C_ij, so the partial of f
-    in d_k is 4 d_k C_ij: one 4x4 minor per edge of beta, each expanded
-    by ``_det4`` in 2x2 minors.
+    Jacobi's formula makes each partial of det M linear in its
+    cofactors C: s_1a enters M_aa twice and M_ab, M_ba once each, so
+    df/ds_1a = 2 (C_a2 + C_a3 + C_a4), and s_ab enters M_ab and M_ba
+    negated, so df/ds_ab = -2 C_ab.  The partial in the length d_k is
+    2 d_k df/ds_k: six 2x2 cofactors, then one product per edge of beta.
     """
-    m = _bordered(point)
-    total = 0
-    for k in sorted(beta.indices):
-        i, j = EDGES[k]
-        cofactor = _det4([row[:j] + row[j + 1:]
-                          for r, row in enumerate(m) if r != i])
-        total += 4 * int(point[k]) * (-cofactor if (i + j) % 2 else cofactor)
-    return total
+    _, (c22, c23, c24, c33, c34, c44) = _cofactors(point)
+    # df/ds_k / 2, in edge order 12, 13, 14, 23, 24, 34
+    half = (c22 + c23 + c24, c23 + c33 + c34, c24 + c34 + c44,
+            -c23, -c24, -c34)
+    return 4 * sum(int(point[k]) * half[k] for k in beta.indices)
 
 
 # a witness line names its beta by spec; K4 has 63 nonempty edge subsets
@@ -304,8 +286,9 @@ _edge_subset = functools.lru_cache(maxsize=63)(EdgeSubset.parse)
 def verify_witness(w):
     """Re-check a witness from scratch along the independent path.
 
-    f is one bordered determinant and g one cofactor per edge of beta
-    (Jacobi's formula); neither reads the expanded polynomials.
+    f is det M, the bordered determinant with its border eliminated, and
+    g is read off M's cofactors (Jacobi's formula); neither reads the
+    expanded polynomials.
     """
     dec = decoration(w.chamber)
     if not in_cone(w.point) or not dec.membership(w.point):

@@ -122,15 +122,23 @@ def f_polynomial():
 
 
 @functools.cache
+def _edge_partial(k):
+    """The partial of f in edge length k; cached, as every edge subset
+    through k sums it."""
+    return f_polynomial().partial_derivative(k)
+
+
+@functools.cache
 def directional_derivative(beta):
     """Sum of the partials of f over the edges of the EdgeSubset ``beta``.
 
-    Cached: an EdgeSubset hashes and compares by its indices.
+    Cached: an EdgeSubset hashes and compares by its indices.  The
+    partials are summed in sorted edge order, which fixes the result's
+    term order.
     """
-    f = f_polynomial()
     total = Polynomial.zero(6)
     for k in sorted(beta.indices):
-        total = total + f.partial_derivative(k)
+        total = total + _edge_partial(k)
     return total
 
 

@@ -11,15 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from tetravol import anti_certification
 from tetravol.anti_certification import (
-    SNAP_SCALE, Witness, _bordered, _det4, _FloatForms, anti_certify,
-    barycentric_block, excluded_chambers, f_value_bordered, full_k4_campaign,
-    g_value_cofactor, read_witnesses, snap_point, verify_witness,
+    SNAP_SCALE, Witness, _FloatForms, anti_certify, barycentric_block,
+    excluded_chambers, f_value_bordered, full_k4_campaign, g_value_cofactor,
+    read_witnesses, snap_point, verify_witness,
 )
 from tetravol.case_suite_cli import case_registry
-from tetravol.cayley_menger import EdgeSubset, directional_derivative, \
-    f_polynomial
+from tetravol.cayley_menger import EDGES, EdgeSubset, \
+    directional_derivative, f_polynomial
 from tetravol.chamber_geometry import _int_det, build_partitions, \
-    certified_chambers, decoration
+    certified_chambers, decoration, decorations
 from tetravol.exact_poly import Polynomial
 
 int_points = st.tuples(*[st.integers(-40, 40) for _ in range(6)])
@@ -34,7 +34,41 @@ ALL_BETAS = tuple(EdgeSubset(ks) for r in range(1, 7)
                   for ks in itertools.combinations(range(6), r))
 
 
-# the oracle for ``g_value_cofactor``: four bordered determinants per edge
+def _bordered(point):
+    """The bordered matrix of squared lengths at an integer point.
+
+    Row and column i (1..4) belong to vertex i; row and column 0 hold
+    the border of ones.
+    """
+    s = [int(d) * int(d) for d in point]
+    return [[0, 1, 1, 1, 1],
+            [1, 0, s[0], s[1], s[2]],
+            [1, s[0], 0, s[3], s[4]],
+            [1, s[1], s[3], 0, s[5]],
+            [1, s[2], s[4], s[5], 0]]
+
+
+# the oracles for ``g_value_cofactor``: one cofactor of the bordered
+# matrix per edge, and four bordered determinants per edge
+def g_value_bordered(point, beta):
+    """The directional derivative over the EdgeSubset beta, one bordered
+    cofactor per edge.
+
+    Edge k = (i, j) holds s_k = d_k^2 at entries (i, j) and (j, i) of the
+    bordered matrix B.  Jacobi's formula gives d det B / d s_k as the sum
+    of the two equal cofactors C_ij + C_ji = 2 C_ij, so the partial of f
+    in d_k is 4 d_k C_ij, each C_ij a 4x4 minor of B taken by Bareiss.
+    """
+    m = _bordered(point)
+    total = 0
+    for k in sorted(beta.indices):
+        i, j = EDGES[k]
+        minor = _int_det([row[:j] + row[j + 1:]
+                          for r, row in enumerate(m) if r != i])
+        total += 4 * int(point[k]) * (-minor if (i + j) % 2 else minor)
+    return total
+
+
 def g_value_stencil(point, beta):
     """Directional derivative via exact five-point differentiation of f.
 
@@ -120,17 +154,20 @@ def test_border_elimination_equals_the_bordered_determinant(pt):
     assert f_value_bordered(pt) == _int_det(_bordered(pt))
 
 
-@given(st.lists(st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=4,
-                         max_size=4), min_size=4, max_size=4))
-# a zero leading entry sends Bareiss down its row swap
-@example([[0, 2, 3, 4], [5, 6, 7, 8], [9, 1, 2, 3], [4, 5, 6, 8]])
-@example([[0, 0, 1, 2], [0, 3, 4, 5], [6, 7, 8, 9], [1, 0, 2, 3]])
-# singular: a repeated row, and a zero column
-@example([[1, 2, 3, 4], [5, 6, 7, 8], [1, 2, 3, 4], [9, 1, 2, 3]])
-@example([[0, 1, 2, 3], [0, 4, 5, 6], [0, 7, 8, 9], [0, 1, 1, 1]])
-@settings(max_examples=300)
-def test_straight_line_det4_equals_bareiss(m):
-    assert _det4(m) == _int_det(m)
+@given(st.tuples(*[st.integers(-10 ** 12, 10 ** 12) for _ in range(6)]))
+@example((0, 0, 0, 0, 0, 0))
+@example((1, 0, -1, 0, 1, 0))
+@example((-7, 3, 0, -2, 5, -11))
+@settings(max_examples=100, deadline=None)
+def test_cofactor_g_equals_the_bordered_cofactors_edge_by_edge(pt):
+    # each partial read off M's cofactors against one 4x4 minor of the
+    # bordered matrix and against the polynomial's own partial
+    f = f_polynomial()
+    for k in range(6):
+        edge = EdgeSubset((k,))
+        g = g_value_cofactor(pt, edge)
+        assert g == g_value_bordered(pt, edge)
+        assert g == f.partial_derivative(k).evaluate(pt)
 
 
 @given(int_points)
@@ -139,9 +176,10 @@ def test_straight_line_det4_equals_bareiss(m):
 @example((-40, -40, -40, -40, -40, -40))
 @settings(max_examples=25, deadline=None)
 def test_stencil_matches_the_polynomial_derivative(pt):
-    # verify_witness's cofactor g against both older paths, on every beta
+    # verify_witness's cofactor g against three other paths, on every beta
     for beta in ALL_BETAS:
         g = g_value_cofactor(pt, beta)
+        assert g == g_value_bordered(pt, beta)
         assert g == g_value_stencil(pt, beta)
         assert g == directional_derivative(beta).evaluate(pt)
 
@@ -216,9 +254,26 @@ def test_a_searched_witness_survives_its_line():
 
 
 def test_tampered_witness_fails_verification():
-    w = read_witnesses()[0]
-    bad = Witness(w.beta, w.chamber, w.point, w.f_value + 1, w.g_value)
-    assert not verify_witness(bad)
+    for w in read_witnesses()[::27]:
+        assert verify_witness(w)
+        for df, dg in ((1, 0), (0, -1), (0, 1)):
+            assert not verify_witness(Witness(
+                w.beta, w.chamber, w.point, w.f_value + df, w.g_value + dg))
+        # the same point under beta with one edge added or dropped: g moves
+        beta = EdgeSubset.parse(w.beta).indices
+        for k in range(6):
+            if beta == {k}:
+                continue
+            other = EdgeSubset(beta ^ {k})
+            assert g_value_bordered(w.point, other) != w.g_value
+            assert not verify_witness(Witness(
+                other.spec(), w.chamber, w.point, w.f_value, w.g_value))
+        # chambers whose cones exclude the point
+        outside = [d.id for d in decorations() if not d.membership(w.point)]
+        assert outside
+        for chamber in outside[:3]:
+            assert not verify_witness(
+                Witness(w.beta, chamber, w.point, w.f_value, w.g_value))
 
 
 def test_write_read_roundtrip(tmp_path):

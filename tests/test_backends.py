@@ -11,7 +11,10 @@ root's degree box, are checked to keep that box along whole walks. The
 run-level tests compare whole certify runs with the oracle's walk.
 """
 
+import dataclasses
 import hashlib
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -853,6 +856,41 @@ def test_slots_outlive_every_walk_and_never_shrink(monkeypatch):
         for p in roots:
             assert _traverse(p, 16, spy) == certify(p, 16)
     assert spy.fresh == 0
+
+
+def test_engines_in_two_threads_walk_independently(monkeypatch):
+    # each engine keeps its own buffers and carry rows, so two engines
+    # may each run a walk at once; this task's cubes take up to three
+    # limbs, so every split carries
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import reference
+    key = "3-cycle/B_1/3g-f"
+    want = reference.load()[0][key]
+    spec = case_registry()["3-cycle"]
+    task, = (t for t in spec.tasks if reference.task_key("3-cycle", t) == key)
+    p = pullback(task.func.polynomial(spec.beta), spec.simplices[task.simplex])
+    budget = 2 * want.steps
+    results = [[], []]
+
+    def walk(out):
+        eng = NumpyBackend()
+        for _ in range(4):
+            out.append(_traverse(p, budget, eng))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=walk, args=(out,))
+                   for out in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [[dataclasses.replace(cert, budget=want.budget) for cert in out]
+            for out in results] == [[want] * 4] * 2
 
 
 def test_split_never_writes_its_input():
