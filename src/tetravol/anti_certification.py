@@ -24,20 +24,29 @@ The prescreen floats must stay bit-identical: they decide which
 candidate a search snaps first, so the golden witness file and the
 seeded campaign's prescreen count hang on every last bit of them.
 Sampling draws one block per chunk from the seeded generator and equals
-trial-by-trial ``rng.random()`` calls exactly.  The float forms read one
-shared table of coordinate powers, whose pow must run numpy's SIMD loop,
-the one the broadcast ``points ** exponents`` form reached through its
+trial-by-trial ``rng.random()`` calls exactly.  The float forms of f
+and g share one factor tree (``_FactorTree``, built once per beta):
+each term is the left-to-right product, in variable order, of its
+factors x_v^e, and terms that start with the same factors share their
+partial products.  Factors with e = 0 drop out, which moves no bit, as
+pow(x, 0) is exactly 1.0 and x * 1.0 == x.  The factors are rows of a
+table of coordinate powers, whose pow must run numpy's SIMD loop, the
+one the broadcast ``points ** exponents`` form reached through its
 contiguous casting buffers.  libm ``pow`` (Python's ``**``) differs from
 that loop in the last bit on about 3% of arguments, and so does numpy's
 pow over a view it cannot stream, such as a negative stride.  The table
-is therefore built from contiguous float64 operands.  The term products
-run over blocks of points small enough to keep a block's term matrix
-in cache, but the product with the coefficients runs once over all
-rows: the BLAS kernel sums a row left over past its unrolled groups of
-rows in another order, so splitting the product moves those rows' bits.
+is therefore built from contiguous float64 operands.  Each search owns
+its buffers (``_FloatForms``), grown with the batch and never shrunk,
+and every array is a prefix view of one reshaped, so it is C-contiguous
+and a batch takes no fresh memory.  The table and the tree run over
+blocks of points small enough to stay in cache, but the product with
+the coefficients runs once over all rows: the BLAS kernel sums a row
+left over past its unrolled groups of rows in another order, so
+splitting the product moves those rows' bits.
 """
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -91,52 +100,127 @@ def barycentric_block(rng, n):
     cuts = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) \
         / 9007199254740992.0
     cuts = np.sort(cuts.reshape(n, 5), axis=1)
-    return np.diff(cuts, axis=1, prepend=0.0, append=1.0)
+    # the spacings of 0.0, the cuts and 1.0; the first, c - 0.0, is c
+    # exactly
+    weights = np.empty((n, 6))
+    weights[:, 0] = cuts[:, 0]
+    np.subtract(cuts[:, 1:], cuts[:, :-1], out=weights[:, 1:5])
+    np.subtract(1.0, cuts[:, 4], out=weights[:, 5])
+    return weights
+
+
+class _FactorTree:
+    """The term products that the float forms of some polynomials share.
+
+    A term is the left-to-right product, in variable order, of its
+    factors x_v^e with e > 0; a constant term is the single factor
+    x_0^0.  Dropping the factors with e = 0 moves no bit: pow(x, 0) is
+    exactly 1.0, and x * 1.0 == x exactly.  A prefix of one factor is a
+    row of the power table, which heads the tree's rows; each longer
+    prefix gets one row, its parent's row times one table row, so terms
+    that start with the same factors, in any of the forms, share those
+    products.  The product rows follow the table level by level, each
+    level a slice whose parents all lie above it.  f and the K4
+    derivative have 123 prefixes, 109 of them products, against 492
+    gathered rows and 410 products when each term multiplies out its
+    six factors.
+    """
+
+    def __init__(self, *polys):
+        self.width = width = 1 + max(max(map(max, p.terms)) for p in polys)
+        self.table = 6 * width
+        # exponent of table row v * width + k
+        self.powers = np.tile(np.arange(width, dtype=np.float64), 6)[:, None]
+        # each term's factors, as the table rows they read
+        factors = [{e: tuple(v * width + k for v, k in enumerate(e) if k)
+                    or (0,) for e in p.terms} for p in polys]
+        products = sorted({r[:d] for terms in factors for r in terms.values()
+                           for d in range(2, len(r) + 1)},
+                          key=lambda r: (len(r), r))
+        row = {(r,): r for r in range(self.table)}
+        row.update((r, self.table + i) for i, r in enumerate(products))
+        self.rows = len(row)
+        # (top, end, parent rows, table rows) of each level of products
+        self.levels = []
+        for _, level in itertools.groupby(products, len):
+            level = list(level)
+            top = row[level[0]]
+            self.levels.append((top, top + len(level),
+                                np.array([row[r[:-1]] for r in level]),
+                                np.array([r[-1] for r in level])))
+        # each form's term rows and coefficients, in sorted exponent order
+        self.forms = []
+        for poly, terms in zip(polys, factors):
+            exps = sorted(poly.terms)
+            self.forms.append((np.array([row[terms[e]] for e in exps]),
+                               np.array([float(poly.terms[e])
+                                         for e in exps])))
 
 
 class _FloatForms:
     """Vectorized float views of exact polynomials, for prescreening only.
 
-    All forms read one table of coordinate powers per batch of points.
+    The forms read the rows of one factor tree (``_FactorTree``) per
+    block of points.  The object owns flat buffers for the repeated
+    coordinates, the exponent rows, the tree's rows (the power table
+    first), a gather scratch and each form's term matrix.  They grow
+    when a batch is larger and never shrink, so a warm object allocates
+    nothing per batch but the values it returns, and each search makes
+    its own, so no two searches share memory.  Every array is a prefix
+    view of a buffer reshaped to its shape, so it is C-contiguous.
     """
 
-    # points per term-product block: of 64 to 1024, 256 timed fastest
+    # points per block: 256 and 512 timed alike, and 256 keeps the
+    # buffers a third smaller
     BLOCK = 256
 
-    def __init__(self, *polys):
-        self.width = width = 1 + max(max(map(max, p.terms)) for p in polys)
-        # exponent of table row v * width + k
-        self.powers = np.tile(np.arange(width, dtype=np.float64), 6)[:, None]
-        self.forms = []
-        for poly in polys:
-            exps = sorted(poly.terms)
-            rows = np.array(exps, dtype=np.int64) + width * np.arange(6)
-            self.forms.append((rows.T, np.array([float(poly.terms[e])
-                                                 for e in exps])))
+    def __init__(self, tree):
+        self.tree = tree
+        self._buffers = {}
+
+    def _buffer(self, name, shape):
+        """A view in shape of the named buffer, grown first if too small."""
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or len(buffer) < size:
+            buffer = self._buffers[name] = np.empty(size)
+        return buffer[:size].reshape(shape)
 
     def at(self, points):
         """Each form's values at the rows of points, in order."""
+        tree = self.tree
         n = len(points)
-        # row v * width + k holds points[:, v] ** k; both operands are
-        # contiguous float64, so np.power takes its SIMD loop
-        base = np.repeat(points.T, self.width, axis=0)
-        table = np.power(base, np.repeat(self.powers, n, axis=1))
-        out = []
-        for rows, coeffs in self.forms:
-            # the terms fill one (n, T) C-contiguous matrix, the shape the
-            # broadcast form handed its product, BLOCK points at a time so
-            # a block's (T, BLOCK) products stay in cache at T = 60.  The
-            # product runs once over all n rows: run per block, the rows
-            # ending each block would sum in another order
-            terms = np.empty((n, len(coeffs)))
-            for lo in range(0, n, self.BLOCK):
-                part = table[:, lo:lo + self.BLOCK]
-                block = part[rows[0]]
-                for v in range(1, 6):
-                    block *= part[rows[v]]
-                terms[lo:lo + self.BLOCK] = block.T
-            out.append(terms @ coeffs)
-        return out
+        # each form's terms fill one (n, T) C-contiguous matrix, the shape
+        # the broadcast form handed its product, and the product runs once
+        # over all n rows: run per block, the rows ending each block
+        # would sum in another order
+        terms = [self._buffer(("terms", i), (n, len(coeffs)))
+                 for i, (_, coeffs) in enumerate(tree.forms)]
+        for lo in range(0, n, self.BLOCK):
+            block = points[lo:lo + self.BLOCK]
+            b = len(block)
+            # table row v * width + k holds block[:, v] ** k; both
+            # operands are contiguous float64, so np.power takes its SIMD
+            # loop
+            base = self._buffer("base", (6, tree.width, b))
+            base[...] = block.T[:, None, :]
+            exps = self._buffer("exps", (tree.table, b))
+            exps[...] = tree.powers
+            rows = self._buffer("rows", (tree.rows, b))
+            np.power(base.reshape(exps.shape), exps, out=rows[:tree.table])
+            # take writes straight into out only when mode is not "raise"
+            # and its input does not overlap out; else it buffers a copy
+            for top, end, parents, factors in tree.levels:
+                # every row a level reads lies above it, in memory too
+                above, level = rows[:top], rows[top:end]
+                above.take(parents, axis=0, out=level, mode="clip")
+                factor = self._buffer("gather", level.shape)
+                level *= above.take(factors, axis=0, out=factor, mode="clip")
+            for (nodes, _), out in zip(tree.forms, terms):
+                gathered = self._buffer("gather", (len(nodes), b))
+                out[lo:lo + b] = rows.take(nodes, axis=0, out=gathered,
+                                           mode="clip").T
+        return [t @ coeffs for t, (_, coeffs) in zip(terms, tree.forms)]
 
 
 def snap_point(weights, vertices):
@@ -150,6 +234,12 @@ def _power_weights(q, k):
     u = [w ** k for w in q]
     s = sum(u)
     return [w / s for w in u]
+
+
+@functools.lru_cache(maxsize=63)
+def _search_tree(beta):
+    """The factor tree of f and beta's derivative, built once per beta."""
+    return _FactorTree(f_polynomial(), directional_derivative(beta))
 
 
 def _outcomes(decs, beta, rng, trials, cubed_from):
@@ -166,7 +256,7 @@ def _outcomes(decs, beta, rng, trials, cubed_from):
     stack = np.array(simplices, dtype=np.float64)
     f = f_polynomial()
     g = directional_derivative(beta)
-    forms = _FloatForms(f, g)
+    forms = _FloatForms(_search_tree(beta))
     fifth_from = cubed_from + (trials - cubed_from) // 2
     done = 0
     while done < trials:

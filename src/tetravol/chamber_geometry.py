@@ -19,8 +19,8 @@ import itertools
 import operator
 from fractions import Fraction
 
-from .cayley_menger import (AXIS_PAIRS, EDGES, FACES, VERTEX_EDGES,
-                            EdgeIndex, clear_denominators)
+from .cayley_menger import (AXIS_PAIRS, EDGES, EdgeIndex,
+                            clear_denominators)
 
 EXTREME_A = {
     1: (0, 6, 6, 6, 6, 0),
@@ -55,26 +55,31 @@ B_MID = {(i, j): midpoint(EXTREME_B[i], EXTREME_B[j])
 
 
 def vertex_sums(p):
-    """Sum of the three edge coordinates at each vertex of K4."""
-    return tuple(sum(p[k] for k in VERTEX_EDGES[v]) for v in (1, 2, 3, 4))
+    """Sum of the three edge coordinates at each vertex of K4, in the
+    order of ``VERTEX_EDGES``."""
+    p12, p13, p14, p23, p24, p34 = p
+    return (p12 + p13 + p14, p12 + p23 + p24, p13 + p23 + p34,
+            p14 + p24 + p34)
 
 
 def axis_sums(p):
-    """Sum of each opposite-edge pair."""
-    return tuple(p[a] + p[b] for a, b in AXIS_PAIRS)
+    """Sum of each opposite-edge pair, in the order of ``AXIS_PAIRS``."""
+    p12, p13, p14, p23, p24, p34 = p
+    return (p12 + p34, p13 + p24, p14 + p23)
 
 
 def in_cone(p):
     """Weak membership in the pseudo-tetrahedron cone X.
 
-    The weak face inequalities alone force p >= 0: b <= a + c and
+    Each face of ``FACES`` needs |a - b| <= c <= a + b, its three weak
+    triangle inequalities.  They alone force p >= 0: b <= a + c and
     c <= a + b add to 2a >= 0, and every edge lies on a face.
     """
-    for slots in FACES.values():
-        a, b, c = (p[s] for s in slots)
-        if a > b + c or b > a + c or c > a + b:
-            return False
-    return True
+    p12, p13, p14, p23, p24, p34 = p
+    return (abs(p12 - p13) <= p23 <= p12 + p13
+            and abs(p12 - p14) <= p24 <= p12 + p14
+            and abs(p13 - p14) <= p34 <= p13 + p14
+            and abs(p23 - p24) <= p34 <= p23 + p24)
 
 
 # -- vertex relabelings -------------------------------------------------

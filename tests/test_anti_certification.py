@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import threading
 from collections import Counter
 from importlib import resources
 
@@ -11,9 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from tetravol import anti_certification
 from tetravol.anti_certification import (
-    SNAP_SCALE, Witness, _FloatForms, anti_certify, barycentric_block,
-    excluded_chambers, f_value_bordered, full_k4_campaign, g_value_cofactor,
-    read_witnesses, snap_point, verify_witness,
+    SNAP_SCALE, Witness, _FactorTree, _FloatForms, anti_certify,
+    barycentric_block, excluded_chambers, f_value_bordered, full_k4_campaign,
+    g_value_cofactor, read_witnesses, snap_point, verify_witness,
 )
 from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import EDGES, EdgeSubset, \
@@ -366,7 +368,7 @@ def test_float_forms_equal_the_broadcast_oracle_bit_for_bit(n):
     pts = rng.random((n, 6)) * 8.0
     pts[::3, rng.integers(6)] = 0.0
     pts[1::3] *= 1e6
-    for poly, got in zip(polys, _FloatForms(*polys).at(pts)):
+    for poly, got in zip(polys, _FloatForms(_FactorTree(*polys)).at(pts)):
         assert np.array_equal(got, float_form_reference(poly, pts))
 
 
@@ -380,6 +382,118 @@ def test_float_forms_ignore_the_term_order():
     cell = build_partitions().fortyeight["D_3111"]
     pts = barycentric_block(random.Random(5), 1024) @ np.array(
         cell.vertices, dtype=np.float64)
-    want = _FloatForms(*polys).at(pts)
-    got = _FloatForms(*flipped).at(pts)
+    want = _FloatForms(_FactorTree(*polys)).at(pts)
+    got = _FloatForms(_FactorTree(*flipped)).at(pts)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+exponent_tuples = st.tuples(*[st.integers(0, 4) for _ in range(6)])
+nonzero_ints = st.integers(-10 ** 6, 10 ** 6).filter(bool)
+
+
+@st.composite
+def prescreen_polynomials(draw):
+    """A 6-variable polynomial with a constant term, a single-variable
+    term and terms that share their leading factors."""
+    terms = draw(st.dictionaries(exponent_tuples, nonzero_ints, max_size=30))
+    terms[(0,) * 6] = draw(nonzero_ints)
+    v, k = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    terms[tuple(k if i == v else 0 for i in range(6))] = draw(nonzero_ints)
+    lead = draw(exponent_tuples)[:3]
+    for tail in draw(st.lists(exponent_tuples, min_size=2, max_size=4)):
+        terms[lead + tail[3:]] = draw(nonzero_ints)
+    return Polynomial(6, terms)
+
+
+@given(st.lists(prescreen_polynomials(), min_size=1, max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_float_forms_of_random_polynomials_equal_the_oracle(polys, seed):
+    # one object through batches that shrink and grow again, so a row
+    # that a larger batch left in a buffer would show
+    forms = _FloatForms(_FactorTree(*polys))
+    rng = np.random.default_rng(seed)
+    for n in (1024, 300, 1024, 1):
+        pts = rng.random((n, 6)) * 8.0
+        pts[::5, rng.integers(6)] = 0.0
+        for poly, got in zip(polys, forms.at(pts)):
+            assert got.tobytes() == float_form_reference(poly, pts).tobytes()
+
+
+def test_float_forms_on_the_first_campaign_batches(monkeypatch):
+    # full_k4_campaign's float candidate count is 0 at every seed, so its
+    # result cannot show drift in the K4 floats: rebuild its first two
+    # batches, see that the campaign hands its forms those points, and
+    # hold the forms' values there to the oracle
+    decs = decorations()
+    parts = build_partitions()
+    stack = np.array([parts.simplex_for_decoration(d).vertices
+                      for d in decs], dtype=np.float64)
+    rng = random.Random("K4-campaign|0")
+    want = []
+    for done in (0, 1024):
+        idx = (done + np.arange(1024)) % len(decs)
+        want.append(np.einsum("ij,ijk->ik", barycentric_block(rng, 1024),
+                              stack[idx]))
+    seen = []
+    at = _FloatForms.at
+
+    def spy(self, points):
+        values = at(self, points)
+        seen.append((points.copy(), [v.copy() for v in values]))
+        return values
+
+    monkeypatch.setattr(anti_certification._FloatForms, "at", spy)
+    assert full_k4_campaign(trials=2048, seed=0) == ([], 0)
+    polys = (f_polynomial(), directional_derivative(EdgeSubset.full()))
+    assert len(seen) == 2
+    for pts, (points, values) in zip(want, seen):
+        assert points.tobytes() == pts.tobytes()
+        for poly, got in zip(polys, values):
+            assert got.tobytes() == float_form_reference(poly, pts).tobytes()
+
+
+def test_campaigns_in_two_threads_match_one_after_the_other(monkeypatch):
+    # each search owns its forms' buffers, so two campaigns may run at
+    # once; every float of every batch must match the sequential run
+    seen = {}
+    at = _FloatForms.at
+
+    def spy(self, points):
+        values = at(self, points)
+        seen.setdefault(threading.current_thread().name, []).append(
+            b"".join(v.tobytes() for v in values))
+        return values
+
+    monkeypatch.setattr(anti_certification._FloatForms, "at", spy)
+    seeds = {"a": 5, "b": 6}
+
+    def campaigns(seed, out):
+        for _ in range(2):
+            out.append(full_k4_campaign(trials=4000, seed=seed))
+
+    alone = {name: [] for name in seeds}
+    for name, seed in seeds.items():
+        thread = threading.Thread(target=campaigns, name=name,
+                                  args=(seed, alone[name]))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    want, seen = seen, {}
+    results = {name: [] for name in seeds}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=campaigns, name=name,
+                                    args=(seed, results[name]))
+                   for name, seed in seeds.items()]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == alone == {name: [([], 0)] * 2 for name in seeds}
+    assert len(want["a"]) == len(want["b"]) == 8
+    assert seen == want

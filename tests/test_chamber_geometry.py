@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from tetravol import chamber_geometry
-from tetravol.cayley_menger import FACES, EdgeSubset, f_polynomial
+from tetravol.cayley_menger import (AXIS_PAIRS, FACES, VERTEX_EDGES,
+                                    EdgeSubset, f_polynomial)
 from tetravol.chamber_geometry import (
     A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, Decoration, LatticeSimplex6,
     Partitions, _int_det, all_relabelings, apply_relabel, axis_image,
@@ -91,6 +92,20 @@ def test_sum_identities():
     assert axis_sums(CENTER) == (8, 8, 8)
     assert vertex_sums(CENTER) == (12, 12, 12, 12)
     assert axis_sums(EXTREME_A[1]) == (0, 12, 12)
+
+
+def test_sums_equal_the_edge_tables():
+    # the written-out sums against VERTEX_EDGES and AXIS_PAIRS, on ints
+    # and on fractions
+    rng = random.Random(11)
+    points = [tuple(rng.randint(-50, 50) for _ in range(6))
+              for _ in range(200)]
+    points += [tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                     for _ in range(6)) for _ in range(50)]
+    for p in points:
+        assert vertex_sums(p) == tuple(sum(p[k] for k in VERTEX_EDGES[v])
+                                       for v in (1, 2, 3, 4))
+        assert axis_sums(p) == tuple(p[a] + p[b] for a, b in AXIS_PAIRS)
 
 
 def test_in_cone():
