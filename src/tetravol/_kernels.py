@@ -36,6 +36,28 @@ high, floor(u) passing up from a fraction limb u, and keeps a top below
 fitted (``_fit``): a top out of range splits alike into one more limb,
 except where ``from_poly``'s coefficients bound every top in range.
 
+``child`` makes only the top limb of a half, the map applied to its
+parent's top limb: t, the half's top before the carry from below.  Of a
+one-limb half that is all of it; a multi-limb half keeps its lower limbs
+and carry unmade until a method reads them (``_made``).  A WPD leaf's
+answer is mostly fixed by t already, since the carry is bounded.  Each
+lower limb of a fitted parent lies in [0, 1), so on row i of the half's
+map, with F_i and C_i the sums of the magnitudes of its negative and of
+its positive entries, a lower limb's product plus 2^-43 times the carry
+from below lies in [-F_i, C_i), and the carry it passes up, its floor,
+in [-F_i, C_i - 1], by induction from the lowest limb.  And t_i, like
+F_i and C_i, is a multiple of g_i, the gcd of row i.  So when min t >
+max_i (F_i - g_i), every t_i >= F_i and the half is WPD ('W'), its
+lower limbs never made; when min t < min_i (g_i - C_i), the row where t
+is least has t_i <= -C_i and the half is not (an 'S', made whole by
+``fit``); only in between does ``wpd`` make the half and test it.
+``SETTLES`` holds both bounds and max_i F_i per side and extent.  Row 0
+of either map is 2^(n-1) times a unit vector, so the origin's carry is
+in [0, 2^(n-1) - 1] and its t, a multiple of 2^(n-1), has the sign of
+the made top: ``origin_negative`` reads t alone, made or not.  ``wpd``
+keeps the least top it read, or a lower bound on it, and ``fit`` of that
+cube reads only the greatest top when the bound is above -2^43.
+
 ``from_poly`` reads a polynomial only through ``Polynomial.arrays``:
 the exponent matrix gives the box and each coefficient's flat index,
 and the int64 or object coefficient array is split into limbs by
@@ -53,8 +75,12 @@ overwritten.  A cube is valid until the engine next makes a cube at its
 depth, and one walk runs at a time per engine.  The walk keeps to that
 because it is depth first: a parent pending at depth d - 1 outlasts the
 halves it makes at depth d, and once a cube is made at depth d no
-pending entry refers to the one before.  Every cube is written whole
-before it is read, so no root depends on an earlier walk.  The carry
+pending entry refers to the one before.  A half whose lower limbs are
+unmade can be made whole until the engine next makes a half, as its
+parent, at the depth above, is unchanged until then: the walk reads a
+WPD half no more, and tests, fits or reads the corner of any other half
+before it pops the next.  Every limb is written before it is read, so
+no root depends on an earlier walk.  The carry
 of ``_normalize`` runs through a scratch row per size, also kept on the
 engine, so walks on two engines never share memory.  ``dilate`` and
 ``reflect``, which the walk never calls, write to fresh arrays.
@@ -96,6 +122,12 @@ PREFIX_T, REFLECT_T, DILATE_T, DILATE_REFLECT_T = (
     for table in (PREFIX, REFLECT, DILATE, DILATE_REFLECT))
 # child's maps by side: 0 the left half, 1 the right
 HALVES_T = (DILATE_T, DILATE_REFLECT_T)
+# SETTLES[side][n], for the left (side 0) and right half of extent n:
+# (w, s, f) = (1 + max_i (F_i - g_i), min_i (g_i - C_i), max_i F_i) over
+# the rows i of the half's map (module notes), which a test derives
+SETTLES = ({n: (0, 1 - (1 << n - 1), 0) for n in range(1, 8)},
+           {1: (0, 0, 0), 2: (0, -1, 0), 3: (0, -3, 0), 4: (1, -8, 4),
+            5: (9, -24, 16), 6: (33, -64, 48), 7: (97, -160, 128)})
 
 
 def _value(limbs):
@@ -123,12 +155,22 @@ def _normalize(cube, empty=np.empty):
     return cube
 
 
-def _fit(cube, empty=np.empty):
+def _apply(cube, table, out):
+    """table[n], a map's transpose, on the leading axis of each limb of
+    cube, written turned, that axis last, into out: one BLAS product
+    through a view of each."""
+    k, n = cube.shape[:2]
+    np.matmul(cube.reshape(k, n, -1).transpose(0, 2, 1), table[n],
+              out=out.reshape(k, -1, n))
+
+
+def _fit(cube, empty=np.empty, least=-np.inf):
     """cube if its top limb is in range, else its value one limb wider,
-    written into empty(shape), which may share cube's memory."""
+    written into empty(shape), which may share cube's memory.  least, a
+    lower bound on the top's entries, spares their minimum above -2^43."""
     top = cube[-1]
     if (np.maximum.reduce(top, axis=None) < LIMB
-            and np.minimum.reduce(top, axis=None) > -LIMB):
+            and (least > -LIMB or np.minimum.reduce(top, axis=None) > -LIMB)):
         return cube
     wide = empty((len(cube) + 1,) + cube.shape[1:])
     wide[:-2] = cube[:-1]
@@ -137,6 +179,12 @@ def _fit(cube, empty=np.empty):
     np.floor(wide[-2], out=wide[-1])
     wide[-2] -= wide[-1]
     return wide
+
+
+# the records of an engine with no half whose lower limbs are unmade,
+# and with no least top kept for fit
+NOTHING_UNMADE = (None, None, 0)
+NO_LEAST = (None, -np.inf)
 
 
 class NumpyBackend:
@@ -150,6 +198,12 @@ class NumpyBackend:
         # _normalize's carry, one scratch row per size, for this engine's
         # one walk at a time
         self._carry_row = cache(np.empty)
+        # the records of the cube the walk tests, dropped when the engine
+        # makes the next, so that no buffer outlives its slot through
+        # them: the last half child made while its lower limbs are
+        # unmade, (half, parent, side), and the last cube wpd tested with
+        # a lower bound on its top, for fit
+        self._unmade, self._least = NOTHING_UNMADE, NO_LEAST
 
     def from_poly(self, p):
         """The root cube of p, at depth 0, by five PREFIX passes."""
@@ -159,6 +213,7 @@ class NumpyBackend:
         shape = tuple((exps.max(axis=1, initial=0) + 1).tolist())
         if max(shape) > 7:
             raise ValueError("per-variable degree exceeds 6")
+        self._unmade, self._least = NOTHING_UNMADE, NO_LEAST
         top = max(int(vals.max(initial=0)), -int(vals.min(initial=0)))
         k = top.bit_length() // LIMB_BITS + 1
         cube = self._slot(1, (k,) + shape)
@@ -181,13 +236,25 @@ class NumpyBackend:
         return self.fit(cube, 0) if fit else cube
 
     def wpd(self, cube):
-        return bool(np.minimum.reduce(cube[-1], axis=None) >= 0)
+        least = np.minimum.reduce(cube[-1], axis=None)
+        half, parent, side = self._unmade
+        if half is cube:
+            w, s, f = SETTLES[side][parent.shape[1]]
+            if least >= w:
+                return True
+            if least < s:
+                self._least = cube, least - f
+                return False
+            least = np.minimum.reduce(self._made(cube)[-1], axis=None)
+        self._least = cube, least
+        return bool(least >= 0)
 
     def origin_negative(self, cube):
+        # the origin's carry never changes its top's sign (module notes)
         return bool(cube[-1, 0, 0, 0, 0, 0] < 0)
 
     def corner_value(self, cube):
-        return _value(cube[:, 0, 0, 0, 0, 0].tolist())
+        return _value(self._made(cube)[:, 0, 0, 0, 0, 0].tolist())
 
     # only perfbench/tracer.py binds them (ROADMAP item 5)
     def dilate(self, cube, axis):
@@ -199,24 +266,41 @@ class NumpyBackend:
     def fit(self, cube, depth):
         """cube, made at depth, if its top limb is in range, else its value
         one limb wider, at the same depth."""
-        return _fit(cube, lambda shape: self._slot(depth, shape))
+        tested, least = self._least
+        return _fit(self._made(cube), lambda shape: self._slot(depth, shape),
+                    least if tested is cube else -np.inf)
 
     def child(self, parent, depth, side):
         """One half, made at depth, of a split of a fitted parent along its
-        leading axis: the left (side 0) or the right (side 1)."""
-        return self._product(parent, HALVES_T[side], depth)
+        leading axis: the left (side 0) or the right (side 1).  Only its
+        top limb is made yet (module notes)."""
+        self._unmade, self._least = NOTHING_UNMADE, NO_LEAST
+        shape = parent.shape[:1] + parent.shape[2:] + parent.shape[1:2]
+        half = self._slot(depth, shape)
+        _apply(parent[-1:], HALVES_T[side], half[-1:])
+        if len(parent) > 1:
+            self._unmade = half, parent, side
+        return half
+
+    def _made(self, cube):
+        """cube, made whole now if it is the half whose lower limbs and
+        carry child left unmade."""
+        half, parent, side = self._unmade
+        if half is cube:
+            self._unmade = NOTHING_UNMADE
+            _apply(parent[:-1], HALVES_T[side], cube[:-1])
+            _normalize(cube, self._carry_row)
+        return cube
 
     def _product(self, cube, table, depth=None):
         """table[n], a map's transpose, on the leading axis of a cube whose
-        top limb is in range, through one view, turned, into depth's slot,
-        or a fresh array for no depth."""
+        top limb is in range, into depth's slot, or a fresh array for no
+        depth."""
         k, n = cube.shape[:2]
         shape = (k,) + cube.shape[2:] + (n,)
         out = np.empty(shape) if depth is None else self._slot(depth, shape)
-        _normalize(np.matmul(cube.reshape(k, n, -1).transpose(0, 2, 1),
-                             table[n], out=out.reshape(k, -1, n)),
-                   self._carry_row)
-        return out
+        _apply(cube, table, out)
+        return _normalize(out, self._carry_row)
 
     def _slot(self, depth, shape):
         """A view in shape of depth's buffer, grown first if too small."""

@@ -240,10 +240,8 @@ class Decoration:
             _AXIS_OF[frozenset((EdgeIndex.of(path[a], path[b]),
                                 EdgeIndex.of(path[c], path[d])))] - 1
             for a, b, c, d in ((0, 1, 2, 3), (1, 2, 0, 3), (0, 2, 1, 3)))
-
-    @property
-    def white(self):
-        return self.path[0]
+        # 0-based: the black vertex, the white endpoint and its neighbor
+        self._vertex_index = (black - 1, path[0] - 1, path[1] - 1)
 
     def edge_indices(self):
         p = self.path
@@ -260,12 +258,17 @@ class Decoration:
 
     def holds(self, asum, vsum):
         """The chamber's system on a point's axis sums and vertex sums."""
-        a_out, a_mid, a_dis = (asum[k] for k in self.axes)
+        out, mid, dis = self.axes
+        a_out, a_mid, a_dis = asum[out], asum[mid], asum[dis]
         if a_out < a_mid or a_out < a_dis or a_dis > a_mid:
             return False
-        if vsum[self.black - 1] != min(vsum):
+        v1, v2, v3, v4 = vsum
+        black, white, second = self._vertex_index
+        b = vsum[black]
+        # the black vertex's sum is their minimum
+        if b > v1 or b > v2 or b > v3 or b > v4:
             return False
-        return vsum[self.white - 1] <= vsum[self.path[1] - 1]
+        return vsum[white] <= vsum[second]
 
     def __eq__(self, other):
         return (isinstance(other, Decoration)

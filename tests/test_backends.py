@@ -7,8 +7,11 @@ beside it decodes a limb cube. The limb engine is checked against the
 oracle operation by operation on coefficients at the limb boundaries,
 its per-axis maps are rebuilt in Python ints, its root cubes are pinned
 to a construction by ``np.cumsum``, and its cubes, which span only the
-root's degree box, are checked to keep that box along whole walks. The
-run-level tests compare whole certify runs with the oracle's walk.
+root's degree box, are checked to keep that box along whole walks. A
+multi-limb half is made as its top limb first and its lower limbs only
+when the walk needs them; its answers are checked against the full
+product at the carry bounds that decide them. The run-level tests
+compare whole certify runs with the oracle's walk.
 """
 
 import dataclasses
@@ -17,7 +20,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd, lcm, prod
 from operator import le
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,8 +30,8 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from tetravol._kernels import (
-    DILATE, DILATE_REFLECT, LIMB, LIMB_BITS, PREFIX, REFLECT, NumpyBackend,
-    _fit, _normalize, _value, get_backend,
+    DILATE, DILATE_REFLECT, HALVES_T, LIMB, LIMB_BITS, PREFIX, REFLECT,
+    SETTLES, NumpyBackend, _fit, _normalize, _value, get_backend,
 )
 from tetravol import positive_dominance
 from tetravol.case_suite_cli import case_registry
@@ -117,6 +120,15 @@ def meets_limb_invariant(cube, top_bound=LIMB):
 PRODUCT_TOP = 321 * LIMB
 
 
+def made_whole(eng, cube):
+    """A copy of cube with every limb made, as eng makes a half's lower
+    limbs and carry, leaving eng and its cube as they are."""
+    copy, twin = cube.copy(), NumpyBackend()
+    if eng._unmade[0] is cube:
+        twin._unmade = (copy,) + eng._unmade[1:]
+    return twin._made(copy)
+
+
 # dilating axis 0 multiplies its box sums by 2^6 (the rows of DILATE[7]
 # sum to 64), so the largest box sum 2^85, a top limb of 2^42, leaves
 # the two-limb range and the cube must take a third limb
@@ -169,8 +181,16 @@ def test_limb_engine_agrees_with_the_object_oracle(p):
         parent = eng.fit(turned, axis)
         assert parent is turned and oracle.fit(ref, axis) is ref
         for side in (0, 1):
+            # the walk's tests read the half as child makes it, its lower
+            # limbs perhaps unmade, and must answer as the full product
+            whole = NumpyBackend()._product(parent, HALVES_T[side])
             child = eng.child(parent, axis + 1, side)
+            assert eng.origin_negative(child) == (
+                whole[-1, 0, 0, 0, 0, 0] < 0)
+            assert eng.wpd(child) == (whole[-1].min() >= 0)
             want = oracle.to_poly(oracle.child(ref, axis + 1, side))
+            assert eng._made(child) is child
+            assert np.array_equal(child, whole)
             assert meets_limb_invariant(child, PRODUCT_TOP)
             assert to_poly(child, axis + 1) == want
             fitted = eng.fit(child, axis + 1)
@@ -206,12 +226,14 @@ def cumsum_from_poly(p):
 class ProductSpy(NumpyBackend):
     """The limb engine, checking the input and output of every product.
 
-    A product's input is fitted unless ``from_poly`` has bounded its top
-    limb; either way it, and the root, must meet the limb invariant, so
-    its top limb is in range. Its output may keep a top limb past it,
-    below PRODUCT_TOP. ``limbs`` lists the inputs' and roots' limb
-    counts, ``past`` counts the outputs whose top limb left the range,
-    ``fits`` the calls to ``fit``, from_poly's and the walk's.
+    A product's input, a half's parent included, is fitted unless
+    ``from_poly`` has bounded its top limb; either way it, and the root,
+    must meet the limb invariant, so its top limb is in range. Its
+    output, each half made whole whether or not the walk has its lower
+    limbs made, may keep a top limb past it, below PRODUCT_TOP.
+    ``limbs`` lists the inputs' and roots' limb counts, ``past`` counts
+    the outputs whose top limb left the range, ``fits`` the calls to
+    ``fit``, from_poly's and the walk's.
     """
 
     def __init__(self):
@@ -231,7 +253,16 @@ class ProductSpy(NumpyBackend):
     def _product(self, cube, table, depth=None):
         assert meets_limb_invariant(cube)
         self.limbs.append(len(cube))
-        out = super()._product(cube, table, depth)
+        return self._output(super()._product(cube, table, depth))
+
+    def child(self, parent, depth, side):
+        assert meets_limb_invariant(parent)
+        self.limbs.append(len(parent))
+        half = super().child(parent, depth, side)
+        self._output(made_whole(self, half))
+        return half
+
+    def _output(self, out):
         assert meets_limb_invariant(out, PRODUCT_TOP)
         self.past += bool(abs(out[-1]).max() >= LIMB)
         return out
@@ -375,7 +406,7 @@ def test_dilate_takes_a_limb_past_the_edge():
     parent = eng.fit(dilated, 1)
     assert len(parent) == 3 and meets_limb_invariant(parent)
     for side in (0, 1):
-        half = eng.child(parent, 2, side)
+        half = eng._made(eng.child(parent, 2, side))
         assert len(half) == 3
         assert meets_limb_invariant(half, PRODUCT_TOP)
         assert to_poly(half, 2) == oracle.to_poly(oracle.child(ref, 2, side))
@@ -454,6 +485,226 @@ def test_per_axis_maps_move_coefficient_maps_to_box_sums(n):
         assert j > i or i == n - 1 or d[i][j] == (1 + (i == j)) * d[-1][j]
 
 
+def half_map(side, n):
+    """The map of a split's half, left (0) or right (1), in Python ints."""
+    return [[int(a) for a in row] for row in (DILATE, DILATE_REFLECT)[side][n]]
+
+
+def row_bounds(m):
+    """Per row of m: the magnitude sums of its negative and of its
+    positive entries, F and C, and the gcd of its entries, g."""
+    return ([sum(-a for a in row if a < 0) for row in m],
+            [sum(a for a in row if a > 0) for row in m],
+            [gcd(*row) for row in m])
+
+
+def solve(m, y):
+    """The rational x with m x = y, by Gauss-Jordan elimination."""
+    n = len(m)
+    rows = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(m, y)]
+    for c in range(n):
+        pivot = next(i for i in range(c, n) if rows[i][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [a / rows[c][c] for a in rows[c]]
+        for i in range(n):
+            if i != c:
+                rows[i] = [a - rows[i][c] * b
+                           for a, b in zip(rows[i], rows[c])]
+    return [row[-1] for row in rows]
+
+
+def egcd(a, b):
+    """(d, s, t) with a s + b t = d = gcd(a, b)."""
+    if b == 0:
+        return (abs(a), (a > 0) - (a < 0), 0)
+    d, s, t = egcd(b, a % b)
+    return d, t, s - (a // b) * t
+
+
+def parent_top(m, r, v, others=2 ** 30):
+    """Integers x with (m x)_r = v, a multiple of row r's gcd, and every
+    other entry of m x in (others - D, others], for D the least integer
+    that clears the denominators of m's inverse."""
+    n = len(m)
+    g, x = 0, [0] * n
+    for j, a in enumerate(m[r]):
+        g, s, t = egcd(g, a)
+        x = [s * b for b in x]
+        x[j] = t
+    assert v % g == 0
+    x = [v // g * b for b in x]
+    inverse = [solve(m, [int(i == j) for i in range(n)]) for j in range(n)]
+    d = lcm(*(q.denominator for col in inverse for q in col))
+    for j in range(n):
+        if j != r:
+            shift = (others - sum(a * b for a, b in zip(m[j], x))) // d
+            x = [b + shift * d * q for b, q in zip(x, inverse[j])]
+    assert all(Fraction(b).denominator == 1 for b in x)
+    return [int(b) for b in x]
+
+
+# the largest lower limb, (2^43 - 1) / 2^43
+LOW_MAX = (LIMB - 1) / LIMB
+
+
+def lower_limbs(m, r, pattern):
+    """One lower limb along the parent's leading axis: all 0, all
+    LOW_MAX, or LOW_MAX only where row r of m is negative ("neg", the
+    least carry into entry r) or positive ("pos", the greatest)."""
+    return {"zero": [0.0] * len(m), "max": [LOW_MAX] * len(m),
+            "neg": [LOW_MAX * (a < 0) for a in m[r]],
+            "pos": [LOW_MAX * (a > 0) for a in m[r]]}[pattern]
+
+
+def assert_half_matches_the_full_product(parent, side):
+    """child's half of parent answers origin_negative and wpd as the full
+    product does, fits to the same cube, and leaves its lower limbs
+    unmade exactly when its top before the carry, t, settles wpd.
+    Returns t, the carry into the top and the walk's answers."""
+    k, n = parent.shape[:2]
+    w, s, _ = SETTLES[side][n]
+    whole = NumpyBackend()._product(parent, HALVES_T[side])
+    want = _fit(whole.copy())
+    eng = NumpyBackend()
+    half = eng.child(parent, 1, side)
+    t = half[-1].copy()
+    negative = eng.origin_negative(half)
+    assert negative == (whole[-1, 0, 0, 0, 0, 0] < 0)
+    assert negative == (t[0, 0, 0, 0, 0] < 0)
+    leaf = eng.wpd(half)
+    assert leaf == (whole[-1].min() >= 0)
+    least = t.min()
+    assert (eng._unmade[0] is half) == (k > 1 and (least >= w or least < s))
+    fitted = eng.fit(half, 1)
+    assert fitted.shape == want.shape and np.array_equal(fitted, want)
+    assert meets_limb_invariant(fitted)
+    return t, whole[-1] - t, leaf, len(fitted)
+
+
+@pytest.mark.parametrize("side", (0, 1))
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_a_half_is_settled_by_its_top_exactly_at_the_carry_bounds(k, n, side):
+    # each row i of a half's map gives a carry into the top in
+    # [-F_i, C_i - 1] from a fitted parent, and a top t_i before the
+    # carry in g_i Z; SETTLES's bounds w and s, and f, the largest F_i,
+    # are tight, as each edge below shows
+    m = half_map(side, n)
+    f_row, c_row, g_row = row_bounds(m)
+    w, s, f = SETTLES[side][n]
+    assert w == 1 + max(a - b for a, b in zip(f_row, g_row))
+    assert s == min(b - c for b, c in zip(g_row, c_row))
+    assert f == max(f_row)
+    # row 0, the origin's, is 2^(n - 1) times a unit vector
+    assert (f_row[0], c_row[0], g_row[0]) == (0, 2 ** (n - 1), 2 ** (n - 1))
+    r_w = max(range(n), key=lambda i: f_row[i] - g_row[i])
+    r_s = min(range(n), key=lambda i: g_row[i] - c_row[i])
+    r_f = max(range(n), key=lambda i: f_row[i])
+    edge = 1 << LIMB_BITS
+
+    def at(r, v):
+        # row n - 1 ends in 1, so it takes any top
+        return (r, v) if v % g_row[r] == 0 else (n - 1, v)
+
+    tops = [at(r_w, w - 1), at(r_w, w), at(r_w, w + 1),
+            at(r_s, s - 1), at(r_s, s), at(r_s, s + 1),
+            (0, 0), (0, -g_row[0])]
+    if n > 1:
+        # a made top of -2^43 needs a map entry past 1 in magnitude
+        tops += [(r_f, f - edge), (r_f, f - edge + g_row[r_f])]
+    patterns = ("zero", "max", "neg", "pos") if k > 1 else ("zero",)
+    for (r, v), pattern in product(tops, patterns):
+        x = parent_top(m, r, v)
+        parent = np.empty((k, n, 1, 1, 1, 1))
+        parent[:-1, :, 0, 0, 0, 0] = lower_limbs(m, r, pattern)
+        parent[-1, :, 0, 0, 0, 0] = x
+        assert meets_limb_invariant(parent)
+        t, carry, leaf, limbs = assert_half_matches_the_full_product(
+            parent, side)
+        t, carry = t.ravel().tolist(), carry.ravel().tolist()
+        assert t == [sum(a * b for a, b in zip(row, x)) for row in m]
+        assert min(t) == t[r] == v
+        for i in range(n):
+            assert (-f_row[i] <= carry[i] <= c_row[i] - 1) if k > 1 else (
+                carry[i] == 0)
+        if k == 1:
+            continue
+        if pattern == "neg":
+            assert carry[r] == -f_row[r]
+        if pattern == "pos":
+            assert carry[r] == c_row[r] - 1
+        # one below w, a carry of -F makes a negative top; at s, a carry
+        # of C - 1 keeps the top nonnegative
+        if (r, v, pattern) == (r_w, w - 1, "neg"):
+            assert not leaf
+        if (r, v, pattern) == (r_s, s, "pos"):
+            assert leaf
+        # a top of -2^43 must widen, -2^43 + g need not
+        if (r, pattern) == (r_f, "neg") and v < 0:
+            assert limbs == k + (v == f - edge)
+
+
+def parents(k, n):
+    """Fitted parents of k limbs with n entries along the leading axis,
+    tops near the carry bounds, and lower limbs mostly at their ends."""
+    trail = st.tuples(st.integers(1, 3), st.integers(1, 2))
+    top = st.one_of(st.integers(-3, 6), st.integers(-400, 400),
+                    st.integers(1 - 2 ** 43, 2 ** 43 - 1))
+    low = st.one_of(st.sampled_from((0, 2 ** 43 - 1)),
+                    st.integers(0, 2 ** 43 - 1))
+
+    def cube(shape):
+        size = prod(shape[1:])
+        return st.tuples(st.lists(low, min_size=(k - 1) * size,
+                                  max_size=(k - 1) * size),
+                         st.lists(top, min_size=size, max_size=size)).map(
+            lambda lt: np.concatenate(
+                [np.array(lt[0], dtype=float) / LIMB,
+                 np.array(lt[1], dtype=float)]).reshape(shape))
+
+    return trail.flatmap(lambda tr: cube((k, n) + tr + (1, 1)))
+
+
+@given(st.integers(1, 3), st.integers(1, 7), st.integers(0, 1), st.data())
+@settings(max_examples=150, deadline=None)
+def test_random_halves_match_the_full_product(k, n, side, data):
+    parent = data.draw(parents(k, n))
+    assert meets_limb_invariant(parent)
+    assert_half_matches_the_full_product(parent, side)
+
+
+class UnmadeSpy(NumpyBackend):
+    """The limb engine, counting the multi-limb halves it makes and those
+    whose lower limbs the walk never had made: the half before each new
+    one, and the last, may still be unmade."""
+
+    def __init__(self):
+        super().__init__()
+        self.multi = self.unmade = 0
+
+    def child(self, parent, depth, side):
+        self.unmade += self._unmade[0] is not None
+        self.multi += len(parent) > 1
+        return super().child(parent, depth, side)
+
+
+def test_most_multi_limb_halves_are_settled_by_their_top(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import reference
+    key = "3-cycle/B_1/3g-f"
+    want = reference.load()[0][key]
+    spec = case_registry()["3-cycle"]
+    task, = (t for t in spec.tasks if reference.task_key("3-cycle", t) == key)
+    p = pullback(task.func.polynomial(spec.beta), spec.simplices[task.simplex])
+    spy = UnmadeSpy()
+    assert _traverse(p, want.budget, spy) == want
+    # of 1,274 halves, 1,220 have more than one limb, and 490 of those
+    # are WPD leaves whose lower limbs were never made; a walk back on
+    # whole products would leave none
+    assert (want.steps, spy.multi) == (1275, 1220)
+    assert spy.unmade + (spy._unmade[0] is not None) == 490
+
+
 @given(limb_edge_polys5())
 # box sums [2^43, 1], [2^43, 0] and [2^43, -1] along axis 0
 @example(Polynomial(5, {(0, 0, 0, 0, 0): 2 ** 43,
@@ -500,8 +751,8 @@ class CubeSpy(NumpyBackend):
     """The limb engine, keeping a copy of every cube the walk gets from it.
 
     Copies, because the engine writes the next cube made at a depth over
-    the last; each with its depth, the number of times its axes have
-    turned.
+    the last, and made whole, as a half's lower limbs may never be; each
+    with its depth, the number of times its axes have turned.
     """
 
     def __init__(self):
@@ -515,7 +766,7 @@ class CubeSpy(NumpyBackend):
 
     def child(self, parent, depth, side):
         cube = super().child(parent, depth, side)
-        self.cubes.append((depth, cube.copy()))
+        self.cubes.append((depth, made_whole(self, cube)))
         return cube
 
 
@@ -606,11 +857,12 @@ class WalkSpy(NumpyBackend):
     against it whenever the walk reads it: when the walk tests its
     origin, brings it in range, or makes a half of it. So no cube is
     written while the walk can still read it, although the engine makes
-    each cube in the buffer of its depth. Per walk, ``tested`` counts
-    the cubes whose origin the walk read, ``products`` the products, the
-    root's five PREFIX passes included, and ``fits`` the cubes the walk
-    brought in range to split. ``fresh`` counts the buffers the engine
-    makes, across walks.
+    each cube in the buffer of its depth; only a half's unmade lower
+    limbs may be, and then the half must equal the full product. Per
+    walk, ``tested`` counts the cubes whose origin the walk read,
+    ``products`` the halves made and the root's five PREFIX passes, and
+    ``fits`` the cubes the walk brought in range to split. ``fresh``
+    counts the buffers the engine makes, across walks.
     """
 
     def __init__(self):
@@ -618,17 +870,22 @@ class WalkSpy(NumpyBackend):
         self.fresh = 0
         self.rooting = False
 
-    def _hand_out(self, cube, depth, tested=False):
+    def _hand_out(self, cube, depth, tested=False, whole=None):
         # each cube views its depth's buffer; held keeps it, so that no
-        # other cube takes its id
+        # other cube takes its id. A half's lower limbs may be made after
+        # it is handed out, and must then make it whole, the full product
         assert cube.base is self._slots[depth]
-        self.held[id(cube)] = (cube, digest(cube), tested)
+        self.held[id(cube)] = (cube, digest(cube),
+                               digest(cube if whole is None else whole),
+                               tested)
         return cube
 
     def _read(self, cube):
-        """Whether the walk has tested cube, which must be unchanged."""
-        _, want, tested = self.held[id(cube)]
-        assert digest(cube) == want
+        """Whether the walk has tested cube, which must be unchanged but
+        for its lower limbs, if unmade when handed out, made whole."""
+        _, handed, whole, tested = self.held[id(cube)]
+        unmade = self._unmade[0] is cube
+        assert digest(cube) == (handed if unmade else whole)
         return tested
 
     def _slot(self, depth, shape):
@@ -652,7 +909,7 @@ class WalkSpy(NumpyBackend):
 
     def origin_negative(self, cube):
         self._read(cube)
-        self.held[id(cube)] = (cube, digest(cube), True)
+        self.held[id(cube)] = self.held[id(cube)][:3] + (True,)
         self.tested += 1
         return super().origin_negative(cube)
 
@@ -665,9 +922,11 @@ class WalkSpy(NumpyBackend):
 
     def child(self, parent, depth, side):
         self._read(parent)
+        self.products += 1
         cube = super().child(parent, depth, side)
         assert not np.shares_memory(cube, parent)
-        return self._hand_out(cube, depth)
+        return self._hand_out(cube, depth, whole=NumpyBackend()._product(
+            parent, HALVES_T[side]))
 
 
 # WIDENS_ON_DILATE is WPD at its root; times (x1 - x3)^2, which never
@@ -689,7 +948,7 @@ def assert_walk_accounts(spy, actions):
     it reads every cube it makes.
     """
     steps = len(actions)
-    assert all(tested for _, _, tested in spy.held.values())
+    assert all(held[-1] for held in spy.held.values())
     assert spy.tested == steps
     # one product per cube tested past the root, after the root's five
     # PREFIX passes, and one range test per split
@@ -770,10 +1029,10 @@ def test_walk_never_writes_a_cube_on_its_stack():
 
 
 def halves(eng, parent, depth):
-    """Both halves, made at depth, of a split of a fitted parent, left
-    first: a copy of the left, which the right is written over."""
-    left = eng.child(parent, depth, 0).copy()
-    return [left, eng.child(parent, depth, 1)]
+    """Both halves, made whole at depth, of a split of a fitted parent,
+    left first: a copy of the left, which the right is written over."""
+    left = eng._made(eng.child(parent, depth, 0)).copy()
+    return [left, eng._made(eng.child(parent, depth, 1))]
 
 
 def test_cubes_at_other_depths_never_share_memory():
@@ -784,7 +1043,7 @@ def test_cubes_at_other_depths_never_share_memory():
     left, right = halves(eng, root, 1)
     assert left.base is None and right.base is eng._slots[1]
     assert not np.array_equal(left, right)
-    assert np.array_equal(eng.child(root, 1, 0), left)
+    assert np.array_equal(eng._made(eng.child(root, 1, 0)), left)
     assert np.array_equal(right, left)
     # a parent widened past its depth's buffer gets a larger one; dilate,
     # which the walk never calls, writes to a fresh array

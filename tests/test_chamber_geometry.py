@@ -108,6 +108,34 @@ def test_sums_equal_the_edge_tables():
         assert axis_sums(p) == tuple(p[a] + p[b] for a, b in AXIS_PAIRS)
 
 
+def holds_as_written(d, asum, vsum):
+    """The chamber system of a decoration, read off its definition."""
+    a_out, a_mid, a_dis = (asum[k] for k in d.axes)
+    return (a_out >= a_mid and a_out >= a_dis and a_dis <= a_mid
+            and vsum[d.black - 1] == min(vsum)
+            and vsum[d.path[0] - 1] <= vsum[d.path[1] - 1])
+
+
+def test_holds_equals_the_written_system():
+    # small coordinates, so that axis and vertex sums often tie, on ints
+    # and on fractions, over all 48 decorations
+    rng = random.Random(13)
+    points = [tuple(rng.randint(0, 3) for _ in range(6)) for _ in range(300)]
+    points += [tuple(Fraction(rng.randint(0, 6), rng.randint(1, 3))
+                     for _ in range(6)) for _ in range(100)]
+    points += [CENTER] + EXTREMA
+    decs = decorations()
+    assert len(decs) == 48
+    seen = set()
+    for p in points:
+        asum, vsum = axis_sums(p), vertex_sums(p)
+        for d in decs:
+            want = holds_as_written(d, asum, vsum)
+            assert d.holds(asum, vsum) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
 def test_in_cone():
     assert in_cone(CENTER)
     for p in EXTREMA:
