@@ -72,10 +72,12 @@ place, ``_fit`` leaves the lower limbs where they lie and splits the
 top limb where it lies before writing the new top above it, and a grown
 buffer is a new array, so either way the cube is read before it is
 overwritten.  A cube is valid until the engine next makes a cube at its
-depth, and one walk runs at a time per engine.  The walk keeps to that
-because it is depth first: a parent pending at depth d - 1 outlasts the
-halves it makes at depth d, and once a cube is made at depth d no
-pending entry refers to the one before.  A half whose lower limbs are
+depth, and one walk runs at a time per engine: ``positive_dominance``
+walks only while it holds its lock, as threads share the engine that
+``get_backend`` caches.  The walk keeps to that because it is depth
+first: a parent pending at depth d - 1 outlasts the halves it makes at
+depth d, and once a cube is made at depth d no pending entry refers to
+the one before.  A half whose lower limbs are
 unmade can be made whole until the engine next makes a half, as its
 parent, at the depth above, is unchanged until then: the walk reads a
 WPD half no more, and tests, fits or reads the corner of any other half

@@ -317,7 +317,8 @@ def full_k4_campaign(trials=100000, seed=0):
     rng = random.Random("K4-campaign|%d" % seed)
     outcomes = list(_outcomes(decorations(), EdgeSubset.full(), rng, trials,
                               trials))
-    return [w for w in outcomes if w], len(outcomes)
+    witnesses = [w for w in outcomes if w]
+    return witnesses, len(outcomes) - len(witnesses)
 
 
 # -- independent evaluation path ----------------------------------------

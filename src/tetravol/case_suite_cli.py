@@ -24,7 +24,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from . import anti_certification as anticert
-from .cayley_menger import (EdgeSubset, FACES, directional_derivative,
+from .cayley_menger import (EdgeSubset, directional_derivative,
                             f_hat_value, f_polynomial, is_tetrahedral,
                             strict_faces, tetrahedral_f)
 from .chamber_geometry import (A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B,
@@ -536,11 +536,13 @@ def random_tetrahedral(rng, max_entry=100):
 
 
 def lengthen_margin(d, t=1):
-    """Exact numerator of the scaled volume gain from lengthening by t."""
-    f = f_polynomial()
+    """Exact numerator of the scaled volume gain from lengthening by t.
+
+    f at d and at d + t is ``f_hat_value`` of the squared lists.
+    """
     s = sum(d)
-    grown = f.evaluate(tuple(x + t for x in d))
-    return grown * s ** 6 - f.evaluate(d) * (s + 6 * t) ** 6
+    grown = f_hat_value([(x + t) ** 2 for x in d])
+    return grown * s ** 6 - f_hat_value([x * x for x in d]) * (s + 6 * t) ** 6
 
 
 def lengthen_check(d, t=1):
@@ -553,22 +555,22 @@ def lengthen_check(d, t=1):
     return f_grown is not None and f_grown * s ** 6 >= f_d * (s + 6 * t) ** 6
 
 
-def _root_triangle(x, y, z):
-    """Decide sqrt(x) < sqrt(y) + sqrt(z) exactly on nonnegative ints."""
-    d = x - y - z
-    if d < 0:
-        return True
-    return d * d < 4 * y * z
-
-
 def root_face_conditions(s):
-    """Strict triangle inequalities for the length list sqrt(s)."""
-    for i, j, k in FACES.values():
-        x, y, z = s[i], s[j], s[k]
-        if not (_root_triangle(x, y, z) and _root_triangle(y, z, x)
-                and _root_triangle(z, x, y)):
-            return False
-    return True
+    """Strict triangle inequalities for the length list sqrt(s), s >= 0.
+
+    Heron's form 2(xy + yz + zx) - x^2 - y^2 - z^2 of a face's squared
+    sides x, y, z is (a+b+c)(-a+b+c)(a-b+c)(a+b-c) in their roots a, b,
+    c.  Any two of the last three factors add up to twice a side, so no
+    two are negative, and the form is positive exactly when all four
+    factors are: the three strict triangle inequalities.  One exact test
+    per face, on ints or Fractions.
+    """
+    s0, s1, s2, s3, s4, s5 = s
+    return (
+        2 * (s0 * s1 + s1 * s3 + s3 * s0) > s0 * s0 + s1 * s1 + s3 * s3
+        and 2 * (s0 * s2 + s2 * s4 + s4 * s0) > s0 * s0 + s2 * s2 + s4 * s4
+        and 2 * (s1 * s2 + s2 * s5 + s5 * s1) > s1 * s1 + s2 * s2 + s5 * s5
+        and 2 * (s3 * s4 + s4 * s5 + s5 * s3) > s3 * s3 + s4 * s4 + s5 * s5)
 
 
 def root_list_check(d):
@@ -581,8 +583,9 @@ def root_list_check(d):
 def quadrature_check(a, b):
     """sqrt(a^2 + b^2) entrywise spans a larger tetrahedron than a.
 
-    Both inputs must be tetrahedral; the combined list is checked via
-    the squared-length determinant and exact root triangle tests.
+    Both inputs must be tetrahedral.  The combined list is taken in its
+    squares s = a^2 + b^2: f_hat(s) must exceed f(a), and the faces of
+    sqrt(s) pass Heron's form (``root_face_conditions``).
     """
     fa = tetrahedral_f(a)  # f(a) = f_hat(a^2)
     if fa is None or not is_tetrahedral(b):

@@ -411,9 +411,7 @@ def verify_barycenter_conditions():
     a_avg = tuple(Fraction(sum(c), 3) for c in zip(*EXTREME_A.values()))
     b_avg = tuple(Fraction(sum(c), 4) for c in zip(*EXTREME_B.values()))
     return {
-        "face_equality_point": b1,
         "face_equality_holds": b1[2] + b1[4] == b1[0],
-        "vertex_tie_point": b2,
         "vertex_tie_holds": vs2[2] == vs2[3],
         "extrema_average_to_center":
             a_avg == tuple(map(Fraction, CENTER))

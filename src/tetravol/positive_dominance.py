@@ -26,14 +26,20 @@ histogram, actions and witness.
 
 Both run on the float64 limb engine of ``_kernels``, which widens a cube
 instead of overflowing, so a walk is exact at any coefficient size.
+``get_backend`` returns one shared engine whose buffers serve one walk
+at a time, so ``certify`` and ``replay`` walk while holding the lock
+``_WALK``: walks started by several threads take turns.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ._kernels import get_backend
+
+_WALK = threading.Lock()
 
 
 @dataclass
@@ -58,7 +64,8 @@ def certify(p, budget=10 ** 6):
     Deterministic: the same polynomial and budget give the same
     certificate.
     """
-    return _traverse(p, budget, get_backend())
+    with _WALK:
+        return _traverse(p, budget, get_backend())
 
 
 def replay(p, certificate):
@@ -68,8 +75,9 @@ def replay(p, certificate):
     action that differs from its recorded ones, so it never takes more
     than one step past them.
     """
-    return certificate == _traverse(p, certificate.budget, get_backend(),
-                                    certificate.actions)
+    with _WALK:
+        return certificate == _traverse(p, certificate.budget,
+                                        get_backend(), certificate.actions)
 
 
 def _traverse(p, budget, eng, expect=None):

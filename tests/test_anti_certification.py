@@ -313,6 +313,16 @@ def test_small_campaign_comes_back_empty():
     assert again == (ws, hits)
 
 
+def test_campaign_counts_only_the_rejected_candidates(monkeypatch):
+    w = read_witnesses()[0]
+
+    def outcomes(decs, beta, rng, trials, cubed_from):
+        yield from (None, w, None)
+
+    monkeypatch.setattr(anti_certification, "_outcomes", outcomes)
+    assert full_k4_campaign(trials=3) == ([w], 2)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("trials", [10000, 20000, 30000])
 def test_campaign_outcomes_at_benchmark_sizes(trials, seed):

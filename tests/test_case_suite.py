@@ -1,5 +1,6 @@
 """Registry integrity, one full case run, and the property suites."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from tetravol.case_suite_cli import (
     CaseFunction, CertTask, CurveResult, case_names, case_registry,
     curve_result, grade_task, lengthen_check, lengthen_margin,
     quadrature_check, random_tetrahedral, root_face_conditions,
-    root_list_check, run_case, symmetry_cover, _root_triangle,
+    root_list_check, run_case, symmetry_cover,
 )
 from tetravol import cayley_menger
 from tetravol.anti_certification import f_value_bordered
@@ -247,13 +248,61 @@ def test_lengthen_check_evaluates_f_once_per_list(monkeypatch):
         lengthen_check((1, 1, 1, 1, 1, 5))
 
 
+def _root_triangle(x, y, z):
+    """Decide sqrt(x) < sqrt(y) + sqrt(z) exactly on nonnegative ints."""
+    d = x - y - z
+    if d < 0:
+        return True
+    return d * d < 4 * y * z
+
+
+def _root_faces_by_cases(s):
+    """The oracle: each face's three square-root triangle inequalities,
+    each decided by the case split of ``_root_triangle``."""
+    return all(_root_triangle(s[i], s[j], s[k])
+               and _root_triangle(s[j], s[k], s[i])
+               and _root_triangle(s[k], s[i], s[j])
+               for i, j, k in FACES.values())
+
+
+def _margin_by_expanded_f(d, t):
+    """The oracle for lengthen_margin: f from the expanded polynomial."""
+    f, s = cayley_menger.f_polynomial(), sum(d)
+    return (f.evaluate(tuple(x + t for x in d)) * s ** 6
+            - f.evaluate(d) * (s + 6 * t) ** 6)
+
+
 def test_root_triangle_is_exact_near_the_boundary():
     assert _root_triangle(3, 1, 1)
     assert not _root_triangle(4, 1, 1)
     big = 10 ** 12
-    assert _root_triangle(4 * big - 1, big, big)
-    assert not _root_triangle(4 * big, big, big)
-    assert not _root_triangle(4 * big + 1, big, big)
+    for x, holds in ((4 * big - 1, True), (4 * big, False),
+                     (4 * big + 1, False)):
+        assert _root_triangle(x, big, big) == holds
+        # x in each slot, so on two faces with the sides big and big
+        for k in range(6):
+            s = [big] * 6
+            s[k] = x
+            assert root_face_conditions(s) == holds == _root_faces_by_cases(s)
+
+
+def test_heron_faces_equal_the_case_split_on_small_entries():
+    held = 0
+    for s in itertools.product(range(8), repeat=6):
+        want = _root_faces_by_cases(s)
+        assert root_face_conditions(s) == want, s
+        held += want
+    assert 0 < held < 8 ** 6
+
+
+def test_lengthen_margin_equals_the_expanded_polynomial_form():
+    rng = random.Random(15)
+    for i in range(200):
+        d = random_tetrahedral(rng)
+        if i % 2:
+            d = tuple(Fraction(x, 7) for x in d)
+        for t in (1, 2, Fraction(1, 3), -1):
+            assert lengthen_margin(d, t) == _margin_by_expanded_f(d, t)
 
 
 def test_root_conditions_on_random_tetrahedra():

@@ -3,15 +3,19 @@
 import dataclasses
 import json
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tetravol._kernels import NumpyBackend, get_backend
+from tetravol.case_suite_cli import case_registry
 from tetravol.exact_poly import Polynomial
 from tetravol.positive_dominance import (Certificate, _read, _traverse,
                                          certify, replay, tree_shape)
+from tetravol.simplex_pullback import pullback
 
 X = [Polynomial.variable(5, k) for k in range(5)]
 ONE = Polynomial.constant(5, 1)
@@ -120,6 +124,33 @@ def test_replay_accepts_genuine_certificates():
                       (X[0] * X[0] - 2 * X[0] + ONE, 1)]:
         cert = certify(p, budget=budget)
         assert replay(p, cert)
+
+
+def test_walks_started_by_three_threads_match_the_serial_ones():
+    # every walk runs on the engine get_backend() shares, whose per-depth
+    # buffers hold one walk's cubes; unserialized, the walks overwrite
+    # each other's cubes and come back with wrong certificates
+    registry, polys = case_registry(), []
+    for name, simplex, label in (("single-edge", "S1", "g"),
+                                 ("opposite-pair", "U3", "g"),
+                                 ("tripod", "C_21", "3g-f")):
+        spec = registry[name]
+        (task,) = [t for t in spec.tasks
+                   if t.simplex == simplex and t.func.label == label]
+        polys.append(pullback(task.func.polynomial(spec.beta),
+                              spec.simplices[simplex]))
+    serial = [certify(p) for p in polys]
+    assert [c.steps for c in serial] == [421, 473, 779]
+    start = threading.Barrier(len(polys), timeout=60)
+
+    def walk(p, cert):
+        start.wait()
+        return certify(p), replay(p, cert)
+
+    with ThreadPoolExecutor(len(polys)) as pool:
+        for _ in range(3):
+            got = list(pool.map(walk, polys, serial))
+            assert got == [(c, True) for c in serial]
 
 
 def test_replay_rejects_tampering(monkeypatch):
