@@ -66,6 +66,18 @@ whole-array floor remainders and shifts, exact on either dtype.
 The engine writes the cube it makes at depth d of the walk, the root at
 depth 0, into one flat buffer kept for that depth (``_slots[d]``), grown
 when too small and never shrunk, so a warm engine makes no new array.
+Each depth also keeps one record per cube shape (``_Views``): the cube,
+its limb rows for the carry of ``_normalize``, its top limb for the
+reductions and the origin test, its top-limb and lower-limb operands as
+a parent, and its top and lower output views as a half.  So the views
+are made once per depth and shape, not on every product, and a warm
+walk makes no view either.  A record is found from its cube by
+identity; a cube from outside the buffers gets one made on the spot.
+When a depth's buffer grows, its records are dropped and made anew on
+the new buffer, so no view keeps an old buffer alive.  A buffer grows
+only while all the buffers together stay within ``MEMORY_CAP`` bytes; a
+walk that would pass the cap stops with ``MemoryCapError`` before it
+allocates.
 ``from_poly`` runs its five passes between the buffers of depths 1 and
 0, ending at 0.  ``fit`` widens a cube into its own depth's buffer: in
 place, ``_fit`` leaves the lower limbs where they lie and splits the
@@ -140,47 +152,75 @@ def _value(limbs):
     return v
 
 
-def _normalize(cube, empty=np.empty):
+# the most bytes an engine's depth buffers may hold in all; the 36
+# pinned walks hold 4.0 MB
+MEMORY_CAP = 512 << 20
+
+
+class MemoryCapError(MemoryError):
+    """A walk's buffers would pass ``MEMORY_CAP``."""
+
+
+class _Views:
+    """A cube of k limbs, leading extent n, and the views of it that the
+    engine reads and writes: its limb rows, flat, the last its top limb;
+    its limbs' leading axis last, top and lower limbs apart, as a
+    product's left operand; and its limbs with their last axis last, as
+    a product's output.  ``turned`` is the shape of its products."""
+
+    __slots__ = ("cube", "n", "turned", "rows", "top", "top_in", "low_in",
+                 "top_out", "low_out")
+
+    def __init__(self, cube):
+        k, n = cube.shape[:2]
+        self.cube, self.n = cube, n
+        self.turned = (k,) + cube.shape[2:] + (n,)
+        self.rows = tuple(cube.reshape(k, -1))
+        self.top = self.rows[-1]
+        ins = cube.reshape(k, n, -1).transpose(0, 2, 1)
+        self.top_in, self.low_in = ins[-1:], ins[:-1]
+        outs = cube.reshape(k, -1, cube.shape[-1])
+        self.top_out, self.low_out = outs[-1:], outs[:-1]
+
+
+def _fresh(shape):
+    """The views of a new array in shape, outside the depth buffers."""
+    return _Views(np.empty(shape))
+
+
+def _normalize(views, empty=np.empty):
     """Carry limbs low to high, in place, into a top limb of any size:
     exact on integers below 2^53, in units of 2^-43 below the top, whose
     carries fit in the limb above.  The carry row is empty(size).  A
     one-limb cube has nothing to carry."""
-    if len(cube) == 1:
-        return cube
-    rows = cube.reshape(len(cube), -1)
-    carry = empty(rows.shape[1])
-    for i in range(len(rows) - 1):
-        np.floor(rows[i], out=carry)
-        rows[i] -= carry
-        rows[i + 1] += carry if i == len(rows) - 2 else np.divide(
-            carry, LIMB, out=carry)
-    return cube
+    rows = views.rows
+    if len(rows) > 1:
+        carry = empty(len(rows[0]))
+        for low, high in zip(rows, rows[1:]):
+            np.floor(low, out=carry)
+            low -= carry
+            high += carry if high is views.top else np.divide(
+                carry, LIMB, out=carry)
+    return views.cube
 
 
-def _apply(cube, table, out):
-    """table[n], a map's transpose, on the leading axis of each limb of
-    cube, written turned, that axis last, into out: one BLAS product
-    through a view of each."""
-    k, n = cube.shape[:2]
-    np.matmul(cube.reshape(k, n, -1).transpose(0, 2, 1), table[n],
-              out=out.reshape(k, -1, n))
-
-
-def _fit(cube, empty=np.empty, least=-np.inf):
-    """cube if its top limb is in range, else its value one limb wider,
-    written into empty(shape), which may share cube's memory.  least, a
-    lower bound on the top's entries, spares their minimum above -2^43."""
-    top = cube[-1]
-    if (np.maximum.reduce(top, axis=None) < LIMB
-            and (least > -LIMB or np.minimum.reduce(top, axis=None) > -LIMB)):
+def _fit(views, empty=_fresh, least=-np.inf):
+    """The cube if its top limb is in range, else its value one limb
+    wider, written into the cube of empty(shape), which may share its
+    memory.  least, a lower bound on the top's entries, spares their
+    minimum above -2^43."""
+    top, cube = views.top, views.cube
+    if (np.maximum.reduce(top) < LIMB
+            and (least > -LIMB or np.minimum.reduce(top) > -LIMB)):
         return cube
     wide = empty((len(cube) + 1,) + cube.shape[1:])
-    wide[:-2] = cube[:-1]
+    wide.cube[:-2] = cube[:-1]
     # floor division: a negative top gives a fraction under a carry >= -321
-    np.divide(top, LIMB, out=wide[-2])
-    np.floor(wide[-2], out=wide[-1])
-    wide[-2] -= wide[-1]
-    return wide
+    split = wide.rows[-2]
+    np.divide(top, LIMB, out=split)
+    np.floor(split, out=wide.top)
+    split -= wide.top
+    return wide.cube
 
 
 # the records of an engine with no half whose lower limbs are unmade,
@@ -197,14 +237,18 @@ class NumpyBackend:
     def __init__(self):
         # depth -> the flat buffer that the cube made at that depth views
         self._slots = {}
+        # depth -> shape -> the _Views of the cube in that shape viewing
+        # depth's buffer, and id(cube) -> the same _Views, which holds
+        # the cube, so that no other array takes its id
+        self._records, self._by_id = {}, {}
         # _normalize's carry, one scratch row per size, for this engine's
         # one walk at a time
         self._carry_row = cache(np.empty)
         # the records of the cube the walk tests, dropped when the engine
         # makes the next, so that no buffer outlives its slot through
         # them: the last half child made while its lower limbs are
-        # unmade, (half, parent, side), and the last cube wpd tested with
-        # a lower bound on its top, for fit
+        # unmade, (half, the parent's _Views, side), and the last cube
+        # wpd tested with a lower bound on its top, for fit
         self._unmade, self._least = NOTHING_UNMADE, NO_LEAST
 
     def from_poly(self, p):
@@ -218,18 +262,19 @@ class NumpyBackend:
         self._unmade, self._least = NOTHING_UNMADE, NO_LEAST
         top = max(int(vals.max(initial=0)), -int(vals.min(initial=0)))
         k = top.bit_length() // LIMB_BITS + 1
-        cube = self._slot(1, (k,) + shape)
-        cube.fill(0)
-        rows, flat = cube.reshape(k, -1), np.ravel_multi_index(exps, shape)
-        for i in range(k - 1):
-            rows[i, flat] = vals % (1 << LIMB_BITS) / LIMB
+        views = self._slot(1, (k,) + shape)
+        views.cube.fill(0)
+        flat = np.ravel_multi_index(exps, shape)
+        for row in views.rows[:-1]:
+            row[flat] = vals % (1 << LIMB_BITS) / LIMB
             vals = vals >> LIMB_BITS
-        rows[k - 1, flat] = vals
+        views.top[flat] = vals
         # each box sum of a pass, or of the root, sums some of the n
         # coefficients c, so its top limb is at most |c|_1 / 2^(43(k-1))
         # + 1 < sum(|t|) + n + 1 in magnitude, for t = c >> 43(k-1) the
         # top limbs: if that is at most 2^43, no pass input needs _fit
         fit = int(abs(vals).sum()) + len(vals) >= LIMB
+        cube = views.cube
         # the passes alternate between depths 1 and 0, ending at 0
         for depth in (0, 1, 0, 1, 0):
             if fit:
@@ -238,38 +283,41 @@ class NumpyBackend:
         return self.fit(cube, 0) if fit else cube
 
     def wpd(self, cube):
-        least = np.minimum.reduce(cube[-1], axis=None)
+        views = self._views(cube)
+        least = np.minimum.reduce(views.top)
         half, parent, side = self._unmade
         if half is cube:
-            w, s, f = SETTLES[side][parent.shape[1]]
+            w, s, f = SETTLES[side][parent.n]
             if least >= w:
                 return True
             if least < s:
                 self._least = cube, least - f
                 return False
-            least = np.minimum.reduce(self._made(cube)[-1], axis=None)
+            self._made(cube)
+            least = np.minimum.reduce(views.top)
         self._least = cube, least
         return bool(least >= 0)
 
     def origin_negative(self, cube):
         # the origin's carry never changes its top's sign (module notes)
-        return bool(cube[-1, 0, 0, 0, 0, 0] < 0)
+        return bool(self._views(cube).top[0] < 0)
 
     def corner_value(self, cube):
         return _value(self._made(cube)[:, 0, 0, 0, 0, 0].tolist())
 
     # only perfbench/tracer.py binds them (ROADMAP item 5)
     def dilate(self, cube, axis):
-        return self._product(_fit(cube), DILATE_T)
+        return self._product(_fit(self._views(cube)), DILATE_T)
 
     def reflect(self, cube, axis):
-        return self._product(_fit(cube), REFLECT_T)
+        return self._product(_fit(self._views(cube)), REFLECT_T)
 
     def fit(self, cube, depth):
         """cube, made at depth, if its top limb is in range, else its value
         one limb wider, at the same depth."""
         tested, least = self._least
-        return _fit(self._made(cube), lambda shape: self._slot(depth, shape),
+        return _fit(self._views(self._made(cube)),
+                    lambda shape: self._slot(depth, shape),
                     least if tested is cube else -np.inf)
 
     def child(self, parent, depth, side):
@@ -277,12 +325,12 @@ class NumpyBackend:
         leading axis: the left (side 0) or the right (side 1).  Only its
         top limb is made yet (module notes)."""
         self._unmade, self._least = NOTHING_UNMADE, NO_LEAST
-        shape = parent.shape[:1] + parent.shape[2:] + parent.shape[1:2]
-        half = self._slot(depth, shape)
-        _apply(parent[-1:], HALVES_T[side], half[-1:])
-        if len(parent) > 1:
-            self._unmade = half, parent, side
-        return half
+        views = self._views(parent)
+        half = self._slot(depth, views.turned)
+        np.matmul(views.top_in, HALVES_T[side][views.n], out=half.top_out)
+        if len(views.rows) > 1:
+            self._unmade = half.cube, views, side
+        return half.cube
 
     def _made(self, cube):
         """cube, made whole now if it is the half whose lower limbs and
@@ -290,27 +338,63 @@ class NumpyBackend:
         half, parent, side = self._unmade
         if half is cube:
             self._unmade = NOTHING_UNMADE
-            _apply(parent[:-1], HALVES_T[side], cube[:-1])
-            _normalize(cube, self._carry_row)
+            views = self._views(cube)
+            np.matmul(parent.low_in, HALVES_T[side][parent.n],
+                      out=views.low_out)
+            _normalize(views, self._carry_row)
         return cube
 
     def _product(self, cube, table, depth=None):
-        """table[n], a map's transpose, on the leading axis of a cube whose
-        top limb is in range, into depth's slot, or a fresh array for no
-        depth."""
-        k, n = cube.shape[:2]
-        shape = (k,) + cube.shape[2:] + (n,)
-        out = np.empty(shape) if depth is None else self._slot(depth, shape)
-        _apply(cube, table, out)
+        """table[n], a map's transpose, on the leading axis of each limb
+        of a cube whose top limb is in range, written turned, that axis
+        last, into depth's slot, or a fresh array for no depth: one BLAS
+        product for the top limb and one for the lower limbs."""
+        views = self._views(cube)
+        out = (_fresh(views.turned) if depth is None
+               else self._slot(depth, views.turned))
+        np.matmul(views.top_in, table[views.n], out=out.top_out)
+        if len(views.rows) > 1:
+            np.matmul(views.low_in, table[views.n], out=out.low_out)
         return _normalize(out, self._carry_row)
 
+    def _views(self, cube):
+        """The record of a cube in a depth buffer, or new views of any
+        other."""
+        return self._by_id.get(id(cube)) or _Views(cube)
+
     def _slot(self, depth, shape):
-        """A view in shape of depth's buffer, grown first if too small."""
+        """The record of the cube in shape viewing depth's buffer, the
+        buffer grown first if too small."""
+        try:
+            return self._records[depth][shape]
+        except KeyError:
+            pass
         size = prod(shape)
         buffer = self._slots.get(depth)
         if buffer is None or len(buffer) < size:
-            buffer = self._slots[depth] = np.empty(size)
-        return buffer[:size].reshape(shape)
+            buffer = self._grow(depth, size)
+        views = self._records[depth][shape] = _Views(
+            buffer[:size].reshape(shape))
+        self._by_id[id(views.cube)] = views
+        return views
+
+    def _grow(self, depth, size):
+        """A new buffer of size floats for depth, unless the buffers would
+        then pass MEMORY_CAP, with depth's records made anew on it."""
+        held = 8 * size + sum(buffer.nbytes for d, buffer
+                              in self._slots.items() if d != depth)
+        if held > MEMORY_CAP:
+            raise MemoryCapError(
+                "a walk at depth %d would take the engine's buffers to %d "
+                "bytes, past its cap of %d" % (depth, held, MEMORY_CAP))
+        stale = self._records.get(depth, {})
+        for views in stale.values():
+            del self._by_id[id(views.cube)]
+        self._records[depth] = {}
+        buffer = self._slots[depth] = np.empty(size)
+        for shape in stale:
+            self._slot(depth, shape)
+        return buffer
 
     # a no-op that only perfbench/tracer.py binds (ROADMAP item 5)
     def guard(self, cube):

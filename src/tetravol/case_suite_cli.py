@@ -855,9 +855,14 @@ def build_parser():
 def main(argv=None):
     """Run one subcommand and print its JSON payload under --json, its
     text report otherwise; a command that failed before producing a
-    report returns no text and prints nothing on stdout."""
+    report returns no text and prints nothing on stdout, and one that ran
+    out of memory, or whose walk would pass the engine's cap, exits 4."""
     args = build_parser().parse_args(argv)
-    code, payload, text = args.func(args)
+    try:
+        code, payload, text = args.func(args)
+    except MemoryError as exc:
+        print("error: %s" % (str(exc) or "out of memory"), file=sys.stderr)
+        return 4
     if text is not None:
         try:
             print(json.dumps(payload, sort_keys=True) if args.json else text,

@@ -8,10 +8,20 @@ run, decoding its cubes with ``to_poly``.
 
 import numpy as np
 
-from tetravol._kernels import SIGNED_BINOM, _fit, _normalize, _value
+from tetravol._kernels import SIGNED_BINOM, _Views, _fit, _normalize, _value
 from tetravol.exact_poly import Polynomial
 
 SHAPE = (7,) * 5
+
+
+def fit_cube(cube):
+    """``_fit`` on a cube outside an engine's buffers."""
+    return _fit(_Views(cube))
+
+
+def normalize_cube(cube):
+    """``_normalize`` on a cube outside an engine's buffers."""
+    return _normalize(_Views(cube))
 
 
 def turn(cube, turns):
@@ -29,7 +39,8 @@ def to_poly(cube, turns=0):
     # each difference pass grows entries at most 2 times, so each starts
     # from a top limb in range, as a product does
     for a in range(5):
-        cube = _normalize(np.diff(_fit(cube), axis=a + 1, prepend=0))
+        cube = normalize_cube(np.diff(fit_cube(cube), axis=a + 1,
+                                     prepend=0))
     exps = np.nonzero(cube.any(axis=0))
     limbs = cube[(slice(None), *exps)].T.tolist()
     keys = zip(*(e.tolist() for e in exps))

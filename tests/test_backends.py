@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import sys
 import threading
+import weakref
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd, lcm, prod
@@ -31,10 +32,10 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from tetravol._kernels import (
     DILATE, DILATE_REFLECT, HALVES_T, LIMB, LIMB_BITS, PREFIX, REFLECT,
-    SETTLES, NumpyBackend, _fit, _normalize, _value, get_backend,
+    SETTLES, MemoryCapError, NumpyBackend, _value, get_backend,
 )
-from tetravol import positive_dominance
-from tetravol.case_suite_cli import case_registry
+from tetravol import _kernels, positive_dominance
+from tetravol.case_suite_cli import case_registry, main
 from tetravol.cayley_menger import EdgeSubset, directional_derivative
 from tetravol.chamber_geometry import build_partitions
 from tetravol.exact_poly import Polynomial
@@ -42,7 +43,8 @@ from tetravol.positive_dominance import (_traverse, certify, replay,
                                          tree_shape)
 from tetravol.simplex_pullback import pullback
 
-from _object_engine import ObjectEngine, to_poly, turn
+from _object_engine import (ObjectEngine, fit_cube, normalize_cube,
+                            to_poly, turn)
 
 
 def test_backend_selection(monkeypatch):
@@ -219,8 +221,8 @@ def cumsum_from_poly(p):
         vals = [v >> LIMB_BITS for v in vals]
     cube[(k - 1, *axes)] = vals
     for a in range(5):
-        cube = _normalize(np.cumsum(_fit(cube), axis=a + 1))
-    return _fit(cube)
+        cube = normalize_cube(np.cumsum(fit_cube(cube), axis=a + 1))
+    return fit_cube(cube)
 
 
 class ProductSpy(NumpyBackend):
@@ -446,14 +448,14 @@ def test_limb_width_leaves_float64_headroom():
                 2 ** 51 + 2 ** 43 - 1, -2 ** 51 - 1):
         assert abs(top) < PRODUCT_TOP
         cube = np.array([[0.5, 0.0], [float(top), -1.0]])
-        wide = _fit(cube)
+        wide = fit_cube(cube)
         assert len(wide) == 3 and meets_limb_invariant(wide)
         assert abs(wide[-1, 0]) <= 321
         assert [_value(limbs) for limbs in wide.T.tolist()] == [
             (top << LIMB_BITS) + 2 ** 42, -1 << LIMB_BITS]
     # a cube in range is its own fit
     cube = np.array([[0.5], [LIMB - 1]])
-    assert _fit(cube) is cube
+    assert fit_cube(cube) is cube
 
 
 def _matmul(a, b):
@@ -564,7 +566,7 @@ def assert_half_matches_the_full_product(parent, side):
     k, n = parent.shape[:2]
     w, s, _ = SETTLES[side][n]
     whole = NumpyBackend()._product(parent, HALVES_T[side])
-    want = _fit(whole.copy())
+    want = fit_cube(whole.copy())
     eng = NumpyBackend()
     half = eng.child(parent, 1, side)
     t = half[-1].copy()
@@ -890,9 +892,9 @@ class WalkSpy(NumpyBackend):
 
     def _slot(self, depth, shape):
         before = self._slots.get(depth)
-        view = super()._slot(depth, shape)
-        self.fresh += view.base is not before
-        return view
+        views = super()._slot(depth, shape)
+        self.fresh += views.cube.base is not before
+        return views
 
     def _product(self, cube, table, depth=None):
         self.products += 1
@@ -1117,6 +1119,111 @@ def test_slots_outlive_every_walk_and_never_shrink(monkeypatch):
     assert spy.fresh == 0
 
 
+def test_a_grown_buffer_takes_its_depths_records_with_it():
+    # WIDENING_WALK's cubes take more limbs with depth, so the buffers of
+    # depths that already hold records grow under them
+    eng = NumpyBackend()
+    grow, replaced = eng._grow, []
+
+    def spy_grow(depth, size):
+        if depth in eng._slots:
+            assert eng._records[depth]
+            replaced.append(weakref.ref(eng._slots[depth]))
+        return grow(depth, size)
+
+    eng._grow = spy_grow
+    cert = _traverse(WIDENING_WALK, 60, eng)
+    assert cert == certify(WIDENING_WALK, 60) and replaced
+    # each record views its depth's buffer as it is now, in its shape,
+    # and is found from its cube
+    assert eng._records.keys() == eng._slots.keys()
+    for depth, records in eng._records.items():
+        for shape, views in records.items():
+            assert views.cube.shape == shape
+            assert eng._by_id[id(views.cube)] is views
+            for view in (views.cube, *views.rows, views.top, views.top_in,
+                         views.low_in, views.top_out, views.low_out):
+                assert view.base is eng._slots[depth]
+    assert len(eng._by_id) == sum(map(len, eng._records.values()))
+    # once the engine drops the last walk's cubes, at its next root,
+    # nothing keeps a replaced buffer alive
+    eng.from_poly(NEGATIVE_AFTER_A_SPLIT)
+    assert not any(ref() for ref in replaced)
+
+
+def test_a_warm_walk_makes_no_new_record_and_no_new_array(monkeypatch):
+    made = []
+
+    class CountedViews(_kernels._Views):
+        def __init__(self, cube):
+            made.append(cube.shape)
+            super().__init__(cube)
+
+    monkeypatch.setattr(_kernels, "_Views", CountedViews)
+    walks = (
+        (pullback(directional_derivative(EdgeSubset((0,))),
+                  _single_edge_cell()), 10 ** 6),
+        (WIDENING_WALK, 60),
+        (NEGATIVE_AFTER_A_SPLIT, 60),
+    )
+    for p, budget in walks:
+        eng = NumpyBackend()
+        cert = _traverse(p, budget, eng)
+        # a record per depth and shape the walk wrote, the root's passes
+        # included, and one more for each that a grown buffer made anew
+        assert len(made) >= len(eng._by_id) > 0
+        slots, records = dict(eng._slots), {
+            (depth, shape): views for depth, by_shape in eng._records.items()
+            for shape, views in by_shape.items()}
+        made.clear()
+        assert _traverse(p, budget, eng) == cert
+        assert made == []
+        assert eng._slots.keys() == slots.keys()
+        assert all(eng._slots[depth] is slots[depth] for depth in slots)
+        assert records == {
+            (depth, shape): views for depth, by_shape in eng._records.items()
+            for shape, views in by_shape.items()}
+
+
+def buffer_bytes(eng):
+    return sum(buffer.nbytes for buffer in eng._slots.values())
+
+
+def test_a_walk_past_the_memory_cap_stops_before_it_allocates(monkeypatch):
+    eng = NumpyBackend()
+    cert = _traverse(WIDENING_WALK, 60, eng)
+    need = buffer_bytes(eng)
+    assert need < _kernels.MEMORY_CAP
+    # at exactly the bytes it needs the walk runs as before; a byte less
+    # stops it with the named error, its buffers still within the cap
+    monkeypatch.setattr(_kernels, "MEMORY_CAP", need)
+    assert _traverse(WIDENING_WALK, 60, NumpyBackend()) == cert
+    monkeypatch.setattr(_kernels, "MEMORY_CAP", need - 1)
+    eng = NumpyBackend()
+    with pytest.raises(MemoryCapError, match="cap of %d" % (need - 1)):
+        _traverse(WIDENING_WALK, 60, eng)
+    assert 0 < buffer_bytes(eng) <= need - 1
+    # certify stops the same way on the shared engine, and frees its lock
+    monkeypatch.setattr(_kernels, "_ENGINE", NumpyBackend())
+    with pytest.raises(MemoryCapError):
+        certify(WIDENING_WALK, 60)
+    assert certify(NEGATIVE_AFTER_A_SPLIT, 60).status == "NegativeWitness"
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+def test_certify_file_exits_4_past_the_memory_cap(monkeypatch, tmp_path,
+                                                  capsys, mode):
+    path = tmp_path / "widening.poly"
+    path.write_text(WIDENING_WALK.serialize())
+    monkeypatch.setattr(_kernels, "_ENGINE", NumpyBackend())
+    monkeypatch.setattr(_kernels, "MEMORY_CAP", 1 << 12)
+    assert main(["certify-file", str(path), "--budget", "60", *mode]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "cap of 4096" in out.err
+
+
 def test_engines_in_two_threads_walk_independently(monkeypatch):
     # each engine keeps its own buffers and carry rows, so two engines
     # may each run a walk at once; this task's cubes take up to three
@@ -1161,12 +1268,12 @@ def test_split_never_writes_its_input():
     eng = NumpyBackend()
     for depth, before in cubes.values():
         # the cube in its depth's buffer, fitted there, then split
-        cube = eng._slot(depth, before.shape)
+        cube = eng._slot(depth, before.shape).cube
         cube[...] = before
         parent = eng.fit(cube, depth)
         children = halves(eng, parent, depth + 1)
         assert not any(np.shares_memory(c, parent) for c in children)
-        assert np.array_equal(parent, _fit(before))
+        assert np.array_equal(parent, fit_cube(before))
         # the children of a cube handed in from outside
         children = halves(eng, before, depth + 1)
         assert not any(np.shares_memory(c, before) for c in children)

@@ -376,3 +376,21 @@ def test_certify_file_errors_print_nothing_on_stdout(tmp_path, capsys, mode):
         code, out, err = run(capsys, "certify-file", str(path), *mode)
         assert (code, out) == (3, "")
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify-file", "{poly}"), ("case", "run", "3-cycle"),
+    ("case", "run-all"), ("case", "run-all", "--json")])
+def test_running_out_of_memory_exits_4(argv, tmp_path, capsys, monkeypatch):
+    # an allocation that fails anywhere under a command, as numpy's own
+    # MemoryError does under a small address-space limit, is not a
+    # negative corner (exit 1) but exit 4, with one error line
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "certify", exhausted)
+    monkeypatch.setattr(cli, "run_case", exhausted)
+    _write_poly(tmp_path / "p.poly", Polynomial.constant(5, 1))
+    argv = [str(tmp_path / "p.poly") if a == "{poly}" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (4, "", "error: out of memory\n")
