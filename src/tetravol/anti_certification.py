@@ -324,38 +324,39 @@ def full_k4_campaign(trials=100000, seed=0):
 # -- independent evaluation path ----------------------------------------
 
 def _cofactors(point):
-    """The first row and the six cofactors of M at an integer point.
+    """det M and the six cofactors of M at an integer point.
 
     Subtracting row and column 1 of the bordered squared-length matrix
     from rows and columns 2..4, then clearing the border, leaves the
     symmetric 3x3 matrix M_ab = s_1a + s_1b - s_ab (a, b in 2..4,
     s_aa = 0) with the same determinant, an identity in the s.  Returns
-    (M_22, M_23, M_24) and the cofactors (C_22, C_23, C_24, C_33, C_34,
-    C_44), each a 2x2 minor written out in integer products.
+    det M, expanded along M's first row (M_22, M_23, M_24), and the
+    cofactors (C_22, C_23, C_24, C_33, C_34, C_44), each a 2x2 minor
+    written out in integer products.
     """
     s12, s13, s14, s23, s24, s34 = (int(d) * int(d) for d in point)
     a, d, f = 2 * s12, 2 * s13, 2 * s14
     b = s12 + s13 - s23
     c = s12 + s14 - s24
     e = s13 + s14 - s34
-    return (a, b, c), (d * f - e * e, c * e - b * f, b * e - c * d,
-                       a * f - c * c, b * c - a * e, a * d - b * b)
+    c22, c23, c24 = d * f - e * e, c * e - b * f, b * e - c * d
+    return a * c22 + b * c23 + c * c24, (c22, c23, c24, a * f - c * c,
+                                         b * c - a * e, a * d - b * b)
 
 
 def f_value_bordered(point):
-    """f at an integer point: det M, expanded along M's first row.
+    """f at an integer point: det M (``_cofactors``).
 
-    M is the bordered squared-distance matrix with its border eliminated
-    (``_cofactors``), so the path shares nothing with the expanded
-    polynomial used by the search, nor with its closed form.
+    M is the bordered squared-distance matrix with its border
+    eliminated, so the path shares nothing with the expanded polynomial
+    used by the search, nor with its closed form.
     """
-    (a, b, c), (c22, c23, c24, _, _, _) = _cofactors(point)
-    return a * c22 + b * c23 + c * c24
+    return _cofactors(point)[0]
 
 
-def g_value_cofactor(point, beta):
+def _jacobi_g(point, cofactors, beta):
     """The directional derivative over the EdgeSubset beta, from M's
-    cofactors.
+    cofactors at the point.
 
     Jacobi's formula makes each partial of det M linear in its
     cofactors C: s_1a enters M_aa twice and M_ab, M_ba once each, so
@@ -363,7 +364,7 @@ def g_value_cofactor(point, beta):
     negated, so df/ds_ab = -2 C_ab.  The partial in the length d_k is
     2 d_k df/ds_k: six 2x2 cofactors, then one product per edge of beta.
     """
-    _, (c22, c23, c24, c33, c34, c44) = _cofactors(point)
+    c22, c23, c24, c33, c34, c44 = cofactors
     # df/ds_k / 2, in edge order 12, 13, 14, 23, 24, 34
     half = (c22 + c23 + c24, c23 + c33 + c34, c24 + c34 + c44,
             -c23, -c24, -c34)
@@ -378,14 +379,14 @@ def verify_witness(w):
     """Re-check a witness from scratch along the independent path.
 
     f is det M, the bordered determinant with its border eliminated, and
-    g is read off M's cofactors (Jacobi's formula); neither reads the
-    expanded polynomials.
+    g is read off M's cofactors (Jacobi's formula); one set of
+    cofactors serves both, and neither reads the expanded polynomials.
     """
     dec = decoration(w.chamber)
     if not in_cone(w.point) or not dec.membership(w.point):
         return False
-    f_exact = f_value_bordered(w.point)
-    g_exact = g_value_cofactor(w.point, _edge_subset(w.beta))
+    f_exact, cofactors = _cofactors(w.point)
+    g_exact = _jacobi_g(w.point, cofactors, _edge_subset(w.beta))
     return (f_exact == w.f_value and g_exact == w.g_value
             and f_exact > 0 and g_exact < 0)
 

@@ -204,11 +204,17 @@ class LatticeSimplex6:
         """
         if len(p) != 6:
             raise ValueError("need six coordinates")
-        ints, scale = clear_denominators(p)
+        return self.contains_scaled(*clear_denominators(p))
+
+    def contains_scaled(self, ints, scale):
+        """Membership of the point ints / scale, for integer numerators
+        ints and a positive integer scale."""
         if sum(ints) != 24 * scale:
             return False
-        return all(sum(map(operator.mul, row, ints)) >= 0
-                   for row in self._weight_rows)
+        for row in self._weight_rows:
+            if sum(map(operator.mul, row, ints)) < 0:
+                return False
+        return True
 
     def __repr__(self):
         return "LatticeSimplex6(%s)" % self.name
@@ -419,81 +425,87 @@ def verify_barycenter_conditions():
     }
 
 
-def sample_x24(rng, n):
-    """n exact rational points of X24, as convex combos of the extrema."""
+def sample_x24_numerators(rng, n):
+    """n points of X24 as (numerators, total): each point is the convex
+    combination of the extrema with integer weights drawn by
+    ``randrange(0, 1000)``, the numerators its coordinates times the
+    weights' total, which is positive."""
     pts = list(EXTREME_A.values()) + list(EXTREME_B.values())
     out = []
     for _ in range(n):
         weights = [rng.randrange(0, 1000) for _ in pts]
         if not any(weights):
             weights[0] = 1
-        total = sum(weights)
-        out.append(tuple(
-            Fraction(sum(w * p[c] for w, p in zip(weights, pts)), total)
-            for c in range(6)))
+        out.append((tuple(sum(w * p[c] for w, p in zip(weights, pts))
+                          for c in range(6)), sum(weights)))
     return out
 
 
-def _described(name, asum, vsum):
-    """Whether a named partition cell's description holds at the sums.
+def _description(name):
+    """The test of a named partition cell's description on a point's
+    axis sums and vertex sums.
 
     A_i is the locus where axis sum i is weakly largest, B_j where
     vertex sum j is weakly smallest, C_ij the intersection of both,
     D_ijkl its decoration's system.  Each is a comparison of linear
     forms of one degree, so sums scaled by any positive factor give
-    the same answer.
+    the same answer.  A D cell's test is its decoration's ``holds``,
+    read when the test is made.
     """
     kind, idx = name.split("_")
     if kind == "A":
-        return asum[int(idx) - 1] == max(asum)
+        i = int(idx) - 1
+        return lambda asum, vsum: asum[i] == max(asum)
     if kind == "B":
-        return vsum[int(idx) - 1] == min(vsum)
+        j = int(idx) - 1
+        return lambda asum, vsum: vsum[j] == min(vsum)
     if kind == "C":
-        return (asum[int(idx[0]) - 1] == max(asum)
-                and vsum[int(idx[1]) - 1] == min(vsum))
+        i, j = int(idx[0]) - 1, int(idx[1]) - 1
+        return lambda asum, vsum: (asum[i] == max(asum)
+                                   and vsum[j] == min(vsum))
     if kind == "D":
-        return build_partitions().decoration_table()[name].holds(asum, vsum)
+        return build_partitions().decoration_table()[name].holds
     raise KeyError(name)
 
 
 def cell_description_membership(name, p):
     """Inequality-description membership of p in a named partition cell."""
-    return _described(name, axis_sums(p), vertex_sums(p))
+    return _description(name)(axis_sums(p), vertex_sums(p))
 
 
 def partition_check(samples=10000, seed=0, cross_check=200):
     """Coverage report: every sampled point lies in each partition level.
 
     Membership uses the fast axis/vertex-sum and decoration
-    descriptions, decided on each point's sums taken once over its
-    integer numerators.  At the three-, four- and twelve-cell levels
-    coverage holds by construction, since some axis sum is always
-    maximal and some vertex sum minimal, so the content of the check is
-    the 48-cell coverage and the cross-check: a prefix of the sample is
-    tested against exact barycentric containment in the corresponding
-    lattice simplices, at all four levels, which ties the descriptions
+    descriptions, each built once per call and decided on each point's
+    sums taken once over its integer numerators.  At the three-, four-
+    and twelve-cell levels coverage holds by construction, since some
+    axis sum is always maximal and some vertex sum minimal, so the
+    content of the check is the 48-cell coverage and the cross-check:
+    a prefix of the sample is tested against exact barycentric
+    containment in the corresponding lattice simplices, at all four
+    levels, decided on the same numerators, which ties the descriptions
     to the actual hulls.  ``misses`` still reports all four levels.
     """
     import random
     rng = random.Random(seed)
     parts = build_partitions()
-    levels = {"three": parts.three, "four": parts.four,
-              "twelve": parts.twelve, "fortyeight": parts.fortyeight}
-    pts = sample_x24(rng, samples)
-    sums = [(axis_sums(q), vertex_sums(q))
-            for q in (clear_denominators(p)[0] for p in pts)]
+    levels = {level: [(_description(name), simplex)
+                      for name, simplex in getattr(parts, level).items()]
+              for level in ("three", "four", "twelve", "fortyeight")}
     misses = {level: 0 for level in levels}
-    for asum, vsum in sums:
-        for level, cells in levels.items():
-            if not any(_described(name, asum, vsum) for name in cells):
-                misses[level] += 1
     cross = 0
-    cross_n = min(len(pts), cross_check)
-    for p, (asum, vsum) in zip(pts[:cross_n], sums):
-        for cells in levels.values():
-            for name, simplex in cells.items():
-                if _described(name, asum, vsum) != simplex.contains(p):
-                    cross += 1
+    cross_n = min(samples, cross_check)
+    for k, (ints, total) in enumerate(sample_x24_numerators(rng, samples)):
+        asum, vsum = axis_sums(ints), vertex_sums(ints)
+        for level, cells in levels.items():
+            inside = (test(asum, vsum) for test, _ in cells)
+            if k < cross_n:
+                inside = list(inside)
+                cross += sum(hit != simplex.contains_scaled(ints, total)
+                             for hit, (_, simplex) in zip(inside, cells))
+            if not any(inside):
+                misses[level] += 1
     return {
         "samples": samples,
         "seed": seed,

@@ -13,9 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from tetravol import anti_certification
 from tetravol.anti_certification import (
-    SNAP_SCALE, Witness, _FactorTree, _FloatForms, anti_certify,
-    barycentric_block, excluded_chambers, f_value_bordered, full_k4_campaign,
-    g_value_cofactor, read_witnesses, snap_point, verify_witness,
+    SNAP_SCALE, Witness, _cofactors, _FactorTree, _FloatForms, _jacobi_g,
+    anti_certify, barycentric_block, excluded_chambers, f_value_bordered,
+    full_k4_campaign, read_witnesses, snap_point, verify_witness,
 )
 from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import EDGES, EdgeSubset, \
@@ -48,6 +48,12 @@ def _bordered(point):
             [1, s[0], 0, s[3], s[4]],
             [1, s[1], s[3], 0, s[5]],
             [1, s[2], s[4], s[5], 0]]
+
+
+def g_value_cofactor(point, beta):
+    """``verify_witness``'s g at an integer point: M's cofactors there,
+    then Jacobi's formula."""
+    return _jacobi_g(point, _cofactors(point)[1], beta)
 
 
 # the oracles for ``g_value_cofactor``: one cofactor of the bordered
@@ -217,13 +223,13 @@ def test_every_golden_witness_reverifies(monkeypatch):
 
     def spy(point):
         calls.append(point)
-        return f_value_bordered(point)
+        return _cofactors(point)
 
-    monkeypatch.setattr(anti_certification, "f_value_bordered", spy)
+    monkeypatch.setattr(anti_certification, "_cofactors", spy)
     ws = read_witnesses()
     assert all(min(w.f_value, w.g_value) < 0 for w in ws)
     assert all(verify_witness(w) for w in ws)
-    # one bordered determinant per witness: g is read off its cofactors
+    # one set of cofactors per witness: f and g are both read off it
     assert calls == [w.point for w in ws]
     assert all(g_value_stencil(w.point, EdgeSubset.parse(w.beta)) == w.g_value
                for w in ws)

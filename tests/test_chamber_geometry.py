@@ -17,8 +17,8 @@ from tetravol.chamber_geometry import (
     build_partitions, cell_description_membership, certified_chambers,
     chambers_containing, decoration, decorations, even_relabelings,
     in_cone, midpoint, partition_check,
-    relabel_action, relabel_sign, sample_x24, stabilizer,
-    verify_barycenter_conditions, vertex_sums,
+    _description, relabel_action, relabel_sign, sample_x24_numerators,
+    stabilizer, verify_barycenter_conditions, vertex_sums,
 )
 
 IDENTITY = (1, 2, 3, 4)
@@ -39,6 +39,29 @@ def invert(sigma):
 
 def barycenter(cell):
     return tuple(Fraction(sum(col), 6) for col in zip(*cell.vertices))
+
+
+def sample_x24(rng, n):
+    """n exact rational points of X24, as convex combos of the extrema.
+
+    The Fraction form of ``sample_x24_numerators``, and its oracle.
+    """
+    out = []
+    for _ in range(n):
+        weights = [rng.randrange(0, 1000) for _ in EXTREMA]
+        if not any(weights):
+            weights[0] = 1
+        total = sum(weights)
+        out.append(tuple(
+            Fraction(sum(w * p[c] for w, p in zip(weights, EXTREMA)), total)
+            for c in range(6)))
+    return out
+
+
+def all_cells(parts):
+    return {name: cell for level in (parts.three, parts.four, parts.twelve,
+                                     parts.fortyeight)
+            for name, cell in level.items()}
 
 
 def test_extrema_listing():
@@ -306,6 +329,36 @@ def test_partitions_match_the_oracle_cell_for_cell():
         assert ids == {table[name].id}
 
 
+def chamber_system(d):
+    """A decoration's weak system as pairs (x, y), each meaning x >= y,
+    of axis sums ("a", k) and vertex sums ("v", k), k 0-based."""
+    out, mid, dis = (("a", k) for k in d.axes)
+    black, white, second = (("v", k - 1)
+                            for k in (d.black, d.path[0], d.path[1]))
+    return ({(out, mid), (out, dis), (mid, dis), (second, white)}
+            | {(("v", k), black) for k in range(4) if ("v", k) != black})
+
+
+def test_chamber_systems_exclude_each_other():
+    # the pairs are each decoration's system
+    rng = random.Random(29)
+    points = [tuple(rng.randint(0, 3) for _ in range(6)) for _ in range(200)]
+    for p in points:
+        asum, vsum = axis_sums(p), vertex_sums(p)
+        sums = {("a", k): asum[k] for k in range(3)}
+        sums.update((("v", k), vsum[k]) for k in range(4))
+        for d in decorations():
+            assert d.holds(asum, vsum) == all(
+                sums[x] >= sums[y] for x, y in chamber_system(d))
+    # of any two systems, one holds an inequality that the other holds
+    # reversed, so their chambers meet only where it is an equality
+    pairs = list(itertools.combinations(map(chamber_system, decorations()),
+                                        2))
+    assert len(pairs) == 1128
+    for s, t in pairs:
+        assert any((y, x) in t for x, y in s)
+
+
 def test_a_repeated_chamber_name_raises(monkeypatch):
     evens = even_relabelings()
     monkeypatch.setattr(chamber_geometry, "even_relabelings",
@@ -416,6 +469,54 @@ def test_membership_agrees_with_cell_descriptions():
                 cell_description_membership(name, p))
 
 
+def test_numerator_samples_are_the_fraction_samples():
+    rng, oracle_rng = random.Random(17), random.Random(17)
+    points = sample_x24_numerators(rng, 200)
+    assert [tuple(Fraction(x, total) for x in ints)
+            for ints, total in points] == sample_x24(oracle_rng, 200)
+    # the same seven draws per point
+    assert rng.getstate() == oracle_rng.getstate()
+    assert all(total > 0 and sum(ints) == 24 * total
+               for ints, total in points)
+
+
+def test_description_tests_agree_with_cell_descriptions():
+    cells = all_cells(build_partitions())
+    assert len(cells) == 67
+    tests = {name: _description(name) for name in cells}
+    seen = set()
+    for ints, total in sample_x24_numerators(random.Random(19), 40):
+        fraction = tuple(Fraction(x, total) for x in ints)
+        asum, vsum = axis_sums(ints), vertex_sums(ints)
+        for name, test in tests.items():
+            inside = test(asum, vsum)
+            assert inside == cell_description_membership(name, fraction)
+            # each cell's description cuts out its hull
+            assert inside == cells[name].contains(fraction)
+            seen.add(inside)
+    assert seen == {True, False}
+    with pytest.raises(KeyError):
+        _description("E_1")
+
+
+def test_numerator_containment_agrees_with_contains_on_every_cell():
+    cells = all_cells(build_partitions())
+    points = sample_x24_numerators(random.Random(23), 40)
+    for c in cells.values():
+        # each vertex over 1 and over 3, and the barycenter over 6
+        points += [(v, 1) for v in c.vertices]
+        points += [(tuple(3 * x for x in v), 3) for v in c.vertices]
+        points.append((tuple(map(sum, zip(*c.vertices))), 6))
+    hits = 0
+    for c in cells.values():
+        for ints, scale in points:
+            inside = c.contains_scaled(ints, scale)
+            assert inside == c.contains(
+                tuple(Fraction(x, scale) for x in ints)), (c.name, ints)
+            hits += inside
+    assert 0 < hits < len(cells) * len(points)
+
+
 def test_partition_check_small_run():
     assert partition_check(samples=300, seed=3, cross_check=300) == {
         "samples": 300, "seed": 3,
@@ -434,7 +535,8 @@ def test_partition_check_counts_a_chamber_that_rejects_everything(
 
 
 def test_partition_check_counts_containment_disagreements(monkeypatch):
-    monkeypatch.setattr(LatticeSimplex6, "contains", lambda self, p: False)
+    monkeypatch.setattr(LatticeSimplex6, "contains_scaled",
+                        lambda self, ints, scale: False)
     out = partition_check(samples=30, seed=3, cross_check=30)
     assert out["misses"] == {
         "three": 0, "four": 0, "twelve": 0, "fortyeight": 0}
