@@ -55,29 +55,32 @@ is least has t_i <= -C_i and the half is not (an 'S', made whole by
 of either map is 2^(n-1) times a unit vector, so the origin's carry is
 in [0, 2^(n-1) - 1] and its t, a multiple of 2^(n-1), has the sign of
 the made top: ``origin_negative`` reads t alone, made or not.  ``wpd``
-keeps the least top it read, or a lower bound on it, and ``fit`` of that
-cube reads only the greatest top when the bound is above -2^43.
+keeps the least top it read, or a lower bound on it, and ``fit`` then
+reads only the greatest top when the bound is above -2^43.
 
 ``from_poly`` reads a polynomial only through ``Polynomial.arrays``:
 the exponent matrix gives the box and each coefficient's flat index,
 and the int64 or object coefficient array is split into limbs by
 whole-array floor remainders and shifts, exact on either dtype.
 
-The engine writes the cube it makes at depth d of the walk, the root at
-depth 0, into one flat buffer kept for that depth (``_slots[d]``), grown
-when too small and never shrunk, so a warm engine makes no new array.
-Each depth also keeps one record per cube shape (``_Views``): the cube,
+The engine answers for the cube under test, the one it made last:
+``from_poly`` and ``child`` make it, ``origin_negative``, ``wpd`` and
+``corner_value`` read it, and ``fit`` makes it whole, brings it in range
+and returns its record, the parent that ``child`` takes.  It writes the
+cube it makes at depth d of the walk, the root at depth 0, into one flat
+buffer kept for that depth (``_slots[d]``), grown when too small and
+never shrunk, so a warm engine makes no new array.  Each depth also
+keeps one record per cube shape (``_Views``): the cube and its depth,
 its limb rows for the carry of ``_normalize``, its top limb for the
 reductions and the origin test, its top-limb and lower-limb operands as
 a parent, and its top and lower output views as a half.  So the views
 are made once per depth and shape, not on every product, and a warm
-walk makes no view either.  A record is found from its cube by
-identity; a cube from outside the buffers gets one made on the spot.
-When a depth's buffer grows, its records are dropped and made anew on
-the new buffer, so no view keeps an old buffer alive.  A buffer grows
-only while all the buffers together stay within ``MEMORY_CAP`` bytes; a
-walk that would pass the cap stops with ``MemoryCapError`` before it
-allocates.
+walk makes no view either.  When a depth's buffer grows, its records
+are made anew on the new buffer, and ``from_poly`` and ``child`` drop
+the cube under test before they take a buffer, so no record keeps an
+old buffer alive.  A buffer grows only while all the buffers together
+stay within ``MEMORY_CAP`` bytes; a walk that would pass the cap stops
+with ``MemoryCapError`` before it allocates.
 ``from_poly`` runs its five passes between the buffers of depths 1 and
 0, ending at 0.  ``fit`` widens a cube into its own depth's buffer: in
 place, ``_fit`` leaves the lower limbs where they lie and splits the
@@ -90,7 +93,7 @@ walks only while it holds its lock, as threads share the engine that
 first: a parent pending at depth d - 1 outlasts the halves it makes at
 depth d, and once a cube is made at depth d no pending entry refers to
 the one before.  A half whose lower limbs are
-unmade can be made whole until the engine next makes a half, as its
+unmade can be made whole until the engine next makes a cube, as its
 parent, at the depth above, is unchanged until then: the walk reads a
 WPD half no more, and tests, fits or reads the corner of any other half
 before it pops the next.  Every limb is written before it is read, so
@@ -102,7 +105,7 @@ engine, so walks on two engines never share memory.  ``dilate`` and
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from math import comb, prod
 
 import numpy as np
@@ -166,10 +169,12 @@ class _Views:
     engine reads and writes: its limb rows, flat, the last its top limb;
     its limbs' leading axis last, top and lower limbs apart, as a
     product's left operand; and its limbs with their last axis last, as
-    a product's output.  ``turned`` is the shape of its products."""
+    a product's output.  ``turned`` is the shape of its products, and
+    ``depth``, set on the records of the depth buffers, the walk's depth
+    of the cube."""
 
-    __slots__ = ("cube", "n", "turned", "rows", "top", "top_in", "low_in",
-                 "top_out", "low_out")
+    __slots__ = ("cube", "depth", "n", "turned", "rows", "top", "top_in",
+                 "low_in", "top_out", "low_out")
 
     def __init__(self, cube):
         k, n = cube.shape[:2]
@@ -205,14 +210,14 @@ def _normalize(views, empty=np.empty):
 
 
 def _fit(views, empty=_fresh, least=-np.inf):
-    """The cube if its top limb is in range, else its value one limb
-    wider, written into the cube of empty(shape), which may share its
-    memory.  least, a lower bound on the top's entries, spares their
-    minimum above -2^43."""
+    """The record of the cube if its top limb is in range, else of its
+    value one limb wider, written into the cube of empty(shape), which
+    may share its memory.  least, a lower bound on the top's entries,
+    spares their minimum above -2^43."""
     top, cube = views.top, views.cube
     if (np.maximum.reduce(top) < LIMB
             and (least > -LIMB or np.minimum.reduce(top) > -LIMB)):
-        return cube
+        return views
     wide = empty((len(cube) + 1,) + cube.shape[1:])
     wide.cube[:-2] = cube[:-1]
     # floor division: a negative top gives a fraction under a carry >= -321
@@ -220,49 +225,41 @@ def _fit(views, empty=_fresh, least=-np.inf):
     np.divide(top, LIMB, out=split)
     np.floor(split, out=wide.top)
     split -= wide.top
-    return wide.cube
-
-
-# the records of an engine with no half whose lower limbs are unmade,
-# and with no least top kept for fit
-NOTHING_UNMADE = (None, None, 0)
-NO_LEAST = (None, -np.inf)
+    return wide
 
 
 class NumpyBackend:
-    """Exact float64 limb engine; cubes hold box sums over the degree box."""
+    """Exact float64 limb engine, answering for the cube it made last."""
 
     name = "numpy"
 
     def __init__(self):
-        # depth -> the flat buffer that the cube made at that depth views
+        # depth -> the flat buffer that the cubes made at that depth view
         self._slots = {}
         # depth -> shape -> the _Views of the cube in that shape viewing
-        # depth's buffer, and id(cube) -> the same _Views, which holds
-        # the cube, so that no other array takes its id
-        self._records, self._by_id = {}, {}
+        # depth's buffer
+        self._records = {}
         # _normalize's carry, one scratch row per size, for this engine's
         # one walk at a time
         self._carry_row = cache(np.empty)
-        # the records of the cube the walk tests, dropped when the engine
-        # makes the next, so that no buffer outlives its slot through
-        # them: the last half child made while its lower limbs are
-        # unmade, (half, the parent's _Views, side), and the last cube
-        # wpd tested with a lower bound on its top, for fit
-        self._unmade, self._least = NOTHING_UNMADE, NO_LEAST
+        # the cube under test: its record; while child leaves its lower
+        # limbs unmade, their parent's record and side, else None; and
+        # the least top wpd read of it, or a lower bound on it, for fit
+        self._tested, self._unmade, self._least = None, None, -np.inf
 
     def from_poly(self, p):
-        """The root cube of p, at depth 0, by five PREFIX passes."""
+        """The root cube of p, at depth 0, by five PREFIX passes: the
+        cube under test."""
         if p.nvars != 5:
             raise ValueError("expected a 5-variable polynomial")
         exps, vals = p.arrays()
         shape = tuple((exps.max(axis=1, initial=0) + 1).tolist())
         if max(shape) > 7:
             raise ValueError("per-variable degree exceeds 6")
-        self._unmade, self._least = NOTHING_UNMADE, NO_LEAST
+        self._tested, self._unmade, self._least = None, None, -np.inf
         top = max(int(vals.max(initial=0)), -int(vals.min(initial=0)))
         k = top.bit_length() // LIMB_BITS + 1
-        views = self._slot(1, (k,) + shape)
+        views = self._tested = self._slot(1, (k,) + shape)
         views.cube.fill(0)
         flat = np.ravel_multi_index(exps, shape)
         for row in views.rows[:-1]:
@@ -274,93 +271,86 @@ class NumpyBackend:
         # + 1 < sum(|t|) + n + 1 in magnitude, for t = c >> 43(k-1) the
         # top limbs: if that is at most 2^43, no pass input needs _fit
         fit = int(abs(vals).sum()) + len(vals) >= LIMB
-        cube = views.cube
         # the passes alternate between depths 1 and 0, ending at 0
         for depth in (0, 1, 0, 1, 0):
-            if fit:
-                cube = self.fit(cube, 1 - depth)
-            cube = self._product(cube, PREFIX_T, depth)
-        return self.fit(cube, 0) if fit else cube
+            self._tested = self._product(
+                self.fit() if fit else self._tested, PREFIX_T, depth)
+        return (self.fit() if fit else self._tested).cube
 
-    def wpd(self, cube):
-        views = self._views(cube)
-        least = np.minimum.reduce(views.top)
-        half, parent, side = self._unmade
-        if half is cube:
+    def wpd(self):
+        least = np.minimum.reduce(self._tested.top)
+        if self._unmade:
+            parent, side = self._unmade
             w, s, f = SETTLES[side][parent.n]
             if least >= w:
                 return True
             if least < s:
-                self._least = cube, least - f
+                self._least = least - f
                 return False
-            self._made(cube)
-            least = np.minimum.reduce(views.top)
-        self._least = cube, least
+            least = np.minimum.reduce(self._made().top)
+        self._least = least
         return bool(least >= 0)
 
-    def origin_negative(self, cube):
+    def origin_negative(self):
         # the origin's carry never changes its top's sign (module notes)
-        return bool(self._views(cube).top[0] < 0)
+        return bool(self._tested.top[0] < 0)
 
-    def corner_value(self, cube):
-        return _value(self._made(cube)[:, 0, 0, 0, 0, 0].tolist())
+    def corner_value(self):
+        return _value(self._made().cube[:, 0, 0, 0, 0, 0].tolist())
 
     # only perfbench/tracer.py binds them (ROADMAP item 5)
     def dilate(self, cube, axis):
-        return self._product(_fit(self._views(cube)), DILATE_T)
+        return self._product(_fit(_Views(cube)), DILATE_T).cube
 
     def reflect(self, cube, axis):
-        return self._product(_fit(self._views(cube)), REFLECT_T)
+        return self._product(_fit(_Views(cube)), REFLECT_T).cube
 
-    def fit(self, cube, depth):
-        """cube, made at depth, if its top limb is in range, else its value
-        one limb wider, at the same depth."""
-        tested, least = self._least
-        return _fit(self._views(self._made(cube)),
-                    lambda shape: self._slot(depth, shape),
-                    least if tested is cube else -np.inf)
+    def fit(self):
+        """The record of the cube under test, made whole, if its top limb
+        is in range, else of its value one limb wider, at the same depth,
+        which becomes the cube under test: the parent ``child`` takes."""
+        views = self._made()
+        self._tested = _fit(views, partial(self._slot, views.depth),
+                            self._least)
+        return self._tested
 
-    def child(self, parent, depth, side):
-        """One half, made at depth, of a split of a fitted parent along its
-        leading axis: the left (side 0) or the right (side 1).  Only its
-        top limb is made yet (module notes)."""
-        self._unmade, self._least = NOTHING_UNMADE, NO_LEAST
-        views = self._views(parent)
-        half = self._slot(depth, views.turned)
-        np.matmul(views.top_in, HALVES_T[side][views.n], out=half.top_out)
-        if len(views.rows) > 1:
-            self._unmade = half.cube, views, side
+    def child(self, parent, side):
+        """One half, the cube under test, of a split of parent, a record
+        ``fit`` returned, along its leading axis: the left (side 0) or the
+        right (side 1), at the depth below parent's.  Only its top limb is
+        made yet (module notes)."""
+        self._tested, self._unmade, self._least = None, None, -np.inf
+        half = self._tested = self._slot(parent.depth + 1, parent.turned)
+        np.matmul(parent.top_in, HALVES_T[side][parent.n], out=half.top_out)
+        if len(parent.rows) > 1:
+            self._unmade = parent, side
         return half.cube
 
-    def _made(self, cube):
-        """cube, made whole now if it is the half whose lower limbs and
-        carry child left unmade."""
-        half, parent, side = self._unmade
-        if half is cube:
-            self._unmade = NOTHING_UNMADE
-            views = self._views(cube)
+    def _made(self):
+        """The record of the cube under test, its lower limbs and carry
+        made now if child left them unmade."""
+        views = self._tested
+        if self._unmade:
+            parent, side = self._unmade
+            self._unmade = None
             np.matmul(parent.low_in, HALVES_T[side][parent.n],
                       out=views.low_out)
             _normalize(views, self._carry_row)
-        return cube
+        return views
 
-    def _product(self, cube, table, depth=None):
+    def _product(self, views, table, depth=None):
         """table[n], a map's transpose, on the leading axis of each limb
-        of a cube whose top limb is in range, written turned, that axis
-        last, into depth's slot, or a fresh array for no depth: one BLAS
-        product for the top limb and one for the lower limbs."""
-        views = self._views(cube)
+        of a record's cube whose top limb is in range, written turned,
+        that axis last, into depth's slot, or a fresh array for no depth:
+        one BLAS product for the top limb and one for the lower limbs.
+        Returns the output's record."""
         out = (_fresh(views.turned) if depth is None
                else self._slot(depth, views.turned))
         np.matmul(views.top_in, table[views.n], out=out.top_out)
         if len(views.rows) > 1:
             np.matmul(views.low_in, table[views.n], out=out.low_out)
-        return _normalize(out, self._carry_row)
-
-    def _views(self, cube):
-        """The record of a cube in a depth buffer, or new views of any
-        other."""
-        return self._by_id.get(id(cube)) or _Views(cube)
+        _normalize(out, self._carry_row)
+        return out
 
     def _slot(self, depth, shape):
         """The record of the cube in shape viewing depth's buffer, the
@@ -375,7 +365,7 @@ class NumpyBackend:
             buffer = self._grow(depth, size)
         views = self._records[depth][shape] = _Views(
             buffer[:size].reshape(shape))
-        self._by_id[id(views.cube)] = views
+        views.depth = depth
         return views
 
     def _grow(self, depth, size):
@@ -388,8 +378,6 @@ class NumpyBackend:
                 "a walk at depth %d would take the engine's buffers to %d "
                 "bytes, past its cap of %d" % (depth, held, MEMORY_CAP))
         stale = self._records.get(depth, {})
-        for views in stale.values():
-            del self._by_id[id(views.cube)]
         self._records[depth] = {}
         buffer = self._slots[depth] = np.empty(size)
         for shape in stale:

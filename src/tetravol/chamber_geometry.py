@@ -486,7 +486,11 @@ def partition_check(samples=10000, seed=0, cross_check=200):
     containment in the corresponding lattice simplices, at all four
     levels, decided on the same numerators, which ties the descriptions
     to the actual hulls.  ``misses`` still reports all four levels.
+    Raises ValueError unless samples >= 1 and cross_check >= 0.
     """
+    if samples < 1 or cross_check < 0:
+        raise ValueError("need samples >= 1 and cross_check >= 0, not %r "
+                         "and %r" % (samples, cross_check))
     import random
     rng = random.Random(seed)
     parts = build_partitions()

@@ -13,8 +13,8 @@ until every leaf is WPD, a cube goes negative at the origin (yielding an
 exact negative witness), or a step budget runs out, and it records one
 action per step ('S' split, 'W' WPD leaf, 'N' negative origin).  A split
 brings the cube in range once and pushes its two halves as pending
-entries, each the parent, a depth and a side; popping one makes that
-half alone, so a walk that stops early makes no cube it does not test.
+entries, each the parent and a side; popping one makes that half alone,
+so a walk that stops early makes no cube it does not test.
 The actions are the split tree in preorder, so ``tree_shape`` reads the
 tree's levels, the walk's peak stack and the path to its last node off
 them alone, in one pass, and ``_read`` the counters, the histogram and
@@ -25,7 +25,8 @@ when the walk re-derives the whole certificate: status, counters,
 histogram, actions and witness.
 
 Both run on the float64 limb engine of ``_kernels``, which widens a cube
-instead of overflowing, so a walk is exact at any coefficient size.
+instead of overflowing, so a walk is exact at any coefficient size.  It
+answers for the cube it made last, so the walk passes it no cube.
 ``get_backend`` returns one shared engine whose buffers serve one walk
 at a time, so ``certify`` and ``replay`` walk while holding the lock
 ``_WALK``: walks started by several threads take turns.
@@ -83,33 +84,36 @@ def replay(p, certificate):
 def _traverse(p, budget, eng, expect=None):
     """The subdivision walk; None as soon as an action differs from expect.
 
-    An entry on the stack is the root, side None, or a half still to be
-    made: its fitted parent, its depth and its side, 0 left or 1 right.
-    The engine makes each cube at its depth and keeps it until it makes
-    the next cube there; the walk is depth first, so a parent outlasts
-    its halves, and no cube is read after the next one at its depth.
+    An entry on the stack is the root, made already, (None, None), or a
+    half still to be made: the parent ``fit`` returned and its side, 0
+    left or 1 right.  The engine tests the cube it made last and keeps
+    it until it makes the next cube at its depth; the walk is depth
+    first, so a parent outlasts its halves, and no cube is read after
+    the next one at its depth.
     """
-    stack = [(eng.from_poly(p), 0, None)]
+    eng.from_poly(p)
+    stack = [(None, None)]
     actions = []
     status, corner = "Nonnegative", None
     while stack:
         if len(actions) >= budget:
             status = "BudgetExhausted"
             break
-        parent, depth, side = stack.pop()
-        cube = parent if side is None else eng.child(parent, depth, side)
-        if eng.origin_negative(cube):
+        parent, side = stack.pop()
+        if parent is not None:
+            eng.child(parent, side)
+        if eng.origin_negative():
             act = "N"
         else:
-            act = "W" if eng.wpd(cube) else "S"
+            act = "W" if eng.wpd() else "S"
         if expect is not None and not expect.startswith(act, len(actions)):
             return None
         actions.append(act)
         if act == "S":
-            parent = eng.fit(cube, depth)
-            stack += ((parent, depth + 1, 0), (parent, depth + 1, 1))
+            parent = eng.fit()
+            stack += ((parent, 0), (parent, 1))
         elif act == "N":
-            status, corner = "NegativeWitness", eng.corner_value(cube)
+            status, corner = "NegativeWitness", eng.corner_value()
             break
     return _read(status, actions, budget, corner)
 

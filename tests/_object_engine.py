@@ -3,7 +3,9 @@
 Cubes are (7,)*5 object arrays of Python ints, so every operation is
 exact at any size by construction, and slow.  The tests compare the
 package's float64 limb engine with it operation by operation and run by
-run, decoding its cubes with ``to_poly``.
+run, decoding its cubes with ``to_poly``.  Like the limb engine, it
+answers for the cube it made last, and ``fit`` returns the parent that
+``child`` takes: here the cube and its depth.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ SHAPE = (7,) * 5
 
 def fit_cube(cube):
     """``_fit`` on a cube outside an engine's buffers."""
-    return _fit(_Views(cube))
+    return _fit(_Views(cube)).cube
 
 
 def normalize_cube(cube):
@@ -60,6 +62,7 @@ class ObjectEngine:
         cube = np.zeros(SHAPE, dtype=object)
         for exps, c in p.terms.items():
             cube[exps] = c
+        self._cube, self._depth = cube, 0
         return cube
 
     def to_poly(self, cube):
@@ -70,17 +73,17 @@ class ObjectEngine:
                 terms[exps] = int(c)
         return Polynomial(5, terms)
 
-    def wpd(self, cube):
-        acc = cube
+    def wpd(self):
+        acc = self._cube
         for a in range(5):
             acc = acc.cumsum(axis=a)
         return not (acc < 0).any()
 
-    def origin_negative(self, cube):
-        return cube[0, 0, 0, 0, 0] < 0
+    def origin_negative(self):
+        return self._cube[0, 0, 0, 0, 0] < 0
 
-    def corner_value(self, cube):
-        return int(cube[0, 0, 0, 0, 0])
+    def corner_value(self):
+        return int(self._cube[0, 0, 0, 0, 0])
 
     def max_exponent(self, cube, axis):
         for k in range(6, -1, -1):
@@ -109,14 +112,16 @@ class ObjectEngine:
             out[tuple(sl)] = acc
         return out
 
-    def fit(self, cube, depth):
+    def fit(self):
         # Python ints have no range to bring a cube into
-        return cube
+        return self._cube, self._depth
 
-    def child(self, parent, depth, side):
-        """The left half (side 0) or the right half (side 1), at depth, of
-        a split of parent: the walk splits axis (depth - 1) % 5."""
-        axis = (depth - 1) % 5
+    def child(self, parent, side):
+        """The left half (side 0) or the right half (side 1) of a split of
+        parent, a cube and its depth d: the walk splits axis d % 5."""
+        cube, depth = parent
+        axis = depth % 5
         if side:
-            parent = self.reflect(parent, axis)
-        return self.dilate(parent, axis)
+            cube = self.reflect(cube, axis)
+        self._cube, self._depth = self.dilate(cube, axis), depth + 1
+        return self._cube

@@ -32,7 +32,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from tetravol._kernels import (
     DILATE, DILATE_REFLECT, HALVES_T, LIMB, LIMB_BITS, PREFIX, REFLECT,
-    SETTLES, MemoryCapError, NumpyBackend, _value, get_backend,
+    SETTLES, MemoryCapError, NumpyBackend, _value, _Views, get_backend,
 )
 from tetravol import _kernels, positive_dominance
 from tetravol.case_suite_cli import case_registry, main
@@ -122,13 +122,34 @@ def meets_limb_invariant(cube, top_bound=LIMB):
 PRODUCT_TOP = 321 * LIMB
 
 
-def made_whole(eng, cube):
-    """A copy of cube with every limb made, as eng makes a half's lower
-    limbs and carry, leaving eng and its cube as they are."""
-    copy, twin = cube.copy(), NumpyBackend()
-    if eng._unmade[0] is cube:
-        twin._unmade = (copy,) + eng._unmade[1:]
-    return twin._made(copy)
+def made_whole(eng):
+    """A copy of eng's cube under test with every limb made, as eng makes
+    a half's lower limbs and carry, leaving eng and its cube as they
+    are."""
+    twin = NumpyBackend()
+    twin._tested = _Views(eng._tested.cube.copy())
+    twin._unmade = eng._unmade
+    return twin._made().cube
+
+
+def record(cube, depth):
+    """A record of cube, an array outside any engine's buffers, as an
+    engine keeps for a cube it made at depth."""
+    views = _Views(cube)
+    views.depth = depth
+    return views
+
+
+def put_under_test(eng, views):
+    """Make a record's cube eng's cube under test, whole, as from_poly
+    leaves a root; returns the record."""
+    eng._tested, eng._unmade, eng._least = views, None, -np.inf
+    return views
+
+
+def full_product(parent, side):
+    """The half of parent, a cube, on side, made whole at once."""
+    return NumpyBackend()._product(_Views(parent), HALVES_T[side]).cube
 
 
 # dilating axis 0 multiplies its box sums by 2^6 (the rows of DILATE[7]
@@ -163,9 +184,9 @@ def test_limb_engine_agrees_with_the_object_oracle(p):
     before = cube.copy()
     assert meets_limb_invariant(cube)
     assert to_poly(cube) == p
-    assert eng.wpd(cube) == oracle.wpd(ref)
-    assert eng.origin_negative(cube) == oracle.origin_negative(ref)
-    assert eng.corner_value(cube) == oracle.corner_value(ref)
+    assert eng.wpd() == oracle.wpd()
+    assert eng.origin_negative() == oracle.origin_negative()
+    assert eng.corner_value() == oracle.corner_value()
     for axis in range(5):
         # x_axis leads after axis turns, and every operation adds a turn
         turned = turn(cube, axis)
@@ -179,23 +200,25 @@ def test_limb_engine_agrees_with_the_object_oracle(p):
             oracle.dilate(ref, axis))
         # each half of a split, and the half brought back in range, as
         # the walk fits a cube before it makes its halves: turned is a
-        # cube at depth axis, its halves at depth axis + 1
-        parent = eng.fit(turned, axis)
-        assert parent is turned and oracle.fit(ref, axis) is ref
+        # cube at depth axis, its halves at depth axis + 1, and ref, the
+        # oracle's root, is taken as its cube at depth axis
+        put_under_test(eng, record(turned, axis))
+        oracle._cube, oracle._depth = ref, axis
+        parent, ref_parent = eng.fit(), oracle.fit()
+        assert parent.cube is turned and ref_parent[0] is ref
         for side in (0, 1):
             # the walk's tests read the half as child makes it, its lower
             # limbs perhaps unmade, and must answer as the full product
-            whole = NumpyBackend()._product(parent, HALVES_T[side])
-            child = eng.child(parent, axis + 1, side)
-            assert eng.origin_negative(child) == (
-                whole[-1, 0, 0, 0, 0, 0] < 0)
-            assert eng.wpd(child) == (whole[-1].min() >= 0)
-            want = oracle.to_poly(oracle.child(ref, axis + 1, side))
-            assert eng._made(child) is child
+            whole = full_product(turned, side)
+            child = eng.child(parent, side)
+            assert eng.origin_negative() == (whole[-1, 0, 0, 0, 0, 0] < 0)
+            assert eng.wpd() == (whole[-1].min() >= 0)
+            want = oracle.to_poly(oracle.child(ref_parent, side))
+            assert eng._made().cube is child
             assert np.array_equal(child, whole)
             assert meets_limb_invariant(child, PRODUCT_TOP)
             assert to_poly(child, axis + 1) == want
-            fitted = eng.fit(child, axis + 1)
+            fitted = eng.fit().cube
             assert meets_limb_invariant(fitted)
             assert to_poly(fitted, axis + 1) == want
         # no product writes to its input
@@ -248,20 +271,22 @@ class ProductSpy(NumpyBackend):
         self.limbs.append(len(cube))
         return cube
 
-    def fit(self, cube, depth):
+    def fit(self):
         self.fits += 1
-        return super().fit(cube, depth)
+        return super().fit()
 
-    def _product(self, cube, table, depth=None):
-        assert meets_limb_invariant(cube)
-        self.limbs.append(len(cube))
-        return self._output(super()._product(cube, table, depth))
+    def _product(self, views, table, depth=None):
+        assert meets_limb_invariant(views.cube)
+        self.limbs.append(len(views.cube))
+        out = super()._product(views, table, depth)
+        self._output(out.cube)
+        return out
 
-    def child(self, parent, depth, side):
-        assert meets_limb_invariant(parent)
-        self.limbs.append(len(parent))
-        half = super().child(parent, depth, side)
-        self._output(made_whole(self, half))
+    def child(self, parent, side):
+        assert meets_limb_invariant(parent.cube)
+        self.limbs.append(len(parent.cube))
+        half = super().child(parent, side)
+        self._output(made_whole(self))
         return half
 
     def _output(self, out):
@@ -402,16 +427,18 @@ def test_dilate_takes_a_limb_past_the_edge():
     assert (len(cube), len(dilated)) == (2, 2)
     assert dilated[-1].max() >= LIMB
     assert meets_limb_invariant(dilated, PRODUCT_TOP)
-    assert len(eng.child(cube, 1, 0)) == 2
+    assert len(eng.child(eng.fit(), 0)) == 2
     # and takes the third limb when fitted for its own split
     ref = oracle.dilate(oracle.from_poly(WIDENS_ON_DILATE), 0)
-    parent = eng.fit(dilated, 1)
-    assert len(parent) == 3 and meets_limb_invariant(parent)
+    put_under_test(eng, record(dilated, 1))
+    parent = eng.fit()
+    assert len(parent.cube) == 3 and meets_limb_invariant(parent.cube)
     for side in (0, 1):
-        half = eng._made(eng.child(parent, 2, side))
+        eng.child(parent, side)
+        half = eng._made().cube
         assert len(half) == 3
         assert meets_limb_invariant(half, PRODUCT_TOP)
-        assert to_poly(half, 2) == oracle.to_poly(oracle.child(ref, 2, side))
+        assert to_poly(half, 2) == oracle.to_poly(oracle.child((ref, 1), side))
 
 
 def test_limb_width_leaves_float64_headroom():
@@ -565,19 +592,19 @@ def assert_half_matches_the_full_product(parent, side):
     Returns t, the carry into the top and the walk's answers."""
     k, n = parent.shape[:2]
     w, s, _ = SETTLES[side][n]
-    whole = NumpyBackend()._product(parent, HALVES_T[side])
+    whole = full_product(parent, side)
     want = fit_cube(whole.copy())
     eng = NumpyBackend()
-    half = eng.child(parent, 1, side)
+    half = eng.child(record(parent, 0), side)
     t = half[-1].copy()
-    negative = eng.origin_negative(half)
+    negative = eng.origin_negative()
     assert negative == (whole[-1, 0, 0, 0, 0, 0] < 0)
     assert negative == (t[0, 0, 0, 0, 0] < 0)
-    leaf = eng.wpd(half)
+    leaf = eng.wpd()
     assert leaf == (whole[-1].min() >= 0)
     least = t.min()
-    assert (eng._unmade[0] is half) == (k > 1 and (least >= w or least < s))
-    fitted = eng.fit(half, 1)
+    assert (eng._unmade is not None) == (k > 1 and (least >= w or least < s))
+    fitted = eng.fit().cube
     assert fitted.shape == want.shape and np.array_equal(fitted, want)
     assert meets_limb_invariant(fitted)
     return t, whole[-1] - t, leaf, len(fitted)
@@ -684,10 +711,10 @@ class UnmadeSpy(NumpyBackend):
         super().__init__()
         self.multi = self.unmade = 0
 
-    def child(self, parent, depth, side):
-        self.unmade += self._unmade[0] is not None
-        self.multi += len(parent) > 1
-        return super().child(parent, depth, side)
+    def child(self, parent, side):
+        self.unmade += self._unmade is not None
+        self.multi += len(parent.cube) > 1
+        return super().child(parent, side)
 
 
 def test_most_multi_limb_halves_are_settled_by_their_top(monkeypatch):
@@ -704,7 +731,7 @@ def test_most_multi_limb_halves_are_settled_by_their_top(monkeypatch):
     # are WPD leaves whose lower limbs were never made; a walk back on
     # whole products would leave none
     assert (want.steps, spy.multi) == (1275, 1220)
-    assert spy.unmade + (spy._unmade[0] is not None) == 490
+    assert spy.unmade + (spy._unmade is not None) == 490
 
 
 @given(limb_edge_polys5())
@@ -723,7 +750,7 @@ def test_wpd_is_the_sign_of_every_box_sum(p):
     box = [range(max(e[a] for e in q.terms) + 1) for a in range(5)]
     sums = (sum(c for e, c in q.terms.items() if all(map(le, e, i)))
             for i in product(*box))
-    assert eng.wpd(cube) == all(s >= 0 for s in sums)
+    assert eng.wpd() == all(s >= 0 for s in sums)
 
 
 @given(small_polys5())
@@ -766,9 +793,9 @@ class CubeSpy(NumpyBackend):
         self.cubes.append((0, cube.copy()))
         return cube
 
-    def child(self, parent, depth, side):
-        cube = super().child(parent, depth, side)
-        self.cubes.append((depth, made_whole(self, cube)))
+    def child(self, parent, side):
+        cube = super().child(parent, side)
+        self.cubes.append((parent.depth + 1, made_whole(self)))
         return cube
 
 
@@ -806,8 +833,8 @@ class OracleSpy(ObjectEngine):
         self.cubes.append(cube)
         return cube
 
-    def child(self, parent, depth, side):
-        cube = super().child(parent, depth, side)
+    def child(self, parent, side):
+        cube = super().child(parent, side)
         self.cubes.append(cube)
         return cube
 
@@ -835,9 +862,9 @@ def test_a_walk_over_five_distinct_extents_turns_its_axes():
     for depth, cube in past:
         assert meets_limb_invariant(cube, PRODUCT_TOP)
         eng = NumpyBackend()
-        parent = eng.fit(cube.copy(), depth)
-        assert [len(eng.child(parent, depth + 1, side))
-                for side in (0, 1)] == [2, 2]
+        put_under_test(eng, record(cube.copy(), depth))
+        parent = eng.fit()
+        assert [len(eng.child(parent, side)) for side in (0, 1)] == [2, 2]
     # the walk made the cubes it tested, and no others
     assert len(spy.cubes) == len(oracle.cubes) == cert.steps
     for (depth, cube), ref in zip(spy.cubes, oracle.cubes):
@@ -855,9 +882,9 @@ class WalkSpy(NumpyBackend):
     """The limb engine, watching what the walk does with cube memory.
 
     Every cube the walk gets, a root, a half or a parent widened to be
-    split, gets a digest when the engine hands it out, and is checked
-    against it whenever the walk reads it: when the walk tests its
-    origin, brings it in range, or makes a half of it. So no cube is
+    split, gets a digest under its record when the engine hands it out,
+    and is checked against it whenever the walk reads it: when it tests
+    its origin, brings it in range, or makes a half of it. So no cube is
     written while the walk can still read it, although the engine makes
     each cube in the buffer of its depth; only a half's unmade lower
     limbs may be, and then the half must equal the full product. Per
@@ -872,22 +899,25 @@ class WalkSpy(NumpyBackend):
         self.fresh = 0
         self.rooting = False
 
-    def _hand_out(self, cube, depth, tested=False, whole=None):
-        # each cube views its depth's buffer; held keeps it, so that no
-        # other cube takes its id. A half's lower limbs may be made after
-        # it is handed out, and must then make it whole, the full product
-        assert cube.base is self._slots[depth]
-        self.held[id(cube)] = (cube, digest(cube),
-                               digest(cube if whole is None else whole),
-                               tested)
-        return cube
+    def _hand_out(self, views, tested=False, whole=None):
+        # each cube views its depth's buffer; held keeps its record, so
+        # that no other record takes its id. A half's lower limbs may be
+        # made after it is handed out, and must then make it whole, the
+        # full product
+        cube = views.cube
+        assert cube.base is self._slots[views.depth]
+        self.held[id(views)] = (views, digest(cube),
+                                digest(cube if whole is None else whole),
+                                tested)
+        return views
 
-    def _read(self, cube):
-        """Whether the walk has tested cube, which must be unchanged but
-        for its lower limbs, if unmade when handed out, made whole."""
-        _, handed, whole, tested = self.held[id(cube)]
-        unmade = self._unmade[0] is cube
-        assert digest(cube) == (handed if unmade else whole)
+    def _read(self, views):
+        """Whether the walk has tested the cube of a record, which must be
+        unchanged but for its lower limbs, if unmade when handed out, made
+        whole."""
+        _, handed, whole, tested = self.held[id(views)]
+        unmade = views is self._tested and self._unmade is not None
+        assert digest(views.cube) == (handed if unmade else whole)
         return tested
 
     def _slot(self, depth, shape):
@@ -896,39 +926,41 @@ class WalkSpy(NumpyBackend):
         self.fresh += views.cube.base is not before
         return views
 
-    def _product(self, cube, table, depth=None):
+    def _product(self, views, table, depth=None):
         self.products += 1
-        return super()._product(cube, table, depth)
+        return super()._product(views, table, depth)
 
     def from_poly(self, p):
-        # id -> (cube, digest, tested) of each cube handed out this walk
+        # id -> (record, digests, tested) of each cube handed out this walk
         self.held = {}
         self.tested = self.products = self.fits = 0
         self.rooting = True
         root = super().from_poly(p)
         self.rooting = False
-        return self._hand_out(root, 0)
+        self._hand_out(self._tested)
+        return root
 
-    def origin_negative(self, cube):
-        self._read(cube)
-        self.held[id(cube)] = self.held[id(cube)][:3] + (True,)
+    def origin_negative(self):
+        views = self._tested
+        self._read(views)
+        self.held[id(views)] = self.held[id(views)][:3] + (True,)
         self.tested += 1
-        return super().origin_negative(cube)
+        return super().origin_negative()
 
-    def fit(self, cube, depth):
+    def fit(self):
         if self.rooting:
-            return super().fit(cube, depth)
-        tested = self._read(cube)
+            return super().fit()
+        tested = self._read(self._tested)
         self.fits += 1
-        return self._hand_out(super().fit(cube, depth), depth, tested)
+        return self._hand_out(super().fit(), tested)
 
-    def child(self, parent, depth, side):
+    def child(self, parent, side):
         self._read(parent)
         self.products += 1
-        cube = super().child(parent, depth, side)
-        assert not np.shares_memory(cube, parent)
-        return self._hand_out(cube, depth, whole=NumpyBackend()._product(
-            parent, HALVES_T[side]))
+        cube = super().child(parent, side)
+        assert not np.shares_memory(cube, parent.cube)
+        self._hand_out(self._tested, whole=full_product(parent.cube, side))
+        return cube
 
 
 # WIDENS_ON_DILATE is WPD at its root; times (x1 - x3)^2, which never
@@ -1030,30 +1062,36 @@ def test_walk_never_writes_a_cube_on_its_stack():
     assert widening[1] > len(widening[2]._slots)
 
 
-def halves(eng, parent, depth):
-    """Both halves, made whole at depth, of a split of a fitted parent,
-    left first: a copy of the left, which the right is written over."""
-    left = eng._made(eng.child(parent, depth, 0)).copy()
-    return [left, eng._made(eng.child(parent, depth, 1))]
+def halves(eng, parent):
+    """Both halves, made whole, of a split of a parent record, left
+    first: a copy of the left, which the right is written over."""
+    eng.child(parent, 0)
+    left = eng._made().cube.copy()
+    eng.child(parent, 1)
+    return [left, eng._made().cube]
 
 
 def test_cubes_at_other_depths_never_share_memory():
     eng = NumpyBackend()
     root = eng.from_poly(WIDENS_ON_DILATE)
+    fitted = eng.fit()
     # both halves of a split are made at one depth, in its buffer, so
     # halves copies the left before the right is written over it
-    left, right = halves(eng, root, 1)
+    left, right = halves(eng, fitted)
     assert left.base is None and right.base is eng._slots[1]
     assert not np.array_equal(left, right)
-    assert np.array_equal(eng._made(eng.child(root, 1, 0)), left)
+    eng.child(fitted, 0)
+    assert np.array_equal(eng._made().cube, left)
     assert np.array_equal(right, left)
     # a parent widened past its depth's buffer gets a larger one; dilate,
     # which the walk never calls, writes to a fresh array
     small, dilated = eng._slots[1], eng.dilate(root, 0)
     assert dilated.base is None
-    parent = eng.fit(dilated, 1)
-    assert len(parent) == 3 and parent.base is eng._slots[1] is not small
-    grand = eng.child(parent, 2, 0)
+    put_under_test(eng, record(dilated, 1))
+    parent = eng.fit()
+    assert len(parent.cube) == 3
+    assert parent.cube.base is eng._slots[1] is not small
+    grand = eng.child(parent, 0)
     assert grand.base is eng._slots[2] and len(grand) == 3
     for a, b in combinations(eng._slots.values(), 2):
         assert not np.shares_memory(a, b)
@@ -1135,20 +1173,52 @@ def test_a_grown_buffer_takes_its_depths_records_with_it():
     cert = _traverse(WIDENING_WALK, 60, eng)
     assert cert == certify(WIDENING_WALK, 60) and replaced
     # each record views its depth's buffer as it is now, in its shape,
-    # and is found from its cube
+    # and carries its depth
     assert eng._records.keys() == eng._slots.keys()
     for depth, records in eng._records.items():
         for shape, views in records.items():
             assert views.cube.shape == shape
-            assert eng._by_id[id(views.cube)] is views
+            assert views.depth == depth
             for view in (views.cube, *views.rows, views.top, views.top_in,
                          views.low_in, views.top_out, views.low_out):
                 assert view.base is eng._slots[depth]
-    assert len(eng._by_id) == sum(map(len, eng._records.values()))
     # once the engine drops the last walk's cubes, at its next root,
     # nothing keeps a replaced buffer alive
     eng.from_poly(NEGATIVE_AFTER_A_SPLIT)
     assert not any(ref() for ref in replaced)
+
+
+def test_a_grown_buffer_dies_at_the_call_that_grows_it():
+    # from_poly and child drop the cube under test before they take a
+    # buffer, so a depth's old buffer is freed by the time _slot returns
+    # the record its caller writes, even when the cube under test viewed
+    # the old one
+    eng = NumpyBackend()
+    slot, freed = eng._slot, []
+
+    def spy_slot(depth, shape):
+        old = weakref.ref(eng._slots[depth]) if depth in eng._slots else None
+        views = slot(depth, shape)
+        if old is not None and old() is not eng._slots[depth]:
+            freed.append((depth, old() is None))
+        return views
+
+    eng._slot = spy_slot
+    # the walk stops at its right half, under test at depth 1
+    assert _traverse(NEGATIVE_AFTER_A_SPLIT, 60, eng).actions == "SN"
+    assert freed == [] and eng._tested.depth == 1
+    # a three-limb parent at depth 0, made by hand in a grown buffer;
+    # its half takes depth 1's buffer past the one the cube under test
+    # views
+    parent = eng._slot(0, (3, 2, 1, 1, 1, 1))
+    parent.cube.fill(0)
+    eng.child(parent, 0)
+    assert eng._tested.cube.shape == (3, 1, 1, 1, 1, 2)
+    # a larger root, while that half is under test at depth 1 and its
+    # lower limbs, unmade, keep the parent
+    del parent
+    eng.from_poly(WIDENING_WALK)
+    assert freed == [(0, True), (1, True), (1, True), (0, True)]
 
 
 def test_a_warm_walk_makes_no_new_record_and_no_new_array(monkeypatch):
@@ -1170,8 +1240,8 @@ def test_a_warm_walk_makes_no_new_record_and_no_new_array(monkeypatch):
         eng = NumpyBackend()
         cert = _traverse(p, budget, eng)
         # a record per depth and shape the walk wrote, the root's passes
-        # included, and one more for each that a grown buffer made anew
-        assert len(made) >= len(eng._by_id) > 0
+        # included, and one more for each made again on a grown buffer
+        assert len(made) >= sum(map(len, eng._records.values())) > 0
         slots, records = dict(eng._slots), {
             (depth, shape): views for depth, by_shape in eng._records.items()
             for shape, views in by_shape.items()}
@@ -1268,14 +1338,14 @@ def test_split_never_writes_its_input():
     eng = NumpyBackend()
     for depth, before in cubes.values():
         # the cube in its depth's buffer, fitted there, then split
-        cube = eng._slot(depth, before.shape).cube
-        cube[...] = before
-        parent = eng.fit(cube, depth)
-        children = halves(eng, parent, depth + 1)
-        assert not any(np.shares_memory(c, parent) for c in children)
-        assert np.array_equal(parent, fit_cube(before))
+        views = put_under_test(eng, eng._slot(depth, before.shape))
+        views.cube[...] = before
+        parent = eng.fit()
+        children = halves(eng, parent)
+        assert not any(np.shares_memory(c, parent.cube) for c in children)
+        assert np.array_equal(parent.cube, fit_cube(before))
         # the children of a cube handed in from outside
-        children = halves(eng, before, depth + 1)
+        children = halves(eng, record(before, depth))
         assert not any(np.shares_memory(c, before) for c in children)
         assert np.array_equal(before, cubes[len(before)][1])
 
@@ -1335,4 +1405,5 @@ def test_numpy_engine_never_falls_back_silently():
     eng = get_backend()
     big = Polynomial(5, {(1, 0, 0, 0, 0): 2 ** 90,
                          (0, 0, 0, 0, 0): -2 ** 89})
-    assert eng.origin_negative(eng.from_poly(big))
+    eng.from_poly(big)
+    assert eng.origin_negative()

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from tetravol import _kernels
+from tetravol import _kernels, positive_dominance
 from tetravol._kernels import get_backend
 from tetravol.case_suite_cli import case_registry
+from tetravol.exact_poly import Polynomial
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -28,6 +29,29 @@ def test_tracer_installs_and_uninstalls(perfbench_path):
     tracer.install(get_backend())
     tracer.uninstall()
     assert _kernels.NUMBA_AVAILABLE is False
+
+
+def test_traced_wpd_calls_match_the_certificates_wpd_tests(perfbench_path):
+    # the harness's cross-check, which tier-1 does not otherwise run: one
+    # wpd call per W or S step, seen through the wrapped engine method.
+    # (2^87 + 1)(3 - 4 x0 + 2 x0^2)^3 has coefficients past 2^86, so its
+    # halves carry three limbs, and most are settled by their top limb
+    from tracer import Tracer
+    x0, one = Polynomial.variable(5, 0), Polynomial.constant(5, 1)
+    p = (2 ** 87 + 1) * (3 * one - 4 * x0 + 2 * x0 * x0) ** 3
+    tracer = Tracer()
+    tracer.install(get_backend())
+    try:
+        cert = positive_dominance.certify(p)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(0.0, 0.0)
+    assert (cert.status, cert.steps) == ("Nonnegative", 65)
+    assert metrics["positive_dominance.certify.calls"] == 1
+    assert (metrics["kernels.wpd.calls"]
+            == metrics["positive_dominance.certify.wpd_tests"]
+            == cert.wpd_tests == 65)
+    assert metrics["kernels.peak_coeff_bits"] > 0
 
 
 def test_reference_keys_tasks_by_label(perfbench_path):

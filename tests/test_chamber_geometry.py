@@ -524,6 +524,21 @@ def test_partition_check_small_run():
         "cross_checked": 300, "cross_mismatches": 0, "ok": True}
 
 
+def test_partition_check_rejects_no_samples_and_negative_cross_checks():
+    # a run that checks no point must not report ok, and a negative
+    # cross-check count must not be reported as one
+    for samples, cross_check in ((0, 0), (0, 200), (-1, 0), (30, -1),
+                                 (1, -200)):
+        with pytest.raises(ValueError, match="need samples >= 1"):
+            partition_check(samples=samples, cross_check=cross_check)
+    # the least values each bound admits still run
+    assert partition_check(samples=1, cross_check=0) == {
+        "samples": 1, "seed": 0,
+        "misses": {"three": 0, "four": 0, "twelve": 0, "fortyeight": 0},
+        "cross_checked": 0, "cross_mismatches": 0, "ok": True}
+    assert partition_check(samples=1, cross_check=1)["cross_checked"] == 1
+
+
 def test_partition_check_counts_a_chamber_that_rejects_everything(
         monkeypatch):
     dec = build_partitions().decoration_table()["D_1111"]

@@ -24,7 +24,8 @@ ONE = Polynomial.constant(5, 1)
 def is_wpd(p):
     """True iff every downward-closed box partial sum is nonnegative."""
     eng = get_backend()
-    return eng.wpd(eng.from_poly(p))
+    eng.from_poly(p)
+    return eng.wpd()
 
 
 def test_nonnegative_coefficients_pass_without_splitting():
@@ -176,7 +177,7 @@ def test_replay_rejects_tampering(monkeypatch):
     short = certify(diag, budget=30)
     wpd, tests = NumpyBackend.wpd, []
     monkeypatch.setattr(NumpyBackend, "wpd",
-                        lambda self, cube: tests.append(1) or wpd(self, cube))
+                        lambda self: tests.append(1) or wpd(self))
     assert not replay(diag, dataclasses.replace(short, budget=300))
     assert len(tests) == 31
 
@@ -218,9 +219,11 @@ def test_reader_rebuilds_every_recorded_certificate():
 class TreeSpy(NumpyBackend):
     """The limb engine, recording the split tree as the walk grows it.
 
-    Each cube it hands out gets its path from the root, one (side, axis)
-    pair per split, the left child of a split being "L"; ``popped`` is
-    the path of the last cube whose origin the walk read. ``nodes``
+    Each cube it makes gets its path from the root, one (side, axis)
+    pair per split, the left child of a split being "L", kept in ``path``
+    while it is the cube under test and, once fitted to be split, in
+    ``paths`` under its parent record; ``popped`` is the path of the
+    last cube whose origin the walk read. ``nodes``
     lists the depth and action of every cube the walk tested, ``splits``
     the depth of every cube it brought in range to split, and ``peak``
     the most halves and roots pending at once: the root, plus two per
@@ -230,6 +233,7 @@ class TreeSpy(NumpyBackend):
     def __init__(self):
         super().__init__()
         self.paths = {}
+        self.path = None
         self.splits = []
         self.nodes = []
         self.wpd_calls = 0
@@ -238,37 +242,38 @@ class TreeSpy(NumpyBackend):
 
     def from_poly(self, p):
         cube = super().from_poly(p)
-        self.paths[id(cube)] = ()
+        self.path = ()
         return cube
 
-    def origin_negative(self, cube):
-        self.popped = self.paths[id(cube)]
-        negative = super().origin_negative(cube)
+    def origin_negative(self):
+        self.popped = self.path
+        negative = super().origin_negative()
         if negative:
             self.nodes.append((len(self.popped), "N"))
         return negative
 
-    def wpd(self, cube):
+    def wpd(self):
         self.wpd_calls += 1
-        leaf = super().wpd(cube)
-        self.nodes.append((len(self.paths[id(cube)]), "W" if leaf else "S"))
+        leaf = super().wpd()
+        self.nodes.append((len(self.path), "W" if leaf else "S"))
         return leaf
 
-    def fit(self, cube, depth):
-        path = self.paths[id(cube)]
+    def fit(self):
+        path = self.path
+        depth = self._tested.depth
         assert depth == len(path)
         self.splits.append(depth)
         self.peak = max(self.peak, 1 + 2 * len(self.splits) - len(self.nodes))
-        parent = super().fit(cube, depth)
+        parent = super().fit()
         self.paths[id(parent)] = path
         return parent
 
-    def child(self, parent, depth, side):
+    def child(self, parent, side):
         path = self.paths[id(parent)]
-        assert depth == len(path) + 1
-        cube = super().child(parent, depth, side)
+        cube = super().child(parent, side)
+        assert self._tested.depth == len(path) + 1
         # the walk splits the axes in turn
-        self.paths[id(cube)] = path + (("LR"[side], len(path) % 5),)
+        self.path = path + (("LR"[side], len(path) % 5),)
         return cube
 
 
