@@ -20,12 +20,16 @@ at its default seed and trials, per excluded chamber of each case
 without a K4 campaign; ``tests/test_anti_certification.py`` regenerates
 it and compares it line for line.
 
-The prescreen floats must stay bit-identical: they decide which
-candidate a search snaps first, so the golden witness file and the
-seeded campaign's prescreen count hang on every last bit of them.
+The prescreen's candidate masks must stay exactly those of the pinned
+floats: they decide which candidate a search snaps first, so the golden
+witness file and the seeded campaign's prescreen count hang on them.
+A screen (``_Screen``) decides a block's mask from M's cofactors in
+floats where a proven error band puts its value and the pinned floats'
+on the same side of zero, and hands a block with any point inside the
+band, whole, to the pinned floats, whose every bit stays fixed.
 Sampling draws one block per chunk from the seeded generator and equals
-trial-by-trial ``rng.random()`` calls exactly.  The float forms of f
-and g share one factor tree (``_FactorTree``, built once per beta):
+trial-by-trial ``rng.random()`` calls exactly.  The pinned float forms
+of f and g share one factor tree (``_FactorTree``, built once per beta):
 each term is the left-to-right product, in variable order, of its
 factors x_v^e, and terms that start with the same factors share their
 partial products.  Factors with e = 0 drop out, which moves no bit, as
@@ -223,6 +227,136 @@ class _FloatForms:
         return [t @ coeffs for t, (_, coeffs) in zip(terms, tree.forms)]
 
 
+class _Screen:
+    """The candidate mask of a block, f > 0 and g < 0, decided cheaply.
+
+    The screen evaluates f and g from M's six 2x2 cofactors, the float
+    twin of ``_cofactors`` and ``_jacobi_g`` (which stay the verifier's
+    own), on one contiguous (6, n) copy of the points: the squared
+    lengths s = x^2, M = ``BORDER`` s, each cofactor one difference of
+    two products of M's entries, f = det M along M's first row and
+    g = 4 sum_{k in beta} x_k half_k.  It must give the signs that the
+    pinned floats of ``_FloatForms.at`` give, so it decides a point only
+    where a proven band separates both from the exact value, and hands
+    the whole block to ``at`` otherwise.
+
+    The band, with u = 2^-53, m = max_k |x_k| and deg = 6 for f, 5 for g:
+
+    - Pinned floats.  A term is at most six ``np.power`` values, each
+      assumed within relative ``POWER`` = 2^-48 (256 u) of x^e; the worst
+      error measured for e <= 4 is 1.15 u.  At most five products join
+      them, and BLAS sums the T terms against their integer coefficients
+      in some order, within gamma_T (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2nd ed., ch. 3, with or without FMA).  A
+      term is at most m^deg, so the error is at most
+      ((1 + POWER)^6 (1 + u)^(T + 5) - 1) C m^deg, C the sum of the
+      coefficients' absolute values.
+    - Screen.  Scaling by 2 or 4, products with 0 or +-1 and adding 0
+      are exact; every other operation rounds once, multiplying each
+      monomial under it by some 1 + delta, |delta| <= u.  A monomial of
+      a cofactor meets at most 8 roundings (1 per square of its two
+      s, 2 per sum of its two M entries, 1 product, 1 difference); one
+      of f at most 14 (3 more for its M entry, 1 product and 2 in a sum
+      of three) and one of g at most 16 (2 in the sum that makes half_k,
+      1 product with x_k and 5 in a sum of six).  So the error is at most
+      gamma_N K m^deg, K the majorant, the program on |x| with every -
+      turned into +, at x = (1, ..., 1): 116 for f, and 4 (43 or 15)
+      summed over beta for g.
+    - The band is 2^8 (1 + 2^-20) times the sum of the two bounds, as a
+      factor of S^3 for f and S^2 sqrt(S) for g, S = max_k fl(x_k^2).
+      The factor 1 + 2^-20 covers the few roundings that make these
+      from S, which is at least m^2 (1 - u), and the constants' own.
+    - A block is screened only when S lies in [``LOW``, ``HIGH``] on
+      every row, so 2^-100 <= m <= 2^100.  Then nothing overflows, and
+      the underflows, each at most 2^-1074 absolutely, np.power's
+      included, reach f or g scaled by at most 2^20 max(1, m)^6 in all:
+      under 2^-400 of the band, which is at least 2^-40 m^6 for f and
+      2^-40 m^5 for g.
+
+    A point is a decided candidate when F > band_f and G < -band_g, and
+    decided not to be one when F < -band_f or G > band_g; either way the
+    pinned floats, within their bound of the exact values, give it the
+    same decision.  Any point left undecided sends the whole block to
+    ``at``, never a subset of its rows: BLAS sums a row in an order that
+    depends on its position, so a subset would move bits.
+    """
+
+    # M's entries (M22, M23, M24, M33, M34, M44) from the squared lengths,
+    # in edge order 12, 13, 14, 23, 24, 34
+    BORDER = np.array([[2, 0, 0, 0, 0, 0], [1, 1, 0, -1, 0, 0],
+                       [1, 0, 1, 0, -1, 0], [0, 2, 0, 0, 0, 0],
+                       [0, 1, 1, 0, 0, -1], [0, 0, 2, 0, 0, 0]], dtype=float)
+    # cofactor i is M[LEFT[i]] M[RIGHT[i]] - M[LEFT[i + 6]] M[RIGHT[i + 6]],
+    # in order C22, C23, C24, C33, C34, C44
+    LEFT = np.array([3, 2, 1, 0, 1, 0, 4, 1, 2, 2, 0, 1])
+    RIGHT = np.array([5, 4, 4, 5, 2, 3, 4, 5, 3, 2, 4, 1])
+    # 4 half_k = 2 df/ds_k from the cofactors, in edge order (``_jacobi_g``)
+    HALF = 4.0 * np.array([[1, 1, 1, 0, 0, 0], [0, 1, 0, 1, 1, 0],
+                           [0, 0, 1, 0, 1, 1], [0, -1, 0, 0, 0, 0],
+                           [0, 0, -1, 0, 0, 0], [0, 0, 0, 0, -1, 0]])
+    POWER = 2.0 ** -48
+    LOW, HIGH = 2.0 ** -200, 2.0 ** 200
+
+    def __init__(self, beta):
+        self.edges = np.array(sorted(beta.indices))
+        self.half = self.HALF[self.edges]
+        self.forms = _FloatForms(_search_tree(beta))
+        # the majorants of M's entries and cofactors at x = (1, ..., 1)
+        entry = np.abs(self.BORDER).sum(axis=1)
+        cofactor = entry[self.LEFT[:6]] * entry[self.RIGHT[:6]] \
+            + entry[self.LEFT[6:]] * entry[self.RIGHT[6:]]
+        self.band_f = self._band(f_polynomial(), entry[:3] @ cofactor[:3], 14)
+        self.band_g = self._band(directional_derivative(beta),
+                                 (np.abs(self.half) @ cofactor).sum(), 16)
+
+    def _band(self, poly, majorant, roundings):
+        """The band over m^deg for poly, from the two bounds above."""
+        u = 2.0 ** -53
+        pinned = math.expm1(6 * math.log1p(self.POWER)
+                            + (len(poly.terms) + 5) * math.log1p(u))
+        coeffs = sum(abs(c) for c in poly.terms.values())
+        screen = roundings * u / (1 - roundings * u)
+        return 2.0 ** 8 * (1 + 2.0 ** -20) * (pinned * coeffs
+                                               + screen * float(majorant))
+
+    def bands(self, points):
+        """(F, G, band_f, band_g) at the rows of points, or None when the
+        squared lengths leave [LOW, HIGH]."""
+        x = np.ascontiguousarray(points.T)
+        s = x * x
+        top = s.max(axis=0)
+        if not (self.LOW <= top.min() and top.max() <= self.HIGH):
+            return None
+        mat = self.BORDER @ s
+        prod = mat.take(self.LEFT, axis=0) * mat.take(self.RIGHT, axis=0)
+        c = prod[:6] - prod[6:]
+        f = np.einsum("ij,ij->j", mat[:3], c[:3])
+        g = np.einsum("ij,ij->j", x.take(self.edges, axis=0), self.half @ c)
+        top2 = top * top
+        return (f, g, self.band_f * (top2 * top),
+                self.band_g * (top2 * np.sqrt(top)))
+
+    def decide(self, points):
+        """The candidate mask, or None when the band leaves a point
+        undecided."""
+        screened = self.bands(points)
+        if screened is None:
+            return None
+        f, g, band_f, band_g = screened
+        candidate = (f > band_f) & (g < -band_g)
+        if not (candidate | (f < -band_f) | (g > band_g)).all():
+            return None
+        return candidate
+
+    def candidates(self, points):
+        """The candidate mask: the screen's, else the pinned floats'."""
+        candidate = self.decide(points)
+        if candidate is None:
+            fv, gv = self.forms.at(points)
+            candidate = (fv > 0.0) & (gv < 0.0)
+        return candidate
+
+
 def snap_point(weights, vertices):
     """Integer cone point near the ray of the sampled barycentric point."""
     qs = [int(math.floor(SNAP_SCALE * w)) for w in weights]
@@ -256,7 +390,7 @@ def _outcomes(decs, beta, rng, trials, cubed_from):
     stack = np.array(simplices, dtype=np.float64)
     f = f_polynomial()
     g = directional_derivative(beta)
-    forms = _FloatForms(_search_tree(beta))
+    screen = _Screen(beta)
     fifth_from = cubed_from + (trials - cubed_from) // 2
     done = 0
     while done < trials:
@@ -269,8 +403,8 @@ def _outcomes(decs, beta, rng, trials, cubed_from):
             qs[i] = _power_weights(qs[i].tolist(),
                                    5 if done + i >= fifth_from else 3)
         idx = (done + np.arange(n)) % len(decs)
-        fv, gv = forms.at(np.einsum("ij,ijk->ik", qs, stack[idx]))
-        for i in np.nonzero((fv > 0.0) & (gv < 0.0))[0]:
+        points = np.einsum("ij,ijk->ik", qs, stack[idx])
+        for i in np.nonzero(screen.candidates(points))[0]:
             dec = decs[idx[i]]
             point = snap_point(qs[i], simplices[idx[i]])
             f_exact = f.evaluate(point)
@@ -283,6 +417,12 @@ def _outcomes(decs, beta, rng, trials, cubed_from):
         done += n
 
 
+def _need_trials(trials):
+    # a search of no trials would report nothing found, as if it had looked
+    if trials < 1:
+        raise ValueError("need trials >= 1, not %r" % (trials,))
+
+
 def anti_certify(dec, beta, trials=20000, seed=0):
     """Search chamber `dec` for a witness; None after `trials` misses.
 
@@ -293,8 +433,9 @@ def anti_certify(dec, beta, trials=20000, seed=0):
     region.  Floating point only filters
     candidates; acceptance requires exact integer signs plus weak
     membership in the chamber cone.  With a fixed seed the outcome is
-    reproducible bit for bit.
+    reproducible bit for bit.  Raises ValueError unless trials >= 1.
     """
+    _need_trials(trials)
     rng = random.Random("%s|%s|%d" % (beta.spec(), dec.id, seed))
     return next(filter(None, _outcomes([dec], beta, rng, trials,
                                        trials // 2)), None)
@@ -312,8 +453,9 @@ def full_k4_campaign(trials=100000, seed=0):
     Returns (witnesses, prescreen_hits).  Lengthening every edge never
     loses volume where f > 0, so the witness list must come back empty;
     prescreen_hits counts float candidates that exact arithmetic then
-    rejected.
+    rejected.  Raises ValueError unless trials >= 1.
     """
+    _need_trials(trials)
     rng = random.Random("K4-campaign|%d" % seed)
     outcomes = list(_outcomes(decorations(), EdgeSubset.full(), rng, trials,
                               trials))

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from tetravol import anti_certification
 from tetravol.anti_certification import (
     SNAP_SCALE, Witness, _cofactors, _FactorTree, _FloatForms, _jacobi_g,
+    _Screen,
     anti_certify, barycentric_block, excluded_chambers, f_value_bordered,
     full_k4_campaign, read_witnesses, snap_point, verify_witness,
 )
@@ -436,11 +437,18 @@ def test_float_forms_of_random_polynomials_equal_the_oracle(polys, seed):
             assert got.tobytes() == float_form_reference(poly, pts).tobytes()
 
 
+def oracle_mask(beta, points):
+    """The candidate mask that the broadcast oracle's floats give."""
+    f = float_form_reference(f_polynomial(), points)
+    g = float_form_reference(directional_derivative(beta), points)
+    return (f > 0.0) & (g < 0.0)
+
+
 def test_float_forms_on_the_first_campaign_batches(monkeypatch):
     # full_k4_campaign's float candidate count is 0 at every seed, so its
-    # result cannot show drift in the K4 floats: rebuild its first two
-    # batches, see that the campaign hands its forms those points, and
-    # hold the forms' values there to the oracle
+    # result cannot show a wrong mask: rebuild its first two batches, see
+    # that the campaign screens those points, and hold its candidate mask
+    # there to the oracle's on every point
     decs = decorations()
     parts = build_partitions()
     stack = np.array([parts.simplex_for_decoration(d).vertices
@@ -452,36 +460,45 @@ def test_float_forms_on_the_first_campaign_batches(monkeypatch):
         want.append(np.einsum("ij,ijk->ik", barycentric_block(rng, 1024),
                               stack[idx]))
     seen = []
-    at = _FloatForms.at
+    candidates, at = _Screen.candidates, _FloatForms.at
 
     def spy(self, points):
-        values = at(self, points)
-        seen.append((points.copy(), [v.copy() for v in values]))
-        return values
+        mask = candidates(self, points)
+        seen.append((points.copy(), mask.copy()))
+        return mask
 
-    monkeypatch.setattr(anti_certification._FloatForms, "at", spy)
+    def at_spy(self, points):
+        raise AssertionError("the band decides every point of these batches")
+
+    monkeypatch.setattr(anti_certification._Screen, "candidates", spy)
+    monkeypatch.setattr(anti_certification._FloatForms, "at", at_spy)
     assert full_k4_campaign(trials=2048, seed=0) == ([], 0)
-    polys = (f_polynomial(), directional_derivative(EdgeSubset.full()))
     assert len(seen) == 2
-    for pts, (points, values) in zip(want, seen):
+    for pts, (points, mask) in zip(want, seen):
         assert points.tobytes() == pts.tobytes()
-        for poly, got in zip(polys, values):
-            assert got.tobytes() == float_form_reference(poly, pts).tobytes()
+        assert np.array_equal(mask, oracle_mask(EdgeSubset.full(), pts))
+    # with at back, the same batches through the fallback give the same
+    monkeypatch.setattr(anti_certification._FloatForms, "at", at)
+    screen = _Screen(EdgeSubset.full())
+    for points, mask in seen:
+        fv, gv = screen.forms.at(points)
+        assert np.array_equal((fv > 0.0) & (gv < 0.0), mask)
 
 
 def test_campaigns_in_two_threads_match_one_after_the_other(monkeypatch):
-    # each search owns its forms' buffers, so two campaigns may run at
-    # once; every float of every batch must match the sequential run
+    # each search owns its screen and its forms' buffers, so two campaigns
+    # may run at once; every batch's points and candidate mask must match
+    # the sequential run, and every mask the oracle's
     seen = {}
-    at = _FloatForms.at
+    candidates = _Screen.candidates
 
     def spy(self, points):
-        values = at(self, points)
+        mask = candidates(self, points)
         seen.setdefault(threading.current_thread().name, []).append(
-            b"".join(v.tobytes() for v in values))
-        return values
+            (points.copy(), mask.copy()))
+        return mask
 
-    monkeypatch.setattr(anti_certification._FloatForms, "at", spy)
+    monkeypatch.setattr(anti_certification._Screen, "candidates", spy)
     seeds = {"a": 5, "b": 6}
 
     def campaigns(seed, out):
@@ -512,4 +529,151 @@ def test_campaigns_in_two_threads_match_one_after_the_other(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert results == alone == {name: [([], 0)] * 2 for name in seeds}
     assert len(want["a"]) == len(want["b"]) == 8
-    assert seen == want
+    for name in seeds:
+        assert len(seen[name]) == 8
+        for (points, mask), (pts, want_mask) in zip(seen[name], want[name]):
+            assert points.tobytes() == pts.tobytes()
+            assert mask.tobytes() == want_mask.tobytes()
+            assert np.array_equal(mask, oracle_mask(EdgeSubset.full(),
+                                                    points))
+
+
+# the screens the soundness tests hold to the oracle: f with the K4 g,
+# and f with a 2-edge g
+SCREENED_BETAS = (EdgeSubset.full(), EdgeSubset.parse("12,34"))
+
+
+def assert_screen_decides_as_the_oracle(beta, points):
+    """Where the screen's band decides f's or g's sign, the oracle's
+    floats have that sign; where it decides a row, the oracle's mask
+    agrees.  Returns how many signs of f and of g the band decided."""
+    screen = _Screen(beta)
+    bands = screen.bands(points)
+    if bands is None:
+        return 0, 0
+    f, g, band_f, band_g = bands
+    want_f = float_form_reference(f_polynomial(), points)
+    want_g = float_form_reference(directional_derivative(beta), points)
+    assert np.all(want_f[f > band_f] > 0) and np.all(want_f[f < -band_f] < 0)
+    assert np.all(want_g[g > band_g] > 0) and np.all(want_g[g < -band_g] < 0)
+    for row in points:
+        mask = screen.decide(row[None, :])
+        if mask is not None:
+            assert mask.tolist() == oracle_mask(beta, row[None, :]).tolist()
+    return np.sum(abs(f) > band_f), np.sum(abs(g) > band_g)
+
+
+@given(int_points)
+@example((0, 0, 0, 0, 0, 0))
+@example((-40, 40, -40, 40, -40, 40))
+@settings(max_examples=60)
+def test_the_screen_is_exact_at_small_integer_points(pt):
+    # every float the screen makes from coordinates up to 40 is an integer
+    # below 2^53, so F and G are f and g exactly; the origin lies below
+    # LOW, so the screen leaves it to the pinned floats
+    f_exact, cofactors = _cofactors(pt)
+    for beta in ALL_BETAS[::7]:
+        bands = _Screen(beta).bands(np.array([pt], dtype=np.float64))
+        if not any(pt):
+            assert bands is None
+            continue
+        f, g, _, _ = bands
+        assert (f[0], g[0]) == (f_exact, _jacobi_g(pt, cofactors, beta))
+
+
+coordinates = st.one_of(st.just(0.0), st.floats(0.0, 8.0))
+
+
+@given(st.lists(st.tuples(*[coordinates] * 6), min_size=1, max_size=8),
+       st.sampled_from([1.0, 1e6, 1e-6, 2.0 ** -90, 2.0 ** -178]))
+@example([(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)], 1e6)
+@example([(0.0, 0.0, 0.0, 0.0, 0.0, 5e-324)], 1.0)
+@settings(max_examples=60, deadline=None)
+def test_the_screen_decides_only_as_the_pinned_floats_do(rows, scale):
+    points = np.array(rows) * scale
+    for beta in SCREENED_BETAS:
+        assert_screen_decides_as_the_oracle(beta, points)
+
+
+def test_the_screen_near_the_zero_sets_decides_only_as_the_oracle():
+    # bisect the oracle's sign of f and of g between random points whose
+    # signs differ, then step off the crossing by 2^-k of the segment for
+    # k = 4..52: the steps straddle each band's edge, so the screen must
+    # decide some of these points and leave others to the fallback
+    rng = np.random.default_rng(3)
+    for beta in SCREENED_BETAS:
+        forms = (f_polynomial(), directional_derivative(beta))
+        for i, poly in enumerate(forms):
+            a, b = rng.random((2, 400, 6)) * 8.0
+            sa = float_form_reference(poly, a) > 0
+            sb = float_form_reference(poly, b) > 0
+            a, b = a[sa != sb][:20], b[sa != sb][:20]
+            lo, hi = np.zeros(len(a)), np.ones(len(a))
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                at_mid = float_form_reference(poly, a + mid[:, None] * (b - a))
+                same = (at_mid > 0) == (float_form_reference(poly, a) > 0)
+                lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+            steps = np.array([s * 2.0 ** -k for k in range(4, 53)
+                              for s in (-1.0, 1.0)] + [0.0])
+            t = np.clip(lo[:, None] + steps[None, :], 0.0, 1.0)
+            points = (a[:, None, :] + t[..., None] * (b - a)[:, None, :]) \
+                .reshape(-1, 6)
+            decided = assert_screen_decides_as_the_oracle(beta, points)[i]
+            assert 0 < decided < len(points)
+            # scaled far down, these products would underflow into wrong
+            # signs, were the screen to decide there at all
+            assert assert_screen_decides_as_the_oracle(
+                beta, points * 2.0 ** -178) == (0, 0)
+
+
+# integer points where f or g is exactly 0, each with the beta it is for:
+# f = 0 with g < 0, g = 0 with f > 0, and f = g = 0 away from the origin
+DEGENERATE = ((EdgeSubset.parse("12,34"), (2, 1, 3, 2, 4, 4)),
+              (EdgeSubset.full(), (0, 0, 2, 2, 0, 3)),
+              (EdgeSubset.parse("12,34"), (0, 0, 1, 1, 2, 0)),
+              (EdgeSubset.full(), (0, 0, 0, 0, 0, 1)))
+
+
+@pytest.mark.parametrize("beta, point", DEGENERATE)
+def test_exactly_degenerate_points_fall_back_to_the_pinned_floats(
+        monkeypatch, beta, point):
+    f_exact, cofactors = _cofactors(point)
+    g_exact = _jacobi_g(point, cofactors, beta)
+    assert 0 in (f_exact, g_exact) and f_exact >= 0 >= g_exact
+    screen = _Screen(beta)
+    for scale in (1.0, 2.0 ** 20):
+        row = np.array([point], dtype=np.float64) * scale
+        f, g, band_f, band_g = screen.bands(row)
+        assert abs(f[0]) <= band_f[0] or f_exact
+        assert abs(g[0]) <= band_g[0] or g_exact
+        assert screen.decide(row) is None
+    # among the points of a campaign block, the whole block goes to at
+    cell = build_partitions().fortyeight["D_3111"]
+    points = barycentric_block(random.Random(9), 1024) @ np.array(
+        cell.vertices, dtype=np.float64)
+    points[[5, 700]] = point
+    assert screen.decide(np.delete(points, [5, 700], axis=0)) is not None
+    ran = []
+    at = _FloatForms.at
+
+    def spy(self, block):
+        ran.append(block.copy())
+        return at(self, block)
+
+    monkeypatch.setattr(anti_certification._FloatForms, "at", spy)
+    mask = screen.candidates(points)
+    assert len(ran) == 1 and ran[0].tobytes() == points.tobytes()
+    assert np.array_equal(mask, oracle_mask(beta, points))
+
+
+def test_anti_certify_and_the_campaign_need_a_trial():
+    beta = EdgeSubset.parse("12")
+    chamber = excluded_chambers(beta)[0]
+    for trials in (0, -2):
+        with pytest.raises(ValueError, match="need trials >= 1"):
+            anti_certify(chamber, beta, trials=trials)
+        with pytest.raises(ValueError, match="need trials >= 1"):
+            full_k4_campaign(trials=trials - 1)
+    assert full_k4_campaign(trials=1) == ([], 0)
+    assert anti_certify(chamber, beta, trials=1) is None
