@@ -112,6 +112,7 @@ import numpy as np
 
 LIMB_BITS = 43
 LIMB = float(1 << LIMB_BITS)
+UNIT = 2.0 ** -LIMB_BITS  # 1 / LIMB, so x * UNIT is x / LIMB to the bit
 
 # Signed Pascal rows: (-1)^j * C(e, j), the x^j coefficient of (1-x)^e
 SIGNED_BINOM = np.array([[(-1) ** j * comb(e, j) for j in range(7)]
@@ -204,8 +205,8 @@ def _normalize(views, empty=np.empty):
         for low, high in zip(rows, rows[1:]):
             np.floor(low, out=carry)
             low -= carry
-            high += carry if high is views.top else np.divide(
-                carry, LIMB, out=carry)
+            high += carry if high is views.top else np.multiply(
+                carry, UNIT, out=carry)
     return views.cube
 
 
@@ -222,7 +223,7 @@ def _fit(views, empty=_fresh, least=-np.inf):
     wide.cube[:-2] = cube[:-1]
     # floor division: a negative top gives a fraction under a carry >= -321
     split = wide.rows[-2]
-    np.divide(top, LIMB, out=split)
+    np.multiply(top, UNIT, out=split)
     np.floor(split, out=wide.top)
     split -= wide.top
     return wide
@@ -263,7 +264,7 @@ class NumpyBackend:
         views.cube.fill(0)
         flat = np.ravel_multi_index(exps, shape)
         for row in views.rows[:-1]:
-            row[flat] = vals % (1 << LIMB_BITS) / LIMB
+            row[flat] = vals % (1 << LIMB_BITS) * UNIT
             vals = vals >> LIMB_BITS
         views.top[flat] = vals
         # each box sum of a pass, or of the root, sums some of the n

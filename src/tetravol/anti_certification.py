@@ -364,12 +364,6 @@ def snap_point(weights, vertices):
                  for c in range(6))
 
 
-def _power_weights(q, k):
-    u = [w ** k for w in q]
-    s = sum(u)
-    return [w / s for w in u]
-
-
 @functools.lru_cache(maxsize=63)
 def _search_tree(beta):
     """The factor tree of f and beta's derivative, built once per beta."""
@@ -398,10 +392,14 @@ def _outcomes(decs, beta, rng, trials, cubed_from):
         # stopping at an early candidate wastes little float work
         n = min(1024, trials - done)
         qs = barycentric_block(rng, n)
-        # on Python floats: their ** is the libm pow the golden file pins
-        for i in range(max(cubed_from - done, 0), n):
-            qs[i] = _power_weights(qs[i].tolist(),
-                                   5 if done + i >= fifth_from else 3)
+        lo = max(cubed_from - done, 0)
+        if lo < n:
+            # on Python floats: their ** is the libm pow the golden file
+            # pins; sum adds a row's powers left to right, column by column
+            u = np.array([w ** (5 if done + i >= fifth_from else 3)
+                          for i, row in enumerate(qs[lo:].tolist(), lo)
+                          for w in row]).reshape(-1, 6)
+            qs[lo:] = u / sum(u.T)[:, None]
         idx = (done + np.arange(n)) % len(decs)
         points = np.einsum("ij,ijk->ik", qs, stack[idx])
         for i in np.nonzero(screen.candidates(points))[0]:

@@ -27,12 +27,13 @@ y^m in p (0 if none), each node m holds
         = sum over the exponents e under m of c_e prod_k L_k^(e_k - m_k),
 
 so Q_0 = p(L_1, ..., L_6), and Q_m has degree at most deg p - |m|.  The
-nodes of one total degree form a level, one matrix of dense vectors over
-the monomials in u, and each level is one gather, one batched dot with
-the children's forms and one sum over each parent's children.  The tree
-depends on the exponents alone, so it is cached.
+dense vectors over the monomials in u of one total degree's nodes, a
+level, are the columns of a matrix; a level's step is one product of
+its children's matrix and their forms, each in its parent's column, one
+gather of rows and one sum over a form's six coefficients.  The tree
+depends on the exponents alone, so it is cached with the forms' places.
 
-The vectors are int64 when an exact bound allows it and Python ints
+The vectors are float64 when an exact bound allows it and Python ints
 (dtype=object) otherwise.  Write |q| for the sum of the absolute values
 of q's coefficients, N_k = max(1, |L_k|), and
 
@@ -42,21 +43,19 @@ Every value the scheme forms has absolute value at most Phi(p).  Let
 Phi_m = sum over e under m of |c_e| prod_k N_k^(e_k - m_k), so that
 Phi_m = |c_m| + sum over m's children m + e_j of N_j Phi_(m+e_j), which
 is at most Phi_0 = Phi(p) as N_k >= 1; by induction from the leaves,
-|Q_m| <= Phi_m.  An entry of a child's Q_(m+e_j) L_j, and each partial
-sum of its dot product, adds some of the signed products of a
-coefficient of Q_(m+e_j) and one of L_j, whose absolute values sum to at
-most N_j Phi_(m+e_j) over all entries; so an entry of Q_m, and each
-partial sum over the children and c_m that forms it, is at most Phi_m.
-So when Phi(p) < 2**63 no int64 operation can wrap, and both dtypes
-give the same integers.  Phi(p) itself is computed exactly from p's
-exponent matrix: each term's weight is one product of entries of
-per-variable tables of the powers of N_k, and the weighted sum is taken
-in Python ints.
+|Q_m| <= Phi_m.  An entry of Q_m is c_m plus signed products of a
+coefficient of a child's Q_(m+e_j) and one of L_j, whose absolute values
+sum to at most N_j Phi_(m+e_j) over all entries; so each product, and
+each partial sum of them and c_m in any order, is an integer of
+absolute value at most Phi_m.  When Phi(p) < 2**53 float64 holds each
+exactly, fused multiply-adds or not, so the float64 scheme is exact
+(Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008, on exact integers in
+floating-point BLAS).  The bound sum |c| * max_k N_k^deg(p) >= Phi(p)
+is tried first, and Phi(p) is computed exactly only when it fails.
 
 The result reaches the cube engine as arrays (``Polynomial.arrays``):
-the nonzero slots of Q_0's dense vector and their columns of a cached
-matrix of stick-breaking exponents, with no dict of exponent tuples
-built on the way.
+the nonzero slots of Q_0's dense vector, as int64 or Python ints, and
+their columns of a cached matrix of stick-breaking exponents, no dict.
 """
 
 from __future__ import annotations
@@ -82,10 +81,12 @@ def _graded_basis(degree):
     indices.  Every vector ends in one more entry, a sentinel slot that
     holds 0.  ``down[n]`` serves a vector v of length n, so with n - 1
     monomials of degree <= t: column j, for monomial j of degree
-    <= t + 1, holds in row 0 the index of that monomial in v and in row
+    <= t + 1, names in row 0 the slot s of that monomial in v and in row
     i + 1 that of its quotient by u_i, or the sentinel n - 1 where v has
     no such monomial; the last column, the product's own sentinel slot,
-    holds only n - 1.  So ``(c0, c1, ..., c5) @ v.take(down[n])`` is
+    names only n - 1.  Row i holds 6 s + i, where v_s c_i sits in the
+    flat outer product of v and c, so with c = (c0, c1, ..., c5)
+    ``np.outer(v, c).ravel().take(down[n]).sum(axis=0)`` is
     v * (c0 + sum c_i u_i).  Column j of the 5-row matrix ``stick`` is
     monomial j's exponent in the cube coordinates x, where
     u_k = x1*...*xk makes it the suffix sums of u's exponent (distinct,
@@ -113,8 +114,8 @@ def _graded_basis(degree):
         table = np.full((6, m + 1), n, dtype=np.intp)
         table[0, :n] = range(n)
         table[1:, :m] = np.where(mons[:m] > 0, at[:m], n).T
+        down[n + 1] = table = table * 6 + np.arange(6)[:, None]
         table.flags.writeable = False
-        down[n + 1] = table
     stick = np.ascontiguousarray(mons[:, ::-1].cumsum(axis=1)[:, ::-1].T)
     stick.flags.writeable = False
     return stick, down
@@ -130,8 +131,8 @@ def _monomial_tree(key):
     the nodes are the prefixes of the terms' words, and in lexicographic
     order the words through one node are consecutive.  Per total degree
     from 0 up: the term of each node (n if none), the variable j of each
-    child (grouped by parent), the first child of each group and the
-    parent it belongs to.
+    child, and the flat indices of each child's six form slots, in its
+    parent's column, in the fold's (children, 6, nodes) matrix.
     """
     exps = np.frombuffer(key, dtype=np.intp).reshape(6, -1)
     n = exps.shape[1]
@@ -147,49 +148,47 @@ def _monomial_tree(key):
     ids = opens.cumsum(axis=0) - 1  # each row's node, numbered per degree
     level, rows = np.nonzero(opens.T)  # all nodes, by degree, then row
     js, up = words[rows, level - 1], ids[rows, level - 1]
-    first = np.flatnonzero(np.diff(level * n + up, prepend=-1))
     edges = np.searchsorted(level, np.arange(len(t) + 2))
-    cuts = np.searchsorted(first, edges)
+    # slot i of child k's form goes to (6 k + i) * width + k's parent
+    width = np.diff(edges)[level - 1, None]
+    spots = (ids[rows, level, None] * 6 + np.arange(6)) * width + up[:, None]
     terms = np.full(len(level), n)
     terms[edges[degrees] + ids[np.arange(n), degrees]] = order
-    return tuple((terms[lo:mid], js[mid:hi], first[a:b] - mid, up[first[a:b]])
-                 for lo, mid, hi, a, b in zip(edges, edges[1:], edges[2:],
-                                              cuts[1:], cuts[2:]))
+    return tuple((terms[lo:mid], js[mid:hi], spots[mid:hi])
+                 for lo, mid, hi in zip(edges, edges[1:], edges[2:]))
 
 
 def _fold_levels(levels, coeffs, forms, down):
-    """Q_0 as a dense vector, by one step per level from the top degree.
+    """Q_0 as a dense int64 or Python-int vector, a step per level down.
 
-    Each step gathers the level's rows through ``down``, takes their dot
-    with the children's forms, sums each parent's group and adds c_m.
+    acc's columns are a level's vectors.  Each step places the children's
+    forms in a (children, 6 * parents) matrix, multiplies acc by it,
+    gathers rows through ``down``, sums the six slots and adds c_m.
     """
     c = np.append(coeffs, 0).astype(forms.dtype)
-    acc = np.outer(c[levels[-1][0]], (1, 0))  # the top level's constants
-    for terms, js, starts, parents in reversed(levels[:-1]):
-        # each row's gather is six contiguous runs, one per coefficient of
-        # its form, which the int64 dot reads faster than rows of six
-        prod = np.einsum("mcn,mc->mn", acc.take(down[acc.shape[1]], axis=1),
-                         forms[js])
-        acc = np.zeros((len(terms), prod.shape[1]), dtype=forms.dtype)
-        acc[parents] = np.add.reduceat(prod, starts)
-        acc[:, 0] += c[terms]
-    return acc[0]
+    acc = np.outer((1, 0), c[levels[-1][0]])  # the top level's constants
+    for terms, js, spots in reversed(levels[:-1]):
+        w = np.zeros(spots.size * len(terms), dtype=forms.dtype)
+        w[spots] = forms[js]
+        # row 6 s + i of the view: slot s of the children's vectors times
+        # coefficient i of their forms, summed into each parent
+        prod = (acc @ w.reshape(len(js), -1)).reshape(-1, len(terms))
+        acc = prod.take(down[len(acc)], axis=0).sum(axis=0)
+        acc[0] += c[terms]
+    return acc[:, 0].astype(np.int64 if forms.dtype == float else object)
 
 
 def _coefficient_bound(p, forms):
     """Phi(p), which bounds every value the Horner scheme forms.
 
     Each term's weight prod_k N_k^e_k is one product of entries of
-    per-variable power tables, int64 when max_k N_k^deg(p) < 2**63, so
-    that no power and no partial product wraps, and Python ints
-    otherwise; the weighted sum is taken in Python ints.
+    per-variable tables of Python int powers, and the weighted sum is
+    taken in Python ints.
     """
     exps, coeffs = p.arrays()
     norms = [max(1, sum(map(abs, form))) for form in forms]
-    dtype = np.int64 if max(norms) ** p.total_degree() < 2 ** 63 else object
-    # object-dtype exponents keep the powers Python ints
-    powers = np.power.outer(np.array(norms, dtype=dtype),
-                            np.arange(exps.max(initial=0) + 1, dtype=dtype))
+    powers = np.power.outer(np.array(norms, dtype=object),
+                            np.arange(exps.max(initial=0) + 1, dtype=object))
     weights = powers[np.arange(6)[:, None], exps].prod(axis=0)
     return sum(map(operator.mul, map(abs, coeffs.tolist()), weights.tolist()))
 
@@ -197,18 +196,20 @@ def _coefficient_bound(p, forms):
 def _compose_affine(p, forms):
     """p(L_1, ..., L_6) in the cube coordinates x, exactly.
 
-    Runs the Horner scheme on int64 vectors when Phi(p) < 2**63 and on
-    Python ints otherwise (see the module docstring), then renames each
-    monomial of u to its stick-breaking exponent.
+    Runs the Horner scheme in float64 when Phi(p) < 2**53 and on Python
+    ints otherwise (see the module docstring), then renames each monomial
+    of u to its stick-breaking exponent.
     """
     degree = p.total_degree()
     if degree < 0:
         return Polynomial.zero(5)
     stick, down = _graded_basis(degree)
-    dtype = np.int64 if _coefficient_bound(p, forms) < 2 ** 63 else object
     exps, coeffs = p.arrays()
+    norm = max(max(1, sum(map(abs, form))) for form in forms)
+    fits = (sum(map(abs, coeffs.tolist())) * norm ** degree < 2 ** 53
+            or _coefficient_bound(p, forms) < 2 ** 53)
     vec = _fold_levels(_monomial_tree(exps.tobytes()), coeffs,
-                       np.array(forms, dtype=dtype), down)
+                       np.array(forms, dtype=float if fits else object), down)
     nz = np.flatnonzero(vec[:-1])
     return Polynomial._from_arrays(5, stick.take(nz, axis=1), vec[nz])
 
@@ -236,10 +237,10 @@ def pullback(p, simplex):
     """Pull a 6-variable polynomial p back to the cube through the simplex.
 
     Composes with the simplex's six affine forms by the Horner scheme of
-    the module docstring, one batched product by linear forms per degree
+    the module docstring, one matrix product by linear forms per degree
     level, and rewrites to stick-breaking coordinates.  The result is
-    exact: the vectors hold int64 only under a bound that rules out
-    overflow.
+    exact: the vectors hold float64 only under a bound that rules out
+    rounding.
     """
     if p.nvars != 6:
         raise ValueError("expected a 6-variable polynomial")

@@ -485,6 +485,45 @@ def test_float_forms_on_the_first_campaign_batches(monkeypatch):
         assert np.array_equal((fv > 0.0) & (gv < 0.0), mask)
 
 
+def _power_weights_by_rows(q, k):
+    """The oracle for the powering in ``_outcomes``: one row at a time on
+    Python floats, libm pow, a left-to-right sum and one division each."""
+    u = [w ** k for w in q]
+    s = sum(u)
+    return [w / s for w in u]
+
+
+def test_powered_weights_match_the_row_by_row_oracle_bit_for_bit(
+        monkeypatch):
+    # the golden file sees the weights only through snapped points, which
+    # a last-bit change seldom moves: rebuild a search's screened points
+    # with the per-row oracle, over blocks that start cubing (trial 1000)
+    # and the fifth power (trial 2000) partway through
+    dec, beta = decoration("p1324b2"), EdgeSubset.parse("12,13,14,23,24")
+    cell = np.array(build_partitions().simplex_for_decoration(dec).vertices,
+                    dtype=np.float64)
+    rng = random.Random(11)
+    want = []
+    for done in range(0, 3000, 1024):
+        qs = barycentric_block(rng, min(1024, 3000 - done))
+        for i in range(max(1000 - done, 0), len(qs)):
+            qs[i] = _power_weights_by_rows(
+                qs[i].tolist(), 5 if done + i >= 2000 else 3)
+        # the points as _outcomes forms them, from one stacked simplex
+        want.append(np.einsum("ij,ijk->ik", qs, cell[None].repeat(len(qs), 0)))
+    seen = []
+    candidates = _Screen.candidates
+
+    def spy(self, points):
+        seen.append(points.copy())
+        return candidates(self, points)
+
+    monkeypatch.setattr(anti_certification._Screen, "candidates", spy)
+    list(anti_certification._outcomes([dec], beta, random.Random(11), 3000,
+                                      1000))
+    assert [p.tobytes() for p in seen] == [p.tobytes() for p in want]
+
+
 def test_campaigns_in_two_threads_match_one_after_the_other(monkeypatch):
     # each search owns its screen and its forms' buffers, so two campaigns
     # may run at once; every batch's points and candidate mask must match

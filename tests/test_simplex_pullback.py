@@ -188,6 +188,9 @@ def test_horner_matches_substitution_past_int64(p, level):
                         (0, 0, 1, 2, 0, 3): 5, (0,) * 6: 2}), 2)
 @example(Polynomial(6, {(0, 0, 0, 0, 0, 6): 2 ** 80 + 1,
                         (1, 0, 1, 0, 1, 0): -(2 ** 70)}), 3)
+# 2**53 <= Phi < 2**63, where float64 would round and int64 would not wrap
+@example(Polynomial(6, {(0, 0, 0, 0, 0, 1): 2 ** 57 + 1, (0,) * 6: -3}), 1)
+@example(Polynomial(6, {(1, 0, 0, 0, 0, 1): -(2 ** 54) - 1}), 1)
 @settings(max_examples=60, deadline=None)
 def test_level_scheme_matches_substitution_on_sparse_trees(p, level):
     cell = _one_cell_per_level()[level]
@@ -228,31 +231,41 @@ def _monomial_tree_by_dicts(exponents):
     term = {e: i for i, e in enumerate(exponents)}
     level, levels = [(0,) * 6], []
     while level:
-        below, js, starts, parents = [], [], [], []
+        below, js, spots = [], [], []
+        width = len(level)
         for i, m in enumerate(level):
-            if m in kids:
-                parents.append(i)
-                starts.append(len(below))
-                below += kids[m]
-                js += kids[m].values()
-        levels.append(tuple(np.array(a, dtype=np.intp) for a in (
-            [term.get(m, len(term)) for m in level], js, starts, parents)))
+            for child, j in kids.get(m, {}).items():
+                k = len(below)
+                below.append(child)
+                js.append(j)
+                spots.append([(6 * k + slot) * width + i
+                              for slot in range(6)])
+        levels.append((np.array([term.get(m, len(term)) for m in level],
+                                dtype=np.intp), np.array(js, dtype=np.intp),
+                       np.array(spots, dtype=np.intp).reshape(-1, 6)))
         level = below
     return tuple(levels)
 
 
 def _tree_nodes(levels):
-    """Each node of a tree as (exponent, term), rebuilt from the levels."""
+    """Each node of a tree as (exponent, term), rebuilt from the levels.
+
+    Child k of a level of width nodes has its form's slot i at flat index
+    (6 k + i) * width + parent of the (children, 6, width) matrix.
+    """
     nodes, out = [(0,) * 6], set()
-    for terms, js, starts, parents in levels:
+    for terms, js, spots in levels:
         out |= set(zip(nodes, terms.tolist()))
-        ends = list(starts[1:]) + [len(js)]
-        below = [None] * len(js)
-        for parent, lo, hi in zip(parents, starts, ends):
-            for k in range(lo, hi):
-                e = list(nodes[parent])
-                e[js[k]] += 1
-                below[k] = tuple(e)
+        width = len(nodes)
+        assert spots.shape == (len(js), 6)
+        rows, parents = np.divmod(spots, width)
+        assert (rows == 6 * np.arange(len(js))[:, None] + range(6)).all()
+        assert (parents == parents[:, :1]).all()
+        below = []
+        for parent, j in zip(parents[:, 0].tolist(), js.tolist()):
+            e = list(nodes[parent])
+            e[j] += 1
+            below.append(tuple(e))
         nodes = below
     assert not nodes
     return out
@@ -273,7 +286,7 @@ def test_monomial_tree_has_the_nodes_of_the_dict_built_tree(p):
     assert _tree_nodes(levels) == _tree_nodes(oracle)
 
 
-def _dtypes_of(monkeypatch, p, cell):
+def _dtypes_of(p, cell):
     """The pullback of p and the dtypes its level loop ran on."""
     seen = set()
     fold = simplex_pullback._fold_levels
@@ -282,48 +295,80 @@ def _dtypes_of(monkeypatch, p, cell):
         seen.add(forms.dtype)
         return fold(levels, coeffs, forms, down)
 
-    with monkeypatch.context() as m:
+    with pytest.MonkeyPatch.context() as m:
         m.setattr(simplex_pullback, "_fold_levels", spy)
         return pullback(p, cell), seen
 
 
-def test_dtype_switches_at_the_int64_bound(monkeypatch):
+def test_dtype_switches_at_the_float64_bound():
     cell = _cells()[0]
-    int64, obj = np.dtype(np.int64), np.dtype(object)
-    for c, dtype in ((2 ** 63 - 1, int64), (-(2 ** 63 - 1), int64),
-                     (2 ** 63, obj), (-(2 ** 63), obj)):
-        q, seen = _dtypes_of(monkeypatch, Polynomial.constant(6, c), cell)
+    float64, obj = np.dtype(np.float64), np.dtype(object)
+    for c, dtype in ((2 ** 53 - 1, float64), (-(2 ** 53 - 1), float64),
+                     (2 ** 53, obj), (-(2 ** 53), obj)):
+        q, seen = _dtypes_of(Polynomial.constant(6, c), cell)
         assert seen == {dtype}
         assert q == Polynomial.constant(5, c)
+        assert q.arrays()[1].dtype == (np.int64 if dtype is float64 else obj)
     forms = build_pullback(cell)
     norm = [sum(map(abs, form)) for form in forms]
     k = max(range(6), key=lambda k: max(map(abs, forms[k])))
     top = max(map(abs, forms[k]))
     x = [Polynomial.variable(6, i) for i in range(6)]
-    cases = [((2 ** 63 // top + 1) * x[k], obj),  # int64 would wrap
+    cases = [((2 ** 53 // top + 1) * x[k], obj),  # float64 would round
              (PAST_INT64, obj)]
     # c * q has Phi = c * Phi(q), and all norms here are 2 or more
     for q, phi in ((x[k], norm[k]), (x[k] * x[k], norm[k] ** 2),
                    (x[k] * x[k - 1], norm[k] * norm[k - 1]),
                    (x[k] + 1, norm[k] + 1)):
-        c = (2 ** 63 - 1) // phi
-        cases += [(c * q, int64), ((c + 1) * q, obj)]
+        c = (2 ** 53 - 1) // phi
+        cases += [(c * q, float64), ((c + 1) * q, obj)]
     # Phi sums over the terms
-    a = (2 ** 63 - 1) // norm[k] // 2
-    b = 2 ** 63 - 1 - a * norm[k]
-    cases += [(a * x[k] + b, int64), (a * x[k] + b + 1, obj)]
+    a = (2 ** 53 - 1) // norm[k] // 2
+    b = 2 ** 53 - 1 - a * norm[k]
+    cases += [(a * x[k] + b, float64), (a * x[k] + b + 1, obj)]
     for p, dtype in cases:
-        q, seen = _dtypes_of(monkeypatch, p, cell)
+        q, seen = _dtypes_of(p, cell)
         assert seen == {dtype}
         assert q == _by_substitution(cell, p)
 
 
-def test_int64_bound_holds_on_registry_tasks_and_endpoint_scan_range():
+def _with_phi(p, forms, phi):
+    """p's terms scaled down to Phi at most phi, with the constant term
+    then set to make Phi exactly phi, keeping its sign."""
+    rest = Polynomial(6, {e: c for e, c in p.terms.items() if any(e)})
+    bound = _coefficient_bound(rest, forms)
+    if bound > phi:
+        rest = Polynomial(6, {e: c * phi // bound if c > 0 else
+                              -(-c * phi // bound)
+                              for e, c in rest.terms.items()})
+    sign = -1 if p.terms.get((0,) * 6, 0) < 0 else 1
+    out = rest + Polynomial.constant(
+        6, sign * (phi - _coefficient_bound(rest, forms)))
+    assert _coefficient_bound(out, forms) == phi
+    return out
+
+
+@given(degree6_polys6(max_terms=40, bound=2 ** 60),
+       st.integers(2 ** 52, 2 ** 53 - 1), st.sampled_from(range(4)))
+@example(Polynomial(6, {(0, 0, 0, 0, 0, 6): 1, (1, 1, 1, 1, 1, 1): -1}),
+         2 ** 53 - 1, 3)
+@example(Polynomial(6, {(2, 0, 1, 0, 3, 0): -1}), 2 ** 52, 0)
+@settings(max_examples=60, deadline=None)
+def test_float64_fold_is_exact_just_below_two_to_the_53(p, phi, level):
+    # every value the float64 fold forms is at most Phi < 2**53 in size
+    cell = _one_cell_per_level()[level]
+    p = _with_phi(p, build_pullback(cell), phi)
+    q, seen = _dtypes_of(p, cell)
+    assert seen == {np.dtype(np.float64)}
+    assert q == _by_substitution(cell, p)
+
+
+def test_float64_bound_holds_on_registry_tasks_and_endpoint_scan_range():
     for spec in case_registry().values():
         for task in spec.tasks:
             forms = build_pullback(spec.simplices[task.simplex])
             p = task.func.polynomial(spec.beta)
-            assert _coefficient_bound(p, forms) < 2 ** 63
+            assert _coefficient_bound(p, forms) < 2 ** 53
     # Phi(a*g + b*f) <= |a| Phi(g) + |b| Phi(f), so one sum covers every
     # ratio the endpoint scan draws, 1 <= a <= 12 and -6 <= b <= 6
     f = f_polynomial()
@@ -334,7 +379,7 @@ def test_int64_bound_holds_on_registry_tasks_and_endpoint_scan_range():
         for cell in cells:
             forms = build_pullback(cell)
             assert (12 * _coefficient_bound(g, forms)
-                    + 6 * _coefficient_bound(f, forms)) < 2 ** 63
+                    + 6 * _coefficient_bound(f, forms)) < 2 ** 53
 
 
 def _graded_basis_by_loops(degree):
@@ -368,9 +413,11 @@ def test_graded_basis_tables_match_the_oracles(degree):
     loop_stick, loop_down = _graded_basis_by_loops(degree)
     assert stick == loop_stick
     assert down.keys() == loop_down.keys()
+    # row i of a table holds 6 s + i for each index s it reads
     for n, table in down.items():
         assert table.dtype == np.intp and not table.flags.writeable
-        assert np.array_equal(table, loop_down[n])
+        assert (table % 6 == np.arange(6)[:, None]).all()
+        assert np.array_equal(table // 6, loop_down[n])
     # the u-exponents, as differences of the suffix sums
     mons = [tuple(a - b for a, b in zip(s, s[1:] + (0,))) for s in stick]
     assert sorted(mons) == [e for e in itertools.product(
@@ -383,7 +430,7 @@ def test_graded_basis_tables_match_the_oracles(degree):
     assert len(down) == degree
     for t in range(degree):
         n, m = math.comb(5 + t, 5), math.comb(6 + t, 5)
-        table = down[n + 1]
+        table = down[n + 1] // 6
         assert table.shape == (6, m + 1)
         assert (table[:, m] == n).all()
         for j, e in enumerate(mons[:m]):
@@ -408,8 +455,7 @@ def polys6_up_to_degree(max_degree, max_terms=12, bound=2 ** 70):
         lambda ts: Polynomial(6, dict(ts)))
 
 
-# six affine forms; entries up to 2^20 take N^8 past 2^63, so both
-# dtypes of the power tables are drawn
+# six affine forms; entries up to 2^20 take N^8 past 2^63
 affine_forms = st.tuples(*[st.tuples(*[st.integers(-2 ** 20, 2 ** 20)] * 6)]
                          * 6)
 
