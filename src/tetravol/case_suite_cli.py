@@ -516,23 +516,39 @@ def random_tetrahedral(rng, max_entry=100):
     """A uniformly drawn integer length list that spans a tetrahedron.
 
     rng is a ``random.Random``.  Each length comes from the rejection
-    loop of ``rng.randint(1, max_entry)``, inlined, so the lists and the
-    generator's final state equal those of six ``randint`` calls per try.
-    A try passes by the face test and the closed-form determinant, the
-    two halves of ``is_tetrahedral`` for positive integers.
+    loop of ``rng.randint(1, max_entry)``, inlined as one straight-line
+    loop per length, so the lists and the generator's final state equal
+    those of six ``randint`` calls per try.  A try passes by the face
+    test and the closed-form determinant, the two halves of
+    ``is_tetrahedral`` for positive integers.
     """
     if max_entry < 1:
         raise ValueError("max_entry must be at least 1, not %r" % max_entry)
     bits = max_entry.bit_length()
     draw = rng.getrandbits
     while True:
-        d = []
-        while len(d) < 6:
-            r = draw(bits)
-            if r < max_entry:
-                d.append(r + 1)
-        if strict_faces(d) and f_hat_value([x * x for x in d]) > 0:
-            return tuple(d)
+        a = draw(bits)
+        while a >= max_entry:
+            a = draw(bits)
+        b = draw(bits)
+        while b >= max_entry:
+            b = draw(bits)
+        c = draw(bits)
+        while c >= max_entry:
+            c = draw(bits)
+        d = draw(bits)
+        while d >= max_entry:
+            d = draw(bits)
+        e = draw(bits)
+        while e >= max_entry:
+            e = draw(bits)
+        f = draw(bits)
+        while f >= max_entry:
+            f = draw(bits)
+        lengths = (a + 1, b + 1, c + 1, d + 1, e + 1, f + 1)
+        if strict_faces(lengths) and \
+                f_hat_value([x * x for x in lengths]) > 0:
+            return lengths
 
 
 def lengthen_margin(d, t=1):

@@ -163,6 +163,12 @@ class LatticeSimplex6:
         vs = tuple(tuple(v) for v in vertices)
         if len(vs) != 6 or any(len(v) != 6 for v in vs):
             raise ValueError("need six 6-coordinate vertices")
+        # contains_scaled's sum(lam) = 1 and the exact divisions below
+        # rest on integer vertices in the sum-24 plane
+        for v in vs:
+            if any(type(x) is not int for x in v) or sum(v) != 24:
+                raise ValueError("vertex %r of %s is not six ints summing "
+                                 "to 24" % (v, name))
         self.name = name
         self.vertices = vs
 
@@ -182,17 +188,31 @@ class LatticeSimplex6:
         """Rows of sign(det V) * adj(V), V having the vertices as columns.
 
         By Cramer's rule row j dotted with a point gives |det V| times
-        the point's barycentric weight at vertex j.  Built on first use.
+        the point's barycentric weight at vertex j.  Built on first use
+        by one fraction-free Gauss-Jordan elimination of [V | I], each
+        step dividing exactly by the previous pivot (Bareiss).  With P
+        the row swaps taken at zero pivots, the left block ends as
+        det(PV) I and the right one as det(PV) V^-1 = +-adj(V).
         """
-        d = _int_det(self.vertices)
-        if d == 0:
-            raise ValueError("degenerate simplex %s" % self.name)
-        sign = 1 if d > 0 else -1
-        return tuple(
-            tuple(sign * (-1) ** (r + j) * _int_det(
-                [v[:r] + v[r + 1:] for k, v in enumerate(self.vertices)
-                 if k != j]) for r in range(6))
-            for j in range(6))
+        m = [[v[r] for v in self.vertices] + [int(r == c) for c in range(6)]
+             for r in range(6)]
+        prev = 1
+        for k in range(6):
+            if m[k][k] == 0:
+                swap = next((r for r in range(k + 1, 6) if m[r][k]), None)
+                if swap is None:
+                    raise ValueError("degenerate simplex %s" % self.name)
+                m[k], m[swap] = m[swap], m[k]
+            top = m[k]
+            pivot = top[k]
+            for i in range(6):
+                if i != k:
+                    x = m[i][k]
+                    m[i] = [(pivot * y - x * z) // prev
+                            for y, z in zip(m[i], top)]
+            prev = pivot
+        sign = 1 if prev > 0 else -1
+        return tuple(tuple(sign * y for y in row[6:]) for row in m)
 
     def contains(self, p):
         """Exact barycentric membership test of an int or Fraction point.

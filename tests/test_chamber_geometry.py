@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from tetravol import chamber_geometry
 from tetravol.cayley_menger import (AXIS_PAIRS, FACES, VERTEX_EDGES,
                                     EdgeSubset, f_polynomial)
+from tetravol.case_suite_cli import case_registry
 from tetravol.chamber_geometry import (
     A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, Decoration, LatticeSimplex6,
     Partitions, _int_det, all_relabelings, apply_relabel, axis_image,
@@ -596,6 +598,77 @@ def test_contains_agrees_with_cramer_on_every_cell():
         with pytest.raises(TypeError, match="int or Fraction"):
             c.contains((4.0, 4, 4, 4, 4, 4))
     assert 0 < hits < len(cells) * len(on_plane)
+
+
+def _minor_weight_rows(cell):
+    """Reference weight rows: sign(det V) times each cofactor of V, one
+    Bareiss determinant per 5x5 minor."""
+    vs = cell.vertices
+    sign = 1 if _int_det(vs) > 0 else -1
+    return tuple(
+        tuple(sign * (-1) ** (r + j) * _int_det(
+            [v[:r] + v[r + 1:] for k, v in enumerate(vs) if k != j])
+            for r in range(6))
+        for j in range(6))
+
+
+def _partition_and_registry_simplices():
+    cells = list(all_cells(build_partitions()).values())
+    registry = [s for spec in case_registry().values()
+                for s in spec.simplices.values()]
+    assert (len(cells), len(registry)) == (67, 16)
+    return cells + registry
+
+
+def test_weight_rows_equal_the_cofactors_minor_by_minor():
+    simplices = _partition_and_registry_simplices()
+    for cell in simplices:
+        assert cell._weight_rows == _minor_weight_rows(cell), cell.name
+    # elimination without swaps meets a zero pivot exactly when a leading
+    # principal minor of V vanishes; most cells take the swap branch
+    swapped = sum(
+        any(_int_det([[v[r] for v in cell.vertices[:k]] for r in range(k)])
+            == 0 for k in range(1, 6))
+        for cell in simplices[:67])
+    assert swapped == 53
+
+
+def test_weight_rows_times_vertices_is_det_times_identity():
+    for cell in _partition_and_registry_simplices():
+        d = abs(_int_det(cell.vertices))
+        assert d > 0
+        for j, row in enumerate(cell._weight_rows):
+            for k, v in enumerate(cell.vertices):
+                assert sum(map(operator.mul, row, v)) == d * (j == k), \
+                    (cell.name, j, k)
+
+
+def test_degenerate_simplex_raises_naming_it():
+    flat = LatticeSimplex6("flat", (CENTER, CENTER, EXTREME_B[2],
+                                    EXTREME_B[3], EXTREME_B[4],
+                                    EXTREME_A[2]))
+    with pytest.raises(ValueError, match="degenerate simplex flat"):
+        flat.contains(CENTER)
+    # five points on one line through the center and a sixth off it
+    line = [tuple(4 + t * x for x in (1, -1, 0, 0, 0, 0)) for t in range(5)]
+    with pytest.raises(ValueError, match="degenerate simplex line"):
+        LatticeSimplex6("line", line + [EXTREME_B[1]])._weight_rows
+
+
+def test_simplex_vertices_must_be_ints_on_the_sum_24_plane():
+    cell = build_partitions().fortyeight["D_1111"]
+    doubled = [tuple(2 * x for x in v) for v in cell.vertices]
+    with pytest.raises(ValueError, match="not six ints summing to 24"):
+        LatticeSimplex6("doubled", doubled)
+    off_plane = [cell.vertices[0][:5] + (cell.vertices[0][5] + 1,)]
+    with pytest.raises(ValueError, match="of shifted is not six ints"):
+        LatticeSimplex6("shifted", off_plane + list(cell.vertices[1:]))
+    rational = [tuple(Fraction(x) for x in cell.vertices[0])]
+    with pytest.raises(ValueError, match="not six ints summing to 24"):
+        LatticeSimplex6("rational", rational + list(cell.vertices[1:]))
+    # the same vertices as ints pass
+    assert LatticeSimplex6("copy", cell.vertices)._weight_rows == \
+        cell._weight_rows
 
 
 def test_barycenter_conditions_report():
