@@ -28,29 +28,18 @@ floats where a proven error band puts its value and the pinned floats'
 on the same side of zero, and hands a block with any point inside the
 band, whole, to the pinned floats, whose every bit stays fixed.
 Sampling draws one block per chunk from the seeded generator and equals
-trial-by-trial ``rng.random()`` calls exactly.  The pinned float forms
-of f and g share one factor tree (``_FactorTree``, built once per beta):
-each term is the left-to-right product, in variable order, of its
-factors x_v^e, and terms that start with the same factors share their
-partial products.  Factors with e = 0 drop out, which moves no bit, as
-pow(x, 0) is exactly 1.0 and x * 1.0 == x.  The factors are rows of a
-table of coordinate powers, whose pow must run numpy's SIMD loop, the
-one the broadcast ``points ** exponents`` form reached through its
-contiguous casting buffers.  libm ``pow`` (Python's ``**``) differs from
-that loop in the last bit on about 3% of arguments, and so does numpy's
-pow over a view it cannot stream, such as a negative stride.  The table
-is therefore built from contiguous float64 operands.  Each search owns
-its buffers (``_FloatForms``), grown with the batch and never shrunk,
-and every array is a prefix view of one reshaped, so it is C-contiguous
-and a batch takes no fresh memory.  The table and the tree run over
-blocks of points small enough to stay in cache, but the product with
-the coefficients runs once over all rows: the BLAS kernel sums a row
-left over past its unrolled groups of rows in another order, so
-splitting the product moves those rows' bits.
+trial-by-trial ``rng.random()`` calls exactly.  The pinned float
+forms (``_PinnedForms``) multiply each term's six factors x_v^e out of
+one table of coordinate powers, whose pow must run numpy's SIMD loop,
+the one the broadcast ``points ** exponents`` form reached through its
+contiguous casting buffers: libm ``pow`` (Python's ``**``) differs from
+it in the last bit on about 3% of arguments, and so does numpy's pow
+over a view it cannot stream, such as a negative stride.  The product
+with the coefficients runs once over all rows: the BLAS kernel sums a
+row left over past its unrolled groups of rows in another order.
 """
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -113,118 +102,48 @@ def barycentric_block(rng, n):
     return weights
 
 
-class _FactorTree:
-    """The term products that the float forms of some polynomials share.
+class _PinnedForms:
+    """Vectorized float views of exact polynomials, for prescreening only.
 
-    A term is the left-to-right product, in variable order, of its
-    factors x_v^e with e > 0; a constant term is the single factor
-    x_0^0.  Dropping the factors with e = 0 moves no bit: pow(x, 0) is
-    exactly 1.0, and x * 1.0 == x exactly.  A prefix of one factor is a
-    row of the power table, which heads the tree's rows; each longer
-    prefix gets one row, its parent's row times one table row, so terms
-    that start with the same factors, in any of the forms, share those
-    products.  The product rows follow the table level by level, each
-    level a slice whose parents all lie above it.  f and the K4
-    derivative have 123 prefixes, 109 of them products, against 492
-    gathered rows and 410 products when each term multiplies out its
-    six factors.
+    A form is its (n, T) C-contiguous term matrix times its coefficients,
+    in sorted exponent order, and a term is the left-to-right product of
+    its six factors x_v^e in variable order: the bits of the broadcast
+    ``points ** exponents`` form that pinned the golden file.
     """
 
     def __init__(self, *polys):
         self.width = width = 1 + max(max(map(max, p.terms)) for p in polys)
-        self.table = 6 * width
         # exponent of table row v * width + k
         self.powers = np.tile(np.arange(width, dtype=np.float64), 6)[:, None]
-        # each term's factors, as the table rows they read
-        factors = [{e: tuple(v * width + k for v, k in enumerate(e) if k)
-                    or (0,) for e in p.terms} for p in polys]
-        products = sorted({r[:d] for terms in factors for r in terms.values()
-                           for d in range(2, len(r) + 1)},
-                          key=lambda r: (len(r), r))
-        row = {(r,): r for r in range(self.table)}
-        row.update((r, self.table + i) for i, r in enumerate(products))
-        self.rows = len(row)
-        # (top, end, parent rows, table rows) of each level of products
-        self.levels = []
-        for _, level in itertools.groupby(products, len):
-            level = list(level)
-            top = row[level[0]]
-            self.levels.append((top, top + len(level),
-                                np.array([row[r[:-1]] for r in level]),
-                                np.array([r[-1] for r in level])))
-        # each form's term rows and coefficients, in sorted exponent order
+        # each form's factor rows, one row of terms per variable, and its
+        # coefficients, in sorted exponent order
         self.forms = []
-        for poly, terms in zip(polys, factors):
+        for poly in polys:
             exps = sorted(poly.terms)
-            self.forms.append((np.array([row[terms[e]] for e in exps]),
-                               np.array([float(poly.terms[e])
-                                         for e in exps])))
-
-
-class _FloatForms:
-    """Vectorized float views of exact polynomials, for prescreening only.
-
-    The forms read the rows of one factor tree (``_FactorTree``) per
-    block of points.  The object owns flat buffers for the repeated
-    coordinates, the exponent rows, the tree's rows (the power table
-    first), a gather scratch and each form's term matrix.  They grow
-    when a batch is larger and never shrink, so a warm object allocates
-    nothing per batch but the values it returns, and each search makes
-    its own, so no two searches share memory.  Every array is a prefix
-    view of a buffer reshaped to its shape, so it is C-contiguous.
-    """
-
-    # points per block: 256 and 512 timed alike, and 256 keeps the
-    # buffers a third smaller
-    BLOCK = 256
-
-    def __init__(self, tree):
-        self.tree = tree
-        self._buffers = {}
-
-    def _buffer(self, name, shape):
-        """A view in shape of the named buffer, grown first if too small."""
-        size = math.prod(shape)
-        buffer = self._buffers.get(name)
-        if buffer is None or len(buffer) < size:
-            buffer = self._buffers[name] = np.empty(size)
-        return buffer[:size].reshape(shape)
+            coeffs = np.array([float(poly.terms[e]) for e in exps])
+            self.forms.append(((exps + width * np.arange(6)).T, coeffs))
 
     def at(self, points):
         """Each form's values at the rows of points, in order."""
-        tree = self.tree
         n = len(points)
-        # each form's terms fill one (n, T) C-contiguous matrix, the shape
-        # the broadcast form handed its product, and the product runs once
-        # over all n rows: run per block, the rows ending each block
-        # would sum in another order
-        terms = [self._buffer(("terms", i), (n, len(coeffs)))
-                 for i, (_, coeffs) in enumerate(tree.forms)]
-        for lo in range(0, n, self.BLOCK):
-            block = points[lo:lo + self.BLOCK]
-            b = len(block)
-            # table row v * width + k holds block[:, v] ** k; both
-            # operands are contiguous float64, so np.power takes its SIMD
-            # loop
-            base = self._buffer("base", (6, tree.width, b))
-            base[...] = block.T[:, None, :]
-            exps = self._buffer("exps", (tree.table, b))
-            exps[...] = tree.powers
-            rows = self._buffer("rows", (tree.rows, b))
-            np.power(base.reshape(exps.shape), exps, out=rows[:tree.table])
-            # take writes straight into out only when mode is not "raise"
-            # and its input does not overlap out; else it buffers a copy
-            for top, end, parents, factors in tree.levels:
-                # every row a level reads lies above it, in memory too
-                above, level = rows[:top], rows[top:end]
-                above.take(parents, axis=0, out=level, mode="clip")
-                factor = self._buffer("gather", level.shape)
-                level *= above.take(factors, axis=0, out=factor, mode="clip")
-            for (nodes, _), out in zip(tree.forms, terms):
-                gathered = self._buffer("gather", (len(nodes), b))
-                out[lo:lo + b] = rows.take(nodes, axis=0, out=gathered,
-                                           mode="clip").T
-        return [t @ coeffs for t, (_, coeffs) in zip(terms, tree.forms)]
+        # row v * width + k holds points[:, v] ** k; both operands are
+        # contiguous float64, so np.power takes its SIMD loop
+        table = np.repeat(points.T, self.width, axis=0)
+        np.power(table, np.repeat(self.powers, n, axis=1), out=table)
+        out = []
+        for rows, coeffs in self.forms:
+            # 256 points at a time: unblocked, the temporaries fault in
+            # fresh pages on every call
+            terms = np.empty((n, len(coeffs)))
+            for lo in range(0, n, 256):
+                block = table[rows[0], lo:lo + 256]
+                for factor in rows[1:]:
+                    block *= table[factor, lo:lo + 256]
+                terms[lo:lo + 256] = block.T
+            # one product over all n rows: BLAS sums a row in an order
+            # that depends on its position
+            out.append(terms @ coeffs)
+        return out
 
 
 class _Screen:
@@ -236,7 +155,7 @@ class _Screen:
     lengths s = x^2, M = ``BORDER`` s, each cofactor one difference of
     two products of M's entries, f = det M along M's first row and
     g = 4 sum_{k in beta} x_k half_k.  It must give the signs that the
-    pinned floats of ``_FloatForms.at`` give, so it decides a point only
+    pinned floats of ``_PinnedForms.at`` give, so it decides a point only
     where a proven band separates both from the exact value, and hands
     the whole block to ``at`` otherwise.
 
@@ -300,14 +219,14 @@ class _Screen:
     def __init__(self, beta):
         self.edges = np.array(sorted(beta.indices))
         self.half = self.HALF[self.edges]
-        self.forms = _FloatForms(_search_tree(beta))
+        f, g = f_polynomial(), directional_derivative(beta)
+        self.forms = _PinnedForms(f, g)
         # the majorants of M's entries and cofactors at x = (1, ..., 1)
         entry = np.abs(self.BORDER).sum(axis=1)
         cofactor = entry[self.LEFT[:6]] * entry[self.RIGHT[:6]] \
             + entry[self.LEFT[6:]] * entry[self.RIGHT[6:]]
-        self.band_f = self._band(f_polynomial(), entry[:3] @ cofactor[:3], 14)
-        self.band_g = self._band(directional_derivative(beta),
-                                 (np.abs(self.half) @ cofactor).sum(), 16)
+        self.band_f = self._band(f, entry[:3] @ cofactor[:3], 14)
+        self.band_g = self._band(g, (np.abs(self.half) @ cofactor).sum(), 16)
 
     def _band(self, poly, majorant, roundings):
         """The band over m^deg for poly, from the two bounds above."""
@@ -357,17 +276,16 @@ class _Screen:
         return candidate
 
 
+# one screen per beta: it holds no mutable state, so searches in any
+# thread share it
+_screen = functools.lru_cache(maxsize=63)(_Screen)
+
+
 def snap_point(weights, vertices):
     """Integer cone point near the ray of the sampled barycentric point."""
     qs = [int(math.floor(SNAP_SCALE * w)) for w in weights]
     return tuple(int(sum(q * v[c] for q, v in zip(qs, vertices)))
                  for c in range(6))
-
-
-@functools.lru_cache(maxsize=63)
-def _search_tree(beta):
-    """The factor tree of f and beta's derivative, built once per beta."""
-    return _FactorTree(f_polynomial(), directional_derivative(beta))
 
 
 def _outcomes(decs, beta, rng, trials, cubed_from):
@@ -384,7 +302,7 @@ def _outcomes(decs, beta, rng, trials, cubed_from):
     stack = np.array(simplices, dtype=np.float64)
     f = f_polynomial()
     g = directional_derivative(beta)
-    screen = _Screen(beta)
+    screen = _screen(beta)
     fifth_from = cubed_from + (trials - cubed_from) // 2
     done = 0
     while done < trials:

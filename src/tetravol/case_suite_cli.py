@@ -285,7 +285,7 @@ def case_registry():
         tasks=(
             CertTask("B_1", CaseFunction(3, -1), 1275),
         ),
-        # no check supports "exact" at the upper end (ROADMAP item 15)
+        # no check supports "exact" at the upper end, 9 not 8 (ROADMAP item 29)
         interval_exact=(True, True),
         curves=(
             CurveCheck("(3+t)g - f on (1-t^2)A1 + t^2 A2", _curve(A1, A1, A2),

@@ -13,8 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tetravol import anti_certification
 from tetravol.anti_certification import (
-    SNAP_SCALE, Witness, _cofactors, _FactorTree, _FloatForms, _jacobi_g,
-    _Screen,
+    SNAP_SCALE, Witness, _cofactors, _jacobi_g, _PinnedForms, _Screen,
     anti_certify, barycentric_block, excluded_chambers, f_value_bordered,
     full_k4_campaign, read_witnesses, snap_point, verify_witness,
 )
@@ -139,7 +138,7 @@ def barycentric_sample(rng):
 def float_form_reference(poly, points):
     """poly at the rows of points from the broadcast (n, T, 6) power product.
 
-    The oracle for ``_FloatForms``: every prescreen float must equal it.
+    The oracle for ``_PinnedForms``: every prescreen float must equal it.
     """
     exps = sorted(poly.terms)
     coeffs = np.array([float(poly.terms[e]) for e in exps])
@@ -244,6 +243,34 @@ def test_generate_golden_reproduces_the_packaged_file(tmp_path):
     packaged = resources.files("tetravol") / "data" / "witnesses.txt"
     assert path.read_text().splitlines() == \
         packaged.read_text().splitlines()
+
+
+def test_generate_golden_reaches_the_pinned_floats(monkeypatch):
+    # the golden file checks the pinned floats only through the blocks
+    # that the screen's band leaves open, so some must reach them, and
+    # each of their values must equal the oracle's bit for bit
+    betas, ran = {}, []
+    screen, at = anti_certification._screen, _PinnedForms.at
+
+    def screen_spy(beta):
+        s = screen(beta)
+        betas[id(s.forms)] = beta
+        return s
+
+    def at_spy(self, points):
+        values = at(self, points)
+        ran.append((betas[id(self)], points.copy(), values))
+        return values
+
+    monkeypatch.setattr(anti_certification, "_screen", screen_spy)
+    monkeypatch.setattr(anti_certification._PinnedForms, "at", at_spy)
+    generate_golden()
+    assert len(ran) >= 1
+    for beta, points, (fv, gv) in ran:
+        assert fv.tobytes() == \
+            float_form_reference(f_polynomial(), points).tobytes()
+        assert gv.tobytes() == float_form_reference(
+            directional_derivative(beta), points).tobytes()
 
 
 def test_witness_line_roundtrip():
@@ -385,7 +412,7 @@ def test_float_forms_equal_the_broadcast_oracle_bit_for_bit(n):
     pts = rng.random((n, 6)) * 8.0
     pts[::3, rng.integers(6)] = 0.0
     pts[1::3] *= 1e6
-    for poly, got in zip(polys, _FloatForms(_FactorTree(*polys)).at(pts)):
+    for poly, got in zip(polys, _PinnedForms(*polys).at(pts)):
         assert np.array_equal(got, float_form_reference(poly, pts))
 
 
@@ -399,8 +426,8 @@ def test_float_forms_ignore_the_term_order():
     cell = build_partitions().fortyeight["D_3111"]
     pts = barycentric_block(random.Random(5), 1024) @ np.array(
         cell.vertices, dtype=np.float64)
-    want = _FloatForms(_FactorTree(*polys)).at(pts)
-    got = _FloatForms(_FactorTree(*flipped)).at(pts)
+    want = _PinnedForms(*polys).at(pts)
+    got = _PinnedForms(*flipped).at(pts)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
@@ -426,9 +453,9 @@ def prescreen_polynomials(draw):
        st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_float_forms_of_random_polynomials_equal_the_oracle(polys, seed):
-    # one object through batches that shrink and grow again, so a row
-    # that a larger batch left in a buffer would show
-    forms = _FloatForms(_FactorTree(*polys))
+    # one object through batches that shrink and grow again, so anything
+    # that one batch left behind for the next would show
+    forms = _PinnedForms(*polys)
     rng = np.random.default_rng(seed)
     for n in (1024, 300, 1024, 1):
         pts = rng.random((n, 6)) * 8.0
@@ -460,7 +487,7 @@ def test_float_forms_on_the_first_campaign_batches(monkeypatch):
         want.append(np.einsum("ij,ijk->ik", barycentric_block(rng, 1024),
                               stack[idx]))
     seen = []
-    candidates, at = _Screen.candidates, _FloatForms.at
+    candidates, at = _Screen.candidates, _PinnedForms.at
 
     def spy(self, points):
         mask = candidates(self, points)
@@ -471,14 +498,14 @@ def test_float_forms_on_the_first_campaign_batches(monkeypatch):
         raise AssertionError("the band decides every point of these batches")
 
     monkeypatch.setattr(anti_certification._Screen, "candidates", spy)
-    monkeypatch.setattr(anti_certification._FloatForms, "at", at_spy)
+    monkeypatch.setattr(anti_certification._PinnedForms, "at", at_spy)
     assert full_k4_campaign(trials=2048, seed=0) == ([], 0)
     assert len(seen) == 2
     for pts, (points, mask) in zip(want, seen):
         assert points.tobytes() == pts.tobytes()
         assert np.array_equal(mask, oracle_mask(EdgeSubset.full(), pts))
     # with at back, the same batches through the fallback give the same
-    monkeypatch.setattr(anti_certification._FloatForms, "at", at)
+    monkeypatch.setattr(anti_certification._PinnedForms, "at", at)
     screen = _Screen(EdgeSubset.full())
     for points, mask in seen:
         fv, gv = screen.forms.at(points)
@@ -525,8 +552,8 @@ def test_powered_weights_match_the_row_by_row_oracle_bit_for_bit(
 
 
 def test_campaigns_in_two_threads_match_one_after_the_other(monkeypatch):
-    # each search owns its screen and its forms' buffers, so two campaigns
-    # may run at once; every batch's points and candidate mask must match
+    # a beta's screen holds no mutable state, so two campaigns may share
+    # it at once; every batch's points and candidate mask must match
     # the sequential run, and every mask the oracle's
     seen = {}
     candidates = _Screen.candidates
@@ -694,13 +721,13 @@ def test_exactly_degenerate_points_fall_back_to_the_pinned_floats(
     points[[5, 700]] = point
     assert screen.decide(np.delete(points, [5, 700], axis=0)) is not None
     ran = []
-    at = _FloatForms.at
+    at = _PinnedForms.at
 
     def spy(self, block):
         ran.append(block.copy())
         return at(self, block)
 
-    monkeypatch.setattr(anti_certification._FloatForms, "at", spy)
+    monkeypatch.setattr(anti_certification._PinnedForms, "at", spy)
     mask = screen.candidates(points)
     assert len(ran) == 1 and ran[0].tobytes() == points.tobytes()
     assert np.array_equal(mask, oracle_mask(beta, points))
