@@ -79,26 +79,42 @@ class Witness:
                    int(parts[8]), int(parts[9]))
 
 
+# the nine comparators of an optimal sorting network on five keys
+# (Knuth, TAOCP vol. 3, 5.3.4)
+_NETWORK = ((0, 1), (3, 4), (2, 4), (2, 3), (0, 3), (0, 2), (1, 4), (1, 3),
+            (1, 2))
+
+
 def barycentric_block(rng, n):
     """n rows of six nonnegative weights summing to one.
 
     Each row holds the spacings of five sorted uniforms.  All 5n come
-    from one ``getrandbits`` call, each made as CPython's ``random()``
-    makes a double from two 32-bit words a, b, least significant first:
-    ((a >> 5) * 2**26 + (b >> 6)) / 2**53.  The rows and the generator's
-    final state equal those of trial-by-trial ``rng.random()`` calls.
+    from one ``getrandbits`` call, read as little-endian 64-bit pairs of
+    32-bit words a | b << 32, least significant first.  Each pair makes
+    in one pass the double CPython's ``random()`` makes from a and b,
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53: the integer is below 2**53,
+    so its conversion and the power-of-two scale are exact.  A row's
+    five cuts are sorted by ``_NETWORK``'s minima and maxima, which
+    return one of their inputs, so the sorted values are the same
+    floats.  The rows and the generator's final state equal those of
+    trial-by-trial ``rng.random()`` calls.
     """
-    words = np.frombuffer(rng.getrandbits(320 * n).to_bytes(40 * n, "little"),
-                          dtype="<u4")
-    cuts = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) \
-        / 9007199254740992.0
-    cuts = np.sort(cuts.reshape(n, 5), axis=1)
+    pairs = np.frombuffer(rng.getrandbits(320 * n).to_bytes(40 * n, "little"),
+                          dtype="<u8")
+    # (a >> 5) << 26 is (a & ~31) << 21; b >> 6 is the pair >> 38
+    cuts = ((pairs & 0xFFFFFFE0) << 21 | pairs >> 38).reshape(n, 5).T \
+        .astype(np.float64)
+    cuts *= 2.0 ** -53
+    c = list(cuts)
+    for i, j in _NETWORK:
+        c[i], c[j] = np.minimum(c[i], c[j]), np.maximum(c[i], c[j])
     # the spacings of 0.0, the cuts and 1.0; the first, c - 0.0, is c
     # exactly
     weights = np.empty((n, 6))
-    weights[:, 0] = cuts[:, 0]
-    np.subtract(cuts[:, 1:], cuts[:, :-1], out=weights[:, 1:5])
-    np.subtract(1.0, cuts[:, 4], out=weights[:, 5])
+    weights[:, 0] = c[0]
+    for k in range(1, 5):
+        np.subtract(c[k], c[k - 1], out=weights[:, k])
+    np.subtract(1.0, c[4], out=weights[:, 5])
     return weights
 
 

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 from . import anti_certification as anticert
 from .cayley_menger import (EdgeSubset, directional_derivative,
                             f_hat_value, f_polynomial, is_tetrahedral,
-                            strict_faces, tetrahedral_f)
+                            tetrahedral_f)
 from .chamber_geometry import (A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B,
                                LatticeSimplex6, build_partitions,
                                certified_chambers, chambers_containing,
@@ -520,7 +520,8 @@ def random_tetrahedral(rng, max_entry=100):
     loop per length, so the lists and the generator's final state equal
     those of six ``randint`` calls per try.  A try passes by the face
     test and the closed-form determinant, the two halves of
-    ``is_tetrahedral`` for positive integers.
+    ``is_tetrahedral`` for positive integers; the face test runs on the
+    raw draws, so a try that fails it builds no list.
     """
     if max_entry < 1:
         raise ValueError("max_entry must be at least 1, not %r" % max_entry)
@@ -545,10 +546,13 @@ def random_tetrahedral(rng, max_entry=100):
         f = draw(bits)
         while f >= max_entry:
             f = draw(bits)
-        lengths = (a + 1, b + 1, c + 1, d + 1, e + 1, f + 1)
-        if strict_faces(lengths) and \
-                f_hat_value([x * x for x in lengths]) > 0:
-            return lengths
+        # ``strict_faces`` of the lengths a + 1, ..., f + 1: on integers
+        # |a - b| < d + 1 < a + b + 2 is |a - b| <= d <= a + b
+        if abs(a - b) <= d <= a + b and abs(a - c) <= e <= a + c \
+                and abs(b - c) <= f <= b + c and abs(d - e) <= f <= d + e:
+            lengths = (a + 1, b + 1, c + 1, d + 1, e + 1, f + 1)
+            if f_hat_value([x * x for x in lengths]) > 0:
+                return lengths
 
 
 def lengthen_margin(d, t=1):

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from tetravol import anti_certification
 from tetravol.anti_certification import (
-    SNAP_SCALE, Witness, _cofactors, _jacobi_g, _PinnedForms, _Screen,
-    anti_certify, barycentric_block, excluded_chambers, f_value_bordered,
+    _NETWORK, SNAP_SCALE, Witness, _cofactors, _jacobi_g, _PinnedForms,
+    _Screen, anti_certify, barycentric_block, excluded_chambers, f_value_bordered,
     full_k4_campaign, read_witnesses, snap_point, verify_witness,
 )
 from tetravol.case_suite_cli import case_registry
@@ -399,6 +399,17 @@ def test_block_sampler_matches_trial_by_trial_draws(n):
     assert got.shape == (n, 6)
     assert np.array_equal(got, rows)
     assert block.getstate() == one.getstate()
+
+
+def test_network_sorts_every_five_keys_over_three_values():
+    # all 3^5 rows over {0, 1, 2}: every order of five distinct ranks and
+    # every pattern of ties; by the 0-1 principle {0, 1}^5 alone proves it
+    rows = np.array(list(itertools.product((0.0, 1.0, 2.0), repeat=5)))
+    c = list(rows.T.copy())
+    for i, j in _NETWORK:
+        c[i], c[j] = np.minimum(c[i], c[j]), np.maximum(c[i], c[j])
+    assert len(_NETWORK) == 9
+    assert np.array_equal(np.array(c).T, np.sort(rows, axis=1))
 
 
 @pytest.mark.parametrize("n", [1, 7, 255, 256, 257, 513, 769, 4096])

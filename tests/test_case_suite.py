@@ -184,6 +184,18 @@ def test_random_tetrahedral_draws_the_randint_stream(max_entry):
         assert got.getstate() == want.getstate()
 
 
+@pytest.mark.parametrize("max_entry", [2, 3, 4, 5, 100])
+def test_random_tetrahedral_draws_the_randint_stream_at_tight_bounds(
+        max_entry):
+    # small bounds put many draws on a face boundary, |a - b| = c or
+    # c = a + b, where an off-by-one in the raw-draw face test shows
+    want, got = random.Random(max_entry), random.Random(max_entry)
+    for _ in range(2000):
+        assert random_tetrahedral(got, max_entry) == \
+            randint_tetrahedral(want, max_entry)
+    assert got.getstate() == want.getstate()
+
+
 def test_random_tetrahedral_needs_a_positive_bound():
     with pytest.raises(ValueError):
         random_tetrahedral(random.Random(0), 0)
