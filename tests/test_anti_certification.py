@@ -14,8 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 from tetravol import anti_certification
 from tetravol.anti_certification import (
     _NETWORK, SNAP_SCALE, Witness, _cofactors, _jacobi_g, _PinnedForms,
-    _Screen, anti_certify, barycentric_block, excluded_chambers, f_value_bordered,
-    full_k4_campaign, read_witnesses, snap_point, verify_witness,
+    _Screen, anti_certify, barycentric_block, excluded_chambers,
+    f_value_bordered, full_k4_campaign, read_witnesses, snap_point,
+    verify_witness,
 )
 from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import EDGES, EdgeSubset, \
