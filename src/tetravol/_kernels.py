@@ -100,7 +100,8 @@ before it pops the next.  Every limb is written before it is read, so
 no root depends on an earlier walk.  The carry
 of ``_normalize`` runs through a scratch row per size, also kept on the
 engine, so walks on two engines never share memory.  ``dilate`` and
-``reflect``, which the walk never calls, write to fresh arrays.
+``reflect`` write to fresh arrays: the walk never calls them, but the
+benchmark's tracer and the tests' oracle checks do (ROADMAP item 27).
 """
 
 from __future__ import annotations
@@ -299,7 +300,7 @@ class NumpyBackend:
     def corner_value(self):
         return _value(self._made().cube[:, 0, 0, 0, 0, 0].tolist())
 
-    # only perfbench/tracer.py binds them (ROADMAP item 5)
+    # only perfbench/tracer.py and tests call them; ROADMAP item 27 drops them
     def dilate(self, cube, axis):
         return self._product(_fit(_Views(cube)), DILATE_T).cube
 
@@ -385,7 +386,7 @@ class NumpyBackend:
             self._slot(depth, shape)
         return buffer
 
-    # a no-op that only perfbench/tracer.py binds (ROADMAP item 5)
+    # a no-op that only perfbench/tracer.py binds (ROADMAP item 27)
     def guard(self, cube):
         pass
 

@@ -134,28 +134,6 @@ def stabilizer(edge_indices):
 
 # -- exact simplex machinery --------------------------------------------
 
-def _int_det(rows):
-    """Fraction-free Bareiss determinant of a square int matrix."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 class LatticeSimplex6:
     """A 5-simplex in the sum-24 hyperplane with integer vertices."""
 
@@ -177,11 +155,12 @@ class LatticeSimplex6:
 
         Proportional to 5-dimensional volume with one global constant
         for every simplex in the hyperplane, so sums compare exactly.
+        Read off the cofactor rows: row 0 dotted with vertex 0 is
+        |det V|, and adding V's first five rows to its last makes that
+        row 24 * (1, ..., 1), so |det V| is 24 times this determinant.
         """
-        v0 = self.vertices[0]
-        rows = [[self.vertices[j][c] - v0[c] for c in range(5)]
-                for j in range(1, 6)]
-        return abs(_int_det(rows))
+        return sum(map(operator.mul, self._weight_rows[0],
+                       self.vertices[0])) // 24
 
     @functools.cached_property
     def _weight_rows(self):

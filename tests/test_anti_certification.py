@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from _bareiss import _int_det
 from tetravol import anti_certification
 from tetravol.anti_certification import (
     _NETWORK, SNAP_SCALE, Witness, _cofactors, _jacobi_g, _PinnedForms,
@@ -21,7 +22,7 @@ from tetravol.anti_certification import (
 from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import EDGES, EdgeSubset, \
     directional_derivative, f_polynomial
-from tetravol.chamber_geometry import _int_det, build_partitions, \
+from tetravol.chamber_geometry import build_partitions, \
     certified_chambers, decoration, decorations
 from tetravol.exact_poly import Polynomial
 

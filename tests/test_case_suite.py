@@ -1,6 +1,7 @@
 """Registry integrity, one full case run, and the property suites."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -15,10 +16,13 @@ from tetravol.case_suite_cli import (
 )
 from tetravol import cayley_menger
 from tetravol.anti_certification import f_value_bordered
-from tetravol.cayley_menger import FACES, is_tetrahedral
-from tetravol.chamber_geometry import build_partitions
+from tetravol.cayley_menger import FACES, EdgeSubset, is_tetrahedral
+from tetravol.chamber_geometry import (CENTER, EXTREME_A, EXTREME_B,
+                                      LatticeSimplex6, build_partitions,
+                                      midpoint)
 from tetravol.exact_poly import Polynomial
-from tetravol.positive_dominance import Certificate
+from tetravol.positive_dominance import Certificate, certify, replay
+from tetravol.simplex_pullback import pullback
 
 ALL_NAMES = ["full-K4", "single-edge", "incident-pair", "opposite-pair",
              "tripod", "3-path", "4-cycle", "3-cycle"]
@@ -124,6 +128,61 @@ def test_run_case_three_cycle_end_to_end():
     assert again.to_text() == text
 
 
+def test_three_cycle_upper_end_is_not_8():
+    """E = 9 holds on B_1 and E = 721/80 fails there, so the 3-cycle's
+    upper end lies in [9, 721/80).
+
+    ``case run 3-cycle`` still prints an exact upper end of 8; the
+    reports stay as they are, and this test is the record that no check
+    supports that end.  B_1 splits along its three symmetry planes
+    lambda_a = lambda_b of the weights at its 6-vertices A1, A2, A3
+    into six pieces: the centroid, the midpoint of A_a and A_b, A_a,
+    and the 8-vertices B2, B3, B4, in that order.
+    """
+    b1 = build_partitions().four["B_1"]
+    assert b1.vertices[:3] == tuple(EXTREME_A[j] for j in (1, 2, 3))
+    rest = tuple(EXTREME_B[j] for j in (2, 3, 4))
+    assert b1.vertices[3:] == rest
+    pieces = [LatticeSimplex6("B_1/%d%d" % (a, b),
+                              (CENTER, midpoint(EXTREME_A[a], EXTREME_A[b]),
+                               EXTREME_A[a]) + rest)
+              for a, b in itertools.permutations((1, 2, 3), 2)]
+
+    # tiling: each piece lies in B_1 and in exactly one ordering cone of
+    # its 6-vertex weights, read through B_1's cofactor rows; the six
+    # cones differ, and the volumes add up to B_1's
+    orderings = set()
+    for piece in pieces:
+        weights = [[sum(map(operator.mul, row, v))
+                    for row in b1._weight_rows[:3]] for v in piece.vertices]
+        assert all(b1.contains(v) for v in piece.vertices)
+        held = [order for order in itertools.permutations(range(3))
+                if all(w[order[0]] >= w[order[1]] >= w[order[2]]
+                       for w in weights)]
+        assert len(held) == 1, piece.name
+        orderings.add(held[0])
+    assert len(orderings) == 6
+    assert [piece.volume_scaled() for piece in pieces] == [6144] * 6
+    assert b1.volume_scaled() == 36864
+
+    beta = EdgeSubset.parse("12,13,23")
+    nine = CaseFunction(8, -3)
+    assert nine.endpoint == 9
+    for piece in pieces:
+        p = pullback(nine.polynomial(beta), piece)
+        cert = certify(p)
+        assert (cert.status, cert.steps, cert.max_depth) == \
+            ("Nonnegative", 793, 17), piece.name
+        assert replay(p, cert)
+
+    # E = 721/80, past 9 by 1/80, is refuted on a piece
+    above = pullback(CaseFunction(1920, -721).polynomial(beta), pieces[0])
+    cert = certify(above)
+    assert (cert.status, cert.steps) == ("NegativeWitness", 2654)
+    assert cert.witness_corner < 0
+    assert replay(above, cert)
+
+
 @pytest.mark.parametrize("name, owner, attr, failing", [
     ("3-cycle", cli, "grade_task", lambda task, cert: "FAIL"),
     ("3-cycle", cli, "curve_result",
@@ -170,14 +229,34 @@ def randint_tetrahedral(rng, max_entry):
             return d
 
 
+class BoundedRandom(random.Random):
+    """A ``random.Random`` whose ``getrandbits`` raises after limit calls.
+
+    A draw loop whose face test never accepts, as at ``max_entry`` 1 if
+    the all-ones list were rejected, then fails instead of hanging.
+    """
+
+    def __init__(self, seed, limit):
+        super().__init__(seed)
+        self.limit = limit
+        self.calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise RuntimeError("more than %d getrandbits calls" % self.limit)
+        return super().getrandbits(k)
+
+
 # bounds of one, two and several bits, and draws that take more than
 # one 32-bit word of the generator
 @pytest.mark.parametrize("max_entry", [1, 2, 3, 7, 50, 64, 100, 128,
                                        2 ** 31 + 1, 2 ** 32, 2 ** 40])
 def test_random_tetrahedral_draws_the_randint_stream(max_entry):
-    # the lists and the generator's state afterwards, over several seeds
+    # the lists and the generator's state afterwards, over several seeds;
+    # twelve lists take at most 1,932 calls on these seeds
     for seed in (0, 1, 7, 2501):
-        want, got = random.Random(seed), random.Random(seed)
+        want, got = random.Random(seed), BoundedRandom(seed, 20_000)
         for _ in range(12):
             assert random_tetrahedral(got, max_entry) == \
                 randint_tetrahedral(want, max_entry)
@@ -188,8 +267,9 @@ def test_random_tetrahedral_draws_the_randint_stream(max_entry):
 def test_random_tetrahedral_draws_the_randint_stream_at_tight_bounds(
         max_entry):
     # small bounds put many draws on a face boundary, |a - b| = c or
-    # c = a + b, where an off-by-one in the raw-draw face test shows
-    want, got = random.Random(max_entry), random.Random(max_entry)
+    # c = a + b, where an off-by-one in the raw-draw face test shows;
+    # 2,000 lists take at most 167,515 calls at these bounds
+    want, got = random.Random(max_entry), BoundedRandom(max_entry, 2_000_000)
     for _ in range(2000):
         assert random_tetrahedral(got, max_entry) == \
             randint_tetrahedral(want, max_entry)

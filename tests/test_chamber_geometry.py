@@ -8,13 +8,14 @@ from fractions import Fraction
 
 import pytest
 
+from _bareiss import _int_det
 from tetravol import chamber_geometry
 from tetravol.cayley_menger import (AXIS_PAIRS, FACES, VERTEX_EDGES,
                                     EdgeSubset, f_polynomial)
 from tetravol.case_suite_cli import case_registry
 from tetravol.chamber_geometry import (
     A_MID, B_MID, CENTER, EXTREME_A, EXTREME_B, Decoration, LatticeSimplex6,
-    Partitions, _int_det, all_relabelings, apply_relabel, axis_image,
+    Partitions, all_relabelings, apply_relabel, axis_image,
     axis_sums,
     build_partitions, cell_description_membership, certified_chambers,
     chambers_containing, decoration, decorations, even_relabelings,
@@ -718,3 +719,15 @@ def test_type_and_region_follow_every_relabeling():
                 else:
                     assert ({d.relabeled(sigma).id for d in region}
                             == {d.id for d in certified_chambers(image)})
+
+
+def test_volume_is_det_v_over_24_read_off_the_cofactor_rows():
+    # the volume the cofactor rows give against two determinants of the
+    # reference: V's, and that of the edge matrix without its last
+    # coordinate, which it equals
+    for cell in _partition_and_registry_simplices():
+        v0 = cell.vertices[0]
+        edges = [[v[c] - v0[c] for c in range(5)] for v in cell.vertices[1:]]
+        assert 24 * cell.volume_scaled() == abs(_int_det(cell.vertices)), \
+            cell.name
+        assert cell.volume_scaled() == abs(_int_det(edges)), cell.name
