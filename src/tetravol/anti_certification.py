@@ -20,23 +20,15 @@ at its default seed and trials, per excluded chamber of each case
 without a K4 campaign; ``tests/test_anti_certification.py`` regenerates
 it and compares it line for line.
 
-The prescreen's candidate masks must stay exactly those of the pinned
-floats: they decide which candidate a search snaps first, so the golden
-witness file and the seeded campaign's prescreen count hang on them.
-A screen (``_Screen``) decides a block's mask from M's cofactors in
-floats where a proven error band puts its value and the pinned floats'
-on the same side of zero, and hands a block with any point inside the
-band, whole, to the pinned floats, whose every bit stays fixed.
-Sampling draws one block per chunk from the seeded generator and equals
-trial-by-trial ``rng.random()`` calls exactly.  The pinned float
-forms (``_PinnedForms``) multiply each term's six factors x_v^e out of
-one table of coordinate powers, whose pow must run numpy's SIMD loop,
-the one the broadcast ``points ** exponents`` form reached through its
-contiguous casting buffers: libm ``pow`` (Python's ``**``) differs from
-it in the last bit on about 3% of arguments, and so does numpy's pow
-over a view it cannot stream, such as a negative stride.  The product
-with the coefficients runs once over all rows: the BLAS kernel sums a
-row left over past its unrolled groups of rows in another order.
+The prescreen's candidate mask is the exact sign test f > 0 and g < 0
+at each float point: it decides which candidate a search snaps first,
+so the golden witness file and the seeded campaign's prescreen count
+hang on it.  A screen (``_Screen``) decides a point from M's cofactors
+in floats where a proven error band puts the exact value on the same
+side of zero, and evaluates every point the band leaves open exactly,
+alone, at the integers the row's floats scale to.  Sampling draws one
+block per chunk from the seeded generator and equals trial-by-trial
+``rng.random()`` calls exactly.
 """
 
 import functools
@@ -118,102 +110,50 @@ def barycentric_block(rng, n):
     return weights
 
 
-class _PinnedForms:
-    """Vectorized float views of exact polynomials, for prescreening only.
-
-    A form is its (n, T) C-contiguous term matrix times its coefficients,
-    in sorted exponent order, and a term is the left-to-right product of
-    its six factors x_v^e in variable order: the bits of the broadcast
-    ``points ** exponents`` form that pinned the golden file.
-    """
-
-    def __init__(self, *polys):
-        self.width = width = 1 + max(max(map(max, p.terms)) for p in polys)
-        # exponent of table row v * width + k
-        self.powers = np.tile(np.arange(width, dtype=np.float64), 6)[:, None]
-        # each form's factor rows, one row of terms per variable, and its
-        # coefficients, in sorted exponent order
-        self.forms = []
-        for poly in polys:
-            exps = sorted(poly.terms)
-            coeffs = np.array([float(poly.terms[e]) for e in exps])
-            self.forms.append(((exps + width * np.arange(6)).T, coeffs))
-
-    def at(self, points):
-        """Each form's values at the rows of points, in order."""
-        n = len(points)
-        # row v * width + k holds points[:, v] ** k; both operands are
-        # contiguous float64, so np.power takes its SIMD loop
-        table = np.repeat(points.T, self.width, axis=0)
-        np.power(table, np.repeat(self.powers, n, axis=1), out=table)
-        out = []
-        for rows, coeffs in self.forms:
-            # 256 points at a time: unblocked, the temporaries fault in
-            # fresh pages on every call
-            terms = np.empty((n, len(coeffs)))
-            for lo in range(0, n, 256):
-                block = table[rows[0], lo:lo + 256]
-                for factor in rows[1:]:
-                    block *= table[factor, lo:lo + 256]
-                terms[lo:lo + 256] = block.T
-            # one product over all n rows: BLAS sums a row in an order
-            # that depends on its position
-            out.append(terms @ coeffs)
-        return out
-
-
 class _Screen:
-    """The candidate mask of a block, f > 0 and g < 0, decided cheaply.
+    """The candidate mask of a block: f > 0 and g < 0, exactly.
 
     The screen evaluates f and g from M's six 2x2 cofactors, the float
     twin of ``_cofactors`` and ``_jacobi_g`` (which stay the verifier's
     own), on one contiguous (6, n) copy of the points: the squared
     lengths s = x^2, M = ``BORDER`` s, each cofactor one difference of
     two products of M's entries, f = det M along M's first row and
-    g = 4 sum_{k in beta} x_k half_k.  It must give the signs that the
-    pinned floats of ``_PinnedForms.at`` give, so it decides a point only
-    where a proven band separates both from the exact value, and hands
-    the whole block to ``at`` otherwise.
+    g = 4 sum_{k in beta} x_k half_k.  It decides a point only where a
+    proven band separates its floats from the exact values, and
+    evaluates each point it leaves open exactly (``exact``).
 
-    The band, with u = 2^-53, m = max_k |x_k| and deg = 6 for f, 5 for g:
+    The band, with u = 2^-53 and m = max_k |x_k|, bounds the screen's
+    own rounding:
 
-    - Pinned floats.  A term is at most six ``np.power`` values, each
-      assumed within relative ``POWER`` = 2^-48 (256 u) of x^e; the worst
-      error measured for e <= 4 is 1.15 u.  At most five products join
-      them, and BLAS sums the T terms against their integer coefficients
-      in some order, within gamma_T (Higham, *Accuracy and Stability of
-      Numerical Algorithms*, 2nd ed., ch. 3, with or without FMA).  A
-      term is at most m^deg, so the error is at most
-      ((1 + POWER)^6 (1 + u)^(T + 5) - 1) C m^deg, C the sum of the
-      coefficients' absolute values.
-    - Screen.  Scaling by 2 or 4, products with 0 or +-1 and adding 0
-      are exact; every other operation rounds once, multiplying each
-      monomial under it by some 1 + delta, |delta| <= u.  A monomial of
-      a cofactor meets at most 8 roundings (1 per square of its two
-      s, 2 per sum of its two M entries, 1 product, 1 difference); one
-      of f at most 14 (3 more for its M entry, 1 product and 2 in a sum
-      of three) and one of g at most 16 (2 in the sum that makes half_k,
-      1 product with x_k and 5 in a sum of six).  So the error is at most
-      gamma_N K m^deg, K the majorant, the program on |x| with every -
-      turned into +, at x = (1, ..., 1): 116 for f, and 4 (43 or 15)
-      summed over beta for g.
-    - The band is 2^8 (1 + 2^-20) times the sum of the two bounds, as a
-      factor of S^3 for f and S^2 sqrt(S) for g, S = max_k fl(x_k^2).
-      The factor 1 + 2^-20 covers the few roundings that make these
-      from S, which is at least m^2 (1 - u), and the constants' own.
+    - Scaling by 2 or 4, products with 0 or +-1 and adding 0 are exact;
+      every other operation rounds once, multiplying each monomial under
+      it by some 1 + delta, |delta| <= u.  A monomial of a cofactor
+      meets at most 8 roundings (1 per square of its two s, 2 per sum of
+      its two M entries, 1 product, 1 difference); one of f at most 14
+      (3 more for its M entry, 1 product and 2 in a sum of three) and
+      one of g at most 16 (2 in the sum that makes half_k, 1 product
+      with x_k and 5 in a sum of six).  So the error is at most
+      gamma_N K m^deg (Higham, *Accuracy and Stability of Numerical
+      Algorithms*, 2nd ed., ch. 3), deg = 6 for f and 5 for g, and K
+      the majorant, the program on |x| with every - turned into +, at
+      x = (1, ..., 1): 116 for f, and 4 (43 or 15) summed over beta
+      for g.
+    - The band is 2^8 (1 + 2^-20) times that bound, as a factor of S^3
+      for f and S^2 sqrt(S) for g, S = max_k fl(x_k^2).  2^8 is a
+      margin; the factor 1 + 2^-20 covers the few roundings that make
+      these from S, which is at least m^2 (1 - u), and the constants'
+      own.
     - A block is screened only when S lies in [``LOW``, ``HIGH``] on
-      every row, so 2^-100 <= m <= 2^100.  Then nothing overflows, and
-      the underflows, each at most 2^-1074 absolutely, np.power's
-      included, reach f or g scaled by at most 2^20 max(1, m)^6 in all:
-      under 2^-400 of the band, which is at least 2^-40 m^6 for f and
-      2^-40 m^5 for g.
+      every row, so 2^-100 <= m <= 2^100, and is evaluated exactly row
+      by row otherwise.  Then nothing overflows, and the underflows,
+      each at most 2^-1074 absolutely, reach f or g scaled by at most
+      2^20 max(1, m)^6 in all: under 2^-400 of the band, which is at
+      least 2^-40 m^6 for f and 2^-40 m^5 for g.
 
     A point is a decided candidate when F > band_f and G < -band_g, and
-    decided not to be one when F < -band_f or G > band_g; either way the
-    pinned floats, within their bound of the exact values, give it the
-    same decision.  Any point left undecided sends the whole block to
-    ``at``, never a subset of its rows: BLAS sums a row in an order that
-    depends on its position, so a subset would move bits.
+    decided not to be one when F < -band_f or G > band_g; either way
+    the exact values have the same signs.  So every point's mask is its
+    exact sign test, whatever block it comes in.
     """
 
     # M's entries (M22, M23, M24, M33, M34, M44) from the squared lengths,
@@ -229,30 +169,25 @@ class _Screen:
     HALF = 4.0 * np.array([[1, 1, 1, 0, 0, 0], [0, 1, 0, 1, 1, 0],
                            [0, 0, 1, 0, 1, 1], [0, -1, 0, 0, 0, 0],
                            [0, 0, -1, 0, 0, 0], [0, 0, 0, 0, -1, 0]])
-    POWER = 2.0 ** -48
     LOW, HIGH = 2.0 ** -200, 2.0 ** 200
 
     def __init__(self, beta):
         self.edges = np.array(sorted(beta.indices))
         self.half = self.HALF[self.edges]
-        f, g = f_polynomial(), directional_derivative(beta)
-        self.forms = _PinnedForms(f, g)
+        self.f, self.g = f_polynomial(), directional_derivative(beta)
         # the majorants of M's entries and cofactors at x = (1, ..., 1)
         entry = np.abs(self.BORDER).sum(axis=1)
         cofactor = entry[self.LEFT[:6]] * entry[self.RIGHT[:6]] \
             + entry[self.LEFT[6:]] * entry[self.RIGHT[6:]]
-        self.band_f = self._band(f, entry[:3] @ cofactor[:3], 14)
-        self.band_g = self._band(g, (np.abs(self.half) @ cofactor).sum(), 16)
+        self.band_f = self._band(entry[:3] @ cofactor[:3], 14)
+        self.band_g = self._band((np.abs(self.half) @ cofactor).sum(), 16)
 
-    def _band(self, poly, majorant, roundings):
-        """The band over m^deg for poly, from the two bounds above."""
+    @staticmethod
+    def _band(majorant, roundings):
+        """The band over m^deg, from the bound above."""
         u = 2.0 ** -53
-        pinned = math.expm1(6 * math.log1p(self.POWER)
-                            + (len(poly.terms) + 5) * math.log1p(u))
-        coeffs = sum(abs(c) for c in poly.terms.values())
-        screen = roundings * u / (1 - roundings * u)
-        return 2.0 ** 8 * (1 + 2.0 ** -20) * (pinned * coeffs
-                                               + screen * float(majorant))
+        return 2.0 ** 8 * (1 + 2.0 ** -20) * roundings * u \
+            / (1 - roundings * u) * float(majorant)
 
     def bands(self, points):
         """(F, G, band_f, band_g) at the rows of points, or None when the
@@ -271,24 +206,32 @@ class _Screen:
         return (f, g, self.band_f * (top2 * top),
                 self.band_g * (top2 * np.sqrt(top)))
 
-    def decide(self, points):
-        """The candidate mask, or None when the band leaves a point
-        undecided."""
-        screened = self.bands(points)
-        if screened is None:
-            return None
-        f, g, band_f, band_g = screened
-        candidate = (f > band_f) & (g < -band_g)
-        if not (candidate | (f < -band_f) | (g > band_g)).all():
-            return None
-        return candidate
+    def exact(self, row):
+        """Whether f > 0 and g < 0 at a float row, in exact arithmetic.
+
+        The row times the least common power of two of its floats'
+        denominators is an integer point, and f and g are homogeneous,
+        of degrees 6 and 5, so their signs there are those at the row.
+        """
+        ratios = [x.as_integer_ratio() for x in row.tolist()]
+        scale = max(d for _, d in ratios)
+        point = [n * (scale // d) for n, d in ratios]
+        return self.f.evaluate(point) > 0 and self.g.evaluate(point) < 0
 
     def candidates(self, points):
-        """The candidate mask: the screen's, else the pinned floats'."""
-        candidate = self.decide(points)
-        if candidate is None:
-            fv, gv = self.forms.at(points)
-            candidate = (fv > 0.0) & (gv < 0.0)
+        """The candidate mask: the band's decisions, and ``exact`` at
+        every point they leave open."""
+        screened = self.bands(points)
+        if screened is None:
+            candidate = np.zeros(len(points), dtype=bool)
+            undecided = np.arange(len(points))
+        else:
+            f, g, band_f, band_g = screened
+            candidate = (f > band_f) & (g < -band_g)
+            undecided = np.flatnonzero(
+                ~(candidate | (f < -band_f) | (g > band_g)))
+        for i in undecided:
+            candidate[i] = self.exact(points[i])
         return candidate
 
 

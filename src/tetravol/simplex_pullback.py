@@ -50,8 +50,9 @@ each partial sum of them and c_m in any order, is an integer of
 absolute value at most Phi_m.  When Phi(p) < 2**53 float64 holds each
 exactly, fused multiply-adds or not, so the float64 scheme is exact
 (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008, on exact integers in
-floating-point BLAS).  The bound sum |c| * max_k N_k^deg(p) >= Phi(p)
-is tried first, and Phi(p) is computed exactly only when it fails.
+floating-point BLAS).  The fold tests the cheap bound
+sum |c| * max_k N_k^deg(p) >= Phi(p), and runs on Python ints when it
+reaches 2**53.
 
 The result reaches the cube engine as arrays (``Polynomial.arrays``):
 the nonzero slots of Q_0's dense vector, as int64 or Python ints, and
@@ -178,27 +179,12 @@ def _fold_levels(levels, coeffs, forms, down):
     return acc[:, 0].astype(np.int64 if forms.dtype == float else object)
 
 
-def _coefficient_bound(p, forms):
-    """Phi(p), which bounds every value the Horner scheme forms.
-
-    Each term's weight prod_k N_k^e_k is one product of entries of
-    per-variable tables of Python int powers, and the weighted sum is
-    taken in Python ints.
-    """
-    exps, coeffs = p.arrays()
-    norms = [max(1, sum(map(abs, form))) for form in forms]
-    powers = np.power.outer(np.array(norms, dtype=object),
-                            np.arange(exps.max(initial=0) + 1, dtype=object))
-    weights = powers[np.arange(6)[:, None], exps].prod(axis=0)
-    return sum(map(operator.mul, map(abs, coeffs.tolist()), weights.tolist()))
-
-
 def _compose_affine(p, forms):
     """p(L_1, ..., L_6) in the cube coordinates x, exactly.
 
-    Runs the Horner scheme in float64 when Phi(p) < 2**53 and on Python
-    ints otherwise (see the module docstring), then renames each monomial
-    of u to its stick-breaking exponent.
+    Runs the Horner scheme in float64 when the cheap bound on Phi(p) is
+    below 2**53 and on Python ints otherwise (see the module docstring),
+    then renames each monomial of u to its stick-breaking exponent.
     """
     degree = p.total_degree()
     if degree < 0:
@@ -206,8 +192,7 @@ def _compose_affine(p, forms):
     stick, down = _graded_basis(degree)
     exps, coeffs = p.arrays()
     norm = max(max(1, sum(map(abs, form))) for form in forms)
-    fits = (sum(map(abs, coeffs.tolist())) * norm ** degree < 2 ** 53
-            or _coefficient_bound(p, forms) < 2 ** 53)
+    fits = sum(map(abs, coeffs.tolist())) * norm ** degree < 2 ** 53
     vec = _fold_levels(_monomial_tree(exps.tobytes()), coeffs,
                        np.array(forms, dtype=float if fits else object), down)
     nz = np.flatnonzero(vec[:-1])

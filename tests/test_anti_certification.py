@@ -1,10 +1,12 @@
 """Golden negativity witnesses and their independent re-verification."""
 
 import itertools
+import math
 import random
 import sys
 import threading
 from collections import Counter
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -14,17 +16,15 @@ from hypothesis import example, given, settings, strategies as st
 from _bareiss import _int_det
 from tetravol import anti_certification
 from tetravol.anti_certification import (
-    _NETWORK, SNAP_SCALE, Witness, _cofactors, _jacobi_g, _PinnedForms,
-    _Screen, anti_certify, barycentric_block, excluded_chambers,
-    f_value_bordered, full_k4_campaign, read_witnesses, snap_point,
-    verify_witness,
+    _NETWORK, SNAP_SCALE, Witness, _cofactors, _jacobi_g, _Screen,
+    anti_certify, barycentric_block, excluded_chambers, f_value_bordered,
+    full_k4_campaign, read_witnesses, snap_point, verify_witness,
 )
 from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import EDGES, EdgeSubset, \
     directional_derivative, f_polynomial
 from tetravol.chamber_geometry import build_partitions, \
     certified_chambers, decoration, decorations
-from tetravol.exact_poly import Polynomial
 
 int_points = st.tuples(*[st.integers(-40, 40) for _ in range(6)])
 
@@ -137,16 +137,38 @@ def barycentric_sample(rng):
     return out
 
 
-def float_form_reference(poly, points):
-    """poly at the rows of points from the broadcast (n, T, 6) power product.
+def exact_values(poly, points):
+    """poly at each float row of points, as an exact Fraction: the oracle
+    for the screen and its exact fallback.
 
-    The oracle for ``_PinnedForms``: every prescreen float must equal it.
+    A row's floats are integers n_v over one power of two 2^k, so a term
+    c x^e is c prod n_v^e_v over 2^(k |e|); each is brought over
+    2^(k deg) and summed in integers.  Written term by term, it relies
+    neither on ``Polynomial.evaluate`` nor on homogeneity.
     """
-    exps = sorted(poly.terms)
-    coeffs = np.array([float(poly.terms[e]) for e in exps])
-    pts = np.asarray(points, dtype=np.float64)
-    return (pts[:, None, :] ** np.array(exps, dtype=np.int64)[None, :, :]) \
-        .prod(axis=2) @ coeffs
+    deg = poly.total_degree()
+    out = []
+    for row in np.asarray(points).tolist():
+        ratios = [Fraction(x) for x in row]
+        k = max(r.denominator for r in ratios).bit_length() - 1
+        n = [r.numerator << k - (r.denominator.bit_length() - 1)
+             for r in ratios]
+        out.append(Fraction(sum(c * math.prod(map(pow, n, e))
+                                << k * (deg - sum(e))
+                                for e, c in poly.terms.items()),
+                            1 << k * deg))
+    return out
+
+
+def sign(v):
+    return int(v > 0) - int(v < 0)
+
+
+def exact_mask(beta, points):
+    """The exact candidate mask, f > 0 and g < 0, at the float rows."""
+    return np.array([a > 0 and b < 0 for a, b in zip(
+        exact_values(f_polynomial(), points),
+        exact_values(directional_derivative(beta), points))], dtype=bool)
 
 
 @given(int_points)
@@ -247,32 +269,25 @@ def test_generate_golden_reproduces_the_packaged_file(tmp_path):
         packaged.read_text().splitlines()
 
 
-def test_generate_golden_reaches_the_pinned_floats(monkeypatch):
-    # the golden file checks the pinned floats only through the blocks
-    # that the screen's band leaves open, so some must reach them, and
-    # each of their values must equal the oracle's bit for bit
-    betas, ran = {}, []
-    screen, at = anti_certification._screen, _PinnedForms.at
+def test_generate_golden_reaches_the_exact_decision(monkeypatch):
+    # the golden file checks the exact fallback only through the points
+    # that the screen's band leaves open, so some must reach it, and each
+    # of its decisions must be the Fraction oracle's
+    ran = []
+    exact = _Screen.exact
 
-    def screen_spy(beta):
-        s = screen(beta)
-        betas[id(s.forms)] = beta
-        return s
+    def spy(self, row):
+        decided = exact(self, row)
+        ran.append((self.g, row.copy(), decided))
+        return decided
 
-    def at_spy(self, points):
-        values = at(self, points)
-        ran.append((betas[id(self)], points.copy(), values))
-        return values
-
-    monkeypatch.setattr(anti_certification, "_screen", screen_spy)
-    monkeypatch.setattr(anti_certification._PinnedForms, "at", at_spy)
+    monkeypatch.setattr(anti_certification._Screen, "exact", spy)
     generate_golden()
     assert len(ran) >= 1
-    for beta, points, (fv, gv) in ran:
-        assert fv.tobytes() == \
-            float_form_reference(f_polynomial(), points).tobytes()
-        assert gv.tobytes() == float_form_reference(
-            directional_derivative(beta), points).tobytes()
+    for g, row, decided in ran:
+        f_exact, = exact_values(f_polynomial(), [row])
+        g_exact, = exact_values(g, [row])
+        assert decided == (f_exact > 0 and g_exact < 0)
 
 
 def test_witness_line_roundtrip():
@@ -414,117 +429,6 @@ def test_network_sorts_every_five_keys_over_three_values():
     assert np.array_equal(np.array(c).T, np.sort(rows, axis=1))
 
 
-@pytest.mark.parametrize("n", [1, 7, 255, 256, 257, 513, 769, 4096])
-def test_float_forms_equal_the_broadcast_oracle_bit_for_bit(n):
-    # The K4 campaign's prescreen count is 0 at every seed tried, so its
-    # return value cannot show float drift, and the golden file sees the
-    # floats only where a search stops.  Exact equality is the check.
-    polys = (f_polynomial(), directional_derivative(EdgeSubset.full()),
-             directional_derivative(EdgeSubset.parse("12,34")))
-    rng = np.random.default_rng(n)
-    pts = rng.random((n, 6)) * 8.0
-    pts[::3, rng.integers(6)] = 0.0
-    pts[1::3] *= 1e6
-    for poly, got in zip(polys, _PinnedForms(*polys).at(pts)):
-        assert np.array_equal(got, float_form_reference(poly, pts))
-
-
-def test_float_forms_ignore_the_term_order():
-    # the golden file pins every bit of the prescreen floats, and f's dict
-    # order is whatever building it leaves
-    polys = (f_polynomial(), directional_derivative(EdgeSubset.parse("12,13")))
-    flipped = [Polynomial._canonical(6, dict(reversed(p.terms.items())))
-               for p in polys]
-    assert [list(p.terms) for p in flipped] != [list(p.terms) for p in polys]
-    cell = build_partitions().fortyeight["D_3111"]
-    pts = barycentric_block(random.Random(5), 1024) @ np.array(
-        cell.vertices, dtype=np.float64)
-    want = _PinnedForms(*polys).at(pts)
-    got = _PinnedForms(*flipped).at(pts)
-    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
-
-
-exponent_tuples = st.tuples(*[st.integers(0, 4) for _ in range(6)])
-nonzero_ints = st.integers(-10 ** 6, 10 ** 6).filter(bool)
-
-
-@st.composite
-def prescreen_polynomials(draw):
-    """A 6-variable polynomial with a constant term, a single-variable
-    term and terms that share their leading factors."""
-    terms = draw(st.dictionaries(exponent_tuples, nonzero_ints, max_size=30))
-    terms[(0,) * 6] = draw(nonzero_ints)
-    v, k = draw(st.integers(0, 5)), draw(st.integers(1, 4))
-    terms[tuple(k if i == v else 0 for i in range(6))] = draw(nonzero_ints)
-    lead = draw(exponent_tuples)[:3]
-    for tail in draw(st.lists(exponent_tuples, min_size=2, max_size=4)):
-        terms[lead + tail[3:]] = draw(nonzero_ints)
-    return Polynomial(6, terms)
-
-
-@given(st.lists(prescreen_polynomials(), min_size=1, max_size=3),
-       st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_float_forms_of_random_polynomials_equal_the_oracle(polys, seed):
-    # one object through batches that shrink and grow again, so anything
-    # that one batch left behind for the next would show
-    forms = _PinnedForms(*polys)
-    rng = np.random.default_rng(seed)
-    for n in (1024, 300, 1024, 1):
-        pts = rng.random((n, 6)) * 8.0
-        pts[::5, rng.integers(6)] = 0.0
-        for poly, got in zip(polys, forms.at(pts)):
-            assert got.tobytes() == float_form_reference(poly, pts).tobytes()
-
-
-def oracle_mask(beta, points):
-    """The candidate mask that the broadcast oracle's floats give."""
-    f = float_form_reference(f_polynomial(), points)
-    g = float_form_reference(directional_derivative(beta), points)
-    return (f > 0.0) & (g < 0.0)
-
-
-def test_float_forms_on_the_first_campaign_batches(monkeypatch):
-    # full_k4_campaign's float candidate count is 0 at every seed, so its
-    # result cannot show a wrong mask: rebuild its first two batches, see
-    # that the campaign screens those points, and hold its candidate mask
-    # there to the oracle's on every point
-    decs = decorations()
-    parts = build_partitions()
-    stack = np.array([parts.simplex_for_decoration(d).vertices
-                      for d in decs], dtype=np.float64)
-    rng = random.Random("K4-campaign|0")
-    want = []
-    for done in (0, 1024):
-        idx = (done + np.arange(1024)) % len(decs)
-        want.append(np.einsum("ij,ijk->ik", barycentric_block(rng, 1024),
-                              stack[idx]))
-    seen = []
-    candidates, at = _Screen.candidates, _PinnedForms.at
-
-    def spy(self, points):
-        mask = candidates(self, points)
-        seen.append((points.copy(), mask.copy()))
-        return mask
-
-    def at_spy(self, points):
-        raise AssertionError("the band decides every point of these batches")
-
-    monkeypatch.setattr(anti_certification._Screen, "candidates", spy)
-    monkeypatch.setattr(anti_certification._PinnedForms, "at", at_spy)
-    assert full_k4_campaign(trials=2048, seed=0) == ([], 0)
-    assert len(seen) == 2
-    for pts, (points, mask) in zip(want, seen):
-        assert points.tobytes() == pts.tobytes()
-        assert np.array_equal(mask, oracle_mask(EdgeSubset.full(), pts))
-    # with at back, the same batches through the fallback give the same
-    monkeypatch.setattr(anti_certification._PinnedForms, "at", at)
-    screen = _Screen(EdgeSubset.full())
-    for points, mask in seen:
-        fv, gv = screen.forms.at(points)
-        assert np.array_equal((fv > 0.0) & (gv < 0.0), mask)
-
-
 def _power_weights_by_rows(q, k):
     """The oracle for the powering in ``_outcomes``: one row at a time on
     Python floats, libm pow, a left-to-right sum and one division each."""
@@ -567,9 +471,13 @@ def test_powered_weights_match_the_row_by_row_oracle_bit_for_bit(
 def test_campaigns_in_two_threads_match_one_after_the_other(monkeypatch):
     # a beta's screen holds no mutable state, so two campaigns may share
     # it at once; every batch's points and candidate mask must match
-    # the sequential run, and every mask the oracle's
+    # the sequential run, the band must decide every point, and the
+    # sequential masks must be the exact ones
     seen = {}
     candidates = _Screen.candidates
+
+    def exact(self, row):
+        raise AssertionError("the band decides every campaign point")
 
     def spy(self, points):
         mask = candidates(self, points)
@@ -578,6 +486,7 @@ def test_campaigns_in_two_threads_match_one_after_the_other(monkeypatch):
         return mask
 
     monkeypatch.setattr(anti_certification._Screen, "candidates", spy)
+    monkeypatch.setattr(anti_certification._Screen, "exact", exact)
     seeds = {"a": 5, "b": 6}
 
     def campaigns(seed, out):
@@ -613,8 +522,9 @@ def test_campaigns_in_two_threads_match_one_after_the_other(monkeypatch):
         for (points, mask), (pts, want_mask) in zip(seen[name], want[name]):
             assert points.tobytes() == pts.tobytes()
             assert mask.tobytes() == want_mask.tobytes()
-            assert np.array_equal(mask, oracle_mask(EdgeSubset.full(),
-                                                    points))
+        # each campaign runs twice, so its first four batches are all
+        for points, mask in want[name][:4]:
+            assert np.array_equal(mask, exact_mask(EdgeSubset.full(), points))
 
 
 # the screens the soundness tests hold to the oracle: f with the K4 g,
@@ -623,22 +533,21 @@ SCREENED_BETAS = (EdgeSubset.full(), EdgeSubset.parse("12,34"))
 
 
 def assert_screen_decides_as_the_oracle(beta, points):
-    """Where the screen's band decides f's or g's sign, the oracle's
-    floats have that sign; where it decides a row, the oracle's mask
-    agrees.  Returns how many signs of f and of g the band decided."""
+    """The screen's mask is the exact one, and where its band decides
+    f's or g's sign, the exact value has that sign.  Returns how many
+    signs of f and of g the band decided."""
     screen = _Screen(beta)
+    f_exact = exact_values(f_polynomial(), points)
+    g_exact = exact_values(directional_derivative(beta), points)
+    assert screen.candidates(points).tolist() == [
+        a > 0 and b < 0 for a, b in zip(f_exact, g_exact)]
     bands = screen.bands(points)
     if bands is None:
         return 0, 0
     f, g, band_f, band_g = bands
-    want_f = float_form_reference(f_polynomial(), points)
-    want_g = float_form_reference(directional_derivative(beta), points)
-    assert np.all(want_f[f > band_f] > 0) and np.all(want_f[f < -band_f] < 0)
-    assert np.all(want_g[g > band_g] > 0) and np.all(want_g[g < -band_g] < 0)
-    for row in points:
-        mask = screen.decide(row[None, :])
-        if mask is not None:
-            assert mask.tolist() == oracle_mask(beta, row[None, :]).tolist()
+    for got, band, want in ((f, band_f, f_exact), (g, band_g, g_exact)):
+        for i in np.flatnonzero(abs(got) > band):
+            assert sign(got[i]) == sign(want[i])
     return np.sum(abs(f) > band_f), np.sum(abs(g) > band_g)
 
 
@@ -649,7 +558,7 @@ def assert_screen_decides_as_the_oracle(beta, points):
 def test_the_screen_is_exact_at_small_integer_points(pt):
     # every float the screen makes from coordinates up to 40 is an integer
     # below 2^53, so F and G are f and g exactly; the origin lies below
-    # LOW, so the screen leaves it to the pinned floats
+    # LOW, so the screen leaves it to exact evaluation
     f_exact, cofactors = _cofactors(pt)
     for beta in ALL_BETAS[::7]:
         bands = _Screen(beta).bands(np.array([pt], dtype=np.float64))
@@ -668,30 +577,29 @@ coordinates = st.one_of(st.just(0.0), st.floats(0.0, 8.0))
 @example([(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)], 1e6)
 @example([(0.0, 0.0, 0.0, 0.0, 0.0, 5e-324)], 1.0)
 @settings(max_examples=60, deadline=None)
-def test_the_screen_decides_only_as_the_pinned_floats_do(rows, scale):
+def test_the_screen_decides_only_as_the_exact_signs_do(rows, scale):
     points = np.array(rows) * scale
     for beta in SCREENED_BETAS:
         assert_screen_decides_as_the_oracle(beta, points)
 
 
 def test_the_screen_near_the_zero_sets_decides_only_as_the_oracle():
-    # bisect the oracle's sign of f and of g between random points whose
-    # signs differ, then step off the crossing by 2^-k of the segment for
-    # k = 4..52: the steps straddle each band's edge, so the screen must
-    # decide some of these points and leave others to the fallback
+    # bisect the screen's float sign of f and of g between random points
+    # whose signs differ, then step off the crossing by 2^-k of the
+    # segment for k = 4..52: the steps straddle each band's edge, so the
+    # band must decide some of these points and leave others to exact
+    # evaluation, and the exact oracle holds it to both
     rng = np.random.default_rng(3)
     for beta in SCREENED_BETAS:
-        forms = (f_polynomial(), directional_derivative(beta))
-        for i, poly in enumerate(forms):
+        screen = _Screen(beta)
+        for i in range(2):
             a, b = rng.random((2, 400, 6)) * 8.0
-            sa = float_form_reference(poly, a) > 0
-            sb = float_form_reference(poly, b) > 0
-            a, b = a[sa != sb][:20], b[sa != sb][:20]
+            sa, sb = screen.bands(a)[i] > 0, screen.bands(b)[i] > 0
+            a, b, sa = a[sa != sb][:20], b[sa != sb][:20], sa[sa != sb][:20]
             lo, hi = np.zeros(len(a)), np.ones(len(a))
             for _ in range(60):
                 mid = (lo + hi) / 2
-                at_mid = float_form_reference(poly, a + mid[:, None] * (b - a))
-                same = (at_mid > 0) == (float_form_reference(poly, a) > 0)
+                same = (screen.bands(a + mid[:, None] * (b - a))[i] > 0) == sa
                 lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
             steps = np.array([s * 2.0 ** -k for k in range(4, 53)
                               for s in (-1.0, 1.0)] + [0.0])
@@ -701,9 +609,12 @@ def test_the_screen_near_the_zero_sets_decides_only_as_the_oracle():
             decided = assert_screen_decides_as_the_oracle(beta, points)[i]
             assert 0 < decided < len(points)
             # scaled far down, these products would underflow into wrong
-            # signs, were the screen to decide there at all
-            assert assert_screen_decides_as_the_oracle(
-                beta, points * 2.0 ** -178) == (0, 0)
+            # signs, so the band decides none of them; a power of two
+            # keeps every exact sign
+            scaled = points * 2.0 ** -178
+            assert screen.bands(scaled) is None
+            assert np.array_equal(screen.candidates(scaled),
+                                  screen.candidates(points))
 
 
 # integer points where f or g is exactly 0, each with the beta it is for:
@@ -715,35 +626,76 @@ DEGENERATE = ((EdgeSubset.parse("12,34"), (2, 1, 3, 2, 4, 4)),
 
 
 @pytest.mark.parametrize("beta, point", DEGENERATE)
-def test_exactly_degenerate_points_fall_back_to_the_pinned_floats(
+def test_exactly_degenerate_points_are_decided_exactly(
         monkeypatch, beta, point):
     f_exact, cofactors = _cofactors(point)
     g_exact = _jacobi_g(point, cofactors, beta)
     assert 0 in (f_exact, g_exact) and f_exact >= 0 >= g_exact
+    ran = []
+    exact = _Screen.exact
+
+    def spy(self, row):
+        ran.append(row.copy())
+        return exact(self, row)
+
+    monkeypatch.setattr(anti_certification._Screen, "exact", spy)
     screen = _Screen(beta)
     for scale in (1.0, 2.0 ** 20):
         row = np.array([point], dtype=np.float64) * scale
         f, g, band_f, band_g = screen.bands(row)
         assert abs(f[0]) <= band_f[0] or f_exact
         assert abs(g[0]) <= band_g[0] or g_exact
-        assert screen.decide(row) is None
-    # among the points of a campaign block, the whole block goes to at
+        ran.clear()
+        assert screen.candidates(row).tolist() == [False]
+        assert [r.tobytes() for r in ran] == [row[0].tobytes()]
+    # among the points of a campaign block, these two rows alone are
+    # decided exactly, and the others keep the mask they have without them
     cell = build_partitions().fortyeight["D_3111"]
     points = barycentric_block(random.Random(9), 1024) @ np.array(
         cell.vertices, dtype=np.float64)
     points[[5, 700]] = point
-    assert screen.decide(np.delete(points, [5, 700], axis=0)) is not None
-    ran = []
-    at = _PinnedForms.at
-
-    def spy(self, block):
-        ran.append(block.copy())
-        return at(self, block)
-
-    monkeypatch.setattr(anti_certification._PinnedForms, "at", spy)
+    ran.clear()
     mask = screen.candidates(points)
-    assert len(ran) == 1 and ran[0].tobytes() == points.tobytes()
-    assert np.array_equal(mask, oracle_mask(beta, points))
+    assert [r.tobytes() for r in ran] == [points[5].tobytes(),
+                                          points[700].tobytes()]
+    assert not mask[[5, 700]].any()
+    assert np.array_equal(np.delete(mask, [5, 700]), screen.candidates(
+        np.delete(points, [5, 700], axis=0)))
+
+
+def test_a_points_mask_does_not_depend_on_its_place_in_its_block(
+        monkeypatch):
+    # the 200,000-trial search of p1324b2 for 12,13,14,23,24 finds
+    # nothing, and its band leaves points open in many blocks; each such
+    # point, alone as a one-row block, must get the mask it got in its
+    # block, and that mask must be the exact one
+    blocks = []
+    candidates = _Screen.candidates
+
+    def spy(self, points):
+        blocks.append(points.copy())
+        return candidates(self, points)
+
+    monkeypatch.setattr(anti_certification._Screen, "candidates", spy)
+    beta = EdgeSubset.parse("12,13,14,23,24")
+    assert anti_certify(decoration("p1324b2"), beta, trials=200000) is None
+    monkeypatch.undo()
+    screen = _Screen(beta)
+    opened = 0
+    for points in blocks:
+        f, g, band_f, band_g = screen.bands(points)
+        candidate = (f > band_f) & (g < -band_g)
+        undecided = np.flatnonzero(
+            ~(candidate | (f < -band_f) | (g > band_g)))
+        if not len(undecided):
+            continue
+        opened += len(undecided)
+        mask = screen.candidates(points)
+        for i in undecided:
+            assert mask[i] == screen.candidates(points[i:i + 1])[0]
+        assert np.array_equal(mask[undecided],
+                              exact_mask(beta, points[undecided]))
+    assert opened > 0
 
 
 def test_anti_certify_and_the_campaign_need_a_trial():

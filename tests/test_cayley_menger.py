@@ -205,6 +205,55 @@ def test_closed_form_is_f_hat():
     assert f_hat_value(variables) == fhat
 
 
+def _squared(s, i, j):
+    """s_ij among the six squared-length variables s, with s_ii = 0."""
+    return Polynomial.zero(6) if i == j else s[EdgeIndex.of(i, j)]
+
+
+def test_lengthening_identities_hold_as_polynomials():
+    # Euler's identity for f, homogeneous of degree 6; and with S the sum
+    # of the six lengths, S * sum_k df/dd_k - 36 f, the sign of the
+    # derivative of f / S^6 along d + t (1, ..., 1), is the homogenized
+    # 12 (2 (S/24) g - 3 f) of the full-K4 g, here times 24
+    d = [Polynomial.variable(6, k) for k in range(6)]
+    f = f_polynomial()
+    partials = [f.partial_derivative(k) for k in range(6)]
+    euler = Polynomial.zero(6)
+    for x, p in zip(d, partials):
+        euler = euler + x * p
+    assert euler == 6 * f
+    total = sum(d, Polynomial.zero(6))
+    g = directional_derivative(EdgeSubset.full())
+    margin = total * sum(partials, Polynomial.zero(6)) - 36 * f
+    assert not margin.is_zero()
+    assert 24 * margin == 12 * (2 * total * g - 72 * f)
+
+
+def test_f_hat_is_the_determinant_of_the_border_eliminated_matrix():
+    # M_ab = s_1a + s_1b - s_ab for a, b in 2..4, twice the Gram matrix
+    # of the edge vectors from vertex 1, so det M = 8 det G
+    s = [Polynomial.variable(6, k) for k in range(6)]
+    m = [[_squared(s, 1, a) + _squared(s, 1, b) - _squared(s, a, b)
+          for b in (2, 3, 4)] for a in (2, 3, 4)]
+    assert cofactor_det(m) == f_hat_value(s)
+
+
+def test_each_face_heron_form_is_four_times_its_gram_determinant():
+    # the Gram matrix G of a face's edge vectors from any of its vertices
+    # i is 2x2, so 4 det G is det 2G, whose entries are 2 s_ij, 2 s_ik
+    # and s_ij + s_ik - s_jk
+    s = [Polynomial.variable(6, k) for k in range(6)]
+    for face, slots in FACES.items():
+        x, y, z = (s[k] for k in slots)
+        heron = 2 * (x * y + y * z + z * x) - x * x - y * y - z * z
+        for i in face:
+            j, k = (v for v in face if v != i)
+            off = _squared(s, i, j) + _squared(s, i, k) - _squared(s, j, k)
+            gram = [[2 * _squared(s, i, j), off],
+                    [off, 2 * _squared(s, i, k)]]
+            assert cofactor_det(gram) == heron
+
+
 def test_closed_form_matches_the_bordered_determinant():
     # flat, zero-length and negative-volume lists, then random ones,
     # small enough to hit degenerate lists often, and large

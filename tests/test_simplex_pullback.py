@@ -15,8 +15,8 @@ from tetravol.cayley_menger import (EdgeSubset, directional_derivative,
 from tetravol.chamber_geometry import LatticeSimplex6, build_partitions
 from tetravol.exact_poly import Polynomial
 from tetravol.positive_dominance import certify
-from tetravol.simplex_pullback import (_coefficient_bound, _graded_basis,
-                                       build_pullback, point_image, pullback)
+from tetravol.simplex_pullback import (_graded_basis, build_pullback,
+                                       point_image, pullback)
 
 
 def _cells():
@@ -300,6 +300,24 @@ def _dtypes_of(p, cell):
         return pullback(p, cell), seen
 
 
+def _coefficient_bound_by_terms(p, forms):
+    """Phi(p) term by term: sum |c| prod_k N_k^e_k."""
+    norms = [max(1, sum(map(abs, form))) for form in forms]
+    return sum(abs(c) * math.prod(map(pow, norms, e))
+               for e, c in p.terms.items())
+
+
+def _norm_power(p, forms):
+    """max_k N_k^deg(p), the cheap bound's weight on every term."""
+    norm = max(max(1, sum(map(abs, form))) for form in forms)
+    return norm ** max(p.total_degree(), 0)
+
+
+def _cheap_bound(p, forms):
+    """The bound the fold tests: sum |c| max_k N_k^deg(p) >= Phi(p)."""
+    return sum(map(abs, p.terms.values())) * _norm_power(p, forms)
+
+
 def test_dtype_switches_at_the_float64_bound():
     cell = _cells()[0]
     float64, obj = np.dtype(np.float64), np.dtype(object)
@@ -310,41 +328,51 @@ def test_dtype_switches_at_the_float64_bound():
         assert q == Polynomial.constant(5, c)
         assert q.arrays()[1].dtype == (np.int64 if dtype is float64 else obj)
     forms = build_pullback(cell)
-    norm = [sum(map(abs, form)) for form in forms]
+    norm = max(sum(map(abs, form)) for form in forms)
     k = max(range(6), key=lambda k: max(map(abs, forms[k])))
     top = max(map(abs, forms[k]))
     x = [Polynomial.variable(6, i) for i in range(6)]
     cases = [((2 ** 53 // top + 1) * x[k], obj),  # float64 would round
              (PAST_INT64, obj)]
-    # c * q has Phi = c * Phi(q), and all norms here are 2 or more
-    for q, phi in ((x[k], norm[k]), (x[k] * x[k], norm[k] ** 2),
-                   (x[k] * x[k - 1], norm[k] * norm[k - 1]),
-                   (x[k] + 1, norm[k] + 1)):
-        c = (2 ** 53 - 1) // phi
+    # c * q has the cheap bound c * sum |q| N^deg(q), N = norm >= 2 here
+    for q, bound in ((x[k], norm), (x[k] * x[k], norm ** 2),
+                     (x[k] * x[k - 1], norm ** 2), (x[k] + 1, 2 * norm)):
+        c = (2 ** 53 - 1) // bound
         cases += [(c * q, float64), ((c + 1) * q, obj)]
-    # Phi sums over the terms
-    a = (2 ** 53 - 1) // norm[k] // 2
-    b = 2 ** 53 - 1 - a * norm[k]
+    # the cheap bound sums over the terms
+    a = (2 ** 53 - 1) // norm // 2
+    b = (2 ** 53 - 1) // norm - a
     cases += [(a * x[k] + b, float64), (a * x[k] + b + 1, obj)]
+    # Phi < 2**53 <= the cheap bound: the Python-int fold, still exact
+    p = 2 ** 52 + x[k] ** 6
+    assert _coefficient_bound_by_terms(p, forms) < 2 ** 53 \
+        <= _cheap_bound(p, forms)
+    cases.append((p, obj))
     for p, dtype in cases:
+        assert _cheap_bound(p, forms) >= _coefficient_bound_by_terms(p, forms)
         q, seen = _dtypes_of(p, cell)
         assert seen == {dtype}
         assert q == _by_substitution(cell, p)
 
 
-def _with_phi(p, forms, phi):
-    """p's terms scaled down to Phi at most phi, with the constant term
-    then set to make Phi exactly phi, keeping its sign."""
+def _with_cheap_bound(p, forms, bound):
+    """p's terms scaled down to a cheap bound at most bound, with the
+    constant term then set to make it the largest multiple of N^deg(p)
+    at most bound, keeping its sign."""
     rest = Polynomial(6, {e: c for e, c in p.terms.items() if any(e)})
-    bound = _coefficient_bound(rest, forms)
-    if bound > phi:
-        rest = Polynomial(6, {e: c * phi // bound if c > 0 else
-                              -(-c * phi // bound)
+    weight = sum(map(abs, rest.terms.values()))
+    total = bound // _norm_power(rest, forms)
+    if weight > total:
+        rest = Polynomial(6, {e: c * total // weight if c > 0 else
+                              -(-c * total // weight)
                               for e, c in rest.terms.items()})
+    # the scaling may have dropped every term of the top degree
+    total = bound // _norm_power(rest, forms)
     sign = -1 if p.terms.get((0,) * 6, 0) < 0 else 1
     out = rest + Polynomial.constant(
-        6, sign * (phi - _coefficient_bound(rest, forms)))
-    assert _coefficient_bound(out, forms) == phi
+        6, sign * (total - sum(map(abs, rest.terms.values()))))
+    assert _cheap_bound(out, forms) == total * _norm_power(out, forms) \
+        <= bound
     return out
 
 
@@ -354,10 +382,11 @@ def _with_phi(p, forms, phi):
          2 ** 53 - 1, 3)
 @example(Polynomial(6, {(2, 0, 1, 0, 3, 0): -1}), 2 ** 52, 0)
 @settings(max_examples=60, deadline=None)
-def test_float64_fold_is_exact_just_below_two_to_the_53(p, phi, level):
-    # every value the float64 fold forms is at most Phi < 2**53 in size
+def test_float64_fold_is_exact_just_below_two_to_the_53(p, bound, level):
+    # every value the float64 fold forms is at most Phi, which is at most
+    # the cheap bound, below 2**53 here
     cell = _one_cell_per_level()[level]
-    p = _with_phi(p, build_pullback(cell), phi)
+    p = _with_cheap_bound(p, build_pullback(cell), bound)
     q, seen = _dtypes_of(p, cell)
     assert seen == {np.dtype(np.float64)}
     assert q == _by_substitution(cell, p)
@@ -368,9 +397,10 @@ def test_float64_bound_holds_on_registry_tasks_and_endpoint_scan_range():
         for task in spec.tasks:
             forms = build_pullback(spec.simplices[task.simplex])
             p = task.func.polynomial(spec.beta)
-            assert _coefficient_bound(p, forms) < 2 ** 53
-    # Phi(a*g + b*f) <= |a| Phi(g) + |b| Phi(f), so one sum covers every
-    # ratio the endpoint scan draws, 1 <= a <= 12 and -6 <= b <= 6
+            assert _cheap_bound(p, forms) < 2 ** 53
+    # the cheap bound of a*g + b*f, of degree at most 6, is at most
+    # (|a| sum |g| + |b| sum |f|) N^6, so one sum covers every ratio the
+    # endpoint scan draws, 1 <= a <= 12 and -6 <= b <= 6
     f = f_polynomial()
     cells = build_partitions().fortyeight.values()
     for mask in range(1, 64):
@@ -378,8 +408,9 @@ def test_float64_bound_holds_on_registry_tasks_and_endpoint_scan_range():
             EdgeSubset(k for k in range(6) if mask >> k & 1))
         for cell in cells:
             forms = build_pullback(cell)
-            assert (12 * _coefficient_bound(g, forms)
-                    + 6 * _coefficient_bound(f, forms)) < 2 ** 53
+            assert (12 * sum(map(abs, g.terms.values()))
+                    + 6 * sum(map(abs, f.terms.values()))) \
+                * _norm_power(f, forms) < 2 ** 53
 
 
 def _graded_basis_by_loops(degree):
@@ -438,38 +469,6 @@ def test_graded_basis_tables_match_the_oracles(degree):
             for i in range(5):
                 below = e[:i] + (e[i] - 1,) + e[i + 1:]
                 assert table[i + 1, j] == index.get(below, n)
-
-
-def _coefficient_bound_by_terms(p, forms):
-    """The oracle for ``_coefficient_bound``: Phi(p) term by term."""
-    norms = [max(1, sum(map(abs, form))) for form in forms]
-    return sum(abs(c) * math.prod(map(pow, norms, e))
-               for e, c in p.terms.items())
-
-
-def polys6_up_to_degree(max_degree, max_terms=12, bound=2 ** 70):
-    exps = st.lists(st.integers(0, 5), max_size=max_degree).map(
-        lambda vs: tuple(vs.count(j) for j in range(6)))
-    term = st.tuples(exps, st.integers(-bound, bound))
-    return st.lists(term, max_size=max_terms).map(
-        lambda ts: Polynomial(6, dict(ts)))
-
-
-# six affine forms; entries up to 2^20 take N^8 past 2^63
-affine_forms = st.tuples(*[st.tuples(*[st.integers(-2 ** 20, 2 ** 20)] * 6)]
-                         * 6)
-
-
-@given(polys6_up_to_degree(8), st.one_of(
-    affine_forms, st.sampled_from([build_pullback(c) for c in _cells()])))
-@example(PAST_INT64, build_pullback(_cells()[0]))
-@example(Polynomial(6, {(8, 0, 0, 0, 0, 0): -(2 ** 63)}), ((0,) * 6,) * 6)
-@example(Polynomial(6, {(0, 0, 0, 0, 0, 8): 1, (1,) * 6: 3}),
-         ((2 ** 20,) * 6,) * 6)
-@settings(max_examples=80, deadline=None)
-def test_coefficient_bound_is_phi_term_by_term(p, forms):
-    assert _coefficient_bound(p, forms) == _coefficient_bound_by_terms(
-        p, forms)
 
 
 def test_horner_on_the_zero_polynomial_and_a_constant():
