@@ -35,9 +35,10 @@ from tetravol._kernels import (
     SETTLES, MemoryCapError, NumpyBackend, _value, _Views, get_backend,
 )
 from tetravol import _kernels, positive_dominance
-from tetravol.case_suite_cli import case_registry, main
+from tetravol.case_suite_cli import case_registry
 from tetravol.cayley_menger import EdgeSubset, directional_derivative
 from tetravol.chamber_geometry import build_partitions
+from tetravol.cli import main
 from tetravol.exact_poly import Polynomial
 from tetravol.positive_dominance import (_traverse, certify, replay,
                                          tree_shape)

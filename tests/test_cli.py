@@ -9,11 +9,11 @@ import sys
 
 import pytest
 
-from tetravol import case_suite_cli as cli
-from tetravol.case_suite_cli import build_parser, main
+from tetravol import cli
 from tetravol.cayley_menger import (EdgeSubset, directional_derivative,
                                     f_polynomial)
 from tetravol.chamber_geometry import build_partitions
+from tetravol.cli import build_parser, main
 from tetravol.exact_poly import Polynomial
 from tetravol.simplex_pullback import pullback
 
@@ -293,7 +293,7 @@ def test_explore_reports_unasserted_types_without_failing(capsys):
 
 def test_console_script_help():
     # a checkout imports the package only through pytest's pythonpath
-    for module in ("tetravol.case_suite_cli", "tetravol"):
+    for module in ("tetravol.cli", "tetravol"):
         proc = subprocess.run(
             [sys.executable, "-m", module, "--help"],
             capture_output=True, text=True,
@@ -301,6 +301,18 @@ def test_console_script_help():
         assert proc.returncode == 0
         assert "tetravol" in proc.stdout
         assert "case" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["tetravol.case_suite_cli", "tetravol"])
+def test_the_library_loads_no_command_line(module):
+    # the cases, reports and sampled checks import without the parser
+    probe = ("import sys, %s; print('argparse' in sys.modules, "
+             "'tetravol.cli' in sys.modules)" % module)
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_a_closed_pipe_exits_141_without_a_traceback():
