@@ -23,10 +23,14 @@ it and compares it line for line.
 The prescreen's candidate mask is the exact sign test f > 0 and g < 0
 at each float point: it decides which candidate a search snaps first,
 so the golden witness file and the seeded campaign's prescreen count
-hang on it.  A screen (``_Screen``) decides a point from M's cofactors
-in floats where a proven error band puts the exact value on the same
-side of zero, and evaluates every point the band leaves open exactly,
-alone, at the integers the row's floats scale to.  Sampling draws one
+hang on it.  A screen (``_Screen``) runs the verifier's own program,
+``_cofactors`` and ``_jacobi_g``, on rows of floats, and decides a point
+where a proven error band, its rounding counts read off that program's
+lines, puts the exact value on the same side of zero.  It runs the same
+program on Python ints at every point the band leaves open, alone, at
+the integers the row's floats scale to.  Acceptance stays on the
+expanded polynomials, so a witness's signs are still found on one path
+and re-checked on the other.  Sampling draws one
 block per chunk from the seeded generator and equals trial-by-trial
 ``rng.random()`` calls exactly.
 """
@@ -113,36 +117,34 @@ def barycentric_block(rng, n):
 class _Screen:
     """The candidate mask of a block: f > 0 and g < 0, exactly.
 
-    The screen evaluates f and g from M's six 2x2 cofactors, the float
-    twin of ``_cofactors`` and ``_jacobi_g`` (which stay the verifier's
-    own), on one contiguous (6, n) copy of the points: the squared
-    lengths s = x^2, M = ``BORDER`` s, each cofactor one difference of
-    two products of M's entries, f = det M along M's first row and
-    g = 4 sum_{k in beta} x_k half_k.  It decides a point only where a
-    proven band separates its floats from the exact values, and
-    evaluates each point it leaves open exactly (``exact``).
+    The screen runs the verifier's own program, ``_cofactors`` and
+    ``_jacobi_g``, on one contiguous (6, n) copy of the points, every
+    operation on whole rows of floats.  It decides a point only where a
+    proven band separates those floats from the exact values, and runs
+    the same two functions on Python ints at each point it leaves open
+    (``exact``).
 
-    The band, with u = 2^-53 and m = max_k |x_k|, bounds the screen's
-    own rounding:
+    The band, with u = 2^-53 and m = max_k |x_k|, bounds the program's
+    rounding on floats:
 
-    - Scaling by 2 or 4, products with 0 or +-1 and adding 0 are exact;
-      every other operation rounds once, multiplying each monomial under
-      it by some 1 + delta, |delta| <= u.  A monomial of a cofactor
-      meets at most 8 roundings (1 per square of its two s, 2 per sum of
-      its two M entries, 1 product, 1 difference); one of f at most 14
-      (3 more for its M entry, 1 product and 2 in a sum of three) and
+    - Scaling by 2 or 4, negation and ``sum``'s first addition, to 0,
+      are exact; every other operation rounds once, multiplying each
+      monomial under it by some 1 + delta, |delta| <= u.  Read off the
+      program's lines, a monomial of a cofactor meets at most 8
+      roundings (1 per square ``d * d`` of its two s, 2 per sum making
+      b, c or e, 1 product, 1 difference); one of f at most 14 (3 more
+      for its entry a, b or c, 1 product and 2 in the sum of three) and
       one of g at most 16 (2 in the sum that makes half_k, 1 product
-      with x_k and 5 in a sum of six).  So the error is at most
-      gamma_N K m^deg (Higham, *Accuracy and Stability of Numerical
-      Algorithms*, 2nd ed., ch. 3), deg = 6 for f and 5 for g, and K
-      the majorant, the program on |x| with every - turned into +, at
-      x = (1, ..., 1): 116 for f, and 4 (43 or 15) summed over beta
-      for g.
+      with x_k and 5 in ``sum`` over up to six edges).  So the error is
+      at most gamma_N K m^deg (Higham, *Accuracy and Stability of
+      Numerical Algorithms*, 2nd ed., ch. 3), deg = 6 for f and 5 for
+      g, and K the majorant, the program on |x| with every - turned
+      into +, at x = (1, ..., 1): ``MAJORANT_F`` for f, and
+      4 ``MAJORANT_HALF[k]`` summed over beta for g.
     - The band is 2^8 (1 + 2^-20) times that bound, as a factor of S^3
-      for f and S^2 sqrt(S) for g, S = max_k fl(x_k^2).  2^8 is a
-      margin; the factor 1 + 2^-20 covers the few roundings that make
-      these from S, which is at least m^2 (1 - u), and the constants'
-      own.
+      for f and S^2 sqrt(S) for g, S = fl(m^2).  2^8 is a margin; the
+      factor 1 + 2^-20 covers the few roundings that make these from S,
+      which is at least m^2 (1 - u), and the constants' own.
     - A block is screened only when S lies in [``LOW``, ``HIGH``] on
       every row, so 2^-100 <= m <= 2^100, and is evaluated exactly row
       by row otherwise.  Then nothing overflows, and the underflows,
@@ -156,31 +158,16 @@ class _Screen:
     exact sign test, whatever block it comes in.
     """
 
-    # M's entries (M22, M23, M24, M33, M34, M44) from the squared lengths,
-    # in edge order 12, 13, 14, 23, 24, 34
-    BORDER = np.array([[2, 0, 0, 0, 0, 0], [1, 1, 0, -1, 0, 0],
-                       [1, 0, 1, 0, -1, 0], [0, 2, 0, 0, 0, 0],
-                       [0, 1, 1, 0, 0, -1], [0, 0, 2, 0, 0, 0]], dtype=float)
-    # cofactor i is M[LEFT[i]] M[RIGHT[i]] - M[LEFT[i + 6]] M[RIGHT[i + 6]],
-    # in order C22, C23, C24, C33, C34, C44
-    LEFT = np.array([3, 2, 1, 0, 1, 0, 4, 1, 2, 2, 0, 1])
-    RIGHT = np.array([5, 4, 4, 5, 2, 3, 4, 5, 3, 2, 4, 1])
-    # 4 half_k = 2 df/ds_k from the cofactors, in edge order (``_jacobi_g``)
-    HALF = 4.0 * np.array([[1, 1, 1, 0, 0, 0], [0, 1, 0, 1, 1, 0],
-                           [0, 0, 1, 0, 1, 1], [0, -1, 0, 0, 0, 0],
-                           [0, 0, -1, 0, 0, 0], [0, 0, 0, 0, -1, 0]])
+    # the majorants at x = (1, ..., 1): f's, and half_k's in edge order
+    MAJORANT_F = 116
+    MAJORANT_HALF = (43, 43, 43, 15, 15, 15)
     LOW, HIGH = 2.0 ** -200, 2.0 ** 200
 
     def __init__(self, beta):
-        self.edges = np.array(sorted(beta.indices))
-        self.half = self.HALF[self.edges]
-        self.f, self.g = f_polynomial(), directional_derivative(beta)
-        # the majorants of M's entries and cofactors at x = (1, ..., 1)
-        entry = np.abs(self.BORDER).sum(axis=1)
-        cofactor = entry[self.LEFT[:6]] * entry[self.RIGHT[:6]] \
-            + entry[self.LEFT[6:]] * entry[self.RIGHT[6:]]
-        self.band_f = self._band(entry[:3] @ cofactor[:3], 14)
-        self.band_g = self._band((np.abs(self.half) @ cofactor).sum(), 16)
+        self.beta = beta
+        self.band_f = self._band(self.MAJORANT_F, 14)
+        self.band_g = self._band(
+            4 * sum(self.MAJORANT_HALF[k] for k in beta.indices), 16)
 
     @staticmethod
     def _band(majorant, roundings):
@@ -193,15 +180,12 @@ class _Screen:
         """(F, G, band_f, band_g) at the rows of points, or None when the
         squared lengths leave [LOW, HIGH]."""
         x = np.ascontiguousarray(points.T)
-        s = x * x
-        top = s.max(axis=0)
+        top = np.abs(x).max(axis=0)
+        top *= top
         if not (self.LOW <= top.min() and top.max() <= self.HIGH):
             return None
-        mat = self.BORDER @ s
-        prod = mat.take(self.LEFT, axis=0) * mat.take(self.RIGHT, axis=0)
-        c = prod[:6] - prod[6:]
-        f = np.einsum("ij,ij->j", mat[:3], c[:3])
-        g = np.einsum("ij,ij->j", x.take(self.edges, axis=0), self.half @ c)
+        f, cofactors = _cofactors(x)
+        g = _jacobi_g(x, cofactors, self.beta)
         top2 = top * top
         return (f, g, self.band_f * (top2 * top),
                 self.band_g * (top2 * np.sqrt(top)))
@@ -216,7 +200,8 @@ class _Screen:
         ratios = [x.as_integer_ratio() for x in row.tolist()]
         scale = max(d for _, d in ratios)
         point = [n * (scale // d) for n, d in ratios]
-        return self.f.evaluate(point) > 0 and self.g.evaluate(point) < 0
+        f, cofactors = _cofactors(point)
+        return f > 0 and _jacobi_g(point, cofactors, self.beta) < 0
 
     def candidates(self, points):
         """The candidate mask: the band's decisions, and ``exact`` at
@@ -233,11 +218,6 @@ class _Screen:
         for i in undecided:
             candidate[i] = self.exact(points[i])
         return candidate
-
-
-# one screen per beta: it holds no mutable state, so searches in any
-# thread share it
-_screen = functools.lru_cache(maxsize=63)(_Screen)
 
 
 def snap_point(weights, vertices):
@@ -261,7 +241,7 @@ def _outcomes(decs, beta, rng, trials, cubed_from):
     stack = np.array(simplices, dtype=np.float64)
     f = f_polynomial()
     g = directional_derivative(beta)
-    screen = _screen(beta)
+    screen = _Screen(beta)
     fifth_from = cubed_from + (trials - cubed_from) // 2
     done = 0
     while done < trials:
@@ -341,7 +321,7 @@ def full_k4_campaign(trials=100000, seed=0):
 # -- independent evaluation path ----------------------------------------
 
 def _cofactors(point):
-    """det M and the six cofactors of M at an integer point.
+    """det M and the six cofactors of M at a point.
 
     Subtracting row and column 1 of the bordered squared-length matrix
     from rows and columns 2..4, then clearing the border, leaves the
@@ -349,9 +329,10 @@ def _cofactors(point):
     s_aa = 0) with the same determinant, an identity in the s.  Returns
     det M, expanded along M's first row (M_22, M_23, M_24), and the
     cofactors (C_22, C_23, C_24, C_33, C_34, C_44), each a 2x2 minor
-    written out in integer products.
+    written out in products.  The point's six lengths may be Python
+    ints, for exact values, or rows of floats (``_Screen``).
     """
-    s12, s13, s14, s23, s24, s34 = (int(d) * int(d) for d in point)
+    s12, s13, s14, s23, s24, s34 = (d * d for d in point)
     a, d, f = 2 * s12, 2 * s13, 2 * s14
     b = s12 + s13 - s23
     c = s12 + s14 - s24
@@ -385,7 +366,7 @@ def _jacobi_g(point, cofactors, beta):
     # df/ds_k / 2, in edge order 12, 13, 14, 23, 24, 34
     half = (c22 + c23 + c24, c23 + c33 + c34, c24 + c34 + c44,
             -c23, -c24, -c34)
-    return 4 * sum(int(point[k]) * half[k] for k in beta.indices)
+    return 4 * sum(point[k] * half[k] for k in sorted(beta.indices))
 
 
 # a witness line names its beta by spec; K4 has 63 nonempty edge subsets

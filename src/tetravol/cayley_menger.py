@@ -72,13 +72,20 @@ class EdgeSubset:
 
     @classmethod
     def parse(cls, text):
-        """Parse a spec like ``"12"`` or ``"12,34"`` or ``"12,13,14"``."""
+        """Parse a spec like ``"12"`` or ``"12,34"`` or ``"12,13,14"``.
+
+        Raises ValueError on a malformed token or an edge named twice,
+        as in ``"12,21"``.
+        """
         toks = [t for t in text.replace(" ", "").split(",") if t]
         indices = []
         for t in toks:
             if len(t) != 2 or not t.isdigit():
                 raise ValueError("bad edge token %r" % t)
-            indices.append(EdgeIndex.of(int(t[0]), int(t[1])))
+            k = EdgeIndex.of(int(t[0]), int(t[1]))
+            if k in indices:
+                raise ValueError("repeated edge %r" % t)
+            indices.append(k)
         return cls(indices)
 
     @classmethod

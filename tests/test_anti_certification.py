@@ -278,7 +278,7 @@ def test_generate_golden_reaches_the_exact_decision(monkeypatch):
 
     def spy(self, row):
         decided = exact(self, row)
-        ran.append((self.g, row.copy(), decided))
+        ran.append((directional_derivative(self.beta), row.copy(), decided))
         return decided
 
     monkeypatch.setattr(anti_certification._Screen, "exact", spy)
@@ -469,10 +469,10 @@ def test_powered_weights_match_the_row_by_row_oracle_bit_for_bit(
 
 
 def test_campaigns_in_two_threads_match_one_after_the_other(monkeypatch):
-    # a beta's screen holds no mutable state, so two campaigns may share
-    # it at once; every batch's points and candidate mask must match
-    # the sequential run, the band must decide every point, and the
-    # sequential masks must be the exact ones
+    # a screen holds no mutable state and no cache is shared, so two
+    # campaigns may run at once; every batch's points and candidate mask
+    # must match the sequential run, the band must decide every point,
+    # and the sequential masks must be the exact ones
     seen = {}
     candidates = _Screen.candidates
 
@@ -525,6 +525,42 @@ def test_campaigns_in_two_threads_match_one_after_the_other(monkeypatch):
         # each campaign runs twice, so its first four batches are all
         for points, mask in want[name][:4]:
             assert np.array_equal(mask, exact_mask(EdgeSubset.full(), points))
+
+
+class _Majorant:
+    """A number whose - adds and whose negation is the identity: the
+    program run on it at x = (1, ..., 1) is its majorant there."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __add__(self, other):
+        return _Majorant(self.v + getattr(other, "v", other))
+
+    __radd__ = __sub__ = __add__
+
+    def __mul__(self, other):
+        return _Majorant(self.v * getattr(other, "v", other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+
+def test_the_screens_majorants_are_the_programs_at_all_ones():
+    # the band's constants are _cofactors and _jacobi_g themselves, run
+    # with every - turned into +: f's, and 4 half_k for each single edge
+    ones = [_Majorant(1)] * 6
+    f, cofactors = _cofactors(ones)
+    assert f.v == _Screen.MAJORANT_F == 116
+    assert [_jacobi_g(ones, cofactors, EdgeSubset((k,))).v
+            for k in range(6)] == [4 * h for h in _Screen.MAJORANT_HALF] \
+        == [4 * h for h in (43, 43, 43, 15, 15, 15)]
+    # a beta's g majorant sums its edges'
+    for beta in ALL_BETAS:
+        assert _jacobi_g(ones, cofactors, beta).v == 4 * sum(
+            _Screen.MAJORANT_HALF[k] for k in beta.indices)
 
 
 # the screens the soundness tests hold to the oracle: f with the K4 g,

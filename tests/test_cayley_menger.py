@@ -295,6 +295,10 @@ def test_parse_spec_roundtrip():
         EdgeSubset.parse("15")
     with pytest.raises(ValueError):
         EdgeSubset(())
+    # an edge named twice, in either order of its ends, is refused
+    for text in ("12,21", "12,12,34", "34,13,43"):
+        with pytest.raises(ValueError, match="repeated edge"):
+            EdgeSubset.parse(text)
 
 
 def test_classification_tags():

@@ -156,10 +156,14 @@ def test_malformed_beta_and_chamber_are_usage_errors(capsys):
     for argv in (["eval"] + point + ["--beta"],
                  ["explore"] + point + ["--beta"],
                  ["anticert", "--chamber", "p1234b3", "--beta"]):
-        for value in ("zz", "99", "12,5", ","):
+        for value in ("zz", "99", "12,5", ",", "12,12", "12,21"):
             code, out, err = usage_error(capsys, *argv, value)
             assert (code, out) == (2, "")
             assert "--beta" in err
+    # an edge named twice is refused, not read as the one edge
+    code, out, err = usage_error(capsys, "eval", *point, "--beta", "12,12")
+    assert (code, out) == (2, "")
+    assert "repeated edge '12'" in err
     for value in ("D_1111", "p1234b2", ""):
         code, out, err = usage_error(capsys, "anticert", "--beta", "12",
                                      "--chamber", value)
