@@ -102,6 +102,32 @@ of ``_normalize`` runs through a scratch row per size, also kept on the
 engine, so walks on two engines never share memory.  ``dilate`` and
 ``reflect`` write to fresh arrays: the walk never calls them, but the
 benchmark's tracer and the tests' oracle checks do (ROADMAP item 27).
+
+The two halves of a split are one cube when the root is its own mirror
+image along the split's axis, and then the walk need make only one.  A
+cube at depth d < 5 is the root mapped along axes 0, ..., d - 1 alone,
+by DILATE or DILATE_REFLECT on each (``fit`` changes no value), and a
+map along one axis commutes with REFLECT along another.  So if REFLECT
+along axis d maps the root to itself, it maps the cube to itself, and
+the cube's right half, DILATE @ REFLECT of it, is its left half, DILATE
+of it: one value, in as many limbs, as both are made from one fitted
+parent.  The walk's actions in a subtree, and whether ``fit`` widens its
+cubes, depend only on the values, limb counts and depths of its cubes,
+so the left half's subtree takes the actions of the right half's, which
+the walk has just finished: the last complete subtree of its actions.
+The walk asks ``twin`` as it pops a left half.  For a twin, ``wpd``
+answers every step of the subtree from those actions, and ``fit``
+returns None for each split, so the walk makes none of its cubes;
+``origin_negative`` is unchanged, since the cube under test stays the
+last leaf the walk made, whose origin it found not negative.  ``twin``
+tests an axis at most once per walk, by one product of REFLECT with the
+root, exact on a one-limb root, whose entries are below 2^43, as
+REFLECT's rows sum to at most 21 in magnitude; it takes a multi-limb
+root for no twin.  A test costs about a step, so it waits until a right
+half's subtree has taken TWIN_SPAN steps, and a walk of at most
+TWIN_SPAN steps tests no axis.  A walk that its budget cuts in a twin's
+subtree leaves the engine answering the rest of it, ``wpd`` and ``fit``
+from the walk's actions, until ``from_poly`` makes the next root.
 """
 
 from __future__ import annotations
@@ -156,6 +182,10 @@ def _value(limbs):
         v = (v << LIMB_BITS) + int(limb * LIMB)
     return v
 
+
+# a twin test costs about a step, so ``twin`` tests an axis only once a
+# right half's subtree has taken this many steps (module notes)
+TWIN_SPAN = 16
 
 # the most bytes an engine's depth buffers may hold in all; the 36
 # pinned walks hold 4.0 MB
@@ -248,6 +278,10 @@ class NumpyBackend:
         # limbs unmade, their parent's record and side, else None; and
         # the least top wpd read of it, or a lower bound on it, for fit
         self._tested, self._unmade, self._least = None, None, -np.inf
+        # the actions of a twin's subtree still to answer, last first;
+        # per axis twin tested, whether the root is its own reflection
+        # along it; and the root's shape, its record's key at depth 0
+        self._replay, self._mirrored, self._root = [], {}, None
 
     def from_poly(self, p):
         """The root cube of p, at depth 0, by five PREFIX passes: the
@@ -259,6 +293,7 @@ class NumpyBackend:
         if max(shape) > 7:
             raise ValueError("per-variable degree exceeds 6")
         self._tested, self._unmade, self._least = None, None, -np.inf
+        self._replay, self._mirrored = [], {}
         top = max(int(vals.max(initial=0)), -int(vals.min(initial=0)))
         k = top.bit_length() // LIMB_BITS + 1
         views = self._tested = self._slot(1, (k,) + shape)
@@ -277,9 +312,13 @@ class NumpyBackend:
         for depth in (0, 1, 0, 1, 0):
             self._tested = self._product(
                 self.fit() if fit else self._tested, PREFIX_T, depth)
-        return (self.fit() if fit else self._tested).cube
+        root = (self.fit() if fit else self._tested).cube
+        self._root = root.shape
+        return root
 
     def wpd(self):
+        if self._replay:
+            return self._replay.pop() == "W"
         least = np.minimum.reduce(self._tested.top)
         if self._unmade:
             parent, side = self._unmade
@@ -294,7 +333,8 @@ class NumpyBackend:
         return bool(least >= 0)
 
     def origin_negative(self):
-        # the origin's carry never changes its top's sign (module notes)
+        # the origin's carry never changes its top's sign, and in a twin's
+        # subtree the cube under test is the last leaf made (module notes)
         return bool(self._tested.top[0] < 0)
 
     def corner_value(self):
@@ -310,7 +350,10 @@ class NumpyBackend:
     def fit(self):
         """The record of the cube under test, made whole, if its top limb
         is in range, else of its value one limb wider, at the same depth,
-        which becomes the cube under test: the parent ``child`` takes."""
+        which becomes the cube under test: the parent ``child`` takes;
+        None in a twin's subtree, whose halves the walk does not make."""
+        if self._replay:
+            return None
         views = self._made()
         self._tested = _fit(views, partial(self._slot, views.depth),
                             self._least)
@@ -327,6 +370,41 @@ class NumpyBackend:
         if len(parent.rows) > 1:
             self._unmade = parent, side
         return half.cube
+
+    def twin(self, parent, actions):
+        """Whether the left half of a split of parent, a record ``fit``
+        returned, is its right half, whose subtree ends actions, the
+        walk's actions so far.  If so, ``wpd`` and ``fit`` answer for the
+        left half and its subtree from the right half's actions, and the
+        walk makes none of their cubes (module notes)."""
+        depth = parent.depth
+        mirrored = self._mirrored.get(depth)
+        if depth > 4 or mirrored is False or len(actions) <= TWIN_SPAN:
+            return False
+        # back from its last leaf, a W, the right half's subtree holds
+        # more W than S until the S of parent evens them
+        start, trees = len(actions) - 1, 1
+        while trees:
+            start -= 1
+            trees += 1 if actions[start] == "W" else -1
+        span = actions[start + 1:]
+        if mirrored is None:
+            if len(span) < TWIN_SPAN:
+                return False
+            mirrored = self._mirrored[depth] = self._mirrors(depth)
+        if mirrored:
+            self._replay = span[::-1]
+        return mirrored
+
+    def _mirrors(self, axis):
+        """Whether x_axis -> 1 - x_axis maps the root to itself, decided
+        exactly by one product on a one-limb root; False on a multi-limb
+        root (module notes)."""
+        root = self._records[0][self._root].cube
+        if len(root) > 1:
+            return False
+        top = np.moveaxis(root[0], axis, -1)
+        return np.array_equal(top @ REFLECT_T[top.shape[-1]], top)
 
     def _made(self):
         """The record of the cube under test, its lower limbs and carry

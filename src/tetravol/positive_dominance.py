@@ -15,6 +15,13 @@ action per step ('S' split, 'W' WPD leaf, 'N' negative origin).  A split
 brings the cube in range once and pushes its two halves as pending
 entries, each the parent and a side; popping one makes that half alone,
 so a walk that stops early makes no cube it does not test.
+When the root is its own mirror image along a split's axis, the split's
+two halves are one cube (``_kernels``' notes), so the left half's
+subtree takes the actions the walk has just taken for the right half's.
+The walk asks the engine's ``twin`` as it pops a left half, and for a
+twin the engine answers each step of that subtree from those actions,
+still one ``wpd`` per 'W' or 'S', and makes none of its cubes: the same
+actions at less cost, in ``certify`` and ``replay`` alike.
 The actions are the split tree in preorder, so ``tree_shape`` reads the
 tree's levels, the walk's peak stack and the path to its last node off
 them alone, in one pass, and ``_read`` the counters, the histogram and
@@ -89,7 +96,9 @@ def _traverse(p, budget, eng, expect=None):
     left or 1 right.  The engine tests the cube it made last and keeps
     it until it makes the next cube at its depth; the walk is depth
     first, so a parent outlasts its halves, and no cube is read after
-    the next one at its depth.
+    the next one at its depth.  In a twin's subtree ``fit`` returns
+    None, so its halves are entries (None, side), which the engine
+    answers without making them.
     """
     eng.from_poly(p)
     stack = [(None, None)]
@@ -100,7 +109,8 @@ def _traverse(p, budget, eng, expect=None):
             status = "BudgetExhausted"
             break
         parent, side = stack.pop()
-        if parent is not None:
+        # the engine answers a left half that twins the right one
+        if parent is not None and (side or not eng.twin(parent, actions)):
             eng.child(parent, side)
         if eng.origin_negative():
             act = "N"

@@ -116,6 +116,10 @@ class ObjectEngine:
         # Python ints have no range to bring a cube into
         return self._cube, self._depth
 
+    def twin(self, parent, actions):
+        # the oracle makes every half, twins too
+        return False
+
     def child(self, parent, side):
         """The left half (side 0) or the right half (side 1) of a split of
         parent, a cube and its depth d: the walk splits axis d % 5."""

@@ -8,9 +8,11 @@ with ``_traverse`` on ``ObjectEngine`` under the certificate's budget,
 stopping at the first action that differs from the recorded ones, as
 ``replay`` does.  The oracle's Python-int cubes share no limb, carry or
 range logic with the package's engine, and it reads a polynomial's
-``terms`` dict, not its arrays.  Prints one line per task and exits 1
-if any walk differs from its certificate.  It takes a few minutes, so
-tier-1 does not collect it.
+``terms`` dict, not its arrays.  Its ``twin`` answers False, so it makes
+and tests both halves of every split, where the package's engine answers
+a left half that twins its right half from the right half's actions.
+Prints one line per task and exits 1 if any walk differs from its
+certificate.  It takes a few minutes, so tier-1 does not collect it.
 """
 
 import sys

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from tetravol import _kernels, positive_dominance
-from tetravol._kernels import get_backend
+from tetravol._kernels import NumpyBackend, get_backend
 from tetravol.case_suite_cli import case_registry
 from tetravol.exact_poly import Polynomial
 
@@ -52,6 +52,44 @@ def test_traced_wpd_calls_match_the_certificates_wpd_tests(perfbench_path):
             == metrics["positive_dominance.certify.wpd_tests"]
             == cert.wpd_tests == 65)
     assert metrics["kernels.peak_coeff_bits"] > 0
+
+
+class HalvesMade(NumpyBackend):
+    """The limb engine, counting the halves it makes."""
+
+    made = 0
+
+    def child(self, parent, side):
+        self.made += 1
+        return super().child(parent, side)
+
+
+def test_traced_wpd_calls_match_the_wpd_tests_of_a_twin_walk(
+        perfbench_path, monkeypatch):
+    # prod (2 x_a^2 - 2 x_a + 1) is its own mirror image along every axis,
+    # so the root's two halves are one cube: the engine answers the left
+    # half's 31 steps from the right half's, still one wpd call per step
+    from tracer import Tracer
+    one = Polynomial.constant(5, 1)
+    p = one
+    for a in range(5):
+        x = Polynomial.variable(5, a)
+        p = p * (2 * x * x - 2 * x + one)
+    eng = HalvesMade()
+    monkeypatch.setattr(_kernels, "_ENGINE", eng)
+    tracer = Tracer()
+    tracer.install(eng)
+    try:
+        cert = positive_dominance.certify(p)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(0.0, 0.0)
+    assert (cert.status, cert.steps) == ("Nonnegative", 63)
+    assert (metrics["kernels.wpd.calls"]
+            == metrics["positive_dominance.certify.wpd_tests"]
+            == cert.wpd_tests == 63)
+    # of the 62 halves, the walk made the right half's 31 and no more
+    assert eng.made == 31
 
 
 def test_reference_keys_tasks_by_label(perfbench_path):

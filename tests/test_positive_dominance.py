@@ -5,10 +5,11 @@ import json
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tetravol._kernels import NumpyBackend, get_backend
 from tetravol.case_suite_cli import case_registry
@@ -19,6 +20,7 @@ from tetravol.simplex_pullback import pullback
 
 X = [Polynomial.variable(5, k) for k in range(5)]
 ONE = Polynomial.constant(5, 1)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def is_wpd(p):
@@ -188,8 +190,7 @@ def test_replay_rejects_certificate_for_a_different_polynomial():
     assert not replay(p, certify(other))
 
 
-CERTIFICATES = (Path(__file__).resolve().parents[1] / "perfbench"
-                / "reference" / "certificates.json")
+CERTIFICATES = PERFBENCH / "reference" / "certificates.json"
 
 
 def test_reader_rebuilds_every_recorded_certificate():
@@ -216,8 +217,16 @@ def test_reader_rebuilds_every_recorded_certificate():
     assert max(widest.values())[0] <= 450
 
 
-class TreeSpy(NumpyBackend):
-    """The limb engine, recording the split tree as the walk grows it.
+class NoTwins(NumpyBackend):
+    """The limb engine, making both halves of every split."""
+
+    def twin(self, parent, actions):
+        return False
+
+
+class TreeSpy(NoTwins):
+    """The limb engine, recording the split tree as the walk grows it,
+    from the cubes it makes, so it makes the twins of a split too.
 
     Each cube it makes gets its path from the root, one (side, axis)
     pair per split, the left child of a split being "L", kept in ``path``
@@ -322,3 +331,109 @@ def test_the_instrumented_walk_reaches_every_status():
     assert (witness.status, witness.steps) == ("NegativeWitness", 32)
     assert witness.witness_lineage == "R0,R1,R2,L3,R4,L0,L1,R2"
     assert assert_read_matches_the_spy(diag, 200).status == "BudgetExhausted"
+
+
+class TwinSpy(NumpyBackend):
+    """The limb engine, listing the W and S steps of a walk that it
+    answers from a twin's subtree, where it makes no cube, and the depth
+    of each split whose left half it answers so."""
+
+    def from_poly(self, p):
+        self.steps, self.answered, self.twins = 0, [], []
+        return super().from_poly(p)
+
+    def twin(self, parent, actions):
+        answered = super().twin(parent, actions)
+        if answered:
+            self.twins.append(parent.depth)
+        return answered
+
+    def wpd(self):
+        if self._replay:
+            self.answered.append(self.steps)
+        self.steps += 1
+        return super().wpd()
+
+
+def pinned_walks(monkeypatch):
+    """(key, polynomial, certificate) of each of the 36 pinned tasks."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import reference
+    certs = reference.load()[0]
+    for name, spec in case_registry().items():
+        for task in spec.tasks:
+            key = reference.task_key(name, task)
+            yield key, pullback(task.func.polynomial(spec.beta),
+                                spec.simplices[task.simplex]), certs[key]
+
+
+# the pinned walks whose root is its own mirror image along x4, with the
+# steps of the left subtrees of their splits at depth 4
+TWIN_STEPS = {"4-cycle/C_31/g": 362, "4-cycle/C_31/g-f": 828,
+              "full-K4/C_11/2g-3f": 3712, "full-K4/C_11/3g-2f": 575,
+              "tripod/C_21/3g-f": 374, "tripod/C_21/4g-3f": 468}
+
+
+def test_pinned_walks_answer_exactly_their_twin_subtrees(monkeypatch):
+    answered, twins = {}, {}
+    spy = TwinSpy()
+    for key, p, cert in pinned_walks(monkeypatch):
+        assert _traverse(p, cert.budget, spy) == cert
+        # the walk still calls wpd once per W or S step
+        assert spy.steps == cert.wpd_tests
+        if spy.answered:
+            answered[key] = len(spy.answered)
+            twins[key] = spy.twins
+    # of the 30,252 steps, 6,319 are computed no more, and only there
+    assert answered == TWIN_STEPS
+    assert sum(answered.values()) == 6319
+    # every twin split is at depth 4, 9 to 16 of them per walk
+    assert {depth for depths in twins.values() for depth in depths} == {4}
+    assert sorted(map(len, twins.values())) == [9] + [16] * 5
+
+
+def test_replay_rejects_a_flip_inside_a_twin(monkeypatch):
+    (p, cert), = [(p, cert) for key, p, cert in pinned_walks(monkeypatch)
+                  if key == "full-K4/C_11/3g-2f"]
+    spy = TwinSpy()
+    assert _traverse(p, cert.budget, spy) == cert and replay(p, cert)
+    step = spy.answered[len(spy.answered) // 2]
+    flip = "SW"[cert.actions[step] == "S"]
+    forged = dataclasses.replace(
+        cert, actions=cert.actions[:step] + flip + cert.actions[step + 1:])
+    assert not replay(p, forged)
+    # the walk stops at the flipped step, answered from the right half's
+    assert _traverse(p, cert.budget, spy, forged.actions) is None
+    assert spy.steps == step + 1 and spy.answered[-1] == step
+
+
+# prod (2 x_a^2 - 2 x_a + 1) over axes 0 to 3, positive on the cube and
+# its own mirror image along each axis
+MIRRORED = prod((2 * x * x - 2 * x + ONE for x in X[:4]), start=ONE)
+
+
+def polys5_mirrored_along_x4():
+    """c MIRRORED (k (2 x4 - 1)^2 + 1) + s^2, s = q + q(x4 -> 1 - x4) for a
+    random q: positive on the cube, its own mirror image along x4, and
+    slow enough to certify that most walks answer a twin."""
+    exps = st.tuples(*[st.integers(0, 2) for _ in range(5)])
+    terms = st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=3)
+
+    def build(c, k, q):
+        s = q + q.substitute(X[:4] + [ONE - X[4]])
+        return c * MIRRORED * (k * (2 * X[4] - ONE) ** 2 + ONE) + s * s
+
+    return st.builds(build, st.integers(1, 8), st.integers(1, 8),
+                     terms.map(lambda t: Polynomial(5, t)))
+
+
+@given(polys5_mirrored_along_x4(), st.data())
+@settings(max_examples=20, deadline=None)
+def test_answered_twins_give_the_walk_that_makes_them(p, data):
+    spy = TwinSpy()
+    whole = _traverse(p, 10 ** 4, spy)
+    assert whole == _traverse(p, 10 ** 4, NoTwins())
+    assume(spy.answered)
+    # a budget that cuts the walk just after a step answered from a twin
+    budget = data.draw(st.sampled_from(spy.answered)) + 1
+    assert certify(p, budget) == _traverse(p, budget, NoTwins())
