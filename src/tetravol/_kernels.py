@@ -114,20 +114,22 @@ of it: one value, in as many limbs, as both are made from one fitted
 parent.  The walk's actions in a subtree, and whether ``fit`` widens its
 cubes, depend only on the values, limb counts and depths of its cubes,
 so the left half's subtree takes the actions of the right half's, which
-the walk has just finished: the last complete subtree of its actions.
-The walk asks ``twin`` as it pops a left half.  For a twin, ``wpd``
-answers every step of the subtree from those actions, and ``fit``
-returns None for each split, so the walk makes none of its cubes;
-``origin_negative`` is unchanged, since the cube under test stays the
-last leaf the walk made, whose origin it found not negative.  ``twin``
-tests an axis at most once per walk, by one product of REFLECT with the
-root, exact on a one-limb root, whose entries are below 2^43, as
-REFLECT's rows sum to at most 21 in magnitude; it takes a multi-limb
-root for no twin.  A test costs about a step, so it waits until a right
-half's subtree has taken TWIN_SPAN steps, and a walk of at most
-TWIN_SPAN steps tests no axis.  A walk that its budget cuts in a twin's
-subtree leaves the engine answering the rest of it, ``wpd`` and ``fit``
-from the walk's actions, until ``from_poly`` makes the next root.
+the walk has just finished.  The walk asks ``twin`` as it pops a left
+half, with the index in its actions where the right half's subtree
+starts, which it noted at the split, as it pops the right half next.
+For a twin, ``wpd`` answers every step of the subtree from those
+actions, and ``fit`` returns None for each split, so the walk makes none
+of its cubes; ``origin_negative`` is unchanged, since the cube under
+test stays the last leaf the walk made, whose origin it found not
+negative.  ``twin`` tests an axis at most once per walk, by one product
+of REFLECT with the root, exact on a one-limb root, whose entries are
+below 2^43, as REFLECT's rows sum to at most 21 in magnitude; it takes a
+multi-limb root for no twin.  A test costs about a step, so it waits
+until a right half's subtree has taken TWIN_SPAN steps, and a walk of at
+most TWIN_SPAN steps tests no axis.  A walk that its budget cuts in a
+twin's subtree leaves the engine answering the rest of it, ``wpd`` and
+``fit`` from the walk's actions, until ``from_poly`` makes the next
+root.
 """
 
 from __future__ import annotations
@@ -371,29 +373,22 @@ class NumpyBackend:
             self._unmade = parent, side
         return half.cube
 
-    def twin(self, parent, actions):
+    def twin(self, parent, actions, start):
         """Whether the left half of a split of parent, a record ``fit``
-        returned, is its right half, whose subtree ends actions, the
-        walk's actions so far.  If so, ``wpd`` and ``fit`` answer for the
-        left half and its subtree from the right half's actions, and the
-        walk makes none of their cubes (module notes)."""
+        returned, is its right half, whose subtree is actions[start:],
+        the walk's actions since it popped that half.  If so, ``wpd`` and
+        ``fit`` answer for the left half and its subtree from the right
+        half's actions, and the walk makes none of their cubes (module
+        notes)."""
         depth = parent.depth
         mirrored = self._mirrored.get(depth)
-        if depth > 4 or mirrored is False or len(actions) <= TWIN_SPAN:
+        if depth > 4 or mirrored is False or (
+                mirrored is None and len(actions) - start < TWIN_SPAN):
             return False
-        # back from its last leaf, a W, the right half's subtree holds
-        # more W than S until the S of parent evens them
-        start, trees = len(actions) - 1, 1
-        while trees:
-            start -= 1
-            trees += 1 if actions[start] == "W" else -1
-        span = actions[start + 1:]
         if mirrored is None:
-            if len(span) < TWIN_SPAN:
-                return False
             mirrored = self._mirrored[depth] = self._mirrors(depth)
         if mirrored:
-            self._replay = span[::-1]
+            self._replay = actions[:start - 1:-1]
         return mirrored
 
     def _mirrors(self, axis):

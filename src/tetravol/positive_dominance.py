@@ -18,8 +18,9 @@ so a walk that stops early makes no cube it does not test.
 When the root is its own mirror image along a split's axis, the split's
 two halves are one cube (``_kernels``' notes), so the left half's
 subtree takes the actions the walk has just taken for the right half's.
-The walk asks the engine's ``twin`` as it pops a left half, and for a
-twin the engine answers each step of that subtree from those actions,
+The walk asks the engine's ``twin`` as it pops a left half, telling it
+where the right half's subtree starts in the actions, and for a twin
+the engine answers each step of that subtree from those actions,
 still one ``wpd`` per 'W' or 'S', and makes none of its cubes: the same
 actions at less cost, in ``certify`` and ``replay`` alike.
 The actions are the split tree in preorder, so ``tree_shape`` reads the
@@ -91,26 +92,29 @@ def replay(p, certificate):
 def _traverse(p, budget, eng, expect=None):
     """The subdivision walk; None as soon as an action differs from expect.
 
-    An entry on the stack is the root, made already, (None, None), or a
-    half still to be made: the parent ``fit`` returned and its side, 0
-    left or 1 right.  The engine tests the cube it made last and keeps
-    it until it makes the next cube at its depth; the walk is depth
-    first, so a parent outlasts its halves, and no cube is read after
-    the next one at its depth.  In a twin's subtree ``fit`` returns
-    None, so its halves are entries (None, side), which the engine
-    answers without making them.
+    An entry on the stack is the root, made already, (None, None, 0), or
+    a half still to be made: the parent ``fit`` returned, its side, 0
+    left or 1 right, and for a left half the index in the actions where
+    its right half's subtree starts, since the walk pops the right half
+    next.  The engine tests the cube it made last and keeps it until it
+    makes the next cube at its depth; the walk is depth first, so a
+    parent outlasts its halves, and no cube is read after the next one
+    at its depth.  In a twin's subtree ``fit`` returns None, so its
+    halves are entries (None, side, start), which the engine answers
+    without making them.
     """
     eng.from_poly(p)
-    stack = [(None, None)]
+    stack = [(None, None, 0)]
     actions = []
     status, corner = "Nonnegative", None
     while stack:
         if len(actions) >= budget:
             status = "BudgetExhausted"
             break
-        parent, side = stack.pop()
+        parent, side, start = stack.pop()
         # the engine answers a left half that twins the right one
-        if parent is not None and (side or not eng.twin(parent, actions)):
+        if parent is not None and (
+                side or not eng.twin(parent, actions, start)):
             eng.child(parent, side)
         if eng.origin_negative():
             act = "N"
@@ -121,7 +125,7 @@ def _traverse(p, budget, eng, expect=None):
         actions.append(act)
         if act == "S":
             parent = eng.fit()
-            stack += ((parent, 0), (parent, 1))
+            stack += ((parent, 0, len(actions)), (parent, 1, 0))
         elif act == "N":
             status, corner = "NegativeWitness", eng.corner_value()
             break

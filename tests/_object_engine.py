@@ -116,7 +116,7 @@ class ObjectEngine:
         # Python ints have no range to bring a cube into
         return self._cube, self._depth
 
-    def twin(self, parent, actions):
+    def twin(self, parent, actions, start):
         # the oracle makes every half, twins too
         return False
 

@@ -374,6 +374,20 @@ def test_campaign_counts_only_the_rejected_candidates(monkeypatch):
     assert full_k4_campaign(trials=3) == ([w], 2)
 
 
+def test_a_candidate_outside_the_cone_is_rejected(monkeypatch):
+    # a search that finds its chamber's golden witness, with every point
+    # put outside the cone: each of its float candidates is rejected,
+    # which is what the K4 report counts
+    dec, beta = decoration("p4213b1"), EdgeSubset.parse("12")
+    assert anti_certify(dec, beta) in read_witnesses()
+    monkeypatch.setattr(anti_certification, "in_cone", lambda point: False)
+    assert anti_certify(dec, beta) is None
+    rng = random.Random("%s|%s|%d" % (beta.spec(), dec.id, 0))
+    outcomes = list(anti_certification._outcomes([dec], beta, rng, 20000,
+                                                 10000))
+    assert outcomes == [None] * 128
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("trials", [10000, 20000, 30000])
 def test_campaign_outcomes_at_benchmark_sizes(trials, seed):

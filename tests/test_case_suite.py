@@ -1,5 +1,6 @@
 """Registry integrity, one full case run, and the property suites."""
 
+import dataclasses
 import itertools
 import operator
 import random
@@ -16,10 +17,12 @@ from tetravol.case_suite_cli import (
 )
 from tetravol import cayley_menger
 from tetravol.anti_certification import f_value_bordered
-from tetravol.cayley_menger import FACES, EdgeSubset, is_tetrahedral
+from tetravol.cayley_menger import (FACES, EdgeSubset,
+                                   directional_derivative, f_polynomial,
+                                   is_tetrahedral)
 from tetravol.chamber_geometry import (CENTER, EXTREME_A, EXTREME_B,
                                       LatticeSimplex6, build_partitions,
-                                      midpoint)
+                                      certified_chambers, midpoint)
 from tetravol.exact_poly import Polynomial
 from tetravol.positive_dominance import Certificate, certify, replay
 from tetravol.simplex_pullback import pullback
@@ -183,10 +186,90 @@ def test_three_cycle_upper_end_is_not_8():
     assert replay(above, cert)
 
 
+def _on_segment(p, q, t):
+    """(1 - t) p + t q."""
+    return tuple((1 - t) * a + t * b for a, b in zip(p, q))
+
+
+def test_three_cycle_upper_end_is_exactly_9():
+    """E = 9 + 1/1000 fails at a point of D_1311, a certified chamber's
+    cell, so with E = 9 certified on B_1 (the test above) the 3-cycle's
+    upper end is exactly 9.
+
+    On D_1311's edge from C to (8,4,4,4,4,0), f = 16384 (1-t)^3 (1+t)^3
+    and 24g/f = 18/(1+t), which tends to 9 at the far vertex.
+    """
+    beta = EdgeSubset.parse("12,13,23")
+    parts = build_partitions()
+    cell = parts.fortyeight["D_1311"]
+    far = (8, 4, 4, 4, 4, 0)
+    assert CENTER in cell.vertices and far in cell.vertices
+    assert parts.decoration_table()["D_1311"].id == "p2143b3"
+    assert "p2143b3" in [d.id for d in certified_chambers(beta)]
+    f, g = f_polynomial(), directional_derivative(beta)
+    edge = cli._curve(CENTER, far, CENTER)
+    one_minus, one_plus = cli._t_poly(1, -1), cli._t_poly(1, 1)
+    f_edge = f.restrict_curve(edge)
+    assert f_edge == 16384 * one_minus ** 3 * one_plus ** 3
+    assert one_plus * g.restrict_curve(edge) * 24 == f_edge * 18
+
+    point = _on_segment(CENTER, far, Fraction(9999, 10000))
+    assert cell.contains(point)
+    fv, gv = f.evaluate(point), g.evaluate(point)
+    assert fv > 0 and 24 * gv / fv == Fraction(180000, 19999)
+    # 24000 g - 9001 f >= 0 is E = 9001/1000
+    assert 24000 * gv - 9001 * fv < 0
+
+
+def test_three_path_ends_are_bracketed():
+    """The 3-path's ends, -8 sqrt 2 and a root E* ~ 16.8693655552 of
+    E^4 - 30E^3 + 267E^2 - 776E + 144 (ROADMAP item 34), lie in brackets
+    [-11.31371, -11.313708] and [16.869365, 16.869366]: a certificate on
+    C_21 at the inner end, and a point of the extremal edge where the
+    combination at the outer end is negative.
+
+    The upper end certifies only once its edge, v1v3, is the cell's
+    last, in the vertex order (v4, v5, v2, v6, v3, v1).  The registry's
+    order and its report stay as they are.
+    """
+    spec = case_registry()["3-path"]
+    v = spec.simplices["C_21"].vertices
+    f, g = f_polynomial(), directional_derivative(spec.beta)
+
+    # a g + b f >= 0 is E = -24 b / a
+    lower = pullback(g * 6000000 + f * 2828427, spec.simplices["C_21"])
+    cert = certify(lower)
+    assert (cert.status, cert.steps, cert.max_depth) == \
+        ("Nonnegative", 2985, 70)
+    assert replay(lower, cert)
+    point = _on_segment(v[4], v[5], Fraction(292893, 500000))
+    assert 2400000 * g.evaluate(point) + 1131371 * f.evaluate(point) < 0
+
+    edge_last = LatticeSimplex6(
+        "C_21/v1v3", tuple(v[j - 1] for j in (4, 5, 2, 6, 3, 1)))
+    upper = pullback(g * 4800000 - f * 3373873, edge_last)
+    cert = certify(upper)
+    assert (cert.status, cert.steps, cert.max_depth) == \
+        ("Nonnegative", 1507, 65)
+    assert replay(upper, cert)
+    point = _on_segment(v[0], v[2], Fraction(150833, 1000000))
+    assert 12000000 * g.evaluate(point) - 8434683 * f.evaluate(point) < 0
+
+
+def _vanishing_curves(spec):
+    """spec with both weights of every curve zero, so that each curve's
+    combination restricts to 0."""
+    return dataclasses.replace(spec, curves=tuple(
+        dataclasses.replace(check, g_weight=cli._ZERO, f_weight=cli._ZERO)
+        for check in spec.curves))
+
+
 @pytest.mark.parametrize("name, owner, attr, failing", [
     ("3-cycle", cli, "grade_task", lambda task, cert: "FAIL"),
     ("3-cycle", cli, "curve_result",
      lambda beta, check: CurveResult(check.label, 0, -1, 1, 1, False)),
+    ("3-cycle", cli, "case_registry",
+     lambda: {"3-cycle": _vanishing_curves(case_registry()["3-cycle"])}),
     ("3-cycle", cli.anticert, "verify_witness", lambda w: False),
     ("full-K4", cli.anticert, "full_k4_campaign",
      lambda trials, seed: ([None], 0)),
@@ -203,6 +286,13 @@ def test_one_failed_row_fails_the_case(monkeypatch, name, owner, attr,
     report = run_case(name)
     assert not report.passed
     assert report.to_text().splitlines()[-1] == "result: FAIL"
+
+
+def test_a_curve_whose_combination_vanishes_fails():
+    spec = _vanishing_curves(case_registry()["3-cycle"])
+    for check in spec.curves:
+        res = curve_result(spec.beta, check)
+        assert (res.coefficient, res.degree, res.ok) == (0, -1, False)
 
 
 # -- monotonicity and root properties ------------------------------------

@@ -287,6 +287,35 @@ def test_appendix_check_small(capsys):
     assert "quadrature_failures=0" in out
 
 
+def test_lengthen_check_fails_loudly_when_every_trial_fails(capsys,
+                                                           monkeypatch):
+    monkeypatch.setattr(cli, "lengthen_check", lambda d, t: False)
+    code, out, _ = run(capsys, "lengthen-check", "--trials", "3", "--json")
+    assert code == 1
+    assert json.loads(out) == {"trials": 3, "failures": 3,
+                               "regular_equality": True}
+    code, out, _ = run(capsys, "lengthen-check", "--trials", "3")
+    assert code == 1
+    assert out.rstrip().endswith("failures=3 regular_equality=True -> FAIL")
+
+
+@pytest.mark.parametrize("check, failed", [
+    ("quadrature_check", (3, 0)), ("root_list_check", (0, 3)),
+])
+def test_appendix_check_fails_loudly_when_every_trial_fails(
+        capsys, monkeypatch, check, failed):
+    monkeypatch.setattr(cli, check, lambda *lists: False)
+    code, out, _ = run(capsys, "appendix-check", "--trials", "3", "--json")
+    assert code == 1
+    assert json.loads(out) == {"trials": 3,
+                               "quadrature_failures": failed[0],
+                               "root_failures": failed[1]}
+    code, out, _ = run(capsys, "appendix-check", "--trials", "3")
+    assert code == 1
+    assert out.rstrip().endswith(
+        "quadrature_failures=%d root_failures=%d -> FAIL" % failed)
+
+
 def test_explore_reports_unasserted_types_without_failing(capsys):
     code, out, _ = run(capsys, "explore", "--point", "4", "4", "4", "4",
                        "4", "4", "--beta", "12,13,14,23,24")

@@ -220,7 +220,7 @@ def test_reader_rebuilds_every_recorded_certificate():
 class NoTwins(NumpyBackend):
     """The limb engine, making both halves of every split."""
 
-    def twin(self, parent, actions):
+    def twin(self, parent, actions, start):
         return False
 
 
@@ -342,8 +342,8 @@ class TwinSpy(NumpyBackend):
         self.steps, self.answered, self.twins = 0, [], []
         return super().from_poly(p)
 
-    def twin(self, parent, actions):
-        answered = super().twin(parent, actions)
+    def twin(self, parent, actions, start):
+        answered = super().twin(parent, actions, start)
         if answered:
             self.twins.append(parent.depth)
         return answered
